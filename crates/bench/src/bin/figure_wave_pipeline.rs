@@ -8,6 +8,7 @@
 //! last waves finish — and reports the achieved edge utilization.
 
 use dapsp_bench::print_table;
+use dapsp_congest::{MetricsRecorder, SharedObserver};
 use dapsp_core::apsp;
 use dapsp_graph::generators;
 
@@ -40,7 +41,23 @@ fn main() {
         ),
         ("tree n=96", generators::random_tree(96, 3)),
     ] {
-        let (result, profile) = apsp::run_profiled(&g).expect("apsp");
+        let recorder = SharedObserver::new(MetricsRecorder::new());
+        let result = apsp::run_observed(&g, &recorder.observer()).expect("apsp");
+        // Row r of the wave phase's metric stream counts the messages sent
+        // in round r — the deliveries of round r + 1. The phase's last row
+        // is its final round, which sends nothing further.
+        let mut profile: Vec<u64> = recorder.with(|rec| {
+            rec.stream()
+                .iter()
+                .filter(|row| &*row.phase == "apsp:waves")
+                .map(|row| row.messages)
+                .collect()
+        });
+        assert_eq!(
+            profile.pop(),
+            Some(0),
+            "a drained run ends on a silent round"
+        );
         let m = g.num_edges() as f64;
         let peak = *profile.iter().max().unwrap_or(&0);
         let mean = profile.iter().sum::<u64>() as f64 / profile.len().max(1) as f64;

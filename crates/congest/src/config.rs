@@ -448,16 +448,6 @@ pub struct Config {
     /// Hard cap on the number of rounds; exceeding it aborts the run with
     /// [`SimError::RoundLimitExceeded`](crate::SimError::RoundLimitExceeded).
     pub max_rounds: u64,
-    /// Whether to record a (bounded) event trace; see [`crate::trace`].
-    pub trace: bool,
-    /// Capacity of the event trace when `trace` is set (default
-    /// [`Trace::DEFAULT_CAPACITY`](crate::Trace::DEFAULT_CAPACITY)); events
-    /// past it are counted but not stored, and the trace reports itself
-    /// [`truncated`](crate::Trace::truncated).
-    pub trace_capacity: usize,
-    /// Whether to record the per-round delivered-message counts in
-    /// [`Report::round_profile`](crate::Report::round_profile).
-    pub round_profile: bool,
     /// Optional deterministic fault adversary (message loss + node
     /// crashes); see [`FaultPlan`].
     pub faults: Option<FaultPlan>,
@@ -496,9 +486,6 @@ impl PartialEq for Config {
         self.bandwidth_bits == other.bandwidth_bits
             && self.message_budget == other.message_budget
             && self.max_rounds == other.max_rounds
-            && self.trace == other.trace
-            && self.trace_capacity == other.trace_capacity
-            && self.round_profile == other.round_profile
             && self.faults == other.faults
             && self.topology == other.topology
             && self.executor == other.executor
@@ -521,9 +508,6 @@ impl Config {
             bandwidth_bits: 2 * bits_for_id(n) + 8,
             message_budget: Some(2 * bits_for_id(n) + 8),
             max_rounds: 10_000u64.max(64 * n as u64),
-            trace: false,
-            trace_capacity: crate::trace::Trace::DEFAULT_CAPACITY,
-            round_profile: false,
             faults: None,
             topology: None,
             executor: ExecutorKind::Serial,
@@ -558,12 +542,6 @@ impl Config {
         self
     }
 
-    /// Enables event tracing (see [`crate::trace`]).
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
-        self
-    }
-
     /// Injects uniform deterministic message loss — shorthand for a
     /// single-rule [`FaultPlan`] that makes exactly the decisions the old
     /// [`LossPlan`] made for the same `(probability, seed)`.
@@ -583,12 +561,6 @@ impl Config {
     /// graph, with the precedence documented on [`CrashWindow`].
     pub fn with_topology(mut self, plan: TopologyPlan) -> Self {
         self.topology = Some(plan);
-        self
-    }
-
-    /// Records per-round delivered-message counts in the report.
-    pub fn with_round_profile(mut self) -> Self {
-        self.round_profile = true;
         self
     }
 
@@ -628,15 +600,6 @@ impl Config {
         self.executor.threads()
     }
 
-    /// Caps the event trace at `capacity` stored events (and implies
-    /// `with_trace`). Overflowing events are counted, not stored; see
-    /// [`Trace::truncated`](crate::Trace::truncated).
-    pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace = true;
-        self.trace_capacity = capacity;
-        self
-    }
-
     /// Attaches an observer receiving live round/message/timing events
     /// (see [`crate::obs`]). Cloning a config shares the handle, so one
     /// observer can watch every phase of a composite pipeline.
@@ -674,13 +637,9 @@ mod tests {
 
     #[test]
     fn builder_setters() {
-        let c = Config::for_n(8)
-            .with_bandwidth_bits(5)
-            .with_max_rounds(7)
-            .with_trace();
+        let c = Config::for_n(8).with_bandwidth_bits(5).with_max_rounds(7);
         assert_eq!(c.bandwidth_bits, 5);
         assert_eq!(c.max_rounds, 7);
-        assert!(c.trace);
     }
 
     #[test]
@@ -753,14 +712,6 @@ mod tests {
         assert_eq!(c.pool_chunk, Some(1));
         assert_ne!(c, Config::for_n(8));
         assert_eq!(Config::for_n(8).pool_chunk, None);
-    }
-
-    #[test]
-    fn trace_capacity_implies_trace() {
-        let c = Config::for_n(8).with_trace_capacity(3);
-        assert!(c.trace);
-        assert_eq!(c.trace_capacity, 3);
-        assert!(!Config::for_n(8).trace);
     }
 
     #[test]

@@ -23,7 +23,6 @@ use crate::message::{Message, TraceTags};
 use crate::node::{NodeId, Port};
 use crate::obs::{MessageEvent, Observer};
 use crate::topology::Topology;
-use crate::trace::Event;
 
 use super::Core;
 
@@ -294,7 +293,7 @@ pub(crate) fn stage_outbox<M: Message>(
 }
 
 impl<M: Message> Core<'_, M> {
-    /// Books one accepted message: trace, observer callback, statistics,
+    /// Books one accepted message: observer callback, statistics,
     /// and the receiver's pending inbox — the engine-thread half of every
     /// commit, shared verbatim by both executors.
     #[inline]
@@ -310,22 +309,6 @@ impl<M: Message> Core<'_, M> {
         bits: u32,
         msg: M,
     ) {
-        if let Some(trace) = &mut self.trace {
-            if trace.will_store() {
-                trace.record(Event {
-                    round: send_round + 1,
-                    from,
-                    to,
-                    port: to_port,
-                    bits,
-                    payload: format!("{msg:?}"),
-                });
-            } else {
-                // Past capacity the payload is never rendered: a truncated
-                // trace costs one counter bump per message, not a `format!`.
-                trace.count_overflow();
-            }
-        }
         if let Some(obs) = observer.as_deref_mut() {
             // Resolve edge indices through the churned view: inserted
             // edges only exist in the overlay.

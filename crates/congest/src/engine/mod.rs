@@ -50,7 +50,6 @@ use crate::node::{Inbox, NodeContext, NodeId, Outbox, Port};
 use crate::obs::{RoundMetrics, RoundTiming, RunInfo};
 use crate::stats::RunStats;
 use crate::topology::Topology;
-use crate::trace::Trace;
 
 mod commit;
 mod pool;
@@ -78,11 +77,6 @@ pub struct Report<O> {
     pub outputs: Vec<O>,
     /// Aggregate round/message/bit statistics.
     pub stats: RunStats,
-    /// The event trace, if [`Config::trace`] was enabled.
-    pub trace: Option<Trace>,
-    /// Messages delivered in each round (`round_profile[t]` = deliveries in
-    /// round `t+1`), if [`Config::round_profile`] was enabled; else empty.
-    pub round_profile: Vec<u64>,
     /// This run's per-round metric stream, if the configured observer
     /// records one (see
     /// [`MetricsRecorder`](crate::obs::MetricsRecorder)); `None` otherwise.
@@ -240,8 +234,6 @@ pub(crate) struct Core<'t, M> {
     pub(crate) in_flight: u64,
     pub(crate) round: u64,
     pub(crate) stats: RunStats,
-    pub(crate) trace: Option<Trace>,
-    pub(crate) round_profile: Vec<u64>,
 }
 
 impl<M> Core<'_, M> {
@@ -553,7 +545,6 @@ impl<'t, A: NodeAlgorithm> Simulator<'t, A> {
                 Some(init(&ctx))
             })
             .collect();
-        let trace = config.trace.then(|| Trace::new(config.trace_capacity));
         // A non-empty topology plan needs a mutable working copy; static
         // runs keep borrowing the caller's topology unclones.
         let churn = config
@@ -575,8 +566,6 @@ impl<'t, A: NodeAlgorithm> Simulator<'t, A> {
                 in_flight: 0,
                 round: 0,
                 stats: RunStats::default(),
-                trace,
-                round_profile: Vec::new(),
             },
             nodes,
         }
@@ -697,8 +686,6 @@ impl<'t, A: NodeAlgorithm> Simulator<'t, A> {
         Ok(Report {
             outputs,
             stats: self.core.stats,
-            trace: self.core.trace,
-            round_profile: self.core.round_profile,
             metrics,
             certificate,
             sched,
@@ -719,9 +706,6 @@ impl<'t, A: NodeAlgorithm> Simulator<'t, A> {
             Self::apply_churn(core, executor)?;
         }
         core.stats.max_messages_per_round = core.stats.max_messages_per_round.max(core.in_flight);
-        if core.config.round_profile {
-            core.round_profile.push(core.in_flight);
-        }
         let delivered = core.in_flight;
         core.in_flight = 0;
         let scheduled = executor.schedule(core);
@@ -1118,15 +1102,22 @@ mod tests {
     #[test]
     fn trace_records_deliveries() {
         let topo = path(3);
-        let cfg = Config::for_n(3).with_trace();
+        let rec = crate::SharedObserver::new(crate::TraceRecorder::new());
+        let cfg = Config::for_n(3).with_observer(rec.observer());
         let sim = Simulator::new(&topo, cfg, |_| Flood { seen_round: None });
         let report = sim.run().unwrap();
-        let trace = report.trace.expect("trace enabled");
-        assert_eq!(trace.events().len() as u64, report.stats.messages);
-        let first = &trace.events()[0];
-        assert_eq!(first.from, 0);
-        assert_eq!(first.to, 1);
-        assert_eq!(first.round, 1);
+        let deliveries: Vec<(u64, NodeId, NodeId)> = rec.with(|r| {
+            r.events()
+                .filter_map(|e| match *e {
+                    crate::TraceEvent::KernelRecv {
+                        round, from, to, ..
+                    } => Some((round, from, to)),
+                    _ => None,
+                })
+                .collect()
+        });
+        assert_eq!(deliveries.len() as u64, report.stats.messages);
+        assert_eq!(deliveries[0], (1, 0, 1));
     }
 
     #[test]
@@ -1453,25 +1444,6 @@ mod obs_tests {
     }
 
     #[test]
-    fn report_surfaces_trace_truncation() {
-        let topo = ring(8);
-        let cfg = Config::for_n(8).with_trace_capacity(5);
-        let report = Simulator::new(&topo, cfg, gossip(8)).run().unwrap();
-        let trace = report.trace.expect("trace enabled");
-        assert!(trace.truncated());
-        assert_eq!(trace.events().len(), 5);
-        assert_eq!(trace.total_events(), report.stats.messages);
-        // An unbounded trace of the same run is not truncated.
-        let full = Simulator::new(&topo, Config::for_n(8).with_trace(), gossip(8))
-            .run()
-            .unwrap()
-            .trace
-            .expect("trace enabled");
-        assert!(!full.truncated());
-        assert_eq!(full.total_events(), report.stats.messages);
-    }
-
-    #[test]
     fn drops_reach_the_observer() {
         let topo = ring(8);
         let rec = SharedObserver::new(MetricsRecorder::new());
@@ -1539,76 +1511,5 @@ mod obs_tests {
             stream.iter().map(|r| r.dropped).sum::<u64>(),
             serial.stats.dropped
         );
-    }
-}
-
-#[cfg(test)]
-mod profile_tests {
-    use super::*;
-
-    #[derive(Clone, Debug)]
-    struct T;
-    impl crate::Message for T {
-        fn bit_size(&self) -> u32 {
-            1
-        }
-    }
-    struct Relay {
-        seen: bool,
-    }
-    impl NodeAlgorithm for Relay {
-        type Message = T;
-        type Output = ();
-        fn on_start(&mut self, ctx: &NodeContext<'_>, out: &mut Outbox<T>) {
-            if ctx.node_id() == 0 {
-                self.seen = true;
-                out.send_to_all(0..ctx.degree() as u32, T);
-            }
-        }
-        fn on_round(&mut self, ctx: &NodeContext<'_>, inbox: &Inbox<T>, out: &mut Outbox<T>) {
-            if !inbox.is_empty() && !self.seen {
-                self.seen = true;
-                out.send_to_all(0..ctx.degree() as u32, T);
-            }
-        }
-        fn into_output(self, _: &NodeContext<'_>) {}
-    }
-
-    #[test]
-    fn round_profile_sums_to_total_messages() {
-        let adj = (0..6usize)
-            .map(|v| {
-                let mut a = vec![];
-                if v > 0 {
-                    a.push(v as u32 - 1);
-                }
-                if v + 1 < 6 {
-                    a.push(v as u32 + 1);
-                }
-                a
-            })
-            .collect();
-        let topo = Topology::from_adjacency(adj).unwrap();
-        let cfg = Config::for_n(6).with_round_profile();
-        let report = Simulator::new(&topo, cfg, |_| Relay { seen: false })
-            .run()
-            .unwrap();
-        assert_eq!(report.round_profile.len() as u64, report.stats.rounds);
-        assert_eq!(
-            report.round_profile.iter().sum::<u64>(),
-            report.stats.messages
-        );
-        // On a path the flood delivers one message forward (plus one echo)
-        // per round: the profile is flat, never zero until the end.
-        assert!(report.round_profile.iter().all(|&c| c >= 1));
-    }
-
-    #[test]
-    fn profile_is_empty_when_disabled() {
-        let topo = Topology::from_adjacency(vec![vec![1], vec![0]]).unwrap();
-        let report = Simulator::new(&topo, Config::for_n(2), |_| Relay { seen: false })
-            .run()
-            .unwrap();
-        assert!(report.round_profile.is_empty());
     }
 }

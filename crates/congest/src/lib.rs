@@ -22,11 +22,13 @@
 //!   ([`ExecutorKind`] — single-threaded, or a persistent worker pool with
 //!   bit-for-bit identical results), which detects quiescence, enforces
 //!   bandwidth, and collects [`RunStats`] (rounds, messages, bits),
-//! * [`trace`] — an optional bounded event log for debugging and for testing
-//!   algorithm invariants (e.g. that two BFS waves never congest an edge),
 //! * [`obs`] — live observers: per-round metric streams, a wall-clock phase
 //!   profiler, and probes that check the paper's congestion/delay invariants
-//!   while a run executes (attach with [`Config::with_observer`]).
+//!   while a run executes (attach with [`Config::with_observer`]) — the one
+//!   way to watch a run,
+//! * [`trace`] — the observer that records a typed, causally ordered,
+//!   bounded event stream ([`TraceRecorder`]), for debugging and for testing
+//!   algorithm invariants (e.g. that two BFS waves never congest an edge).
 //!
 //! # Example
 //!
@@ -85,7 +87,6 @@ mod topology;
 
 pub mod obs;
 pub mod trace;
-pub mod trace2;
 
 pub use algorithm::{NodeAlgorithm, Quiescence, RepairAction, TopologyDelta};
 pub use churn::churned_topology;
@@ -105,5 +106,4 @@ pub use obs::{
 pub use reference::ReferenceSimulator;
 pub use stats::RunStats;
 pub use topology::Topology;
-pub use trace::Trace;
-pub use trace2::{TraceEvent, TraceRecorder, TrackBy};
+pub use trace::{TraceEvent, TraceRecorder, TrackBy};

@@ -21,7 +21,6 @@ use crate::node::{Inbox, NodeContext, NodeId, Outbox};
 use crate::obs::{MessageEvent, RoundTiming, RunInfo};
 use crate::stats::RunStats;
 use crate::topology::Topology;
-use crate::trace::{Event, Trace};
 
 /// The seed round engine: allocates per round, steps sequentially.
 ///
@@ -44,8 +43,6 @@ pub struct ReferenceSimulator<'t, A: NodeAlgorithm> {
     in_flight: u64,
     round: u64,
     stats: RunStats,
-    trace: Option<Trace>,
-    round_profile: Vec<u64>,
     /// Pre-pass marks: `scheduled[v]` iff the active-set engine would
     /// schedule `v` this round. The reference engine still steps every
     /// node (that is what makes it the dense baseline), but it must book
@@ -74,7 +71,6 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
                 Some(init(&ctx))
             })
             .collect();
-        let trace = config.trace.then(|| Trace::new(config.trace_capacity));
         let churn = config
             .topology
             .as_ref()
@@ -92,8 +88,6 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
             in_flight: 0,
             round: 0,
             stats: RunStats::default(),
-            trace,
-            round_profile: Vec::new(),
             scheduled: vec![false; n],
             quiescence: QuiescenceState::default(),
         }
@@ -185,16 +179,6 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
                 }
             }
             let to_port = topo.reverse_port(v, port);
-            if let Some(trace) = &mut self.trace {
-                trace.record(Event {
-                    round: send_round + 1,
-                    from: v,
-                    to,
-                    port: to_port,
-                    bits,
-                    payload: format!("{msg:?}"),
-                });
-            }
             if let Some(obs) = observer.as_deref_mut() {
                 obs.on_message(&MessageEvent {
                     send_round,
@@ -343,9 +327,6 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
         let churn_topo = self.churn.as_ref().map(|c| Arc::clone(&c.topo));
         let topo: &Topology = churn_topo.as_deref().unwrap_or(self.topology);
         self.stats.max_messages_per_round = self.stats.max_messages_per_round.max(self.in_flight);
-        if self.config.round_profile {
-            self.round_profile.push(self.in_flight);
-        }
         let delivered = self.in_flight;
         self.in_flight = 0;
         let n = self.store.len();
@@ -534,8 +515,6 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
         Ok(Report {
             outputs,
             stats: self.stats,
-            trace: self.trace,
-            round_profile: self.round_profile,
             metrics,
             certificate,
             sched: None,

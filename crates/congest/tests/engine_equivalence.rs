@@ -1,15 +1,15 @@
 //! Property tests for the round engine's determinism guarantees: a
 //! `k`-threaded run must be bit-for-bit identical to the sequential run —
-//! same outputs, same statistics, same trace, same per-round profile — and
-//! the optimized engine must agree with the verbatim seed engine
-//! ([`ReferenceSimulator`]).
+//! same outputs, same statistics, same typed event trace (per-round
+//! delivery counts included) — and the optimized engine must agree with the
+//! verbatim seed engine ([`ReferenceSimulator`]).
 
 use proptest::prelude::*;
 
 use dapsp_congest::{
-    Config, ExecutorKind, FaultPlan, Inbox, Message, MetricsRecorder, NodeAlgorithm, NodeContext,
-    Outbox, Port, ReferenceSimulator, SharedObserver, Simulator, TerminationReason, Topology,
-    TopologyPlan, TraceRecorder,
+    Config, ExecutorKind, FanOut, FaultPlan, Inbox, Message, MetricsRecorder, NodeAlgorithm,
+    NodeContext, Outbox, Port, ReferenceSimulator, Report, SharedObserver, Simulator,
+    TerminationReason, Topology, TopologyPlan, TraceRecorder,
 };
 
 /// A gossip token: (origin id, hop count). Sized like a real CONGEST
@@ -178,23 +178,48 @@ fn random_connected_adj(n: usize, seed: u64, extra_per_node: usize) -> Vec<Vec<u
 }
 
 fn gossip_config(n: usize) -> Config {
-    // 16-bit tokens need a floor on B for tiny n; trace + profile so the
-    // comparison covers every observable the engine produces.
+    // 16-bit tokens need a floor on B for tiny n.
     let base = Config::for_n(n);
     let bw = base.bandwidth_bits.max(16);
     base.with_bandwidth_bits(bw)
-        .with_trace()
-        .with_round_profile()
 }
 
-fn run_with(topo: &Topology, config: Config) -> dapsp_congest::Report<Vec<Option<(u64, u32)>>> {
+/// Runs gossip under a [`TraceRecorder`] and returns the report next to the
+/// recorded event stream (every delivery, drop and round boundary, with
+/// per-round delivery counts) as JSONL — so comparing two runs covers every
+/// observable the engine produces.
+fn run_with(
+    topo: &Topology,
+    config: Config,
+) -> (Report<<Gossip as NodeAlgorithm>::Output>, String) {
     let n = topo.num_nodes();
-    Simulator::new(topo, config, |_| Gossip {
+    let rec = SharedObserver::new(TraceRecorder::new());
+    let report = Simulator::new(topo, config.with_observer(rec.observer()), |_| Gossip {
         first_heard: vec![None; n],
         queue: std::collections::VecDeque::new(),
     })
     .run()
-    .expect("gossip runs")
+    .expect("gossip runs");
+    (report, rec.with(|t| t.events_jsonl()))
+}
+
+/// What a tightly bounded [`TraceRecorder`] kept of a run: the stored
+/// events as JSONL, the overflow count, and the exact event total.
+type TraceDigest = (String, u64, u64);
+
+/// The `observed` mode of the four-way parity tests: a metrics recorder
+/// (first, so its stream lands on the report) fanned out with a trace
+/// recorder whose ring is far smaller than the run — which keeps the
+/// stored/overflowed split itself part of the comparison.
+fn observe(config: Config) -> (Config, SharedObserver<TraceRecorder>) {
+    let metrics = SharedObserver::new(MetricsRecorder::new());
+    let trace = SharedObserver::new(TraceRecorder::with_capacity(48, 16));
+    let both = SharedObserver::new(FanOut::new(vec![metrics.observer(), trace.observer()]));
+    (config.with_observer(both.observer()), trace)
+}
+
+fn digest(trace: SharedObserver<TraceRecorder>) -> TraceDigest {
+    trace.with(|t| (t.events_jsonl(), t.overflow(), t.total_events()))
 }
 
 /// The active-set regression the sparse engine exists for: a protocol in
@@ -270,20 +295,18 @@ proptest! {
 
     /// The tentpole guarantee: for k ∈ {2, 4}, a k-threaded run is
     /// indistinguishable from the sequential run — outputs, stats
-    /// (wall-time excluded by `RunStats`'s `PartialEq`), round counts,
-    /// per-round profiles, and the full delivery trace all match.
+    /// (wall-time excluded by `RunStats`'s `PartialEq`), round counts, and
+    /// the full event trace (per-round delivery counts included) all match.
     #[test]
     fn threaded_runs_match_sequential(n in 2usize..40, seed in any::<u64>(), extra in 0usize..3) {
         let adj = random_connected_adj(n, seed, extra);
         let topo = Topology::from_adjacency(adj).expect("valid");
-        let sequential = run_with(&topo, gossip_config(n));
+        let (sequential, seq_trace) = run_with(&topo, gossip_config(n));
         for k in [2usize, 4] {
-            let threaded = run_with(&topo, gossip_config(n).with_threads(k));
+            let (threaded, trace) = run_with(&topo, gossip_config(n).with_threads(k));
             prop_assert_eq!(&sequential.outputs, &threaded.outputs, "outputs, k={}", k);
             prop_assert_eq!(sequential.stats, threaded.stats, "stats, k={}", k);
-            prop_assert_eq!(&sequential.round_profile, &threaded.round_profile, "profile, k={}", k);
-            let (st, tt) = (sequential.trace.as_ref().unwrap(), threaded.trace.as_ref().unwrap());
-            prop_assert_eq!(st.events(), tt.events(), "trace, k={}", k);
+            prop_assert_eq!(&seq_trace, &trace, "trace, k={}", k);
         }
     }
 
@@ -295,14 +318,13 @@ proptest! {
     fn forced_unit_chunks_stay_deterministic(n in 2usize..32, seed in any::<u64>()) {
         let adj = random_connected_adj(n, seed, 1);
         let topo = Topology::from_adjacency(adj).expect("valid");
-        let sequential = run_with(&topo, gossip_config(n));
+        let (sequential, seq_trace) = run_with(&topo, gossip_config(n));
         for k in [2usize, 4] {
-            let threaded = run_with(&topo, gossip_config(n).with_threads(k).with_pool_chunk(1));
+            let (threaded, trace) =
+                run_with(&topo, gossip_config(n).with_threads(k).with_pool_chunk(1));
             prop_assert_eq!(&sequential.outputs, &threaded.outputs, "outputs, k={}", k);
             prop_assert_eq!(sequential.stats, threaded.stats, "stats, k={}", k);
-            prop_assert_eq!(&sequential.round_profile, &threaded.round_profile, "profile, k={}", k);
-            let (st, tt) = (sequential.trace.as_ref().unwrap(), threaded.trace.as_ref().unwrap());
-            prop_assert_eq!(st.events(), tt.events(), "trace, k={}", k);
+            prop_assert_eq!(&seq_trace, &trace, "trace, k={}", k);
         }
     }
 
@@ -316,21 +338,22 @@ proptest! {
         let lossy = |threads: usize| {
             run_with(&topo, gossip_config(n).with_loss(0.3, seed).with_threads(threads))
         };
-        let sequential = lossy(1);
+        let (sequential, seq_trace) = lossy(1);
         for k in [3usize, 64] {
-            let threaded = lossy(k);
+            let (threaded, trace) = lossy(k);
             prop_assert_eq!(&sequential.outputs, &threaded.outputs, "outputs, k={}", k);
             prop_assert_eq!(sequential.stats, threaded.stats, "stats, k={}", k);
+            prop_assert_eq!(&seq_trace, &trace, "trace, k={}", k);
         }
     }
 
     /// Four-way executor parity under every observability mode: Serial vs
     /// Pool(2) vs Pool(4) vs the seed-verbatim `ReferenceSimulator`, on
     /// random graphs × loss plans × observer attached/detached. Asserts
-    /// identical `RunStats`, identical metric streams whose column sums
-    /// decompose the stats, and identical (truncated) trace prefixes —
-    /// the tight capacity keeps the stored-prefix/counted-overflow split
-    /// itself part of the comparison.
+    /// identical `RunStats` and, when observed, identical metric streams
+    /// whose column sums decompose the stats plus identical (truncated)
+    /// trace rings — the tight capacity keeps the stored/counted-overflow
+    /// split itself part of the comparison.
     #[test]
     fn executors_match_reference_under_observation(
         n in 2usize..24,
@@ -341,7 +364,7 @@ proptest! {
         let adj = random_connected_adj(n, seed, 1);
         let topo = Topology::from_adjacency(adj).expect("valid");
         let make_config = || {
-            let mut c = gossip_config(n).with_trace_capacity(64).with_phase("parity");
+            let mut c = gossip_config(n).with_phase("parity");
             if lossy {
                 c = c.with_loss(0.25, seed);
             }
@@ -354,17 +377,20 @@ proptest! {
         // `reference: true` ignores the executor and runs the seed engine.
         let run_one = |executor: ExecutorKind, reference: bool| {
             let mut config = make_config().with_executor(executor);
+            let mut trace = None;
             if observed {
-                let rec = SharedObserver::new(MetricsRecorder::new());
-                config = config.with_observer(rec.observer());
+                let (watched, rec) = observe(config);
+                config = watched;
+                trace = Some(rec);
             }
-            if reference {
+            let report = if reference {
                 ReferenceSimulator::new(&topo, config, init).run().expect("reference runs")
             } else {
                 Simulator::new(&topo, config, init).run().expect("pipeline runs")
-            }
+            };
+            (report, trace.map(digest))
         };
-        let baseline = run_one(ExecutorKind::Serial, false);
+        let (baseline, base_trace) = run_one(ExecutorKind::Serial, false);
         if observed {
             // The metric stream's columns decompose the aggregate stats.
             let stream = baseline.metrics.as_ref().expect("recorder attached");
@@ -395,21 +421,15 @@ proptest! {
             (ExecutorKind::Serial, true),
         ];
         for (executor, reference) in candidates {
-            let other = run_one(executor, reference);
+            let (other, other_trace) = run_one(executor, reference);
             let label = if reference { "reference" } else { executor.name() };
             prop_assert_eq!(&baseline.outputs, &other.outputs, "outputs vs {}", label);
             prop_assert_eq!(baseline.stats, other.stats, "stats vs {}", label);
-            prop_assert_eq!(
-                &baseline.round_profile, &other.round_profile,
-                "profile vs {}", label
-            );
             // RoundMetrics equality ignores wall-clock columns, so entire
             // streams must match row for row (both None when unobserved).
             prop_assert_eq!(&baseline.metrics, &other.metrics, "metrics vs {}", label);
-            let (bt, ot) = (baseline.trace.as_ref().unwrap(), other.trace.as_ref().unwrap());
-            prop_assert_eq!(bt.events(), ot.events(), "trace prefix vs {}", label);
-            prop_assert_eq!(bt.dropped(), ot.dropped(), "trace overflow vs {}", label);
-            prop_assert_eq!(bt.total_events(), ot.total_events(), "trace totals vs {}", label);
+            // Stored ring, overflow count and event total, all three.
+            prop_assert_eq!(&base_trace, &other_trace, "trace ring vs {}", label);
         }
     }
 
@@ -430,7 +450,7 @@ proptest! {
         let adj = random_connected_adj(n, seed, 0);
         let topo = Topology::from_adjacency(adj).expect("valid");
         let make_config = || {
-            let mut c = gossip_config(n).with_trace_capacity(64).with_phase("sparse");
+            let mut c = gossip_config(n).with_phase("sparse");
             if lossy {
                 c = c.with_loss(0.2, seed);
             }
@@ -439,17 +459,20 @@ proptest! {
         let init = |_: &NodeContext<'_>| Wavefront { forwarded: false, heard: None };
         let run_one = |executor: ExecutorKind, reference: bool| {
             let mut config = make_config().with_executor(executor);
+            let mut trace = None;
             if observed {
-                let rec = SharedObserver::new(MetricsRecorder::new());
-                config = config.with_observer(rec.observer());
+                let (watched, rec) = observe(config);
+                config = watched;
+                trace = Some(rec);
             }
-            if reference {
+            let report = if reference {
                 ReferenceSimulator::new(&topo, config, init).run().expect("reference runs")
             } else {
                 Simulator::new(&topo, config, init).run().expect("pipeline runs")
-            }
+            };
+            (report, trace.map(digest))
         };
-        let dense = run_one(ExecutorKind::Serial, true);
+        let (dense, dense_trace) = run_one(ExecutorKind::Serial, true);
         // The wavefront keeps the schedule strictly sparse on any graph
         // with more than a couple of nodes: once the wave has passed, a
         // node never reappears on the schedule.
@@ -459,14 +482,12 @@ proptest! {
             ExecutorKind::Pool { workers: 2 },
             ExecutorKind::Pool { workers: 4 },
         ] {
-            let sparse = run_one(executor, false);
+            let (sparse, sparse_trace) = run_one(executor, false);
             let label = executor.name();
             prop_assert_eq!(&dense.outputs, &sparse.outputs, "outputs vs {}", label);
             prop_assert_eq!(dense.stats, sparse.stats, "stats vs {}", label);
-            prop_assert_eq!(&dense.round_profile, &sparse.round_profile, "profile vs {}", label);
             prop_assert_eq!(&dense.metrics, &sparse.metrics, "metrics vs {}", label);
-            let (dt, st) = (dense.trace.as_ref().unwrap(), sparse.trace.as_ref().unwrap());
-            prop_assert_eq!(dt.events(), st.events(), "trace vs {}", label);
+            prop_assert_eq!(&dense_trace, &sparse_trace, "trace ring vs {}", label);
         }
     }
 
@@ -476,7 +497,7 @@ proptest! {
     /// runs — and the termination certificate every engine attaches to its
     /// report is equal too, with internally consistent vote tallies.
     #[test]
-    fn trace2_streams_and_certificates_match_four_ways(
+    fn trace_streams_and_certificates_match_four_ways(
         n in 2usize..24,
         seed in any::<u64>(),
         lossy in any::<bool>(),
@@ -488,7 +509,7 @@ proptest! {
             queue: std::collections::VecDeque::new(),
         };
         let run_one = |executor: ExecutorKind, reference: bool| {
-            let mut config = gossip_config(n).with_phase("trace2").with_executor(executor);
+            let mut config = gossip_config(n).with_phase("trace").with_executor(executor);
             if lossy {
                 config = config.with_loss(0.25, seed);
             }
@@ -526,8 +547,8 @@ proptest! {
         ] {
             let (other_report, other_jsonl, other_total) = run_one(executor, reference);
             let label = if reference { "reference" } else { executor.name() };
-            prop_assert_eq!(&base_jsonl, &other_jsonl, "trace2 JSONL vs {}", label);
-            prop_assert_eq!(base_total, other_total, "trace2 totals vs {}", label);
+            prop_assert_eq!(&base_jsonl, &other_jsonl, "trace JSONL vs {}", label);
+            prop_assert_eq!(base_total, other_total, "trace totals vs {}", label);
             prop_assert_eq!(
                 &base_report.certificate, &other_report.certificate,
                 "certificate vs {}", label
@@ -539,7 +560,7 @@ proptest! {
     /// Pool(2) with forced unit chunks (maximum stealing), and the seed
     /// reference engine must agree on outputs, stats (including the new
     /// `topo_events` / `repaired_node_rounds` / `recompute_fallbacks`
-    /// columns) and the trace2 stream — `TopologyChange` events included —
+    /// columns) and the trace stream — `TopologyChange` events included —
     /// on random graphs × random plans × loss × observer modes.
     #[test]
     fn churned_runs_match_four_ways(
@@ -609,7 +630,7 @@ proptest! {
             prop_assert_eq!(
                 jsonl.matches("\"ev\":\"topology\"").count() as u64,
                 applied,
-                "one trace2 event per plan event"
+                "one trace event per plan event"
             );
         }
         for (executor, chunk, reference) in [
@@ -625,10 +646,7 @@ proptest! {
             };
             prop_assert_eq!(&baseline.outputs, &other.outputs, "outputs vs {}", &label);
             prop_assert_eq!(baseline.stats, other.stats, "stats vs {}", &label);
-            prop_assert_eq!(&baseline.round_profile, &other.round_profile, "profile vs {}", &label);
-            prop_assert_eq!(&base_jsonl, &other_jsonl, "trace2 vs {}", &label);
-            let (bt, ot) = (baseline.trace.as_ref().unwrap(), other.trace.as_ref().unwrap());
-            prop_assert_eq!(bt.events(), ot.events(), "trace vs {}", &label);
+            prop_assert_eq!(&base_jsonl, &other_jsonl, "trace vs {}", &label);
         }
     }
 
@@ -638,8 +656,10 @@ proptest! {
     fn optimized_engine_matches_seed_engine(n in 2usize..32, seed in any::<u64>(), extra in 0usize..2) {
         let adj = random_connected_adj(n, seed, extra);
         let topo = Topology::from_adjacency(adj).expect("valid");
-        let optimized = run_with(&topo, gossip_config(n));
-        let reference = ReferenceSimulator::new(&topo, gossip_config(n), |_| Gossip {
+        let (optimized, trace) = run_with(&topo, gossip_config(n));
+        let rec = SharedObserver::new(TraceRecorder::new());
+        let config = gossip_config(n).with_observer(rec.observer());
+        let reference = ReferenceSimulator::new(&topo, config, |_| Gossip {
             first_heard: vec![None; n],
             queue: std::collections::VecDeque::new(),
         })
@@ -647,9 +667,7 @@ proptest! {
         .expect("reference runs");
         prop_assert_eq!(&optimized.outputs, &reference.outputs);
         prop_assert_eq!(optimized.stats, reference.stats);
-        prop_assert_eq!(&optimized.round_profile, &reference.round_profile);
-        let (ot, rt) = (optimized.trace.as_ref().unwrap(), reference.trace.as_ref().unwrap());
-        prop_assert_eq!(ot.events(), rt.events());
+        prop_assert_eq!(trace, rec.with(|t| t.events_jsonl()));
     }
 }
 
@@ -731,7 +749,7 @@ fn removal_wins_over_crash_windows() {
         report.stats, ref_report.stats,
         "engines agree on precedence"
     );
-    assert_eq!(jsonl, ref_jsonl, "trace2 agrees on precedence");
+    assert_eq!(jsonl, ref_jsonl, "trace agrees on precedence");
 }
 
 /// The other half of the composition: a crash window alone never touches

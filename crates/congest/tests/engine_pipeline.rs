@@ -1,9 +1,7 @@
 //! Targeted regression tests for the phase-pipeline/executor split:
 //! worker-pool lifecycle (threads spawn once per run, never per round),
-//! shard-safe duplicate-send stamps, truncated traces skipping payload
-//! rendering, and error parity between executors.
+//! shard-safe duplicate-send stamps, and error parity between executors.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use dapsp_congest::{
@@ -183,77 +181,6 @@ fn duplicate_detection_is_shard_local_but_still_fires() {
     }
     assert_eq!(errors[0], errors[1]);
     assert_eq!(errors[0], errors[2]);
-}
-
-/// A message whose `Debug` rendering counts how often it runs: the trace
-/// must stop paying for `format!("{msg:?}")` once it hits capacity.
-static RENDERED: AtomicUsize = AtomicUsize::new(0);
-
-#[derive(Clone)]
-struct CountsFormats;
-impl std::fmt::Debug for CountsFormats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        RENDERED.fetch_add(1, Ordering::SeqCst);
-        write!(f, "CountsFormats")
-    }
-}
-impl Message for CountsFormats {
-    fn bit_size(&self) -> u32 {
-        1
-    }
-}
-
-struct Wave {
-    seen: bool,
-}
-impl NodeAlgorithm for Wave {
-    type Message = CountsFormats;
-    type Output = ();
-    fn on_start(&mut self, ctx: &NodeContext<'_>, out: &mut Outbox<CountsFormats>) {
-        if ctx.node_id() == 0 {
-            self.seen = true;
-            out.send_to_all(0..ctx.degree() as Port, CountsFormats);
-        }
-    }
-    fn on_round(
-        &mut self,
-        ctx: &NodeContext<'_>,
-        inbox: &Inbox<CountsFormats>,
-        out: &mut Outbox<CountsFormats>,
-    ) {
-        if !inbox.is_empty() && !self.seen {
-            self.seen = true;
-            out.send_to_all(0..ctx.degree() as Port, CountsFormats);
-        }
-    }
-    fn into_output(self, _: &NodeContext<'_>) {}
-}
-
-#[test]
-fn truncated_trace_skips_payload_formatting() {
-    let _gate = spawn_gate();
-    let topo = path(8); // the flood sends 2·(n−1) = 14 messages
-    for executor in [ExecutorKind::Serial, ExecutorKind::Pool { workers: 3 }] {
-        let before = RENDERED.load(Ordering::SeqCst);
-        let cfg = Config::for_n(8)
-            .with_trace_capacity(3)
-            .with_executor(executor);
-        let report = Simulator::new(&topo, cfg, |_| Wave { seen: false })
-            .run()
-            .unwrap();
-        let trace = report.trace.expect("trace enabled");
-        assert_eq!(report.stats.messages, 14, "{executor:?}");
-        // Only the 3 stored events rendered their payload…
-        assert_eq!(
-            RENDERED.load(Ordering::SeqCst) - before,
-            3,
-            "{executor:?}: formats past capacity"
-        );
-        // …yet the overflow is still counted in full.
-        assert_eq!(trace.events().len(), 3, "{executor:?}");
-        assert!(trace.truncated(), "{executor:?}");
-        assert_eq!(trace.total_events(), report.stats.messages, "{executor:?}");
-    }
 }
 
 /// Oversubscribed pools (more workers than nodes) clamp instead of

@@ -80,29 +80,6 @@ pub struct ApspResult {
     pub certificate: Option<TerminationCertificate>,
 }
 
-impl ApspResult {
-    /// Reconstructs one shortest path from `u` to `v` (inclusive) by
-    /// following next-hop pointers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` or `v` is out of range.
-    pub fn path(&self, u: u32, v: u32) -> Vec<u32> {
-        let mut path = vec![u];
-        let mut cur = u;
-        while cur != v {
-            match self.next_hop[cur as usize][v as usize] {
-                Some(next) => {
-                    path.push(next);
-                    cur = next;
-                }
-                None => unreachable!("connected graph has a complete next-hop table"),
-            }
-        }
-        path
-    }
-}
-
 /// Runs Algorithm 1: exact all-pairs shortest paths in `O(n)` rounds.
 ///
 /// # Errors
@@ -148,7 +125,7 @@ pub fn run_on(topology: &Topology) -> Result<ApspResult, CoreError> {
 ///
 /// Same as [`run`].
 pub fn run_on_obs(topology: &Topology, obs: Obs<'_>) -> Result<ApspResult, CoreError> {
-    run_phases(topology, true, u32::MAX, false, obs).map(|(result, _)| result)
+    run_phases(topology, true, u32::MAX, obs)
 }
 
 /// Like [`run`], streaming round/message/timing events of both phases to
@@ -181,22 +158,6 @@ pub fn run_observed(graph: &Graph, observer: &ObserverHandle) -> Result<ApspResu
         return Err(CoreError::EmptyGraph);
     }
     run_on_obs(&graph.to_topology(), Obs::watching(observer))
-}
-
-/// Like [`run`], but also returns the wave phase's per-round
-/// delivered-message counts — the "shape" of the pipelined schedule, used
-/// by the `figure_wave_pipeline` experiment to visualize Lemma 1's
-/// congestion-free overlap.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_profiled(graph: &Graph) -> Result<(ApspResult, Vec<u64>), CoreError> {
-    if graph.num_nodes() == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
-    run_phases(&graph.to_topology(), true, u32::MAX, true, Obs::none())
-        .map(|(result, profile)| (result, profile.expect("profiling was requested")))
 }
 
 /// Like [`run`], over links a [`FaultPlan`] adversary drops messages
@@ -305,7 +266,7 @@ pub fn run_truncated(graph: &Graph, k: u32) -> Result<KbfsResult, CoreError> {
 ///
 /// Same as [`run`].
 pub fn run_truncated_on(topology: &Topology, k: u32) -> Result<KbfsResult, CoreError> {
-    run_phases(topology, true, k, false, Obs::none()).map(|(result, _)| KbfsResult { k, result })
+    run_phases(topology, true, k, Obs::none()).map(|result| KbfsResult { k, result })
 }
 
 /// The outcome of a truncated (k-BFS) run; see [`run_truncated`].
@@ -409,27 +370,18 @@ fn run_with_wait(graph: &Graph, wait_one_slot: bool) -> Result<ApspResult, CoreE
     if graph.num_nodes() == 0 {
         return Err(CoreError::EmptyGraph);
     }
-    run_phases(
-        &graph.to_topology(),
-        wait_one_slot,
-        u32::MAX,
-        false,
-        Obs::none(),
-    )
-    .map(|(result, _)| result)
+    run_phases(&graph.to_topology(), wait_one_slot, u32::MAX, Obs::none())
 }
 
 /// The shared two-phase pipeline behind every Algorithm 1 variant:
 /// phase A builds `T_1`, phase B runs the pebble + (possibly truncated)
-/// waves, optionally recording the per-round activity profile. Both phases
-/// share the caller's topology.
+/// waves. Both phases share the caller's topology.
 fn run_phases(
     topology: &Topology,
     wait_one_slot: bool,
     max_depth: u32,
-    profile: bool,
     obs: Obs<'_>,
-) -> Result<(ApspResult, Option<Vec<u64>>), CoreError> {
+) -> Result<ApspResult, CoreError> {
     let n = topology.num_nodes();
     if n == 0 {
         return Err(CoreError::EmptyGraph);
@@ -440,10 +392,7 @@ fn run_phases(
         return Err(CoreError::Disconnected);
     }
     // Phase B: pebble traversal + one BFS wave per node.
-    let mut config = obs.apply(Config::for_n(n), "apsp:waves");
-    if profile {
-        config = config.with_round_profile();
-    }
+    let config = obs.apply(Config::for_n(n), "apsp:waves");
     let report = run_protocol_on(topology, config, |ctx| {
         Stack::coupled(
             PebbleKernel::new(ctx, &t1.tree, wait_one_slot),
@@ -451,8 +400,7 @@ fn run_phases(
             StartWaveOnRelease,
         )
     })?;
-    let round_profile = profile.then(|| report.round_profile.clone());
-    Ok((assemble(topology, t1, report), round_profile))
+    Ok(assemble(topology, t1, report))
 }
 
 /// Folds per-node outputs into the host-side result structure.
@@ -632,17 +580,19 @@ mod tests {
 
     #[test]
     fn next_hop_paths_are_shortest() {
+        // Every next hop is a neighbor exactly one step closer, so any walk
+        // along the pointers is a shortest path.
         let g = generators::grid(4, 4);
         let r = run(&g).unwrap();
         for u in 0..16u32 {
-            for v in 0..16u32 {
-                let path = r.path(u, v);
-                assert_eq!(path.len() as u32 - 1, r.distances.get(u, v).unwrap());
-                assert_eq!(*path.first().unwrap(), u);
-                assert_eq!(*path.last().unwrap(), v);
-                for w in path.windows(2) {
-                    assert!(g.has_edge(w[0], w[1]));
-                }
+            assert_eq!(r.next_hop[u as usize][u as usize], None);
+            for v in (0..16u32).filter(|&v| v != u) {
+                let hop = r.next_hop[u as usize][v as usize].expect("connected graph");
+                assert!(g.has_edge(u, hop));
+                assert_eq!(
+                    r.distances.get(hop, v).unwrap() + 1,
+                    r.distances.get(u, v).unwrap()
+                );
             }
         }
     }

@@ -449,8 +449,6 @@ pub fn split_reliable_report<T>(
         dapsp_congest::Report {
             outputs,
             stats: report.stats,
-            trace: report.trace,
-            round_profile: report.round_profile,
             metrics: report.metrics,
             certificate: report.certificate,
             sched: report.sched,

@@ -87,7 +87,7 @@ fn composite_pipelines_respect_the_budget() {
         three_halves::run(&g, 7).unwrap();
         two_vs_four::run(&g, 7).unwrap();
         leader::elect(&g).unwrap();
-        let tables = routing::RoutingTables::from_apsp(&apsp::run(&g).unwrap());
+        let tables = routing::RouteTable::from_apsp(apsp::run(&g).unwrap(), 0);
         let flows = vec![routing::Flow {
             source: 0,
             destination: g.num_nodes() as u32 - 1,

@@ -32,11 +32,12 @@ proptest! {
     #[test]
     fn apsp_paths_are_shortest(n in 2usize..20, seed in any::<u64>()) {
         let g = connected(n, 0.2, seed);
-        let r = apsp::run(&g).expect("apsp");
+        let oracle = reference::apsp(&g);
+        let table = routing::RouteTable::from_apsp(apsp::run(&g).expect("apsp"), 0);
         for u in 0..n as u32 {
             for v in 0..n as u32 {
-                let path = r.path(u, v);
-                prop_assert_eq!(path.len() as u32 - 1, r.distances.get(u, v).unwrap());
+                let path = table.path(u, v).expect("connected");
+                prop_assert_eq!(path.len() as u32 - 1, oracle.get(u, v).unwrap());
                 for w in path.windows(2) {
                     prop_assert!(g.has_edge(w[0], w[1]));
                 }
@@ -239,7 +240,7 @@ proptest! {
     #[test]
     fn routing_delivery_bounds(n in 4usize..22, seed in any::<u64>(), nflows in 1usize..6) {
         let g = connected(n, 0.2, seed);
-        let tables = routing::RoutingTables::from_apsp(&apsp::run(&g).expect("apsp"));
+        let tables = routing::RouteTable::from_apsp(apsp::run(&g).expect("apsp"), 0);
         let flows: Vec<routing::Flow> = (0..nflows)
             .map(|i| routing::Flow {
                 source: ((i * 3) % n) as u32,

@@ -12,9 +12,6 @@ pub enum ServeError {
     /// The underlying distributed computation failed (see [`CoreError`]) —
     /// the snapshot in service is left untouched.
     Core(CoreError),
-    /// A table was compacted from a result of the wrong shape (e.g. a
-    /// churned run that does not maintain all-pairs roots).
-    InvalidTable(String),
     /// The background control-plane thread is gone (shut down or
     /// panicked); the last published snapshot keeps serving, but no new
     /// topology changes can be applied.
@@ -25,7 +22,6 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Core(e) => write!(f, "recompute failed: {e}"),
-            ServeError::InvalidTable(why) => write!(f, "invalid table: {why}"),
             ServeError::ControlPlaneDown => {
                 write!(f, "control-plane thread is no longer running")
             }

@@ -1,9 +1,9 @@
 //! The read side: a cloneable handle that loads the current snapshot
-//! with one brief lock and answers every query lock-free after that.
+//! with one brief read-lock and answers every query lock-free after that.
 
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
-use crate::table::RouteTable;
+use dapsp_core::routing::RouteTable;
 
 /// A cloneable, thread-safe handle onto the currently published
 /// [`RouteTable`].
@@ -14,7 +14,10 @@ use crate::table::RouteTable;
 /// the lock and swaps a pointer); everything after `load` runs against an
 /// immutable snapshot with no synchronization at all. Readers holding an
 /// old snapshot keep it alive and internally consistent until they drop
-/// it — a swap can never tear a table out from under a query.
+/// it — a swap can never tear a table out from under a query. The lock
+/// guards a single always-valid `Arc`, so a thread that panics while
+/// holding it cannot leave anything half-written: poisoning is ignored and
+/// the last published snapshot keeps serving.
 ///
 /// The convenience forwarders ([`dist`](Self::dist),
 /// [`next_hop`](Self::next_hop), …) load per call; batch work should
@@ -33,16 +36,17 @@ impl ServeHandle {
         }
     }
 
-    /// The currently published snapshot. Queries against the returned
-    /// `Arc` are lock-free and see exactly one epoch.
+    /// The currently published snapshot: one brief read-lock to clone the
+    /// pointer. Queries against the returned `Arc` are lock-free and see
+    /// exactly one epoch.
     pub fn load(&self) -> Arc<RouteTable> {
-        Arc::clone(&self.inner.read().expect("route table publisher panicked"))
+        Arc::clone(&self.inner.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Atomically replaces the published snapshot; in-flight readers keep
     /// the snapshot they loaded.
     pub(crate) fn publish(&self, table: Arc<RouteTable>) {
-        *self.inner.write().expect("route table reader panicked") = table;
+        *self.inner.write().unwrap_or_else(PoisonError::into_inner) = table;
     }
 
     /// The epoch of the currently published snapshot.
@@ -86,5 +90,38 @@ impl ServeHandle {
     /// Panics if any pair is out of range.
     pub fn dist_batch(&self, pairs: &[(u32, u32)]) -> Vec<Option<u32>> {
         self.load().dist_batch(pairs)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dapsp_core::apsp;
+    use dapsp_graph::generators;
+
+    fn table(epoch: u64) -> Arc<RouteTable> {
+        let run = apsp::run(&generators::cycle(5)).unwrap();
+        Arc::new(RouteTable::from_apsp(run, epoch))
+    }
+
+    #[test]
+    fn a_panicking_writer_does_not_take_readers_down() {
+        let handle = ServeHandle::new(table(0));
+        let writer = handle.clone();
+        let panicked = std::thread::spawn(move || {
+            let _guard = writer.inner.write().unwrap();
+            panic!("publisher dies holding the write lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(handle.inner.is_poisoned());
+        // Readers still get the last snapshot, intact…
+        let snapshot = handle.load();
+        assert_eq!(snapshot.epoch(), 0);
+        assert!(snapshot.verify());
+        assert_eq!(handle.dist(0, 2), Some(2));
+        // …and a later publish still goes through.
+        handle.publish(table(1));
+        assert_eq!(handle.epoch(), 1);
     }
 }

@@ -6,13 +6,15 @@
 //! The crate splits the classic control-plane/data-plane pair over the
 //! `dapsp` stack:
 //!
-//! * **Data plane** — [`RouteTable`]: flat next-hop and hop-count arrays
-//!   (plus eccentricities, centers, girth, and the producing run's
+//! * **Data plane** — [`RouteTable`], the workspace's one routing-table
+//!   type. It lives in [`dapsp_core::routing`] and is re-exported here
+//!   unwrapped: flat next-hop and hop-count arrays (plus eccentricities,
+//!   centers, girth, and the producing run's
 //!   [`TerminationCertificate`](dapsp_congest::TerminationCertificate)),
 //!   immutable from construction. [`ServeHandle`] publishes tables by
-//!   atomic snapshot swap: readers `load()` an `Arc` and query lock-free;
-//!   a reader mid-batch keeps its snapshot alive and consistent no matter
-//!   how many republishes happen meanwhile.
+//!   atomic snapshot swap: one brief read-lock per `load()`, lock-free
+//!   queries on the loaded snapshot; a reader mid-batch keeps its snapshot
+//!   alive and consistent no matter how many republishes happen meanwhile.
 //! * **Control plane** — [`RouteService`]: owns the live graph, applies
 //!   [`TopologyPlan`](dapsp_congest::TopologyPlan)s through the churn
 //!   track (kernel repair with the adaptive full-recompute fallback), and
@@ -45,9 +47,8 @@
 mod error;
 mod handle;
 mod service;
-mod table;
 
+pub use dapsp_core::routing::{RebuildPolicy, RouteTable};
 pub use error::ServeError;
 pub use handle::ServeHandle;
 pub use service::{EpochTicket, RouteService, RouteServiceController};
-pub use table::{RebuildPolicy, RouteTable};

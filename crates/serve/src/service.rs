@@ -9,12 +9,12 @@ use std::thread::JoinHandle;
 use dapsp_congest::{churned_topology, Config, TopologyPlan};
 use dapsp_core::apsp;
 use dapsp_core::churned::churned_graph;
+use dapsp_core::routing::RouteTable;
 use dapsp_core::{CoreError, Obs};
 use dapsp_graph::Graph;
 
 use crate::error::ServeError;
 use crate::handle::ServeHandle;
-use crate::table::RouteTable;
 
 /// The control plane of the serving layer: owns the live graph, runs the
 /// distributed computation, and publishes [`RouteTable`] snapshots to its
@@ -89,10 +89,9 @@ impl RouteService {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Core`] when the plan does not apply cleanly or the
-    /// run fails; [`ServeError::InvalidTable`] when the repaired result
-    /// cannot back a full routing table. The published snapshot and the
-    /// service's graph are unchanged on error.
+    /// [`ServeError::Core`] when the plan does not apply cleanly, the run
+    /// fails, or the repaired result cannot back a full routing table. The
+    /// published snapshot and the service's graph are unchanged on error.
     pub fn apply(&mut self, plan: &TopologyPlan) -> Result<Arc<RouteTable>, ServeError> {
         let topo = self.graph.to_topology();
         let repaired = apsp::run_churned_on(&topo, plan, obs_for(self.threads))?;

@@ -74,6 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // A concrete routing table: next hops from access router 20.
+    let table = routing::RouteTable::from_apsp(a, 0);
     let src = 20u32;
     println!("\nrouting table at node {src} (first 8 destinations):");
     for dst in 0..8u32 {
@@ -83,14 +84,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "  to {:>2}: next hop {:?}, {} hops",
             dst,
-            a.next_hop[src as usize][dst as usize].expect("connected"),
-            a.distances.get(src, dst).expect("connected")
+            table.next_hop(src, dst).expect("connected"),
+            table.dist(src, dst).expect("connected")
         );
     }
 
-    // Now actually route traffic over those tables: every access router in
+    // Now actually route traffic over that table: every access router in
     // region 0 sends to the same server, so the final link serializes.
-    let tables = routing::RoutingTables::from_apsp(&a);
     let server = 13u32; // an access router behind core 1
     let flows: Vec<routing::Flow> = (0..6)
         .map(|l| routing::Flow {
@@ -98,7 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             destination: server,
         })
         .collect();
-    let traffic = routing::simulate_flows(&network, &tables, &flows)?;
+    let traffic = routing::simulate_flows(&network, &table, &flows)?;
     println!("\ntraffic to server {server} (shared-link congestion is visible):");
     for d in &traffic.deliveries {
         println!(

@@ -5,6 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
+use dapsp::core::routing::RouteTable;
 use dapsp::core::{apsp, metrics};
 use dapsp::graph::{generators, Graph};
 
@@ -24,14 +25,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         result.stats.rounds, result.stats.messages, result.stats.bits
     );
 
-    // Distances and actual routes between opposite corners.
-    let (a, b) = (0u32, 15u32);
-    println!(
-        "d({a}, {b}) = {} via {:?}",
-        result.distances.get(a, b).expect("connected"),
-        result.path(a, b)
-    );
-
     // The Lemma 3–6 metrics from the same APSP run.
     let bundle = metrics::from_apsp(&network, &result)?;
     println!(
@@ -45,6 +38,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .filter(|(_, &c)| c)
             .map(|(v, _)| v)
             .collect::<Vec<_>>()
+    );
+
+    // Compact the run into the routing table (consuming it): distances and
+    // actual routes between opposite corners.
+    let table = RouteTable::from_apsp(result, 0);
+    let (a, b) = (0u32, 15u32);
+    println!(
+        "d({a}, {b}) = {} via {:?}",
+        table.dist(a, b).expect("connected"),
+        table.path(a, b).expect("connected")
     );
 
     // You can build any topology by hand, too.

@@ -41,7 +41,7 @@ echo "==> dapsp-inspect diff on the hub family (serial vs pool)"
 # The hub family embeds a high-degree star in a Watts-Strogatz ring — the
 # load-imbalance workload work stealing exists for. The diff runs APSP on
 # the serial executor and the 2-thread pool with unit chunks and
-# line-diffs the two trace2 JSONL event streams; any scheduler-induced
+# line-diffs the two trace JSONL event streams; any scheduler-induced
 # divergence prints the first differing event and fails this step.
 DAPSP_POOL_CHUNK=1 cargo run --offline --release -p dapsp-bench --bin dapsp-inspect -- \
     diff --workload apsp --family hub --n 64 --threads 2
@@ -165,4 +165,11 @@ echo "==> dapsp-inspect summary over a churned trace"
 cargo run --offline --release -p dapsp-bench --bin dapsp-inspect -- \
     summary --workload apsp --family regular6 --n 32 --churn 2 --threads 2
 
-echo "OK: fmt + build + tests + clippy + docs + profile, budget, conformance, throughput, bench-gate, inspect, fault, churn & serve smokes all green"
+echo "==> benchmark/run.sh --smoke"
+# The repo benchmark (BENCHMARK.json) end to end on quarter-size graphs,
+# about 7 s: its own out-of-workspace package builds against the public
+# APIs of crates/{graph,congest,core,serve}, all five workloads run, and
+# every built or published table is compared in full with the oracle.
+bash benchmark/run.sh --smoke
+
+echo "OK: fmt + build + tests + clippy + docs + profile, budget, conformance, throughput, bench-gate, inspect, fault, churn & serve smokes + benchmark smoke all green"

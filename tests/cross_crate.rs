@@ -173,8 +173,7 @@ fn apsp_message_volume_accounting() {
 fn routing_layer_delivers_along_shortest_paths() {
     use dapsp::core::routing::{self, Flow};
     let g = generators::grid(6, 6);
-    let a = apsp::run(&g).expect("apsp");
-    let tables = routing::RoutingTables::from_apsp(&a);
+    let table = routing::RouteTable::from_apsp(apsp::run(&g).expect("apsp"), 0);
     let flows: Vec<Flow> = vec![
         Flow {
             source: 0,
@@ -189,7 +188,7 @@ fn routing_layer_delivers_along_shortest_paths() {
             destination: 21,
         },
     ];
-    let r = routing::simulate_flows(&g, &tables, &flows).expect("flows");
+    let r = routing::simulate_flows(&g, &table, &flows).expect("flows");
     let oracle = reference::apsp(&g);
     for d in &r.deliveries {
         assert_eq!(
@@ -199,6 +198,38 @@ fn routing_layer_delivers_along_shortest_paths() {
         );
         assert!(d.arrival_round >= u64::from(d.hops));
     }
+}
+
+/// The serve layer end to end: build, apply one edge removal, and hold every
+/// pair of the republished snapshot to the oracle on the mutated graph —
+/// while the retained epoch-0 snapshot stays intact.
+#[test]
+fn route_service_republishes_the_mutated_oracle() {
+    use dapsp::congest::TopologyPlan;
+    use dapsp::core::churned_graph;
+    use dapsp::serve::RouteService;
+    let g = generators::grid(4, 4);
+    let mut service = RouteService::build(&g).expect("build");
+    let handle = service.handle();
+    let epoch0 = handle.load();
+    let plan = TopologyPlan::new().with_remove(2, 5, 6);
+    service.apply(&plan).expect("apply");
+    assert_eq!(handle.epoch(), 1);
+    let oracle = reference::apsp(&churned_graph(&g, &plan).expect("plan applies"));
+    for s in 0..16u32 {
+        for d in 0..16u32 {
+            assert_eq!(handle.dist(s, d), oracle.get(s, d), "d({s}, {d})");
+            let path = handle.path(s, d).expect("still connected");
+            assert_eq!(path.len() as u32 - 1, oracle.get(s, d).unwrap());
+            assert!(!path
+                .windows(2)
+                .any(|w| (w[0], w[1]) == (5, 6) || (w[0], w[1]) == (6, 5)));
+        }
+    }
+    assert!(handle.load().verify());
+    assert_eq!(epoch0.epoch(), 0);
+    assert!(epoch0.verify());
+    assert_eq!(epoch0.dist(5, 6), Some(1));
 }
 
 /// §8 end to end: the k-BFS census decides diameter <= k, cross-checked
