@@ -3,7 +3,8 @@
 //! [`apsp`](crate::apsp), [`ssp`](crate::ssp)) return, the
 //! [`RepairKernel`]-driving runner behind them, and the
 //! [`churned_graph`] oracle helper conformance tests recompute reference
-//! answers on.
+//! answers on (with [`graph_of`], its half that starts from a topology
+//! already churned).
 //!
 //! A churned run hands the engine a
 //! [`TopologyPlan`] next to the usual config; the engine applies each
@@ -132,18 +133,25 @@ pub(crate) fn run_repair(
 /// [`CoreError::Sim`] if the plan does not apply cleanly to the graph
 /// (removing a missing edge, inserting a duplicate, …).
 pub fn churned_graph(graph: &Graph, plan: &TopologyPlan) -> Result<Graph, CoreError> {
-    let topo = churned_topology(&graph.to_topology(), plan)?;
-    let adj = topo.to_adjacency();
+    Ok(graph_of(&churned_topology(&graph.to_topology(), plan)?))
+}
+
+/// The live graph of `topology` as a [`Graph`] on the same vertex set:
+/// tombstoned ports contribute no edge and removed nodes stay as isolated
+/// vertices — the inverse of [`Graph::to_topology`] for callers that
+/// already hold the (churned) topology.
+pub fn graph_of(topology: &Topology) -> Graph {
+    let adj = topology.to_adjacency();
     let mut b = Graph::builder(adj.len());
     for (u, nbrs) in adj.iter().enumerate() {
         for &v in nbrs {
             if (u as u32) < v {
                 b.add_edge(u as u32, v)
-                    .map_err(|e| CoreError::InvalidParameter(e.to_string()))?;
+                    .expect("a topology's live edges are simple and in range");
             }
         }
     }
-    Ok(b.build())
+    b.build()
 }
 
 #[cfg(test)]
@@ -167,6 +175,24 @@ mod tests {
                 r.dist[v][0]
             );
         }
+    }
+
+    /// Repaired all-pairs distances must equal the oracle on the
+    /// post-churn graph at every present node.
+    fn assert_apsp_matches(g: &Graph, plan: &TopologyPlan) -> ChurnedResult {
+        let r = apsp::run_churned(g, plan).unwrap();
+        let oracle = reference::apsp(&churned_graph(g, plan).unwrap());
+        let n = g.num_nodes() as u32;
+        for v in (0..n).filter(|&v| r.present[v as usize]) {
+            for root in 0..n {
+                assert_eq!(
+                    r.dist_to(v, root),
+                    oracle.get(v, root).or(Some(INFINITY)),
+                    "d({v}, {root}) after plan {plan:?}"
+                );
+            }
+        }
+        r
     }
 
     #[test]
@@ -214,17 +240,7 @@ mod tests {
         let plan = TopologyPlan::new()
             .with_remove(2, 0, 1)
             .with_insert(4, 0, 8);
-        let r = apsp::run_churned(&g, &plan).unwrap();
-        let oracle = reference::apsp(&churned_graph(&g, &plan).unwrap());
-        for v in 0..9u32 {
-            for root in 0..9u32 {
-                assert_eq!(
-                    r.dist_to(v, root),
-                    oracle.get(v, root).or(Some(INFINITY)),
-                    "d({v}, {root})"
-                );
-            }
-        }
+        let r = assert_apsp_matches(&g, &plan);
         assert_eq!(r.stats.topo_events, 2);
         assert!(r.stats.repaired_node_rounds > 0);
     }
@@ -254,15 +270,48 @@ mod tests {
         let plan = TopologyPlan::new()
             .with_remove(2, 0, 1)
             .with_remove(2, 4, 5);
-        let r = apsp::run_churned(&g, &plan).unwrap();
+        let r = assert_apsp_matches(&g, &plan);
         assert!(
             r.stats.recompute_fallbacks > 0,
             "batch of 4 halves must cross threshold 4"
         );
-        let oracle = reference::apsp(&churned_graph(&g, &plan).unwrap());
-        for v in 0..9u32 {
-            for root in 0..9u32 {
-                assert_eq!(r.dist_to(v, root), oracle.get(v, root).or(Some(INFINITY)));
+    }
+
+    #[test]
+    fn a_severed_path_retracts_every_cross_distance_through_the_clamp() {
+        // High diameter: a path keeps ~n distance levels in play, and
+        // cutting it makes every cross-cut distance count up to the clamp
+        // level `n` before it retracts to INFINITY — mid-convergence and
+        // after it, inside the `4n + 16` rounds the horizon allows.
+        let n = 96;
+        let g = generators::path(n);
+        for round in [40, 200] {
+            let plan = TopologyPlan::new().with_remove(round, 47, 48);
+            let r = assert_apsp_matches(&g, &plan);
+            assert_eq!(r.dist_to(0, 95), Some(INFINITY));
+            assert_eq!(r.dist_to(48, 47), Some(INFINITY));
+            assert!(
+                r.stats.rounds <= round + 4 * n as u64 + 16,
+                "cut at {round}: {} rounds",
+                r.stats.rounds
+            );
+        }
+    }
+
+    #[test]
+    fn an_insertion_that_halves_distances_requeues_half_the_slots() {
+        // A chord across a cycle, and across a caterpillar's spine ends,
+        // shortens about half of every node's slots at once: each moves to
+        // a lower queue level while announcements for it are still queued.
+        for (g, u, v) in [
+            (generators::cycle(64), 0, 32),
+            (generators::caterpillar(16, 2), 0, 15),
+        ] {
+            for round in [10, 120] {
+                let plan = TopologyPlan::new().with_insert(round, u, v);
+                let r = assert_apsp_matches(&g, &plan);
+                assert_eq!(r.dist_to(u, v), Some(1));
+                assert_eq!(r.stats.recompute_fallbacks, 0);
             }
         }
     }

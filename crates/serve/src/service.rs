@@ -8,7 +8,7 @@ use std::thread::JoinHandle;
 
 use dapsp_congest::{churned_topology, Config, TopologyPlan};
 use dapsp_core::apsp;
-use dapsp_core::churned::churned_graph;
+use dapsp_core::churned::graph_of;
 use dapsp_core::routing::RouteTable;
 use dapsp_core::{CoreError, Obs};
 use dapsp_graph::Graph;
@@ -94,14 +94,16 @@ impl RouteService {
     /// published snapshot and the service's graph are unchanged on error.
     pub fn apply(&mut self, plan: &TopologyPlan) -> Result<Arc<RouteTable>, ServeError> {
         let topo = self.graph.to_topology();
-        let repaired = apsp::run_churned_on(&topo, plan, obs_for(self.threads))?;
+        // Validate the whole plan before spending the run: the engine
+        // would only reject a bad event when its round comes up.
         let final_topo = churned_topology(&topo, plan).map_err(CoreError::from)?;
+        let repaired = apsp::run_churned_on(&topo, plan, obs_for(self.threads))?;
         let table = Arc::new(RouteTable::from_churned(
             &repaired,
             &final_topo,
             self.epoch + 1,
         )?);
-        self.graph = churned_graph(&self.graph, plan)?;
+        self.graph = graph_of(&final_topo);
         self.epoch += 1;
         self.handle.publish(Arc::clone(&table));
         Ok(table)
@@ -246,6 +248,7 @@ impl Drop for RouteServiceController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dapsp_core::churned_graph;
     use dapsp_graph::{generators, reference, INFINITY};
 
     #[test]
@@ -306,6 +309,34 @@ mod tests {
         service.apply(&good).unwrap();
         assert_eq!(handle.dist(0, 3), Some(1));
         assert_eq!(handle.epoch(), 1);
+    }
+
+    #[test]
+    fn a_late_invalid_event_is_rejected_like_an_early_one() {
+        // The plan is validated as a whole before the run starts, so where
+        // in time the bad event sits changes neither the error nor what
+        // the service keeps: epoch, graph and snapshot are untouched.
+        let g = generators::cycle(8);
+        let mut service = RouteService::build(&g).unwrap();
+        let handle = service.handle();
+        let early = service
+            .apply(&TopologyPlan::new().with_remove(1, 0, 4))
+            .unwrap_err();
+        let late = service
+            .apply(
+                &TopologyPlan::new()
+                    .with_remove(2, 0, 1)
+                    .with_remove(3_000_000, 0, 4),
+            )
+            .unwrap_err();
+        assert_eq!(late, early);
+        assert!(matches!(late, ServeError::Core(CoreError::Sim(_))));
+        assert_eq!((service.epoch(), handle.epoch()), (0, 0));
+        assert_eq!(*service.graph(), g);
+        assert_eq!(handle.dist(0, 1), Some(1));
+        let plan = TopologyPlan::new().with_remove(2, 0, 1);
+        assert_eq!(service.apply(&plan).unwrap().epoch(), 1);
+        assert_eq!(*service.graph(), churned_graph(&g, &plan).unwrap());
     }
 
     #[test]

@@ -116,14 +116,19 @@ echo "==> churn conformance suite"
 cargo test --offline -q -p dapsp-core --test conformance_small_graphs \
     churned_runs_match_oracles_on_every_small_connected_graph
 
-echo "==> churn_repair --smoke --threads 1,2 (DAPSP_POOL_CHUNK=1)"
-# Churn-repair smoke under the forced-stealing regime: repaired APSP on
-# the ws family is recomputed at 1 and 2 threads with unit chunks and
-# asserted bit-identical, checked against the post-churn oracle, and the
-# repair-vs-recompute and adaptive-fallback claims are asserted per row.
-# Writes to target/BENCH_churn_smoke.json, never the committed
-# BENCH_churn.json.
-DAPSP_POOL_CHUNK=1 cargo run --offline --release -p dapsp-bench --bin churn_repair -- --smoke --threads 1,2
+echo "==> churn_repair --threads 1,2 (DAPSP_POOL_CHUNK=1) vs committed BENCH_churn.json"
+# The full churn-repair bench (0.2 s) under the forced-stealing regime:
+# repaired APSP on the ws family is recomputed at 1 and 2 threads with
+# unit chunks and asserted bit-identical, checked against the post-churn
+# oracle, and the repair-vs-recompute and adaptive-fallback claims are
+# asserted per row. Then a determinism gate: the rows, minus the host_*
+# fields, must equal the committed BENCH_churn.json — every rounds_*,
+# messages, repaired_node_rounds and recompute_fallbacks column. Writes
+# to target/BENCH_churn_check.json, never the committed file.
+DAPSP_POOL_CHUNK=1 cargo run --offline --release -p dapsp-bench --bin churn_repair -- \
+    --threads 1,2 target/BENCH_churn_check.json
+diff <(sed -E 's/,"host_[a-z_]+":[^,}]+//g' BENCH_churn.json) \
+    <(sed -E 's/,"host_[a-z_]+":[^,}]+//g' target/BENCH_churn_check.json)
 
 echo "==> serve conformance suite"
 # Redundant with the workspace run, named so the log shows the serving

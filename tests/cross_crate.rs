@@ -232,6 +232,74 @@ fn route_service_republishes_the_mutated_oracle() {
     assert_eq!(epoch0.dist(5, 6), Some(1));
 }
 
+/// The model cost of churned APSP is pinned: on ws(64) every adversity
+/// shape — quiet, remove, insert, late remove, crash, a batch past the
+/// fallback threshold — must report exactly these counters (the repair
+/// kernel's queues may change how the next announcement is *found*, never
+/// which one is sent), and every repaired table equals the oracle on the
+/// mutated graph.
+#[test]
+fn churned_apsp_model_cost_is_pinned() {
+    use dapsp::congest::TopologyPlan;
+    use dapsp::core::churned_graph;
+    use dapsp::graph::INFINITY;
+    let g = generators::watts_strogatz(64, 3, 0.05, 7);
+    assert!(g.has_edge(0, 1) && !g.has_edge(0, 4));
+    let batch = (0..8).fold(TopologyPlan::new(), |plan, x| {
+        assert!(g.has_edge(x, x + 1));
+        plan.with_remove(80, x, x + 1)
+    });
+    // (rounds, messages, bits, scheduled_node_rounds,
+    //  repaired_node_rounds, recompute_fallbacks, dropped)
+    let golden = [
+        (TopologyPlan::new(), (63, 15939, 207207, 3448, 0, 0, 0)),
+        (
+            TopologyPlan::new().with_remove(1, 0, 1),
+            (63, 15847, 206011, 3445, 64, 0, 2),
+        ),
+        (
+            TopologyPlan::new().with_insert(1, 0, 4),
+            (63, 16113, 209469, 3477, 64, 0, 0),
+        ),
+        (
+            TopologyPlan::new().with_remove(80, 0, 1),
+            (81, 15949, 207337, 3456, 64, 0, 0),
+        ),
+        (
+            TopologyPlan::new().with_crash(80, 5),
+            (154, 31719, 412347, 7672, 0, 63, 0),
+        ),
+        (batch, (99, 16234, 211042, 3654, 0, 64, 0)),
+    ];
+    for (plan, want) in golden {
+        let r = apsp::run_churned(&g, &plan).expect("churned apsp");
+        let s = &r.stats;
+        assert_eq!(
+            (
+                s.rounds,
+                s.messages,
+                s.bits,
+                s.scheduled_node_rounds,
+                s.repaired_node_rounds,
+                s.recompute_fallbacks,
+                s.dropped
+            ),
+            want,
+            "model cost under {plan:?}"
+        );
+        let oracle = reference::apsp(&churned_graph(&g, &plan).expect("plan applies"));
+        for v in (0..64u32).filter(|&v| r.present[v as usize]) {
+            for root in 0..64u32 {
+                assert_eq!(
+                    r.dist_to(v, root),
+                    oracle.get(v, root).or(Some(INFINITY)),
+                    "d({v}, {root}) under {plan:?}"
+                );
+            }
+        }
+    }
+}
+
 /// §8 end to end: the k-BFS census decides diameter <= k, cross-checked
 /// against the oracle on mixed instances.
 #[test]
