@@ -520,7 +520,11 @@ pub(crate) fn step_node<A: NodeAlgorithm>(
 ///
 /// All per-round buffers (inboxes, outboxes, staged commit queues, the
 /// duplicate-send scratches) are recycled between rounds, so once message
-/// volume peaks the engine runs allocation-free.
+/// volume peaks the engine runs allocation-free. The kernel layer hosted
+/// in the step phase keeps the same discipline, and the claim is defended
+/// end to end: `dapsp-core`'s `tests/alloc_budget.rs` counts the
+/// allocation calls of whole Algorithm 1 runs and fails when they grow
+/// with the message count instead of the node count.
 pub struct Simulator<'t, A: NodeAlgorithm> {
     core: Core<'t, A::Message>,
     nodes: Vec<Option<A>>,

@@ -402,6 +402,37 @@ mod tests {
         ));
     }
 
+    /// The forwarding set in closed form: an adopting node re-sends to
+    /// exactly the ports that did not deliver the wave, so `v` hears from
+    /// every neighbour that is not farther than itself, and sends to every
+    /// neighbour that is not one step closer (plus one `Adopt`). A node
+    /// that forwards to a delivering port, or skips a non-delivering one,
+    /// breaks one of the two counts.
+    #[test]
+    fn forwards_to_exactly_the_non_delivering_ports() {
+        for g in [
+            generators::barabasi_albert(64, 3, 7),
+            generators::complete(7),
+            generators::grid(5, 5),
+        ] {
+            let r = run(&g, 0).unwrap();
+            let d = reference::bfs(&g, 0);
+            let mut messages = g.degree(0);
+            for v in 1..g.num_nodes() as u32 {
+                // Neighbours are at distance d(v) − 1, d(v) or d(v) + 1.
+                let dv = d[v as usize];
+                let at_most = |bound: u32| {
+                    let near = |&&u: &&u32| d[u as usize] <= bound;
+                    g.neighbors(v).iter().filter(near).count()
+                };
+                assert_eq!(r.receipts[v as usize] as usize, at_most(dv), "node {v}");
+                messages += g.degree(v) - at_most(dv - 1) + 1;
+            }
+            assert_eq!(r.receipts[0], 0, "nothing flows back to the root");
+            assert_eq!(r.stats.messages, messages as u64);
+        }
+    }
+
     #[test]
     fn parent_is_lowest_port_among_first_arrivals() {
         // In a 4-cycle 0-1-2-3, node 2 hears the wave from both 1 and 3 in

@@ -51,11 +51,11 @@ pub struct ChurnedResult {
 }
 
 impl ChurnedResult {
-    /// Distance from `v` to `root` on the post-churn graph, if `root` was
-    /// in the maintained set.
+    /// Distance from `v` to `root` on the post-churn graph; `None` if
+    /// `root` was not in the maintained set or `v` is not a node.
     pub fn dist_to(&self, v: u32, root: u32) -> Option<u32> {
         let i = self.roots.iter().position(|&r| r == root)?;
-        Some(self.dist[v as usize][i])
+        self.dist.get(v as usize)?.get(i).copied()
     }
 }
 
@@ -208,6 +208,17 @@ mod tests {
         let r = bfs::run_churned(&g, 0, &plan).unwrap();
         assert_eq!(r.dist_to(7, 0), Some(1));
         assert_bfs_matches(&g, 0, &plan);
+    }
+
+    #[test]
+    fn dist_to_answers_none_outside_the_table() {
+        let g = generators::grid(3, 3);
+        let plan = TopologyPlan::new().with_remove(3, 4, 5);
+        let r = ssp::run_churned(&g, &[0, 8], &plan).unwrap();
+        assert_eq!(r.dist_to(4, 8), Some(2));
+        assert_eq!(r.dist_to(4, 5), None, "not a maintained root");
+        assert_eq!(r.dist_to(9, 0), None, "v = n");
+        assert_eq!(r.dist_to(u32::MAX, 8), None);
     }
 
     #[test]

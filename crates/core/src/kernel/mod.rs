@@ -43,6 +43,19 @@
 //! The concrete algorithms (`bfs`, `apsp`, `ssp`, `aggregate`, …) are thin
 //! shells over these kernels: input validation, phase labels, and
 //! result-folding — no per-module message enums or state machines.
+//!
+//! # Hot-path discipline
+//!
+//! Algorithm 1 is ≈ n·2m single-payload messages, so whatever a kernel
+//! does per send *is* the cost of a run. The wave path therefore allocates
+//! per node, never per send or per round: [`Tx`] buffers, the arrival
+//! list and [`Stack`]'s merge scratch are per-node vectors whose capacity
+//! is reused, and state shared by all nodes of a run (the
+//! [`SourceSlots`] map) is built once and reference-counted. Per-node
+//! state is what the paper says a node stores — `n` distances for
+//! Algorithm 1, `|S|` for Algorithm 2. `tests/alloc_budget.rs` fails when
+//! a kernel starts allocating per send; tier-1's
+//! `static_model_cost_is_pinned` fails when one changes a send.
 
 mod convergecast;
 mod pebble;
@@ -58,7 +71,7 @@ pub use protocol::{Protocol, ProtocolHost, Tx};
 pub use reliable::{split_reliable_report, Frame, RelStats, ReliableKernel};
 pub use repair::{repair_threshold, RepairKernel, RepairMsg};
 pub use stack::{Both, Coupling, Stack};
-pub use wave::{WaveKernel, WaveMsg, WaveState};
+pub use wave::{SourceSlots, WaveKernel, WaveMsg, WaveState};
 
 use dapsp_congest::{Config, NodeContext, Report, Topology};
 

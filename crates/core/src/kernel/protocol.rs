@@ -162,6 +162,11 @@ impl<P> Tx<P> {
         }
     }
 
+    /// True when nothing is buffered.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.sends.is_empty()
+    }
+
     /// Drains the buffered sends in call order.
     pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, (Port, P)> {
         self.sends.drain(..)

@@ -1,8 +1,6 @@
 //! [`Stack`]: run two kernels on one node, multiplexing their payloads
 //! into one `B`-bit message per edge per round.
 
-use std::collections::BTreeMap;
-
 use dapsp_congest::{NodeContext, Port, RepairAction, TopologyDelta, TraceTags, Width};
 
 use super::protocol::{Protocol, Tx};
@@ -54,6 +52,25 @@ pub struct Stack<A: Protocol, B: Protocol, C> {
     coupling: C,
     tx_a: Tx<A::Payload>,
     tx_b: Tx<B::Payload>,
+    /// [`flush`](Self::flush)'s merge scratch: sorted by port, empty
+    /// between rounds, its capacity reused so a send allocates nothing.
+    merged: Merged<A::Payload, B::Payload>,
+}
+
+/// Envelopes under construction, sorted by port.
+type Merged<PA, PB> = Vec<(Port, Both<PA, PB>)>;
+
+/// The envelope for `port` in `merged`, inserted empty if absent. Kernels
+/// mostly emit in ascending port order, so the append is the common case.
+fn envelope_for<PA, PB>(merged: &mut Merged<PA, PB>, port: Port) -> &mut Both<PA, PB> {
+    let at = match merged.last() {
+        Some(&(last, _)) if last >= port => merged.partition_point(|&(p, _)| p < port),
+        _ => merged.len(),
+    };
+    if merged.get(at).is_none_or(|&(p, _)| p != port) {
+        merged.insert(at, (port, Both { a: None, b: None }));
+    }
+    &mut merged[at].1
 }
 
 impl<A: Protocol, B: Protocol> Stack<A, B, ()> {
@@ -73,16 +90,21 @@ impl<A: Protocol, B: Protocol, C: Coupling<A, B>> Stack<A, B, C> {
             coupling,
             tx_a: Tx::new(),
             tx_b: Tx::new(),
+            merged: Vec::new(),
         }
     }
 
     /// Merges both kernels' buffered sends into per-port [`Both`]
-    /// envelopes (ports in increasing order); a kernel's second payload
-    /// for one port overflows into its own envelope.
+    /// envelopes; a kernel's second payload for one port overflows into
+    /// its own envelope. Emission order is fixed — `A`'s overflows, then
+    /// `B`'s, then the merged envelopes by increasing port — because the
+    /// engine commits (and counts, and traces) in outbox order.
     fn flush(&mut self, tx: &mut Tx<Both<A::Payload, B::Payload>>) {
-        let mut per_port: BTreeMap<Port, Both<A::Payload, B::Payload>> = BTreeMap::new();
+        if self.tx_a.is_empty() && self.tx_b.is_empty() {
+            return;
+        }
         for (port, payload) in self.tx_a.drain() {
-            let slot = &mut per_port.entry(port).or_insert(Both { a: None, b: None }).a;
+            let slot = &mut envelope_for(&mut self.merged, port).a;
             if slot.is_some() {
                 tx.send(
                     port,
@@ -96,7 +118,7 @@ impl<A: Protocol, B: Protocol, C: Coupling<A, B>> Stack<A, B, C> {
             }
         }
         for (port, payload) in self.tx_b.drain() {
-            let slot = &mut per_port.entry(port).or_insert(Both { a: None, b: None }).b;
+            let slot = &mut envelope_for(&mut self.merged, port).b;
             if slot.is_some() {
                 tx.send(
                     port,
@@ -109,7 +131,7 @@ impl<A: Protocol, B: Protocol, C: Coupling<A, B>> Stack<A, B, C> {
                 *slot = Some(payload);
             }
         }
-        for (port, both) in per_port {
+        for (port, both) in self.merged.drain(..) {
             tx.send(port, both);
         }
     }
@@ -238,8 +260,11 @@ macro_rules! compose {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use dapsp_congest::NodeContext;
+    use proptest::prelude::*;
 
     /// A test kernel whose payloads are bytes of a declared fixed width.
     struct Fixed(u32);
@@ -328,6 +353,66 @@ mod tests {
         let sends: Vec<_> = out.drain().collect();
         assert_eq!(sends.len(), 2, "second send must not be silently merged");
         assert!(sends.iter().all(|(p, _)| *p == 0));
+    }
+
+    type Sent = Vec<(Port, Option<u8>, Option<u8>)>;
+
+    /// The `BTreeMap` merge [`Stack::flush`] used to be, kept as the model
+    /// the flat scratch must reproduce envelope for envelope.
+    fn model_flush(a: &[(Port, u8)], b: &[(Port, u8)]) -> Sent {
+        let mut out = Sent::new();
+        let mut per_port: BTreeMap<Port, (Option<u8>, Option<u8>)> = BTreeMap::new();
+        for &(port, payload) in a {
+            let slot = &mut per_port.entry(port).or_default().0;
+            if slot.is_some() {
+                out.push((port, Some(payload), None));
+            } else {
+                *slot = Some(payload);
+            }
+        }
+        for &(port, payload) in b {
+            let slot = &mut per_port.entry(port).or_default().1;
+            if slot.is_some() {
+                out.push((port, None, Some(payload)));
+            } else {
+                *slot = Some(payload);
+            }
+        }
+        out.extend(per_port.into_iter().map(|(port, (a, b))| (port, a, b)));
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any send sequence — descending ports, a port repeated within
+        /// one kernel (overflow), one or both sides empty — flushes to the
+        /// model's envelope sequence, round after round on one stack (the
+        /// scratch must come back empty).
+        #[test]
+        fn flush_matches_the_btreemap_model(
+            ports_a in proptest::collection::vec(0u32..12, 0..10),
+            ports_b in proptest::collection::vec(0u32..12, 0..10),
+            ports_a2 in proptest::collection::vec(0u32..12, 0..4),
+        ) {
+            let number = |ports: &[Port]| -> Vec<(Port, u8)> {
+                ports.iter().zip(0u8..).map(|(&p, i)| (p, i)).collect()
+            };
+            let mut stack = Stack::new(Fixed(1), Fixed(1));
+            for (a, b) in [(number(&ports_a), number(&ports_b)), (number(&ports_a2), vec![])] {
+                for &(port, payload) in &a {
+                    stack.tx_a.send(port, payload);
+                }
+                for &(port, payload) in &b {
+                    stack.tx_b.send(port, payload);
+                }
+                let mut out = Tx::new();
+                stack.flush(&mut out);
+                let sent: Sent = out.drain().map(|(port, both)| (port, both.a, both.b)).collect();
+                prop_assert_eq!(sent, model_flush(&a, &b));
+                prop_assert!(stack.merged.is_empty());
+            }
+        }
     }
 
     /// `compose!` nests right-associatively: three kernels, two nested

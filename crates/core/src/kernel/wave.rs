@@ -3,20 +3,78 @@
 //! Algorithm 2's ID-priority simultaneous growth.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use dapsp_congest::{NodeContext, Port, Width};
 use dapsp_graph::INFINITY;
 
 use super::protocol::{Protocol, Tx};
+use crate::error::CoreError;
 
 /// Which nodes root a wave.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 enum Roots {
     /// One wave, rooted at the given node; per-node state is a single slot.
     Single(u32),
-    /// Every node roots its own wave (Algorithm 1 / 2); per-node state is
+    /// Every node roots its own wave (Algorithm 1); per-node state is
     /// indexed by root id.
     All,
+    /// The members of a source set root waves (Algorithm 2); per-node
+    /// state has one slot per source.
+    Sources(SourceSlots),
+}
+
+/// The run-wide id → state-slot map of a validated source set `S`: source
+/// `sources[i]` owns slot `i`, so a node stores `|S|` distances (what
+/// Theorem 3 says it needs) instead of `n`. One map is shared by every
+/// node's kernel. It is a representation of the simulator, not knowledge
+/// of the protocol: a node only ever looks up its own id or one it
+/// received in a message, and nothing on the wire depends on it.
+#[derive(Clone, Debug)]
+pub struct SourceSlots {
+    /// `slot_of[id]`, [`NO_SLOT`] for a non-source.
+    slot_of: Arc<[u32]>,
+    len: usize,
+}
+
+const NO_SLOT: u32 = u32::MAX;
+
+impl SourceSlots {
+    /// Maps `sources` to slots `0..sources.len()` in the given order.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::EmptySourceSet`] for an empty set,
+    /// [`CoreError::InvalidNode`] for a source outside the `n`-node
+    /// network, [`CoreError::InvalidParameter`] for a duplicated source.
+    pub fn new(n: usize, sources: &[u32]) -> Result<Self, CoreError> {
+        if sources.is_empty() {
+            return Err(CoreError::EmptySourceSet);
+        }
+        let mut slot_of = vec![NO_SLOT; n];
+        for (slot, &s) in sources.iter().enumerate() {
+            let entry = slot_of.get_mut(s as usize).ok_or(CoreError::InvalidNode {
+                node: s,
+                num_nodes: n,
+            })?;
+            if *entry != NO_SLOT {
+                return Err(CoreError::InvalidParameter(format!(
+                    "source {s} listed twice"
+                )));
+            }
+            *entry = slot as u32;
+        }
+        Ok(SourceSlots {
+            slot_of: slot_of.into(),
+            len: sources.len(),
+        })
+    }
+
+    /// The slot of source `id`, `None` for a non-source.
+    pub(crate) fn get(&self, id: u32) -> Option<usize> {
+        let slot = self.slot_of[id as usize];
+        (slot != NO_SLOT).then_some(slot as usize)
+    }
 }
 
 /// How simultaneous waves share an edge.
@@ -52,7 +110,8 @@ pub enum WaveMsg {
 #[derive(Clone, Debug)]
 pub struct WaveState {
     /// Distance per root slot ([`INFINITY`] = unreached). One slot for a
-    /// single-root kernel, `n` slots (indexed by root id) otherwise.
+    /// single-root kernel, `n` slots indexed by root id for an all-roots
+    /// kernel, `|S|` slots in source-set order for a queued-sources one.
     pub dist: Vec<u32>,
     /// Parent port per root slot (`u32::MAX` = none).
     pub parent: Vec<Port>,
@@ -103,6 +162,8 @@ pub struct WaveKernel {
     arrivals: Vec<(u32, u32, Port)>,
     /// Per-port pending queues `L_i` (queue-priority mode only).
     queues: Vec<BTreeSet<u32>>,
+    /// Entries across all of `queues`, so `is_active` need not walk them.
+    pending: usize,
     state: WaveState,
 }
 
@@ -118,6 +179,7 @@ impl WaveKernel {
             start_pending: false,
             arrivals: Vec::new(),
             queues: vec![BTreeSet::new(); degree],
+            pending: 0,
             state: WaveState {
                 dist: vec![INFINITY; slots],
                 parent: vec![u32::MAX; slots],
@@ -151,20 +213,23 @@ impl WaveKernel {
         k
     }
 
-    /// Algorithm 2's simultaneous growth: sources seed their own id into
+    /// Algorithm 2's simultaneous growth from the sources in `slots`
+    /// (shared by all nodes of the run): sources seed their own id into
     /// every port queue; contention resolves by the `(dist, id)` priority.
-    pub fn queued_sources(ctx: &NodeContext<'_>, is_source: bool) -> Self {
-        let n = ctx.num_nodes();
+    /// The final [`WaveState`] has one slot per source, in `slots` order.
+    pub fn queued_sources(ctx: &NodeContext<'_>, slots: &SourceSlots) -> Self {
         let me = ctx.node_id();
-        let mut k = Self::base(n, n, ctx.degree());
+        let mut k = Self::base(ctx.num_nodes(), slots.len, ctx.degree());
         k.contention = Contention::QueuePriority;
         k.tagged_streams = true;
-        if is_source {
-            k.state.dist[me as usize] = 0;
+        if let Some(slot) = slots.get(me) {
+            k.state.dist[slot] = 0;
             for queue in &mut k.queues {
                 queue.insert(me);
             }
+            k.pending = k.queues.len();
         }
+        k.roots = Roots::Sources(slots.clone());
         k
     }
 
@@ -177,9 +242,10 @@ impl WaveKernel {
 
     /// The state slot for `root`.
     fn slot(&self, root: u32) -> usize {
-        match self.roots {
+        match &self.roots {
             Roots::Single(_) => 0,
             Roots::All => root as usize,
+            Roots::Sources(slots) => slots.get(root).expect("only sources root waves"),
         }
     }
 
@@ -230,14 +296,18 @@ impl WaveKernel {
             let r = self.slot(root);
             if self.state.dist[r] == INFINITY {
                 // Adopt: all simultaneous arrivals of one wave carry the
-                // same distance, so the sort leaves the lowest port first.
+                // same distance (synchronous BFS), one per port, so the
+                // sort leaves the group in port order, lowest first.
+                debug_assert!(group
+                    .windows(2)
+                    .all(|w| w[0].1 == w[1].1 && w[0].2 < w[1].2));
                 let (_, d, first_port) = group[0];
                 self.state.dist[r] = d;
                 self.state.parent[r] = first_port;
                 if d < self.max_depth {
-                    let received: Vec<Port> = group.iter().map(|&(_, _, p)| p).collect();
+                    let mut delivering = group.iter().map(|&(_, _, p)| p).peekable();
                     for p in 0..ctx.degree() as Port {
-                        if !received.contains(&p) {
+                        if delivering.next_if_eq(&p).is_none() {
                             tx.send(p, WaveMsg::Wave { root, dist: d + 1 });
                         }
                     }
@@ -269,7 +339,7 @@ impl WaveKernel {
             while j < arrivals.len() && arrivals[j].0 == id {
                 j += 1;
             }
-            let u = id as usize;
+            let u = self.slot(id);
             let (_, dist, port) = arrivals[i]; // smallest dist, lowest port
             if dist < self.state.dist[u] {
                 if self.state.dist[u] != INFINITY {
@@ -278,8 +348,8 @@ impl WaveKernel {
                 self.state.dist[u] = dist;
                 self.state.parent[u] = port;
                 for (p, queue) in self.queues.iter_mut().enumerate() {
-                    if p != port as usize {
-                        queue.insert(id);
+                    if p != port as usize && queue.insert(id) {
+                        self.pending += 1;
                     }
                 }
             }
@@ -297,13 +367,18 @@ impl WaveKernel {
         for port in 0..ctx.degree() {
             let head = self.queues[port]
                 .iter()
-                .map(|&id| (self.state.dist[id as usize] + 1, id))
+                .map(|&id| (self.state.dist[self.slot(id)] + 1, id))
                 .min();
             if let Some((dist, id)) = head {
                 self.queues[port].remove(&id);
+                self.pending -= 1;
                 tx.send(port as Port, WaveMsg::Wave { root: id, dist });
             }
         }
+        debug_assert_eq!(
+            self.pending,
+            self.queues.iter().map(BTreeSet::len).sum::<usize>()
+        );
     }
 }
 
@@ -354,7 +429,7 @@ impl Protocol for WaveKernel {
     fn is_active(&self) -> bool {
         match self.contention {
             Contention::Forward => self.start_pending,
-            Contention::QueuePriority => self.queues.iter().any(|queue| !queue.is_empty()),
+            Contention::QueuePriority => self.pending > 0,
         }
     }
 
@@ -367,7 +442,7 @@ impl Protocol for WaveKernel {
                 if self.announce_adopt {
                     w = w.tag();
                 }
-                if self.roots == Roots::All {
+                if !matches!(self.roots, Roots::Single(_)) {
                     w = w.id(self.n as usize);
                 }
                 // The distance field is fixed-width over its domain

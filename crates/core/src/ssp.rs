@@ -33,7 +33,8 @@ use crate::bfs;
 use crate::churned::{run_repair, ChurnedResult, RepairMode};
 use crate::error::CoreError;
 use crate::kernel::{
-    run_protocol_on, split_reliable_report, RelStats, ReliableKernel, WaveKernel, WaveState,
+    run_protocol_on, split_reliable_report, RelStats, ReliableKernel, SourceSlots, WaveKernel,
+    WaveState,
 };
 use crate::observe::Obs;
 use crate::runner::fold_outputs;
@@ -71,10 +72,11 @@ pub struct SspResult {
 }
 
 impl SspResult {
-    /// Distance from `v` to source `s`, if `s` was in the source set.
+    /// Distance from `v` to source `s`; `None` if `s` was not in the
+    /// source set or `v` is not a node.
     pub fn dist_to(&self, v: u32, s: u32) -> Option<u32> {
         let i = self.sources.iter().position(|&x| x == s)?;
-        Some(self.dist[v as usize][i])
+        self.dist.get(v as usize)?.get(i).copied()
     }
 }
 
@@ -157,7 +159,7 @@ pub fn run_on_obs(
     if n == 0 {
         return Err(CoreError::EmptyGraph);
     }
-    let is_source = validate_sources(n, sources)?;
+    let slots = SourceSlots::new(n, sources)?;
     // Phase 1+2: T_1, then D0 = 2·ecc(1) via max-aggregation of depths.
     let t1 = bfs::run_on_obs(topology, 0, obs)?;
     if !t1.reached_all() {
@@ -168,7 +170,7 @@ pub fn run_on_obs(
     // Phase 3: the simultaneous growth, run to quiescence.
     let config = obs.apply(Config::for_n(n), "ssp:growth");
     let report = run_protocol_on(topology, config, |ctx| {
-        WaveKernel::queued_sources(ctx, is_source[ctx.node_id() as usize])
+        WaveKernel::queued_sources(ctx, &slots)
     })?;
     Ok(assemble(topology, sources, t1, &agg, report))
 }
@@ -213,7 +215,7 @@ pub fn run_faulty_on(
     if n == 0 {
         return Err(CoreError::EmptyGraph);
     }
-    let is_source = validate_sources(n, sources)?;
+    let slots = SourceSlots::new(n, sources)?;
     let (t1, mut rel) = bfs::run_faulty_on(topology, 0, faults.clone(), obs)?;
     if !t1.reached_all() {
         return Err(CoreError::Disconnected);
@@ -230,7 +232,7 @@ pub fn run_faulty_on(
         .with_faults(faults);
     let report = run_protocol_on(topology, config, |ctx| {
         ReliableKernel::new(
-            WaveKernel::queued_sources(ctx, is_source[ctx.node_id() as usize]),
+            WaveKernel::queued_sources(ctx, &slots),
             horizon,
             crate::bfs::FAULTY_MAX_RETRIES,
         )
@@ -284,7 +286,8 @@ pub fn run_churned_on(
     if n == 0 {
         return Err(CoreError::EmptyGraph);
     }
-    let is_source = validate_sources(n, sources)?;
+    let slots = SourceSlots::new(n, sources)?;
+    let is_source = (0..n as u32).map(|v| slots.get(v).is_some()).collect();
     run_repair(
         topology,
         plan,
@@ -295,32 +298,9 @@ pub fn run_churned_on(
     )
 }
 
-/// Rejects empty, out-of-range, and duplicated source sets; returns the
-/// source-membership mask.
-fn validate_sources(n: usize, sources: &[u32]) -> Result<Vec<bool>, CoreError> {
-    if sources.is_empty() {
-        return Err(CoreError::EmptySourceSet);
-    }
-    let mut seen = vec![false; n];
-    for &s in sources {
-        if s as usize >= n {
-            return Err(CoreError::InvalidNode {
-                node: s,
-                num_nodes: n,
-            });
-        }
-        if seen[s as usize] {
-            return Err(CoreError::InvalidParameter(format!(
-                "source {s} listed twice"
-            )));
-        }
-        seen[s as usize] = true;
-    }
-    Ok(seen)
-}
-
-/// Folds the growth-phase wave states into the [`SspResult`], merging the
-/// statistics of all three phases.
+/// Folds the growth-phase wave states — already one slot per source, in
+/// `sources` order — into the [`SspResult`], merging the statistics of all
+/// three phases.
 fn assemble(
     topology: &Topology,
     sources: &[u32],
@@ -332,24 +312,17 @@ fn assemble(
     let d0 = 2 * agg.value as u32;
     let budget = sources.len() as u64 + u64::from(d0);
     let seed = (
-        vec![Vec::with_capacity(sources.len()); n],
-        vec![Vec::with_capacity(sources.len()); n],
-        vec![INFINITY; n],
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
         0u64,
     );
     let (dist, next_hop, local_girth_candidates, relaxations) =
         fold_outputs(report.outputs, seed, |acc, v, state| {
-            let v = v as usize;
-            for &s in sources {
-                acc.0[v].push(state.dist[s as usize]);
-                let p = state.parent[s as usize];
-                acc.1[v].push(if p == u32::MAX {
-                    None
-                } else {
-                    Some(topology.neighbor_at(v as u32, p))
-                });
-            }
-            acc.2[v] = state.girth_candidate;
+            let toward = |&port: &u32| (port != u32::MAX).then(|| topology.neighbor_at(v, port));
+            acc.1.push(state.parent.iter().map(toward).collect());
+            acc.0.push(state.dist);
+            acc.2.push(state.girth_candidate);
             acc.3 += state.relaxations;
         });
     let mut stats = t1.stats;
@@ -472,6 +445,15 @@ mod tests {
             run(&g, &[1, 1]).unwrap_err(),
             CoreError::InvalidParameter(_)
         ));
+    }
+
+    #[test]
+    fn dist_to_answers_none_outside_the_table() {
+        let r = run(&generators::path(8), &[0, 7]).unwrap();
+        assert_eq!(r.dist_to(3, 7), Some(4));
+        assert_eq!(r.dist_to(3, 5), None, "not a source");
+        assert_eq!(r.dist_to(8, 0), None, "v = n");
+        assert_eq!(r.dist_to(u32::MAX, 7), None);
     }
 
     #[test]

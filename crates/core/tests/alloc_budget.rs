@@ -1,0 +1,118 @@
+//! The allocation budget of the kernel layer's hot path.
+//!
+//! Algorithm 1 sends ≈ n·2m single-payload messages, so a kernel that
+//! allocates per send (or per scheduled node-round) makes the allocation
+//! count grow with the *message* count; one that reuses per-node scratch
+//! allocates per node. Likewise Algorithm 2 needs `|S|` distances per node,
+//! not `n`. This binary installs a counting global allocator and holds both
+//! to a budget. The counters are process-wide, hence a single `#[test]`
+//! that measures serially.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use dapsp_core::{apsp, ssp};
+use dapsp_graph::{generators, Graph};
+
+// Statistics only: they publish no other data, so `Relaxed` suffices.
+static CALLS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+struct CountingAlloc;
+
+fn count(bytes: usize) {
+    CALLS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters touch no allocator
+// state and cannot allocate.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's contract for `alloc` is passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's contract for `alloc_zeroed` is passed through.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: `ptr` came from `System` with `layout`; passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// `(allocation calls, bytes requested)` made while `f` ran.
+fn measure<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
+    let (calls, bytes) = (CALLS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
+    let out = f();
+    (
+        CALLS.load(Ordering::Relaxed) - calls,
+        BYTES.load(Ordering::Relaxed) - bytes,
+        out,
+    )
+}
+
+#[test]
+fn kernel_hot_path_stays_within_its_allocation_budget() {
+    // Algorithm 1: allocation calls per node, not per message. The three
+    // graphs send 543, 1 209 and 1 987 messages per node. A kernel stack
+    // that allocates once per flush or per adoption costs 276, 309 and
+    // 2 060 calls per node on them; one that reuses its scratch 23, 31 and
+    // 16. The budget of 64 separates the two on every graph.
+    let graphs: [(&str, Graph); 3] = [
+        ("ws(128,3)", generators::watts_strogatz(128, 3, 0.05, 7)),
+        ("ws(128,6)", generators::watts_strogatz(128, 6, 0.05, 7)),
+        ("grid(32,32)", generators::grid(32, 32)),
+    ];
+    for (name, g) in &graphs {
+        let n = g.num_nodes() as u64;
+        let topology = g.to_topology();
+        let (calls, _, result) = measure(|| apsp::run_on(&topology));
+        let result = result.expect("apsp");
+        println!(
+            "{name}: {calls} calls = {} per node, {} messages",
+            calls / n,
+            result.stats.messages
+        );
+        assert!(
+            calls <= 64 * n,
+            "{name}: apsp::run_on made {calls} allocation calls for {} messages, \
+             {} per node (budget 64)",
+            result.stats.messages,
+            calls / n
+        );
+    }
+
+    // Algorithm 2: |S| state slots per node. With n slots per node the
+    // growth alone requests 8·n² bytes.
+    let g = &graphs[2].1;
+    let n = g.num_nodes() as u64;
+    let sources: Vec<u32> = (0..8).map(|i| (i * n / 8) as u32).collect();
+    let topology = g.to_topology();
+    let (_, bytes, result) = measure(|| ssp::run_on(&topology, &sources));
+    result.expect("ssp");
+    println!(
+        "ssp grid(32,32) |S| = 8: {bytes} bytes, 4·n² = {}",
+        4 * n * n
+    );
+    assert!(
+        bytes < 4 * n * n,
+        "ssp::run_on with |S| = 8 on grid(32,32) requested {bytes} bytes (budget 4·n² = {})",
+        4 * n * n
+    );
+}

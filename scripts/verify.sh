@@ -66,11 +66,15 @@ echo "==> message-budget smoke (debug build, threads 1,2)"
 # the check out, which is why the run above does not cover it).
 cargo run --offline -p dapsp-bench --bin engine_profile -- --smoke --threads 1,2
 
-echo "==> small-graph conformance suite"
-# Redundant with the workspace run, named so the log shows the exhaustive
-# oracle check ran: every algorithm vs the sequential oracles on all 996
-# connected graphs with <= 7 nodes.
+echo "==> small-graph conformance suite + kernel send-path gates"
+# Redundant with the workspace run, named so the log shows they ran: every
+# algorithm vs the sequential oracles on all 996 connected graphs with
+# <= 7 nodes; the allocation budget (fails when a kernel allocates per
+# send instead of per node); and tier-1's golden model cost of the static
+# algorithms (fails when a kernel changes which message it sends).
 cargo test --offline -q -p dapsp-core --test conformance_small_graphs
+cargo test --offline -q -p dapsp-core --test alloc_budget
+cargo test --offline -q -p dapsp --test cross_crate static_model_cost_is_pinned
 
 echo "==> engine_throughput --smoke --threads 1,2,4"
 # Active-set scheduler end to end at scale: CI-sized instances of every

@@ -300,6 +300,87 @@ fn churned_apsp_model_cost_is_pinned() {
     }
 }
 
+/// The model cost of the static algorithms is pinned: Algorithm 1,
+/// Algorithm 2, the `(×, 1+ε)` eccentricities and the single-root BFS must
+/// report exactly these counters on a near-regular, a hub and a grid graph
+/// (the kernel may change how it finds the next send, never which one is
+/// sent), and every result equals its sequential oracle.
+#[test]
+fn static_model_cost_is_pinned() {
+    use dapsp::congest::RunStats;
+    use dapsp::core::bfs;
+    fn cost(s: &RunStats) -> (u64, u64, u64, u64, u64) {
+        (
+            s.rounds,
+            s.messages,
+            s.bits,
+            s.max_messages_per_round,
+            s.scheduled_node_rounds,
+        )
+    }
+    let sources = [3u32, 17, 18, 40, 63];
+    // Per graph: apsp, ssp (+ relaxations), eccentricities (+ dom_size), bfs.
+    let golden = [
+        (
+            "ws",
+            generators::watts_strogatz(64, 3, 0.05, 7),
+            (209, 17371, 257665, 171, 7493),
+            ((40, 2053, 23551, 258, 941), 3),
+            ((96, 2702, 27152, 237, 1647), 5),
+            (10, 329, 2191, 74, 222),
+        ),
+        (
+            "ba",
+            generators::barabasi_albert(64, 3, 7),
+            (196, 16662, 247141, 224, 7611),
+            ((19, 2050, 23309, 325, 834), 18),
+            ((48, 6425, 75148, 368, 2120), 17),
+            (4, 328, 2183, 224, 201),
+        ),
+        (
+            "grid",
+            generators::grid(8, 8),
+            (212, 7350, 108493, 64, 4350),
+            ((59, 1106, 12047, 98, 881), 0),
+            ((144, 2079, 20863, 164, 1690), 8),
+            (15, 175, 959, 22, 183),
+        ),
+    ];
+    for (name, g, want_apsp, want_ssp, want_ecc, want_bfs) in golden {
+        let a = apsp::run(&g).expect("apsp");
+        assert_eq!(cost(&a.stats), want_apsp, "{name}: apsp model cost");
+        assert_eq!(a.distances, reference::apsp(&g), "{name}: apsp");
+
+        let s = ssp::run(&g, &sources).expect("ssp");
+        assert_eq!(
+            (cost(&s.stats), s.relaxations),
+            want_ssp,
+            "{name}: ssp model cost"
+        );
+        let oracle = reference::s_shortest_paths(&g, &sources);
+        for (v, row) in s.dist.iter().enumerate() {
+            for (i, &d) in row.iter().enumerate() {
+                assert_eq!(d, oracle[i][v], "{name}: d({v}, {})", sources[i]);
+            }
+        }
+
+        let e = approx::eccentricities(&g, 1.0).expect("eccentricities");
+        assert_eq!(
+            (cost(&e.stats), e.dom_size),
+            want_ecc,
+            "{name}: eccentricities model cost"
+        );
+        let exact = reference::eccentricities(&g).expect("connected");
+        for (v, (&est, &ecc)) in e.estimates.iter().zip(&exact).enumerate() {
+            assert!(ecc <= est && est <= 2 * ecc, "{name}: ecc({v})");
+        }
+
+        let b = bfs::run(&g, 0).expect("bfs");
+        assert_eq!(cost(&b.stats), want_bfs, "{name}: bfs model cost");
+        assert_eq!(b.dist, reference::bfs(&g, 0), "{name}: bfs");
+    }
+}
+
 /// §8 end to end: the k-BFS census decides diameter <= k, cross-checked
 /// against the oracle on mixed instances.
 #[test]
