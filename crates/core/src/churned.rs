@@ -246,6 +246,32 @@ mod tests {
     }
 
     #[test]
+    fn a_rejoined_node_is_repaired_back_into_every_table() {
+        // Node 3 crashes, re-joins edgeless and gets its edge back: it must
+        // thaw, and must not announce into the port it left with (a
+        // tombstone — every send there is a `TopologyChange` drop).
+        let g = generators::path(4);
+        let plan = TopologyPlan::new()
+            .with_crash(5, 3)
+            .with_join(10, 3)
+            .with_insert(12, 2, 3);
+        assert_eq!(churned_graph(&g, &plan).unwrap(), g);
+        let a = assert_apsp_matches(&g, &plan);
+        assert_eq!(a.present, vec![true; 4]);
+        assert_eq!((a.dist_to(0, 3), a.dist_to(3, 0)), (Some(3), Some(3)));
+        assert_eq!(a.parent_port[3][0], Some(1), "via the new port");
+        assert_eq!(a.stats.dropped, 0);
+        for root in [0, 3] {
+            assert_bfs_matches(&g, root, &plan);
+            let b = bfs::run_churned(&g, root, &plan).unwrap();
+            assert_eq!((b.present[3], b.stats.dropped), (true, 0));
+        }
+        let s = ssp::run_churned(&g, &[0, 3], &plan).unwrap();
+        let want: Vec<Vec<u32>> = (0..4).map(|v| vec![v, 3 - v]).collect();
+        assert_eq!((s.dist, s.stats.dropped), (want, 0));
+    }
+
+    #[test]
     fn churned_apsp_matches_oracle() {
         let g = generators::grid(3, 3);
         let plan = TopologyPlan::new()
@@ -325,6 +351,36 @@ mod tests {
                 assert_eq!(r.stats.recompute_fallbacks, 0);
             }
         }
+    }
+
+    #[test]
+    fn a_hub_repairs_like_the_oracle() {
+        // Star + ring on 130 nodes: the hub's 129 ports cross both the
+        // 64-port mark and two queue words per port, and share one level
+        // index. A spoke goes at round 1 and returns (as port 129) at
+        // round 40; the model cost is the one measured before the queues
+        // were rebuilt around that index.
+        let n = 130u32;
+        let mut b = Graph::builder(n as usize);
+        for v in 1..n {
+            b.add_edge(0, v).unwrap();
+            b.add_edge(v, v % (n - 1) + 1).unwrap();
+        }
+        let g = b.build();
+        let plan = TopologyPlan::new()
+            .with_remove(1, 0, 77)
+            .with_insert(40, 0, 77);
+        let r = assert_apsp_matches(&g, &plan);
+        assert_eq!(r.parent_port[0][77], Some(129));
+        let s = &r.stats;
+        assert_eq!(
+            (s.rounds, s.messages, s.bits, s.scheduled_node_rounds),
+            (165, 49329, 789264, 16845)
+        );
+        assert_eq!(
+            (s.repaired_node_rounds, s.recompute_fallbacks, s.dropped),
+            (260, 0, 2)
+        );
     }
 
     #[test]

@@ -459,14 +459,18 @@ impl Protocol for RepairKernel {
         let me = ctx.node_id();
         self.grow_ports(ctx.degree());
         if delta.joined {
-            // Fresh boot, edgeless: everything resets; later insertions
-            // reconnect the node.
+            // Fresh boot, edgeless: the node thaws, everything resets, and
+            // every port it left with is a tombstone (`remove_node` killed
+            // them; the crash notification froze us before recording it).
+            // This batch's insertions, below, revive theirs.
+            self.removed = false;
             let own_slot = self.own.then(|| self.own_slot(me));
             for s in 0..self.slot_count() {
                 self.state.dist[s] = if own_slot == Some(s) { 0 } else { INFINITY };
                 self.state.parent[s] = u32::MAX;
             }
             for p in 0..self.cache.len() {
+                self.port_dead[p] = true;
                 self.cache[p].fill(INFINITY);
                 self.told[p].fill(INFINITY);
                 self.queues.clear(p);

@@ -191,6 +191,92 @@ fn churned_runs_match_oracles_on_every_small_connected_graph() {
     assert!(idx > 100, "sweep must actually cover the enumeration");
 }
 
+/// The re-join sweep: every connected graph on up to 5 nodes, every node
+/// `v` — crash `v` mid-run, re-join it edgeless three rounds later, and
+/// give it its original edges back, once in the join's own round and once
+/// a round after it. The final graph is the original, so every table
+/// (BFS, S-SP, APSP) must equal the *original* graph's oracle with `v`
+/// present and nothing sent into a tombstoned port, serial vs pool bit for
+/// bit.
+#[test]
+fn rejoined_nodes_are_repaired_back_on_every_small_connected_graph() {
+    let mut runs = 0usize;
+    for (n, g) in all_graphs() {
+        if n > 5 {
+            break;
+        }
+        let oracle = reference::apsp(&g);
+        let sources: Vec<u32> = (0..n as u32).step_by(2).collect();
+        for v in 0..n as u32 {
+            for insert_round in [6, 7] {
+                let plan = g.neighbors(v).iter().fold(
+                    TopologyPlan::new().with_crash(3, v).with_join(6, v),
+                    |plan, &u| plan.with_insert(insert_round, v, u),
+                );
+                let ctx = format!("{g:?}, node {v} back at round {insert_round}");
+                assert_eq!(churned_graph(&g, &plan).unwrap(), g, "{ctx}");
+
+                let serial = apsp::run_churned(&g, &plan)
+                    .unwrap_or_else(|e| panic!("churned apsp failed on {ctx}: {e}"));
+                assert_eq!(serial.present, vec![true; n], "{ctx}");
+                for a in 0..n as u32 {
+                    for b in 0..n as u32 {
+                        assert_eq!(
+                            serial.dist_to(a, b),
+                            oracle.get(a, b),
+                            "d({a}, {b}) on {ctx}"
+                        );
+                    }
+                }
+                let pool = apsp::run_churned_on(
+                    &g.to_topology(),
+                    &plan,
+                    Obs::none().with_executor(ExecutorKind::Pool { workers: 2 }),
+                )
+                .unwrap_or_else(|e| panic!("pooled churned apsp failed on {ctx}: {e}"));
+                assert_eq!(
+                    (&serial.dist, &serial.parent_port, &serial.stats),
+                    (&pool.dist, &pool.parent_port, &pool.stats),
+                    "engine mismatch on {ctx}"
+                );
+
+                // Rooted at the re-joined node and away from it.
+                let far = (v + 1) % n as u32;
+                let b = bfs::run_churned(&g, v, &plan).unwrap();
+                let b_far = bfs::run_churned(&g, far, &plan).unwrap();
+                let s = ssp::run_churned(&g, &sources, &plan).unwrap();
+                for a in 0..n as u32 {
+                    assert_eq!(
+                        b.dist_to(a, v),
+                        oracle.get(a, v),
+                        "bfs d({a}, {v}) on {ctx}"
+                    );
+                    assert_eq!(
+                        b_far.dist_to(a, far),
+                        oracle.get(a, far),
+                        "bfs d({a}, {far}) on {ctx}"
+                    );
+                    for &src in &sources {
+                        assert_eq!(
+                            s.dist_to(a, src),
+                            oracle.get(a, src),
+                            "ssp d({a}, {src}) on {ctx}"
+                        );
+                    }
+                }
+                // The crash purges what is in flight to and from `v`; the
+                // re-join must add no drop to that (a send into a port
+                // `v` left with would be one).
+                let crash_only = TopologyPlan::new().with_crash(3, v);
+                let purged = apsp::run_churned(&g, &crash_only).unwrap().stats.dropped;
+                assert_eq!(serial.stats.dropped, purged, "apsp drops on {ctx}");
+                runs += 1;
+            }
+        }
+    }
+    assert!(runs > 200, "sweep must actually cover the enumeration");
+}
+
 #[test]
 fn local_girth_candidates_never_undershoot_on_small_graphs() {
     // Lemma 7's soundness half, exhaustively: no node ever claims a cycle

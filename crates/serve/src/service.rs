@@ -340,6 +340,33 @@ mod tests {
     }
 
     #[test]
+    fn a_rejoined_node_is_served_again() {
+        // Crash → edgeless re-join → edge back: the republished epoch must
+        // be the original path again, node 3 present and routable, not a
+        // table that lists 3 as present yet unreachable.
+        let g = generators::path(4);
+        let mut service = RouteService::build(&g).unwrap();
+        let handle = service.handle();
+        let plan = TopologyPlan::new()
+            .with_crash(5, 3)
+            .with_join(10, 3)
+            .with_insert(12, 2, 3);
+        let table = service.apply(&plan).unwrap();
+        assert_eq!(*service.graph(), g);
+        assert_eq!(table.stats().dropped, 0);
+        let oracle = reference::apsp(&g);
+        for s in 0..4u32 {
+            for d in 0..4u32 {
+                assert_eq!(handle.dist(s, d), oracle.get(s, d), "d({s}, {d})");
+            }
+        }
+        assert_eq!(handle.path(0, 3), Some(vec![0, 1, 2, 3]));
+        assert_eq!(handle.path(3, 0), Some(vec![3, 2, 1, 0]));
+        assert_eq!(table.diameter(), Some(3));
+        assert!(table.verify());
+    }
+
+    #[test]
     fn severed_destinations_serve_none() {
         let g = generators::path(6);
         let mut service = RouteService::build(&g).unwrap();

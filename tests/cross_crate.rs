@@ -300,6 +300,111 @@ fn churned_apsp_model_cost_is_pinned() {
     }
 }
 
+/// The model cost of the repair kernel's other two modes and of the event
+/// kind the APSP golden misses: churned BFS (single-root: one queue word
+/// per level) and churned S-SP (five sources) under quiet / remove /
+/// insert / crash plans, and all three modes under crash → re-join →
+/// re-insert-every-edge with the edges returning one round after the join
+/// and in the join's own round. Same counters as
+/// [`churned_apsp_model_cost_is_pinned`]; every result equals its oracle
+/// (for the re-join plans that is the original graph's).
+#[test]
+fn churned_bfs_ssp_and_rejoin_model_cost_is_pinned() {
+    use dapsp::congest::TopologyPlan;
+    use dapsp::core::{bfs, churned_graph, ChurnedResult};
+    type Cost = (u64, u64, u64, u64, u64, u64, u64);
+    let g = generators::watts_strogatz(64, 3, 0.05, 7);
+    let sources = [3u32, 17, 18, 40, 63];
+    let all: Vec<u32> = (0..64).collect();
+    assert_eq!(g.neighbors(5), &[2, 3, 4, 6, 7, 8]);
+    let rejoin = |insert_round| {
+        g.neighbors(5).iter().fold(
+            TopologyPlan::new().with_crash(80, 5).with_join(120, 5),
+            |plan, &x| plan.with_insert(insert_round, 5, x),
+        )
+    };
+    let check = |what: &str, plan: &TopologyPlan, r: ChurnedResult, want: Cost| {
+        let s = &r.stats;
+        assert_eq!(
+            (
+                s.rounds,
+                s.messages,
+                s.bits,
+                s.scheduled_node_rounds,
+                s.repaired_node_rounds,
+                s.recompute_fallbacks,
+                s.dropped
+            ),
+            want,
+            "{what} model cost under {plan:?}"
+        );
+        let mutated = churned_graph(&g, plan).expect("plan applies");
+        for (i, &root) in r.roots.iter().enumerate() {
+            let oracle = reference::bfs(&mutated, root);
+            for v in (0..64).filter(|&v| r.present[v]) {
+                assert_eq!(
+                    r.dist[v][i], oracle[v],
+                    "{what} d({v}, {root}) under {plan:?}"
+                );
+            }
+        }
+    };
+    // (plan, bfs from 0, ssp from `sources`)
+    let two_modes: [(TopologyPlan, Cost, Cost); 4] = [
+        (
+            TopologyPlan::new(),
+            (10, 266, 1862, 188, 0, 0, 0),
+            (11, 1310, 17030, 498, 0, 0, 0),
+        ),
+        (
+            TopologyPlan::new().with_remove(1, 0, 1),
+            (10, 263, 1841, 188, 64, 0, 1),
+            (11, 1303, 16939, 498, 64, 0, 0),
+        ),
+        (
+            TopologyPlan::new().with_insert(1, 0, 4),
+            (10, 267, 1869, 189, 64, 0, 0),
+            (11, 1324, 17212, 496, 64, 0, 0),
+        ),
+        (
+            TopologyPlan::new().with_crash(80, 5),
+            (80, 266, 1862, 188, 0, 63, 0),
+            (82, 1319, 17147, 508, 0, 63, 0),
+        ),
+    ];
+    for (plan, want_bfs, want_ssp) in &two_modes {
+        let b = bfs::run_churned(&g, 0, plan).expect("churned bfs");
+        check("bfs", plan, b, *want_bfs);
+        let s = ssp::run_churned(&g, &sources, plan).expect("churned ssp");
+        check("ssp", plan, s, *want_ssp);
+    }
+    // (plan, apsp, bfs, ssp)
+    let three_modes: [(TopologyPlan, Cost, Cost, Cost); 2] = [
+        (
+            rejoin(121),
+            (176, 25219, 327847, 6288, 64, 127, 0),
+            (122, 272, 1904, 195, 64, 127, 0),
+            (126, 1372, 17836, 555, 64, 127, 0),
+        ),
+        (
+            rejoin(120),
+            (175, 24962, 324506, 6225, 0, 127, 0),
+            (121, 272, 1904, 195, 0, 127, 0),
+            (125, 1372, 17836, 555, 0, 127, 0),
+        ),
+    ];
+    for (plan, want_apsp, want_bfs, want_ssp) in &three_modes {
+        let a = apsp::run_churned(&g, plan).expect("churned apsp");
+        assert_eq!(a.present, vec![true; 64]);
+        assert_eq!(a.roots, all);
+        check("apsp", plan, a, *want_apsp);
+        let b = bfs::run_churned(&g, 0, plan).expect("churned bfs");
+        check("bfs", plan, b, *want_bfs);
+        let s = ssp::run_churned(&g, &sources, plan).expect("churned ssp");
+        check("ssp", plan, s, *want_ssp);
+    }
+}
+
 /// The model cost of the static algorithms is pinned: Algorithm 1,
 /// Algorithm 2, the `(×, 1+ε)` eccentricities and the single-root BFS must
 /// report exactly these counters on a near-regular, a hub and a grid graph
