@@ -58,12 +58,14 @@ pub struct TopologyDelta<'a> {
     /// This node's freshly appended ports with the neighbor each reaches,
     /// in event order.
     pub inserted_ports: &'a [(Port, NodeId)],
-    /// True iff this node itself was removed this round (its
+    /// True iff this node itself ends the round removed (its
     /// `removed_ports` then cover every edge it had; this is its final
-    /// notification).
+    /// notification until a later join).
     pub removed: bool,
-    /// True iff this node re-joined this round (edgeless until later
-    /// insertions).
+    /// True iff this node re-joined this round and ends it present
+    /// (edgeless until later insertions; every port it had before is a
+    /// tombstone). Never set together with `removed`: a node the batch
+    /// both crashed and re-joined is told its net fate only.
     pub joined: bool,
 }
 

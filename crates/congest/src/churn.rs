@@ -95,6 +95,10 @@ pub(crate) fn apply_events(
             }
         }
     }
+    // A node the batch both crashed and re-joined is told its net fate
+    // only — the two flags together would not say which came last.
+    ch.removed_nodes.retain(|&v| !topo.node_present(v));
+    ch.joined_nodes.retain(|&v| topo.node_present(v));
     ch.removed_nodes.sort_unstable();
     ch.removed_nodes.dedup();
     ch.joined_nodes.sort_unstable();
@@ -174,6 +178,32 @@ mod tests {
         )
         .unwrap();
         assert_eq!(notify_order(&topo, &later), vec![0, 1, 3]);
+    }
+
+    #[test]
+    fn a_crash_and_a_join_in_one_batch_report_the_net_fate() {
+        // Crash then join: present again, edgeless — `joined` only, yet the
+        // ports the crash tombstoned are still reported, at both ends.
+        let mut topo = path4();
+        let plan = TopologyPlan::new().with_crash(2, 3).with_join(2, 3);
+        let ch = apply_events(&mut topo, plan.events_at(2)).unwrap();
+        let d3 = ch.delta_for(3);
+        assert!(d3.joined && !d3.removed);
+        assert_eq!(d3.removed_ports, &[0]);
+        assert_eq!(ch.delta_for(2).removed_ports, &[1]);
+        assert_eq!(ch.batch, 2 + 1 + 1);
+        assert_eq!(notify_order(&topo, &ch), vec![0, 1, 2, 3]);
+        // Join then crash (of a node that was absent): absent again —
+        // `removed` only, its final notification.
+        let plan = TopologyPlan::new()
+            .with_crash(3, 3)
+            .with_join(4, 3)
+            .with_crash(4, 3);
+        apply_events(&mut topo, plan.events_at(3)).unwrap();
+        let ch = apply_events(&mut topo, plan.events_at(4)).unwrap();
+        let d3 = ch.delta_for(3);
+        assert!(d3.removed && !d3.joined);
+        assert_eq!(notify_order(&topo, &ch), vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -269,6 +269,13 @@ mod tests {
         let s = ssp::run_churned(&g, &[0, 3], &plan).unwrap();
         let want: Vec<Vec<u32>> = (0..4).map(|v| vec![v, 3 - v]).collect();
         assert_eq!((s.dist, s.stats.dropped), (want, 0));
+        // Crash and re-join in one batch: the node is told `joined` only.
+        let plan = TopologyPlan::new()
+            .with_crash(5, 3)
+            .with_join(5, 3)
+            .with_insert(7, 2, 3);
+        let a = assert_apsp_matches(&g, &plan);
+        assert_eq!((a.dist_to(0, 3), a.stats.dropped), (Some(3), 0));
     }
 
     #[test]

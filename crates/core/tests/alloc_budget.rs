@@ -4,14 +4,16 @@
 //! allocates per send (or per scheduled node-round) makes the allocation
 //! count grow with the *message* count; one that reuses per-node scratch
 //! allocates per node. Likewise Algorithm 2 needs `|S|` distances per node,
-//! not `n`. This binary installs a counting global allocator and holds both
-//! to a budget. The counters are process-wide, hence a single `#[test]`
+//! not `n`, and a repair run's queues and neighbour table are per-node
+//! state, not per-round. This binary installs a counting global allocator
+//! and holds all three to a budget. The counters are process-wide, hence a single `#[test]`
 //! that measures serially.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dapsp_core::{apsp, ssp};
+use dapsp_congest::TopologyPlan;
+use dapsp_core::{apsp, ssp, Obs};
 use dapsp_graph::{generators, Graph};
 
 // Statistics only: they publish no other data, so `Relaxed` suffices.
@@ -114,5 +116,53 @@ fn kernel_hot_path_stays_within_its_allocation_budget() {
         bytes < 4 * n * n,
         "ssp::run_on with |S| = 8 on grid(32,32) requested {bytes} bytes (budget 4·n² = {})",
         4 * n * n
+    );
+
+    // The repair path: a single-edge republish (remove an edge, put it
+    // back once the run has converged) allocates per node too — the level
+    // index, its block pool and the neighbour table are sized once and
+    // recycled. Per-port level lists and per-port cache rows cost 43, 45
+    // and 36 calls per node on these graphs; the shared index 24, 26, 27.
+    let repair = |g: &Graph| {
+        let (u, v) = g.edges().nth(5).expect("six edges");
+        let plan = TopologyPlan::new()
+            .with_remove(1, u, v)
+            .with_insert(40, u, v);
+        let topology = g.to_topology();
+        let (calls, bytes, result) =
+            measure(|| apsp::run_churned_on(&topology, &plan, Obs::none()));
+        (calls, bytes, result.expect("churned apsp").stats.messages)
+    };
+    for (name, g) in [
+        ("ws(128,3)", generators::watts_strogatz(128, 3, 0.05, 7)),
+        ("ws(256,3)", generators::watts_strogatz(256, 3, 0.05, 7)),
+        ("grid(16,16)", generators::grid(16, 16)),
+    ] {
+        let n = g.num_nodes() as u64;
+        let (calls, bytes, messages) = repair(&g);
+        println!(
+            "repair {name}: {calls} calls = {} per node, {bytes} bytes, {messages} messages",
+            calls / n
+        );
+        assert!(
+            calls <= 32 * n,
+            "{name}: apsp::run_churned_on made {calls} allocation calls for {messages} \
+             messages, {} per node (budget 32)",
+            calls / n
+        );
+    }
+
+    // A hub must not pay for sharing: the star's centre keeps one
+    // 129-port block per live level and gains a port when its spoke
+    // returns. With per-port queues and rows the run requested 924 838
+    // bytes (7.1 KB per node); the budget is that plus 10 %, which a
+    // table re-laid whole for the one new port (+268 KB) would break.
+    const PER_PORT_QUEUES: u64 = 924_838;
+    let (calls, bytes, messages) = repair(&generators::star(130));
+    println!("repair star(130): {calls} calls, {bytes} bytes, {messages} messages");
+    assert!(
+        bytes <= PER_PORT_QUEUES * 11 / 10,
+        "star(130): apsp::run_churned_on requested {bytes} bytes (budget {})",
+        PER_PORT_QUEUES * 11 / 10
     );
 }

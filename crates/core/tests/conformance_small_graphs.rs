@@ -208,6 +208,11 @@ fn rejoined_nodes_are_repaired_back_on_every_small_connected_graph() {
         let oracle = reference::apsp(&g);
         let sources: Vec<u32> = (0..n as u32).step_by(2).collect();
         for v in 0..n as u32 {
+            // The crash purges what is in flight to and from `v`; the
+            // re-join must add no drop to that (a send into a port `v`
+            // left with would be one).
+            let crash_only = TopologyPlan::new().with_crash(3, v);
+            let purged = apsp::run_churned(&g, &crash_only).unwrap().stats.dropped;
             for insert_round in [6, 7] {
                 let plan = g.neighbors(v).iter().fold(
                     TopologyPlan::new().with_crash(3, v).with_join(6, v),
@@ -264,11 +269,6 @@ fn rejoined_nodes_are_repaired_back_on_every_small_connected_graph() {
                         );
                     }
                 }
-                // The crash purges what is in flight to and from `v`; the
-                // re-join must add no drop to that (a send into a port
-                // `v` left with would be one).
-                let crash_only = TopologyPlan::new().with_crash(3, v);
-                let purged = apsp::run_churned(&g, &crash_only).unwrap().stats.dropped;
                 assert_eq!(serial.stats.dropped, purged, "apsp drops on {ctx}");
                 runs += 1;
             }

@@ -69,9 +69,10 @@ cargo run --offline -p dapsp-bench --bin engine_profile -- --smoke --threads 1,2
 echo "==> small-graph conformance suite + kernel send-path gates"
 # Redundant with the workspace run, named so the log shows they ran: every
 # algorithm vs the sequential oracles on all 996 connected graphs with
-# <= 7 nodes; the allocation budget (fails when a kernel allocates per
-# send instead of per node); and tier-1's golden model cost of the static
-# algorithms (fails when a kernel changes which message it sends).
+# <= 7 nodes; the allocation budget (fails when a kernel — the wave stack
+# or the repair kernel — allocates per send or per round instead of per
+# node); and tier-1's golden model cost of the static algorithms (fails
+# when a kernel changes which message it sends).
 cargo test --offline -q -p dapsp-core --test conformance_small_graphs
 cargo test --offline -q -p dapsp-core --test alloc_budget
 cargo test --offline -q -p dapsp --test cross_crate static_model_cost_is_pinned
@@ -113,12 +114,20 @@ cargo run --offline --release -p dapsp-bench --bin fault_sweep -- --smoke --thre
 
 echo "==> churn conformance suite"
 # Redundant with the workspace run, named so the log shows the churn
-# sweep ran: every connected graph with <= 6 nodes gets a mid-run edge
-# delete (+ insert where one fits), and the repaired BFS/APSP must equal
-# the sequential oracle on the mutated graph, serial vs pool
-# bit-identical.
-cargo test --offline -q -p dapsp-core --test conformance_small_graphs \
-    churned_runs_match_oracles_on_every_small_connected_graph
+# gates ran. The sweeps: every connected graph with <= 6 nodes gets a
+# mid-run edge delete (+ insert where one fits), and every one with <= 5
+# nodes gets every node crashed, re-joined and re-connected; the repaired
+# BFS/S-SP/APSP must equal the sequential oracle on the resulting graph,
+# serial vs pool bit-identical. The repair queues: the shared level index
+# against the per-port set + min-scan it replaced, as a differential
+# proptest with ports growing past 64. Tier-1's goldens: the exact model
+# cost of churned apsp/bfs/ssp under quiet, remove, insert, crash and
+# re-join plans (fails when a repair-queue change alters a send).
+cargo test --offline -q -p dapsp-core --test conformance_small_graphs -- \
+    churned_runs_match_oracles_on_every_small_connected_graph \
+    rejoined_nodes_are_repaired_back_on_every_small_connected_graph
+cargo test --offline -q -p dapsp-core --lib kernel::repair::queue_tests
+cargo test --offline -q -p dapsp --test cross_crate churned_
 
 echo "==> churn_repair --threads 1,2 (DAPSP_POOL_CHUNK=1) vs committed BENCH_churn.json"
 # The full churn-repair bench (0.2 s) under the forced-stealing regime:

@@ -232,6 +232,23 @@ fn route_service_republishes_the_mutated_oracle() {
     assert_eq!(epoch0.dist(5, 6), Some(1));
 }
 
+/// What the churn goldens pin of a run: `(rounds, messages, bits,
+/// scheduled_node_rounds, repaired_node_rounds, recompute_fallbacks,
+/// dropped)`.
+type ChurnCost = (u64, u64, u64, u64, u64, u64, u64);
+
+fn churn_cost(s: &dapsp::congest::RunStats) -> ChurnCost {
+    (
+        s.rounds,
+        s.messages,
+        s.bits,
+        s.scheduled_node_rounds,
+        s.repaired_node_rounds,
+        s.recompute_fallbacks,
+        s.dropped,
+    )
+}
+
 /// The model cost of churned APSP is pinned: on ws(64) every adversity
 /// shape — quiet, remove, insert, late remove, crash, a batch past the
 /// fallback threshold — must report exactly these counters (the repair
@@ -249,9 +266,7 @@ fn churned_apsp_model_cost_is_pinned() {
         assert!(g.has_edge(x, x + 1));
         plan.with_remove(80, x, x + 1)
     });
-    // (rounds, messages, bits, scheduled_node_rounds,
-    //  repaired_node_rounds, recompute_fallbacks, dropped)
-    let golden = [
+    let golden: [(TopologyPlan, ChurnCost); 6] = [
         (TopologyPlan::new(), (63, 15939, 207207, 3448, 0, 0, 0)),
         (
             TopologyPlan::new().with_remove(1, 0, 1),
@@ -273,20 +288,7 @@ fn churned_apsp_model_cost_is_pinned() {
     ];
     for (plan, want) in golden {
         let r = apsp::run_churned(&g, &plan).expect("churned apsp");
-        let s = &r.stats;
-        assert_eq!(
-            (
-                s.rounds,
-                s.messages,
-                s.bits,
-                s.scheduled_node_rounds,
-                s.repaired_node_rounds,
-                s.recompute_fallbacks,
-                s.dropped
-            ),
-            want,
-            "model cost under {plan:?}"
-        );
+        assert_eq!(churn_cost(&r.stats), want, "model cost under {plan:?}");
         let oracle = reference::apsp(&churned_graph(&g, &plan).expect("plan applies"));
         for v in (0..64u32).filter(|&v| r.present[v as usize]) {
             for root in 0..64u32 {
@@ -305,14 +307,13 @@ fn churned_apsp_model_cost_is_pinned() {
 /// per level) and churned S-SP (five sources) under quiet / remove /
 /// insert / crash plans, and all three modes under crash → re-join →
 /// re-insert-every-edge with the edges returning one round after the join
-/// and in the join's own round. Same counters as
+/// and in the join's own round. Same counters ([`churn_cost`]) as
 /// [`churned_apsp_model_cost_is_pinned`]; every result equals its oracle
 /// (for the re-join plans that is the original graph's).
 #[test]
 fn churned_bfs_ssp_and_rejoin_model_cost_is_pinned() {
     use dapsp::congest::TopologyPlan;
     use dapsp::core::{bfs, churned_graph, ChurnedResult};
-    type Cost = (u64, u64, u64, u64, u64, u64, u64);
     let g = generators::watts_strogatz(64, 3, 0.05, 7);
     let sources = [3u32, 17, 18, 40, 63];
     let all: Vec<u32> = (0..64).collect();
@@ -323,18 +324,9 @@ fn churned_bfs_ssp_and_rejoin_model_cost_is_pinned() {
             |plan, &x| plan.with_insert(insert_round, 5, x),
         )
     };
-    let check = |what: &str, plan: &TopologyPlan, r: ChurnedResult, want: Cost| {
-        let s = &r.stats;
+    let check = |what: &str, plan: &TopologyPlan, r: ChurnedResult, want: ChurnCost| {
         assert_eq!(
-            (
-                s.rounds,
-                s.messages,
-                s.bits,
-                s.scheduled_node_rounds,
-                s.repaired_node_rounds,
-                s.recompute_fallbacks,
-                s.dropped
-            ),
+            churn_cost(&r.stats),
             want,
             "{what} model cost under {plan:?}"
         );
@@ -350,7 +342,7 @@ fn churned_bfs_ssp_and_rejoin_model_cost_is_pinned() {
         }
     };
     // (plan, bfs from 0, ssp from `sources`)
-    let two_modes: [(TopologyPlan, Cost, Cost); 4] = [
+    let two_modes: [(TopologyPlan, ChurnCost, ChurnCost); 4] = [
         (
             TopologyPlan::new(),
             (10, 266, 1862, 188, 0, 0, 0),
@@ -379,7 +371,7 @@ fn churned_bfs_ssp_and_rejoin_model_cost_is_pinned() {
         check("ssp", plan, s, *want_ssp);
     }
     // (plan, apsp, bfs, ssp)
-    let three_modes: [(TopologyPlan, Cost, Cost, Cost); 2] = [
+    let three_modes: [(TopologyPlan, ChurnCost, ChurnCost, ChurnCost); 2] = [
         (
             rejoin(121),
             (176, 25219, 327847, 6288, 64, 127, 0),
