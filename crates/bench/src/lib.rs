@@ -5,16 +5,14 @@
 //! measuring round counts for every claimed bound and checking the *growth
 //! shapes*: who wins, by what factor, and where crossovers fall. Each
 //! experiment Eⁱ from DESIGN.md has a binary in `src/bin/` that prints its
-//! table; `table1_all` runs the full suite. The Criterion bench
-//! (`benches/table1.rs`) wall-clock-profiles representative instances.
+//! table; `table1_all` runs the full suite. Nothing here measures wall
+//! time — that is the job of the repo benchmark (`benchmark/run.sh`).
 //!
 //! The helpers here are shared by the binaries: measurement records, table
 //! rendering, and log–log slope fitting for empirical growth exponents.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod workloads;
 
 /// One measured configuration.
 #[derive(Clone, Debug)]

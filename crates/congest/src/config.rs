@@ -408,15 +408,6 @@ impl ExecutorKind {
             ExecutorKind::Pool { workers } => (*workers).max(1),
         }
     }
-
-    /// A short stable name for logs and benchmark rows: `"serial"` or
-    /// `"pool"`.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ExecutorKind::Serial => "serial",
-            ExecutorKind::Pool { .. } => "pool",
-        }
-    }
 }
 
 /// Parameters of a simulation run.
@@ -671,8 +662,6 @@ mod tests {
         let c = Config::for_n(8).with_executor(ExecutorKind::Pool { workers: 3 });
         assert_eq!(c.executor, ExecutorKind::Pool { workers: 3 });
         assert_eq!(c, Config::for_n(8).with_threads(3));
-        assert_eq!(ExecutorKind::Serial.name(), "serial");
-        assert_eq!(ExecutorKind::Pool { workers: 3 }.name(), "pool");
         assert_eq!(ExecutorKind::Pool { workers: 0 }.threads(), 1);
         assert_eq!(ExecutorKind::default(), ExecutorKind::Serial);
     }

@@ -819,8 +819,7 @@ impl Observer for MetricsRecorder {
 /// deliver/step/commit sub-phases of every round.
 ///
 /// Cheaper than a full [`MetricsRecorder`] (no per-edge accounting); this
-/// is what `engine_profile` uses to measure whether the sequential commit
-/// phase dominates threaded runs.
+/// is what the repo benchmark's `congest.{deliver,commit}_ms` rows read.
 #[derive(Clone, Debug, Default)]
 pub struct PhaseProfile {
     /// The phase label of the run (`""` unlabeled).
@@ -839,19 +838,6 @@ pub struct PhaseProfile {
     pub step: Duration,
     /// Total sequential-commit time.
     pub commit: Duration,
-}
-
-impl PhaseProfile {
-    /// The commit phase's share of the measured round time, in `[0, 1]`
-    /// (0 if nothing was measured).
-    pub fn commit_share(&self) -> f64 {
-        let total = (self.deliver + self.step + self.commit).as_secs_f64();
-        if total > 0.0 {
-            self.commit.as_secs_f64() / total
-        } else {
-            0.0
-        }
-    }
 }
 
 /// An [`Observer`] accumulating one [`PhaseProfile`] per observed run.
@@ -1427,6 +1413,6 @@ mod tests {
         assert_eq!(total.dropped, 2);
         assert_eq!(total.crashed, 2);
         assert_eq!(total.phase, "a+b");
-        assert!((total.commit_share() - 0.7).abs() < 1e-9);
+        assert_eq!(total.commit, Duration::from_nanos(140));
     }
 }

@@ -1,12 +1,11 @@
-//! The original (pre-optimization) round engine, kept verbatim for A/B
-//! benchmarking.
+//! The original (pre-optimization) round engine, kept verbatim as the
+//! oracle the equivalence tests compare against.
 //!
 //! [`ReferenceSimulator`] preserves the seed engine's behavior *and* its
 //! allocation profile: `n` fresh inbox `Vec`s per round, a fresh [`Outbox`]
 //! per node per round, and a fresh `vec![false; degree]` duplicate-send
 //! check per commit. The optimized [`Simulator`](crate::Simulator) must
-//! produce bit-for-bit identical reports; benchmarks (see
-//! `dapsp-bench/engine_throughput`) quantify the throughput difference.
+//! produce bit-for-bit identical reports (`tests/engine_equivalence.rs`).
 
 use std::sync::Arc;
 

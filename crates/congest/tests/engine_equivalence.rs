@@ -422,7 +422,7 @@ proptest! {
         ];
         for (executor, reference) in candidates {
             let (other, other_trace) = run_one(executor, reference);
-            let label = if reference { "reference" } else { executor.name() };
+            let label = if reference { "reference".into() } else { format!("{executor:?}") };
             prop_assert_eq!(&baseline.outputs, &other.outputs, "outputs vs {}", label);
             prop_assert_eq!(baseline.stats, other.stats, "stats vs {}", label);
             // RoundMetrics equality ignores wall-clock columns, so entire
@@ -483,7 +483,7 @@ proptest! {
             ExecutorKind::Pool { workers: 4 },
         ] {
             let (sparse, sparse_trace) = run_one(executor, false);
-            let label = executor.name();
+            let label = format!("{executor:?}");
             prop_assert_eq!(&dense.outputs, &sparse.outputs, "outputs vs {}", label);
             prop_assert_eq!(dense.stats, sparse.stats, "stats vs {}", label);
             prop_assert_eq!(&dense.metrics, &sparse.metrics, "metrics vs {}", label);
@@ -546,7 +546,7 @@ proptest! {
             (ExecutorKind::Serial, true),
         ] {
             let (other_report, other_jsonl, other_total) = run_one(executor, reference);
-            let label = if reference { "reference" } else { executor.name() };
+            let label = if reference { "reference".into() } else { format!("{executor:?}") };
             prop_assert_eq!(&base_jsonl, &other_jsonl, "trace JSONL vs {}", label);
             prop_assert_eq!(base_total, other_total, "trace totals vs {}", label);
             prop_assert_eq!(
@@ -642,7 +642,7 @@ proptest! {
             let label = if reference {
                 "reference".to_string()
             } else {
-                format!("{}/chunk{}", executor.name(), chunk)
+                format!("{executor:?}/chunk{chunk}")
             };
             prop_assert_eq!(&baseline.outputs, &other.outputs, "outputs vs {}", &label);
             prop_assert_eq!(baseline.stats, other.stats, "stats vs {}", &label);

@@ -1,6 +1,7 @@
 //! Targeted regression tests for the phase-pipeline/executor split:
 //! worker-pool lifecycle (threads spawn once per run, never per round),
-//! shard-safe duplicate-send stamps, and error parity between executors.
+//! shard-safe duplicate-send stamps, error parity between executors, and
+//! the active-set schedule staying sparse at scale.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -204,4 +205,83 @@ fn oversubscribed_pool_clamps_workers_to_nodes() {
     .unwrap();
     assert_eq!(pool_workers_spawned() - before, 2);
     assert_eq!(report.outputs, vec![2, 4, 2]);
+}
+
+/// One wave from node 0: a node forwards the first arrival on every port
+/// and then goes quiet, so per round only the wave front has work.
+struct Flood {
+    reached: bool,
+}
+impl NodeAlgorithm for Flood {
+    type Message = Tick;
+    type Output = bool;
+    fn on_start(&mut self, ctx: &NodeContext<'_>, out: &mut Outbox<Tick>) {
+        if ctx.node_id() == 0 {
+            self.reached = true;
+            out.send_to_all(0..ctx.degree() as Port, Tick);
+        }
+    }
+    fn on_round(&mut self, ctx: &NodeContext<'_>, inbox: &Inbox<Tick>, out: &mut Outbox<Tick>) {
+        if !self.reached && !inbox.is_empty() {
+            self.reached = true;
+            out.send_to_all(0..ctx.degree() as Port, Tick);
+        }
+    }
+    fn is_active(&self) -> bool {
+        false
+    }
+    fn into_output(self, _: &NodeContext<'_>) -> bool {
+        self.reached
+    }
+}
+
+/// The engine steps only nodes with work: all `n` once at start, then a
+/// node only in a round it receives something. On a 20 000-node ring with
+/// 40 seeded chords the wave front is a vanishing fraction of the network
+/// for hundreds of rounds, so a return to dense per-node scheduling
+/// (`n` steps per round) overshoots both bounds by more than an order of
+/// magnitude.
+#[test]
+fn schedule_stays_sparse_on_a_large_frontier_sparse_flood() {
+    const N: usize = 20_000;
+    let mut adj: Vec<Vec<u32>> = (0..N)
+        .map(|v| vec![((v + N - 1) % N) as u32, ((v + 1) % N) as u32])
+        .collect();
+    let mut lcg = 0x2545_f491_4f6c_dd1d_u64;
+    let mut draw = || {
+        lcg = lcg
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (lcg >> 33) as usize % N
+    };
+    let mut chords = 0;
+    while chords < 40 {
+        let (u, v) = (draw(), draw());
+        if u != v && !adj[u].contains(&(v as u32)) {
+            adj[u].push(v as u32);
+            adj[v].push(u as u32);
+            chords += 1;
+        }
+    }
+    let topo = Topology::from_adjacency(adj).unwrap();
+    let report = Simulator::new(&topo, Config::for_n(N), |_| Flood { reached: false })
+        .run()
+        .unwrap();
+    assert!(
+        report.outputs.iter().all(|&r| r),
+        "the wave reached everyone"
+    );
+    let stats = report.stats;
+    assert!(
+        stats.scheduled_node_rounds <= N as u64 + stats.messages,
+        "stepped {} node-rounds for {} messages",
+        stats.scheduled_node_rounds,
+        stats.messages
+    );
+    let density = stats.scheduled_node_rounds as f64 / (N as u64 * stats.rounds) as f64;
+    assert!(
+        density < 0.05,
+        "schedule density {density:.3} over {} rounds",
+        stats.rounds
+    );
 }

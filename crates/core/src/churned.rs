@@ -392,11 +392,33 @@ mod tests {
 
     #[test]
     fn single_removals_stay_below_the_fallback() {
-        let g = generators::grid(3, 3);
-        let plan = TopologyPlan::new().with_remove(2, 0, 1);
-        let r = apsp::run_churned(&g, &plan).unwrap();
-        assert_eq!(r.stats.recompute_fallbacks, 0, "2 halves < threshold 4");
-        assert!(r.stats.repaired_node_rounds > 0);
+        // Mid-run on a grid, and two rounds after a small world converged.
+        for (g, settled) in [
+            (generators::grid(3, 3), false),
+            (generators::watts_strogatz(48, 3, 0.02, 42), true),
+        ] {
+            let event_round = if settled {
+                let quiet = apsp::run_churned(&g, &TopologyPlan::new()).unwrap();
+                quiet.stats.rounds + 2
+            } else {
+                2
+            };
+            let plan = TopologyPlan::new().with_remove(event_round, 0, 1);
+            let r = assert_apsp_matches(&g, &plan);
+            assert_eq!(r.stats.recompute_fallbacks, 0, "2 halves < threshold");
+            assert!(r.stats.repaired_node_rounds > 0);
+            if settled {
+                // Patching a converged table beats rebuilding it cold.
+                let mutated = churned_graph(&g, &plan).unwrap();
+                let cold = apsp::run_churned(&mutated, &TopologyPlan::new()).unwrap();
+                assert!(
+                    r.stats.rounds - event_round < cold.stats.rounds,
+                    "repair took {} rounds, a cold build {}",
+                    r.stats.rounds - event_round,
+                    cold.stats.rounds
+                );
+            }
+        }
     }
 
     #[test]

@@ -69,7 +69,8 @@ pub use convergecast::{CastMsg, ConvergecastKernel};
 pub use pebble::{PebbleKernel, Token};
 pub use protocol::{Protocol, ProtocolHost, Tx};
 pub use reliable::{split_reliable_report, Frame, RelStats, ReliableKernel};
-pub use repair::{repair_threshold, RepairKernel, RepairMsg};
+pub(crate) use repair::repair_threshold;
+pub use repair::{RepairKernel, RepairMsg};
 pub use stack::{Both, Coupling, Stack};
 pub use wave::{SourceSlots, WaveKernel, WaveMsg, WaveState};
 

@@ -75,7 +75,7 @@ use super::wave::WaveState;
 /// when a round's global change batch reaches `max(4, n / 8)` directed
 /// port halves (each edge event counts both endpoints' ports; node events
 /// add one).
-pub fn repair_threshold(n: usize) -> u32 {
+pub(crate) fn repair_threshold(n: usize) -> u32 {
     (n as u32 / 8).max(4)
 }
 

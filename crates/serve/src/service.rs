@@ -223,16 +223,18 @@ impl RouteServiceController {
     /// Stops the control-plane thread and hands the service back (e.g. to
     /// inspect the final graph, or to respawn later).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the control-plane thread itself panicked.
-    pub fn shutdown(mut self) -> RouteService {
+    /// [`ServeError::ControlPlaneDown`] if the control-plane thread
+    /// panicked: the service it owned is lost, the last published snapshot
+    /// keeps serving through outstanding [`ServeHandle`]s.
+    pub fn shutdown(mut self) -> Result<RouteService, ServeError> {
         let _ = self.tx.send(Command::Stop);
         self.thread
             .take()
             .expect("shutdown runs at most once")
             .join()
-            .expect("control-plane thread panicked")
+            .map_err(|_| ServeError::ControlPlaneDown)
     }
 }
 
@@ -405,10 +407,31 @@ mod tests {
         assert_eq!(ticket.wait().unwrap(), 2);
         assert_eq!(handle.dist(0, 8), Some(1));
 
-        let service = controller.shutdown();
+        let service = controller.shutdown().unwrap();
         assert_eq!(service.epoch(), 2);
         // The handed-back service keeps serving the same table.
         assert_eq!(service.handle().epoch(), 2);
+    }
+
+    #[test]
+    fn shutdown_reports_a_panicked_control_plane_as_a_typed_error() {
+        let service = RouteService::build(&generators::cycle(5)).unwrap();
+        let handle = service.handle();
+        let (tx, _rx) = channel();
+        let thread = std::thread::spawn(move || -> RouteService {
+            let _owned = service;
+            panic!("control plane poisoned on purpose");
+        });
+        let controller = RouteServiceController {
+            handle: handle.clone(),
+            tx,
+            thread: Some(thread),
+        };
+        assert!(matches!(
+            controller.shutdown(),
+            Err(ServeError::ControlPlaneDown)
+        ));
+        assert_eq!(handle.dist(0, 2), Some(2), "the snapshot keeps serving");
     }
 
     #[test]

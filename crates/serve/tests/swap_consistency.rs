@@ -127,7 +127,7 @@ fn readers_always_see_exactly_one_epoch() {
     // After the writer is done every handle settles on the final epoch.
     let handle = controller.handle();
     assert_eq!(handle.epoch(), REPUBLISHES);
-    let service = controller.shutdown();
+    let service = controller.shutdown().unwrap();
     assert_eq!(service.epoch(), REPUBLISHES);
     assert!(service.handle().load().verify());
 }
@@ -155,5 +155,5 @@ fn a_reader_mid_batch_is_never_torn() {
         // While a fresh load sees the new epoch.
         assert_eq!(controller.handle().epoch(), epoch);
     }
-    controller.shutdown();
+    controller.shutdown().unwrap();
 }

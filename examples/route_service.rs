@@ -122,7 +122,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         final_table.policy().name(),
         final_table.girth(),
     );
-    let service = controller.shutdown();
+    let service = controller.shutdown()?;
     assert_eq!(service.epoch(), 2);
     println!(
         "control plane handed the service back at epoch {}",

@@ -397,6 +397,124 @@ fn churned_bfs_ssp_and_rejoin_model_cost_is_pinned() {
     }
 }
 
+/// The model cost of the reliable stack is pinned: `bfs`, `ssp` and `apsp`
+/// `run_faulty_on` on two small graphs under three
+/// [`FaultPlan`](dapsp::congest::FaultPlan)s — quiet, lossy, and lossy with
+/// a crash window. Per cell the engine counters `(rounds, messages, bits,
+/// dropped)` and the transport counters `(frames_sent, retransmissions,
+/// acks_sent)` are exact, no link gave up, the horizon truncated nothing,
+/// every distance equals its sequential oracle, and the 2-worker pool
+/// reproduces the serial run.
+#[test]
+fn faulty_model_cost_is_pinned() {
+    use dapsp::congest::{ExecutorKind, FaultPlan, RunStats};
+    use dapsp::core::kernel::RelStats;
+    use dapsp::core::{bfs, Obs};
+    type FaultyCost = ((u64, u64, u64, u64), (u64, u64, u64));
+    fn cost(what: &str, s: &RunStats, rel: &RelStats) -> FaultyCost {
+        assert!(!rel.gave_up, "{what}: a link exhausted its retries");
+        assert_eq!(rel.truncated_sends, 0, "{what}: horizon too short");
+        (
+            (s.rounds, s.messages, s.bits, s.dropped),
+            (rel.frames_sent, rel.retransmissions, rel.acks_sent),
+        )
+    }
+    let plans = [
+        FaultPlan::uniform_loss(0.0, 5),
+        FaultPlan::uniform_loss(0.1, 5),
+        FaultPlan::uniform_loss(0.1, 5).with_crash(4, 6, 14),
+    ];
+    // Per graph, per plan: bfs from 0, ssp from `sources`, apsp.
+    let golden = [
+        (
+            "ws",
+            generators::watts_strogatz(20, 2, 0.1, 7),
+            [2, 9, 17],
+            [
+                [
+                    ((12, 1040, 4017, 0), (560, 0, 480)),
+                    ((48, 4080, 16711, 0), (2160, 0, 1920)),
+                    ((136, 11040, 51929, 0), (5600, 0, 5440)),
+                ],
+                [
+                    ((24, 1008, 4280, 116), (725, 136, 641)),
+                    ((96, 3869, 17663, 437), (2805, 518, 2476)),
+                    ((250, 9294, 51799, 1011), (7040, 1312, 6325)),
+                ],
+                [
+                    ((29, 997, 4205, 145), (731, 168, 618)),
+                    ((108, 3740, 17164, 525), (2768, 619, 2356)),
+                    ((259, 9197, 51423, 1063), (6996, 1374, 6232)),
+                ],
+            ],
+        ),
+        (
+            "grid",
+            generators::grid(4, 4),
+            [0, 5, 15],
+            [
+                [
+                    ((14, 720, 2703, 0), (384, 0, 336)),
+                    ((54, 2736, 10815, 0), (1440, 0, 1296)),
+                    ((112, 5472, 23589, 0), (2784, 0, 2688)),
+                ],
+                [
+                    ((24, 590, 2571, 69), (477, 91, 414)),
+                    ((91, 2128, 10083, 249), (1772, 355, 1542)),
+                    ((194, 3872, 21542, 436), (3452, 674, 3065)),
+                ],
+                [
+                    ((25, 536, 2329, 80), (442, 102, 364)),
+                    ((103, 2196, 10257, 313), (1821, 415, 1544)),
+                    ((195, 3837, 21320, 461), (3413, 681, 3006)),
+                ],
+            ],
+        ),
+    ];
+    for (name, g, sources, want) in &golden {
+        let topo = g.to_topology();
+        let bfs_oracle = reference::bfs(g, 0);
+        let ssp_oracle = reference::s_shortest_paths(g, sources);
+        let apsp_oracle = reference::apsp(g);
+        for (plan, want) in plans.iter().zip(want) {
+            let run = |executor| {
+                let obs = || Obs::none().with_executor(executor);
+                let what = format!("{name} under {plan:?} on {executor:?}");
+                let (b, b_rel) = bfs::run_faulty_on(&topo, 0, plan.clone(), obs()).expect("bfs");
+                assert_eq!(b.dist, bfs_oracle, "bfs, {what}");
+                let (s, s_rel) =
+                    ssp::run_faulty_on(&topo, sources, plan.clone(), obs()).expect("ssp");
+                for (v, row) in s.dist.iter().enumerate() {
+                    for (i, &d) in row.iter().enumerate() {
+                        assert_eq!(d, ssp_oracle[i][v], "ssp d({v}, {}), {what}", sources[i]);
+                    }
+                }
+                let (a, a_rel) = apsp::run_faulty_on(&topo, plan.clone(), obs()).expect("apsp");
+                assert_eq!(a.distances, apsp_oracle, "apsp, {what}");
+                let pinned = [
+                    cost(&what, &b.stats, &b_rel),
+                    cost(&what, &s.stats, &s_rel),
+                    cost(&what, &a.stats, &a_rel),
+                ];
+                // Everything else a run reports, for serial ≡ pool.
+                let rest = (
+                    [b.stats, s.stats, a.stats],
+                    [b_rel, s_rel, a_rel],
+                    (s.next_hop, s.d0, a.next_hop, a.girth_candidate),
+                );
+                (pinned, rest)
+            };
+            let serial = run(ExecutorKind::Serial);
+            assert_eq!(&serial.0, want, "{name} under {plan:?}");
+            assert_eq!(
+                run(ExecutorKind::Pool { workers: 2 }),
+                serial,
+                "{name}: pool"
+            );
+        }
+    }
+}
+
 /// The model cost of the static algorithms is pinned: Algorithm 1,
 /// Algorithm 2, the `(×, 1+ε)` eccentricities and the single-root BFS must
 /// report exactly these counters on a near-regular, a hub and a grid graph
