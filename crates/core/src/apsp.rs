@@ -36,6 +36,7 @@ use crate::kernel::{
     Stack, WaveKernel, WaveState,
 };
 use crate::observe::Obs;
+use crate::routing::check_table_size;
 use crate::runner::fold_outputs;
 use crate::tree::TreeKnowledge;
 
@@ -53,14 +54,57 @@ impl Coupling<PebbleKernel, WaveKernel> for StartWaveOnRelease {
     }
 }
 
+/// The next-hop matrix of an APSP run: one flat row-major `n × n` buffer
+/// of neighbor ids, `u32::MAX` where there is none.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct NextHopMatrix {
+    n: usize,
+    data: Vec<u32>,
+}
+
+impl NextHopMatrix {
+    /// The matrix dimension `n`.
+    pub fn num_nodes(&self) -> usize {
+        self.n
+    }
+
+    /// The neighbor `v` forwards to on a shortest path toward `r` (its
+    /// parent in `T_r`), or `None` at `v == r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v >= n` or `r >= n`.
+    pub fn get(&self, v: u32, r: u32) -> Option<u32> {
+        let (v, r) = (v as usize, r as usize);
+        assert!(v < self.n && r < self.n, "({v}, {r}) out of range");
+        let hop = self.data[v * self.n + r];
+        (hop != u32::MAX).then_some(hop)
+    }
+
+    /// Consumes the matrix into its row-major buffer (`u32::MAX` = none) —
+    /// the routing table packs its cells into it in place.
+    pub(crate) fn into_vec(self) -> Vec<u32> {
+        self.data
+    }
+}
+
+/// What every all-pairs entry point checks before its first round and
+/// before any `n²` allocation.
+fn check_size(n: usize) -> Result<(), CoreError> {
+    if n == 0 {
+        return Err(CoreError::EmptyGraph);
+    }
+    check_table_size(n)
+}
+
 /// The result of a distributed APSP computation.
 #[derive(Clone, Debug)]
 pub struct ApspResult {
     /// The full hop-distance matrix (`distances.get(u, v)` = `d(u, v)`).
     pub distances: DistanceMatrix,
-    /// `next_hop[v][r]` is the neighbor `v` forwards to on a shortest path
-    /// toward `r` (its parent in `T_r`), or `None` at `v == r`.
-    pub next_hop: Vec<Vec<Option<u32>>>,
+    /// `next_hop.get(v, r)` is the neighbor `v` forwards to on a shortest
+    /// path toward `r`.
+    pub next_hop: NextHopMatrix,
     /// The smallest cycle candidate any node observed, i.e. the girth, or
     /// `None` if no wave ever hit a node twice (the graph is a tree).
     pub girth_candidate: Option<u32>,
@@ -87,6 +131,10 @@ pub struct ApspResult {
 /// * [`CoreError::EmptyGraph`] on an empty graph.
 /// * [`CoreError::Disconnected`] if the graph is not connected (the model
 ///   assumes a connected network).
+/// * [`CoreError::TableTooLarge`] past
+///   [`MAX_NODES`](crate::routing::MAX_NODES) nodes — checked before the
+///   first round and before any `n²` allocation, here and in every other
+///   all-pairs entry point of this module.
 /// * [`CoreError::Sim`] on simulator failures — which would indicate a
 ///   violation of Lemma 1.
 ///
@@ -154,9 +202,6 @@ pub fn run_on_obs(topology: &Topology, obs: Obs<'_>) -> Result<ApspResult, CoreE
 /// # }
 /// ```
 pub fn run_observed(graph: &Graph, observer: &ObserverHandle) -> Result<ApspResult, CoreError> {
-    if graph.num_nodes() == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
     run_on_obs(&graph.to_topology(), Obs::watching(observer))
 }
 
@@ -175,9 +220,6 @@ pub fn run_observed(graph: &Graph, observer: &ObserverHandle) -> Result<ApspResu
 /// a permanently severed link) fails loudly with a round-limit
 /// [`CoreError::Sim`] instead of returning corrupted distances.
 pub fn run_faulty(graph: &Graph, faults: FaultPlan) -> Result<(ApspResult, RelStats), CoreError> {
-    if graph.num_nodes() == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
     run_faulty_on(&graph.to_topology(), faults, Obs::none())
 }
 
@@ -194,9 +236,7 @@ pub fn run_faulty_on(
     obs: Obs<'_>,
 ) -> Result<(ApspResult, RelStats), CoreError> {
     let n = topology.num_nodes();
-    if n == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
+    check_size(n)?;
     // Phase A: build T_1 reliably.
     let (t1, mut rel) = bfs::run_faulty_on(topology, 0, faults.clone(), obs)?;
     if !t1.reached_all() {
@@ -254,9 +294,6 @@ pub fn run_faulty_on(
 /// # }
 /// ```
 pub fn run_truncated(graph: &Graph, k: u32) -> Result<KbfsResult, CoreError> {
-    if graph.num_nodes() == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
     run_truncated_on(&graph.to_topology(), k)
 }
 
@@ -341,9 +378,6 @@ pub fn run_without_wait(graph: &Graph) -> Result<ApspResult, CoreError> {
 /// Same as [`run`] minus the connectivity requirement; a plan that does
 /// not apply cleanly surfaces as [`CoreError::Sim`].
 pub fn run_churned(graph: &Graph, plan: &TopologyPlan) -> Result<ChurnedResult, CoreError> {
-    if graph.num_nodes() == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
     run_churned_on(&graph.to_topology(), plan, Obs::none())
 }
 
@@ -359,17 +393,12 @@ pub fn run_churned_on(
     obs: Obs<'_>,
 ) -> Result<ChurnedResult, CoreError> {
     let n = topology.num_nodes();
-    if n == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
+    check_size(n)?;
     let roots: Vec<u32> = (0..n as u32).collect();
     run_repair(topology, plan, roots, RepairMode::All, obs, "apsp:churn")
 }
 
 fn run_with_wait(graph: &Graph, wait_one_slot: bool) -> Result<ApspResult, CoreError> {
-    if graph.num_nodes() == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
     run_phases(&graph.to_topology(), wait_one_slot, u32::MAX, Obs::none())
 }
 
@@ -383,9 +412,7 @@ fn run_phases(
     obs: Obs<'_>,
 ) -> Result<ApspResult, CoreError> {
     let n = topology.num_nodes();
-    if n == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
+    check_size(n)?;
     // Phase A: build T_1 (BFS from node 0, the smallest id).
     let t1 = bfs::run_on_obs(topology, 0, obs)?;
     if !t1.reached_all() {
@@ -412,16 +439,17 @@ fn assemble(
     let n = topology.num_nodes();
     let seed = (
         DistanceMatrix::new(n),
-        vec![vec![None; n]; n],
+        vec![u32::MAX; n * n],
         INFINITY,
         vec![INFINITY; n],
     );
     let (distances, next_hop, girth_candidate, local_girth_candidates) =
         fold_outputs(report.outputs, seed, |acc, v, (_, state)| {
             acc.0.set_row(v, &state.dist);
-            for (r, &p) in state.parent.iter().enumerate() {
+            let row = &mut acc.1[v as usize * n..][..n];
+            for (hop, &p) in row.iter_mut().zip(&state.parent) {
                 if p != u32::MAX {
-                    acc.1[v as usize][r] = Some(topology.neighbor_at(v, p));
+                    *hop = topology.neighbor_at(v, p);
                 }
             }
             acc.3[v as usize] = state.girth_candidate;
@@ -431,7 +459,7 @@ fn assemble(
     stats.absorb_sequential(&report.stats);
     ApspResult {
         distances,
-        next_hop,
+        next_hop: NextHopMatrix { n, data: next_hop },
         girth_candidate: if girth_candidate == INFINITY {
             None
         } else {
@@ -585,9 +613,9 @@ mod tests {
         let g = generators::grid(4, 4);
         let r = run(&g).unwrap();
         for u in 0..16u32 {
-            assert_eq!(r.next_hop[u as usize][u as usize], None);
+            assert_eq!(r.next_hop.get(u, u), None);
             for v in (0..16u32).filter(|&v| v != u) {
-                let hop = r.next_hop[u as usize][v as usize].expect("connected graph");
+                let hop = r.next_hop.get(u, v).expect("connected graph");
                 assert!(g.has_edge(u, hop));
                 assert_eq!(
                     r.distances.get(hop, v).unwrap() + 1,

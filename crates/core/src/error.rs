@@ -29,6 +29,14 @@ pub enum CoreError {
     EmptySourceSet,
     /// An approximation parameter was out of range (e.g. `epsilon <= 0`).
     InvalidParameter(String),
+    /// The graph has more nodes than an all-pairs table can cover: a
+    /// [`RouteTable`](crate::routing::RouteTable) cell holds a 16-bit hop
+    /// count and a 16-bit next-hop id, so `num_nodes` must not exceed
+    /// [`MAX_NODES`](crate::routing::MAX_NODES).
+    TableTooLarge {
+        /// The graph size.
+        num_nodes: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -42,6 +50,12 @@ impl fmt::Display for CoreError {
             }
             CoreError::EmptySourceSet => write!(f, "source set must be nonempty"),
             CoreError::InvalidParameter(why) => write!(f, "invalid parameter: {why}"),
+            CoreError::TableTooLarge { num_nodes } => write!(
+                f,
+                "an all-pairs table over {num_nodes} nodes exceeds the {}-node limit \
+                 of its 16-bit cells",
+                crate::routing::MAX_NODES
+            ),
         }
     }
 }

@@ -6,9 +6,16 @@
 //! built once from an [`ApspResult`] (the initial epoch) or a
 //! [`ChurnedResult`] (every republish after a topology change) and never
 //! mutated afterwards — the `dapsp-serve` layer gets concurrency by
-//! swapping whole tables, never by locking rows. Both `O(n²)` payloads are
-//! flat `u32` arrays (next hop + hop count, row-major by source), so a
-//! point query is two array reads and a batch walks contiguous memory.
+//! swapping whole tables, never by locking rows. The `O(n²)` payload is
+//! one flat `u32` array, row-major by source, one **cell** per pair:
+//! the hop count in the high 16 bits, the next hop in the low 16, `0xFFFF`
+//! for ∞ / none. A pair with an absent endpoint is written `∞ | none` at
+//! construction, so `dist`, `next_hop` and every step of `path` are one
+//! bounds-checked load and the read path never consults the presence
+//! vector. 16-bit fields cap a table at [`MAX_NODES`] nodes (past that the
+//! `n²` payload is ≥ 17 GB and not servable anyway); the all-pairs entry
+//! points of [`apsp`](crate::apsp) reject larger graphs with
+//! [`CoreError::TableTooLarge`] before allocating anything.
 //!
 //! Every table carries the attribution trail of the run that produced it:
 //! its topology **epoch**, the engine's [`TerminationCertificate`], the
@@ -16,7 +23,8 @@
 //! build, kernel repair, or the adaptive full-recompute fallback). A
 //! FNV-folded checksum over the query-visible payload lets stress tests
 //! assert that every observed answer was internally consistent with
-//! exactly one epoch.
+//! exactly one epoch; the fold takes the cell array two cells (one 64-bit
+//! word) per step, because the chain is latency-bound per step.
 //!
 //! [`simulate_flows`] runs actual packet delivery over a table on the same
 //! CONGEST network: each flow is a `(source, destination)` pair known
@@ -40,9 +48,33 @@ use crate::churned::ChurnedResult;
 use crate::error::CoreError;
 use crate::runner::run_algorithm_on;
 
-/// Flat-array sentinel for "no next hop" (`v == dst`, unreachable, or
-/// absent endpoint).
-const NO_HOP: u32 = u32::MAX;
+/// The most nodes a table can cover: node ids and hop counts (`< n`) are
+/// 16-bit cell fields with `0xFFFF` reserved for none / ∞.
+pub const MAX_NODES: usize = 0xFFFF;
+
+/// The 16-bit sentinel of both cell halves: ∞ hops, no next hop (`s == d`,
+/// unreachable, or absent endpoint).
+const NONE: u32 = 0xFFFF;
+
+/// The cell of an unroutable pair, `∞ | none`.
+const EMPTY: u32 = NONE << 16 | NONE;
+
+/// [`CoreError::TableTooLarge`] unless a table over `n` nodes fits the cells.
+pub(crate) fn check_table_size(n: usize) -> Result<(), CoreError> {
+    if n > MAX_NODES {
+        return Err(CoreError::TableTooLarge { num_nodes: n });
+    }
+    Ok(())
+}
+
+/// Packs one cell from a run's hop count and next hop, both with `u32::MAX`
+/// for ∞ / none. Saturating: a value no `n <= MAX_NODES` run can produce
+/// reads back as unroutable, never as some other pair's answer.
+fn pack(hops: u32, next: u32) -> u32 {
+    debug_assert!(hops == INFINITY || hops < NONE, "hop count {hops}");
+    debug_assert!(next == u32::MAX || next < NONE, "next hop {next}");
+    hops.min(NONE) << 16 | next.min(NONE)
+}
 
 /// How a snapshot's distances were (re)computed — part of the attribution
 /// story a snapshot carries alongside its certificate.
@@ -75,10 +107,9 @@ impl RebuildPolicy {
 pub struct RouteTable {
     n: usize,
     epoch: u64,
-    /// `next_hop[s * n + d]` — neighbor id, or [`NO_HOP`].
-    next_hop: Vec<u32>,
-    /// `hops[s * n + d]` — hop distance, or [`INFINITY`].
-    hops: Vec<u32>,
+    /// `cells[s * n + d]` = `hops << 16 | next`, each half [`NONE`] when
+    /// there is none; [`EMPTY`] when `s` or `d` is absent.
+    cells: Vec<u32>,
     /// Whether each node is part of the served topology.
     present: Vec<bool>,
     /// Per-node eccentricity over present nodes ([`INFINITY`] when the
@@ -97,26 +128,43 @@ pub struct RouteTable {
 
 impl RouteTable {
     /// Compacts a finished APSP run into the epoch-`epoch` table,
-    /// **consuming** the result: the distance matrix's buffer is moved in
-    /// as is, and the next-hop rows are flattened once, each freed as it
-    /// is read — no `O(n²)` clone at any point.
+    /// **consuming** the result: eccentricities come off the distance
+    /// matrix, then the cells are packed into the next-hop matrix's own
+    /// buffer — no `O(n²)` allocation at any point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the result covers more than [`MAX_NODES`] nodes or its
+    /// two matrices disagree in size — no [`apsp`](crate::apsp) entry point
+    /// returns such a result.
     pub fn from_apsp(result: ApspResult, epoch: u64) -> RouteTable {
         let n = result.distances.num_nodes();
-        let mut next_hop = Vec::with_capacity(n * n);
-        for row in result.next_hop {
-            next_hop.extend(row.into_iter().map(|hop| hop.unwrap_or(NO_HOP)));
+        assert!(n <= MAX_NODES, "{n} nodes exceed the cell layout");
+        assert_eq!(result.next_hop.num_nodes(), n, "matrix sizes disagree");
+        let present = vec![true; n];
+        let mut cells = result.next_hop.into_vec();
+        let mut ecc = Vec::with_capacity(n);
+        for v in 0..n {
+            let hops = result.distances.row(v as u32);
+            ecc.push(row_eccentricity(hops, &present));
+            for (cell, &h) in cells[v * n..][..n].iter_mut().zip(hops) {
+                *cell = pack(h, *cell);
+            }
         }
-        Self::assemble(
+        RouteTable {
             n,
             epoch,
-            next_hop,
-            result.distances.into_vec(),
-            vec![true; n],
-            result.girth_candidate,
-            RebuildPolicy::Initial,
-            result.stats,
-            result.certificate,
-        )
+            cells,
+            present,
+            ecc,
+            centers: Vec::new(),
+            girth: result.girth_candidate,
+            policy: RebuildPolicy::Initial,
+            stats: result.stats,
+            certificate: result.certificate,
+            checksum: 0,
+        }
+        .sealed()
     }
 
     /// Compacts a churn-repaired APSP run
@@ -133,109 +181,90 @@ impl RouteTable {
     ///
     /// [`CoreError::InvalidParameter`] unless the result maintains every
     /// root (`roots = 0..n`, the churned-APSP shape) and `final_topo` has
-    /// matching size.
+    /// matching size; [`CoreError::TableTooLarge`] past [`MAX_NODES`].
     pub fn from_churned(
         result: &ChurnedResult,
         final_topo: &Topology,
         epoch: u64,
     ) -> Result<RouteTable, CoreError> {
         let n = result.dist.len();
+        check_table_size(n)?;
         if final_topo.num_nodes() != n {
             return Err(CoreError::InvalidParameter(format!(
                 "topology covers {} nodes but the churned result has {n}",
                 final_topo.num_nodes()
             )));
         }
-        if result.roots.len() != n
-            || result
-                .roots
-                .iter()
-                .enumerate()
-                .any(|(i, &r)| r as usize != i)
-        {
+        if !result.roots.iter().copied().eq(0..n as u32) {
             return Err(CoreError::InvalidParameter(
                 "churned routing tables need all-pairs roots (0..n); run apsp::run_churned"
                     .to_string(),
             ));
         }
-        let mut next_hop = vec![NO_HOP; n * n];
-        let mut hops = vec![INFINITY; n * n];
+        let present = &result.present;
+        // Absent nodes keep frozen kernel state; they serve nothing and
+        // witness nothing.
+        let live_rows = (0..n).filter(|&v| present[v]).map(|v| &result.dist[v][..]);
+        let girth = derive_girth(live_rows, &final_topo.to_adjacency());
+        let ecc = (0..n)
+            .map(|v| {
+                if present[v] {
+                    row_eccentricity(&result.dist[v], present)
+                } else {
+                    INFINITY
+                }
+            })
+            .collect();
+        let mut cells = Vec::with_capacity(n * n);
         for v in 0..n {
-            if !result.present[v] {
-                // Absent nodes keep frozen kernel state; serve nothing.
+            if !present[v] {
+                cells.resize(cells.len() + n, EMPTY);
                 continue;
             }
-            let row = v * n..(v + 1) * n;
-            hops[row.clone()].copy_from_slice(&result.dist[v]);
-            for (hop, port) in next_hop[row].iter_mut().zip(&result.parent_port[v]) {
-                if let Some(p) = port {
-                    *hop = final_topo.neighbor_at(v as u32, *p);
+            let (dist, ports) = (&result.dist[v], &result.parent_port[v]);
+            cells.extend((0..n).map(|d| {
+                if !present[d] {
+                    return EMPTY;
                 }
-            }
+                let next = ports[d].map_or(u32::MAX, |p| final_topo.neighbor_at(v as u32, p));
+                pack(dist[d], next)
+            }));
         }
-        let girth = derive_girth(n, &hops, &final_topo.to_adjacency());
         let policy = if result.stats.recompute_fallbacks > 0 {
             RebuildPolicy::RecomputeFallback
         } else {
             RebuildPolicy::Repaired
         };
-        Ok(Self::assemble(
+        Ok(RouteTable {
             n,
             epoch,
-            next_hop,
-            hops,
-            result.present.clone(),
+            cells,
+            present: present.clone(),
+            ecc,
+            centers: Vec::new(),
             girth,
             policy,
-            result.stats,
-            result.certificate.clone(),
-        ))
+            stats: result.stats,
+            certificate: result.certificate.clone(),
+            checksum: 0,
+        }
+        .sealed())
     }
 
-    #[allow(clippy::too_many_arguments)] // one internal call site, field-per-arg
-    fn assemble(
-        n: usize,
-        epoch: u64,
-        next_hop: Vec<u32>,
-        hops: Vec<u32>,
-        present: Vec<bool>,
-        girth: Option<u32>,
-        policy: RebuildPolicy,
-        stats: RunStats,
-        certificate: Option<TerminationCertificate>,
-    ) -> RouteTable {
-        let ecc = derive_eccentricities(n, &hops, &present);
-        let finite_min = ecc
-            .iter()
-            .zip(&present)
-            .filter(|&(&e, &p)| p && e != INFINITY)
-            .map(|(&e, _)| e)
-            .min();
-        // A disconnected served graph has no finite eccentricity at all
-        // (every present node misses some other present node), so the
-        // center is empty rather than arbitrary.
-        let centers = match finite_min {
-            Some(min) => (0..n as u32)
-                .filter(|&v| present[v as usize] && ecc[v as usize] == min)
-                .collect(),
-            None => Vec::new(),
-        };
-        let mut table = RouteTable {
-            n,
-            epoch,
-            next_hop,
-            hops,
-            present,
-            ecc,
-            centers,
-            girth,
-            policy,
-            stats,
-            certificate,
-            checksum: 0,
-        };
-        table.checksum = table.compute_checksum();
-        table
+    /// Fills in what the rest of the payload determines: the centers and
+    /// the checksum stamp.
+    fn sealed(mut self) -> RouteTable {
+        // Absent nodes carry `INFINITY`; so does every node of a
+        // disconnected served graph (each present node misses some other
+        // present node), and then the center stays empty rather than
+        // arbitrary.
+        let min = self.ecc.iter().copied().min().unwrap_or(INFINITY);
+        if min != INFINITY {
+            let at_min = |v: &u32| self.ecc[*v as usize] == min;
+            self.centers = (0..self.n as u32).filter(at_min).collect();
+        }
+        self.checksum = self.compute_checksum();
+        self
     }
 
     /// The number of nodes the table covers (including absent ones, which
@@ -265,9 +294,10 @@ impl RouteTable {
     /// # Panics
     ///
     /// Panics if `s` or `d` is out of range.
+    #[inline]
     pub fn dist(&self, s: u32, d: u32) -> Option<u32> {
-        let h = self.hops[s as usize * self.n + d as usize];
-        (h != INFINITY && self.present[d as usize]).then_some(h)
+        let hops = self.cell(s, d) >> 16;
+        (hops != NONE).then_some(hops)
     }
 
     /// The neighbor `s` forwards to when routing toward `d` (`None` at
@@ -276,9 +306,24 @@ impl RouteTable {
     /// # Panics
     ///
     /// Panics if `s` or `d` is out of range.
+    #[inline]
     pub fn next_hop(&self, s: u32, d: u32) -> Option<u32> {
-        let hop = self.next_hop[s as usize * self.n + d as usize];
-        (hop != NO_HOP).then_some(hop)
+        let next = self.cell(s, d) & NONE;
+        (next != NONE).then_some(next)
+    }
+
+    /// The one read of the query path, range-checked per coordinate: `d`
+    /// here (`s * n + d` alone lets an out-of-range `d` read the next
+    /// source's row), `s` by the slice, since `s >= n` lands past the `n²`
+    /// cells. `#[inline]` here and on the lookups: the panic is a call,
+    /// and rustc inlines only leaves across crates unasked.
+    #[inline]
+    fn cell(&self, s: u32, d: u32) -> u32 {
+        let (s, d) = (s as usize, d as usize);
+        if d >= self.n {
+            pair_out_of_range(s, d, self.n);
+        }
+        self.cells[s * self.n + d]
     }
 
     /// Reconstructs the full shortest path from `s` to `d` (inclusive) by
@@ -324,17 +369,9 @@ impl RouteTable {
 
     /// The served graph's diameter (`None` when disconnected).
     pub fn diameter(&self) -> Option<u32> {
-        let mut max = None;
-        for (v, &p) in self.present.iter().enumerate() {
-            if !p {
-                continue;
-            }
-            match self.eccentricity(v as u32) {
-                Some(e) => max = Some(max.map_or(e, |m: u32| m.max(e))),
-                None => return None,
-            }
-        }
-        max
+        let live = self.ecc.iter().zip(&self.present).filter(|&(_, &p)| p);
+        let max = live.map(|(&e, _)| e).max()?;
+        (max != INFINITY).then_some(max)
     }
 
     /// The served graph's radius (`None` when disconnected).
@@ -370,9 +407,15 @@ impl RouteTable {
         self.certificate.as_ref()
     }
 
+    /// Bytes of the per-node and per-pair payload a reader can touch:
+    /// `4n²` of cells, `n` of presence, `4n` of eccentricities.
+    pub fn payload_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&self.cells[..]) + size_of_val(&self.present[..]) + size_of_val(&self.ecc[..])
+    }
+
     /// The checksum stamped at construction over the query-visible payload
-    /// (epoch, sizes, next hops, hop counts, presence, eccentricities,
-    /// centers, girth).
+    /// (epoch, size, cells, presence, eccentricities, centers, girth).
     pub fn checksum(&self) -> u64 {
         self.checksum
     }
@@ -387,11 +430,16 @@ impl RouteTable {
     fn compute_checksum(&self) -> u64 {
         let mut h = mix(0xcbf2_9ce4_8422_2325, self.epoch);
         h = mix(h, self.n as u64);
-        for &x in &self.next_hop {
-            h = mix(h, u64::from(x));
+        // Two cells per step: the chain is bound by `mix`'s latency, not
+        // by loads, and `mix` is a bijection of the whole 64-bit word, so
+        // any changed cell still changes the sum.
+        let words = self.cells.chunks_exact(2);
+        let tail = words.remainder();
+        for w in words {
+            h = mix(h, u64::from(w[0]) | u64::from(w[1]) << 32);
         }
-        for &x in &self.hops {
-            h = mix(h, u64::from(x));
+        for &cell in tail {
+            h = mix(h, u64::from(cell));
         }
         for &p in &self.present {
             h = mix(h, u64::from(p));
@@ -406,39 +454,31 @@ impl RouteTable {
     }
 }
 
+/// By value and out of line: formatting `s` and `d` in place would have
+/// every lookup spill them to the stack ahead of the check.
+#[cold]
+#[inline(never)]
+fn pair_out_of_range(s: usize, d: usize, n: usize) -> ! {
+    panic!("pair ({s}, {d}) out of range for a {n}-node table")
+}
+
 /// One deterministic 64-bit mixing step (FNV-fold plus a finalizing shift).
 fn mix(h: u64, x: u64) -> u64 {
     let v = (h ^ x).wrapping_mul(0x0000_0100_0000_01B3);
     v ^ (v >> 31)
 }
 
-/// Per-node eccentricity over present destinations, [`INFINITY`] for
-/// absent sources and for sources missing some present destination.
-fn derive_eccentricities(n: usize, hops: &[u32], present: &[bool]) -> Vec<u32> {
-    (0..n)
-        .map(|v| {
-            if !present[v] {
-                return INFINITY;
-            }
-            let row = &hops[v * n..(v + 1) * n];
-            let mut ecc = 0;
-            for (u, &d) in row.iter().enumerate() {
-                if !present[u] {
-                    continue;
-                }
-                if d == INFINITY {
-                    return INFINITY;
-                }
-                ecc = ecc.max(d);
-            }
-            ecc
-        })
-        .collect()
+/// The eccentricity of a present source over present destinations from its
+/// distance row; [`INFINITY`] (the maximum) when it misses one of them.
+fn row_eccentricity(row: &[u32], present: &[bool]) -> u32 {
+    let reached = row.iter().zip(present).filter(|&(_, &p)| p);
+    reached.map(|(&d, _)| d).max().unwrap_or(0)
 }
 
-/// Exact girth from a hop-distance matrix plus the live adjacency — the
-/// host-side analogue of the paper's Lemma 7 wave-collision witnesses,
-/// used on republish where the repair kernel maintains distances only.
+/// Exact girth from the distance rows of the live roots plus the live
+/// adjacency — the host-side analogue of the paper's Lemma 7
+/// wave-collision witnesses, used on republish where the repair kernel
+/// maintains distances only.
 ///
 /// For every root `w`: an edge `(u, v)` with `d(w,u) = d(w,v)` witnesses
 /// an odd closed walk of length `2·d(w,u) + 1` (an odd closed walk always
@@ -450,10 +490,9 @@ fn derive_eccentricities(n: usize, hops: &[u32], present: &[bool]) -> Vec<u32> {
 /// the opposite edge, even girth `2k` via the opposite node), and
 /// distances between nodes of a shortest cycle equal their along-cycle
 /// distances, or a shorter cycle would exist.
-fn derive_girth(n: usize, hops: &[u32], adj: &[Vec<u32>]) -> Option<u32> {
+fn derive_girth<'a>(root_rows: impl Iterator<Item = &'a [u32]>, adj: &[Vec<u32>]) -> Option<u32> {
     let mut best = INFINITY;
-    for w in 0..n {
-        let dw = &hops[w * n..(w + 1) * n];
+    for dw in root_rows {
         for (x, nbrs) in adj.iter().enumerate() {
             let dx = dw[x];
             if dx == INFINITY {
@@ -774,10 +813,10 @@ mod tests {
         // odd/even girths, trees, and every troublesome local structure.
         for n in 1..=6 {
             for g in dapsp_graph::enumerate::connected_graphs(n) {
-                let hops = apsp::run(&g).unwrap().distances.into_vec();
+                let dist = apsp::run(&g).unwrap().distances;
                 let adj = g.to_topology().to_adjacency();
                 assert_eq!(
-                    derive_girth(n, &hops, &adj),
+                    derive_girth((0..n as u32).map(|w| dist.row(w)), &adj),
                     reference::girth(&g),
                     "girth mismatch on a {n}-node graph: {g:?}"
                 );
@@ -786,16 +825,45 @@ mod tests {
     }
 
     #[test]
-    fn checksum_verifies_and_pins_the_payload() {
-        let g = generators::cycle(6);
-        let t = table(&g);
-        assert!(t.verify());
-        let mut tampered = t.clone();
-        tampered.hops[7] ^= 1;
-        assert!(!tampered.verify(), "tampered payload must fail verify()");
-        let mut reepoched = t.clone();
-        reepoched.epoch += 1;
-        assert!(!reepoched.verify(), "epoch is part of the checksum");
+    fn checksum_rejects_every_single_bit_flip() {
+        // 36 cells fold as 18 whole words; 9 and 25 leave the odd tail
+        // cell, which is mixed in alone.
+        for g in [
+            generators::cycle(6),
+            generators::path(3),
+            generators::cycle(5),
+        ] {
+            let t = table(&g);
+            assert!(t.verify());
+            let mut tampered = t.clone();
+            for i in 0..tampered.cells.len() {
+                for bit in 0..32 {
+                    tampered.cells[i] ^= 1 << bit;
+                    assert!(!tampered.verify(), "cell {i} bit {bit} flipped unnoticed");
+                    tampered.cells[i] ^= 1 << bit;
+                }
+            }
+            assert!(tampered.verify());
+            let mut reepoched = t.clone();
+            reepoched.epoch += 1;
+            assert!(!reepoched.verify(), "epoch is part of the checksum");
+        }
+    }
+
+    #[test]
+    fn the_size_limit_is_the_last_id_a_cell_can_name() {
+        assert_eq!(MAX_NODES, 65_535);
+        assert_eq!(check_table_size(MAX_NODES), Ok(()));
+        assert_eq!(
+            check_table_size(MAX_NODES + 1),
+            Err(CoreError::TableTooLarge { num_nodes: 65_536 })
+        );
+        // The largest admitted table's largest id and hop count both stay
+        // below the sentinel.
+        let last = MAX_NODES as u32 - 1;
+        assert_eq!(pack(last, last), last << 16 | last);
+        assert_ne!(pack(last, last) >> 16, NONE);
+        assert_eq!(pack(INFINITY, u32::MAX), EMPTY);
     }
 
     #[test]

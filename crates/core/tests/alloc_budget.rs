@@ -5,14 +5,16 @@
 //! count grow with the *message* count; one that reuses per-node scratch
 //! allocates per node. Likewise Algorithm 2 needs `|S|` distances per node,
 //! not `n`, and a repair run's queues and neighbour table are per-node
-//! state, not per-round. This binary installs a counting global allocator
-//! and holds all three to a budget. The counters are process-wide, hence a single `#[test]`
-//! that measures serially.
+//! state, not per-round; and a cold build's host side holds one cell per
+//! pair, not a row vector per node. This binary installs a counting global
+//! allocator and holds all four to a budget. The counters are
+//! process-wide, hence a single `#[test]` that measures serially.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dapsp_congest::TopologyPlan;
+use dapsp_core::routing::RouteTable;
 use dapsp_core::{apsp, ssp, Obs};
 use dapsp_graph::{generators, Graph};
 
@@ -99,6 +101,28 @@ fn kernel_hot_path_stays_within_its_allocation_budget() {
             calls / n
         );
     }
+
+    // The host side of a cold build: the run's result plus its compaction
+    // into a table, in bytes per pair. Most of it is the kernels' own
+    // per-node rows; a nested `Vec<Vec<Option<u32>>>` next-hop result
+    // flattened into a second array requested 904 268 bytes (55.2 per
+    // pair), one flat matrix packed in place 770 124 (47.0). The budget
+    // of 51 sits between the two.
+    let (name, g) = &graphs[0];
+    let n = g.num_nodes() as u64;
+    let topology = g.to_topology();
+    let (_, bytes, table) =
+        measure(|| apsp::run_on(&topology).map(|result| RouteTable::from_apsp(result, 0)));
+    table.expect("apsp");
+    println!(
+        "build {name}: {bytes} bytes = {:.1} n²",
+        bytes as f64 / (n * n) as f64
+    );
+    assert!(
+        bytes <= 51 * n * n,
+        "{name}: apsp::run_on + from_apsp requested {bytes} bytes, {:.1} per pair (budget 51)",
+        bytes as f64 / (n * n) as f64
+    );
 
     // Algorithm 2: |S| state slots per node. With n slots per node the
     // growth alone requests 8·n² bytes.

@@ -8,8 +8,9 @@
 //! diameter / radius pipeline, and every answer must match the sequential
 //! reference exactly — not approximately, not probabilistically.
 
-use dapsp_congest::{ExecutorKind, TopologyPlan};
-use dapsp_core::{apsp, bfs, churned_graph, girth, ssp, summary, Obs};
+use dapsp_congest::{churned_topology, ExecutorKind, TopologyPlan};
+use dapsp_core::routing::RouteTable;
+use dapsp_core::{apsp, bfs, churned_graph, girth, ssp, summary, ChurnedResult, Obs};
 use dapsp_graph::enumerate::{self, MAX_ENUMERATED_NODES};
 use dapsp_graph::{reference, Graph, INFINITY};
 
@@ -27,10 +28,16 @@ fn apsp_matches_oracle_on_every_small_connected_graph() {
     for (n, g) in all_graphs() {
         let r = apsp::run(&g).unwrap_or_else(|e| panic!("apsp failed on n={n} {g:?}: {e}"));
         assert_eq!(r.distances, reference::apsp(&g), "distances wrong on {g:?}");
+        // The packed table reads back the run's two matrices pair for pair
+        // (n = 3, 5, 7 leave an odd tail cell for the checksum).
+        let table = RouteTable::from_apsp(r.clone(), 0);
+        assert!(table.verify(), "checksum wrong on {g:?}");
         // Next hops must step exactly one unit closer to each root.
         for v in 0..n as u32 {
             for root in 0..n as u32 {
-                match r.next_hop[v as usize][root as usize] {
+                assert_eq!(table.dist(v, root), r.distances.get(v, root), "{g:?}");
+                assert_eq!(table.next_hop(v, root), r.next_hop.get(v, root), "{g:?}");
+                match r.next_hop.get(v, root) {
                     None => assert_eq!(v, root, "only the root lacks a next hop: {g:?}"),
                     Some(h) => {
                         assert!(g.has_edge(v, h), "next hop off-graph on {g:?}");
@@ -111,6 +118,35 @@ fn metrics_match_oracles_on_every_small_connected_graph() {
     }
 }
 
+/// The packed table of a churned run must read back exactly what the run
+/// reported — for every pair of present nodes its distance and the
+/// neighbour behind its parent port, for a pair with an absent endpoint
+/// nothing.
+fn assert_table_packs_the_run(g: &Graph, plan: &TopologyPlan, result: &ChurnedResult, ctx: &str) {
+    let final_topo = churned_topology(&g.to_topology(), plan).unwrap();
+    let table = RouteTable::from_churned(result, &final_topo, 1).unwrap();
+    assert!(table.verify(), "checksum wrong on {ctx}");
+    let n = g.num_nodes();
+    for s in 0..n {
+        for d in 0..n {
+            let (dist, hop) = if result.present[s] && result.present[d] {
+                (
+                    Some(result.dist[s][d]).filter(|&h| h != INFINITY),
+                    result.parent_port[s][d].map(|p| final_topo.neighbor_at(s as u32, p)),
+                )
+            } else {
+                (None, None)
+            };
+            assert_eq!(table.dist(s as u32, d as u32), dist, "d({s}, {d}) on {ctx}");
+            assert_eq!(
+                table.next_hop(s as u32, d as u32),
+                hop,
+                "next_hop({s}, {d}) on {ctx}"
+            );
+        }
+    }
+}
+
 /// A deterministic pseudo-random pick keyed by the graph's index in the
 /// enumeration — stable across runs without an RNG dependency.
 fn pick(seed: usize, len: usize) -> usize {
@@ -178,6 +214,7 @@ fn churned_runs_match_oracles_on_every_small_connected_graph() {
                 );
             }
         }
+        assert_table_packs_the_run(&g, &plan, &serial, &format!("{g:?} with {plan:?}"));
         assert_eq!(serial.dist, pool.dist, "engine distance mismatch on {g:?}");
         assert_eq!(
             serial.parent_port, pool.parent_port,
@@ -212,7 +249,10 @@ fn rejoined_nodes_are_repaired_back_on_every_small_connected_graph() {
             // re-join must add no drop to that (a send into a port `v`
             // left with would be one).
             let crash_only = TopologyPlan::new().with_crash(3, v);
-            let purged = apsp::run_churned(&g, &crash_only).unwrap().stats.dropped;
+            let crashed = apsp::run_churned(&g, &crash_only).unwrap();
+            assert!(!crashed.present[v as usize]);
+            assert_table_packs_the_run(&g, &crash_only, &crashed, &format!("{g:?} minus {v}"));
+            let purged = crashed.stats.dropped;
             for insert_round in [6, 7] {
                 let plan = g.neighbors(v).iter().fold(
                     TopologyPlan::new().with_crash(3, v).with_join(6, v),
@@ -224,6 +264,7 @@ fn rejoined_nodes_are_repaired_back_on_every_small_connected_graph() {
                 let serial = apsp::run_churned(&g, &plan)
                     .unwrap_or_else(|e| panic!("churned apsp failed on {ctx}: {e}"));
                 assert_eq!(serial.present, vec![true; n], "{ctx}");
+                assert_table_packs_the_run(&g, &plan, &serial, &ctx);
                 for a in 0..n as u32 {
                     for b in 0..n as u32 {
                         assert_eq!(

@@ -76,7 +76,7 @@ fn apsp_pipeline_transport_columns_sum_across_phases() {
         Obs::watching(&handle),
     )
     .expect("reliable APSP survives 20% loss");
-    assert_eq!(result.next_hop.len(), 16, "full routing table");
+    assert_eq!(result.next_hop.num_nodes(), 16, "full routing table");
     assert!(rel.retransmissions > 0, "loss must force retransmissions");
     // Two reliable phases (the T_1 BFS, then the wave phase), each
     // reporting its own transport summary; the folded RelStats the entry

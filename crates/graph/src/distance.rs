@@ -84,13 +84,6 @@ impl DistanceMatrix {
         self.data[u as usize * self.n..(u as usize + 1) * self.n].copy_from_slice(dists);
     }
 
-    /// Consumes the matrix into its row-major buffer (`n * n` entries, raw
-    /// [`INFINITY`] sentinels) — how a routing table takes over a finished
-    /// run's distances without copying them.
-    pub fn into_vec(self) -> Vec<u32> {
-        self.data
-    }
-
     /// The eccentricity of `u`: its maximum distance to any node, or `None`
     /// if some node is unreachable from `u`.
     ///

@@ -8,8 +8,8 @@
 //!
 //! * **Data plane** — [`RouteTable`], the workspace's one routing-table
 //!   type. It lives in [`dapsp_core::routing`] and is re-exported here
-//!   unwrapped: flat next-hop and hop-count arrays (plus eccentricities,
-//!   centers, girth, and the producing run's
+//!   unwrapped: one flat array of packed `hops | next hop` cells (plus
+//!   eccentricities, centers, girth, and the producing run's
 //!   [`TerminationCertificate`](dapsp_congest::TerminationCertificate)),
 //!   immutable from construction. [`ServeHandle`] publishes tables by
 //!   atomic snapshot swap: one brief read-lock per `load()`, lock-free

@@ -41,7 +41,9 @@ impl RouteService {
     /// # Errors
     ///
     /// [`ServeError::Core`] when the run fails (empty or disconnected
-    /// graph, round limit).
+    /// graph, round limit) or the graph has more nodes than a table's
+    /// 16-bit cells can name ([`CoreError::TableTooLarge`], raised by the
+    /// run's entry point before its first round or any `n²` allocation).
     pub fn build(graph: &Graph) -> Result<RouteService, ServeError> {
         RouteService::with_threads(graph, 1)
     }
@@ -265,6 +267,16 @@ mod tests {
             }
         }
         assert_eq!(handle.epoch(), 0);
+    }
+
+    #[test]
+    fn build_refuses_a_graph_past_the_table_limit() {
+        // 65 536 nodes: were the run or its n² result ever started, this
+        // test would not finish.
+        assert_eq!(
+            RouteService::build(&generators::path(65_536)).unwrap_err(),
+            ServeError::Core(CoreError::TableTooLarge { num_nodes: 65_536 })
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! The serve layer splits the system into the classic two planes. The
 //! **data plane** is a [`RouteTable`] — the converged APSP run compacted
-//! into flat next-hop/hop-count arrays plus the derived metrics
+//! into one flat array of `hops | next hop` cells plus the derived metrics
 //! (eccentricities, centers, girth) and the engine's termination
 //! certificate. The **control plane** is a [`RouteService`] on a
 //! background thread: hand it a [`TopologyPlan`] and it reruns the
