@@ -7,9 +7,10 @@
 //! [`awake`](NodeAlgorithm::is_active) after their last step — and then
 //! runs `deliver → step → commit` over *only those nodes*:
 //!
-//! 1. **deliver** — the inboxes accumulated last round become this
-//!    round's inputs (read in place by the serial executor; a frontier
-//!    dispatch for the pool);
+//! 1. **deliver** — the arrivals staged last round are carved into
+//!    per-node inbox slices (read in place by the serial executor; a
+//!    frontier dispatch for the pool, each chunk taking its contiguous
+//!    range of the arena);
 //! 2. **step** — [`NodeAlgorithm::on_round`] runs on every scheduled
 //!    node, filling outboxes (node-local work, the only phase that
 //!    parallelizes). Skipped nodes are inactive with empty inboxes, so
@@ -222,8 +223,8 @@ pub(crate) struct Core<'t, M> {
     pub(crate) churn: Option<ChurnState>,
     pub(crate) config: Config,
     /// Messages to be delivered next round, staged flat in commit order;
-    /// the deliver phase carves them into per-node slices (see
-    /// [`InboxArena`]).
+    /// the deliver phase carves them in place into per-node slices, which
+    /// the step phase reads without moving them (see [`InboxArena`]).
     pub(crate) arrivals: InboxArena<M>,
     /// Node ids with at least one staged arrival — the arrival component
     /// of next round's schedule. Deduplicated via `woken` marks; unsorted
@@ -237,13 +238,22 @@ pub(crate) struct Core<'t, M> {
 }
 
 impl<M> Core<'_, M> {
-    /// Sorts the wake list in place, clears the dedup marks, and hands the
-    /// caller the sorted ids; the caller merges them with its awake list
-    /// and must clear the list afterwards (see [`Core::clear_wake`]).
+    /// Puts the wake list in ascending order, clears the dedup marks, and
+    /// hands the caller the sorted ids; the caller merges them with its
+    /// awake list and must clear the list afterwards (see
+    /// [`Core::clear_wake`]).
     pub(crate) fn sorted_wake(&mut self) -> &[NodeId] {
-        self.wake.sort_unstable();
-        for &v in &self.wake {
-            self.woken.clear(v as usize);
+        if self.wake.len() * 64 >= self.topology.num_nodes() {
+            // A dense round — at least one woken node per 64-bit word of
+            // marks: reading the marks back in word order yields the ids
+            // already ascending, for less than sorting them costs.
+            self.wake.clear();
+            self.woken.drain_ascending(&mut self.wake);
+        } else {
+            self.wake.sort_unstable();
+            for &v in &self.wake {
+                self.woken.clear(v as usize);
+            }
         }
         &self.wake
     }
@@ -465,10 +475,9 @@ pub(crate) fn merge_schedule(wake: &[NodeId], awake: &[NodeId], out: &mut Vec<No
     out.extend_from_slice(&awake[j..]);
 }
 
-/// Runs `on_round` for one node: sorts its inbox (only when messages
-/// arrived out of port order — each sender owns a distinct port, so keys
-/// are unique and an unstable sort is deterministic), invokes the
-/// algorithm, and recycles the inbox buffer.
+/// Runs `on_round` for one node over its slice of the carved arrivals,
+/// read in place through a borrowed [`Inbox`] (sorted by port on the
+/// slice, only when the messages arrived out of port order).
 ///
 /// This is the only per-round work that pool workers execute on node
 /// state; it touches nothing but the node's own state and buffers.
@@ -478,15 +487,10 @@ pub(crate) fn step_node<A: NodeAlgorithm>(
     round: u64,
     v: NodeId,
     node: &mut Option<A>,
-    inbox_buf: &mut Vec<(Port, A::Message)>,
+    arrivals: &mut [(Port, A::Message)],
     outbox: &mut Outbox<A::Message>,
 ) {
-    if !inbox_buf.windows(2).all(|w| w[0].0 <= w[1].0) {
-        inbox_buf.sort_unstable_by_key(|(p, _)| *p);
-    }
-    let inbox = Inbox {
-        items: std::mem::take(inbox_buf),
-    };
+    let inbox = Inbox::sorted(arrivals);
     let ctx = NodeContext {
         node_id: v,
         num_nodes: n,
@@ -496,9 +500,6 @@ pub(crate) fn step_node<A: NodeAlgorithm>(
     node.as_mut()
         .expect("node state present")
         .on_round(&ctx, &inbox, outbox);
-    // Reclaim the inbox allocation for the next round.
-    *inbox_buf = inbox.items;
-    inbox_buf.clear();
 }
 
 /// Drives one [`NodeAlgorithm`] instance per node in synchronous lock-step.

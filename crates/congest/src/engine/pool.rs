@@ -10,7 +10,8 @@
 //! self-contained work: it carries its node ids, their algorithm states
 //! (checked out of the [`NodeStore`] slab by `Option::take` — ownership
 //! transfer is what makes concurrent stepping safe without `unsafe`),
-//! their inbox slices (moved flat out of the arena), and an empty
+//! their arrivals (the chunk's contiguous range of the carved arena, moved
+//! out once and then read in place), and an empty
 //! [`StagedShard`] for the validated outboxes. Chunks are distributed in
 //! contiguous blocks over one `Mutex<VecDeque>` **deque per worker**
 //! (deque 0 belongs to the engine thread), and exactly the workers whose
@@ -118,11 +119,13 @@ struct Chunk<A: NodeAlgorithm> {
     /// The nodes' algorithm states, checked out of the store slab
     /// (positional to `ids`); returned by the engine after the step.
     states: Vec<Option<A>>,
-    /// All arrivals of the chunk, flat; `inbox_lens[j]` of them belong to
-    /// `ids[j]`, in arrival order.
+    /// All arrivals of the chunk, flat: the chunk's contiguous range of
+    /// the carved arena. `ids[j]` owns
+    /// `inbox_data[inbox_ends[j - 1]..inbox_ends[j]]` (from 0 for `j = 0`),
+    /// in arrival order.
     inbox_data: Vec<(Port, A::Message)>,
-    /// Per-node arrival counts, positional to `ids`.
-    inbox_lens: Vec<u32>,
+    /// Per-node slice ends into `inbox_data`, positional to `ids`.
+    inbox_ends: Vec<u32>,
     /// The validated outboxes, staged in id order up to the chunk's first
     /// validation error.
     shard: StagedShard<A::Message>,
@@ -148,7 +151,7 @@ impl<A: NodeAlgorithm> Default for Chunk<A> {
             ids: Vec::new(),
             states: Vec::new(),
             inbox_data: Vec::new(),
-            inbox_lens: Vec::new(),
+            inbox_ends: Vec::new(),
             shard: StagedShard::default(),
             awake: Vec::new(),
             votes: QuiescenceState::default(),
@@ -164,7 +167,7 @@ impl<A: NodeAlgorithm> Chunk<A> {
         self.ids.clear();
         self.states.clear();
         self.inbox_data.clear();
-        self.inbox_lens.clear();
+        self.inbox_ends.clear();
         self.awake.clear();
         self.topo = None;
         debug_assert!(self.shard.entries.is_empty() && self.shard.error.is_none());
@@ -229,9 +232,9 @@ fn grab<A: NodeAlgorithm>(deques: &Deques<A>, me: usize) -> Option<Chunk<A>> {
     None
 }
 
-/// Steps one chunk in place: pass 1 steps every node (feeding each its
-/// slice of the flat inbox data), rebuilding the chunk's awake list and
-/// vote aggregate; pass 2 validates every outbox into the chunk's staged
+/// Steps one chunk in place: pass 1 steps every node (each reading its
+/// slice of the flat inbox data where it lies), rebuilding the chunk's
+/// awake list and vote aggregate; pass 2 validates every outbox into the chunk's staged
 /// queue, stopping at the first error exactly where the serial commit
 /// would abort. Shared verbatim by the worker threads and the engine
 /// thread's own drain loop.
@@ -243,7 +246,6 @@ fn step_chunk<A: NodeAlgorithm>(
     faults: &Option<FaultPlan>,
     scratch: &mut DupScratch,
     outboxes: &mut Vec<Outbox<A::Message>>,
-    inbox_buf: &mut Vec<(Port, A::Message)>,
     chunk: &mut Chunk<A>,
     me: u32,
 ) {
@@ -253,7 +255,7 @@ fn step_chunk<A: NodeAlgorithm>(
         ids,
         states,
         inbox_data,
-        inbox_lens,
+        inbox_ends,
         shard,
         awake,
         topo,
@@ -276,16 +278,17 @@ fn step_chunk<A: NodeAlgorithm>(
         shutdown: true,
         ..QuiescenceState::default()
     };
-    let mut data = inbox_data.drain(..);
+    let mut lo = 0usize;
     for (j, &v) in ids.iter().enumerate() {
-        inbox_buf.extend(data.by_ref().take(inbox_lens[j] as usize));
+        let hi = inbox_ends[j] as usize;
+        let arrivals = &mut inbox_data[lo..hi];
+        lo = hi;
         // Same crash rule as the serial executor: a crashed node's state
         // freezes (it can only be scheduled through the awake list — sends
         // to it were dropped at the validation point) and its frozen state
         // keeps voting.
         if faults.as_ref().is_some_and(|f| f.crashed(round, v)) {
-            debug_assert!(inbox_buf.is_empty(), "crashed node received a message");
-            inbox_buf.clear();
+            debug_assert!(arrivals.is_empty(), "crashed node received a message");
         } else {
             step_node(
                 topology,
@@ -293,7 +296,7 @@ fn step_chunk<A: NodeAlgorithm>(
                 round,
                 v,
                 &mut states[j],
-                inbox_buf,
+                arrivals,
                 &mut outboxes[j],
             );
         }
@@ -303,7 +306,6 @@ fn step_chunk<A: NodeAlgorithm>(
         }
         votes.vote(node.quiescence());
     }
-    drop(data);
     for (j, &v) in ids.iter().enumerate() {
         if !stage_outbox(
             topology,
@@ -340,9 +342,8 @@ fn worker_loop<A: NodeAlgorithm>(
         me,
         results: results.clone(),
     };
-    let mut scratch = DupScratch::new(topology.max_degree());
+    let mut scratch = DupScratch::new();
     let mut outboxes: Vec<Outbox<A::Message>> = Vec::new();
-    let mut inbox_buf: Vec<(Port, A::Message)> = Vec::new();
     while kick.recv().is_ok() {
         while let Some(mut chunk) = grab(&deques, me) {
             step_chunk(
@@ -352,7 +353,6 @@ fn worker_loop<A: NodeAlgorithm>(
                 &faults,
                 &mut scratch,
                 &mut outboxes,
-                &mut inbox_buf,
                 &mut chunk,
                 me as u32,
             );
@@ -394,7 +394,6 @@ pub(crate) struct PoolExecutor<'t, 'scope, A: NodeAlgorithm> {
     /// chunk stepping.
     scratch: DupScratch,
     outboxes: Vec<Outbox<A::Message>>,
-    inbox_buf: Vec<(Port, A::Message)>,
     /// Outbox recycled across the `on_start` calls.
     start_outbox: Outbox<A::Message>,
     /// Telemetry for the round in flight / the whole run.
@@ -475,9 +474,8 @@ where
             done: Vec::new(),
             spare: Scratch::new(),
             quiescence: QuiescenceState::default(),
-            scratch: DupScratch::new(topology.max_degree()),
+            scratch: DupScratch::new(),
             outboxes: Vec::new(),
-            inbox_buf: Vec::new(),
             start_outbox: Outbox::new(),
             round_chunks: 0,
             round_steals: 0,
@@ -566,6 +564,11 @@ where
             self.done.resize_with(chunks, || None);
         }
         let round = core.round;
+        let churned = core.churn.as_ref().map(|c| &c.topo);
+        // One front-to-back pass over the carved arena: chunks are
+        // consecutive schedule ranges, so each takes the next contiguous
+        // run of arrivals.
+        let (mut carved, bounds) = core.arrivals.drain_carved();
         for index in 0..chunks {
             let lo = index * size;
             let hi = (lo + size).min(sched);
@@ -573,14 +576,14 @@ where
             chunk.round = round;
             chunk.index = index as u32;
             chunk.home = (index / per_deque) as u32;
-            chunk.topo = core.churn.as_ref().map(|c| Arc::clone(&c.topo));
+            chunk.topo = churned.map(Arc::clone);
+            let base = bounds[lo];
+            chunk
+                .inbox_data
+                .extend(carved.by_ref().take((bounds[hi] - base) as usize));
             for (pos, &v) in self.store.schedule[lo..hi].iter().enumerate() {
                 chunk.ids.push(v);
-                let before = chunk.inbox_data.len();
-                core.arrivals.take_into(lo + pos, &mut chunk.inbox_data);
-                chunk
-                    .inbox_lens
-                    .push((chunk.inbox_data.len() - before) as u32);
+                chunk.inbox_ends.push(bounds[lo + pos + 1] - base);
                 chunk.states.push(self.store.slots[v as usize].take());
             }
             self.deques[chunk.home as usize]
@@ -617,7 +620,6 @@ where
                 &self.faults,
                 &mut self.scratch,
                 &mut self.outboxes,
-                &mut self.inbox_buf,
                 &mut chunk,
                 0,
             );

@@ -4,7 +4,7 @@
 
 use crate::algorithm::NodeAlgorithm;
 use crate::error::SimError;
-use crate::node::{NodeContext, NodeId, Outbox, Port};
+use crate::node::{NodeContext, NodeId, Outbox};
 use crate::topology::Topology;
 
 use crate::churn::RoundChanges;
@@ -25,9 +25,6 @@ pub(crate) struct SerialExecutor<'t, A: NodeAlgorithm> {
     /// Send buffers, positionally matched to the schedule; grown on demand
     /// and recycled (commit drains them in place).
     outboxes: Vec<Outbox<A::Message>>,
-    /// The one inbox buffer every step borrows: filled from the arena,
-    /// drained by `step_node`, reused for the next node.
-    inbox_buf: Vec<(Port, A::Message)>,
     scratch: DupScratch,
     quiescence: QuiescenceState,
 }
@@ -38,8 +35,7 @@ impl<'t, A: NodeAlgorithm> SerialExecutor<'t, A> {
             topology,
             store,
             outboxes: Vec::new(),
-            inbox_buf: Vec::new(),
-            scratch: DupScratch::new(topology.max_degree()),
+            scratch: DupScratch::new(),
             quiescence: QuiescenceState::default(),
         }
     }
@@ -105,8 +101,8 @@ impl<A: NodeAlgorithm> Executor<A> for SerialExecutor<'_, A> {
 
     fn step(&mut self, core: &mut Core<'_, A::Message>) {
         let n = self.store.len();
-        // Split the core's borrows: the arrival arena is drained while
-        // the live (possibly churned) topology is read.
+        // Split the core's borrows: the arrival arena is read in place
+        // while the live (possibly churned) topology is consulted.
         let Core {
             topology,
             churn,
@@ -139,14 +135,13 @@ impl<A: NodeAlgorithm> Executor<A> for SerialExecutor<'_, A> {
             if faults.as_ref().is_some_and(|f| f.crashed(round, v)) {
                 debug_assert!(arrivals.len_at(i) == 0, "crashed node received a message");
             } else {
-                arrivals.take_into(i, &mut self.inbox_buf);
                 step_node(
                     topo,
                     n,
                     round,
                     v,
                     &mut slots[v as usize],
-                    &mut self.inbox_buf,
+                    arrivals.slot_mut(i),
                     &mut self.outboxes[i],
                 );
             }
@@ -156,6 +151,9 @@ impl<A: NodeAlgorithm> Executor<A> for SerialExecutor<'_, A> {
             }
             quiescence.vote(node.quiescence());
         }
+        // Every arrival has been read where it lay; commit stages next
+        // round's into the emptied arena.
+        arrivals.clear();
         self.quiescence = quiescence;
         self.store.publish_awake();
     }

@@ -11,10 +11,13 @@
 //!   Executors borrow it (or temporarily move single slots out, for the
 //!   work-stealing pool) instead of owning node vectors.
 //! * **Inbox arena** ([`InboxArena`]) — commits append every accepted
-//!   message to one flat staging vector (a cache-linear push, instead of
-//!   `n` scattered per-node pushes); the deliver phase then *carves* the
-//!   staging into per-node slices laid out in schedule order, so the step
-//!   phase reads the whole round's arrivals as one forward sweep.
+//!   message to one flat vector (a cache-linear push, instead of `n`
+//!   scattered per-node pushes); the deliver phase then *carves* that
+//!   vector, in place, into per-node slices laid out in schedule order,
+//!   and the step phase reads each slice where it lies through a borrowed
+//!   [`Inbox`](crate::Inbox) — no per-node inbox buffer exists, and a
+//!   message is not copied between commit's push and the node reading it
+//!   (the pool moves each chunk's contiguous range out of the arena once).
 //! * **Wake/awake sets** — the engine's wake marks are a packed
 //!   [`BitSet`] (one bit per node instead of one byte), and the sorted
 //!   awake/schedule lists live here next to the slab they index.
@@ -59,6 +62,17 @@ impl BitSet {
     /// Removes `i`.
     pub(crate) fn clear(&mut self, i: usize) {
         self.words[i / 64] &= !(1 << (i % 64));
+    }
+
+    /// Empties the set, appending its members to `out` in ascending order.
+    pub(crate) fn drain_ascending(&mut self, out: &mut Vec<NodeId>) {
+        for (w, word) in self.words.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                out.push((w * 64) as NodeId + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
     }
 }
 
@@ -246,52 +260,54 @@ impl<A: NodeAlgorithm> NodeStore<A> {
     }
 }
 
-/// The per-round inbox arena: one flat staging buffer the commit phase
-/// appends to, carved into per-node slices (in schedule order) by the
-/// deliver phase.
+/// The per-round inbox arena: one flat buffer the commit phase appends to
+/// and the deliver phase *carves*, in place, into per-node slices laid out
+/// in schedule order.
 ///
-/// Commit-side writes are a single cache-linear `push` per accepted
-/// message — the receiver-indexed scatter the old `pending[v].push(..)`
-/// did is deferred to [`InboxArena::carve`], which groups the staging by
-/// receiver with one counting pass and lays the slices out in ascending
-/// schedule position. The step phase then consumes the whole round's
-/// arrivals as one forward sweep over `data` (the serial executor walks
-/// it in order; the pool moves each chunk's contiguous slice into the
-/// chunk). Every buffer is recycled, so the steady state allocates
-/// nothing.
+/// Commit-side writes are a cache-linear `push` per accepted message — the
+/// receiver-indexed scatter the old `pending[v].push(..)` did is deferred
+/// to [`InboxArena::carve`], which groups the buffer by receiver with one
+/// counting pass and permutes it in place. After that a message is not
+/// copied again: the step phase reads each node's arrivals where they lie,
+/// through a borrowed [`Inbox`](crate::Inbox) (the serial executor slot by
+/// slot via [`InboxArena::slot_mut`]; the pool takes each chunk's
+/// contiguous range out in one pass, via [`InboxArena::drain_carved`]).
+/// Every buffer is recycled, so the steady state allocates nothing.
 pub(crate) struct InboxArena<M> {
-    /// Accepted messages awaiting next round's deliver, in commit order:
-    /// `(receiver, receiver port, message)`.
-    staging: Vec<(NodeId, Port, M)>,
+    /// `(receiver port, message)` per accepted message: in commit order
+    /// while staged, grouped by schedule slot after `carve`.
+    items: Vec<(Port, M)>,
+    /// The receiver of each staged item (parallel to `items`); `carve`
+    /// overwrites it with the item's target index and leaves it empty.
+    to: Vec<NodeId>,
     /// Scratch: `pos[v]` is `1 +` node `v`'s schedule position during
     /// `carve`, `0` outside it. Reset by re-walking the schedule.
     pos: Vec<u32>,
     /// Slice bounds: slot `i` of the schedule owns
-    /// `data[offsets[i]..offsets[i + 1]]`.
+    /// `items[offsets[i]..offsets[i + 1]]`.
     offsets: Vec<u32>,
     /// Scatter cursors, one per schedule slot.
     cursor: Vec<u32>,
-    /// The carved arena: per-node slices in schedule order, each slot
-    /// `Some` until [`InboxArena::take_into`] moves it out.
-    data: Vec<Option<(Port, M)>>,
 }
 
 impl<M> InboxArena<M> {
     /// An empty arena over `n` nodes.
     pub(crate) fn new(n: usize) -> Self {
         InboxArena {
-            staging: Vec::new(),
+            items: Vec::new(),
+            to: Vec::new(),
             pos: vec![0; n],
             offsets: Vec::new(),
             cursor: Vec::new(),
-            data: Vec::new(),
         }
     }
 
     /// Stages one accepted message for delivery next round (the commit
     /// phase's write half).
+    #[inline]
     pub(crate) fn push(&mut self, to: NodeId, to_port: Port, msg: M) {
-        self.staging.push((to, to_port, msg));
+        self.items.push((to_port, msg));
+        self.to.push(to);
     }
 
     /// Removes every staged message whose `(receiver, receiver port)`
@@ -300,15 +316,18 @@ impl<M> InboxArena<M> {
     /// point to discard in-flight messages whose link died mid-flight.
     pub(crate) fn purge(&mut self, keep: impl Fn(NodeId, Port) -> bool) -> Vec<(NodeId, Port, M)> {
         let mut purged = Vec::new();
-        let mut survivors = Vec::with_capacity(self.staging.len());
-        for entry in self.staging.drain(..) {
-            if keep(entry.0, entry.1) {
-                survivors.push(entry);
+        let mut survivors = Vec::with_capacity(self.items.len());
+        let mut receivers = Vec::with_capacity(self.to.len());
+        for ((port, msg), to) in self.items.drain(..).zip(self.to.drain(..)) {
+            if keep(to, port) {
+                survivors.push((port, msg));
+                receivers.push(to);
             } else {
-                purged.push(entry);
+                purged.push((to, port, msg));
             }
         }
-        self.staging = survivors;
+        self.items = survivors;
+        self.to = receivers;
         purged
     }
 
@@ -316,7 +335,7 @@ impl<M> InboxArena<M> {
     /// (with duplicates) — what the choke point re-derives the wake list
     /// from after a purge.
     pub(crate) fn staged_receivers(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.staging.iter().map(|&(to, _, _)| to)
+        self.to.iter().copied()
     }
 
     /// Groups the staged messages into per-node slices ordered by
@@ -330,7 +349,7 @@ impl<M> InboxArena<M> {
         }
         self.offsets.clear();
         self.offsets.resize(sched + 1, 0);
-        for &(to, _, _) in &self.staging {
+        for &to in &self.to {
             let p = self.pos[to as usize];
             debug_assert!(p != 0, "arrival for unscheduled node {to}");
             self.offsets[p as usize] += 1;
@@ -340,17 +359,30 @@ impl<M> InboxArena<M> {
         }
         self.cursor.clear();
         self.cursor.extend_from_slice(&self.offsets[..sched]);
-        self.data.clear();
-        self.data.resize_with(self.staging.len(), || None);
-        for (to, port, msg) in self.staging.drain(..) {
-            let slot = (self.pos[to as usize] - 1) as usize;
-            let at = self.cursor[slot] as usize;
+        // Each item's target index: its slot's cursor, advanced in commit
+        // order (so a node's arrivals keep their relative order).
+        for to in &mut self.to {
+            let slot = (self.pos[*to as usize] - 1) as usize;
+            *to = self.cursor[slot];
             self.cursor[slot] += 1;
-            self.data[at] = Some((port, msg));
         }
         for &v in schedule {
             self.pos[v as usize] = 0;
         }
+        // Apply the permutation in place by following its cycles: every
+        // swap puts one item into its final position.
+        let target = &mut self.to;
+        for i in 0..target.len() {
+            loop {
+                let t = target[i] as usize;
+                if t == i {
+                    break;
+                }
+                self.items.swap(i, t);
+                target.swap(i, t);
+            }
+        }
+        target.clear();
     }
 
     /// Arrival count of schedule slot `i` (after `carve`).
@@ -358,11 +390,24 @@ impl<M> InboxArena<M> {
         (self.offsets[i + 1] - self.offsets[i]) as usize
     }
 
-    /// Moves schedule slot `i`'s arrivals into `buf`, preserving order.
-    pub(crate) fn take_into(&mut self, i: usize, buf: &mut Vec<(Port, M)>) {
-        for at in self.offsets[i] as usize..self.offsets[i + 1] as usize {
-            buf.push(self.data[at].take().expect("arena slot already taken"));
-        }
+    /// Schedule slot `i`'s arrivals, in commit order (after `carve`) —
+    /// mutable so the inbox view can sort them by port in place.
+    pub(crate) fn slot_mut(&mut self, i: usize) -> &mut [(Port, M)] {
+        &mut self.items[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Moves the whole carved buffer out, front to back, together with
+    /// the slot bounds that index it — how the pool hands each chunk its
+    /// contiguous range in one pass. The arena is empty once the drain is
+    /// dropped.
+    pub(crate) fn drain_carved(&mut self) -> (std::vec::Drain<'_, (Port, M)>, &[u32]) {
+        (self.items.drain(..), &self.offsets)
+    }
+
+    /// Discards the carved arrivals once the step phase has read them, so
+    /// the commit phase appends to an empty buffer.
+    pub(crate) fn clear(&mut self) {
+        self.items.clear();
     }
 }
 
@@ -380,6 +425,10 @@ mod tests {
         assert!(s.get(0) && s.get(64) && s.get(129) && !s.get(65));
         s.clear(64);
         assert!(!s.get(64) && s.get(0) && s.get(129));
+        let mut members = vec![7];
+        s.drain_ascending(&mut members);
+        assert_eq!(members, [7, 0, 129]);
+        assert!(!s.get(0) && !s.get(129));
     }
 
     #[test]
@@ -409,12 +458,22 @@ mod tests {
         assert_eq!(arena.len_at(1), 2); // node 5
         assert_eq!(arena.len_at(2), 0); // node 6: scheduled, no arrivals
         assert_eq!(arena.len_at(3), 1); // node 7
-        let mut buf = Vec::new();
-        arena.take_into(1, &mut buf);
-        assert_eq!(buf, vec![(1, "a"), (0, "c")], "arrival order preserved");
-        buf.clear();
-        arena.take_into(3, &mut buf);
-        assert_eq!(buf, vec![(3, "d")]);
+        assert_eq!(arena.slot_mut(0), [(0, "b")]);
+        assert_eq!(
+            arena.slot_mut(1),
+            [(1, "a"), (0, "c")],
+            "arrival order preserved"
+        );
+        assert_eq!(arena.slot_mut(3), [(3, "d")]);
+        // The borrowed inbox sorts its slice by port in place.
+        let inbox = crate::Inbox::sorted(arena.slot_mut(1));
+        assert_eq!(inbox.iter().collect::<Vec<_>>(), [(0, &"c"), (1, &"a")]);
+        assert_eq!(inbox.from_port(1), Some(&"a"));
+        // The pool's view: the same buffer, moved out front to back.
+        let (items, bounds) = arena.drain_carved();
+        assert_eq!(bounds, [0, 1, 3, 3, 4]);
+        let ports: Vec<Port> = items.map(|(p, _)| p).collect();
+        assert_eq!(ports, [0, 0, 1, 3]);
         // The next round starts from a clean arena.
         arena.carve(&[1]);
         assert_eq!(arena.len_at(0), 0);

@@ -75,12 +75,28 @@ impl<'a> NodeContext<'a> {
 
 /// The messages a node received at the start of a round, tagged with the
 /// port they arrived on.
+///
+/// An inbox is a *borrowed view*: it points at the node's slice of the
+/// engine's arrival arena (or of a pool chunk's share of it), so handing a
+/// node its arrivals moves nothing. The slice is sorted by port before the
+/// view is built — in place, and only when the arrivals did not already
+/// reach the arena in port order.
 #[derive(Debug)]
-pub struct Inbox<M> {
-    pub(crate) items: Vec<(Port, M)>,
+pub struct Inbox<'a, M> {
+    pub(crate) items: &'a [(Port, M)],
 }
 
-impl<M> Inbox<M> {
+impl<'a, M> Inbox<'a, M> {
+    /// The view over `items`, sorted by port in place first if they are not
+    /// already. A round delivers at most one message per port, so the keys
+    /// are unique and the unstable sort is deterministic.
+    pub(crate) fn sorted(items: &'a mut [(Port, M)]) -> Self {
+        if !items.is_sorted_by_key(|&(p, _)| p) {
+            items.sort_unstable_by_key(|&(p, _)| p);
+        }
+        Inbox { items }
+    }
+
     /// True if no messages arrived this round.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
@@ -92,18 +108,17 @@ impl<M> Inbox<M> {
     }
 
     /// Iterates over `(port, message)` pairs in increasing port order.
-    pub fn iter(&self) -> impl Iterator<Item = (Port, &M)> {
+    pub fn iter(&self) -> impl Iterator<Item = (Port, &'a M)> {
         self.items.iter().map(|(p, m)| (*p, m))
     }
 
     /// The message received on `port` this round, if any.
     ///
-    /// The items are sorted by port (the engines sort arrivals before
-    /// handing the inbox to the node, and a round delivers at most one
-    /// message per port), so the lookup binary-searches — O(log degree)
-    /// instead of a linear scan, which matters for hub nodes doing a
-    /// per-neighbor `from_port` sweep.
-    pub fn from_port(&self, port: Port) -> Option<&M> {
+    /// The items are sorted by port (see [`Inbox`]) and a round delivers at
+    /// most one message per port, so the lookup binary-searches —
+    /// O(log degree) instead of a linear scan, which matters for hub nodes
+    /// doing a per-neighbor `from_port` sweep.
+    pub fn from_port(&self, port: Port) -> Option<&'a M> {
         self.items
             .binary_search_by_key(&port, |&(p, _)| p)
             .ok()
@@ -143,6 +158,16 @@ impl<M: Message> Outbox<M> {
         for p in ports {
             self.items.push((p, message.clone()));
         }
+    }
+
+    /// The queued `(port, message)` pairs themselves, in send order — the
+    /// buffer the engine commits from. For adapters that host another
+    /// sending interface on top of the outbox (the kernel layer's
+    /// `ProtocolHost`): they let their protocol write here directly and
+    /// finish the queued messages in place, instead of buffering sends of
+    /// their own and copying them over.
+    pub fn buffer_mut(&mut self) -> &mut Vec<(Port, M)> {
+        &mut self.items
     }
 
     /// Number of messages queued so far this round.
@@ -190,9 +215,9 @@ mod tests {
 
     #[test]
     fn inbox_lookup() {
-        let inbox = Inbox {
-            items: vec![(0, Unit), (2, Unit)],
-        };
+        // Arrivals out of port order: the view sorts its slice in place.
+        let mut items = [(2, Unit), (0, Unit)];
+        let inbox = Inbox::sorted(&mut items);
         assert_eq!(inbox.len(), 2);
         assert!(inbox.from_port(0).is_some());
         assert!(inbox.from_port(1).is_none());
@@ -212,16 +237,15 @@ mod tests {
                 32
             }
         }
-        let inbox = Inbox {
-            items: (0..1000u32).map(|i| (3 * i, Tagged(i))).collect(),
-        };
+        let mut items: Vec<(Port, Tagged)> = (0..1000u32).map(|i| (3 * i, Tagged(i))).collect();
+        let inbox = Inbox::sorted(&mut items);
         for i in 0..1000u32 {
             assert_eq!(inbox.from_port(3 * i), Some(&Tagged(i)));
             assert_eq!(inbox.from_port(3 * i + 1), None);
             assert_eq!(inbox.from_port(3 * i + 2), None);
         }
         assert_eq!(inbox.from_port(3000), None);
-        let empty: Inbox<Tagged> = Inbox { items: Vec::new() };
+        let empty: Inbox<'_, Tagged> = Inbox::sorted(&mut []);
         assert_eq!(empty.from_port(0), None);
     }
 

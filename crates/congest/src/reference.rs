@@ -399,9 +399,7 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
             }
             let clock = watch.then(std::time::Instant::now);
             inboxes[v].sort_by_key(|(p, _)| *p);
-            let inbox = Inbox {
-                items: std::mem::take(&mut inboxes[v]),
-            };
+            let inbox = Inbox { items: &inboxes[v] };
             let ctx = NodeContext {
                 node_id: v as NodeId,
                 num_nodes: n,

@@ -24,6 +24,18 @@ struct Spill {
     edge_idx: Vec<u32>,
 }
 
+/// One node's port space, borrowed from a [`Topology`] (see
+/// [`Topology::ports`]): parallel per-port slices, tombstoned ports
+/// included.
+pub(crate) struct Ports<'a> {
+    /// The node behind each port (the former neighbor for a dead port).
+    pub(crate) neighbors: &'a [NodeId],
+    /// The port at that neighbor leading back.
+    pub(crate) reverse_ports: &'a [u32],
+    /// Tombstone flags; `None` while the node's adjacency never changed.
+    pub(crate) dead: Option<&'a [bool]>,
+}
+
 /// A validated, undirected communication topology given as adjacency lists.
 ///
 /// Node identifiers are `0..n`. [`Topology::from_adjacency`] checks that the
@@ -353,6 +365,30 @@ impl Topology {
                     .collect()
             })
             .collect()
+    }
+
+    /// Node `v`'s whole port space resolved once: what the commit phase
+    /// holds for the duration of one outbox instead of re-resolving the
+    /// overlay for every message.
+    pub(crate) fn ports(&self, v: NodeId) -> Ports<'_> {
+        match self.spill(v) {
+            Some(s) => Ports {
+                neighbors: &s.neighbors,
+                reverse_ports: &s.reverse_ports,
+                dead: Some(&s.dead),
+            },
+            None => {
+                let (lo, hi) = (
+                    self.offsets[v as usize] as usize,
+                    self.offsets[v as usize + 1] as usize,
+                );
+                Ports {
+                    neighbors: &self.neighbors[lo..hi],
+                    reverse_ports: &self.reverse_ports[lo..hi],
+                    dead: None,
+                }
+            }
+        }
     }
 
     fn spill(&self, v: NodeId) -> Option<&Spill> {

@@ -130,7 +130,15 @@ pub trait Protocol {
 }
 
 /// A kernel's send buffer for the current step: `(port, payload)` pairs,
-/// flushed by the host (or enclosing stack) when the step ends.
+/// taken over by the host (or enclosing stack) when the step ends.
+///
+/// Each send is stored as the [`Envelope`] it will travel in, its
+/// `width` / `stream` / `tags` left blank: the buffer a hosted protocol
+/// writes to *is* the engine's outbox buffer (see [`ProtocolHost`]), and
+/// the host stamps the three fields in place once the step's sends are
+/// complete — a hosted kernel's payload is written once, where the commit
+/// phase reads it (a [`Stack`](super::Stack) adds one move, from its
+/// child's `Tx` into its own).
 ///
 /// Sends accumulate in call order; the engine's one-message-per-port rule
 /// is *not* enforced here — a kernel that sends twice on a port produces
@@ -138,7 +146,7 @@ pub trait Protocol {
 /// a hand-written algorithm would (the duplicate-send ablation relies on
 /// this).
 pub struct Tx<P> {
-    sends: Vec<(Port, P)>,
+    sends: Vec<(Port, Envelope<P>)>,
 }
 
 impl<P> Tx<P> {
@@ -146,9 +154,25 @@ impl<P> Tx<P> {
         Tx { sends: Vec::new() }
     }
 
+    /// The envelope `payload` travels in, not yet stamped.
+    fn blank(payload: P) -> Envelope<P> {
+        Envelope {
+            payload,
+            width: 0,
+            stream: None,
+            tags: TraceTags::default(),
+        }
+    }
+
     /// Queues `payload` for the neighbor on `port`.
     pub fn send(&mut self, port: Port, payload: P) {
-        self.sends.push((port, payload));
+        self.sends.push((port, Self::blank(payload)));
+    }
+
+    /// Queues every `(port, payload)` of `sends`, in order.
+    pub(crate) fn extend(&mut self, sends: impl Iterator<Item = (Port, P)>) {
+        self.sends
+            .extend(sends.map(|(port, payload)| (port, Self::blank(payload))));
     }
 
     /// Queues a clone of `payload` for every port of a degree-`degree`
@@ -158,7 +182,7 @@ impl<P> Tx<P> {
         P: Clone,
     {
         for port in 0..degree {
-            self.sends.push((port as Port, payload.clone()));
+            self.send(port as Port, payload.clone());
         }
     }
 
@@ -167,47 +191,56 @@ impl<P> Tx<P> {
         self.sends.is_empty()
     }
 
+    /// True when the buffered sends name strictly ascending ports — no
+    /// port twice, nothing to reorder.
+    pub(crate) fn ports_ascend(&self) -> bool {
+        self.sends.is_sorted_by(|a, b| a.0 < b.0)
+    }
+
     /// Drains the buffered sends in call order.
-    pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, (Port, P)> {
-        self.sends.drain(..)
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (Port, P)> + '_ {
+        self.sends.drain(..).map(|(port, env)| (port, env.payload))
     }
 }
 
 /// Runs a [`Protocol`] as a [`NodeAlgorithm`] whose wire type is
 /// [`Envelope<P::Payload>`](Envelope): every queued payload is stamped
 /// with the width and stream the kernel declares for it.
+///
+/// The host owns no send buffer. For the duration of a step it lends the
+/// protocol the engine's own outbox buffer as its [`Tx`], then stamps the
+/// envelopes the step queued where they lie.
 pub struct ProtocolHost<P: Protocol> {
     proto: P,
-    tx: Tx<P::Payload>,
 }
 
 impl<P: Protocol> ProtocolHost<P> {
     /// Hosts `proto`.
     pub fn new(proto: P) -> Self {
-        ProtocolHost {
-            proto,
-            tx: Tx::new(),
-        }
+        ProtocolHost { proto }
     }
 
-    fn flush(&mut self, out: &mut Outbox<Envelope<P::Payload>>) {
-        for (port, payload) in self.tx.drain() {
-            let width = self.proto.width(&payload).bits();
-            let stream = self.proto.stream(&payload);
-            // Tags are computed before the payload moves into the
-            // envelope; they ride as zero-wire-bit diagnostics read at
-            // the engine's commit choke point.
-            let tags = self.proto.tags(&payload);
-            out.send(
-                port,
-                Envelope {
-                    payload,
-                    width,
-                    stream,
-                    tags,
-                },
-            );
+    /// Runs one `step` of the protocol with `out`'s buffer as its [`Tx`],
+    /// then stamps every envelope the step queued — in place — with the
+    /// width, stream and tags the protocol declares for its payload. (Tags
+    /// ride as zero-wire-bit diagnostics read at the engine's commit choke
+    /// point.)
+    fn step(
+        &mut self,
+        out: &mut Outbox<Envelope<P::Payload>>,
+        step: impl FnOnce(&mut P, &mut Tx<P::Payload>),
+    ) {
+        let mut tx = Tx {
+            sends: std::mem::take(out.buffer_mut()),
+        };
+        let queued_before = tx.sends.len();
+        step(&mut self.proto, &mut tx);
+        for (_, env) in &mut tx.sends[queued_before..] {
+            env.width = self.proto.width(&env.payload).bits();
+            env.stream = self.proto.stream(&env.payload);
+            env.tags = self.proto.tags(&env.payload);
         }
+        *out.buffer_mut() = tx.sends;
     }
 }
 
@@ -216,8 +249,7 @@ impl<P: Protocol> NodeAlgorithm for ProtocolHost<P> {
     type Output = P::Output;
 
     fn on_start(&mut self, ctx: &NodeContext<'_>, out: &mut Outbox<Self::Message>) {
-        self.proto.init(ctx, &mut self.tx);
-        self.flush(out);
+        self.step(out, |proto, tx| proto.init(ctx, tx));
     }
 
     fn on_round(
@@ -226,12 +258,12 @@ impl<P: Protocol> NodeAlgorithm for ProtocolHost<P> {
         inbox: &Inbox<Self::Message>,
         out: &mut Outbox<Self::Message>,
     ) {
-        for (port, envelope) in inbox.iter() {
-            self.proto
-                .on_message(ctx, port, envelope.payload.clone(), &mut self.tx);
-        }
-        self.proto.on_round_end(ctx, &mut self.tx);
-        self.flush(out);
+        self.step(out, |proto, tx| {
+            for (port, envelope) in inbox.iter() {
+                proto.on_message(ctx, port, envelope.payload.clone(), tx);
+            }
+            proto.on_round_end(ctx, tx);
+        });
     }
 
     fn on_topology(&mut self, ctx: &NodeContext<'_>, delta: &TopologyDelta<'_>) -> RepairAction {

@@ -1,5 +1,15 @@
 //! [`Stack`]: run two kernels on one node, multiplexing their payloads
 //! into one `B`-bit message per edge per round.
+//!
+//! Each kernel sends into a [`Tx`] of its own; when the round ends, `flush`
+//! moves the payloads into the enclosing `Tx` — the engine's outbox buffer
+//! itself when the stack is hosted directly — as [`Both`] envelopes. A
+//! round in which one kernel sent, on strictly ascending ports, is a
+//! straight append (each payload written once more, in order); only rounds
+//! in which both kernels sent, or ports repeat or descend, go through the
+//! port-sorted merge scratch. Either way the envelope sequence is the same
+//! function of the two send lists, pinned by a proptest against a
+//! `BTreeMap` model.
 
 use dapsp_congest::{NodeContext, Port, RepairAction, TopologyDelta, TraceTags, Width};
 
@@ -52,8 +62,8 @@ pub struct Stack<A: Protocol, B: Protocol, C> {
     coupling: C,
     tx_a: Tx<A::Payload>,
     tx_b: Tx<B::Payload>,
-    /// [`flush`](Self::flush)'s merge scratch: sorted by port, empty
-    /// between rounds, its capacity reused so a send allocates nothing.
+    /// [`merge`](Self::merge)'s scratch: sorted by port, empty between
+    /// rounds, its capacity reused so a send allocates nothing.
     merged: Merged<A::Payload, B::Payload>,
 }
 
@@ -94,15 +104,39 @@ impl<A: Protocol, B: Protocol, C: Coupling<A, B>> Stack<A, B, C> {
         }
     }
 
-    /// Merges both kernels' buffered sends into per-port [`Both`]
+    /// Hands both kernels' buffered sends to `tx` as per-port [`Both`]
     /// envelopes; a kernel's second payload for one port overflows into
     /// its own envelope. Emission order is fixed — `A`'s overflows, then
     /// `B`'s, then the merged envelopes by increasing port — because the
     /// engine commits (and counts, and traces) in outbox order.
+    ///
+    /// When only one kernel sent, on strictly ascending ports (a wave
+    /// forwarding to the ports it did not arrive on), that order *is* the
+    /// kernel's send order and nothing can overflow: each payload moves
+    /// straight into its envelope in `tx`. Only the remaining cases go
+    /// through the port-sorted merge scratch.
     fn flush(&mut self, tx: &mut Tx<Both<A::Payload, B::Payload>>) {
-        if self.tx_a.is_empty() && self.tx_b.is_empty() {
-            return;
+        match (self.tx_a.is_empty(), self.tx_b.is_empty()) {
+            (true, true) => {}
+            (false, true) if self.tx_a.ports_ascend() => {
+                tx.extend(self.tx_a.drain().map(|(port, payload)| {
+                    let a = Some(payload);
+                    (port, Both { a, b: None })
+                }));
+            }
+            (true, false) if self.tx_b.ports_ascend() => {
+                tx.extend(self.tx_b.drain().map(|(port, payload)| {
+                    let b = Some(payload);
+                    (port, Both { a: None, b })
+                }));
+            }
+            _ => self.merge(tx),
         }
+    }
+
+    /// The general case of [`flush`](Self::flush): both kernels sent, or
+    /// one did with a port repeated or out of order.
+    fn merge(&mut self, tx: &mut Tx<Both<A::Payload, B::Payload>>) {
         for (port, payload) in self.tx_a.drain() {
             let slot = &mut envelope_for(&mut self.merged, port).a;
             if slot.is_some() {
@@ -263,20 +297,59 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
-    use dapsp_congest::NodeContext;
+    use crate::error::CoreError;
+    use crate::kernel::run_protocol_on;
+    use dapsp_congest::obs::MessageEvent;
+    use dapsp_congest::{Config, NodeContext, Observer, SharedObserver, SimError, Topology};
     use proptest::prelude::*;
 
-    /// A test kernel whose payloads are bytes of a declared fixed width.
-    struct Fixed(u32);
+    /// A test kernel whose payloads are bytes of a declared fixed width. It
+    /// sends only what its script says: `rounds[0]` at `init`, `rounds[r]`
+    /// at the end of round `r`.
+    struct Fixed {
+        width: u32,
+        rounds: Vec<Vec<(Port, u8)>>,
+        played: usize,
+    }
+
+    impl Fixed {
+        /// A silent kernel of declared width `width`.
+        fn of(width: u32) -> Self {
+            Fixed {
+                width,
+                rounds: Vec::new(),
+                played: 0,
+            }
+        }
+
+        fn play(&mut self, tx: &mut Tx<u8>) {
+            for &(port, payload) in self.rounds.get(self.played).into_iter().flatten() {
+                tx.send(port, payload);
+            }
+            self.played += 1;
+        }
+    }
 
     impl Protocol for Fixed {
         type Payload = u8;
         type Output = ();
 
+        fn init(&mut self, _: &NodeContext<'_>, tx: &mut Tx<u8>) {
+            self.play(tx);
+        }
+
         fn on_message(&mut self, _: &NodeContext<'_>, _: Port, _: u8, _: &mut Tx<u8>) {}
 
+        fn on_round_end(&mut self, _: &NodeContext<'_>, tx: &mut Tx<u8>) {
+            self.play(tx);
+        }
+
+        fn is_active(&self) -> bool {
+            self.played < self.rounds.len()
+        }
+
         fn width(&self, _: &u8) -> Width {
-            Width::ZERO.raw(self.0)
+            Width::ZERO.raw(self.width)
         }
 
         fn stream(&self, payload: &u8) -> Option<u32> {
@@ -290,7 +363,7 @@ mod tests {
     /// component's own width — absent components cost only their tag.
     #[test]
     fn width_charges_tags_plus_present_components() {
-        let stack = Stack::new(Fixed(5), Fixed(9));
+        let stack = Stack::new(Fixed::of(5), Fixed::of(9));
         let both = Both {
             a: Some(1u8),
             b: Some(2u8),
@@ -309,7 +382,7 @@ mod tests {
     /// fallback.
     #[test]
     fn stream_prefers_lower_kernel() {
-        let stack = Stack::new(Fixed(1), Fixed(1));
+        let stack = Stack::new(Fixed::of(1), Fixed::of(1));
         let both = Both {
             a: Some(100u8),
             b: Some(101u8),
@@ -326,7 +399,7 @@ mod tests {
     /// ports come out in increasing order.
     #[test]
     fn flush_merges_per_port() {
-        let mut stack = Stack::new(Fixed(1), Fixed(1));
+        let mut stack = Stack::new(Fixed::of(1), Fixed::of(1));
         stack.tx_a.send(1, 10);
         stack.tx_b.send(1, 20);
         stack.tx_b.send(0, 30);
@@ -345,7 +418,7 @@ mod tests {
     /// for the Lemma 1 ablation to stay detectable.
     #[test]
     fn duplicate_same_kernel_send_overflows() {
-        let mut stack = Stack::new(Fixed(1), Fixed(1));
+        let mut stack = Stack::new(Fixed::of(1), Fixed::of(1));
         stack.tx_a.send(0, 10);
         stack.tx_a.send(0, 11);
         let mut out = Tx::new();
@@ -358,7 +431,8 @@ mod tests {
     type Sent = Vec<(Port, Option<u8>, Option<u8>)>;
 
     /// The `BTreeMap` merge [`Stack::flush`] used to be, kept as the model
-    /// the flat scratch must reproduce envelope for envelope.
+    /// the fast paths and the flat scratch must reproduce envelope for
+    /// envelope.
     fn model_flush(a: &[(Port, u8)], b: &[(Port, u8)]) -> Sent {
         let mut out = Sent::new();
         let mut per_port: BTreeMap<Port, (Option<u8>, Option<u8>)> = BTreeMap::new();
@@ -382,35 +456,145 @@ mod tests {
         out
     }
 
+    /// What the engine booked for one message of the hub: `(send round,
+    /// port, bits, stream, tags)`.
+    type Booked = (u64, Port, u32, Option<u32>, TraceTags);
+
+    /// Records every message node 0 gets accepted, as stamped.
+    #[derive(Default)]
+    struct HubWire(Vec<Booked>);
+
+    impl Observer for HubWire {
+        fn on_message(&mut self, ev: &MessageEvent) {
+            if ev.from == 0 {
+                // Node 0's directed edges are its ports.
+                self.0
+                    .push((ev.send_round, ev.edge, ev.bits, ev.stream, ev.tags));
+            }
+        }
+    }
+
+    const PORTS: u32 = 12;
+    const WIDTH_A: u32 = 1;
+    const WIDTH_B: u32 = 3;
+
+    /// The stamps a hosted `Stack<Fixed, Fixed>` owes the model's
+    /// envelope `(port, a, b)` sent in `round`.
+    fn stamped(round: u64, (port, a, b): (Port, Option<u8>, Option<u8>)) -> Booked {
+        let bits = 2 + a.map_or(0, |_| WIDTH_A) + b.map_or(0, |_| WIDTH_B);
+        let stream = a.or(b).map(u32::from); // payloads are numbered from 100
+        let tags = TraceTags {
+            kernels: u8::from(a.is_some()) | u8::from(b.is_some()) << 1,
+            retransmit: false,
+            ack: false,
+        };
+        (round, port, bits, stream, tags)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// Any send sequence — descending ports, a port repeated within
         /// one kernel (overflow), one or both sides empty — flushes to the
         /// model's envelope sequence, round after round on one stack (the
-        /// scratch must come back empty).
+        /// scratch must come back empty). `shape` steers an eighth of the
+        /// cases each into the two fast paths (`A` silent and `B` strictly
+        /// ascending; `B` silent), the both-sent merge and a strictly
+        /// descending `B`; the other half stays as drawn.
+        ///
+        /// The same sends are then played by a hosted stack at the hub of
+        /// a star, and what the engine books for the hub must be the
+        /// model's sequence with the stack's width / stream / tags stamped
+        /// on — up to the first repeated port, where the engine must stop
+        /// the run with `DuplicateSend`.
         #[test]
         fn flush_matches_the_btreemap_model(
-            ports_a in proptest::collection::vec(0u32..12, 0..10),
-            ports_b in proptest::collection::vec(0u32..12, 0..10),
-            ports_a2 in proptest::collection::vec(0u32..12, 0..4),
+            shape in 0u32..8,
+            ports_a in proptest::collection::vec(0u32..PORTS, 0..10),
+            ports_b in proptest::collection::vec(0u32..PORTS, 0..10),
+            ports_a2 in proptest::collection::vec(0u32..PORTS, 0..4),
         ) {
-            let number = |ports: &[Port]| -> Vec<(Port, u8)> {
-                ports.iter().zip(0u8..).map(|(&p, i)| (p, i)).collect()
+            let (mut ports_a, mut ports_b) = (ports_a.clone(), ports_b.clone());
+            match shape {
+                0 | 3 => {
+                    ports_a.clear();
+                    ports_b.push(5);
+                    ports_b.sort_unstable();
+                    ports_b.dedup();
+                    if shape == 3 {
+                        ports_b.push(PORTS - 1);
+                        ports_b.dedup();
+                        ports_b.reverse();
+                    }
+                }
+                1 => {
+                    ports_a.push(5);
+                    ports_b.clear();
+                }
+                2 => {
+                    ports_a.push(5);
+                    ports_b.push(6);
+                }
+                _ => {}
+            }
+            let number = |ports: &[Port], base: u8| -> Vec<(Port, u8)> {
+                ports.iter().zip(base..).map(|(&p, i)| (p, i)).collect()
             };
-            let mut stack = Stack::new(Fixed(1), Fixed(1));
-            for (a, b) in [(number(&ports_a), number(&ports_b)), (number(&ports_a2), vec![])] {
-                for &(port, payload) in &a {
+            let rounds = [
+                (number(&ports_a, 100), number(&ports_b, 200)),
+                (number(&ports_a2, 100), vec![]),
+            ];
+
+            let mut stack = Stack::new(Fixed::of(WIDTH_A), Fixed::of(WIDTH_B));
+            let mut expected: Vec<Booked> = Vec::new();
+            for (round, (a, b)) in rounds.iter().enumerate() {
+                for &(port, payload) in a {
                     stack.tx_a.send(port, payload);
                 }
-                for &(port, payload) in &b {
+                for &(port, payload) in b {
                     stack.tx_b.send(port, payload);
                 }
                 let mut out = Tx::new();
                 stack.flush(&mut out);
                 let sent: Sent = out.drain().map(|(port, both)| (port, both.a, both.b)).collect();
-                prop_assert_eq!(sent, model_flush(&a, &b));
+                let model = model_flush(a, b);
+                prop_assert_eq!(&sent, &model);
                 prop_assert!(stack.merged.is_empty());
+                expected.extend(model.into_iter().map(|env| stamped(round as u64, env)));
+            }
+
+            // The engine books a round's outbox in order and aborts at its
+            // first repeated port.
+            let mut used = std::collections::BTreeSet::new();
+            let clean = expected
+                .iter()
+                .take_while(|&&(round, port, ..)| used.insert((round, port)))
+                .count();
+            let star = Topology::from_adjacency(
+                std::iter::once((1..=PORTS).collect())
+                    .chain((0..PORTS).map(|_| vec![0]))
+                    .collect(),
+            )
+            .unwrap();
+            let wire = SharedObserver::new(HubWire::default());
+            let config = Config::for_n(star.num_nodes()).with_observer(wire.observer());
+            let (script_a, script_b): (Vec<_>, Vec<_>) = rounds.iter().cloned().unzip();
+            let run = run_protocol_on(&star, config, |ctx| {
+                // Only the hub plays; the leaves just receive.
+                let hub = ctx.node_id() == 0;
+                let cast = |width, script: &Vec<_>| Fixed {
+                    rounds: if hub { script.clone() } else { Vec::new() },
+                    ..Fixed::of(width)
+                };
+                Stack::new(cast(WIDTH_A, &script_a), cast(WIDTH_B, &script_b))
+            });
+            prop_assert_eq!(wire.with(|w| std::mem::take(&mut w.0)), &expected[..clean]);
+            if clean == expected.len() {
+                prop_assert!(run.is_ok());
+            } else {
+                let (round, port, ..) = expected[clean];
+                let duplicate = SimError::DuplicateSend { node: 0, port, round };
+                prop_assert_eq!(run.err(), Some(CoreError::Sim(duplicate)));
             }
         }
     }
@@ -419,7 +603,7 @@ mod tests {
     /// stacks, width = all four presence tags plus the components.
     #[test]
     fn compose_macro_nests_stacks() {
-        let stack = crate::compose!(Fixed(3), Fixed(5), Fixed(7));
+        let stack = crate::compose!(Fixed::of(3), Fixed::of(5), Fixed::of(7));
         let msg = Both {
             a: Some(1u8),
             b: Some(Both {

@@ -70,9 +70,10 @@ impl SourceSlots {
         })
     }
 
-    /// The slot of source `id`, `None` for a non-source.
+    /// The slot of source `id`, `None` for a non-source (an id outside the
+    /// network included).
     pub(crate) fn get(&self, id: u32) -> Option<usize> {
-        let slot = self.slot_of[id as usize];
+        let slot = *self.slot_of.get(id as usize)?;
         (slot != NO_SLOT).then_some(slot as usize)
     }
 }
@@ -278,13 +279,25 @@ impl WaveKernel {
         }
     }
 
+    /// The round's buffered arrivals in `(root, dist, port)` order, moved
+    /// out for the settle pass (which hands the emptied buffer back).
+    /// Deliveries come in port order, so a round that brought one wave —
+    /// all Lemma 1 allows per edge, and the common case per node — is
+    /// already sorted and skips the sort.
+    fn take_sorted_arrivals(&mut self) -> Vec<(u32, u32, Port)> {
+        let mut arrivals = std::mem::take(&mut self.arrivals);
+        if !arrivals.is_sorted() {
+            arrivals.sort_unstable();
+        }
+        arrivals
+    }
+
     /// Claim 1 contention: settle the round's arrivals in `(root, dist,
     /// port)` order — groups of simultaneous arrivals per root adopt the
     /// lowest port, forward to every port that did not deliver the wave,
     /// and count the rest as cycle evidence.
     fn settle_forward(&mut self, ctx: &NodeContext<'_>, tx: &mut Tx<WaveMsg>) {
-        let mut arrivals = std::mem::take(&mut self.arrivals);
-        arrivals.sort_unstable();
+        let arrivals = self.take_sorted_arrivals();
         let mut i = 0;
         while i < arrivals.len() {
             let root = arrivals[i].0;
@@ -330,8 +343,7 @@ impl WaveKernel {
     /// other ports' queues, record cycle candidates — then transmit the
     /// most urgent pending id per port.
     fn settle_queued(&mut self, ctx: &NodeContext<'_>, tx: &mut Tx<WaveMsg>) {
-        let mut arrivals = std::mem::take(&mut self.arrivals);
-        arrivals.sort_unstable();
+        let arrivals = self.take_sorted_arrivals();
         let mut i = 0;
         while i < arrivals.len() {
             let id = arrivals[i].0;

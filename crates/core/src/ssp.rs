@@ -69,13 +69,16 @@ pub struct SspResult {
     pub tree: TreeKnowledge,
     /// Combined statistics of all three phases.
     pub stats: RunStats,
+    /// The run's id → column map (`sources[i]` ↦ `i`), kept so a read is
+    /// one look-up instead of a scan of `sources`.
+    slots: SourceSlots,
 }
 
 impl SspResult {
     /// Distance from `v` to source `s`; `None` if `s` was not in the
     /// source set or `v` is not a node.
     pub fn dist_to(&self, v: u32, s: u32) -> Option<u32> {
-        let i = self.sources.iter().position(|&x| x == s)?;
+        let i = self.slots.get(s)?;
         self.dist.get(v as usize)?.get(i).copied()
     }
 }
@@ -172,7 +175,7 @@ pub fn run_on_obs(
     let report = run_protocol_on(topology, config, |ctx| {
         WaveKernel::queued_sources(ctx, &slots)
     })?;
-    Ok(assemble(topology, sources, t1, &agg, report))
+    Ok(assemble(topology, sources, slots, t1, &agg, report))
 }
 
 /// Like [`run`], over links a [`FaultPlan`] adversary drops messages
@@ -240,7 +243,7 @@ pub fn run_faulty_on(
     let (report, rel_growth) = split_reliable_report(report);
     obs.report_transport(&rel_growth.summary());
     rel.absorb(&rel_growth);
-    Ok((assemble(topology, sources, t1, &agg, report), rel))
+    Ok((assemble(topology, sources, slots, t1, &agg, report), rel))
 }
 
 /// Like [`run`], but over a network whose topology changes mid-run per
@@ -304,6 +307,7 @@ pub fn run_churned_on(
 fn assemble(
     topology: &Topology,
     sources: &[u32],
+    slots: SourceSlots,
     t1: bfs::BfsResult,
     agg: &aggregate::AggregateResult,
     report: Report<WaveState>,
@@ -342,6 +346,7 @@ fn assemble(
         relaxations,
         tree: t1.tree,
         stats,
+        slots,
     }
 }
 
@@ -447,11 +452,22 @@ mod tests {
         ));
     }
 
+    /// `dist_to` answers through the run's id → column map: sources given
+    /// out of id order read their own column, and a non-source, a source
+    /// id outside the network and a node id outside it all read `None`.
     #[test]
     fn dist_to_answers_none_outside_the_table() {
-        let r = run(&generators::path(8), &[0, 7]).unwrap();
+        let sources = [7u32, 0, 4];
+        let r = run(&generators::path(8), &sources).unwrap();
+        for v in 0..8u32 {
+            for (i, &s) in sources.iter().enumerate() {
+                assert_eq!(r.dist_to(v, s), Some(r.dist[v as usize][i]));
+            }
+        }
         assert_eq!(r.dist_to(3, 7), Some(4));
         assert_eq!(r.dist_to(3, 5), None, "not a source");
+        assert_eq!(r.dist_to(3, 8), None, "s = n");
+        assert_eq!(r.dist_to(3, u32::MAX), None);
         assert_eq!(r.dist_to(8, 0), None, "v = n");
         assert_eq!(r.dist_to(u32::MAX, 7), None);
     }

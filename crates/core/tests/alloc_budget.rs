@@ -76,8 +76,11 @@ fn kernel_hot_path_stays_within_its_allocation_budget() {
     // Algorithm 1: allocation calls per node, not per message. The three
     // graphs send 543, 1 209 and 1 987 messages per node. A kernel stack
     // that allocates once per flush or per adoption costs 276, 309 and
-    // 2 060 calls per node on them; one that reuses its scratch 23, 31 and
-    // 16. The budget of 64 separates the two on every graph.
+    // 2 060 calls per node on them; one that reuses its scratch 22, 30 and
+    // 15 — 18, 23 and 13 once the host lends the kernels the engine's
+    // outbox buffer instead of keeping one of its own and the stack's merge
+    // scratch is only touched by rounds that need it. The budget of 64
+    // separates the two on every graph.
     let graphs: [(&str, Graph); 3] = [
         ("ws(128,3)", generators::watts_strogatz(128, 3, 0.05, 7)),
         ("ws(128,6)", generators::watts_strogatz(128, 6, 0.05, 7)),
@@ -106,8 +109,9 @@ fn kernel_hot_path_stays_within_its_allocation_budget() {
     // into a table, in bytes per pair. Most of it is the kernels' own
     // per-node rows; a nested `Vec<Vec<Option<u32>>>` next-hop result
     // flattened into a second array requested 904 268 bytes (55.2 per
-    // pair), one flat matrix packed in place 770 124 (47.0). The budget
-    // of 51 sits between the two.
+    // pair), one flat matrix packed in place 770 124 (47.0) — 702 048
+    // (42.8) without the host's and the serial executor's own message
+    // buffers. The budget of 51 sits between the first two.
     let (name, g) = &graphs[0];
     let n = g.num_nodes() as u64;
     let topology = g.to_topology();
@@ -125,7 +129,8 @@ fn kernel_hot_path_stays_within_its_allocation_budget() {
     );
 
     // Algorithm 2: |S| state slots per node. With n slots per node the
-    // growth alone requests 8·n² bytes.
+    // growth alone requests 8·n² bytes; the run measures 1 880 436
+    // (2 295 476 while the host and the executor re-buffered messages).
     let g = &graphs[2].1;
     let n = g.num_nodes() as u64;
     let sources: Vec<u32> = (0..8).map(|i| (i * n / 8) as u32).collect();
@@ -146,7 +151,8 @@ fn kernel_hot_path_stays_within_its_allocation_budget() {
     // back once the run has converged) allocates per node too — the level
     // index, its block pool and the neighbour table are sized once and
     // recycled. Per-port level lists and per-port cache rows cost 43, 45
-    // and 36 calls per node on these graphs; the shared index 24, 26, 27.
+    // and 36 calls per node on these graphs; the shared index 24, 26, 27
+    // (22, 24, 26 on the one-buffer send path).
     let repair = |g: &Graph| {
         let (u, v) = g.edges().nth(5).expect("six edges");
         let plan = TopologyPlan::new()
@@ -180,7 +186,8 @@ fn kernel_hot_path_stays_within_its_allocation_budget() {
     // 129-port block per live level and gains a port when its spoke
     // returns. With per-port queues and rows the run requested 924 838
     // bytes (7.1 KB per node); the budget is that plus 10 %, which a
-    // table re-laid whole for the one new port (+268 KB) would break.
+    // table re-laid whole for the one new port (+268 KB) would break
+    // (measured: 897 922).
     const PER_PORT_QUEUES: u64 = 924_838;
     let (calls, bytes, messages) = repair(&generators::star(130));
     println!("repair star(130): {calls} calls, {bytes} bytes, {messages} messages");
