@@ -11,15 +11,20 @@ use dapsp_bench::print_table;
 use dapsp_core::{ssp, ssp_paper};
 use dapsp_graph::{generators, reference, Graph, INFINITY};
 
-fn wrong_count(dist: &[Vec<u32>], sources: &[u32], g: &Graph) -> (u64, u64) {
+/// `(wrong, unresolved)` cells of per-node distance rows against the oracle.
+fn wrong_count<'a>(
+    rows: impl Iterator<Item = &'a [u32]>,
+    sources: &[u32],
+    g: &Graph,
+) -> (u64, u64) {
     let oracle = reference::s_shortest_paths(g, sources);
     let mut wrong = 0;
     let mut unresolved = 0;
-    for v in 0..g.num_nodes() {
-        for (i, _) in sources.iter().enumerate() {
-            if dist[v][i] == INFINITY {
+    for (v, row) in rows.enumerate() {
+        for (i, &d) in row.iter().enumerate() {
+            if d == INFINITY {
                 unresolved += 1;
-            } else if dist[v][i] != oracle[i][v] {
+            } else if d != oracle[i][v] {
                 wrong += 1;
             }
         }
@@ -66,8 +71,9 @@ fn main() {
     for (label, g, sources) in &instances {
         let paper = ssp_paper::run(g, sources).expect("verbatim");
         let fixed = ssp::run(g, sources).expect("repaired");
-        let (paper_wrong, paper_unresolved) = wrong_count(&paper.dist, sources, g);
-        let (fixed_wrong, fixed_unresolved) = wrong_count(&fixed.dist, sources, g);
+        let (paper_wrong, paper_unresolved) =
+            wrong_count(paper.dist.iter().map(Vec::as_slice), sources, g);
+        let (fixed_wrong, fixed_unresolved) = wrong_count(fixed.dist.iter(), sources, g);
         assert_eq!(
             fixed_wrong + fixed_unresolved,
             0,

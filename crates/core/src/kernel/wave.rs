@@ -1,8 +1,12 @@
 //! [`WaveKernel`]: BFS wave growth — the one state machine behind the
 //! single-root BFS (Claim 1), Algorithm 1's per-node waves, and
 //! Algorithm 2's ID-priority simultaneous growth.
+//!
+//! The two forwarding modes keep no queue at all. Algorithm 2's per-port
+//! lists `L_i` are `PortQueues`: one allocation per node holding a source
+//! bitset per port, whose `(dist, id)` order is looked up in the node's
+//! distance row when a port sends rather than stored with the entry.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use dapsp_congest::{NodeContext, Port, Width};
@@ -34,7 +38,10 @@ enum Roots {
 pub struct SourceSlots {
     /// `slot_of[id]`, [`NO_SLOT`] for a non-source.
     slot_of: Arc<[u32]>,
-    len: usize,
+    /// The inverse, `ids[slot]` — the source list as given. The send
+    /// priority breaks ties by *id*, and slots follow the caller's order,
+    /// not id order.
+    ids: Arc<[u32]>,
 }
 
 const NO_SLOT: u32 = u32::MAX;
@@ -66,7 +73,7 @@ impl SourceSlots {
         }
         Ok(SourceSlots {
             slot_of: slot_of.into(),
-            len: sources.len(),
+            ids: sources.into(),
         })
     }
 
@@ -90,6 +97,85 @@ enum Contention {
     /// state and each port transmits its most urgent pending id per round,
     /// ordered by the `(dist, id)` priority (smaller id wins ties).
     QueuePriority,
+}
+
+/// Algorithm 2's lists `L_i`, all ports of one node in a single
+/// port-major allocation: port `p` owns `stride` consecutive words — how
+/// many ids it holds, then one bit per source slot. A list records
+/// *membership* only. Its head, the smallest `(dist + 1, id)`, is read off
+/// the node's distances when the port sends, so an id relaxed while it
+/// waits is never re-keyed and never leaves with a stale distance; an
+/// improvement costs one bit per port, and a drained list one load.
+#[derive(Default)]
+struct PortQueues {
+    /// `1 + ⌈|S|/64⌉`: a port's count word plus its bitset.
+    stride: usize,
+    /// `cells[p * stride]` = ids pending on port `p`, then their bits.
+    cells: Vec<u64>,
+    /// Ids pending across all ports, so `is_active` is one compare.
+    pending: usize,
+}
+
+impl PortQueues {
+    fn new(slots: usize, degree: usize) -> Self {
+        let stride = 1 + slots.div_ceil(64);
+        PortQueues {
+            stride,
+            cells: vec![0; stride * degree],
+            pending: 0,
+        }
+    }
+
+    /// Lists `slot` on every port but `except` — the port an improvement
+    /// came in by; a source seeding its own id excepts none. An id that
+    /// is already pending on `except` stays pending there: its turn sends
+    /// the improved distance back, exactly as a set that skips the insert
+    /// without removing the old entry does.
+    fn list(&mut self, slot: usize, except: Option<Port>) {
+        let (word, bit) = (1 + slot / 64, 1u64 << (slot % 64));
+        for (p, block) in self.cells.chunks_exact_mut(self.stride).enumerate() {
+            if except != Some(p as Port) && block[word] & bit == 0 {
+                block[word] |= bit;
+                block[0] += 1;
+                self.pending += 1;
+            }
+        }
+    }
+
+    /// Takes the most urgent id off `port`'s list: the `(dist + 1, id)`
+    /// minimum over its pending slots, with `dist` as it stands now and
+    /// `ids[slot]` breaking ties. Returns `(dist + 1, id)`.
+    fn pop(&mut self, port: usize, dist: &[u32], ids: &[u32]) -> Option<(u32, u32)> {
+        let block = &mut self.cells[port * self.stride..][..self.stride];
+        if block[0] == 0 {
+            return None;
+        }
+        let mut head = (u64::MAX, 0);
+        for (w, &word) in block[1..].iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let key = u64::from(dist[slot] + 1) << 32 | u64::from(ids[slot]);
+                head = head.min((key, slot));
+            }
+        }
+        let (key, slot) = head;
+        block[1 + slot / 64] &= !(1 << (slot % 64));
+        block[0] -= 1;
+        self.pending -= 1;
+        Some(((key >> 32) as u32, key as u32))
+    }
+
+    /// Whether every count is the population of the bits it summarizes.
+    fn counts_match_bits(&self) -> bool {
+        let held = |bits: &[u64]| bits.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+        let mut total = 0;
+        self.cells.chunks_exact(self.stride).all(|block| {
+            total += block[0];
+            block[0] == held(&block[1..])
+        }) && total == self.pending as u64
+    }
 }
 
 /// Messages of a wave kernel.
@@ -161,15 +247,15 @@ pub struct WaveKernel {
     /// Wave arrivals buffered during the delivery step: `(root, dist,
     /// port)`, settled in sorted order at the round end.
     arrivals: Vec<(u32, u32, Port)>,
-    /// Per-port pending queues `L_i` (queue-priority mode only).
-    queues: Vec<BTreeSet<u32>>,
-    /// Entries across all of `queues`, so `is_active` need not walk them.
-    pending: usize,
+    /// The per-port lists `L_i`. Only
+    /// [`queued_sources`](WaveKernel::queued_sources) gives them storage;
+    /// a forwarding kernel's stay empty and unallocated.
+    queues: PortQueues,
     state: WaveState,
 }
 
 impl WaveKernel {
-    fn base(n: usize, slots: usize, degree: usize) -> Self {
+    fn base(n: usize, slots: usize) -> Self {
         WaveKernel {
             n: n as u32,
             roots: Roots::All,
@@ -179,8 +265,7 @@ impl WaveKernel {
             tagged_streams: false,
             start_pending: false,
             arrivals: Vec::new(),
-            queues: vec![BTreeSet::new(); degree],
-            pending: 0,
+            queues: PortQueues::default(),
             state: WaveState {
                 dist: vec![INFINITY; slots],
                 parent: vec![u32::MAX; slots],
@@ -196,7 +281,7 @@ impl WaveKernel {
     /// wave at `init`; adoptions are announced so every node learns its
     /// children.
     pub fn single_root(ctx: &NodeContext<'_>, root: u32) -> Self {
-        let mut k = Self::base(ctx.num_nodes(), 1, ctx.degree());
+        let mut k = Self::base(ctx.num_nodes(), 1);
         k.roots = Roots::Single(root);
         k.announce_adopt = true;
         k
@@ -207,7 +292,7 @@ impl WaveKernel {
     /// coupling), truncated at `max_depth` for the k-BFS variant.
     pub fn all_roots(ctx: &NodeContext<'_>, max_depth: u32) -> Self {
         let n = ctx.num_nodes();
-        let mut k = Self::base(n, n, ctx.degree());
+        let mut k = Self::base(n, n);
         k.max_depth = max_depth;
         k.tagged_streams = true;
         k.state.dist[ctx.node_id() as usize] = 0;
@@ -220,15 +305,13 @@ impl WaveKernel {
     /// The final [`WaveState`] has one slot per source, in `slots` order.
     pub fn queued_sources(ctx: &NodeContext<'_>, slots: &SourceSlots) -> Self {
         let me = ctx.node_id();
-        let mut k = Self::base(ctx.num_nodes(), slots.len, ctx.degree());
+        let mut k = Self::base(ctx.num_nodes(), slots.ids.len());
         k.contention = Contention::QueuePriority;
         k.tagged_streams = true;
+        k.queues = PortQueues::new(slots.ids.len(), ctx.degree());
         if let Some(slot) = slots.get(me) {
             k.state.dist[slot] = 0;
-            for queue in &mut k.queues {
-                queue.insert(me);
-            }
-            k.pending = k.queues.len();
+            k.queues.list(slot, None);
         }
         k.roots = Roots::Sources(slots.clone());
         k
@@ -359,11 +442,7 @@ impl WaveKernel {
                 }
                 self.state.dist[u] = dist;
                 self.state.parent[u] = port;
-                for (p, queue) in self.queues.iter_mut().enumerate() {
-                    if p != port as usize && queue.insert(id) {
-                        self.pending += 1;
-                    }
-                }
+                self.queues.list(u, Some(port));
             }
             for &(_, d, p) in &arrivals[i..j] {
                 if p != self.state.parent[u] {
@@ -376,21 +455,15 @@ impl WaveKernel {
         self.arrivals.clear();
         // Transmit the most urgent pending id per port (paper lines 13–17,
         // with the (dist, id) priority).
+        let Roots::Sources(slots) = &self.roots else {
+            unreachable!("only a source set grows through queues");
+        };
         for port in 0..ctx.degree() {
-            let head = self.queues[port]
-                .iter()
-                .map(|&id| (self.state.dist[self.slot(id)] + 1, id))
-                .min();
-            if let Some((dist, id)) = head {
-                self.queues[port].remove(&id);
-                self.pending -= 1;
+            if let Some((dist, id)) = self.queues.pop(port, &self.state.dist, &slots.ids) {
                 tx.send(port as Port, WaveMsg::Wave { root: id, dist });
             }
         }
-        debug_assert_eq!(
-            self.pending,
-            self.queues.iter().map(BTreeSet::len).sum::<usize>()
-        );
+        debug_assert!(self.queues.counts_match_bits());
     }
 }
 
@@ -441,7 +514,7 @@ impl Protocol for WaveKernel {
     fn is_active(&self) -> bool {
         match self.contention {
             Contention::Forward => self.start_pending,
-            Contention::QueuePriority => self.pending > 0,
+            Contention::QueuePriority => self.queues.pending > 0,
         }
     }
 
@@ -498,20 +571,20 @@ mod width_tests {
         for n in [2usize, 3, 10, 100, 1 << 16] {
             let budget = Config::for_n(n).message_budget.unwrap();
             // Single-root announcing BFS: discriminant tag + distance.
-            let mut k = WaveKernel::base(n, 1, 4);
+            let mut k = WaveKernel::base(n, 1);
             k.roots = Roots::Single(0);
             k.announce_adopt = true;
             assert!(k.width(&worst_wave(n)).bits() <= budget, "bfs wave, n={n}");
             assert!(k.width(&WaveMsg::Adopt).bits() <= budget, "adopt, n={n}");
             // Algorithm 1 waves: root id + distance, plus the stack's two
             // presence tags.
-            let k = WaveKernel::base(n, n, 4);
+            let k = WaveKernel::base(n, n);
             assert!(
                 k.width(&worst_wave(n)).bits() + 2 <= budget,
                 "stacked apsp wave, n={n}"
             );
             // Algorithm 2 growth: root id + distance.
-            let mut k = WaveKernel::base(n, n, 4);
+            let mut k = WaveKernel::base(n, n);
             k.contention = Contention::QueuePriority;
             assert!(k.width(&worst_wave(n)).bits() <= budget, "ssp wave, n={n}");
         }
@@ -522,8 +595,192 @@ mod width_tests {
     /// width never under-counts the decodable encoding.
     #[test]
     fn width_is_fixed_by_domain_not_value() {
-        let k = WaveKernel::base(100, 100, 4);
+        let k = WaveKernel::base(100, 100);
         let near = WaveMsg::Wave { root: 0, dist: 1 };
         assert_eq!(k.width(&near).bits(), k.width(&worst_wave(100)).bits());
+    }
+}
+
+#[cfg(test)]
+mod queue_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    /// The per-port `BTreeSet` lists [`PortQueues`] replaced, with the
+    /// kernel's three uses of them kept verbatim.
+    struct SetModel {
+        queues: Vec<BTreeSet<u32>>,
+        pending: usize,
+    }
+
+    impl SetModel {
+        fn seed(&mut self, me: u32) {
+            for queue in &mut self.queues {
+                queue.insert(me);
+            }
+            self.pending = self.queues.len();
+        }
+
+        fn improve(&mut self, id: u32, port: Port) {
+            for (p, queue) in self.queues.iter_mut().enumerate() {
+                if p != port as usize && queue.insert(id) {
+                    self.pending += 1;
+                }
+            }
+        }
+
+        fn pop(&mut self, port: usize, dist: &[u32], slots: &SourceSlots) -> Option<(u32, u32)> {
+            let head = self.queues[port]
+                .iter()
+                .map(|&id| (dist[slots.get(id).expect("a source")] + 1, id))
+                .min();
+            if let Some((_, id)) = head {
+                self.queues[port].remove(&id);
+                self.pending -= 1;
+            }
+            head
+        }
+    }
+
+    /// One node's lists in both representations, driven in lockstep.
+    struct Lockstep {
+        queues: PortQueues,
+        model: SetModel,
+        slots: SourceSlots,
+        dist: Vec<u32>,
+        /// Improvements of a slot since any port last sent its id.
+        unsent: Vec<u32>,
+        /// Which of the three hazards of [`COVERAGE`] the case has met.
+        met: [bool; 3],
+    }
+
+    impl Lockstep {
+        /// `port` sends: the head either representation yields.
+        fn pop(&mut self, port: usize) -> [Option<(u32, u32)>; 2] {
+            let slot = |id: u32| self.slots.get(id).expect("a source");
+            let list = &self.model.queues[port];
+            let nearest = list.iter().map(|&id| self.dist[slot(id)]).min();
+            let tied = list
+                .iter()
+                .filter(|&&id| Some(self.dist[slot(id)]) == nearest);
+            let tied: Vec<usize> = tied.map(|&id| slot(id)).collect();
+            let want = self.model.pop(port, &self.dist, &self.slots);
+            if let Some((_, id)) = want {
+                self.met[2] |= tied.iter().any(|&other| other < slot(id));
+                self.unsent[slot(id)] = 0;
+            }
+            [self.queues.pop(port, &self.dist, &self.slots.ids), want]
+        }
+
+        /// A claim `d` for `slot` arrives on `port`; kept if it improves.
+        fn improve(&mut self, slot: usize, d: u32, port: usize) {
+            if d >= self.dist[slot] {
+                return;
+            }
+            let id = self.slots.ids[slot];
+            self.met[0] |= self.model.queues[port].contains(&id);
+            self.met[1] |= self.model.queues.len() > 1 && self.unsent[slot] > 0;
+            self.unsent[slot] += 1;
+            self.dist[slot] = d;
+            self.queues.list(slot, Some(port as Port));
+            self.model.improve(id, port as Port);
+        }
+    }
+
+    /// Cases run, and cases that met each hazard at least once: an
+    /// improvement delivered by a port the id is still pending on, an id
+    /// improved twice with no send in between, and a head decided by id
+    /// between equal distances whose slots are in the opposite order.
+    static COVERAGE: [AtomicU32; 4] = [const { AtomicU32::new(0) }; 4];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(150))]
+
+        fn queue_cases(
+            shape in 0usize..15,
+            order in 0u8..3,
+            seeded in any::<bool>(),
+            salt in any::<u64>(),
+            ops in proptest::collection::vec(any::<u64>(), 0..600),
+        ) {
+            // Across the word boundaries of the slot bitset, and a hub
+            // with more ports than a word has bits.
+            let slots = [1usize, 63, 64, 65, 130][shape % 5];
+            let degree = [1usize, 4, 70][shape / 5];
+            let mut ids: Vec<u32> = (0..slots as u32).map(|i| 2 * i + 1).collect();
+            match order {
+                0 => {}
+                1 => ids.reverse(),
+                _ => ids.sort_by_key(|&id| (u64::from(id) ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            }
+            let mut node = Lockstep {
+                queues: PortQueues::new(slots, degree),
+                model: SetModel { queues: vec![BTreeSet::new(); degree], pending: 0 },
+                slots: SourceSlots::new(2 * slots + 1, &ids).unwrap(),
+                dist: vec![INFINITY; slots],
+                unsent: vec![0; slots],
+                met: [false; 3],
+            };
+            if seeded {
+                node.dist[0] = 0;
+                node.queues.list(0, None);
+                node.model.seed(ids[0]);
+            }
+            for &op in &ops {
+                if op % 8 == 0 {
+                    for port in 0..degree {
+                        let [got, want] = node.pop(port);
+                        prop_assert_eq!(got, want);
+                    }
+                } else {
+                    let slot = (op >> 8) as usize % slots;
+                    // Few distances, so ids tie; half the claims come in
+                    // by a port the id still waits on, when there is one.
+                    let d = 1 + (op >> 40) as u32 % 6;
+                    let waiting: Vec<usize> = (0..degree)
+                        .filter(|&p| node.model.queues[p].contains(&ids[slot]))
+                        .collect();
+                    let port = if op & 16 != 0 && !waiting.is_empty() {
+                        waiting[(op >> 20) as usize % waiting.len()]
+                    } else {
+                        (op >> 20) as usize % degree
+                    };
+                    node.improve(slot, d, port);
+                }
+                prop_assert_eq!(node.queues.pending, node.model.pending);
+                prop_assert!(node.queues.counts_match_bits());
+            }
+            for port in 0..degree {
+                loop {
+                    let [got, want] = node.pop(port);
+                    prop_assert_eq!(got, want);
+                    if got.is_none() {
+                        break;
+                    }
+                }
+            }
+            prop_assert_eq!(node.queues.pending, 0);
+            prop_assert!(node.queues.cells.iter().all(|&word| word == 0));
+            COVERAGE[0].fetch_add(1, Ordering::Relaxed);
+            for (count, met) in COVERAGE[1..].iter().zip(node.met) {
+                count.fetch_add(u32::from(met), Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Random interleavings of "a claim for `id` arrives on `port`" and
+    /// "every port sends" pop identically, with identical pending counts,
+    /// from the bitset lists and from the sets they replaced — and the
+    /// generator reaches each hazard in at least a tenth of the cases.
+    #[test]
+    fn port_queues_pop_like_the_sets_they_replaced() {
+        queue_cases();
+        let [cases, hazards @ ..] = [0, 1, 2, 3].map(|i| COVERAGE[i].load(Ordering::Relaxed));
+        println!("{cases} cases, hazards met in {hazards:?}");
+        for met in hazards {
+            assert!(met * 10 >= cases, "a hazard in {met} of {cases} cases");
+        }
     }
 }

@@ -40,16 +40,79 @@ use crate::observe::Obs;
 use crate::runner::fold_outputs;
 use crate::tree::TreeKnowledge;
 
+/// An `n × |S|` matrix in one row-major allocation, read like the vector
+/// of per-node rows it replaces: `rows[v]` is node `v`'s row as a slice
+/// (so `rows[v][i]` is one cell), [`len`](Rows::len) counts rows and
+/// [`iter`](Rows::iter) walks them. `2n` little row vectors were most of
+/// what a run left behind on the heap; a single block per matrix keeps
+/// both the resident set and a reader's cache misses down.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Rows<T> {
+    cells: Vec<T>,
+    /// Cells per row, at least one (a source set is never empty).
+    width: usize,
+}
+
+impl<T> Rows<T> {
+    fn with_capacity(rows: usize, width: usize) -> Self {
+        debug_assert!(width > 0);
+        Rows {
+            cells: Vec::with_capacity(rows * width),
+            width,
+        }
+    }
+
+    /// Appends one row of exactly `width` cells.
+    fn push_row(&mut self, row: impl IntoIterator<Item = T>) {
+        let start = self.cells.len();
+        self.cells.extend(row);
+        debug_assert_eq!(self.cells.len(), start + self.width);
+    }
+
+    /// The number of rows.
+    pub fn len(&self) -> usize {
+        self.cells.len() / self.width
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    /// Row `v`, `None` past the last row.
+    pub fn get(&self, v: usize) -> Option<&[T]> {
+        self.iter().nth(v)
+    }
+
+    /// The rows in order.
+    pub fn iter(&self) -> std::slice::ChunksExact<'_, T> {
+        self.cells.chunks_exact(self.width)
+    }
+}
+
+impl<T> std::ops::Index<usize> for Rows<T> {
+    type Output = [T];
+
+    /// Row `v`.
+    ///
+    /// # Panics
+    ///
+    /// If `v` is not a row; [`Rows::get`] is the checked read.
+    fn index(&self, v: usize) -> &[T] {
+        &self.cells[v * self.width..][..self.width]
+    }
+}
+
 /// The result of an S-SP computation.
 #[derive(Clone, Debug)]
 pub struct SspResult {
     /// The source set, as given.
     pub sources: Vec<u32>,
     /// `dist[v][i]` = `d(v, sources[i])`.
-    pub dist: Vec<Vec<u32>>,
+    pub dist: Rows<u32>,
     /// `next_hop[v][i]` = `v`'s parent in `T_{sources[i]}` (`None` at the
     /// source itself).
-    pub next_hop: Vec<Vec<Option<u32>>>,
+    pub next_hop: Rows<Option<u32>>,
     /// The broadcast diameter bound `D₀ = 2·ecc(1)` (the paper's
     /// self-termination horizon `|S| + D₀`; see [`SspResult::budget`]).
     pub d0: u32,
@@ -78,8 +141,10 @@ impl SspResult {
     /// Distance from `v` to source `s`; `None` if `s` was not in the
     /// source set or `v` is not a node.
     pub fn dist_to(&self, v: u32, s: u32) -> Option<u32> {
+        // `i < width`, so the cell index is in range exactly when `v` is.
         let i = self.slots.get(s)?;
-        self.dist.get(v as usize)?.get(i).copied()
+        let cell = (v as usize).checked_mul(self.dist.width)?.checked_add(i)?;
+        self.dist.cells.get(cell).copied()
     }
 }
 
@@ -316,16 +381,16 @@ fn assemble(
     let d0 = 2 * agg.value as u32;
     let budget = sources.len() as u64 + u64::from(d0);
     let seed = (
-        Vec::with_capacity(n),
-        Vec::with_capacity(n),
+        Rows::with_capacity(n, sources.len()),
+        Rows::with_capacity(n, sources.len()),
         Vec::with_capacity(n),
         0u64,
     );
     let (dist, next_hop, local_girth_candidates, relaxations) =
         fold_outputs(report.outputs, seed, |acc, v, state| {
             let toward = |&port: &u32| (port != u32::MAX).then(|| topology.neighbor_at(v, port));
-            acc.1.push(state.parent.iter().map(toward).collect());
-            acc.0.push(state.dist);
+            acc.1.push_row(state.parent.iter().map(toward));
+            acc.0.push_row(state.dist);
             acc.2.push(state.girth_candidate);
             acc.3 += state.relaxations;
         });
@@ -333,7 +398,7 @@ fn assemble(
     stats.absorb_sequential(&agg.stats);
     stats.absorb_sequential(&report.stats);
     debug_assert!(
-        dist.iter().all(|row| row.iter().all(|&d| d != INFINITY)),
+        dist.cells.iter().all(|&d| d != INFINITY),
         "quiescence implies every source was learned on a connected graph"
     );
     SspResult {
@@ -387,6 +452,52 @@ mod tests {
             let sources: Vec<u32> = (0..26).step_by(3).collect();
             check(&g, &sources);
         }
+    }
+
+    /// Slots follow the caller's order while the send priority follows
+    /// ids, so a source list out of id order exercises both maps: on a
+    /// grid, at a hub with more ports than a bitset word has bits, and with
+    /// more sources than two words hold. Nothing on the wire depends on
+    /// the slot order, so the run costs what its sorted twin costs.
+    #[test]
+    fn unsorted_source_lists_match_the_oracle() {
+        for (g, count) in [
+            (generators::grid(8, 8), 24u32),
+            (generators::star(70), 70),
+            (generators::path(140), 130),
+        ] {
+            let n = g.num_nodes() as u32;
+            let descending: Vec<u32> = (0..n).rev().take(count as usize).collect();
+            // 27 is coprime to 64, 70 and 140: the ids stay distinct.
+            let shuffled: Vec<u32> = (0..count).map(|i| (i * 27 + 5) % n).collect();
+            for mut sources in [descending, shuffled] {
+                assert!(!sources.is_sorted());
+                let r = check(&g, &sources);
+                assert_eq!((r.dist.len(), r.dist[0].len()), (n as usize, sources.len()));
+                sources.sort_unstable();
+                let by_id = check(&g, &sources);
+                assert_eq!((r.stats, r.relaxations), (by_id.stats, by_id.relaxations));
+            }
+        }
+    }
+
+    /// `Rows` reads like the nested vectors it replaced, and its checked
+    /// read answers `None` where indexing would panic.
+    #[test]
+    fn rows_read_like_nested_vectors() {
+        let mut rows = Rows::with_capacity(3, 2);
+        for v in 0..3u32 {
+            rows.push_row([10 * v, 10 * v + 1]);
+        }
+        assert_eq!((rows.len(), rows.is_empty()), (3, false));
+        assert_eq!(rows[2], [20, 21]);
+        assert_eq!(rows[1][0], 10);
+        let nested: Vec<&[u32]> = rows.iter().collect();
+        assert_eq!(nested, [[0, 1], [10, 11], [20, 21]]);
+        assert_eq!(rows.get(2), Some(&[20, 21][..]));
+        assert_eq!(rows.get(3), None);
+        assert_eq!(rows.get(usize::MAX), None);
+        assert!(Rows::<u32>::with_capacity(0, 2).is_empty());
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! allocates per send (or per scheduled node-round) makes the allocation
 //! count grow with the *message* count; one that reuses per-node scratch
 //! allocates per node. Likewise Algorithm 2 needs `|S|` distances per node,
-//! not `n`, and a repair run's queues and neighbour table are per-node
+//! not `n`, and one allocation for all its port lists, not one per list
+//! that fills; a repair run's queues and neighbour table are per-node
 //! state, not per-round; and a cold build's host side holds one cell per
 //! pair, not a row vector per node. This binary installs a counting global
 //! allocator and holds all four to a budget. The counters are
@@ -79,8 +80,10 @@ fn kernel_hot_path_stays_within_its_allocation_budget() {
     // 2 060 calls per node on them; one that reuses its scratch 22, 30 and
     // 15 — 18, 23 and 13 once the host lends the kernels the engine's
     // outbox buffer instead of keeping one of its own and the stack's merge
-    // scratch is only touched by rounds that need it. The budget of 64
-    // separates the two on every graph.
+    // scratch is only touched by rounds that need it, and 16, 21 and 11
+    // now that a forwarding wave kernel (two per node here: `T_1`'s and
+    // Algorithm 1's) no longer allocates port queues it can never use.
+    // The budget of 64 separates the two on every graph.
     let graphs: [(&str, Graph); 3] = [
         ("ws(128,3)", generators::watts_strogatz(128, 3, 0.05, 7)),
         ("ws(128,6)", generators::watts_strogatz(128, 6, 0.05, 7)),
@@ -111,7 +114,8 @@ fn kernel_hot_path_stays_within_its_allocation_budget() {
     // flattened into a second array requested 904 268 bytes (55.2 per
     // pair), one flat matrix packed in place 770 124 (47.0) — 702 048
     // (42.8) without the host's and the serial executor's own message
-    // buffers. The budget of 51 sits between the first two.
+    // buffers, 673 416 (41.1) without the forwarding kernels' unused port
+    // queues. The budget of 51 sits between the first two.
     let (name, g) = &graphs[0];
     let n = g.num_nodes() as u64;
     let topology = g.to_topology();
@@ -128,24 +132,41 @@ fn kernel_hot_path_stays_within_its_allocation_budget() {
         bytes as f64 / (n * n) as f64
     );
 
-    // Algorithm 2: |S| state slots per node. With n slots per node the
-    // growth alone requests 8·n² bytes; the run measures 1 880 436
-    // (2 295 476 while the host and the executor re-buffered messages).
+    // Algorithm 2: |S| state slots per node — with n slots per node the
+    // growth alone requests 8·n² bytes; |S| = 8 measures 1 587 532
+    // (1 880 436 with a `BTreeSet` per port, 2 295 476 while the host and
+    // the executor also re-buffered messages) — and one queue allocation
+    // per node. The lists `L_i` as a set per port allocate a leaf whenever
+    // an empty list gets its first id: 15 and 17 calls per node for the
+    // three phases together, against 9 and 10 with the port-major bitset.
+    // The budget of 12 sits between.
+    const SSP_CALLS: u64 = 12;
     let g = &graphs[2].1;
     let n = g.num_nodes() as u64;
-    let sources: Vec<u32> = (0..8).map(|i| (i * n / 8) as u32).collect();
     let topology = g.to_topology();
-    let (_, bytes, result) = measure(|| ssp::run_on(&topology, &sources));
-    result.expect("ssp");
-    println!(
-        "ssp grid(32,32) |S| = 8: {bytes} bytes, 4·n² = {}",
-        4 * n * n
-    );
-    assert!(
-        bytes < 4 * n * n,
-        "ssp::run_on with |S| = 8 on grid(32,32) requested {bytes} bytes (budget 4·n² = {})",
-        4 * n * n
-    );
+    for count in [8u64, 48] {
+        let sources: Vec<u32> = (0..count).map(|i| (i * n / count) as u32).collect();
+        let (calls, bytes, result) = measure(|| ssp::run_on(&topology, &sources));
+        let messages = result.expect("ssp").stats.messages;
+        println!(
+            "ssp grid(32,32) |S| = {count}: {calls} calls = {} per node, {bytes} bytes, \
+             4·n² = {}, {messages} messages",
+            calls / n,
+            4 * n * n
+        );
+        assert!(
+            bytes < 4 * n * n,
+            "ssp::run_on with |S| = {count} on grid(32,32) requested {bytes} bytes \
+             (budget 4·n² = {})",
+            4 * n * n
+        );
+        assert!(
+            calls <= SSP_CALLS * n,
+            "ssp::run_on with |S| = {count} on grid(32,32) made {calls} allocation calls for \
+             {messages} messages, {} per node (budget {SSP_CALLS})",
+            calls / n
+        );
+    }
 
     // The repair path: a single-edge republish (remove an edge, put it
     // back once the run has converged) allocates per node too — the level

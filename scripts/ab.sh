@@ -1,19 +1,20 @@
 #!/usr/bin/env bash
-# A/B of two checkouts on one benchmark workload — the protocol every
+# A/B of two checkouts on the benchmark's workloads — the protocol every
 # perf PR runs before it claims (or rules out) a change:
 #
-#   scripts/ab.sh PARENT_TREE CHANGE_TREE [--workload W] [--seed S] [--pairs K]
+#   scripts/ab.sh PARENT_TREE CHANGE_TREE [--workload W|all] [--seed S] [--pairs K]
 #
 # Builds benchmark/ in both trees, then runs
 # `benchmark/run.sh --workload W --seed S --trace 0` K times per tree,
 # alternately, flipping which tree goes first every pair (the host's speed
-# drifts within minutes; pairing cancels the drift). For every end-to-end
-# metric of BENCHMARK.json it prints both medians and quartiles, the
-# change's difference with the parent's median as base, how many pairs the
-# change won (ties count for neither side), and `ok` / `worse` against the
-# metric's bound. Exit status 1 if any metric is `worse` or a run failed
-# operations. Writes nothing inside either tree except cargo's build
-# output under benchmark/target.
+# drifts within minutes; pairing cancels the drift). `--workload all` does
+# so for every workload of BENCHMARK.json in turn. For every end-to-end
+# metric it prints both medians and quartiles, the change's difference with
+# the parent's median as base, how many pairs the change won (ties count
+# for neither side), and `ok` / `worse` against the metric's bound, then
+# one `RESULT:` line over everything run. Exit status 1 if any metric of
+# any workload is `worse` or a run failed operations. Writes nothing inside
+# either tree except cargo's build output under benchmark/target.
 set -euo pipefail
 
 usage() {
@@ -38,12 +39,16 @@ while [[ $# -gt 0 ]]; do
     shift 2
 done
 command -v jq >/dev/null || { echo "ab.sh: jq is required" >&2; exit 2; }
+workloads=("$workload")
+if [[ $workload == all ]]; then
+    mapfile -t workloads < <(jq -r '.workloads[].name' "$change/BENCHMARK.json")
+fi
 
 # Each tree builds into its own benchmark/target, whatever the caller's
 # environment says, so the two binaries can never be mixed up.
 run_tree() {
     CARGO_TARGET_DIR="$1/benchmark/target" bash "$1/benchmark/run.sh" \
-        --workload "$workload" --seed "$seed" --trace 0
+        --workload "$2" --seed "$seed" --trace 0
 }
 
 out=$(mktemp -d)
@@ -53,18 +58,22 @@ for tree in "$parent" "$change"; do
     CARGO_TARGET_DIR="$tree/benchmark/target" cargo build --release --offline --quiet \
         --manifest-path "$tree/benchmark/Cargo.toml" >&2
 done
-for ((pair = 0; pair < pairs; pair++)); do
-    if ((pair % 2 == 0)); then order=(parent change); else order=(change parent); fi
-    for side in "${order[@]}"; do
-        # The last stdout line of a single-workload run is its result.
-        run_tree "${!side}" 2>/dev/null | tail -n 1 >>"$out/$side.jsonl"
+for workload in "${workloads[@]}"; do
+    for ((pair = 0; pair < pairs; pair++)); do
+        if ((pair % 2 == 0)); then order=(parent change); else order=(change parent); fi
+        for side in "${order[@]}"; do
+            # The last stdout line of a single-workload run is its result.
+            run_tree "${!side}" "$workload" 2>/dev/null | tail -n 1 >>"$out/$workload.$side.jsonl"
+        done
+        echo "$workload: pair $((pair + 1))/$pairs done" >&2
     done
-    echo "pair $((pair + 1))/$pairs done" >&2
 done
 
-echo "$workload, seed $seed, $pairs alternating pairs (base: parent)"
-jq -n -r --slurpfile p "$out/parent.jsonl" --slurpfile c "$out/change.jsonl" \
-    --slurpfile manifest "$change/BENCHMARK.json" '
+# One workload's rows; exit status 1 if it is worse than the parent.
+report() {
+    echo "$1, seed $seed, $pairs alternating pairs (base: parent)"
+    jq -n -r --slurpfile p "$out/$1.parent.jsonl" --slurpfile c "$out/$1.change.jsonl" \
+        --slurpfile manifest "$change/BENCHMARK.json" '
     def quantile($f): sort | .[((length - 1) * $f | round)];
     def fmt: . * 1000 | round / 1000 | tostring;
     def row($name; $v): "\($name)  median \($v | quantile(0.5) | fmt)  quartiles \($v | quantile(0.25) | fmt) .. \($v | quantile(0.75) | fmt)";
@@ -88,5 +97,13 @@ jq -n -r --slurpfile p "$out/parent.jsonl" --slurpfile c "$out/change.jsonl" \
           row("  parent"; .pv), row("  change"; .cv),
           "  change vs parent \(.rel * 100 | fmt) %  (bound \(.bound * 100) %)  pairs won \(.won), lost \(.lost) of \(.pv | length)  -> \(.verdict)" ),
       "failed operations: parent \($pfailed), change \($cfailed)",
-      (if ($rows | any(.verdict == "worse")) or $cfailed > $pfailed then "RESULT: worse" | halt_error(1) else "RESULT: ok" end)
+      (if ($rows | any(.verdict == "worse")) or $cfailed > $pfailed then "  worse than the parent\n" | halt_error(1) else empty end)
 '
+}
+
+result=ok
+for workload in "${workloads[@]}"; do
+    report "$workload" || result=worse
+done
+echo "RESULT: $result"
+[[ $result == ok ]]
