@@ -262,16 +262,17 @@ fn cmd_summary(opts: &RunOpts) -> ExitCode {
                         format!("in_flight={in_flight}"),
                     ]);
                 }
-                TraceEvent::Transport {
-                    frames_sent,
-                    retransmissions,
-                    acks_sent,
-                    gave_up,
-                } => {
+                TraceEvent::Transport(t) => {
                     term_rows.push(vec![
                         "transport".into(),
                         format!(
-                            "frames={frames_sent} retransmits={retransmissions} acks={acks_sent} gave_up={gave_up}"
+                            "sim_rounds={} frames={} retransmits={} acks={} truncated={} gave_up={}",
+                            t.sim_rounds,
+                            t.frames_sent,
+                            t.retransmissions,
+                            t.acks_sent,
+                            t.truncated_sends,
+                            t.gave_up
                         ),
                     ]);
                 }
@@ -370,8 +371,7 @@ fn cmd_smoke() -> ExitCode {
             "smoke: no kernel attribution recorded"
         );
         assert!(
-            rec.events()
-                .any(|e| matches!(e, TraceEvent::Transport { .. })),
+            rec.events().any(|e| matches!(e, TraceEvent::Transport(_))),
             "smoke: reliable run reported no transport summary"
         );
     });

@@ -213,7 +213,8 @@ impl FaultPlan {
     }
 
     /// The nodes down at `round`, deduplicated, in increasing id order —
-    /// the deterministic order observer `on_crash` hooks fire in.
+    /// the deterministic order the engines emit
+    /// [`TraceEvent::Crash`](crate::TraceEvent::Crash) in.
     pub fn crashed_nodes(&self, round: u64) -> Vec<u32> {
         let mut nodes: Vec<u32> = self
             .crashes
@@ -228,7 +229,7 @@ impl FaultPlan {
 }
 
 /// Why the engine discarded a message (see
-/// [`Observer::on_drop`](crate::obs::Observer::on_drop)).
+/// [`TraceEvent::Drop`](crate::TraceEvent::Drop)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DropReason {
     /// A loss rule of the active [`FaultPlan`] dropped it in transit.
@@ -458,9 +459,9 @@ pub struct Config {
     /// effect on [`ExecutorKind::Serial`] and, like the executor choice,
     /// never changes simulation results — only load balance.
     pub pool_chunk: Option<usize>,
-    /// Optional observer receiving round/message/timing events as the run
-    /// executes (see [`crate::obs`]). `None` — the default — keeps every
-    /// hook site a single branch, so observation is free when disabled.
+    /// Optional observer receiving the run's events and round timings as
+    /// it executes (see [`crate::obs`]). `None` — the default — keeps every
+    /// emission site a single branch, so observation is free when disabled.
     pub observer: Option<ObserverHandle>,
     /// Label attached to this run in observer events and recorded metric
     /// streams; composite pipelines set one per phase (e.g. `"apsp:waves"`).

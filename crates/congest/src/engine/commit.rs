@@ -13,7 +13,7 @@
 //! consecutive slice of the sorted schedule and chunks are merged by
 //! their position in it — regardless of which worker stepped them, or
 //! stole them — the replay visits outboxes in plain node-id order:
-//! stats, trace events, observer callbacks, and delivery order are
+//! stats, observer events, and delivery order are
 //! byte-identical to the serial engine's.
 
 use std::sync::MutexGuard;
@@ -22,9 +22,10 @@ use crate::config::{Config, DropReason, FaultPlan};
 use crate::error::SimError;
 use crate::message::{Message, TraceTags};
 use crate::node::{NodeId, Port};
-use crate::obs::{MessageEvent, Observer};
+use crate::obs::Observer;
 use crate::stats::RunStats;
 use crate::topology::{Ports, Topology};
+use crate::trace::TraceEvent;
 
 use super::store::{BitSet, InboxArena};
 use super::Core;
@@ -346,7 +347,7 @@ struct Books<'c, M> {
 }
 
 impl<M: Message> Books<'_, M> {
-    /// Books one accepted message: observer callback, statistics,
+    /// Books one accepted message: observer event, statistics,
     /// and the receiver's pending inbox — the engine-thread half of every
     /// commit, shared verbatim by both executors.
     ///
@@ -356,8 +357,8 @@ impl<M: Message> Books<'_, M> {
     #[inline(always)]
     fn deliver(&mut self, from: NodeId, port: Port, to: NodeId, to_port: Port, bits: u32, msg: M) {
         if let Some(obs) = self.observer.as_deref_mut() {
-            obs.on_message(&MessageEvent {
-                send_round: self.send_round,
+            obs.on_event(&TraceEvent::Message {
+                round: self.send_round,
                 from,
                 to,
                 to_port,
@@ -387,7 +388,13 @@ impl<M: Message> Books<'_, M> {
     fn dropped(&mut self, from: NodeId, port: Port, reason: DropReason, tags: TraceTags) {
         self.stats.dropped += 1;
         if let Some(obs) = self.observer.as_deref_mut() {
-            obs.on_drop(self.send_round, from, port, reason, tags);
+            obs.on_event(&TraceEvent::Drop {
+                round: self.send_round,
+                from,
+                port,
+                reason,
+                tags,
+            });
         }
     }
 }

@@ -17,8 +17,7 @@
 //!    skipping them is unobservable;
 //! 3. **commit** — every scheduled node's outbox is validated and booked
 //!    **in node-id order**: bandwidth/duplicate/port checks, fault
-//!    decisions, trace events, observer callbacks, statistics, and
-//!    next-round inboxes (which populate the next wake list).
+//!    decisions, observer events, statistics, and next-round inboxes (which populate the next wake list).
 //!
 //! Per-round cost therefore tracks the frontier, not `n`: a BFS wave on a
 //! 10⁶-node graph touches only the wavefront each round. Termination is
@@ -30,15 +29,15 @@
 //! the default) and [`pool::PoolExecutor`] (a persistent worker pool
 //! created once per run — see that module for the protocol). Because
 //! commit is always replayed in node-id order on the engine thread, every
-//! executor yields bit-for-bit identical [`Report`]s, traces, and
-//! observer streams; the equivalence proptests in
+//! executor yields bit-for-bit identical [`Report`]s and observer event
+//! streams; the equivalence proptests in
 //! `tests/engine_equivalence.rs` pin this against the seed-verbatim
 //! [`ReferenceSimulator`](crate::ReferenceSimulator).
 //!
 //! Phase wall-clock timing ([`RoundTiming`]) is measured here, around the
-//! executor calls, and emitted through
-//! [`Observer::on_round_end`](crate::Observer::on_round_end) — executors
-//! never touch the clock.
+//! executor calls, and reported through
+//! [`Observer::on_round_timing`](crate::Observer::on_round_timing) —
+//! executors never touch the clock.
 
 use std::sync::Arc;
 
@@ -48,9 +47,10 @@ use crate::config::{Config, DropReason, ExecutorKind, TopologyEvent};
 use crate::error::SimError;
 use crate::message::Message;
 use crate::node::{Inbox, NodeContext, NodeId, Outbox, Port};
-use crate::obs::{RoundMetrics, RoundTiming, RunInfo};
+use crate::obs::RoundTiming;
 use crate::stats::RunStats;
 use crate::topology::Topology;
+use crate::trace::TraceEvent;
 
 mod commit;
 mod pool;
@@ -78,10 +78,6 @@ pub struct Report<O> {
     pub outputs: Vec<O>,
     /// Aggregate round/message/bit statistics.
     pub stats: RunStats,
-    /// This run's per-round metric stream, if the configured observer
-    /// records one (see
-    /// [`MetricsRecorder`](crate::obs::MetricsRecorder)); `None` otherwise.
-    pub metrics: Option<Vec<RoundMetrics>>,
     /// Why the run was allowed to stop: the final quiescence vote of every
     /// node, polled once at the moment the termination condition became
     /// terminal. Present on every successful run (the only terminating
@@ -320,9 +316,9 @@ impl<M> Core<'_, M> {
 /// The executor's aggregated termination signal after `start` or the most
 /// recent `step`, combining every node's [`Quiescence`] vote. Alongside
 /// the two decision bits it tallies how many *polled* nodes cast each
-/// vote kind — the decomposition the observers'
-/// [`on_quiescence`](crate::Observer::on_quiescence) hook reports (counts
-/// sum to `n` after `start` and to the scheduled count after each round).
+/// vote kind — the decomposition
+/// [`TraceEvent::QuiescenceVotes`] reports (counts sum to `n` after
+/// `start` and to the scheduled count after each round).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct QuiescenceState {
     /// No node votes [`Quiescence::Active`]. (Nodes off the awake list
@@ -352,6 +348,16 @@ impl QuiescenceState {
             Quiescence::Active => self.votes_active += 1,
             Quiescence::Passive => self.votes_passive += 1,
             Quiescence::Shutdown => self.votes_shutdown += 1,
+        }
+    }
+
+    /// The tally as the observer event for the poll after `round`.
+    pub(crate) fn event(self, round: u64) -> TraceEvent {
+        TraceEvent::QuiescenceVotes {
+            round,
+            active: self.votes_active,
+            passive: self.votes_passive,
+            shutdown: self.votes_shutdown,
         }
     }
 
@@ -428,9 +434,8 @@ pub(crate) trait Executor<A: NodeAlgorithm> {
     /// a pure function of node state, so this re-poll is deterministic.
     fn final_votes(&mut self) -> Vec<(NodeId, Quiescence)>;
     /// Scheduler telemetry for the round just committed: `(chunks
-    /// stepped, chunks stolen)`. Accumulated into [`RunStats`] and
-    /// reported through [`Observer::on_sched`](crate::Observer::on_sched);
-    /// always `(0, 0)` for executors without a chunk scheduler.
+    /// stepped, chunks stolen)`, accumulated into [`RunStats`]; always
+    /// `(0, 0)` for executors without a chunk scheduler.
     fn round_telemetry(&self) -> (u64, u64) {
         (0, 0)
     }
@@ -604,10 +609,10 @@ impl<'t, A: NodeAlgorithm> Simulator<'t, A> {
     {
         let started = std::time::Instant::now();
         if let Some(obs) = &self.core.config.observer {
-            obs.lock().on_run_start(&RunInfo {
-                phase: &self.core.config.phase,
-                nodes: self.core.topology.num_nodes(),
-                directed_edges: self.core.topology.num_directed_edges(),
+            obs.lock().on_event(&TraceEvent::RunStart {
+                phase: self.core.config.phase.clone(),
+                nodes: self.core.topology.num_nodes() as u64,
+                edges: self.core.topology.num_directed_edges() as u64,
                 started: self.core.started_nodes(),
             });
         }
@@ -651,9 +656,7 @@ impl<'t, A: NodeAlgorithm> Simulator<'t, A> {
         self.core.stats.max_scheduled_per_round =
             self.core.stats.max_scheduled_per_round.max(started_nodes);
         if let Some(obs) = &self.core.config.observer {
-            let q = executor.quiescence();
-            obs.lock()
-                .on_quiescence(0, q.votes_active, q.votes_passive, q.votes_shutdown);
+            obs.lock().on_event(&executor.quiescence().event(0));
         }
         // Termination: no messages in flight and no node voting `Active`,
         // or every node voting `Shutdown` (see `Quiescence`). The votes
@@ -669,8 +672,10 @@ impl<'t, A: NodeAlgorithm> Simulator<'t, A> {
             self.step_round(&mut executor)?;
         }
         if let Some(obs) = &self.core.config.observer {
-            obs.lock()
-                .on_terminate(self.core.round, self.core.in_flight);
+            obs.lock().on_event(&TraceEvent::EarlyTermination {
+                round: self.core.round,
+                in_flight: self.core.in_flight,
+            });
         }
         let certificate = Some(TerminationCertificate::from_votes(
             self.core.round,
@@ -681,17 +686,15 @@ impl<'t, A: NodeAlgorithm> Simulator<'t, A> {
         let sched = executor.sched();
         let outputs = executor.into_outputs(self.core.live_topology(), self.core.round);
         self.core.stats.wall_time = started.elapsed();
-        let metrics = if let Some(obs) = &self.core.config.observer {
-            let mut obs = obs.lock();
-            obs.on_run_end(&self.core.stats);
-            obs.take_run_stream()
-        } else {
-            None
-        };
+        if let Some(obs) = &self.core.config.observer {
+            obs.lock().on_event(&TraceEvent::RunEnd {
+                rounds: self.core.stats.rounds,
+                messages: self.core.stats.messages,
+            });
+        }
         Ok(Report {
             outputs,
             stats: self.core.stats,
-            metrics,
             certificate,
             sched,
         })
@@ -721,7 +724,11 @@ impl<'t, A: NodeAlgorithm> Simulator<'t, A> {
         let watch = core.config.observer.is_some();
         let mut timing = RoundTiming::default();
         if let Some(obs) = &core.config.observer {
-            obs.lock().on_round_start(core.round, delivered, scheduled);
+            obs.lock().on_event(&TraceEvent::RoundStart {
+                round: core.round,
+                delivered,
+                scheduled,
+            });
         }
         // Crash windows are booked here, on the engine thread, before the
         // pipeline phases run — in node-id order, so the observer stream
@@ -732,8 +739,11 @@ impl<'t, A: NodeAlgorithm> Simulator<'t, A> {
                 core.stats.crashed += down.len() as u64;
                 if let Some(obs) = &core.config.observer {
                     let mut obs = obs.lock();
-                    for &v in &down {
-                        obs.on_crash(core.round, v);
+                    for &node in &down {
+                        obs.on_event(&TraceEvent::Crash {
+                            round: core.round,
+                            node,
+                        });
                     }
                 }
             }
@@ -755,24 +765,18 @@ impl<'t, A: NodeAlgorithm> Simulator<'t, A> {
         }
         // Chunk-scheduler accounting for the round: totals are exact and
         // deterministic; the steal split is timing-dependent and therefore
-        // excluded from the stats/metrics equality contracts.
+        // excluded from the stats equality contract.
         let (chunks, steals) = executor.round_telemetry();
         core.stats.chunks_stepped += chunks;
         core.stats.steals += steals;
         if let Some(obs) = &core.config.observer {
             let mut obs = obs.lock();
-            obs.on_sched(core.round, chunks, steals);
-            obs.on_round_end(core.round, &timing);
+            obs.on_round_timing(core.round, &timing);
+            obs.on_event(&TraceEvent::RoundEnd { round: core.round });
             // Vote decomposition after the round seals — the reference
-            // engine polls its votes after `on_round_end`, so this hook
-            // must sit there on every engine for streams to be identical.
-            let q = executor.quiescence();
-            obs.on_quiescence(
-                core.round,
-                q.votes_active,
-                q.votes_passive,
-                q.votes_shutdown,
-            );
+            // engine polls its votes after `RoundEnd`, so this event must
+            // sit there on every engine for streams to be identical.
+            obs.on_event(&executor.quiescence().event(core.round));
         }
         Ok(())
     }
@@ -812,8 +816,8 @@ impl<'t, A: NodeAlgorithm> Simulator<'t, A> {
         core.stats.topo_events += batch_events.len() as u64;
         if let Some(obs) = &core.config.observer {
             let mut obs = obs.lock();
-            for ev in &batch_events {
-                obs.on_topology(round, ev);
+            for &event in &batch_events {
+                obs.on_event(&TraceEvent::TopologyChange { round, event });
             }
         }
         // Purge in-flight messages that were crossing a link the batch
@@ -832,13 +836,13 @@ impl<'t, A: NodeAlgorithm> Simulator<'t, A> {
                 let mut obs = obs.lock();
                 for &(to, to_port, ref msg) in &purged {
                     // Tombstoned ports still resolve sender and port.
-                    obs.on_drop(
-                        round - 1,
-                        topo.neighbor_at(to, to_port),
-                        topo.reverse_port(to, to_port),
-                        DropReason::TopologyChange,
-                        msg.trace_tags(),
-                    );
+                    obs.on_event(&TraceEvent::Drop {
+                        round: round - 1,
+                        from: topo.neighbor_at(to, to_port),
+                        port: topo.reverse_port(to, to_port),
+                        reason: DropReason::TopologyChange,
+                        tags: msg.trace_tags(),
+                    });
                 }
             }
             core.rebuild_wake();
@@ -1114,9 +1118,9 @@ mod tests {
         let deliveries: Vec<(u64, NodeId, NodeId)> = rec.with(|r| {
             r.events()
                 .filter_map(|e| match *e {
-                    crate::TraceEvent::KernelRecv {
+                    TraceEvent::Message {
                         round, from, to, ..
-                    } => Some((round, from, to)),
+                    } => Some((round + 1, from, to)),
                     _ => None,
                 })
                 .collect()
@@ -1336,15 +1340,6 @@ mod obs_tests {
     }
 
     #[test]
-    fn unobserved_runs_carry_no_metrics() {
-        let topo = ring(6);
-        let report = Simulator::new(&topo, Config::for_n(6), gossip(6))
-            .run()
-            .unwrap();
-        assert!(report.metrics.is_none());
-    }
-
-    #[test]
     fn recorder_stream_sums_to_stats() {
         let topo = ring(8);
         let rec = SharedObserver::new(MetricsRecorder::new());
@@ -1352,7 +1347,7 @@ mod obs_tests {
             .with_phase("gossip")
             .with_observer(rec.observer());
         let report = Simulator::new(&topo, cfg, gossip(8)).run().unwrap();
-        let stream = report.metrics.as_ref().expect("recorder attached");
+        let stream = rec.with(|r| r.stream().to_vec());
         assert_eq!(stream.len() as u64, report.stats.rounds + 1);
         assert_eq!(
             stream.iter().map(|r| r.messages).sum::<u64>(),
@@ -1392,7 +1387,6 @@ mod obs_tests {
         assert_eq!(opt_report.stats, seed_report.stats);
         // RoundMetrics equality ignores wall-clock columns, so the streams
         // must match row for row.
-        assert_eq!(opt_report.metrics, seed_report.metrics);
         assert_eq!(
             opt.with(|r| r.stream().to_vec()),
             seed.with(|r| r.stream().to_vec())
@@ -1421,7 +1415,6 @@ mod obs_tests {
         .run()
         .unwrap();
         assert_eq!(serial_report.stats, pool_report.stats);
-        assert_eq!(serial_report.metrics, pool_report.metrics);
         assert_eq!(
             serial.with(|r| r.stream().to_vec()),
             pooled.with(|r| r.stream().to_vec())
@@ -1436,8 +1429,6 @@ mod obs_tests {
             .with_phase("ring")
             .with_observer(prof.observer());
         let report = Simulator::new(&topo, cfg, gossip(6)).run().unwrap();
-        // The profiler records no stream, so the report carries none.
-        assert!(report.metrics.is_none());
         prof.with(|p| {
             assert_eq!(p.profiles().len(), 1);
             let total = p.total();
@@ -1457,7 +1448,7 @@ mod obs_tests {
             .with_observer(rec.observer());
         let report = Simulator::new(&topo, cfg, gossip(8)).run().unwrap();
         assert!(report.stats.dropped > 0, "loss plan should fire");
-        let stream = report.metrics.expect("recorder attached");
+        let stream = rec.with(|r| r.stream().to_vec());
         assert_eq!(
             stream.iter().map(|r| r.dropped).sum::<u64>(),
             report.stats.dropped
@@ -1488,11 +1479,11 @@ mod obs_tests {
             let rec = SharedObserver::new(MetricsRecorder::new());
             (cfg.with_observer(rec.observer()), rec)
         };
-        let (serial_cfg, _) = observed(cfg());
+        let (serial_cfg, serial_rec) = observed(cfg());
         let serial = Simulator::new(&topo, serial_cfg, gossip(9)).run().unwrap();
-        let (pool_cfg, _) = observed(cfg().with_threads(3));
+        let (pool_cfg, pool_rec) = observed(cfg().with_threads(3));
         let pooled = Simulator::new(&topo, pool_cfg, gossip(9)).run().unwrap();
-        let (seed_cfg, _) = observed(cfg());
+        let (seed_cfg, seed_rec) = observed(cfg());
         let seed = ReferenceSimulator::new(&topo, seed_cfg, gossip(9))
             .run()
             .unwrap();
@@ -1505,9 +1496,9 @@ mod obs_tests {
         assert_eq!(serial.stats, seed.stats);
         assert_eq!(serial.outputs, pooled.outputs);
         assert_eq!(serial.outputs, seed.outputs);
-        assert_eq!(serial.metrics, pooled.metrics);
-        assert_eq!(serial.metrics, seed.metrics);
-        let stream = serial.metrics.expect("recorder attached");
+        let stream = serial_rec.with(|r| r.stream().to_vec());
+        assert_eq!(stream, pool_rec.with(|r| r.stream().to_vec()));
+        assert_eq!(stream, seed_rec.with(|r| r.stream().to_vec()));
         assert_eq!(
             stream.iter().map(|r| r.crashed).sum::<u64>(),
             serial.stats.crashed

@@ -22,13 +22,14 @@
 //!   ([`ExecutorKind`] — single-threaded, or a persistent worker pool with
 //!   bit-for-bit identical results), which detects quiescence, enforces
 //!   bandwidth, and collects [`RunStats`] (rounds, messages, bits),
-//! * [`obs`] — live observers: per-round metric streams, a wall-clock phase
-//!   profiler, and probes that check the paper's congestion/delay invariants
-//!   while a run executes (attach with [`Config::with_observer`]) — the one
-//!   way to watch a run,
-//! * [`trace`] — the observer that records a typed, causally ordered,
-//!   bounded event stream ([`TraceRecorder`]), for debugging and for testing
-//!   algorithm invariants (e.g. that two BFS waves never congest an edge).
+//! * [`obs`] — live observers, the one way to watch a run (attach with
+//!   [`Config::with_observer`]): per-round metric streams, a wall-clock phase
+//!   profiler, and a probe of the paper's congestion invariant, each a fold
+//!   over the engines' one event type,
+//! * [`trace`] — that event type ([`TraceEvent`]) and the recorder that
+//!   keeps a bounded stream of it ([`TraceRecorder`]), for debugging and for
+//!   testing algorithm invariants (e.g. that two BFS waves never congest an
+//!   edge).
 //!
 //! # Example
 //!
@@ -101,7 +102,7 @@ pub use message::{bits_for_count, bits_for_id, Envelope, Message, TraceTags, Wid
 pub use node::{Inbox, NodeContext, NodeId, Outbox, Port};
 pub use obs::{
     EdgeCongestionProbe, FanOut, MetricsRecorder, Observer, ObserverHandle, PhaseProfiler,
-    SharedObserver, TransportSummary, WaveArrivalProbe,
+    SharedObserver, TransportSummary,
 };
 pub use reference::ReferenceSimulator;
 pub use stats::RunStats;

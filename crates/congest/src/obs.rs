@@ -4,21 +4,24 @@
 //! waves of Algorithm 1 never congest an edge, the S-SP lemma bounds each
 //! wave's delay by `|S|`, and every theorem is a round or message bound.
 //! This module lets a run be watched while it happens instead of being
-//! summarized after the fact:
+//! summarized after the fact. There is one way to do it: every engine
+//! hands each [`TraceEvent`] of the run to an [`Observer`], and every
+//! observer is a fold over that one event type.
 //!
-//! * [`Observer`] — the hook trait both engines call at round start/end,
-//!   message commit, and drop events. Every hook has a default no-op body;
-//!   with no observer configured the engines skip the hook sites with a
-//!   single `Option` check, so observation costs nothing when disabled.
+//! * [`Observer`] — `on_event` plus a wall-clock `on_round_timing` hook.
+//!   With no observer configured the engines skip every emission site with
+//!   a single `Option` check and build no event, so observation costs
+//!   nothing when disabled.
+//! * [`TraceRecorder`](crate::TraceRecorder) — stores the events as
+//!   received, with per-kernel, per-edge and per-wave aggregates (the
+//!   Lemma 1 collision and Lemma 8 delay checks read the latter).
 //! * [`MetricsRecorder`] — a per-round metric stream (messages, bits,
 //!   drops, active senders, per-edge load histogram, max edge congestion,
 //!   wall-clock phase split), streamable to JSONL.
 //! * [`PhaseProfiler`] — per-phase wall-clock totals splitting each round
-//!   into deliver/step/commit time, so e.g. the "the sequential commit
-//!   phase dominates threaded runs" hypothesis becomes a measured number.
-//! * [`EdgeCongestionProbe`] and [`WaveArrivalProbe`] — live checks of the
-//!   paper's structural invariants (Lemma 1 wave spacing, S-SP delay)
-//!   over real runs.
+//!   into deliver/step/commit time.
+//! * [`EdgeCongestionProbe`] — a live check of Lemma 1's per-edge
+//!   congestion bound over real runs.
 //!
 //! Attach an observer with [`Config::with_observer`](crate::Config) and
 //! keep a typed handle via [`SharedObserver`] to read the recording back:
@@ -47,76 +50,24 @@
 //! let recorder = SharedObserver::new(MetricsRecorder::new());
 //! let cfg = Config::for_n(2).with_observer(recorder.observer());
 //! let report = Simulator::new(&topo, cfg, |_| Greeter { heard: false }).run()?;
-//! // The report carries this run's stream; the shared recorder keeps the
-//! // full (possibly multi-phase) stream for JSONL export.
-//! let stream = report.metrics.expect("recorder attached");
-//! assert_eq!(stream.iter().map(|r| r.messages).sum::<u64>(), report.stats.messages);
-//! recorder.with(|r| assert_eq!(r.stream().len(), stream.len()));
+//! // The shared recorder keeps the (possibly multi-phase) stream.
+//! recorder.with(|r| {
+//!     assert_eq!(r.stream().len() as u64, report.stats.rounds + 1);
+//!     assert_eq!(r.stream().iter().map(|row| row.messages).sum::<u64>(), report.stats.messages);
+//! });
 //! # Ok(())
 //! # }
 //! ```
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use crate::config::{DropReason, TopologyEvent};
-use crate::message::TraceTags;
-use crate::node::{NodeId, Port};
-use crate::stats::RunStats;
-
-/// What the engine tells an observer when a run begins.
-#[derive(Clone, Copy, Debug)]
-pub struct RunInfo<'a> {
-    /// The phase label from [`Config::with_phase`](crate::Config), or `""`
-    /// if the run is unlabeled.
-    pub phase: &'a str,
-    /// Number of nodes in the topology.
-    pub nodes: usize,
-    /// Number of *directed* edges (`2m`); directed edge indices in
-    /// [`MessageEvent::edge`] range over `0..directed_edges`.
-    pub directed_edges: usize,
-    /// Number of nodes that run `on_start` (everyone not crashed at round
-    /// 0) — the round-0 scheduled count, mirrored into the metric
-    /// stream's first row.
-    pub started: u64,
-}
-
-/// One committed (accepted-for-delivery) message, as seen by the engine's
-/// sequential commit phase.
-#[derive(Clone, Copy, Debug)]
-pub struct MessageEvent {
-    /// The round whose commit produced this message (`0` for sends queued
-    /// in `on_start`). The message is delivered at `send_round + 1`.
-    pub send_round: u64,
-    /// The sending node.
-    pub from: NodeId,
-    /// The receiving node.
-    pub to: NodeId,
-    /// The receiver's port the message will arrive on.
-    pub to_port: Port,
-    /// The directed edge the message crosses, as a flat index in
-    /// `0..2m` (see [`Topology::directed_edge_index`](crate::Topology)).
-    pub edge: u32,
-    /// The opposite direction of the same undirected edge
-    /// (`directed_edge_index(to, to_port)`); `min(edge, reverse_edge)` is a
-    /// canonical undirected-edge key.
-    pub reverse_edge: u32,
-    /// Payload size in bits.
-    pub bits: u32,
-    /// The logical stream this message belongs to, if the message type
-    /// reports one via [`Message::stream_id`](crate::Message::stream_id)
-    /// (e.g. the BFS root a wave announcement serves).
-    pub stream: Option<u32>,
-    /// Per-kernel attribution tags reported by the message via
-    /// [`Message::trace_tags`](crate::Message::trace_tags): which kernels
-    /// of a composed stack contributed components, and whether the
-    /// transport layer marked the frame as a retransmission / ack carrier.
-    pub tags: TraceTags,
-}
+use crate::node::NodeId;
+use crate::trace::TraceEvent;
 
 /// Wall-clock split of one engine round. Only measured while an observer is
-/// attached; all-zero otherwise.
+/// attached, and reported through [`Observer::on_round_timing`] — never
+/// inside a [`TraceEvent`], which keeps event streams deterministic.
 ///
 /// The optimized engine's phase pipeline times each phase on the engine
 /// thread, bracketing the executor's `deliver`/`step`/`commit` calls, so
@@ -126,12 +77,11 @@ pub struct MessageEvent {
 /// buckets from per-node clocks instead.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RoundTiming {
-    /// Inbox turnover: swapping (serial executor), distributing shards to
-    /// workers (pool executor), or allocating (seed engine) the per-node
-    /// inbox buffers. The zero-allocation engine fuses delivery
+    /// Inbox turnover: carving arrivals (serial executor), distributing
+    /// shards to workers (pool executor), or allocating (seed engine) the
+    /// per-node inbox buffers. The zero-allocation engine fuses delivery
     /// enqueueing into commit and inbox sorting into step, so its deliver
-    /// share is near zero *by design* — the contrast against the seed
-    /// engine's per-round allocations is itself an observable.
+    /// share is near zero *by design*.
     pub deliver: Duration,
     /// Node-local `on_round` execution. The pool executor runs this phase
     /// on its workers (which also pre-validate outboxes into staged
@@ -146,10 +96,10 @@ pub struct RoundTiming {
 
 /// End-of-run transport-layer telemetry: what a reliable-delivery
 /// synchronizer (the kernel layer's `ReliableKernel`) did over a whole run,
-/// aggregated across nodes. Reported to observers via
-/// [`Observer::on_transport`] by entry points that wrap their protocol in a
-/// reliable transport, so retransmission telemetry lands in the same stream
-/// as the per-round metrics instead of only in an end-of-run struct.
+/// aggregated across nodes. Entry points that wrap their protocol in a
+/// reliable transport emit it as [`TraceEvent::Transport`] after the
+/// phase's `RunEnd`, so retransmission telemetry lands in the same stream
+/// as everything else.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransportSummary {
     /// Simulated rounds the transport ran for.
@@ -166,95 +116,31 @@ pub struct TransportSummary {
     pub gave_up: u64,
 }
 
-/// Hooks called by [`Simulator`](crate::Simulator) and
-/// [`ReferenceSimulator`](crate::ReferenceSimulator) while a run executes.
+/// What watches a run. [`Simulator`](crate::Simulator) and
+/// [`ReferenceSimulator`](crate::ReferenceSimulator) hand every
+/// [`TraceEvent`] to `on_event`, on the engine thread, in one
+/// deterministic order per run:
 ///
-/// All hooks run on the engine's main thread, in deterministic order:
-/// `on_run_start`, then per round `on_round_start` → `on_message`/`on_drop`
-/// (in node-id commit order) → `on_sched` → `on_round_end` →
-/// `on_quiescence`, and
-/// finally (`on_terminate` if the run quiesced early, then) `on_run_end`.
-/// Messages queued in `on_start` are committed *before* the first
-/// `on_round_start`, with `send_round == 0`, and the round-0 vote poll
-/// reports via `on_quiescence(0, …)` right after.
+/// ```text
+/// RunStart (Message|Drop)* QuiescenceVotes(0)
+///     ( TopologyChange* Drop* RoundStart Crash* (Message|Drop)* RoundEnd QuiescenceVotes )*
+///     EarlyTermination? RunEnd
+/// ```
 ///
-/// Every hook has a no-op default, so an observer implements only what it
-/// needs.
+/// The first `(Message|Drop)*` are the `on_start` sends (send round 0).
+/// Each round then opens at the churn choke point — plan events, then the
+/// in-flight messages they severed — books its crash windows and commits
+/// every outbox in node-id order. A reliable-transport entry point appends
+/// one [`TraceEvent::Transport`] after its phase's `RunEnd`.
+///
+/// `on_round_timing` reports each round's wall-clock split right before
+/// that round's `RoundEnd`; it is a separate hook so that events stay
+/// free of wall-clock data and bit-identical across engines.
 pub trait Observer: Send {
-    /// A simulation run begins (one per engine `run()`; composite pipelines
-    /// produce one call per phase).
-    fn on_run_start(&mut self, _info: &RunInfo<'_>) {}
-    /// Round `round` begins; `delivered` messages (sent in `round - 1`) are
-    /// about to be handed to the nodes, and `scheduled` nodes are on this
-    /// round's schedule (nodes with arrivals or awake — the set the
-    /// active-set engine steps; the dense reference engine reports the
-    /// same count while still stepping everyone).
-    fn on_round_start(&mut self, _round: u64, _delivered: u64, _scheduled: u64) {}
-    /// A message passed validation and was accepted for delivery.
-    fn on_message(&mut self, _ev: &MessageEvent) {}
-    /// A message was dropped by the configured
-    /// [`FaultPlan`](crate::FaultPlan) during round `send_round`'s commit;
-    /// `reason` says whether a loss rule fired or the receiver was inside a
-    /// crash window at delivery time. `tags` carries the dropped message's
-    /// per-kernel attribution (see [`TraceTags`]).
-    fn on_drop(
-        &mut self,
-        _send_round: u64,
-        _from: NodeId,
-        _from_port: Port,
-        _reason: DropReason,
-        _tags: TraceTags,
-    ) {
-    }
-    /// Node `node` sits out round `round` inside a
-    /// [`CrashWindow`](crate::CrashWindow). Called once per crashed node
-    /// per round, in node-id order, between `on_round_start` and the
-    /// round's commit events.
-    fn on_crash(&mut self, _round: u64, _node: NodeId) {}
-    /// One [`TopologyPlan`](crate::TopologyPlan) event took effect at the
-    /// start of round `round` (the churn choke point). Called once per
-    /// event in plan order, *before* `on_round_start(round, …)` — the
-    /// batch mutates the topology before the round's schedule is built.
-    /// Any in-flight messages purged off the batch's dead links follow as
-    /// `on_drop` calls with [`DropReason::TopologyChange`] and the
-    /// previous round as their send round.
-    fn on_topology(&mut self, _round: u64, _event: &TopologyEvent) {}
-    /// Round `round`'s scheduler telemetry: the executor stepped the
-    /// round's schedule as `chunks` frontier chunks, of which `steals`
-    /// were executed by a worker other than their home worker (see
-    /// [`PoolSched`](crate::PoolSched)). Called immediately before
-    /// `on_round_end`, on every engine; executors without a chunk
-    /// scheduler (serial, the dense reference) report `(0, 0)`. The
-    /// counts are timing-dependent load-balance telemetry, *not* part of
-    /// the deterministic model — recorders must keep them out of
-    /// equality comparisons.
-    fn on_sched(&mut self, _round: u64, _chunks: u64, _steals: u64) {}
-    /// Round `round` finished committing.
-    fn on_round_end(&mut self, _round: u64, _timing: &RoundTiming) {}
-    /// The termination-vote tally of round `round`'s quiescence poll:
-    /// `active + passive + shutdown` counts sum to the number of polled
-    /// nodes (everyone for the round-0 poll after `on_start`, the round's
-    /// scheduled set afterwards — crashed scheduled nodes vote with their
-    /// frozen state). Called after `on_round_end` (and after the start
-    /// commits for round 0), on every engine at the same points.
-    fn on_quiescence(&mut self, _round: u64, _active: u64, _passive: u64, _shutdown: u64) {}
-    /// The run is about to stop early because the quiescence votes became
-    /// terminal after round `round` with `in_flight` undelivered messages
-    /// (zero unless the vote was unanimous shutdown). Called before
-    /// `on_run_end`; never called when the round horizon aborts the run.
-    fn on_terminate(&mut self, _round: u64, _in_flight: u64) {}
-    /// A reliable-transport entry point finished a run and reports its
-    /// aggregated transport telemetry (called after `on_run_end`, outside
-    /// the engine, by wrappers that own the transport state).
-    fn on_transport(&mut self, _summary: &TransportSummary) {}
-    /// The run reached quiescence; `stats` is final (including wall time).
-    fn on_run_end(&mut self, _stats: &RunStats) {}
-    /// Called once after `on_run_end`: an observer that records a per-round
-    /// metric stream returns this run's rows here so the engine can attach
-    /// them to the [`Report`](crate::Report). Default `None`.
-    fn take_run_stream(&mut self) -> Option<Vec<RoundMetrics>> {
-        None
-    }
+    /// One event of the run, in the order documented on the trait.
+    fn on_event(&mut self, ev: &TraceEvent);
+    /// Round `round`'s deliver/step/commit wall-clock split. Default no-op.
+    fn on_round_timing(&mut self, _round: u64, _timing: &RoundTiming) {}
 }
 
 /// A type-erased, shareable observer slot carried by
@@ -273,11 +159,11 @@ impl ObserverHandle {
         ObserverHandle(Arc::new(Mutex::new(observer)))
     }
 
-    /// Locks the observer for a batch of hook calls.
+    /// Locks the observer for a batch of events.
     ///
-    /// The engines call hooks from a single thread, so the lock is
-    /// uncontended there; a poisoned lock (an observer panicked) is
-    /// recovered rather than propagated.
+    /// The engines emit from a single thread, so the lock is uncontended
+    /// there; a poisoned lock (an observer panicked) is recovered rather
+    /// than propagated.
     pub fn lock(&self) -> MutexGuard<'_, dyn Observer + 'static> {
         self.0
             .lock()
@@ -295,7 +181,8 @@ impl std::fmt::Debug for ObserverHandle {
 ///
 /// [`ObserverHandle`] erases the observer's type so [`Config`](crate::Config)
 /// can carry any observer; `SharedObserver` keeps the concrete type so the
-/// caller can inspect the recording afterwards (see the module example).
+/// caller can inspect the recording afterwards (see the module example) —
+/// the only way a recording is read back.
 pub struct SharedObserver<O> {
     inner: Arc<Mutex<O>>,
 }
@@ -332,95 +219,30 @@ impl<O> Clone for SharedObserver<O> {
     }
 }
 
-/// Fans every hook out to several observers, in order.
-///
-/// Lets one run feed e.g. a [`MetricsRecorder`] and an invariant probe at
-/// once. Only the *first* observer's [`Observer::take_run_stream`] feeds the
-/// report, so put the recorder first.
+/// Hands every event and timing report to several observers, in order —
+/// e.g. a [`MetricsRecorder`] and an invariant probe on one run.
 pub struct FanOut {
     observers: Vec<ObserverHandle>,
 }
 
 impl FanOut {
-    /// Combines `observers`; hooks are forwarded in the given order.
+    /// Combines `observers`; events are forwarded in the given order.
     pub fn new(observers: Vec<ObserverHandle>) -> Self {
         FanOut { observers }
     }
 }
 
 impl Observer for FanOut {
-    fn on_run_start(&mut self, info: &RunInfo<'_>) {
+    fn on_event(&mut self, ev: &TraceEvent) {
         for obs in &self.observers {
-            obs.lock().on_run_start(info);
+            obs.lock().on_event(ev);
         }
     }
-    fn on_round_start(&mut self, round: u64, delivered: u64, scheduled: u64) {
+
+    fn on_round_timing(&mut self, round: u64, timing: &RoundTiming) {
         for obs in &self.observers {
-            obs.lock().on_round_start(round, delivered, scheduled);
+            obs.lock().on_round_timing(round, timing);
         }
-    }
-    fn on_message(&mut self, ev: &MessageEvent) {
-        for obs in &self.observers {
-            obs.lock().on_message(ev);
-        }
-    }
-    fn on_drop(
-        &mut self,
-        send_round: u64,
-        from: NodeId,
-        from_port: Port,
-        reason: DropReason,
-        tags: TraceTags,
-    ) {
-        for obs in &self.observers {
-            obs.lock()
-                .on_drop(send_round, from, from_port, reason, tags);
-        }
-    }
-    fn on_crash(&mut self, round: u64, node: NodeId) {
-        for obs in &self.observers {
-            obs.lock().on_crash(round, node);
-        }
-    }
-    fn on_topology(&mut self, round: u64, event: &TopologyEvent) {
-        for obs in &self.observers {
-            obs.lock().on_topology(round, event);
-        }
-    }
-    fn on_sched(&mut self, round: u64, chunks: u64, steals: u64) {
-        for obs in &self.observers {
-            obs.lock().on_sched(round, chunks, steals);
-        }
-    }
-    fn on_round_end(&mut self, round: u64, timing: &RoundTiming) {
-        for obs in &self.observers {
-            obs.lock().on_round_end(round, timing);
-        }
-    }
-    fn on_quiescence(&mut self, round: u64, active: u64, passive: u64, shutdown: u64) {
-        for obs in &self.observers {
-            obs.lock().on_quiescence(round, active, passive, shutdown);
-        }
-    }
-    fn on_terminate(&mut self, round: u64, in_flight: u64) {
-        for obs in &self.observers {
-            obs.lock().on_terminate(round, in_flight);
-        }
-    }
-    fn on_transport(&mut self, summary: &TransportSummary) {
-        for obs in &self.observers {
-            obs.lock().on_transport(summary);
-        }
-    }
-    fn on_run_end(&mut self, stats: &RunStats) {
-        for obs in &self.observers {
-            obs.lock().on_run_end(stats);
-        }
-    }
-    fn take_run_stream(&mut self) -> Option<Vec<RoundMetrics>> {
-        self.observers
-            .first()
-            .and_then(|obs| obs.lock().take_run_stream())
     }
 }
 
@@ -428,12 +250,11 @@ impl Observer for FanOut {
 ///
 /// Row `r` accounts for the commits performed during round `r` (row 0 holds
 /// the `on_start` sends): `messages`/`bits` were accepted for delivery at
-/// round `r + 1`, `dropped` were discarded by the fault plan, `crashed`
-/// counts the nodes sitting out round `r` inside a crash window. Summing a
-/// column over the stream therefore reproduces the corresponding
-/// [`RunStats`] total exactly, and a stream always has
-/// `stats.rounds + 1` rows.
-#[derive(Clone, Debug)]
+/// round `r + 1`, `dropped` were discarded, `crashed` counts the nodes
+/// sitting out round `r` inside a crash window. Summing a column over the
+/// stream therefore reproduces the corresponding [`RunStats`](crate::RunStats)
+/// total exactly, and a stream always has `stats.rounds + 1` rows.
+#[derive(Clone, Debug, Default)]
 pub struct RoundMetrics {
     /// The phase label of the run this row belongs to (`""` unlabeled).
     pub phase: Arc<str>,
@@ -443,16 +264,14 @@ pub struct RoundMetrics {
     pub messages: u64,
     /// Payload bits committed this round.
     pub bits: u64,
-    /// Messages dropped by the fault plan this round (loss rules plus
-    /// deliveries into crash windows).
+    /// Messages dropped this round (loss rules, deliveries into crash
+    /// windows, and in-flight messages a churn batch severed entering it).
     pub dropped: u64,
     /// Nodes sitting out this round inside a crash window.
     pub crashed: u64,
     /// [`TopologyPlan`](crate::TopologyPlan) events that took effect
-    /// entering this row's round (applied at the churn choke point, before
-    /// the round's deliveries). Summing the column reproduces
-    /// [`RunStats::topo_events`]; deterministic, so it participates in
-    /// equality.
+    /// entering this row's round. Summing the column reproduces
+    /// `RunStats::topo_events`.
     pub topo_events: u64,
     /// Frames committed (or dropped) this round that the transport layer
     /// marked as retransmissions. Summing the column over a reliable run
@@ -471,26 +290,14 @@ pub struct RoundMetrics {
     pub votes_shutdown: u64,
     /// Distinct nodes that sent at least one message this round.
     pub active_nodes: u32,
-    /// Nodes on this round's schedule (arrivals waiting or awake) — the
-    /// set the active-set engine steps. Row 0 counts the nodes that ran
-    /// `on_start`. Summing the column reproduces
-    /// [`RunStats::scheduled_node_rounds`]; the column maximum is
-    /// [`RunStats::max_scheduled_per_round`].
+    /// Nodes on this round's schedule (arrivals waiting or awake). Row 0
+    /// counts the nodes that ran `on_start`. Summing the column reproduces
+    /// `RunStats::scheduled_node_rounds`; the column maximum is
+    /// `RunStats::max_scheduled_per_round`.
     pub scheduled_nodes: u64,
-    /// Frontier chunks the executor stepped this round (0 on executors
-    /// without a chunk scheduler). Summing the column reproduces
-    /// [`RunStats::chunks_stepped`]. Load-balance telemetry like the
-    /// `*_ns` columns: excluded from equality, included in the JSON.
-    pub chunks: u64,
-    /// Chunks stepped by a worker other than their home worker this round
-    /// (see [`PoolSched`](crate::PoolSched)). Summing the column
-    /// reproduces [`RunStats::steals`]; timing-dependent, excluded from
-    /// equality.
-    pub steals: u64,
     /// The largest number of messages any single *undirected* edge carried
     /// this round (at most 2 — one per direction — by the engine's
-    /// bandwidth discipline; the interesting signal is how close the
-    /// average load comes to it).
+    /// bandwidth discipline).
     pub max_edge_load: u32,
     /// `edge_load_hist[l - 1]` = number of undirected edges that carried
     /// exactly `l` messages this round.
@@ -504,29 +311,12 @@ pub struct RoundMetrics {
 }
 
 impl RoundMetrics {
-    fn new(phase: Arc<str>, round: u64) -> Self {
+    fn new(phase: Arc<str>, round: u64, scheduled_nodes: u64) -> Self {
         RoundMetrics {
             phase,
             round,
-            messages: 0,
-            bits: 0,
-            dropped: 0,
-            crashed: 0,
-            topo_events: 0,
-            retransmits: 0,
-            acks: 0,
-            votes_active: 0,
-            votes_passive: 0,
-            votes_shutdown: 0,
-            active_nodes: 0,
-            scheduled_nodes: 0,
-            chunks: 0,
-            steals: 0,
-            max_edge_load: 0,
-            edge_load_hist: Vec::new(),
-            deliver_ns: 0,
-            step_ns: 0,
-            commit_ns: 0,
+            scheduled_nodes,
+            ..RoundMetrics::default()
         }
     }
 
@@ -539,9 +329,7 @@ impl RoundMetrics {
                 "\"dropped\":{},\"crashed\":{},\"topo_events\":{},",
                 "\"retransmits\":{},\"acks\":{},",
                 "\"votes_active\":{},\"votes_passive\":{},\"votes_shutdown\":{},",
-                "\"active_nodes\":{},",
-                "\"scheduled_nodes\":{},\"chunks\":{},\"steals\":{},",
-                "\"max_edge_load\":{},",
+                "\"active_nodes\":{},\"scheduled_nodes\":{},\"max_edge_load\":{},",
                 "\"edge_load_hist\":[{}],\"deliver_ns\":{},\"step_ns\":{},",
                 "\"commit_ns\":{}}}"
             ),
@@ -559,8 +347,6 @@ impl RoundMetrics {
             self.votes_shutdown,
             self.active_nodes,
             self.scheduled_nodes,
-            self.chunks,
-            self.steals,
             self.max_edge_load,
             hist.join(","),
             self.deliver_ns,
@@ -571,9 +357,9 @@ impl RoundMetrics {
 }
 
 /// Equality over the model-level columns only; the `*_ns` wall-clock
-/// fields and the `chunks`/`steals` scheduler telemetry are ignored so
-/// that deterministic runs compare equal across engines and thread counts
-/// (the same convention as [`RunStats`]'s `PartialEq`).
+/// fields are ignored so that deterministic runs compare equal across
+/// engines and thread counts (the same convention as
+/// [`RunStats`](crate::RunStats)'s `PartialEq`).
 impl PartialEq for RoundMetrics {
     fn eq(&self, other: &Self) -> bool {
         self.phase == other.phase
@@ -601,27 +387,22 @@ impl Eq for RoundMetrics {}
 ///
 /// The stream row semantics are documented on [`RoundMetrics`]. Multi-phase
 /// pipelines that share one recorder across phases accumulate one
-/// concatenated stream; each phase's [`Report`](crate::Report) additionally
-/// carries just that run's rows.
+/// concatenated stream, each row labeled with its phase.
 #[derive(Default)]
 pub struct MetricsRecorder {
     stream: Vec<RoundMetrics>,
-    /// Index into `stream` where the current run began.
-    run_start: usize,
     phase: Option<Arc<str>>,
     /// Per-undirected-edge message count for the current round; sized
-    /// `m` at `on_run_start`, cleared via `touched`.
+    /// `2m` at `RunStart`, cleared via `touched`.
     edge_load: Vec<u32>,
     touched: Vec<u32>,
     last_sender: Option<NodeId>,
-    /// Topology events seen since the last `on_round_start`. The churn
-    /// choke point fires `on_topology` for round `r` *before*
-    /// `on_round_start(r, …)`, so the count is buffered here and folded
-    /// into round `r`'s row when that row is opened.
+    /// Topology events seen since the last `RoundStart`: the churn choke
+    /// point emits round `r`'s events *before* `RoundStart(r)`, so the
+    /// count is buffered here and folded into row `r` when it opens.
     pending_topo: u64,
-    /// End-of-run transport telemetry, one entry per reliable run that
-    /// reported via [`Observer::on_transport`], labeled with the phase it
-    /// arrived under.
+    /// End-of-run transport telemetry, one entry per reliable run,
+    /// labeled with the phase it arrived under.
     transports: Vec<(Arc<str>, TransportSummary)>,
 }
 
@@ -636,8 +417,8 @@ impl MetricsRecorder {
         &self.stream
     }
 
-    /// Transport-layer telemetry reported via [`Observer::on_transport`],
-    /// one `(phase, summary)` entry per reliable run observed.
+    /// Transport-layer telemetry from [`TraceEvent::Transport`], one
+    /// `(phase, summary)` entry per reliable run observed.
     pub fn transports(&self) -> &[(Arc<str>, TransportSummary)] {
         &self.transports
     }
@@ -679,6 +460,10 @@ impl MetricsRecorder {
             .expect("row exists while a run is active")
     }
 
+    fn phase(&self) -> Arc<str> {
+        self.phase.clone().unwrap_or_else(|| Arc::from(""))
+    }
+
     /// Folds the current round's edge loads into the open row and resets
     /// the scratch counters.
     fn seal_round(&mut self) {
@@ -699,119 +484,109 @@ impl MetricsRecorder {
         row.max_edge_load = max;
         row.edge_load_hist = hist;
     }
-}
 
-impl Observer for MetricsRecorder {
-    fn on_run_start(&mut self, info: &RunInfo<'_>) {
-        let phase: Arc<str> = Arc::from(info.phase);
-        self.run_start = self.stream.len();
-        // Keyed by `min(edge, reverse_edge)`, so both directions of one
-        // undirected edge land in the same counter; sized by the directed
-        // range since the canonical keys live inside it.
-        self.edge_load.clear();
-        self.edge_load.resize(info.directed_edges, 0);
-        self.touched.clear();
-        self.last_sender = None;
-        self.pending_topo = 0;
-        let mut row = RoundMetrics::new(phase.clone(), 0);
-        row.scheduled_nodes = info.started;
-        self.stream.push(row);
-        self.phase = Some(phase);
-    }
-
-    fn on_round_start(&mut self, round: u64, _delivered: u64, scheduled: u64) {
-        self.seal_round();
-        let phase = self.phase.clone().unwrap_or_else(|| Arc::from(""));
-        let mut row = RoundMetrics::new(phase, round);
-        row.scheduled_nodes = scheduled;
-        row.topo_events = self.pending_topo;
-        self.pending_topo = 0;
-        self.stream.push(row);
-    }
-
-    fn on_topology(&mut self, _round: u64, _event: &TopologyEvent) {
-        self.pending_topo += 1;
-    }
-
-    fn on_message(&mut self, ev: &MessageEvent) {
-        let key = ev.edge.min(ev.reverse_edge);
-        // Churn-inserted edges carry directed indices past the run-start
-        // `2m` sizing; grow the per-edge counters on demand.
-        if key as usize >= self.edge_load.len() {
-            self.edge_load.resize(key as usize + 1, 0);
-        }
-        let load = &mut self.edge_load[key as usize];
-        *load += 1;
-        if *load == 1 {
-            self.touched.push(key);
-        }
-        let row = self.row();
-        row.messages += 1;
-        row.bits += u64::from(ev.bits);
-        row.retransmits += u64::from(ev.tags.retransmit);
-        row.acks += u64::from(ev.tags.ack);
-        if self.last_sender != Some(ev.from) {
-            self.last_sender = Some(ev.from);
-            self.row().active_nodes += 1;
-        }
-    }
-
-    fn on_drop(
-        &mut self,
-        _send_round: u64,
-        from: NodeId,
-        _from_port: Port,
-        _reason: DropReason,
-        tags: TraceTags,
-    ) {
-        let row = self.row();
-        row.dropped += 1;
-        // Dropped frames still count toward the transport columns — that
-        // keeps the column sums equal to the transport's send-side totals.
-        row.retransmits += u64::from(tags.retransmit);
-        row.acks += u64::from(tags.ack);
-        // A dropped send still makes the sender active this round.
+    /// Counts `from` as active in the open row the first time it sends.
+    fn sender(&mut self, from: NodeId) {
         if self.last_sender != Some(from) {
             self.last_sender = Some(from);
             self.row().active_nodes += 1;
         }
     }
+}
 
-    fn on_crash(&mut self, _round: u64, _node: NodeId) {
-        self.row().crashed += 1;
+impl Observer for MetricsRecorder {
+    fn on_event(&mut self, ev: &TraceEvent) {
+        match *ev {
+            TraceEvent::RunStart {
+                ref phase,
+                edges,
+                started,
+                ..
+            } => {
+                let phase: Arc<str> = Arc::from(phase.as_str());
+                // Keyed by `min(edge, reverse_edge)`, so both directions of
+                // one undirected edge land in the same counter; sized by the
+                // directed range since the canonical keys live inside it.
+                self.edge_load.clear();
+                self.edge_load.resize(edges as usize, 0);
+                self.touched.clear();
+                self.last_sender = None;
+                self.pending_topo = 0;
+                self.stream
+                    .push(RoundMetrics::new(phase.clone(), 0, started));
+                self.phase = Some(phase);
+            }
+            TraceEvent::RoundStart {
+                round, scheduled, ..
+            } => {
+                self.seal_round();
+                let mut row = RoundMetrics::new(self.phase(), round, scheduled);
+                row.topo_events = std::mem::take(&mut self.pending_topo);
+                self.stream.push(row);
+            }
+            TraceEvent::TopologyChange { .. } => self.pending_topo += 1,
+            TraceEvent::Message {
+                from,
+                edge,
+                reverse_edge,
+                bits,
+                tags,
+                ..
+            } => {
+                let key = edge.min(reverse_edge);
+                // Churn-inserted edges carry directed indices past the
+                // run-start `2m` sizing; grow the counters on demand.
+                if key as usize >= self.edge_load.len() {
+                    self.edge_load.resize(key as usize + 1, 0);
+                }
+                let load = &mut self.edge_load[key as usize];
+                *load += 1;
+                if *load == 1 {
+                    self.touched.push(key);
+                }
+                let row = self.row();
+                row.messages += 1;
+                row.bits += u64::from(bits);
+                row.retransmits += u64::from(tags.retransmit);
+                row.acks += u64::from(tags.ack);
+                self.sender(from);
+            }
+            TraceEvent::Drop { from, tags, .. } => {
+                let row = self.row();
+                row.dropped += 1;
+                // Dropped frames still count toward the transport columns —
+                // that keeps the column sums equal to the send-side totals.
+                row.retransmits += u64::from(tags.retransmit);
+                row.acks += u64::from(tags.ack);
+                // A dropped send still makes the sender active this round.
+                self.sender(from);
+            }
+            TraceEvent::Crash { .. } => self.row().crashed += 1,
+            TraceEvent::QuiescenceVotes {
+                active,
+                passive,
+                shutdown,
+                ..
+            } => {
+                let row = self.row();
+                row.votes_active = active;
+                row.votes_passive = passive;
+                row.votes_shutdown = shutdown;
+            }
+            TraceEvent::RunEnd { .. } => self.seal_round(),
+            TraceEvent::Transport(summary) => {
+                let phase = self.phase();
+                self.transports.push((phase, summary));
+            }
+            TraceEvent::RoundEnd { .. } | TraceEvent::EarlyTermination { .. } => {}
+        }
     }
 
-    fn on_quiescence(&mut self, _round: u64, active: u64, passive: u64, shutdown: u64) {
-        let row = self.row();
-        row.votes_active = active;
-        row.votes_passive = passive;
-        row.votes_shutdown = shutdown;
-    }
-
-    fn on_transport(&mut self, summary: &TransportSummary) {
-        let phase = self.phase.clone().unwrap_or_else(|| Arc::from(""));
-        self.transports.push((phase, *summary));
-    }
-
-    fn on_sched(&mut self, _round: u64, chunks: u64, steals: u64) {
-        let row = self.row();
-        row.chunks = chunks;
-        row.steals = steals;
-    }
-
-    fn on_round_end(&mut self, _round: u64, timing: &RoundTiming) {
+    fn on_round_timing(&mut self, _round: u64, timing: &RoundTiming) {
         let row = self.row();
         row.deliver_ns = timing.deliver.as_nanos() as u64;
         row.step_ns = timing.step.as_nanos() as u64;
         row.commit_ns = timing.commit.as_nanos() as u64;
-    }
-
-    fn on_run_end(&mut self, _stats: &RunStats) {
-        self.seal_round();
-    }
-
-    fn take_run_stream(&mut self) -> Option<Vec<RoundMetrics>> {
-        Some(self.stream[self.run_start..].to_vec())
     }
 }
 
@@ -828,7 +603,7 @@ pub struct PhaseProfile {
     pub rounds: u64,
     /// Messages committed.
     pub messages: u64,
-    /// Messages dropped by the fault plan.
+    /// Messages dropped.
     pub dropped: u64,
     /// Crashed node-rounds.
     pub crashed: u64,
@@ -879,41 +654,27 @@ impl PhaseProfiler {
 }
 
 impl Observer for PhaseProfiler {
-    fn on_run_start(&mut self, info: &RunInfo<'_>) {
-        self.profiles.push(PhaseProfile {
-            phase: info.phase.to_string(),
-            ..PhaseProfile::default()
-        });
-    }
-
-    fn on_message(&mut self, _ev: &MessageEvent) {
-        if let Some(p) = self.profiles.last_mut() {
-            p.messages += 1;
+    fn on_event(&mut self, ev: &TraceEvent) {
+        if let TraceEvent::RunStart { phase, .. } = ev {
+            self.profiles.push(PhaseProfile {
+                phase: phase.clone(),
+                ..PhaseProfile::default()
+            });
+        }
+        let Some(p) = self.profiles.last_mut() else {
+            return;
+        };
+        match *ev {
+            TraceEvent::Message { .. } => p.messages += 1,
+            TraceEvent::Drop { .. } => p.dropped += 1,
+            TraceEvent::Crash { .. } => p.crashed += 1,
+            TraceEvent::RoundEnd { round } => p.rounds = round,
+            _ => {}
         }
     }
 
-    fn on_drop(
-        &mut self,
-        _send_round: u64,
-        _from: NodeId,
-        _from_port: Port,
-        _reason: DropReason,
-        _tags: TraceTags,
-    ) {
+    fn on_round_timing(&mut self, _round: u64, timing: &RoundTiming) {
         if let Some(p) = self.profiles.last_mut() {
-            p.dropped += 1;
-        }
-    }
-
-    fn on_crash(&mut self, _round: u64, _node: NodeId) {
-        if let Some(p) = self.profiles.last_mut() {
-            p.crashed += 1;
-        }
-    }
-
-    fn on_round_end(&mut self, round: u64, timing: &RoundTiming) {
-        if let Some(p) = self.profiles.last_mut() {
-            p.rounds = round;
             p.deliver += timing.deliver;
             p.step += timing.step;
             p.commit += timing.commit;
@@ -948,7 +709,6 @@ pub struct EdgeCongestionProbe {
     limit: u32,
     phase_filter: Option<String>,
     active: bool,
-    round: u64,
     load: Vec<u32>,
     touched: Vec<u32>,
     max_load: u32,
@@ -996,139 +756,47 @@ impl EdgeCongestionProbe {
 }
 
 impl Observer for EdgeCongestionProbe {
-    fn on_run_start(&mut self, info: &RunInfo<'_>) {
-        self.active = self.phase_filter.as_deref().is_none_or(|f| f == info.phase);
-        if self.active {
-            self.load.clear();
-            self.load.resize(info.directed_edges, 0);
-            self.touched.clear();
-            self.round = 0;
-        }
-    }
-
-    fn on_round_start(&mut self, round: u64, _delivered: u64, _scheduled: u64) {
-        if self.active {
-            self.reset_round();
-            self.round = round;
-        }
-    }
-
-    fn on_message(&mut self, ev: &MessageEvent) {
-        if !self.active {
-            return;
-        }
-        // Churn-inserted edges index past the run-start `2m` sizing.
-        if ev.edge as usize >= self.load.len() {
-            self.load.resize(ev.edge as usize + 1, 0);
-        }
-        let load = &mut self.load[ev.edge as usize];
-        *load += 1;
-        if *load == 1 {
-            self.touched.push(ev.edge);
-        }
-        let load = *load;
-        self.max_load = self.max_load.max(load);
-        if load > self.limit {
-            self.violations.push(CongestionViolation {
-                round: self.round,
-                from: ev.from,
-                to: ev.to,
-                load,
-            });
-        }
-    }
-}
-
-/// Records, per (stream, receiver), the round a logical wave first reached
-/// a node — the raw data behind two paper invariants:
-///
-/// * **Lemma 1 (pebble-APSP):** consecutive BFS waves are spaced so that
-///   no node is first reached by two different waves in the same round —
-///   [`WaveArrivalProbe::node_collisions`] must be empty.
-/// * **S-SP delay:** a wave from source `s` first reaches `v` at most
-///   `|S|` rounds after the uncongested BFS schedule would —
-///   [`WaveArrivalProbe::max_delay`] must be at most `|S|`.
-///
-/// Only messages whose type reports a
-/// [`stream_id`](crate::Message::stream_id) are tracked, so unrelated phases
-/// (plain BFS, aggregations) pass through invisibly.
-#[derive(Debug, Default)]
-pub struct WaveArrivalProbe {
-    phase_filter: Option<String>,
-    active: bool,
-    /// `(stream, to)` → send round of the first wave message toward `to`.
-    first_arrival: HashMap<(u32, NodeId), u64>,
-}
-
-impl WaveArrivalProbe {
-    /// An empty probe observing every phase.
-    pub fn new() -> Self {
-        WaveArrivalProbe {
-            active: true,
-            ..WaveArrivalProbe::default()
-        }
-    }
-
-    /// Restricts the probe to runs whose phase label equals `phase`.
-    pub fn for_phase(mut self, phase: impl Into<String>) -> Self {
-        self.phase_filter = Some(phase.into());
-        self
-    }
-
-    /// The per-(stream, node) first-arrival send rounds.
-    pub fn first_arrivals(&self) -> &HashMap<(u32, NodeId), u64> {
-        &self.first_arrival
-    }
-
-    /// Nodes first reached by two distinct streams in the same round, as
-    /// `(node, round, stream_a, stream_b)` — Lemma 1 says pebble-APSP
-    /// produces none.
-    pub fn node_collisions(&self) -> Vec<(NodeId, u64, u32, u32)> {
-        let mut per_node: HashMap<(NodeId, u64), u32> = HashMap::new();
-        let mut collisions = Vec::new();
-        let mut entries: Vec<(&(u32, NodeId), &u64)> = self.first_arrival.iter().collect();
-        entries.sort_unstable();
-        for (&(stream, node), &round) in entries {
-            match per_node.entry((node, round)) {
-                std::collections::hash_map::Entry::Occupied(prev) => {
-                    collisions.push((node, round, *prev.get(), stream));
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(stream);
+    fn on_event(&mut self, ev: &TraceEvent) {
+        match *ev {
+            TraceEvent::RunStart {
+                ref phase, edges, ..
+            } => {
+                self.active = self.phase_filter.as_ref().is_none_or(|f| f == phase);
+                if self.active {
+                    self.reset_round();
+                    self.load.clear();
+                    self.load.resize(edges as usize, 0);
                 }
             }
-        }
-        collisions.sort_unstable();
-        collisions
-    }
-
-    /// The largest observed wave delay: `first_arrival(stream, v) -
-    /// dist(stream, v)`, maximized over all recorded arrivals, where `dist`
-    /// maps `(stream, node)` to the ideal (hop-distance) schedule. Returns
-    /// `None` if nothing was recorded or `dist` knows none of the pairs.
-    pub fn max_delay(&self, dist: impl Fn(u32, NodeId) -> Option<u64>) -> Option<i64> {
-        self.first_arrival
-            .iter()
-            .filter_map(|(&(stream, node), &round)| {
-                dist(stream, node).map(|d| round as i64 - d as i64)
-            })
-            .max()
-    }
-}
-
-impl Observer for WaveArrivalProbe {
-    fn on_run_start(&mut self, info: &RunInfo<'_>) {
-        self.active = self.phase_filter.as_deref().is_none_or(|f| f == info.phase);
-    }
-
-    fn on_message(&mut self, ev: &MessageEvent) {
-        if !self.active {
-            return;
-        }
-        if let Some(stream) = ev.stream {
-            self.first_arrival
-                .entry((stream, ev.to))
-                .or_insert(ev.send_round);
+            TraceEvent::RoundStart { .. } if self.active => self.reset_round(),
+            TraceEvent::Message {
+                round,
+                from,
+                to,
+                edge,
+                ..
+            } if self.active => {
+                // Churn-inserted edges index past the run-start `2m` sizing.
+                if edge as usize >= self.load.len() {
+                    self.load.resize(edge as usize + 1, 0);
+                }
+                let load = &mut self.load[edge as usize];
+                *load += 1;
+                if *load == 1 {
+                    self.touched.push(edge);
+                }
+                let load = *load;
+                self.max_load = self.max_load.max(load);
+                if load > self.limit {
+                    self.violations.push(CongestionViolation {
+                        round,
+                        from,
+                        to,
+                        load,
+                    });
+                }
+            }
+            _ => {}
         }
     }
 }
@@ -1136,49 +804,83 @@ impl Observer for WaveArrivalProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{DropReason, EdgeEvent, TopologyEvent};
+    use crate::message::TraceTags;
 
-    fn info(phase: &str) -> RunInfo<'_> {
-        RunInfo {
-            phase,
+    fn start(phase: &str) -> TraceEvent {
+        TraceEvent::RunStart {
+            phase: phase.into(),
             nodes: 4,
-            directed_edges: 6,
+            edges: 6,
             started: 4,
         }
     }
 
-    fn ev(
-        send_round: u64,
-        from: NodeId,
-        to: NodeId,
-        edge: u32,
-        reverse_edge: u32,
-        stream: Option<u32>,
-    ) -> MessageEvent {
-        MessageEvent {
-            send_round,
+    fn round(round: u64) -> TraceEvent {
+        TraceEvent::RoundStart {
+            round,
+            delivered: 0,
+            scheduled: 4,
+        }
+    }
+
+    fn msg(round: u64, from: NodeId, to: NodeId, edge: u32, reverse_edge: u32) -> TraceEvent {
+        TraceEvent::Message {
+            round,
             from,
             to,
             to_port: 0,
             edge,
             reverse_edge,
             bits: 8,
-            stream,
+            stream: None,
             tags: TraceTags::default(),
+        }
+    }
+
+    fn dropped(round: u64, from: NodeId, reason: DropReason, tags: TraceTags) -> TraceEvent {
+        TraceEvent::Drop {
+            round,
+            from,
+            port: 0,
+            reason,
+            tags,
+        }
+    }
+
+    const END: TraceEvent = TraceEvent::RunEnd {
+        rounds: 0,
+        messages: 0,
+    };
+
+    fn feed(obs: &mut impl Observer, events: &[TraceEvent]) {
+        for e in events {
+            obs.on_event(e);
         }
     }
 
     #[test]
     fn recorder_rows_account_per_round() {
         let mut rec = MetricsRecorder::new();
-        rec.on_run_start(&info("demo"));
-        rec.on_message(&ev(0, 0, 1, 0, 3, None));
-        rec.on_round_start(1, 1, 4);
-        rec.on_message(&ev(1, 1, 0, 2, 5, None));
-        rec.on_message(&ev(1, 1, 2, 3, 0, None));
-        rec.on_drop(1, 2, 0, DropReason::Loss, TraceTags::default());
-        rec.on_crash(1, 3);
-        rec.on_quiescence(1, 2, 1, 1);
-        rec.on_run_end(&RunStats::default());
+        feed(
+            &mut rec,
+            &[
+                start("demo"),
+                msg(0, 0, 1, 0, 3),
+                round(1),
+                msg(1, 1, 0, 2, 5),
+                msg(1, 1, 2, 3, 0),
+                dropped(1, 2, DropReason::Loss, TraceTags::default()),
+                TraceEvent::Crash { round: 1, node: 3 },
+                TraceEvent::QuiescenceVotes {
+                    round: 1,
+                    active: 2,
+                    passive: 1,
+                    shutdown: 1,
+                },
+                END,
+            ],
+        );
         let stream = rec.stream();
         assert_eq!(stream.len(), 2);
         assert_eq!(stream[0].round, 0);
@@ -1212,23 +914,36 @@ mod tests {
             retransmit: false,
             ack: true,
         };
+        let tagged = |tags| TraceEvent::Message {
+            round: 0,
+            from: 0,
+            to: 1,
+            to_port: 0,
+            edge: 0,
+            reverse_edge: 3,
+            bits: 8,
+            stream: None,
+            tags,
+        };
         let mut rec = MetricsRecorder::new();
-        rec.on_run_start(&info("rel"));
-        let mut e = ev(0, 0, 1, 0, 3, None);
-        e.tags = retx;
-        rec.on_message(&e);
-        e.tags = ack;
-        rec.on_message(&e);
-        rec.on_drop(0, 2, 0, DropReason::Loss, retx);
-        rec.on_transport(&TransportSummary {
-            sim_rounds: 4,
-            frames_sent: 3,
-            retransmissions: 2,
-            acks_sent: 1,
-            truncated_sends: 0,
-            gave_up: 0,
-        });
-        rec.on_run_end(&RunStats::default());
+        feed(
+            &mut rec,
+            &[
+                start("rel"),
+                tagged(retx),
+                tagged(ack),
+                dropped(0, 2, DropReason::Loss, retx),
+                END,
+                TraceEvent::Transport(TransportSummary {
+                    sim_rounds: 4,
+                    frames_sent: 3,
+                    retransmissions: 2,
+                    acks_sent: 1,
+                    truncated_sends: 0,
+                    gave_up: 0,
+                }),
+            ],
+        );
         let row = &rec.stream()[0];
         assert_eq!(row.retransmits, 2); // one delivered + one dropped
         assert_eq!(row.acks, 1);
@@ -1244,39 +959,46 @@ mod tests {
     }
 
     #[test]
-    fn recorder_books_scheduler_telemetry_outside_equality() {
+    fn recorder_keeps_timing_outside_equality() {
         let mut rec = MetricsRecorder::new();
-        rec.on_run_start(&info("s"));
-        rec.on_round_start(1, 0, 4);
-        rec.on_sched(1, 3, 1);
-        rec.on_run_end(&RunStats::default());
+        feed(&mut rec, &[start("s"), round(1)]);
+        rec.on_round_timing(
+            1,
+            &RoundTiming {
+                deliver: Duration::from_nanos(1),
+                step: Duration::from_nanos(2),
+                commit: Duration::from_nanos(3),
+            },
+        );
+        feed(&mut rec, &[TraceEvent::RoundEnd { round: 1 }, END]);
         let row = &rec.stream()[1];
-        assert_eq!((row.chunks, row.steals), (3, 1));
+        assert_eq!((row.deliver_ns, row.step_ns, row.commit_ns), (1, 2, 3));
         let mut other = row.clone();
-        other.chunks = 0;
-        other.steals = 0;
-        assert_eq!(*row, other, "scheduler telemetry stays out of equality");
-        assert!(row.to_json().contains("\"chunks\":3"));
-        assert!(row.to_json().contains("\"steals\":1"));
+        other.commit_ns = 0;
+        assert_eq!(*row, other, "wall-clock columns stay out of equality");
+        assert!(row.to_json().contains("\"commit_ns\":3"));
     }
 
     #[test]
     fn recorder_buffers_topology_events_into_next_row() {
-        use crate::config::{EdgeEvent, TopologyEvent};
+        let topo = |event| TraceEvent::TopologyChange { round: 2, event };
         let mut rec = MetricsRecorder::new();
-        rec.on_run_start(&info("churn"));
-        rec.on_round_start(1, 0, 4);
-        // The choke point fires on_topology for round 2 before
-        // on_round_start(2): the events must land in row 2, not row 1.
-        let remove = TopologyEvent::Edge(EdgeEvent::Remove { u: 0, v: 1 });
-        let insert = TopologyEvent::Edge(EdgeEvent::Insert { u: 0, v: 2 });
-        rec.on_topology(2, &remove);
-        rec.on_topology(2, &insert);
-        rec.on_round_start(2, 0, 4);
-        // Churn-inserted edges index past the run-start 2m sizing; the
-        // recorder must grow its counters instead of panicking.
-        rec.on_message(&ev(2, 0, 2, 6, 7, None));
-        rec.on_run_end(&RunStats::default());
+        feed(
+            &mut rec,
+            &[
+                start("churn"),
+                round(1),
+                // The choke point emits round 2's plan events before
+                // RoundStart(2): they must land in row 2, not row 1.
+                topo(TopologyEvent::Edge(EdgeEvent::Remove { u: 0, v: 1 })),
+                topo(TopologyEvent::Edge(EdgeEvent::Insert { u: 0, v: 2 })),
+                round(2),
+                // Churn-inserted edges index past the run-start 2m sizing;
+                // the recorder must grow its counters instead of panicking.
+                msg(2, 0, 2, 6, 7),
+                END,
+            ],
+        );
         let stream = rec.stream();
         assert_eq!(stream[1].topo_events, 0);
         assert_eq!(stream[2].topo_events, 2);
@@ -1288,27 +1010,9 @@ mod tests {
     }
 
     #[test]
-    fn recorder_take_run_stream_returns_only_current_run() {
-        let mut rec = MetricsRecorder::new();
-        rec.on_run_start(&info("a"));
-        rec.on_message(&ev(0, 0, 1, 0, 3, None));
-        rec.on_run_end(&RunStats::default());
-        assert_eq!(rec.take_run_stream().unwrap().len(), 1);
-        rec.on_run_start(&info("b"));
-        rec.on_round_start(1, 0, 4);
-        rec.on_run_end(&RunStats::default());
-        let second = rec.take_run_stream().unwrap();
-        assert_eq!(second.len(), 2);
-        assert!(second.iter().all(|r| &*r.phase == "b"));
-        assert_eq!(rec.stream().len(), 3);
-    }
-
-    #[test]
     fn round_metrics_json_is_well_formed() {
         let mut rec = MetricsRecorder::new();
-        rec.on_run_start(&info("j"));
-        rec.on_message(&ev(0, 0, 1, 0, 3, None));
-        rec.on_run_end(&RunStats::default());
+        feed(&mut rec, &[start("j"), msg(0, 0, 1, 0, 3), END]);
         let mut out = Vec::new();
         rec.write_jsonl(&mut out).unwrap();
         let line = String::from_utf8(out).unwrap();
@@ -1320,11 +1024,9 @@ mod tests {
     #[test]
     fn congestion_probe_flags_overload() {
         let mut probe = EdgeCongestionProbe::new(1);
-        probe.on_run_start(&info(""));
-        probe.on_round_start(1, 0, 4);
-        probe.on_message(&ev(1, 0, 1, 0, 3, None));
+        feed(&mut probe, &[start(""), round(1), msg(1, 0, 1, 0, 3)]);
         assert!(probe.is_clean());
-        probe.on_message(&ev(1, 0, 1, 0, 3, None));
+        probe.on_event(&msg(1, 0, 1, 0, 3));
         assert!(!probe.is_clean());
         assert_eq!(probe.max_load(), 2);
         assert_eq!(
@@ -1337,65 +1039,51 @@ mod tests {
             }]
         );
         // A new round resets the counts.
-        probe.on_round_start(2, 0, 4);
-        probe.on_message(&ev(2, 0, 1, 0, 3, None));
+        feed(&mut probe, &[round(2), msg(2, 0, 1, 0, 3)]);
         assert_eq!(probe.violations().len(), 1);
     }
 
     #[test]
     fn congestion_probe_phase_filter() {
         let mut probe = EdgeCongestionProbe::new(0).for_phase("watched");
-        probe.on_run_start(&info("other"));
-        probe.on_round_start(1, 0, 4);
-        probe.on_message(&ev(1, 0, 1, 0, 3, None));
+        feed(&mut probe, &[start("other"), round(1), msg(1, 0, 1, 0, 3)]);
         assert!(probe.is_clean());
-        probe.on_run_start(&info("watched"));
-        probe.on_round_start(1, 0, 4);
-        probe.on_message(&ev(1, 0, 1, 0, 3, None));
+        feed(
+            &mut probe,
+            &[start("watched"), round(1), msg(1, 0, 1, 0, 3)],
+        );
         assert!(!probe.is_clean());
-    }
-
-    #[test]
-    fn wave_probe_tracks_first_arrivals_and_collisions() {
-        let mut probe = WaveArrivalProbe::new();
-        probe.on_run_start(&info(""));
-        probe.on_round_start(1, 0, 4);
-        probe.on_message(&ev(1, 0, 1, 0, 3, Some(7)));
-        probe.on_message(&ev(1, 0, 1, 0, 3, Some(7))); // repeat: not a new arrival
-        probe.on_message(&ev(1, 2, 1, 4, 1, Some(9))); // second stream, same node+round
-        probe.on_message(&ev(1, 0, 2, 1, 4, None)); // untagged: invisible
-        assert_eq!(probe.first_arrivals().len(), 2);
-        assert_eq!(probe.node_collisions(), vec![(1, 1, 7, 9)]);
-        // Stream 7 reached node 1 at round 1; with dist 1 the delay is 0.
-        let delay = probe
-            .max_delay(|s, v| (s == 7 && v == 1).then_some(1))
-            .unwrap();
-        assert_eq!(delay, 0);
     }
 
     #[test]
     fn fan_out_forwards_to_all() {
         let rec = SharedObserver::new(MetricsRecorder::new());
         let probe = SharedObserver::new(EdgeCongestionProbe::new(1));
-        let mut fan = FanOut::new(vec![rec.observer(), probe.observer()]);
-        fan.on_run_start(&info(""));
-        fan.on_round_start(1, 0, 4);
-        fan.on_message(&ev(1, 0, 1, 0, 3, None));
-        fan.on_run_end(&RunStats::default());
-        assert!(fan.take_run_stream().is_some(), "recorder is first");
+        let prof = SharedObserver::new(PhaseProfiler::new());
+        let mut fan = FanOut::new(vec![rec.observer(), probe.observer(), prof.observer()]);
+        feed(&mut fan, &[start(""), round(1), msg(1, 0, 1, 0, 3)]);
+        fan.on_round_timing(1, &RoundTiming::default());
+        feed(&mut fan, &[TraceEvent::RoundEnd { round: 1 }, END]);
         rec.with(|r| assert_eq!(r.stream().len(), 2));
         probe.with(|p| assert_eq!(p.max_load(), 1));
+        prof.with(|p| assert_eq!(p.total().rounds, 1));
     }
 
     #[test]
     fn phase_profiler_accumulates_per_run() {
         let mut prof = PhaseProfiler::new();
         for phase in ["a", "b"] {
-            prof.on_run_start(&info(phase));
-            prof.on_message(&ev(0, 0, 1, 0, 3, None));
-            prof.on_drop(0, 2, 0, DropReason::ReceiverCrashed, TraceTags::default());
-            prof.on_crash(1, 3);
-            prof.on_round_end(
+            feed(
+                &mut prof,
+                &[
+                    start(phase),
+                    msg(0, 0, 1, 0, 3),
+                    dropped(0, 2, DropReason::ReceiverCrashed, TraceTags::default()),
+                    round(1),
+                    TraceEvent::Crash { round: 1, node: 3 },
+                ],
+            );
+            prof.on_round_timing(
                 1,
                 &RoundTiming {
                     deliver: Duration::from_nanos(10),
@@ -1403,7 +1091,7 @@ mod tests {
                     commit: Duration::from_nanos(70),
                 },
             );
-            prof.on_run_end(&RunStats::default());
+            feed(&mut prof, &[TraceEvent::RoundEnd { round: 1 }, END]);
         }
         assert_eq!(prof.profiles().len(), 2);
         assert_eq!(prof.profiles()[0].phase, "a");

@@ -17,9 +17,10 @@ use crate::engine::{ChurnState, QuiescenceState, Report, TerminationCertificate}
 use crate::error::SimError;
 use crate::message::Message;
 use crate::node::{Inbox, NodeContext, NodeId, Outbox};
-use crate::obs::{MessageEvent, RoundTiming, RunInfo};
+use crate::obs::RoundTiming;
 use crate::stats::RunStats;
 use crate::topology::Topology;
+use crate::trace::TraceEvent;
 
 /// The seed round engine: allocates per round, steps sequentially.
 ///
@@ -148,13 +149,13 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
             if !topo.port_live(v, port) {
                 self.stats.dropped += 1;
                 if let Some(obs) = observer.as_deref_mut() {
-                    obs.on_drop(
-                        send_round,
-                        v,
+                    obs.on_event(&TraceEvent::Drop {
+                        round: send_round,
+                        from: v,
                         port,
-                        DropReason::TopologyChange,
-                        msg.trace_tags(),
-                    );
+                        reason: DropReason::TopologyChange,
+                        tags: msg.trace_tags(),
+                    });
                 }
                 continue;
             }
@@ -172,15 +173,21 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
                 if let Some(reason) = reason {
                     self.stats.dropped += 1;
                     if let Some(obs) = observer.as_deref_mut() {
-                        obs.on_drop(send_round, v, port, reason, msg.trace_tags());
+                        obs.on_event(&TraceEvent::Drop {
+                            round: send_round,
+                            from: v,
+                            port,
+                            reason,
+                            tags: msg.trace_tags(),
+                        });
                     }
                     continue;
                 }
             }
             let to_port = topo.reverse_port(v, port);
             if let Some(obs) = observer.as_deref_mut() {
-                obs.on_message(&MessageEvent {
-                    send_round,
+                obs.on_event(&TraceEvent::Message {
+                    round: send_round,
                     from: v,
                     to,
                     to_port,
@@ -274,8 +281,8 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
         self.stats.topo_events += batch_events.len() as u64;
         if let Some(obs) = &self.config.observer {
             let mut obs = obs.lock();
-            for ev in &batch_events {
-                obs.on_topology(round, ev);
+            for &event in &batch_events {
+                obs.on_event(&TraceEvent::TopologyChange { round, event });
             }
         }
         let topo = Arc::clone(&self.churn.as_ref().expect("churn state present").topo);
@@ -291,13 +298,13 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
                         if let Some(obs) = observer.as_deref_mut() {
                             // Tombstoned ports still resolve sender and
                             // port; the message was sent last round.
-                            obs.on_drop(
-                                round - 1,
-                                topo.neighbor_at(v, port),
-                                topo.reverse_port(v, port),
-                                DropReason::TopologyChange,
-                                msg.trace_tags(),
-                            );
+                            obs.on_event(&TraceEvent::Drop {
+                                round: round - 1,
+                                from: topo.neighbor_at(v, port),
+                                port: topo.reverse_port(v, port),
+                                reason: DropReason::TopologyChange,
+                                tags: msg.trace_tags(),
+                            });
                         }
                     }
                     live
@@ -350,8 +357,11 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
         let watch = self.config.observer.is_some();
         let mut timing = RoundTiming::default();
         if let Some(obs) = &self.config.observer {
-            obs.lock()
-                .on_round_start(self.round, delivered, scheduled_count);
+            obs.lock().on_event(&TraceEvent::RoundStart {
+                round: self.round,
+                delivered,
+                scheduled: scheduled_count,
+            });
         }
         // Crash bookkeeping sits between round start and delivery, exactly
         // where the optimized engine books it, so observers see identical
@@ -362,8 +372,11 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
                 self.stats.crashed += down.len() as u64;
                 if let Some(obs) = &self.config.observer {
                     let mut obs = obs.lock();
-                    for &v in &down {
-                        obs.on_crash(self.round, v);
+                    for &node in &down {
+                        obs.on_event(&TraceEvent::Crash {
+                            round: self.round,
+                            node,
+                        });
                     }
                 }
             }
@@ -421,11 +434,8 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
         }
         if let Some(obs) = &self.config.observer {
             let mut obs = obs.lock();
-            // The reference engine has no chunk scheduler; it still emits
-            // the hook (all-zero) so observers see the same call sequence
-            // as from the optimized pipeline.
-            obs.on_sched(self.round, 0, 0);
-            obs.on_round_end(self.round, &timing);
+            obs.on_round_timing(self.round, &timing);
+            obs.on_event(&TraceEvent::RoundEnd { round: self.round });
         }
         // Poll termination votes over exactly the scheduled set: the
         // active-set engine only polls the nodes it stepped (off-schedule
@@ -438,15 +448,10 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
             }
         }
         self.quiescence = quiescence;
-        // Vote decomposition, emitted after `on_round_end` — the same
+        // Vote decomposition, emitted after `RoundEnd` — the same
         // position the optimized pipeline uses, so streams stay identical.
         if let Some(obs) = &self.config.observer {
-            obs.lock().on_quiescence(
-                self.round,
-                quiescence.votes_active,
-                quiescence.votes_passive,
-                quiescence.votes_shutdown,
-            );
+            obs.lock().on_event(&quiescence.event(self.round));
         }
         Ok(())
     }
@@ -464,10 +469,10 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
         let started = std::time::Instant::now();
         let started_nodes = self.started_nodes();
         if let Some(obs) = &self.config.observer {
-            obs.lock().on_run_start(&RunInfo {
-                phase: &self.config.phase,
-                nodes: self.topology.num_nodes(),
-                directed_edges: self.topology.num_directed_edges(),
+            obs.lock().on_event(&TraceEvent::RunStart {
+                phase: self.config.phase.clone(),
+                nodes: self.topology.num_nodes() as u64,
+                edges: self.topology.num_directed_edges() as u64,
                 started: started_nodes,
             });
         }
@@ -476,9 +481,7 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
         self.stats.scheduled_node_rounds += started_nodes;
         self.stats.max_scheduled_per_round = self.stats.max_scheduled_per_round.max(started_nodes);
         if let Some(obs) = &self.config.observer {
-            let q = self.quiescence;
-            obs.lock()
-                .on_quiescence(0, q.votes_active, q.votes_passive, q.votes_shutdown);
+            obs.lock().on_event(&self.quiescence.event(0));
         }
         while self.churn_pending() || !self.quiescence.terminal(self.in_flight) {
             if self.round >= self.config.max_rounds {
@@ -489,7 +492,10 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
             self.step()?;
         }
         if let Some(obs) = &self.config.observer {
-            obs.lock().on_terminate(self.round, self.in_flight);
+            obs.lock().on_event(&TraceEvent::EarlyTermination {
+                round: self.round,
+                in_flight: self.in_flight,
+            });
         }
         let certificate = Some(TerminationCertificate::from_votes(
             self.round,
@@ -502,17 +508,15 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
             .store
             .into_outputs(churn_topo.as_deref().unwrap_or(self.topology), self.round);
         self.stats.wall_time = started.elapsed();
-        let metrics = if let Some(obs) = &self.config.observer {
-            let mut obs = obs.lock();
-            obs.on_run_end(&self.stats);
-            obs.take_run_stream()
-        } else {
-            None
-        };
+        if let Some(obs) = &self.config.observer {
+            obs.lock().on_event(&TraceEvent::RunEnd {
+                rounds: self.stats.rounds,
+                messages: self.stats.messages,
+            });
+        }
         Ok(Report {
             outputs,
             stats: self.stats,
-            metrics,
             certificate,
             sched: None,
         })

@@ -1,21 +1,22 @@
-//! Structured, causally-linked run tracing with per-kernel attribution.
+//! The one event type of the observer layer, and the recorder that keeps it.
 //!
-//! The paper's bounds are statements about *rounds, messages and waves*;
-//! the per-round metric stream ([`MetricsRecorder`](crate::MetricsRecorder))
-//! shows their column sums but not their story. This module records the
-//! story as typed events — round boundaries, per-kernel sends and
-//! receptions, drops with reasons, transport retransmits/acks, quiescence
-//! vote tallies, wave starts/arrivals, and the early-termination decision —
-//! into a bounded [`Ring`] that keeps the *first* and *last* events of an
-//! overflowing run and counts every event exactly.
+//! The paper's bounds are statements about *rounds, messages and waves*.
+//! Every engine reports a run as a sequence of typed [`TraceEvent`]s — run
+//! and round boundaries, committed messages with their kernel tags, drops
+//! with reasons, crashes, topology changes, quiescence vote tallies and the
+//! termination decision — handed to
+//! [`Observer::on_event`] in the order that
+//! trait documents. Events carry no wall-clock fields (timing has its own
+//! hook), so the sequence is bit-identical across the serial executor, the
+//! worker pool at any thread count, and the dense seed reference engine — a
+//! contract the `engine_equivalence` proptests pin.
 //!
-//! [`TraceRecorder`] is an ordinary [`Observer`]: attach it
-//! with [`Config::with_observer`](crate::Config) and detached runs keep
-//! paying exactly one `Option` check. Because every event is derived from
-//! the deterministic hook stream and stores **no wall-clock fields**, the
-//! recorded event sequence is bit-identical across the serial executor, the
-//! worker pool at any thread count, and the dense seed reference engine —
-//! a contract the `engine_equivalence` proptests pin.
+//! [`TraceRecorder`] stores the events as received — one ring entry per
+//! event, so one per message — into a bounded [`Ring`] that keeps the
+//! *first* and *last* events of an overflowing run and counts every event
+//! exactly, and folds ring-independent aggregates beside it: per-kernel
+//! traffic, per-edge loads and per-stream wave arrivals (what the Lemma 1
+//! and Lemma 8 checks read).
 //!
 //! Exports:
 //!
@@ -27,131 +28,112 @@
 //!   vote counter track, and one span per wave lifetime. Load it at
 //!   `ui.perfetto.dev` or `chrome://tracing`.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::config::{DropReason, EdgeEvent, NodeEvent, TopologyEvent};
+use crate::message::TraceTags;
 use crate::node::{NodeId, Port};
-use crate::obs::{MessageEvent, Observer, RunInfo, TransportSummary};
-use crate::stats::RunStats;
+use crate::obs::{Observer, TransportSummary};
 
-/// One typed trace event. Events carry rounds, node ids, bit counts and
+/// One typed event of a run. Events carry rounds, node ids, bit counts and
 /// kernel attribution — never wall-clock time — so two deterministic runs
 /// produce equal event sequences and `derive(PartialEq, Eq)` is the whole
 /// comparison story.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// A run began (phase label, topology size, round-0 scheduled count).
+    /// A run began (one per engine `run()`; composite pipelines emit one
+    /// per phase).
     RunStart {
-        /// Phase label from [`Config::with_phase`](crate::Config).
+        /// Phase label from [`Config::with_phase`](crate::Config), `""` if
+        /// the run is unlabeled.
         phase: String,
         /// Nodes in the topology.
         nodes: u64,
-        /// Directed edges (`2m`).
+        /// Directed edges (`2m`); [`TraceEvent::Message`] edge indices
+        /// range over `0..edges` (churn-inserted edges index past it).
         edges: u64,
-        /// Nodes that ran `on_start`.
+        /// Nodes that run `on_start` (everyone not crashed at round 0).
         started: u64,
     },
-    /// Round `round` began.
+    /// Round `round` begins.
     RoundStart {
         /// The starting round.
         round: u64,
         /// Messages (sent in `round - 1`) about to be delivered.
         delivered: u64,
-        /// Nodes on this round's schedule.
+        /// Nodes on this round's schedule (arrivals waiting or awake — the
+        /// set the active-set engine steps; the dense reference engine
+        /// reports the same count while still stepping everyone).
         scheduled: u64,
     },
-    /// Round `round` finished committing.
-    RoundEnd {
-        /// The finished round.
-        round: u64,
-    },
-    /// A message was committed for delivery, attributed to the kernels
-    /// whose components it carries.
-    KernelSend {
-        /// The send round.
+    /// A message passed validation and was accepted for delivery at
+    /// `round + 1`.
+    Message {
+        /// The send round (`0` for sends queued in `on_start`).
         round: u64,
         /// Sender.
         from: NodeId,
         /// Receiver.
         to: NodeId,
+        /// The receiver's port the message arrives on.
+        to_port: Port,
+        /// The directed edge crossed, as a flat index (see
+        /// [`Topology::directed_edge_index`](crate::Topology)).
+        edge: u32,
+        /// The opposite direction of the same undirected edge;
+        /// `min(edge, reverse_edge)` is a canonical undirected-edge key.
+        reverse_edge: u32,
         /// Payload bits.
         bits: u32,
-        /// Logical stream, if the message reports one.
+        /// Logical stream, if the message reports one via
+        /// [`Message::stream_id`](crate::Message::stream_id) (e.g. the BFS
+        /// root a wave announcement serves).
         stream: Option<u32>,
-        /// Kernel presence bitmask (see
-        /// [`TraceTags`](crate::message::TraceTags)).
-        kernels: u8,
+        /// Kernel mask and transport flags (see [`TraceTags`]).
+        tags: TraceTags,
     },
-    /// The same committed message, viewed from the receiving side — it
-    /// arrives one round after its [`TraceEvent::KernelSend`].
-    KernelRecv {
-        /// The delivery round (`send round + 1`).
-        round: u64,
-        /// Receiver.
-        to: NodeId,
-        /// The receiver's port it arrives on.
-        to_port: Port,
-        /// Sender.
-        from: NodeId,
-        /// Logical stream, if the message reports one.
-        stream: Option<u32>,
-        /// Kernel presence bitmask.
-        kernels: u8,
-    },
-    /// A message was dropped by the fault plan at commit time.
+    /// A message was discarded: by the fault plan at commit, or — with
+    /// [`DropReason::TopologyChange`] — by a churn batch that killed its
+    /// link, purged in flight with the previous round as its send round.
     Drop {
-        /// The send round the drop happened in.
+        /// The send round.
         round: u64,
         /// The sender.
         from: NodeId,
         /// The sender's port.
         port: Port,
-        /// Loss rule or receiver crash window.
+        /// Loss rule, receiver crash window, or topology change.
         reason: DropReason,
-        /// Kernel presence bitmask of the dropped frame.
-        kernels: u8,
-        /// The frame was a transport retransmission.
-        retransmit: bool,
-        /// The frame carried an ack.
-        ack: bool,
-    },
-    /// A committed frame the transport layer marked as a retransmission.
-    Retransmit {
-        /// The send round.
-        round: u64,
-        /// Sender.
-        from: NodeId,
-        /// Receiver.
-        to: NodeId,
-    },
-    /// A committed frame carrying an acknowledgement.
-    Ack {
-        /// The send round.
-        round: u64,
-        /// Sender.
-        from: NodeId,
-        /// Receiver.
-        to: NodeId,
+        /// The dropped frame's kernel mask and transport flags.
+        tags: TraceTags,
     },
     /// A [`TopologyPlan`](crate::TopologyPlan) event took effect at the
     /// churn choke point entering `round` — before the round's
-    /// deliveries, after the previous round's commits (see
-    /// [`Observer::on_topology`]).
+    /// deliveries, after the previous round's commits.
     TopologyChange {
         /// The round the event takes effect in.
         round: u64,
         /// The applied plan event.
         event: TopologyEvent,
     },
-    /// A node sat out this round inside a crash window.
+    /// A node sits out `round` inside a
+    /// [`CrashWindow`](crate::CrashWindow) (one per crashed node, in
+    /// node-id order).
     Crash {
         /// The round.
         round: u64,
         /// The crashed node.
         node: NodeId,
     },
+    /// Round `round` finished committing.
+    RoundEnd {
+        /// The finished round.
+        round: u64,
+    },
     /// The round's quiescence poll tally (counts sum to the polled-node
-    /// count: everyone at round 0, the scheduled set afterwards).
+    /// count: everyone at round 0, the scheduled set afterwards — crashed
+    /// scheduled nodes vote with their frozen state).
     QuiescenceVotes {
         /// The polled round.
         round: u64,
@@ -162,44 +144,16 @@ pub enum TraceEvent {
         /// Nodes voting `Shutdown`.
         shutdown: u64,
     },
-    /// First committed message of a logical stream — the wave's birth.
-    WaveStart {
-        /// The stream (e.g. the BFS root id).
-        stream: u32,
-        /// The send round of the first message.
-        round: u64,
-        /// The originating sender.
-        from: NodeId,
-    },
-    /// A logical stream first reached `node` (at the delivery round).
-    WaveArrive {
-        /// The stream.
-        stream: u32,
-        /// The newly reached node.
-        node: NodeId,
-        /// The delivery round of the first arrival.
-        round: u64,
-    },
-    /// The engine stopped early: the quiescence votes became terminal
-    /// after `round` — the per-node certificate lives on
-    /// [`Report::certificate`](crate::Report).
+    /// The engine stopped: the quiescence votes became terminal after
+    /// `round` — the per-node certificate lives on
+    /// [`Report::certificate`](crate::Report). Never emitted when the
+    /// round horizon aborts the run.
     EarlyTermination {
         /// The last executed round.
         round: u64,
         /// Undelivered messages at the decision (zero unless the vote was
         /// unanimous shutdown).
         in_flight: u64,
-    },
-    /// A reliable-transport wrapper reported its end-of-run telemetry.
-    Transport {
-        /// Frames put on the wire.
-        frames_sent: u64,
-        /// Frames re-sent after an ack timeout.
-        retransmissions: u64,
-        /// Acks sent.
-        acks_sent: u64,
-        /// Node-links that gave up.
-        gave_up: u64,
     },
     /// The run ended with these final totals.
     RunEnd {
@@ -208,6 +162,10 @@ pub enum TraceEvent {
         /// Messages committed.
         messages: u64,
     },
+    /// A reliable-transport entry point's aggregated telemetry for the
+    /// phase that just ended — emitted after that phase's `RunEnd`,
+    /// outside the engine, by the wrapper that owns the transport state.
+    Transport(TransportSummary),
 }
 
 impl TraceEvent {
@@ -215,8 +173,11 @@ impl TraceEvent {
     /// line, sans newline). Equal event streams render to equal text, so
     /// diffing two exports is a plain line diff.
     pub fn to_json(&self) -> String {
-        fn opt(v: Option<u32>) -> String {
-            v.map_or_else(|| "null".into(), |s| s.to_string())
+        fn tagged(tags: &TraceTags) -> String {
+            format!(
+                "\"kernels\":{},\"retransmit\":{},\"ack\":{}",
+                tags.kernels, tags.retransmit, tags.ack
+            )
         }
         match self {
             TraceEvent::RunStart {
@@ -235,48 +196,31 @@ impl TraceEvent {
             } => format!(
                 "{{\"ev\":\"round_start\",\"round\":{round},\"delivered\":{delivered},\"scheduled\":{scheduled}}}"
             ),
-            TraceEvent::RoundEnd { round } => {
-                format!("{{\"ev\":\"round_end\",\"round\":{round}}}")
-            }
-            TraceEvent::KernelSend {
+            TraceEvent::Message {
                 round,
                 from,
-                to,
-                bits,
-                stream,
-                kernels,
-            } => format!(
-                "{{\"ev\":\"send\",\"round\":{round},\"from\":{from},\"to\":{to},\"bits\":{bits},\"stream\":{},\"kernels\":{kernels}}}",
-                opt(*stream)
-            ),
-            TraceEvent::KernelRecv {
-                round,
                 to,
                 to_port,
-                from,
+                edge,
+                reverse_edge,
+                bits,
                 stream,
-                kernels,
+                tags,
             } => format!(
-                "{{\"ev\":\"recv\",\"round\":{round},\"to\":{to},\"to_port\":{to_port},\"from\":{from},\"stream\":{},\"kernels\":{kernels}}}",
-                opt(*stream)
+                "{{\"ev\":\"message\",\"round\":{round},\"from\":{from},\"to\":{to},\"to_port\":{to_port},\"edge\":{edge},\"reverse_edge\":{reverse_edge},\"bits\":{bits},\"stream\":{},{}}}",
+                stream.map_or_else(|| "null".into(), |s| s.to_string()),
+                tagged(tags)
             ),
             TraceEvent::Drop {
                 round,
                 from,
                 port,
                 reason,
-                kernels,
-                retransmit,
-                ack,
+                tags,
             } => format!(
-                "{{\"ev\":\"drop\",\"round\":{round},\"from\":{from},\"port\":{port},\"reason\":\"{reason:?}\",\"kernels\":{kernels},\"retransmit\":{retransmit},\"ack\":{ack}}}"
+                "{{\"ev\":\"drop\",\"round\":{round},\"from\":{from},\"port\":{port},\"reason\":\"{reason:?}\",{}}}",
+                tagged(tags)
             ),
-            TraceEvent::Retransmit { round, from, to } => {
-                format!("{{\"ev\":\"retransmit\",\"round\":{round},\"from\":{from},\"to\":{to}}}")
-            }
-            TraceEvent::Ack { round, from, to } => {
-                format!("{{\"ev\":\"ack\",\"round\":{round},\"from\":{from},\"to\":{to}}}")
-            }
             TraceEvent::TopologyChange { round, event } => {
                 let (kind, u, v) = match *event {
                     TopologyEvent::Edge(EdgeEvent::Insert { u, v }) => ("insert", u, v),
@@ -291,6 +235,9 @@ impl TraceEvent {
             TraceEvent::Crash { round, node } => {
                 format!("{{\"ev\":\"crash\",\"round\":{round},\"node\":{node}}}")
             }
+            TraceEvent::RoundEnd { round } => {
+                format!("{{\"ev\":\"round_end\",\"round\":{round}}}")
+            }
             TraceEvent::QuiescenceVotes {
                 round,
                 active,
@@ -299,34 +246,16 @@ impl TraceEvent {
             } => format!(
                 "{{\"ev\":\"votes\",\"round\":{round},\"active\":{active},\"passive\":{passive},\"shutdown\":{shutdown}}}"
             ),
-            TraceEvent::WaveStart {
-                stream,
-                round,
-                from,
-            } => format!(
-                "{{\"ev\":\"wave_start\",\"stream\":{stream},\"round\":{round},\"from\":{from}}}"
-            ),
-            TraceEvent::WaveArrive {
-                stream,
-                node,
-                round,
-            } => format!(
-                "{{\"ev\":\"wave_arrive\",\"stream\":{stream},\"node\":{node},\"round\":{round}}}"
-            ),
             TraceEvent::EarlyTermination { round, in_flight } => format!(
                 "{{\"ev\":\"early_termination\",\"round\":{round},\"in_flight\":{in_flight}}}"
-            ),
-            TraceEvent::Transport {
-                frames_sent,
-                retransmissions,
-                acks_sent,
-                gave_up,
-            } => format!(
-                "{{\"ev\":\"transport\",\"frames_sent\":{frames_sent},\"retransmissions\":{retransmissions},\"acks_sent\":{acks_sent},\"gave_up\":{gave_up}}}"
             ),
             TraceEvent::RunEnd { rounds, messages } => {
                 format!("{{\"ev\":\"run_end\",\"rounds\":{rounds},\"messages\":{messages}}}")
             }
+            TraceEvent::Transport(t) => format!(
+                "{{\"ev\":\"transport\",\"sim_rounds\":{},\"frames_sent\":{},\"retransmissions\":{},\"acks_sent\":{},\"truncated_sends\":{},\"gave_up\":{}}}",
+                t.sim_rounds, t.frames_sent, t.retransmissions, t.acks_sent, t.truncated_sends, t.gave_up
+            ),
         }
     }
 }
@@ -417,16 +346,16 @@ impl<T> Ring<T> {
 }
 
 /// Run-lifetime totals attributed to one kernel presence mask (see
-/// [`TraceTags::kernels`](crate::message::TraceTags)); bit *i* names
-/// kernel *i* of the composed stack, and a mask with several bits set is a
-/// merged frame those kernels shared.
+/// [`TraceTags::kernels`]); bit *i* names kernel *i* of the composed
+/// stack, and a mask with several bits set is a merged frame those kernels
+/// shared.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelCounters {
     /// Messages committed.
     pub messages: u64,
     /// Payload bits committed.
     pub bits: u64,
-    /// Messages dropped by the fault plan.
+    /// Messages dropped.
     pub dropped: u64,
     /// Committed or dropped frames marked as retransmissions.
     pub retransmits: u64,
@@ -439,27 +368,25 @@ pub const DEFAULT_PREFIX: usize = 1 << 16;
 /// Default rolling-tail capacity of a [`TraceRecorder`].
 pub const DEFAULT_TAIL: usize = 1 << 14;
 
-/// An [`Observer`] that records the typed event stream of every run it
-/// watches into a [`Ring`], while keeping exact (ring-independent)
-/// aggregate counters: per-kernel traffic breakdowns, per-undirected-edge
-/// total loads, and per-stream wave start/arrival rounds.
+/// An [`Observer`] that stores every event of every run it watches into a
+/// [`Ring`], as received, while keeping exact (ring-independent) aggregate
+/// counters: per-kernel traffic breakdowns, per-undirected-edge total
+/// loads, and per-stream wave start/arrival rounds.
 ///
-/// The wave maps reset at each `on_run_start` (streams are run-scoped);
-/// the ring, kernel and edge aggregates accumulate across runs, with
-/// [`TraceEvent::RunStart`] events delimiting runs in the stream.
+/// The wave maps reset at each [`TraceEvent::RunStart`] (streams are
+/// run-scoped), so after a pipeline they describe its last phase — the
+/// wave phase of both `apsp` and `ssp`. The ring, kernel and edge
+/// aggregates accumulate across runs, with `RunStart` events delimiting
+/// runs in the stream.
 pub struct TraceRecorder {
     ring: Ring<TraceEvent>,
     kernels: BTreeMap<u8, KernelCounters>,
     edge_load: BTreeMap<(NodeId, NodeId), u64>,
+    /// Stream → (send round, sender) of its first committed message.
     wave_start: BTreeMap<u32, (u64, NodeId)>,
+    /// (stream, node) → delivery round of the stream's first message to
+    /// that node.
     wave_arrival: BTreeMap<(u32, NodeId), u64>,
-    /// Scheduler telemetry from [`Observer::on_sched`], kept as side
-    /// counters and deliberately *not* pushed into the event ring: the
-    /// ring (and [`TraceRecorder::events_jsonl`]) must stay bit-identical
-    /// across executors, while chunk/steal counts are timing-dependent
-    /// load-balance data.
-    chunks_stepped: u64,
-    steals: u64,
 }
 
 impl Default for TraceRecorder {
@@ -484,16 +411,7 @@ impl TraceRecorder {
             edge_load: BTreeMap::new(),
             wave_start: BTreeMap::new(),
             wave_arrival: BTreeMap::new(),
-            chunks_stepped: 0,
-            steals: 0,
         }
-    }
-
-    /// Accumulated scheduler telemetry `(chunks_stepped, steals)` across
-    /// every observed run — side counters from [`Observer::on_sched`],
-    /// never part of the event stream.
-    pub fn sched_totals(&self) -> (u64, u64) {
-        (self.chunks_stepped, self.steals)
     }
 
     /// The stored events, oldest first.
@@ -541,10 +459,7 @@ impl TraceRecorder {
             .map(|(&stream, &(start, origin))| {
                 let mut last = start;
                 let mut reached = 0u64;
-                for (&(s, _), &round) in
-                    self.wave_arrival.range((stream, 0)..=(stream, NodeId::MAX))
-                {
-                    debug_assert_eq!(s, stream);
+                for (_, &round) in self.wave_arrival.range((stream, 0)..=(stream, NodeId::MAX)) {
                     last = last.max(round);
                     reached += 1;
                 }
@@ -557,6 +472,40 @@ impl TraceRecorder {
     /// (last) run.
     pub fn wave_arrivals(&self) -> &BTreeMap<(u32, NodeId), u64> {
         &self.wave_arrival
+    }
+
+    /// Nodes first reached by two distinct streams in the same round, as
+    /// `(node, send_round, stream_a, stream_b)` with the send round of the
+    /// arriving messages (delivery round − 1) — Lemma 1 says Algorithm 1's
+    /// wave phase produces none.
+    pub fn node_collisions(&self) -> Vec<(NodeId, u64, u32, u32)> {
+        let mut first: BTreeMap<(NodeId, u64), u32> = BTreeMap::new();
+        let mut collisions = Vec::new();
+        for (&(stream, node), &round) in &self.wave_arrival {
+            match first.entry((node, round - 1)) {
+                Entry::Occupied(prev) => collisions.push((node, round - 1, *prev.get(), stream)),
+                Entry::Vacant(slot) => {
+                    slot.insert(stream);
+                }
+            }
+        }
+        collisions.sort_unstable();
+        collisions
+    }
+
+    /// The largest observed wave delay: `send_round(stream, v) −
+    /// dist(stream, v)` for the first message of `stream` to reach `v`
+    /// (send round = delivery round − 1), maximized over the current run's
+    /// arrivals, where `dist` maps `(stream, node)` to the ideal
+    /// hop-distance schedule. `None` if nothing was recorded or `dist`
+    /// knows none of the pairs. Lemma 8 bounds it by `|S|`.
+    pub fn max_delay(&self, dist: impl Fn(u32, NodeId) -> Option<u64>) -> Option<i64> {
+        self.wave_arrival
+            .iter()
+            .filter_map(|(&(stream, node), &round)| {
+                dist(stream, node).map(|d| round as i64 - 1 - d as i64)
+            })
+            .max()
     }
 
     /// Histogram of wave *relative delays* for the current run: entry `d`
@@ -613,6 +562,12 @@ impl TraceRecorder {
                 TrackBy::Kernel => u64::from(kernels),
             }
         };
+        let instant = |name: String, round: u64, tid: u64| {
+            format!(
+                "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{tid}}}",
+                round * US
+            )
+        };
         for e in self.ring.iter() {
             match *e {
                 TraceEvent::RoundStart { round, .. } => out.push(format!(
@@ -623,44 +578,43 @@ impl TraceRecorder {
                     "{{\"ph\":\"E\",\"ts\":{},\"pid\":0,\"tid\":0}}",
                     (round + 1) * US
                 )),
-                TraceEvent::KernelSend {
+                TraceEvent::Message {
                     round,
                     from,
                     to,
                     bits,
-                    kernels,
+                    tags,
                     ..
-                } => out.push(format!(
-                    "{{\"name\":\"send {from}\\u2192{to} k={kernels}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{},\"args\":{{\"bits\":{bits}}}}}",
-                    round * US,
-                    tid(from, kernels)
-                )),
+                } => {
+                    // Every instant of a frame lands on the track of its
+                    // own kernel mask.
+                    let track = tid(from, tags.kernels);
+                    out.push(format!(
+                        "{{\"name\":\"send {from}\\u2192{to} k={}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{track},\"args\":{{\"bits\":{bits}}}}}",
+                        tags.kernels,
+                        round * US
+                    ));
+                    if tags.retransmit {
+                        out.push(instant(format!("retransmit \\u2192{to}"), round, track));
+                    }
+                    if tags.ack {
+                        out.push(instant(format!("ack \\u2192{to}"), round, track));
+                    }
+                }
                 TraceEvent::Drop {
                     round,
                     from,
                     reason,
-                    kernels,
+                    tags,
                     ..
-                } => out.push(format!(
-                    "{{\"name\":\"drop {reason:?}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{}}}",
-                    round * US,
-                    tid(from, kernels)
+                } => out.push(instant(
+                    format!("drop {reason:?}"),
+                    round,
+                    tid(from, tags.kernels),
                 )),
-                TraceEvent::Retransmit { round, from, to } => out.push(format!(
-                    "{{\"name\":\"retransmit \\u2192{to}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{}}}",
-                    round * US,
-                    tid(from, 1)
-                )),
-                TraceEvent::Ack { round, from, to } => out.push(format!(
-                    "{{\"name\":\"ack \\u2192{to}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{}}}",
-                    round * US,
-                    tid(from, 1)
-                )),
-                TraceEvent::Crash { round, node } => out.push(format!(
-                    "{{\"name\":\"crash\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{}}}",
-                    round * US,
-                    tid(node, 1)
-                )),
+                TraceEvent::Crash { round, node } => {
+                    out.push(instant("crash".into(), round, tid(node, 1)))
+                }
                 TraceEvent::QuiescenceVotes {
                     round,
                     active,
@@ -711,168 +665,50 @@ fn meta_process(pid: u64, name: &str) -> String {
 }
 
 impl Observer for TraceRecorder {
-    fn on_run_start(&mut self, info: &RunInfo<'_>) {
-        self.wave_start.clear();
-        self.wave_arrival.clear();
-        self.ring.push(TraceEvent::RunStart {
-            phase: info.phase.to_string(),
-            nodes: info.nodes as u64,
-            edges: info.directed_edges as u64,
-            started: info.started,
-        });
-    }
-
-    fn on_round_start(&mut self, round: u64, delivered: u64, scheduled: u64) {
-        self.ring.push(TraceEvent::RoundStart {
-            round,
-            delivered,
-            scheduled,
-        });
-    }
-
-    fn on_message(&mut self, ev: &MessageEvent) {
-        let k = self.kernels.entry(ev.tags.kernels).or_default();
-        k.messages += 1;
-        k.bits += u64::from(ev.bits);
-        k.retransmits += u64::from(ev.tags.retransmit);
-        k.acks += u64::from(ev.tags.ack);
-        let key = (ev.from.min(ev.to), ev.from.max(ev.to));
-        *self.edge_load.entry(key).or_default() += 1;
-        if let Some(stream) = ev.stream {
-            if let std::collections::btree_map::Entry::Vacant(slot) = self.wave_start.entry(stream)
-            {
-                slot.insert((ev.send_round, ev.from));
-                self.ring.push(TraceEvent::WaveStart {
-                    stream,
-                    round: ev.send_round,
-                    from: ev.from,
-                });
+    fn on_event(&mut self, ev: &TraceEvent) {
+        match *ev {
+            TraceEvent::RunStart { .. } => {
+                self.wave_start.clear();
+                self.wave_arrival.clear();
             }
-        }
-        self.ring.push(TraceEvent::KernelSend {
-            round: ev.send_round,
-            from: ev.from,
-            to: ev.to,
-            bits: ev.bits,
-            stream: ev.stream,
-            kernels: ev.tags.kernels,
-        });
-        self.ring.push(TraceEvent::KernelRecv {
-            round: ev.send_round + 1,
-            to: ev.to,
-            to_port: ev.to_port,
-            from: ev.from,
-            stream: ev.stream,
-            kernels: ev.tags.kernels,
-        });
-        if ev.tags.retransmit {
-            self.ring.push(TraceEvent::Retransmit {
-                round: ev.send_round,
-                from: ev.from,
-                to: ev.to,
-            });
-        }
-        if ev.tags.ack {
-            self.ring.push(TraceEvent::Ack {
-                round: ev.send_round,
-                from: ev.from,
-                to: ev.to,
-            });
-        }
-        if let Some(stream) = ev.stream {
-            if let std::collections::btree_map::Entry::Vacant(slot) =
-                self.wave_arrival.entry((stream, ev.to))
-            {
-                slot.insert(ev.send_round + 1);
-                self.ring.push(TraceEvent::WaveArrive {
-                    stream,
-                    node: ev.to,
-                    round: ev.send_round + 1,
-                });
+            TraceEvent::Message {
+                round,
+                from,
+                to,
+                bits,
+                stream,
+                tags,
+                ..
+            } => {
+                let k = self.kernels.entry(tags.kernels).or_default();
+                k.messages += 1;
+                k.bits += u64::from(bits);
+                k.retransmits += u64::from(tags.retransmit);
+                k.acks += u64::from(tags.ack);
+                *self
+                    .edge_load
+                    .entry((from.min(to), from.max(to)))
+                    .or_default() += 1;
+                if let Some(stream) = stream {
+                    self.wave_start.entry(stream).or_insert((round, from));
+                    self.wave_arrival.entry((stream, to)).or_insert(round + 1);
+                }
             }
+            TraceEvent::Drop { tags, .. } => {
+                let k = self.kernels.entry(tags.kernels).or_default();
+                k.dropped += 1;
+                k.retransmits += u64::from(tags.retransmit);
+                k.acks += u64::from(tags.ack);
+            }
+            _ => {}
         }
-    }
-
-    fn on_drop(
-        &mut self,
-        send_round: u64,
-        from: NodeId,
-        from_port: Port,
-        reason: DropReason,
-        tags: crate::message::TraceTags,
-    ) {
-        let k = self.kernels.entry(tags.kernels).or_default();
-        k.dropped += 1;
-        k.retransmits += u64::from(tags.retransmit);
-        k.acks += u64::from(tags.ack);
-        self.ring.push(TraceEvent::Drop {
-            round: send_round,
-            from,
-            port: from_port,
-            reason,
-            kernels: tags.kernels,
-            retransmit: tags.retransmit,
-            ack: tags.ack,
-        });
-    }
-
-    fn on_crash(&mut self, round: u64, node: NodeId) {
-        self.ring.push(TraceEvent::Crash { round, node });
-    }
-
-    fn on_topology(&mut self, round: u64, event: &TopologyEvent) {
-        self.ring.push(TraceEvent::TopologyChange {
-            round,
-            event: *event,
-        });
-    }
-
-    fn on_sched(&mut self, _round: u64, chunks: u64, steals: u64) {
-        // Side counters only — no ring event, so `events_jsonl` stays
-        // bit-identical between serial and pool runs.
-        self.chunks_stepped += chunks;
-        self.steals += steals;
-    }
-
-    fn on_round_end(&mut self, round: u64, _timing: &crate::obs::RoundTiming) {
-        self.ring.push(TraceEvent::RoundEnd { round });
-    }
-
-    fn on_quiescence(&mut self, round: u64, active: u64, passive: u64, shutdown: u64) {
-        self.ring.push(TraceEvent::QuiescenceVotes {
-            round,
-            active,
-            passive,
-            shutdown,
-        });
-    }
-
-    fn on_terminate(&mut self, round: u64, in_flight: u64) {
-        self.ring
-            .push(TraceEvent::EarlyTermination { round, in_flight });
-    }
-
-    fn on_transport(&mut self, summary: &TransportSummary) {
-        self.ring.push(TraceEvent::Transport {
-            frames_sent: summary.frames_sent,
-            retransmissions: summary.retransmissions,
-            acks_sent: summary.acks_sent,
-            gave_up: summary.gave_up,
-        });
-    }
-
-    fn on_run_end(&mut self, stats: &RunStats) {
-        self.ring.push(TraceEvent::RunEnd {
-            rounds: stats.rounds,
-            messages: stats.messages,
-        });
+        self.ring.push(ev.clone());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::TraceTags;
 
     #[test]
     fn ring_overflow_preserves_counts_and_both_ends() {
@@ -910,103 +746,96 @@ mod tests {
         assert_eq!(ring.overflow(), 3);
     }
 
-    fn msg(send_round: u64, from: NodeId, to: NodeId, stream: Option<u32>) -> MessageEvent {
-        MessageEvent {
-            send_round,
-            from,
-            to,
-            to_port: 0,
-            edge: 0,
-            reverse_edge: 1,
-            bits: 8,
-            stream,
-            tags: TraceTags::default(),
+    fn run_start(phase: &str) -> TraceEvent {
+        TraceEvent::RunStart {
+            phase: phase.into(),
+            nodes: 4,
+            edges: 6,
+            started: 4,
         }
     }
 
-    #[test]
-    fn recorder_builds_causal_events_and_aggregates() {
+    /// A committed message of `stream` from `from` to `to` carrying `tags`.
+    fn frame(
+        round: u64,
+        from: NodeId,
+        to: NodeId,
+        stream: Option<u32>,
+        tags: TraceTags,
+    ) -> TraceEvent {
+        TraceEvent::Message {
+            round,
+            from,
+            to,
+            to_port: 0,
+            edge: from,
+            reverse_edge: to,
+            bits: 8,
+            stream,
+            tags,
+        }
+    }
+
+    fn msg(round: u64, from: NodeId, to: NodeId, stream: Option<u32>) -> TraceEvent {
+        frame(round, from, to, stream, TraceTags::default())
+    }
+
+    fn record(events: &[TraceEvent]) -> TraceRecorder {
         let mut rec = TraceRecorder::new();
-        rec.on_run_start(&RunInfo {
-            phase: "demo",
-            nodes: 3,
-            directed_edges: 4,
-            started: 3,
-        });
-        rec.on_message(&msg(0, 0, 1, Some(7)));
-        rec.on_round_start(1, 1, 2);
-        let mut m = msg(1, 1, 2, Some(7));
-        m.tags.retransmit = true;
-        rec.on_message(&m);
-        rec.on_drop(
-            1,
-            2,
-            0,
-            DropReason::Loss,
-            TraceTags {
+        for e in events {
+            rec.on_event(e);
+        }
+        rec
+    }
+
+    #[test]
+    fn recorder_stores_events_as_received_and_aggregates() {
+        let retx = TraceTags {
+            kernels: 1,
+            retransmit: true,
+            ack: false,
+        };
+        let ack_drop = TraceEvent::Drop {
+            round: 1,
+            from: 2,
+            port: 0,
+            reason: DropReason::Loss,
+            tags: TraceTags {
                 kernels: 2,
                 retransmit: false,
                 ack: true,
             },
-        );
-        rec.on_round_end(1, &crate::obs::RoundTiming::default());
-        rec.on_quiescence(1, 0, 2, 0);
-        rec.on_terminate(1, 0);
-        rec.on_run_end(&RunStats::default());
-
-        let events: Vec<&TraceEvent> = rec.events().collect();
-        assert!(matches!(events[0], TraceEvent::RunStart { phase, .. } if phase == "demo"));
-        // First message: wave 7 starts, send + recv recorded, first arrival.
-        assert!(matches!(
-            events[1],
-            TraceEvent::WaveStart {
-                stream: 7,
-                round: 0,
-                from: 0
-            }
-        ));
-        assert!(matches!(events[2], TraceEvent::KernelSend { round: 0, .. }));
-        assert!(matches!(events[3], TraceEvent::KernelRecv { round: 1, .. }));
-        assert!(matches!(
-            events[4],
-            TraceEvent::WaveArrive {
-                stream: 7,
-                node: 1,
-                round: 1
-            }
-        ));
-        assert!(events.iter().any(|e| matches!(
-            e,
-            TraceEvent::Retransmit {
+        };
+        let events = vec![
+            run_start("demo"),
+            msg(0, 0, 1, Some(7)),
+            TraceEvent::RoundStart {
                 round: 1,
-                from: 1,
-                to: 2
-            }
-        )));
-        assert!(events.iter().any(|e| matches!(
-            e,
-            TraceEvent::Drop {
-                reason: DropReason::Loss,
-                kernels: 2,
-                ack: true,
-                ..
-            }
-        )));
-        assert!(events.iter().any(|e| matches!(
-            e,
+                delivered: 1,
+                scheduled: 2,
+            },
+            frame(1, 1, 2, Some(7), retx),
+            ack_drop,
+            TraceEvent::RoundEnd { round: 1 },
             TraceEvent::QuiescenceVotes {
                 round: 1,
+                active: 0,
                 passive: 2,
-                ..
-            }
-        )));
-        assert!(events.iter().any(|e| matches!(
-            e,
+                shutdown: 0,
+            },
             TraceEvent::EarlyTermination {
                 round: 1,
-                in_flight: 0
-            }
-        )));
+                in_flight: 0,
+            },
+            TraceEvent::RunEnd {
+                rounds: 1,
+                messages: 2,
+            },
+        ];
+        let rec = record(&events);
+        // One ring entry per event, in the order received.
+        assert_eq!(rec.events().cloned().collect::<Vec<_>>(), events);
+        assert_eq!(rec.total_events(), events.len() as u64);
 
         // Aggregates: mask 1 carried both deliveries, mask 2 the drop.
         assert_eq!(rec.kernels()[&1].messages, 2);
@@ -1015,25 +844,41 @@ mod tests {
         assert_eq!(rec.kernels()[&2].acks, 1);
         assert_eq!(rec.edge_loads()[&(0, 1)], 1);
         assert_eq!(rec.top_edges(1).len(), 1);
-        let spans = rec.wave_spans();
-        assert_eq!(spans, vec![(7, 0, 0, 2, 2)]);
+        assert_eq!(rec.wave_spans(), vec![(7, 0, 0, 2, 2)]);
         assert_eq!(rec.wave_delay_histogram(), vec![0, 1, 1]);
     }
 
     #[test]
+    fn wave_maps_track_first_arrivals_collisions_and_delay() {
+        let rec = record(&[
+            run_start("old"),
+            msg(0, 0, 3, Some(5)),
+            // A new run forgets the previous run's waves.
+            run_start(""),
+            msg(1, 0, 1, Some(7)),
+            msg(1, 0, 1, Some(7)), // repeat: not a new arrival
+            msg(1, 2, 1, Some(9)), // second stream, same node + round
+            msg(1, 0, 2, None),    // untagged: invisible
+        ]);
+        assert_eq!(rec.wave_arrivals().len(), 2);
+        assert_eq!(rec.wave_arrivals()[&(7, 1)], 2, "delivery round");
+        // Collisions and delays speak send rounds: delivery − 1.
+        assert_eq!(rec.node_collisions(), vec![(1, 1, 7, 9)]);
+        let delay = rec.max_delay(|s, v| (s == 7 && v == 1).then_some(1));
+        assert_eq!(delay, Some(0));
+        assert_eq!(rec.max_delay(|_, _| None), None);
+    }
+
+    #[test]
     fn topology_events_render_kind_and_endpoints() {
-        let mut rec = TraceRecorder::new();
-        rec.on_run_start(&RunInfo {
-            phase: "churn",
-            nodes: 4,
-            directed_edges: 6,
-            started: 4,
-        });
-        rec.on_topology(2, &TopologyEvent::Edge(EdgeEvent::Remove { u: 1, v: 2 }));
-        rec.on_topology(2, &TopologyEvent::Node(NodeEvent::Crash(3)));
-        rec.on_topology(5, &TopologyEvent::Edge(EdgeEvent::Insert { u: 0, v: 3 }));
-        rec.on_topology(5, &TopologyEvent::Node(NodeEvent::Join(3)));
-        rec.on_run_end(&RunStats::default());
+        let topo = |round, event| TraceEvent::TopologyChange { round, event };
+        let rec = record(&[
+            run_start("churn"),
+            topo(2, TopologyEvent::Edge(EdgeEvent::Remove { u: 1, v: 2 })),
+            topo(2, TopologyEvent::Node(NodeEvent::Crash(3))),
+            topo(5, TopologyEvent::Edge(EdgeEvent::Insert { u: 0, v: 3 })),
+            topo(5, TopologyEvent::Node(NodeEvent::Join(3))),
+        ]);
         let text = rec.events_jsonl();
         assert!(
             text.contains("{\"ev\":\"topology\",\"round\":2,\"kind\":\"remove\",\"u\":1,\"v\":2}"),
@@ -1052,38 +897,69 @@ mod tests {
 
     #[test]
     fn jsonl_lines_are_deterministic_and_parseable_shape() {
-        let mut rec = TraceRecorder::new();
-        rec.on_run_start(&RunInfo {
-            phase: "p",
-            nodes: 2,
-            directed_edges: 2,
-            started: 2,
-        });
-        rec.on_message(&msg(0, 0, 1, None));
-        rec.on_run_end(&RunStats::default());
+        let summary = TransportSummary {
+            sim_rounds: 9,
+            frames_sent: 3,
+            retransmissions: 1,
+            acks_sent: 2,
+            truncated_sends: 4,
+            gave_up: 0,
+        };
+        let rec = record(&[
+            run_start("p"),
+            msg(0, 0, 1, None),
+            TraceEvent::RunEnd {
+                rounds: 0,
+                messages: 1,
+            },
+            TraceEvent::Transport(summary),
+        ]);
         let text = rec.events_jsonl();
         for line in text.lines() {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         }
-        assert!(text.contains("\"ev\":\"send\""));
+        assert!(text.contains("\"ev\":\"message\""));
         assert!(text.contains("\"stream\":null"));
+        // The transport summary travels whole.
+        assert!(text.contains("\"sim_rounds\":9"), "{text}");
+        assert!(text.contains("\"truncated_sends\":4"), "{text}");
     }
 
+    /// Balanced JSON on both track layouts; exported by kernel, a reliable
+    /// run's retransmit / ack instants sit on the track of their own
+    /// frame's mask — the wrapped stack's mask for a resent payload, 0 for
+    /// a bare ack — and by node on their sender's.
     #[test]
     fn perfetto_export_is_balanced_json() {
-        let mut rec = TraceRecorder::new();
-        rec.on_run_start(&RunInfo {
-            phase: "p",
-            nodes: 2,
-            directed_edges: 2,
-            started: 2,
-        });
-        rec.on_message(&msg(0, 0, 1, Some(3)));
-        rec.on_round_start(1, 1, 1);
-        rec.on_round_end(1, &crate::obs::RoundTiming::default());
-        rec.on_quiescence(1, 0, 2, 0);
-        rec.on_run_end(&RunStats::default());
-        for track in [TrackBy::Node, TrackBy::Kernel] {
+        let tags = |kernels, retransmit, ack| TraceTags {
+            kernels,
+            retransmit,
+            ack,
+        };
+        let rec = record(&[
+            run_start("p"),
+            msg(0, 0, 1, Some(3)),
+            TraceEvent::RoundStart {
+                round: 1,
+                delivered: 1,
+                scheduled: 1,
+            },
+            frame(1, 0, 1, None, tags(6, true, false)),
+            frame(1, 1, 0, None, tags(0, false, true)),
+            TraceEvent::RoundEnd { round: 1 },
+            TraceEvent::QuiescenceVotes {
+                round: 1,
+                active: 0,
+                passive: 2,
+                shutdown: 0,
+            },
+            TraceEvent::RunEnd {
+                rounds: 1,
+                messages: 3,
+            },
+        ]);
+        // (retransmit track, ack track): by frame mask, or by sender.
+        for (track, tids) in [(TrackBy::Node, (0, 1)), (TrackBy::Kernel, (6, 0))] {
             let json = rec.to_perfetto(track);
             assert!(json.contains("\"traceEvents\""));
             assert!(json.contains("\"ph\":\"C\""));
@@ -1092,6 +968,14 @@ mod tests {
             let close = json.matches(['}', ']']).count();
             assert_eq!(open, close, "balanced brackets");
             assert!(!json.contains(",]") && !json.contains(",}"));
+            let on = |name: &str, tid: u64| {
+                let line = json.lines().find(|l| l.contains(name)).expect(name);
+                line.contains(&format!("\"tid\":{tid}"))
+            };
+            assert!(
+                on("\"retransmit ", tids.0) && on("\"ack ", tids.1),
+                "{json}"
+            );
         }
     }
 

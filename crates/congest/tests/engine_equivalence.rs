@@ -6,10 +6,11 @@
 
 use proptest::prelude::*;
 
+use dapsp_congest::obs::RoundMetrics;
 use dapsp_congest::{
-    Config, ExecutorKind, FanOut, FaultPlan, Inbox, Message, MetricsRecorder, NodeAlgorithm,
-    NodeContext, Outbox, Port, ReferenceSimulator, Report, SharedObserver, Simulator,
-    TerminationReason, Topology, TopologyPlan, TraceRecorder,
+    Config, ExecutorKind, FanOut, FaultPlan, Inbox, LossRule, Message, MetricsRecorder,
+    NodeAlgorithm, NodeContext, Outbox, Port, ReferenceSimulator, Report, RunStats, SharedObserver,
+    Simulator, TerminationReason, Topology, TopologyPlan, TraceEvent, TraceRecorder,
 };
 
 /// A gossip token: (origin id, hop count). Sized like a real CONGEST
@@ -203,23 +204,32 @@ fn run_with(
     (report, rec.with(|t| t.events_jsonl()))
 }
 
-/// What a tightly bounded [`TraceRecorder`] kept of a run: the stored
-/// events as JSONL, the overflow count, and the exact event total.
-type TraceDigest = (String, u64, u64);
+/// What the observers of one parity run kept: the metric stream, plus
+/// what a tightly bounded [`TraceRecorder`] kept — the stored events as
+/// JSONL, the overflow count, and the exact event total.
+type TraceDigest = (Vec<RoundMetrics>, String, u64, u64);
+
+/// The recorders of one observed parity run.
+type Recorders = (
+    SharedObserver<MetricsRecorder>,
+    SharedObserver<TraceRecorder>,
+);
 
 /// The `observed` mode of the four-way parity tests: a metrics recorder
-/// (first, so its stream lands on the report) fanned out with a trace
-/// recorder whose ring is far smaller than the run — which keeps the
-/// stored/overflowed split itself part of the comparison.
-fn observe(config: Config) -> (Config, SharedObserver<TraceRecorder>) {
+/// fanned out with a trace recorder whose ring is far smaller than the
+/// run — which keeps the stored/overflowed split itself part of the
+/// comparison.
+fn observe(config: Config) -> (Config, Recorders) {
     let metrics = SharedObserver::new(MetricsRecorder::new());
     let trace = SharedObserver::new(TraceRecorder::with_capacity(48, 16));
-    let both = SharedObserver::new(FanOut::new(vec![metrics.observer(), trace.observer()]));
-    (config.with_observer(both.observer()), trace)
+    let both = FanOut::new(vec![metrics.observer(), trace.observer()]);
+    let config = config.with_observer(SharedObserver::new(both).observer());
+    (config, (metrics, trace))
 }
 
-fn digest(trace: SharedObserver<TraceRecorder>) -> TraceDigest {
-    trace.with(|t| (t.events_jsonl(), t.overflow(), t.total_events()))
+fn digest((metrics, trace): Recorders) -> TraceDigest {
+    let stream = metrics.with(|m| m.stream().to_vec());
+    trace.with(|t| (stream, t.events_jsonl(), t.overflow(), t.total_events()))
 }
 
 /// The active-set regression the sparse engine exists for: a protocol in
@@ -288,6 +298,115 @@ fn fully_idle_protocol_quiesces_at_round_zero() {
         assert_eq!(report.stats.scheduled_node_rounds, N as u64, "t{threads}");
         assert_eq!(report.stats, dense.stats, "t{threads}");
     }
+}
+
+/// Checks one run's event stream against the order documented on
+/// [`Observer`](dapsp_congest::Observer):
+///
+/// ```text
+/// RunStart (Message|Drop)* QuiescenceVotes(0)
+///     ( TopologyChange* Drop* RoundStart Crash* (Message|Drop)* RoundEnd QuiescenceVotes )*
+///     EarlyTermination? RunEnd
+/// ```
+///
+/// with consecutive round numbers, every round-stamped event carrying its
+/// round (purge drops the previous one), and the per-kind counts equal to
+/// `stats`. Returns the first violation.
+fn check_stream(events: &[TraceEvent], stats: &RunStats) -> Result<(), String> {
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum At {
+        Begin,
+        Boot,
+        Between,
+        Churn,
+        Purge,
+        Open,
+        Crashes,
+        Sealed,
+        Terminated,
+        Done,
+    }
+    let mut at = At::Begin;
+    let mut round = 0u64;
+    let [mut messages, mut dropped, mut crashed, mut topo, mut rounds] = [0u64; 5];
+    for (i, ev) in events.iter().enumerate() {
+        let next = match (at, ev) {
+            (At::Begin, TraceEvent::RunStart { .. }) => At::Boot,
+            (At::Boot | At::Open | At::Crashes, TraceEvent::Message { round: r, .. })
+                if *r == round =>
+            {
+                messages += 1;
+                if at == At::Boot {
+                    At::Boot
+                } else {
+                    At::Open
+                }
+            }
+            (At::Boot | At::Open | At::Crashes, TraceEvent::Drop { round: r, .. })
+                if *r == round =>
+            {
+                dropped += 1;
+                if at == At::Boot {
+                    At::Boot
+                } else {
+                    At::Open
+                }
+            }
+            (At::Boot, TraceEvent::QuiescenceVotes { round: 0, .. }) => At::Between,
+            (At::Between | At::Churn, TraceEvent::TopologyChange { round: r, .. })
+                if *r == round + 1 =>
+            {
+                topo += 1;
+                At::Churn
+            }
+            (At::Between | At::Churn | At::Purge, TraceEvent::Drop { round: r, .. })
+                if *r == round =>
+            {
+                dropped += 1;
+                At::Purge
+            }
+            (At::Between | At::Churn | At::Purge, TraceEvent::RoundStart { round: r, .. })
+                if *r == round + 1 =>
+            {
+                round = *r;
+                rounds += 1;
+                At::Crashes
+            }
+            (At::Crashes, TraceEvent::Crash { round: r, .. }) if *r == round => {
+                crashed += 1;
+                At::Crashes
+            }
+            (At::Crashes | At::Open, TraceEvent::RoundEnd { round: r }) if *r == round => {
+                At::Sealed
+            }
+            (At::Sealed, TraceEvent::QuiescenceVotes { round: r, .. }) if *r == round => {
+                At::Between
+            }
+            (At::Between, TraceEvent::EarlyTermination { round: r, .. }) if *r == round => {
+                At::Terminated
+            }
+            (At::Between | At::Terminated, TraceEvent::RunEnd { .. }) => At::Done,
+            _ => return Err(format!("event {i} {ev:?} out of order after {at:?}")),
+        };
+        at = next;
+    }
+    if at != At::Done {
+        return Err(format!("stream stops at {at:?}"));
+    }
+    let counted = [messages, dropped, crashed, topo, rounds];
+    let booked = [
+        stats.messages,
+        stats.dropped,
+        stats.crashed,
+        stats.topo_events,
+        stats.rounds,
+    ];
+    if counted != booked {
+        return Err(format!(
+            "[Message, Drop, Crash, TopologyChange, RoundStart] counts {counted:?} != stats {booked:?}"
+        ));
+    }
+    Ok(())
 }
 
 proptest! {
@@ -391,9 +510,8 @@ proptest! {
             (report, trace.map(digest))
         };
         let (baseline, base_trace) = run_one(ExecutorKind::Serial, false);
-        if observed {
+        if let Some((stream, ..)) = &base_trace {
             // The metric stream's columns decompose the aggregate stats.
-            let stream = baseline.metrics.as_ref().expect("recorder attached");
             prop_assert_eq!(stream.len() as u64, baseline.stats.rounds + 1);
             prop_assert_eq!(
                 stream.iter().map(|r| r.messages).sum::<u64>(),
@@ -412,8 +530,6 @@ proptest! {
                 stream.iter().map(|r| r.scheduled_nodes).max().unwrap_or(0),
                 baseline.stats.max_scheduled_per_round
             );
-        } else {
-            prop_assert!(baseline.metrics.is_none());
         }
         let candidates = [
             (ExecutorKind::Pool { workers: 2 }, false),
@@ -426,10 +542,9 @@ proptest! {
             prop_assert_eq!(&baseline.outputs, &other.outputs, "outputs vs {}", label);
             prop_assert_eq!(baseline.stats, other.stats, "stats vs {}", label);
             // RoundMetrics equality ignores wall-clock columns, so entire
-            // streams must match row for row (both None when unobserved).
-            prop_assert_eq!(&baseline.metrics, &other.metrics, "metrics vs {}", label);
-            // Stored ring, overflow count and event total, all three.
-            prop_assert_eq!(&base_trace, &other_trace, "trace ring vs {}", label);
+            // metric streams must match row for row, beside the stored
+            // ring, overflow count and event total.
+            prop_assert_eq!(&base_trace, &other_trace, "observers vs {}", label);
         }
     }
 
@@ -486,8 +601,7 @@ proptest! {
             let label = format!("{executor:?}");
             prop_assert_eq!(&dense.outputs, &sparse.outputs, "outputs vs {}", label);
             prop_assert_eq!(dense.stats, sparse.stats, "stats vs {}", label);
-            prop_assert_eq!(&dense.metrics, &sparse.metrics, "metrics vs {}", label);
-            prop_assert_eq!(&dense_trace, &sparse_trace, "trace ring vs {}", label);
+            prop_assert_eq!(&dense_trace, &sparse_trace, "observers vs {}", label);
         }
     }
 
@@ -648,6 +762,69 @@ proptest! {
             prop_assert_eq!(baseline.stats, other.stats, "stats vs {}", &label);
             prop_assert_eq!(&base_jsonl, &other_jsonl, "trace vs {}", &label);
         }
+    }
+
+    /// The documented event order holds on every engine under every
+    /// adversity: Serial, Pool(2) and the seed reference engine, on random
+    /// graphs × loss × crash windows × churn plans, each emit one stream
+    /// matching [`check_stream`]'s grammar whose `Message` / `Drop` /
+    /// `Crash` / `TopologyChange` / `RoundStart` counts are the run's
+    /// `RunStats` — and the three streams are equal.
+    #[test]
+    fn event_streams_follow_the_documented_order(
+        n in 3usize..16,
+        seed in any::<u64>(),
+        lossy in any::<bool>(),
+        crash_window in any::<bool>(),
+        churn in any::<bool>(),
+    ) {
+        let adj = random_connected_adj(n, seed, 1);
+        let topo = Topology::from_adjacency(adj.clone()).expect("valid");
+        let mut faults = FaultPlan::new(seed);
+        if lossy {
+            faults = faults.with_rule(LossRule::Uniform { probability: 0.2 });
+        }
+        if crash_window {
+            faults = faults.with_crash((seed % n as u64) as u32, 1, 3);
+        }
+        let mut config = gossip_config(n).with_phase("order").with_faults(faults);
+        if churn {
+            // Remove one original edge at round 2 and, on odd seeds, a
+            // whole node at round 3.
+            let u = (seed / 3 % n as u64) as u32;
+            let mut plan = TopologyPlan::new().with_remove(2, u, adj[u as usize][0]);
+            if seed % 2 == 1 {
+                plan = plan.with_crash(3, ((seed / 5) % n as u64) as u32);
+            }
+            config = config.with_topology(plan);
+        }
+        let init = |_: &NodeContext<'_>| Gossip {
+            first_heard: vec![None; n],
+            queue: std::collections::VecDeque::new(),
+        };
+        let mut streams = Vec::new();
+        for (executor, reference) in [
+            (ExecutorKind::Serial, false),
+            (ExecutorKind::Pool { workers: 2 }, false),
+            (ExecutorKind::Serial, true),
+        ] {
+            let rec = SharedObserver::new(TraceRecorder::new());
+            let config = config.clone().with_executor(executor).with_observer(rec.observer());
+            let report = if reference {
+                ReferenceSimulator::new(&topo, config, init).run().expect("reference runs")
+            } else {
+                Simulator::new(&topo, config, init).run().expect("pipeline runs")
+            };
+            let events: Vec<TraceEvent> = rec.with(|r| {
+                assert_eq!(r.overflow(), 0, "the ring holds the whole run");
+                r.events().cloned().collect()
+            });
+            let label = if reference { "reference".into() } else { format!("{executor:?}") };
+            prop_assert_eq!(check_stream(&events, &report.stats), Ok(()), "{}", label);
+            streams.push(events);
+        }
+        prop_assert_eq!(&streams[0], &streams[1], "serial vs pool");
+        prop_assert_eq!(&streams[0], &streams[2], "serial vs reference");
     }
 
     /// The optimized engine agrees with the verbatim seed engine on every

@@ -118,9 +118,9 @@ impl RelStats {
     }
 
     /// These counters as the observer-facing
-    /// [`TransportSummary`](dapsp_congest::TransportSummary), the shape
-    /// [`Observer::on_transport`](dapsp_congest::Observer::on_transport)
-    /// receives from the `run_faulty` entry points.
+    /// [`TransportSummary`](dapsp_congest::TransportSummary), the payload
+    /// of the [`TraceEvent::Transport`](dapsp_congest::TraceEvent::Transport)
+    /// event the `run_faulty` entry points emit.
     pub fn summary(&self) -> dapsp_congest::TransportSummary {
         dapsp_congest::TransportSummary {
             sim_rounds: self.sim_rounds,
@@ -449,7 +449,6 @@ pub fn split_reliable_report<T>(
         dapsp_congest::Report {
             outputs,
             stats: report.stats,
-            metrics: report.metrics,
             certificate: report.certificate,
             sched: report.sched,
         },

@@ -299,8 +299,9 @@ mod tests {
     use super::*;
     use crate::error::CoreError;
     use crate::kernel::run_protocol_on;
-    use dapsp_congest::obs::MessageEvent;
-    use dapsp_congest::{Config, NodeContext, Observer, SharedObserver, SimError, Topology};
+    use dapsp_congest::{
+        Config, NodeContext, Observer, SharedObserver, SimError, Topology, TraceEvent,
+    };
     use proptest::prelude::*;
 
     /// A test kernel whose payloads are bytes of a declared fixed width. It
@@ -465,11 +466,19 @@ mod tests {
     struct HubWire(Vec<Booked>);
 
     impl Observer for HubWire {
-        fn on_message(&mut self, ev: &MessageEvent) {
-            if ev.from == 0 {
+        fn on_event(&mut self, ev: &TraceEvent) {
+            if let TraceEvent::Message {
+                round,
+                from: 0,
+                edge,
+                bits,
+                stream,
+                tags,
+                ..
+            } = *ev
+            {
                 // Node 0's directed edges are its ports.
-                self.0
-                    .push((ev.send_round, ev.edge, ev.bits, ev.stream, ev.tags));
+                self.0.push((round, edge, bits, stream, tags));
             }
         }
     }

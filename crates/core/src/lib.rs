@@ -5,9 +5,9 @@
 //! All algorithms run on the [`dapsp_congest`] simulator, which enforces the
 //! `B = Θ(log n)`-bit per-edge bandwidth, and report the exact number of
 //! synchronous rounds used — the paper's complexity measure. Pipelines can
-//! also stream per-phase, per-round metrics to a live observer — see
-//! [`observe`] and the `run_observed` entry points on [`apsp`], [`ssp`],
-//! [`approx`], [`girth`], and [`metrics`].
+//! also stream every phase's events to a live observer — see [`observe`],
+//! the `run_observed` entry points on [`apsp`], [`ssp`] and [`girth`],
+//! [`approx::eccentricities_observed`] and [`metrics::bundle_observed`].
 //!
 //! # What's here
 //!

@@ -35,7 +35,7 @@
 //! # }
 //! ```
 
-use dapsp_congest::{Config, ExecutorKind, ObserverHandle, TransportSummary};
+use dapsp_congest::{Config, ExecutorKind, ObserverHandle, TraceEvent, TransportSummary};
 
 /// An optional, borrowed observer to attach to each phase of a pipeline,
 /// plus the round-engine executor every phase should run on.
@@ -92,12 +92,13 @@ impl<'a> Obs<'a> {
     }
 
     /// Reports a reliable phase's aggregated transport counters to the
-    /// attached observer (a no-op when nobody is watching). Called by the
-    /// `run_faulty` entry points after folding the per-node `RelStats`,
-    /// i.e. outside the engine, after that phase's `on_run_end`.
+    /// attached observer as one [`TraceEvent::Transport`] (a no-op when
+    /// nobody is watching). Called by the `run_faulty` entry points after
+    /// folding the per-node `RelStats`, i.e. outside the engine, after
+    /// that phase's `RunEnd`.
     pub fn report_transport(&self, summary: &TransportSummary) {
         if let Some(h) = self.handle {
-            h.lock().on_transport(summary);
+            h.lock().on_event(&TraceEvent::Transport(*summary));
         }
     }
 

@@ -190,13 +190,14 @@ pub fn run_on(topology: &Topology, sources: &[u32]) -> Result<SspResult, CoreErr
     run_on_obs(topology, sources, Obs::none())
 }
 
-/// Like [`run`], streaming round/message/timing events of every phase to
-/// `observer`: `"bfs"` and `"agg:max"` for the `D₀` estimate, then
-/// `"ssp:growth"` for the simultaneous growth itself. Since the growth's
-/// announcements carry their source id as
-/// [`stream_id`](dapsp_congest::Message::stream_id), a
-/// [`WaveArrivalProbe`](dapsp_congest::obs::WaveArrivalProbe) attached
-/// here can verify the paper's Lemma 8 delay bound directly.
+/// Like [`run`], streaming the events of every phase to `observer`:
+/// `"bfs"` and `"agg:max"` for the `D₀` estimate, then `"ssp:growth"` for
+/// the simultaneous growth itself. Since the growth's announcements carry
+/// their source id as [`stream_id`](dapsp_congest::Message::stream_id), a
+/// [`TraceRecorder`](dapsp_congest::TraceRecorder) attached here keeps the
+/// growth's first arrivals — its last run — and its
+/// [`max_delay`](dapsp_congest::TraceRecorder::max_delay) verifies the
+/// paper's Lemma 8 delay bound directly.
 ///
 /// # Errors
 ///

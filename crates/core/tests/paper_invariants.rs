@@ -19,8 +19,7 @@
 use std::collections::HashMap;
 
 use dapsp_congest::{
-    Config, EdgeCongestionProbe, FanOut, FaultPlan, ObserverHandle, SharedObserver,
-    WaveArrivalProbe,
+    Config, EdgeCongestionProbe, FanOut, FaultPlan, ObserverHandle, SharedObserver, TraceRecorder,
 };
 use dapsp_core::kernel::{run_protocol_on, WaveKernel};
 use dapsp_core::{apsp, ssp};
@@ -41,7 +40,8 @@ fn families() -> Vec<(&'static str, Graph)> {
 fn lemma1_wave_phase_congestion_and_spacing() {
     for (family, g) in families() {
         let congestion = SharedObserver::new(EdgeCongestionProbe::new(1).for_phase("apsp:waves"));
-        let arrivals = SharedObserver::new(WaveArrivalProbe::new().for_phase("apsp:waves"));
+        // The recorder's wave maps describe the last run: the wave phase.
+        let arrivals = SharedObserver::new(TraceRecorder::new());
         let fan = ObserverHandle::new(FanOut::new(vec![
             congestion.observer(),
             arrivals.observer(),
@@ -59,7 +59,7 @@ fn lemma1_wave_phase_congestion_and_spacing() {
 
         arrivals.with(|p| {
             assert!(
-                !p.first_arrivals().is_empty(),
+                !p.wave_arrivals().is_empty(),
                 "{family}: wave arrivals were recorded"
             );
             let collisions = p.node_collisions();
@@ -71,7 +71,7 @@ fn lemma1_wave_phase_congestion_and_spacing() {
             // the same for every node (the wave's start offset). The root
             // itself is excluded — it only hears its own wave echoed back.
             let mut offsets: HashMap<u32, u64> = HashMap::new();
-            for (&(stream, node), &round) in p.first_arrivals() {
+            for (&(stream, node), &round) in p.wave_arrivals() {
                 if node == stream {
                     continue;
                 }
@@ -101,7 +101,8 @@ fn ssp_wave_delay_is_at_most_the_source_count() {
         for set_size in [1usize, 3, 8] {
             let step = (n / set_size).max(1);
             let sources: Vec<u32> = (0..n as u32).step_by(step).take(set_size).collect();
-            let arrivals = SharedObserver::new(WaveArrivalProbe::new().for_phase("ssp:growth"));
+            // The recorder's wave maps describe the last run: the growth.
+            let arrivals = SharedObserver::new(TraceRecorder::new());
             let handle = arrivals.observer();
             let result = ssp::run_observed(&g, &sources, &handle).expect("ssp runs");
 

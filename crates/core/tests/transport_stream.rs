@@ -3,22 +3,90 @@
 //! by [`MetricsRecorder`] must sum exactly to the [`RelStats`] totals the
 //! reliable entry points return — every transmitted frame is either
 //! committed or dropped at the engine's choke point, and both paths carry
-//! the frame's [`TraceTags`].
+//! the frame's [`TraceTags`]. The traced [`TraceEvent::Transport`] events
+//! carry each phase's summary whole.
 
-use dapsp_congest::{FaultPlan, MetricsRecorder, SharedObserver};
+use dapsp_congest::{
+    FanOut, FaultPlan, MetricsRecorder, ObserverHandle, SharedObserver, TraceEvent, TraceRecorder,
+    TrackBy, TransportSummary,
+};
 use dapsp_core::{apsp, bfs, Obs};
 use dapsp_graph::generators;
 
+/// A metric recorder and a trace recorder watching one pipeline.
+struct Watch {
+    metrics: SharedObserver<MetricsRecorder>,
+    trace: SharedObserver<TraceRecorder>,
+    handle: ObserverHandle,
+}
+
+fn watch() -> Watch {
+    let metrics = SharedObserver::new(MetricsRecorder::new());
+    let trace = SharedObserver::new(TraceRecorder::new());
+    let handle = ObserverHandle::new(FanOut::new(vec![metrics.observer(), trace.observer()]));
+    Watch {
+        metrics,
+        trace,
+        handle,
+    }
+}
+
 /// Runs a lossy reliable pipeline and asserts the stream's transport
-/// columns reproduce the returned `RelStats` and the `on_transport`
-/// summaries exactly.
+/// columns reproduce the returned `RelStats` and the per-phase transport
+/// summaries exactly — and that the trace carries those summaries whole,
+/// one `Transport` event per reliable phase, right after its `RunEnd`.
 fn assert_columns_match(
-    recorder: &SharedObserver<MetricsRecorder>,
+    watch: &Watch,
     rel: &dapsp_core::kernel::RelStats,
     expected_phases: &[&str],
     tag: &str,
 ) {
-    recorder.with(|rec| {
+    let traced: Vec<(String, TransportSummary)> = watch.trace.with(|t| {
+        let (mut phase, mut prev) = (String::new(), None);
+        let mut traced = Vec::new();
+        for ev in t.events() {
+            match ev {
+                TraceEvent::RunStart { phase: p, .. } => phase = p.clone(),
+                TraceEvent::Transport(summary) => {
+                    assert!(
+                        matches!(prev, Some(&TraceEvent::RunEnd { .. })),
+                        "{tag}: Transport must follow its phase's RunEnd"
+                    );
+                    traced.push((phase.clone(), *summary));
+                }
+                _ => {}
+            }
+            prev = Some(ev);
+        }
+        traced
+    });
+    // Folded like `RelStats::absorb`, the traced summaries are the
+    // returned counters — all six fields, `sim_rounds` and
+    // `truncated_sends` included.
+    let folded = traced
+        .iter()
+        .fold(TransportSummary::default(), |acc, (_, t)| {
+            TransportSummary {
+                sim_rounds: acc.sim_rounds.max(t.sim_rounds),
+                frames_sent: acc.frames_sent + t.frames_sent,
+                retransmissions: acc.retransmissions + t.retransmissions,
+                acks_sent: acc.acks_sent + t.acks_sent,
+                truncated_sends: acc.truncated_sends + t.truncated_sends,
+                gave_up: acc.gave_up.max(t.gave_up),
+            }
+        });
+    assert_eq!(folded, rel.summary(), "{tag}: traced Transport events");
+    assert!(
+        folded.sim_rounds > 0,
+        "{tag}: sim_rounds travels in the trace"
+    );
+    watch.metrics.with(|rec| {
+        let recorded: Vec<(String, TransportSummary)> = rec
+            .transports()
+            .iter()
+            .map(|(p, t)| (p.to_string(), *t))
+            .collect();
+        assert_eq!(traced, recorded, "{tag}: trace and metric stream agree");
         let retransmits: u64 = rec.stream().iter().map(|m| m.retransmits).sum();
         let acks: u64 = rec.stream().iter().map(|m| m.acks).sum();
         assert_eq!(
@@ -29,31 +97,22 @@ fn assert_columns_match(
             acks, rel.acks_sent,
             "{tag}: ack column sum != RelStats total"
         );
-        // Each reliable phase reported one transport summary, labeled with
-        // its phase, and the summaries add up to the folded RelStats.
-        let phases: Vec<&str> = rec.transports().iter().map(|(p, _)| &**p).collect();
-        assert_eq!(phases, expected_phases, "{tag}: transport phase labels");
-        let sum_retx: u64 = rec
-            .transports()
-            .iter()
-            .map(|(_, t)| t.retransmissions)
-            .sum();
-        let sum_acks: u64 = rec.transports().iter().map(|(_, t)| t.acks_sent).sum();
-        assert_eq!(sum_retx, rel.retransmissions, "{tag}: transport summaries");
-        assert_eq!(sum_acks, rel.acks_sent, "{tag}: transport ack summaries");
     });
+    // Each reliable phase reported one transport summary, labeled with its
+    // phase.
+    let phases: Vec<&str> = traced.iter().map(|(p, _)| p.as_str()).collect();
+    assert_eq!(phases, expected_phases, "{tag}: transport phase labels");
 }
 
 #[test]
 fn bfs_transport_columns_sum_to_relstats() {
     let g = generators::watts_strogatz(24, 2, 0.1, 5);
-    let recorder = SharedObserver::new(MetricsRecorder::new());
-    let handle = recorder.observer();
+    let watch = watch();
     let (result, rel) = bfs::run_faulty_on(
         &g.to_topology(),
         0,
         FaultPlan::uniform_loss(0.25, 11),
-        Obs::watching(&handle),
+        Obs::watching(&watch.handle),
     )
     .expect("reliable BFS survives 25% loss");
     assert!(result.reached_all(), "BFS must still reach everyone");
@@ -62,18 +121,17 @@ fn bfs_transport_columns_sum_to_relstats() {
         "25% loss must force at least one retransmission"
     );
     assert!(rel.acks_sent > 0, "reliable BFS sends acks");
-    assert_columns_match(&recorder, &rel, &["bfs:reliable"], "bfs");
+    assert_columns_match(&watch, &rel, &["bfs:reliable"], "bfs");
 }
 
 #[test]
 fn apsp_pipeline_transport_columns_sum_across_phases() {
     let g = generators::watts_strogatz(16, 2, 0.1, 9);
-    let recorder = SharedObserver::new(MetricsRecorder::new());
-    let handle = recorder.observer();
+    let watch = watch();
     let (result, rel) = apsp::run_faulty_on(
         &g.to_topology(),
         FaultPlan::uniform_loss(0.2, 13),
-        Obs::watching(&handle),
+        Obs::watching(&watch.handle),
     )
     .expect("reliable APSP survives 20% loss");
     assert_eq!(result.next_hop.num_nodes(), 16, "full routing table");
@@ -82,26 +140,52 @@ fn apsp_pipeline_transport_columns_sum_across_phases() {
     // reporting its own transport summary; the folded RelStats the entry
     // point returns is their sum, and so are the stream columns.
     assert_columns_match(
-        &recorder,
+        &watch,
         &rel,
         &["bfs:reliable", "apsp:waves:reliable"],
         "apsp",
+    );
+    // Exported by kernel, each retransmit instant sits on the track of its
+    // own frame's mask: the `k=` of the send it annotates.
+    let json = watch.trace.with(|t| t.to_perfetto(TrackBy::Kernel));
+    let field = |line: &str, key: &str| -> String {
+        let at = line.find(key).unwrap_or_else(|| panic!("{key} in {line}")) + key.len();
+        line[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect()
+    };
+    let (mut send_mask, mut tracks) = (String::new(), std::collections::BTreeSet::new());
+    for line in json.lines() {
+        if line.contains("\"name\":\"send ") {
+            send_mask = field(line, " k=");
+        } else if line.contains("\"name\":\"retransmit ") {
+            assert_eq!(
+                field(line, "\"tid\":"),
+                send_mask,
+                "retransmit track: {line}"
+            );
+            tracks.insert(send_mask.clone());
+        }
+    }
+    assert!(
+        tracks.len() > 1,
+        "retransmits span several masks: {tracks:?}"
     );
 }
 
 #[test]
 fn fault_free_reliable_run_reports_zero_retransmits() {
     let g = generators::path(12);
-    let recorder = SharedObserver::new(MetricsRecorder::new());
-    let handle = recorder.observer();
+    let watch = watch();
     let (_, rel) = bfs::run_faulty_on(
         &g.to_topology(),
         0,
         FaultPlan::new(3),
-        Obs::watching(&handle),
+        Obs::watching(&watch.handle),
     )
     .expect("fault-free reliable BFS");
     assert_eq!(rel.retransmissions, 0, "no loss, no retransmissions");
     assert!(!rel.gave_up);
-    assert_columns_match(&recorder, &rel, &["bfs:reliable"], "fault-free");
+    assert_columns_match(&watch, &rel, &["bfs:reliable"], "fault-free");
 }

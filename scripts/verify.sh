@@ -71,4 +71,7 @@ echo "==> benchmark/run.sh --smoke"
 # It is the only thing in the repository that measures wall time.
 bash benchmark/run.sh --smoke
 
-echo "OK: fmt + build + tests + forced-stealing parity + clippy + docs + inspect smokes + benchmark smoke all green"
+# ROADMAP's source-line metric, printed (not gated) so the line budget is
+# visible on every run.
+src_lines=$(find crates/*/src src -name '*.rs' | xargs cat | wc -l)
+echo "OK: fmt + build + tests + forced-stealing parity + clippy + docs + inspect smokes + benchmark smoke all green; source lines: $src_lines"
