@@ -17,8 +17,8 @@
 //!   alive and consistent no matter how many republishes happen meanwhile.
 //! * **Control plane** — [`RouteService`]: owns the live graph, applies
 //!   [`TopologyPlan`](dapsp_congest::TopologyPlan)s through the churn
-//!   track (kernel repair with the adaptive full-recompute fallback), and
-//!   publishes each repaired table as a new epoch.
+//!   track (a cold distance-vector rerun with the plan's events mid-run,
+//!   see [`RouteService::apply`]), and publishes each table as a new epoch.
 //!   [`RouteService::spawn`] moves it onto a background thread driven
 //!   through a [`RouteServiceController`], so recomputes never run on a
 //!   reader thread.

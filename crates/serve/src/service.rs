@@ -83,11 +83,16 @@ impl RouteService {
     }
 
     /// Applies a topology change: reruns the computation under `plan`
-    /// through the churn track (kernel repair, with the adaptive
-    /// full-recompute fallback on large batches), compacts the repaired
-    /// result against the post-churn topology, and atomically publishes
-    /// it as epoch `+1`. Readers keep the old snapshot until the new one
-    /// is fully built.
+    /// through the churn track, compacts the result against the post-churn
+    /// topology, and atomically publishes it as epoch `+1`. Readers keep
+    /// the old snapshot until the new one is fully built.
+    ///
+    /// The rerun starts from nothing: no prior table is passed in, so
+    /// [`apsp::run_churned_on`] boots a cold `n`-slot distance vector on
+    /// the *old* topology, with the plan's events landing mid-run (and the
+    /// adaptive full-recompute fallback on large batches). Its cost is that
+    /// of a cold distance-vector run, not of the change; warm start from the
+    /// served table is open (ROADMAP.md item 3, structural repair).
     ///
     /// # Errors
     ///
