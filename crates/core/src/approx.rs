@@ -5,9 +5,12 @@
 //!
 //! 1. `BFS_1` + max-aggregation → `D₀ = 2·ecc(1)`, a `(×,2)` diameter
 //!    bound (Fact 1) — `O(D)`;
-//! 2. `k := ⌊ε·D₀/4⌋`; build a k-dominating set `DOM` of size at most
+//! 2. `k := min(⌊ε·D₀/4⌋, D₀)` (any node is within `D ≤ D₀` of all
+//!    others, so a larger radius changes nothing); build a k-dominating
+//!    set `DOM` of size at most
 //!    `max{1, ⌊n/(k+1)⌋} = O(n/(εD))` — `O(D)`;
-//! 3. solve `DOM`-SP with Algorithm 2 — `O(|DOM| + D) = O(n/(εD) + D)`;
+//! 3. solve `DOM`-SP with Algorithm 2, whose own `T_1` and `D₀` are
+//!    phase 1's, so only its growth runs — `O(|DOM| + D) = O(n/(εD) + D)`;
 //! 4. every node `v` sets `ecc̃(v) := k + max_{u ∈ DOM} d(v, u)`, which
 //!    satisfies `ecc(v) ≤ ecc̃(v) ≤ (1+ε)·ecc(v)`;
 //! 5. diameter/radius estimates are one more `O(D)` aggregation; center and
@@ -19,9 +22,9 @@ use dapsp_congest::{ObserverHandle, RunStats, Topology};
 use dapsp_graph::Graph;
 
 use crate::aggregate::{self, AggOp};
-use crate::bfs;
 use crate::dominating;
 use crate::error::CoreError;
+use crate::kernel::SourceSlots;
 use crate::metrics::MembershipResult;
 use crate::observe::Obs;
 use crate::ssp;
@@ -32,7 +35,7 @@ use crate::tree::TreeKnowledge;
 pub struct ApproxEccResult {
     /// `estimates[v]` with `ecc(v) <= estimates[v] <= (1+ε)·ecc(v)`.
     pub estimates: Vec<u32>,
-    /// The dominating-set radius `k = ⌊ε·D₀/4⌋` used.
+    /// The dominating-set radius `k = min(⌊ε·D₀/4⌋, D₀)` used.
     pub k: u32,
     /// The size of the dominating set (the `|S|` of the S-SP call).
     pub dom_size: u64,
@@ -71,28 +74,36 @@ fn estimate_eccentricities(
     obs: Obs<'_>,
 ) -> Result<(ApproxEccResult, TreeKnowledge, Topology), CoreError> {
     validate_eps(eps)?;
-    let n = graph.num_nodes();
-    if n == 0 {
+    if graph.num_nodes() == 0 {
         return Err(CoreError::EmptyGraph);
     }
     let topology = graph.to_topology();
     // Phase 1: T_1 and D0 = 2·ecc(1).
-    let t1 = bfs::run_on_obs(&topology, 0, obs)?;
-    if !t1.reached_all() {
-        return Err(CoreError::Disconnected);
-    }
-    let depths: Vec<u64> = t1.dist.iter().map(|&d| u64::from(d)).collect();
-    let agg = aggregate::run_on_obs(&topology, &t1.tree, &depths, AggOp::Max, obs)?;
-    let d0 = 2 * agg.value as u32;
-    let mut stats = t1.stats;
-    stats.absorb_sequential(&agg.stats);
-    // Phase 2: k-dominating set.
-    let k = (eps * f64::from(d0) / 4.0).floor() as u32;
-    let dom = dominating::run_on_obs(&topology, &t1.tree, k, obs)?;
+    let pre = ssp::preamble(&topology, None, obs)?;
+    let (ecc, tree) = estimate_from(&topology, pre, eps, obs)?;
+    Ok((ecc, tree, topology))
+}
+
+/// Phases 2–4 over the `T_1` and `D₀` of phase 1, whose cost `pre`
+/// carries and the result charges once: the DOM-SP of phase 3 grows from
+/// them instead of building its own. Hands `T_1` back for follow-up
+/// aggregations.
+pub(crate) fn estimate_from(
+    topology: &Topology,
+    pre: ssp::Preamble,
+    eps: f64,
+    obs: Obs<'_>,
+) -> Result<(ApproxEccResult, TreeKnowledge), CoreError> {
+    let n = topology.num_nodes();
+    let mut stats = pre.stats;
+    // Phase 2: k-dominating set. Past k = D₀ every node dominates the
+    // whole graph, so a larger ε buys nothing but wider messages.
+    let k = ((eps * f64::from(pre.d0) / 4.0).floor() as u32).min(pre.d0);
+    let dom = dominating::run_on_obs(topology, &pre.tree, k, obs)?;
     stats.absorb_sequential(&dom.stats);
-    // Phase 3: DOM-SP.
-    let sources = dom.member_ids();
-    let sp = ssp::run_on_obs(&topology, &sources, obs)?;
+    // Phase 3: DOM-SP, growth only.
+    let slots = SourceSlots::new(n, &dom.member_ids())?;
+    let sp = ssp::grow(topology, slots, pre.tree, pre.d0, obs)?;
     stats.absorb_sequential(&sp.stats);
     // Phase 4: local estimates.
     let estimates: Vec<u32> = (0..n)
@@ -105,8 +116,7 @@ fn estimate_eccentricities(
             dom_size: dom.size,
             stats,
         },
-        t1.tree,
-        topology,
+        sp.tree,
     ))
 }
 
@@ -142,8 +152,9 @@ pub fn eccentricities(graph: &Graph, eps: f64) -> Result<ApproxEccResult, CoreEr
 
 /// Like [`eccentricities`], streaming round/message/timing events of every
 /// phase to `observer` — the phases report as `"bfs"`, `"agg:max"`,
-/// `"dom:select"`, `"agg:sum"`, then the S-SP phases (`"bfs"`,
-/// `"agg:max"`, `"ssp:growth"`), matching Theorem 4's pipeline structure.
+/// `"dom:select"`, `"agg:sum"`, then `"ssp:growth"`, matching Theorem 4's
+/// pipeline structure: the S-SP grows from phase 1's `T_1` and `D₀`
+/// instead of repeating `"bfs"` and `"agg:max"`.
 ///
 /// # Errors
 ///
@@ -190,7 +201,7 @@ pub fn radius(graph: &Graph, eps: f64) -> Result<ApproxScalarResult, CoreError> 
     scalar_from_estimates(&topology, ecc, &t1, AggOp::Min)
 }
 
-fn scalar_from_estimates(
+pub(crate) fn scalar_from_estimates(
     topology: &Topology,
     ecc: ApproxEccResult,
     t1: &TreeKnowledge,
@@ -264,24 +275,15 @@ pub fn peripheral_vertices(graph: &Graph, eps: f64) -> Result<MembershipResult, 
 ///
 /// Same as [`eccentricities`], minus the parameter check.
 pub fn diameter_times_two(graph: &Graph) -> Result<ApproxScalarResult, CoreError> {
-    let n = graph.num_nodes();
-    if n == 0 {
+    if graph.num_nodes() == 0 {
         return Err(CoreError::EmptyGraph);
     }
-    let topology = graph.to_topology();
-    let t1 = bfs::run_on(&topology, 0)?;
-    if !t1.reached_all() {
-        return Err(CoreError::Disconnected);
-    }
-    let depths: Vec<u64> = t1.dist.iter().map(|&d| u64::from(d)).collect();
-    let agg = aggregate::run_on(&topology, &t1.tree, &depths, AggOp::Max)?;
-    let mut stats = t1.stats;
-    stats.absorb_sequential(&agg.stats);
+    let pre = ssp::preamble(&graph.to_topology(), None, Obs::none())?;
     Ok(ApproxScalarResult {
-        value: 2 * agg.value as u32,
+        value: pre.d0,
         k: 0,
         dom_size: 1,
-        stats,
+        stats: pre.stats,
     })
 }
 
@@ -427,6 +429,38 @@ mod tests {
         }
     }
 
+    /// A huge but finite ε is valid: k stops at D₀, where one dominator
+    /// already covers the graph, so the dominating set's messages stay
+    /// within the bandwidth and `k + max d` cannot overflow.
+    #[test]
+    fn large_epsilon_clamps_k_to_d0() {
+        let g = generators::path(40);
+        for eps in [64.0, 1e3, 1e12, f64::MAX] {
+            let r = eccentricities(&g, eps).unwrap();
+            assert_eq!((r.k, r.dom_size), (78, 1), "eps = {eps}: k = D₀ = 2·39");
+            guarantee_holds(&g, eps);
+        }
+        let r = eccentricities(&generators::path(5), 1e10).unwrap();
+        assert_eq!(r.k, 8);
+    }
+
+    /// S-SP reuses phase 1's `T_1` and `D₀`: one `"bfs"` and one
+    /// `"agg:max"` run per pipeline, not one more of each for the growth.
+    #[test]
+    fn observed_pipeline_builds_t1_and_d0_once() {
+        use dapsp_congest::{PhaseProfiler, SharedObserver};
+        let g = generators::grid(6, 6);
+        let shared = SharedObserver::new(PhaseProfiler::new());
+        let r = eccentricities_observed(&g, 1.0, &shared.observer()).unwrap();
+        let phases: Vec<String> =
+            shared.with(|p| p.profiles().iter().map(|p| p.phase.clone()).collect());
+        assert_eq!(
+            phases,
+            ["bfs", "agg:max", "dom:select", "agg:sum", "ssp:growth"]
+        );
+        assert_eq!(r, eccentricities(&g, 1.0).unwrap());
+    }
+
     #[test]
     fn single_node() {
         let g = Graph::builder(1).build();
@@ -449,26 +483,16 @@ mod tests {
 ///
 /// Same as [`diameter_times_two`].
 pub fn eccentricities_times_two(graph: &Graph) -> Result<ApproxEccResult, CoreError> {
-    let n = graph.num_nodes();
-    if n == 0 {
+    if graph.num_nodes() == 0 {
         return Err(CoreError::EmptyGraph);
     }
-    let topology = graph.to_topology();
-    let t1 = bfs::run_on(&topology, 0)?;
-    if !t1.reached_all() {
-        return Err(CoreError::Disconnected);
-    }
-    let depths: Vec<u64> = t1.dist.iter().map(|&d| u64::from(d)).collect();
-    let agg = aggregate::run_on(&topology, &t1.tree, &depths, AggOp::Max)?;
-    let ecc0 = agg.value as u32;
-    let estimates = t1.dist.iter().map(|&d| d.max(ecc0)).collect();
-    let mut stats = t1.stats;
-    stats.absorb_sequential(&agg.stats);
+    let pre = ssp::preamble(&graph.to_topology(), None, Obs::none())?;
+    let ecc0 = pre.d0 / 2;
     Ok(ApproxEccResult {
-        estimates,
+        estimates: pre.dist.iter().map(|&d| d.max(ecc0)).collect(),
         k: 0,
         dom_size: 1,
-        stats,
+        stats: pre.stats,
     })
 }
 

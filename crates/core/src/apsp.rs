@@ -262,7 +262,9 @@ pub fn run_faulty_on(
     let (report, rel_b) = split_reliable_report(report);
     obs.report_transport(&rel_b.summary());
     rel.absorb(&rel_b);
-    Ok((assemble(topology, t1, report), rel))
+    let mut result = assemble(topology, t1.tree, report);
+    result.stats.absorb_sequential(&t1.stats);
+    Ok((result, rel))
 }
 
 /// Computes **all k-BFS trees** (Definition 7 of the paper): every node
@@ -411,29 +413,49 @@ fn run_phases(
     max_depth: u32,
     obs: Obs<'_>,
 ) -> Result<ApspResult, CoreError> {
-    let n = topology.num_nodes();
-    check_size(n)?;
+    check_size(topology.num_nodes())?;
     // Phase A: build T_1 (BFS from node 0, the smallest id).
     let t1 = bfs::run_on_obs(topology, 0, obs)?;
     if !t1.reached_all() {
         return Err(CoreError::Disconnected);
     }
-    // Phase B: pebble traversal + one BFS wave per node.
+    let mut result = waves(topology, t1.tree, wait_one_slot, max_depth, obs)?;
+    result.stats.absorb_sequential(&t1.stats);
+    Ok(result)
+}
+
+/// Phase B alone: the pebble traversal of `tree` (which must be `T_1`)
+/// plus one BFS wave per node, for a pipeline that already built `T_1`.
+/// The result hands `tree` back and carries phase B's statistics only.
+///
+/// # Errors
+///
+/// Same as [`run`], minus the connectivity check.
+pub(crate) fn waves(
+    topology: &Topology,
+    tree: TreeKnowledge,
+    wait_one_slot: bool,
+    max_depth: u32,
+    obs: Obs<'_>,
+) -> Result<ApspResult, CoreError> {
+    let n = topology.num_nodes();
+    check_size(n)?;
     let config = obs.apply(Config::for_n(n), "apsp:waves");
     let report = run_protocol_on(topology, config, |ctx| {
         Stack::coupled(
-            PebbleKernel::new(ctx, &t1.tree, wait_one_slot),
+            PebbleKernel::new(ctx, &tree, wait_one_slot),
             WaveKernel::all_roots(ctx, max_depth),
             StartWaveOnRelease,
         )
     })?;
-    Ok(assemble(topology, t1, report))
+    Ok(assemble(topology, tree, report))
 }
 
-/// Folds per-node outputs into the host-side result structure.
+/// Folds per-node outputs into the host-side result structure, with the
+/// wave phase's statistics.
 fn assemble(
     topology: &Topology,
-    t1: crate::bfs::BfsResult,
+    tree: TreeKnowledge,
     report: dapsp_congest::Report<((), WaveState)>,
 ) -> ApspResult {
     let n = topology.num_nodes();
@@ -455,8 +477,6 @@ fn assemble(
             acc.3[v as usize] = state.girth_candidate;
             acc.2 = acc.2.min(state.girth_candidate);
         });
-    let mut stats = t1.stats;
-    stats.absorb_sequential(&report.stats);
     ApspResult {
         distances,
         next_hop: NextHopMatrix { n, data: next_hop },
@@ -466,8 +486,8 @@ fn assemble(
             Some(girth_candidate)
         },
         local_girth_candidates,
-        tree: t1.tree,
-        stats,
+        tree,
+        stats: report.stats,
         certificate: report.certificate,
     }
 }

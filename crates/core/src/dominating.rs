@@ -152,7 +152,7 @@ pub struct DominatingResult {
     pub members: Vec<bool>,
     /// `|DOM|`, known to every node (needed by the S-SP round budget).
     pub size: u64,
-    /// The parameter `k` used.
+    /// The parameter `k` used, at most `n − 1`.
     pub k: u32,
     /// Round/message statistics (convergecast + size aggregation).
     pub stats: RunStats,
@@ -172,7 +172,8 @@ impl DominatingResult {
 
 /// Builds a k-dominating set of size at most `max{1, ⌊n/(k+1)⌋}` over the
 /// spanning tree `tree` in `O(D)` rounds, then sum-aggregates its size so
-/// every node knows `|DOM|`.
+/// every node knows `|DOM|`. A `k` above `n − 1` runs as `n − 1`, which
+/// selects the same set.
 ///
 /// # Errors
 ///
@@ -238,6 +239,10 @@ pub fn run_on_obs(
             "dominating-set tree does not span the graph".into(),
         ));
     }
+    // Every node is within n − 1 hops of every other, so any larger k
+    // selects the same set; clamping keeps `k + 1` and the message width
+    // bounded.
+    let k = k.min(n as u32 - 1);
     let config = obs.apply(Config::for_n(n), "dom:select");
     let report = run_algorithm_on(topology, config, |ctx| {
         let v = ctx.node_id() as usize;
@@ -324,6 +329,27 @@ mod tests {
         let t1 = bfs::run(&g, 0).unwrap();
         let dom = run(&g, &t1.tree, 100).unwrap();
         assert_eq!(dom.size, 1);
+    }
+
+    /// Any k past n − 1 runs as n − 1: the root alone, in messages as wide
+    /// as `k = n − 1` needs, and no `k + 1` overflow at `u32::MAX`.
+    #[test]
+    fn k_beyond_n_is_clamped() {
+        for g in [
+            generators::path(5),
+            generators::path(40),
+            generators::grid(3, 3),
+        ] {
+            let n = g.num_nodes() as u32;
+            let t1 = bfs::run(&g, 0).unwrap();
+            let at_limit = run(&g, &t1.tree, n - 1).unwrap();
+            for k in [n, 4 * n, u32::MAX] {
+                let dom = run(&g, &t1.tree, k).unwrap();
+                assert_eq!(dom.member_ids(), vec![0], "k = {k}");
+                assert_eq!(dom.k, n - 1);
+                assert_eq!(dom.stats, at_limit.stats, "k = {k}");
+            }
+        }
     }
 
     #[test]

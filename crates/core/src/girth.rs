@@ -7,7 +7,8 @@
 //!    are OR-aggregated over `T_1`. If a tree, the girth is infinite
 //!    (`None`).
 //! 2. **Cycle detection during APSP, `O(n)` rounds:** while Algorithm 1's
-//!    waves run, a node `u` at depth `d_u` in `T_v` that hears `v`'s wave
+//!    waves run (over the `T_1` of step 1, which is Algorithm 1's own
+//!    phase A), a node `u` at depth `d_u` in `T_v` that hears `v`'s wave
 //!    again from a non-parent neighbor `w` at depth `d_w` knows a cycle of
 //!    length at most `d_u + d_w + 1` exists; from a root on a minimum cycle
 //!    the bound is tight, so the minimum candidate over all nodes *is* the
@@ -60,8 +61,8 @@ pub fn run(graph: &Graph) -> Result<GirthResult, CoreError> {
 
 /// Like [`run`], streaming round/message/timing events of every phase to
 /// `observer`: the tree test reports as `"bfs"` and `"agg:or"`, the cycle
-/// detection as the APSP phases (`"bfs"`, `"apsp:waves"`), and the final
-/// fold as `"agg:min"`.
+/// detection as `"apsp:waves"` (its `T_1` is the tree test's), and the
+/// final fold as `"agg:min"`.
 ///
 /// # Errors
 ///
@@ -90,10 +91,11 @@ fn run_obs(graph: &Graph, obs: Obs<'_>) -> Result<GirthResult, CoreError> {
     if or.value == 0 {
         return Ok(GirthResult { girth: None, stats });
     }
-    // Not a tree: run Algorithm 1 and min-aggregate the per-node cycle
-    // candidates. Sentinel for "no candidate at this node": anything above
-    // 2n + 1 works, since every cycle candidate is at most 2D + 1 < 2n + 2.
-    let apsp_result = apsp::run_on_obs(&topology, obs)?;
+    // Not a tree: run Algorithm 1's waves over the T_1 just built and
+    // min-aggregate the per-node cycle candidates. Sentinel for "no
+    // candidate at this node": anything above 2n + 1 works, since every
+    // cycle candidate is at most 2D + 1 < 2n + 2.
+    let apsp_result = apsp::waves(&topology, t1.tree, true, u32::MAX, obs)?;
     stats.absorb_sequential(&apsp_result.stats);
     let sentinel = 2 * n as u64 + 2;
     let candidates: Vec<u64> = apsp_result

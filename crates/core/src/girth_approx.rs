@@ -4,7 +4,8 @@
 //! The scheme from the paper (proof in the full version): maintain a girth
 //! upper bound `ĝ`, initially `2·D₀ + 1` (every non-tree graph contains a
 //! cycle of length at most `2D + 1`). Repeatedly build a k-dominating set
-//! with `k = ⌊ĝ/4⌋` and run `DOM`-SP. During the simultaneous growth every
+//! with `k = ⌊ĝ/4⌋` and run `DOM`-SP — its growth only, since `T_1` and
+//! `D₀` are built once, up front. During the simultaneous growth every
 //! repeated arrival closes a cycle: a dominator within distance `k` of a
 //! shortest cycle detects a candidate of length at most `g + 2k ≤ g + ĝ/2`,
 //! so each iteration at least halves the gap between `ĝ` and `2g` — after
@@ -17,9 +18,10 @@ use dapsp_congest::{RunStats, Topology};
 use dapsp_graph::{Graph, INFINITY};
 
 use crate::aggregate::{self, AggOp};
-use crate::bfs;
 use crate::dominating;
 use crate::error::CoreError;
+use crate::kernel::SourceSlots;
+use crate::observe::Obs;
 use crate::ssp;
 use crate::tree::TreeKnowledge;
 
@@ -34,18 +36,21 @@ pub struct GirthApproxResult {
     pub stats: RunStats,
 }
 
-/// One probe: dominating set with radius `k`, DOM-SP, min-aggregate the
-/// cycle candidates. Returns the smallest candidate seen (`None` if none).
+/// One probe: dominating set with radius `k`, DOM-SP grown from `T_1`
+/// and `D₀`, min-aggregate the cycle candidates. Returns the smallest
+/// candidate seen (`None` if none) and hands `T_1` back.
 fn probe(
     topology: &Topology,
-    tree: &TreeKnowledge,
+    tree: TreeKnowledge,
+    d0: u32,
     k: u32,
     stats: &mut RunStats,
-) -> Result<Option<u32>, CoreError> {
+) -> Result<(Option<u32>, TreeKnowledge), CoreError> {
     let n = topology.num_nodes();
-    let dom = dominating::run_on(topology, tree, k)?;
+    let dom = dominating::run_on(topology, &tree, k)?;
     stats.absorb_sequential(&dom.stats);
-    let sp = ssp::run_on(topology, &dom.member_ids())?;
+    let slots = SourceSlots::new(n, &dom.member_ids())?;
+    let sp = ssp::grow(topology, slots, tree, d0, Obs::none())?;
     stats.absorb_sequential(&sp.stats);
     let sentinel = 2 * n as u64 + 2;
     let candidates: Vec<u64> = sp
@@ -59,13 +64,10 @@ fn probe(
             }
         })
         .collect();
-    let min = aggregate::run_on(topology, tree, &candidates, AggOp::Min)?;
+    let min = aggregate::run_on(topology, &sp.tree, &candidates, AggOp::Min)?;
     stats.absorb_sequential(&min.stats);
-    Ok(if min.value >= sentinel {
-        None
-    } else {
-        Some(min.value as u32)
-    })
+    let found = (min.value < sentinel).then_some(min.value as u32);
+    Ok((found, sp.tree))
 }
 
 /// Runs the Theorem 5 girth approximation.
@@ -101,14 +103,12 @@ pub fn run(graph: &Graph, eps: f64) -> Result<GirthApproxResult, CoreError> {
         return Err(CoreError::EmptyGraph);
     }
     let topology = graph.to_topology();
+    // T_1 and D0, shared by the tree test and every probe's DOM-SP.
+    let pre = ssp::preamble(&topology, None, Obs::none())?;
+    let mut stats = pre.stats;
     // Claim 1 tree test, as in the exact algorithm.
-    let t1 = bfs::run_on(&topology, 0)?;
-    if !t1.reached_all() {
-        return Err(CoreError::Disconnected);
-    }
-    let mut stats = t1.stats;
-    let flags: Vec<u64> = t1.receipts.iter().map(|&r| u64::from(r > 1)).collect();
-    let or = aggregate::run_on(&topology, &t1.tree, &flags, AggOp::Or)?;
+    let flags: Vec<u64> = pre.receipts.iter().map(|&r| u64::from(r > 1)).collect();
+    let or = aggregate::run_on(&topology, &pre.tree, &flags, AggOp::Or)?;
     stats.absorb_sequential(&or.stats);
     if or.value == 0 {
         return Ok(GirthApproxResult {
@@ -117,11 +117,9 @@ pub fn run(graph: &Graph, eps: f64) -> Result<GirthApproxResult, CoreError> {
             stats,
         });
     }
-    // D0 for the initial loose bound ĝ = 2·D0 + 1 >= 2·D + 1 >= g.
-    let depths: Vec<u64> = t1.dist.iter().map(|&d| u64::from(d)).collect();
-    let agg = aggregate::run_on(&topology, &t1.tree, &depths, AggOp::Max)?;
-    stats.absorb_sequential(&agg.stats);
-    let d0 = 2 * agg.value as u32;
+    // The initial loose bound ĝ = 2·D0 + 1 >= 2·D + 1 >= g.
+    let d0 = pre.d0;
+    let mut tree = pre.tree;
     let mut g_hat = 2 * d0 + 1;
     // Refinement: the gap to 2g at least halves per iteration, so
     // ceil(log2(ĝ₀)) + 1 iterations certainly reach the fixed point.
@@ -130,9 +128,11 @@ pub fn run(graph: &Graph, eps: f64) -> Result<GirthApproxResult, CoreError> {
     for _ in 0..max_iters {
         iterations += 1;
         let k = g_hat / 4;
-        let found = probe(&topology, &t1.tree, k, &mut stats)?
-            .expect("a non-tree graph always yields a candidate");
-        let new_hat = found.min(g_hat);
+        let found;
+        (found, tree) = probe(&topology, tree, d0, k, &mut stats)?;
+        let new_hat = found
+            .expect("a non-tree graph always yields a candidate")
+            .min(g_hat);
         if k == 0 {
             // DOM = V: the probe was a full APSP-equivalent, hence exact.
             return Ok(GirthApproxResult {
@@ -148,9 +148,11 @@ pub fn run(graph: &Graph, eps: f64) -> Result<GirthApproxResult, CoreError> {
         g_hat = new_hat;
     }
     // Final precision pass: k = ⌊ε·ĝ/8⌋ gives estimate <= g + 2k <= (1+ε)g.
-    let k = (eps * f64::from(g_hat) / 8.0).floor() as u32;
-    let found = probe(&topology, &t1.tree, k, &mut stats)?
-        .expect("a non-tree graph always yields a candidate");
+    // Past k = ĝ, g + 2k exceeds the ĝ the estimate is capped at anyway,
+    // so a larger ε would only widen the messages.
+    let k = ((eps * f64::from(g_hat) / 8.0).floor() as u32).min(g_hat);
+    let (found, _) = probe(&topology, tree, d0, k, &mut stats)?;
+    let found = found.expect("a non-tree graph always yields a candidate");
     Ok(GirthApproxResult {
         estimate: Some(found.min(g_hat)),
         iterations,
@@ -224,6 +226,16 @@ mod tests {
             run(&g, 0.0).unwrap_err(),
             CoreError::InvalidParameter(_)
         ));
+    }
+
+    /// A huge but finite ε is valid: the final pass's k stops at ĝ, and the
+    /// dominating set at n − 1, so its messages fit the bandwidth.
+    #[test]
+    fn large_epsilon_stays_within_the_bandwidth() {
+        for eps in [64.0, 1e3, 1e12, f64::MAX] {
+            assert_eq!(check(&generators::cycle(40), eps).estimate, Some(40));
+            check(&generators::tadpole(6, 30), eps);
+        }
     }
 
     use dapsp_graph::Graph;

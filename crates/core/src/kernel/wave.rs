@@ -83,6 +83,11 @@ impl SourceSlots {
         let slot = *self.slot_of.get(id as usize)?;
         (slot != NO_SLOT).then_some(slot as usize)
     }
+
+    /// The source list as given, `ids()[slot]` owning `slot`.
+    pub(crate) fn ids(&self) -> &[u32] {
+        &self.ids
+    }
 }
 
 /// How simultaneous waves share an edge.

@@ -21,6 +21,12 @@
 //!    alongside the measured rounds (see `SspResult::budget` and the
 //!    deviation notes on `settle_round` / in DESIGN.md).
 //!
+//! Phases 1 and 2 are the same `T_1` and `D₀` that the approximations
+//! (Theorems 4 and 5, Corollary 1, Algorithm 3) build for themselves, as
+//! the paper's phase 1 hands its `D₀` to the DOM-SP of phase 3. A
+//! composite that already holds `T_1` and `D₀` runs phase 3 only; the
+//! public entry points here run and charge all three.
+//!
 //! As in Algorithm 1, nodes opportunistically record cycle candidates from
 //! repeated wave arrivals; the girth approximation (Theorem 5) feeds on
 //! them.
@@ -39,6 +45,95 @@ use crate::kernel::{
 use crate::observe::Obs;
 use crate::runner::fold_outputs;
 use crate::tree::TreeKnowledge;
+
+/// What phases 1 and 2 leave behind: `T_1`, what `BFS_1` measured on the
+/// way, and `D₀ = 2·ecc(1)`.
+pub(crate) struct Preamble {
+    /// `T_1`, rooted at node 0.
+    pub(crate) tree: TreeKnowledge,
+    /// `d(1, v)` per node, the depths in `T_1`.
+    pub(crate) dist: Vec<u32>,
+    /// How often `BFS_1` reached each node (Claim 1's evidence).
+    pub(crate) receipts: Vec<u32>,
+    /// `D₀ = 2·ecc(1)`, a `(×, 2)` bound on the diameter (Fact 1).
+    pub(crate) d0: u32,
+    /// The cost of both phases.
+    pub(crate) stats: RunStats,
+    /// Both phases' transport cost, zero unless they ran over faults.
+    pub(crate) rel: RelStats,
+}
+
+/// Phases 1 and 2 of Algorithm 2, the one place a pipeline builds `T_1`
+/// and `D₀`: `BFS_1`, then a max-aggregation of its depths over `T_1`.
+/// With `faults`, both run inside the [`ReliableKernel`].
+///
+/// # Errors
+///
+/// [`CoreError::Disconnected`] if `BFS_1` does not reach every node;
+/// [`CoreError::EmptyGraph`] and [`CoreError::Sim`] as the phases report
+/// them.
+pub(crate) fn preamble(
+    topology: &Topology,
+    faults: Option<&FaultPlan>,
+    obs: Obs<'_>,
+) -> Result<Preamble, CoreError> {
+    let (t1, mut rel) = match faults {
+        None => (bfs::run_on_obs(topology, 0, obs)?, RelStats::default()),
+        Some(plan) => bfs::run_faulty_on(topology, 0, plan.clone(), obs)?,
+    };
+    if !t1.reached_all() {
+        return Err(CoreError::Disconnected);
+    }
+    let depths: Vec<u64> = t1.dist.iter().map(|&d| u64::from(d)).collect();
+    let agg = match faults {
+        None => aggregate::run_on_obs(topology, &t1.tree, &depths, AggOp::Max, obs)?,
+        Some(plan) => {
+            let (agg, rel_agg) = aggregate::run_faulty_on(
+                topology,
+                &t1.tree,
+                &depths,
+                AggOp::Max,
+                plan.clone(),
+                obs,
+            )?;
+            rel.absorb(&rel_agg);
+            agg
+        }
+    };
+    let mut stats = t1.stats;
+    stats.absorb_sequential(&agg.stats);
+    Ok(Preamble {
+        tree: t1.tree,
+        dist: t1.dist,
+        receipts: t1.receipts,
+        d0: 2 * agg.value as u32,
+        stats,
+        rel,
+    })
+}
+
+/// Phase 3 alone: the simultaneous growth from `slots`' sources, run to
+/// quiescence, for a pipeline that already holds `T_1` and `D₀` from
+/// [`preamble`]. The result hands `tree` back and carries the growth's
+/// statistics only, so the caller charges the preamble once however many
+/// growths it runs.
+///
+/// # Errors
+///
+/// [`CoreError::Sim`] on simulator failures.
+pub(crate) fn grow(
+    topology: &Topology,
+    slots: SourceSlots,
+    tree: TreeKnowledge,
+    d0: u32,
+    obs: Obs<'_>,
+) -> Result<SspResult, CoreError> {
+    let config = obs.apply(Config::for_n(topology.num_nodes()), "ssp:growth");
+    let report = run_protocol_on(topology, config, |ctx| {
+        WaveKernel::queued_sources(ctx, &slots)
+    })?;
+    Ok(assemble(topology, slots, tree, d0, report))
+}
 
 /// An `n × |S|` matrix in one row-major allocation, read like the vector
 /// of per-node rows it replaces: `rows[v]` is node `v`'s row as a slice
@@ -229,19 +324,10 @@ pub fn run_on_obs(
         return Err(CoreError::EmptyGraph);
     }
     let slots = SourceSlots::new(n, sources)?;
-    // Phase 1+2: T_1, then D0 = 2·ecc(1) via max-aggregation of depths.
-    let t1 = bfs::run_on_obs(topology, 0, obs)?;
-    if !t1.reached_all() {
-        return Err(CoreError::Disconnected);
-    }
-    let depths: Vec<u64> = t1.dist.iter().map(|&d| u64::from(d)).collect();
-    let agg = aggregate::run_on_obs(topology, &t1.tree, &depths, AggOp::Max, obs)?;
-    // Phase 3: the simultaneous growth, run to quiescence.
-    let config = obs.apply(Config::for_n(n), "ssp:growth");
-    let report = run_protocol_on(topology, config, |ctx| {
-        WaveKernel::queued_sources(ctx, &slots)
-    })?;
-    Ok(assemble(topology, sources, slots, t1, &agg, report))
+    let pre = preamble(topology, None, obs)?;
+    let mut sp = grow(topology, slots, pre.tree, pre.d0, obs)?;
+    sp.stats.absorb_sequential(&pre.stats);
+    Ok(sp)
 }
 
 /// Like [`run`], over links a [`FaultPlan`] adversary drops messages
@@ -285,14 +371,8 @@ pub fn run_faulty_on(
         return Err(CoreError::EmptyGraph);
     }
     let slots = SourceSlots::new(n, sources)?;
-    let (t1, mut rel) = bfs::run_faulty_on(topology, 0, faults.clone(), obs)?;
-    if !t1.reached_all() {
-        return Err(CoreError::Disconnected);
-    }
-    let depths: Vec<u64> = t1.dist.iter().map(|&d| u64::from(d)).collect();
-    let (agg, rel_agg) =
-        aggregate::run_faulty_on(topology, &t1.tree, &depths, AggOp::Max, faults.clone(), obs)?;
-    rel.absorb(&rel_agg);
+    let pre = preamble(topology, Some(&faults), obs)?;
+    let mut rel = pre.rel;
     // Theorem 3 bounds the fault-free growth by |S| + D₀ ≤ |S| + 2(n−1)
     // rounds; the horizon pads that.
     let horizon = 2 * n as u64 + sources.len() as u64 + 8;
@@ -309,7 +389,9 @@ pub fn run_faulty_on(
     let (report, rel_growth) = split_reliable_report(report);
     obs.report_transport(&rel_growth.summary());
     rel.absorb(&rel_growth);
-    Ok((assemble(topology, sources, slots, t1, &agg, report), rel))
+    let mut sp = assemble(topology, slots, pre.tree, pre.d0, report);
+    sp.stats.absorb_sequential(&pre.stats);
+    Ok((sp, rel))
 }
 
 /// Like [`run`], but over a network whose topology changes mid-run per
@@ -368,18 +450,17 @@ pub fn run_churned_on(
 }
 
 /// Folds the growth-phase wave states — already one slot per source, in
-/// `sources` order — into the [`SspResult`], merging the statistics of all
-/// three phases.
+/// `slots`' order — into the [`SspResult`], with the growth's statistics
+/// only.
 fn assemble(
     topology: &Topology,
-    sources: &[u32],
     slots: SourceSlots,
-    t1: bfs::BfsResult,
-    agg: &aggregate::AggregateResult,
+    tree: TreeKnowledge,
+    d0: u32,
     report: Report<WaveState>,
 ) -> SspResult {
     let n = topology.num_nodes();
-    let d0 = 2 * agg.value as u32;
+    let sources = slots.ids();
     let budget = sources.len() as u64 + u64::from(d0);
     let seed = (
         Rows::with_capacity(n, sources.len()),
@@ -395,9 +476,6 @@ fn assemble(
             acc.2.push(state.girth_candidate);
             acc.3 += state.relaxations;
         });
-    let mut stats = t1.stats;
-    stats.absorb_sequential(&agg.stats);
-    stats.absorb_sequential(&report.stats);
     debug_assert!(
         dist.cells.iter().all(|&d| d != INFINITY),
         "quiescence implies every source was learned on a connected graph"
@@ -410,8 +488,8 @@ fn assemble(
         budget,
         local_girth_candidates,
         relaxations,
-        tree: t1.tree,
-        stats,
+        tree,
+        stats: report.stats,
         slots,
     }
 }

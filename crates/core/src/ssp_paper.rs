@@ -20,11 +20,11 @@
 use dapsp_congest::{Config, NodeContext, Port, RunStats, Width};
 use dapsp_graph::{Graph, INFINITY};
 
-use crate::aggregate::{self, AggOp};
-use crate::bfs;
 use crate::error::CoreError;
 use crate::kernel::{run_protocol_on, Protocol, Tx};
+use crate::observe::Obs;
 use crate::runner::fold_outputs;
+use crate::ssp;
 
 /// One (id, distance) announcement, as in [`crate::ssp`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -190,14 +190,8 @@ pub fn run(graph: &Graph, sources: &[u32]) -> Result<PaperSspResult, CoreError> 
         is_source[s as usize] = true;
     }
     let topology = graph.to_topology();
-    let t1 = bfs::run_on(&topology, 0)?;
-    if !t1.reached_all() {
-        return Err(CoreError::Disconnected);
-    }
-    let depths: Vec<u64> = t1.dist.iter().map(|&d| u64::from(d)).collect();
-    let agg = aggregate::run_on(&topology, &t1.tree, &depths, AggOp::Max)?;
-    let d0 = 2 * agg.value as u32;
-    let budget = sources.len() as u64 + u64::from(d0);
+    let pre = ssp::preamble(&topology, None, Obs::none())?;
+    let budget = sources.len() as u64 + u64::from(pre.d0);
     let report = run_protocol_on(&topology, Config::for_n(n), |ctx| {
         let me = ctx.node_id();
         let mut delta = vec![INFINITY; n];
@@ -229,8 +223,7 @@ pub fn run(graph: &Graph, sources: &[u32]) -> Result<PaperSspResult, CoreError> 
             acc.0[v as usize].push(d);
         }
     });
-    let mut stats = t1.stats;
-    stats.absorb_sequential(&agg.stats);
+    let mut stats = pre.stats;
     stats.absorb_sequential(&report.stats);
     Ok(PaperSspResult {
         sources: sources.to_vec(),

@@ -24,16 +24,17 @@
 //!    second S-SP; aggregate `ℓ₂` the same way;
 //! 5. return `ℓ = max(ℓ₁, ℓ₂)`.
 
-use dapsp_congest::RunStats;
+use dapsp_congest::{RunStats, Topology};
 use dapsp_graph::Graph;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::aggregate::{self, AggOp};
 use crate::approx;
-use crate::bfs;
 use crate::error::CoreError;
-use crate::ssp;
+use crate::kernel::SourceSlots;
+use crate::observe::Obs;
+use crate::ssp::{self, Preamble};
 use crate::two_vs_four::degree_threshold;
 
 /// Which branch Corollary 1 chose.
@@ -65,16 +66,24 @@ pub struct ThreeHalvesResult {
 /// * [`CoreError::EmptyGraph`] / [`CoreError::Disconnected`] on bad graphs.
 /// * [`CoreError::Sim`] on simulator failures.
 pub fn sampled_lower_estimate(graph: &Graph, seed: u64) -> Result<(u32, RunStats), CoreError> {
-    let n = graph.num_nodes();
-    if n == 0 {
+    if graph.num_nodes() == 0 {
         return Err(CoreError::EmptyGraph);
     }
     let topology = graph.to_topology();
-    let t1 = bfs::run_on(&topology, 0)?;
-    if !t1.reached_all() {
-        return Err(CoreError::Disconnected);
-    }
-    let mut stats = t1.stats;
+    let pre = ssp::preamble(&topology, None, Obs::none())?;
+    sampled(graph, &topology, pre, seed)
+}
+
+/// The sampled estimator over `T_1` and `D₀`, whose cost `pre` carries:
+/// both S-SP runs grow from them, and every aggregation runs over `T_1`.
+fn sampled(
+    graph: &Graph,
+    topology: &Topology,
+    pre: Preamble,
+    seed: u64,
+) -> Result<(u32, RunStats), CoreError> {
+    let n = topology.num_nodes();
+    let mut stats = pre.stats;
     // 1. Sample.
     let p = ((n.max(2) as f64).log2() / n as f64).sqrt().min(1.0);
     let sample: Vec<u32> = (0..n as u32)
@@ -83,12 +92,13 @@ pub fn sampled_lower_estimate(graph: &Graph, seed: u64) -> Result<(u32, RunStats
     // 2. S-SP from the sample; every node's max distance to the sample is
     //    exactly max_{u∈S} at that node, so one max-aggregation yields
     //    max_{u∈S} ecc(u).
-    let sp = ssp::run_on(&topology, &sample)?;
+    let slots = SourceSlots::new(n, &sample)?;
+    let sp = ssp::grow(topology, slots, pre.tree, pre.d0, Obs::none())?;
     stats.absorb_sequential(&sp.stats);
     let per_node_max: Vec<u64> = (0..n)
         .map(|v| u64::from(*sp.dist[v].iter().max().expect("nonempty sample")))
         .collect();
-    let l1 = aggregate::run_on(&topology, &t1.tree, &per_node_max, AggOp::Max)?;
+    let l1 = aggregate::run_on(topology, &sp.tree, &per_node_max, AggOp::Max)?;
     stats.absorb_sequential(&l1.stats);
     // 3. The node farthest from the sample (ties broken toward larger id),
     //    via an encoded (distance, id) max-aggregation.
@@ -98,7 +108,7 @@ pub fn sampled_lower_estimate(graph: &Graph, seed: u64) -> Result<(u32, RunStats
             dmin * n as u64 + v as u64
         })
         .collect();
-    let far = aggregate::run_on(&topology, &t1.tree, &encoded, AggOp::Max)?;
+    let far = aggregate::run_on(topology, &sp.tree, &encoded, AggOp::Max)?;
     stats.absorb_sequential(&far.stats);
     let w = (far.value % n as u64) as u32;
     // 4. Probe w and its neighborhood (capped to the usual √(n log n)).
@@ -106,12 +116,13 @@ pub fn sampled_lower_estimate(graph: &Graph, seed: u64) -> Result<(u32, RunStats
     probes.extend(graph.neighbors(w).iter().copied().take(degree_threshold(n)));
     probes.sort_unstable();
     probes.dedup();
-    let sp2 = ssp::run_on(&topology, &probes)?;
+    let slots = SourceSlots::new(n, &probes)?;
+    let sp2 = ssp::grow(topology, slots, sp.tree, pre.d0, Obs::none())?;
     stats.absorb_sequential(&sp2.stats);
     let per_node_max2: Vec<u64> = (0..n)
         .map(|v| u64::from(*sp2.dist[v].iter().max().expect("nonempty probes")))
         .collect();
-    let l2 = aggregate::run_on(&topology, &t1.tree, &per_node_max2, AggOp::Max)?;
+    let l2 = aggregate::run_on(topology, &sp2.tree, &per_node_max2, AggOp::Max)?;
     stats.absorb_sequential(&l2.stats);
     Ok((l1.value.max(l2.value) as u32, stats))
 }
@@ -145,14 +156,14 @@ pub fn run(graph: &Graph, seed: u64) -> Result<ThreeHalvesResult, CoreError> {
     if n == 0 {
         return Err(CoreError::EmptyGraph);
     }
-    // O(D): the (×,2) estimate decides the branch.
-    let rough = approx::diameter_times_two(graph)?;
-    let mut stats = rough.stats;
-    let d0 = f64::from(rough.value.max(1));
+    // O(D): the (×,2) estimate D₀ decides the branch, and its T_1 serves
+    // whichever branch runs.
+    let topology = graph.to_topology();
+    let pre = ssp::preamble(&topology, None, Obs::none())?;
+    let d0 = f64::from(pre.d0.max(1));
     let nf = n as f64;
     if d0 * nf.sqrt() <= nf / d0 + d0 {
-        let (l, s) = sampled_lower_estimate(graph, seed)?;
-        stats.absorb_sequential(&s);
+        let (l, stats) = sampled(graph, &topology, pre, seed)?;
         Ok(ThreeHalvesResult {
             // ⌊2D/3⌋ <= l <= D, so ⌊3l/2⌋ + 2 lands in [D, 3D/2 + 2]
             // (the +2 absorbs both floors).
@@ -161,12 +172,12 @@ pub fn run(graph: &Graph, seed: u64) -> Result<ThreeHalvesResult, CoreError> {
             stats,
         })
     } else {
-        let approx = approx::diameter(graph, 0.5)?;
-        stats.absorb_sequential(&approx.stats);
+        let (ecc, tree) = approx::estimate_from(&topology, pre, 0.5, Obs::none())?;
+        let approx = approx::scalar_from_estimates(&topology, ecc, &tree, AggOp::Max)?;
         Ok(ThreeHalvesResult {
             estimate: approx.value,
             branch: Branch::DominatingSet,
-            stats,
+            stats: approx.stats,
         })
     }
 }

@@ -29,6 +29,8 @@ use rand_chacha::ChaCha8Rng;
 use crate::aggregate::{self, AggOp};
 use crate::bfs;
 use crate::error::CoreError;
+use crate::kernel::SourceSlots;
+use crate::observe::Obs;
 use crate::ssp;
 
 /// Which branch of Algorithm 3 ran.
@@ -133,19 +135,19 @@ pub fn run(graph: &Graph, seed: u64) -> Result<TwoVsFourResult, CoreError> {
         return Err(CoreError::EmptyGraph);
     }
     let topology = graph.to_topology();
-    let t1 = bfs::run_on(&topology, 0)?;
-    if !t1.reached_all() {
-        return Err(CoreError::Disconnected);
-    }
-    let mut stats = t1.stats;
-    let (sources, strategy) = select_probes(&topology, &t1.tree, seed, &mut stats)?;
-    let sp = ssp::run_on(&topology, &sources)?;
+    // T_1 for the probe election and the depth test, and the D₀ the
+    // probes' S-SP would otherwise build a second time.
+    let pre = ssp::preamble(&topology, None, Obs::none())?;
+    let mut stats = pre.stats;
+    let (sources, strategy) = select_probes(&topology, &pre.tree, seed, &mut stats)?;
+    let slots = SourceSlots::new(n, &sources)?;
+    let sp = ssp::grow(&topology, slots, pre.tree, pre.d0, Obs::none())?;
     stats.absorb_sequential(&sp.stats);
     // Depth test: does any node sit deeper than 2 in any probed tree?
     let deep: Vec<u64> = (0..n)
         .map(|v| u64::from(sp.dist[v].iter().any(|&d| d > 2)))
         .collect();
-    let or = aggregate::run_on(&topology, &t1.tree, &deep, AggOp::Or)?;
+    let or = aggregate::run_on(&topology, &sp.tree, &deep, AggOp::Or)?;
     stats.absorb_sequential(&or.stats);
     Ok(TwoVsFourResult {
         claimed_diameter: if or.value == 1 { 4 } else { 2 },

@@ -523,8 +523,9 @@ fn faulty_model_cost_is_pinned() {
 #[test]
 fn static_model_cost_is_pinned() {
     use dapsp::congest::RunStats;
-    use dapsp::core::bfs;
-    fn cost(s: &RunStats) -> (u64, u64, u64, u64, u64) {
+    use dapsp::core::{bfs, dominating};
+    type Cost = (u64, u64, u64, u64, u64);
+    fn cost(s: &RunStats) -> Cost {
         (
             s.rounds,
             s.messages,
@@ -532,6 +533,10 @@ fn static_model_cost_is_pinned() {
             s.max_messages_per_round,
             s.scheduled_node_rounds,
         )
+    }
+    /// Two runs back to back: counts add, the per-round peak is the larger.
+    fn oplus(a: Cost, b: Cost) -> Cost {
+        (a.0 + b.0, a.1 + b.1, a.2 + b.2, a.3.max(b.3), a.4 + b.4)
     }
     let sources = [3u32, 17, 18, 40, 63];
     // Per graph: apsp, ssp (+ relaxations), eccentricities (+ dom_size), bfs.
@@ -541,7 +546,7 @@ fn static_model_cost_is_pinned() {
             generators::watts_strogatz(64, 3, 0.05, 7),
             (209, 17371, 257665, 171, 7493),
             ((40, 2053, 23551, 258, 941), 3),
-            ((96, 2702, 27152, 237, 1647), 5),
+            ((68, 2247, 24375, 237, 1251), 5),
             (10, 329, 2191, 74, 222),
         ),
         (
@@ -549,7 +554,7 @@ fn static_model_cost_is_pinned() {
             generators::barabasi_albert(64, 3, 7),
             (196, 16662, 247141, 224, 7611),
             ((19, 2050, 23309, 325, 834), 18),
-            ((48, 6425, 75148, 368, 2120), 17),
+            ((38, 5971, 72587, 368, 1769), 17),
             (4, 328, 2183, 224, 201),
         ),
         (
@@ -557,7 +562,7 @@ fn static_model_cost_is_pinned() {
             generators::grid(8, 8),
             (212, 7350, 108493, 64, 4350),
             ((59, 1106, 12047, 98, 881), 0),
-            ((144, 2079, 20863, 164, 1690), 8),
+            ((101, 1778, 19281, 164, 1317), 8),
             (15, 175, 959, 22, 183),
         ),
     ];
@@ -580,6 +585,17 @@ fn static_model_cost_is_pinned() {
         }
 
         let e = approx::eccentricities(&g, 1.0).expect("eccentricities");
+        // Theorem 4's pipeline is the dominating set over T_1 followed by
+        // a DOM-SP whose T_1 and D₀ are that same preamble, so it costs
+        // exactly what the two standalone runs cost together.
+        let t1 = bfs::run(&g, 0).expect("T_1");
+        let dom = dominating::run(&g, &t1.tree, e.k).expect("dominating set");
+        let dom_sp = ssp::run(&g, &dom.member_ids()).expect("DOM-SP");
+        assert_eq!(
+            (cost(&e.stats), e.dom_size),
+            (oplus(cost(&dom.stats), cost(&dom_sp.stats)), dom.size),
+            "{name}: eccentricities = dominating set ⊕ DOM-SP"
+        );
         assert_eq!(
             (cost(&e.stats), e.dom_size),
             want_ecc,
@@ -594,6 +610,96 @@ fn static_model_cost_is_pinned() {
         assert_eq!(cost(&b.stats), want_bfs, "{name}: bfs model cost");
         assert_eq!(b.dist, reference::bfs(&g, 0), "{name}: bfs");
     }
+}
+
+/// The composites build `T_1` (and, where Algorithm 2 follows, `D₀`) once
+/// and run Algorithm 1's waves or Algorithm 2's growth over it. Each is
+/// pinned at its cost from when every S-SP and APSP call built its own:
+/// the cost now is that minus the `BFS_1` and depth max-aggregation runs
+/// it no longer repeats, both measured live here.
+#[test]
+fn composites_charge_t1_and_d0_once() {
+    use dapsp::congest::RunStats;
+    use dapsp::core::aggregate::{self, AggOp};
+    use dapsp::core::{bfs, girth, girth_approx};
+    type Composite = (&'static str, fn(&Graph) -> RunStats);
+    let composites: [Composite; 4] = [
+        ("girth", |g| girth::run(g).expect("girth").stats),
+        ("girth_approx", |g| {
+            girth_approx::run(g, 0.5).expect("girth_approx").stats
+        }),
+        ("three_halves", |g| {
+            three_halves::run(g, 5).expect("three_halves").stats
+        }),
+        ("two_vs_four", |g| {
+            two_vs_four::run(g, 7).expect("two_vs_four").stats
+        }),
+    ];
+    // Per graph and composite: (rounds, messages) before, then how many
+    // BFS_1 and max-aggregation runs were dropped.
+    // - girth: Algorithm 1 reuses the Claim 1 BFS (no D₀ involved);
+    // - girth_approx: every probe's DOM-SP (2 probes on ws, 3 on grid);
+    //   on the star, a tree, the D₀ aggregation now runs before the tree
+    //   test where it used to be skipped: −1 dropped;
+    // - three_halves: the dominating-set branch on ws and grid (its
+    //   Corollary 4 and DOM-SP preambles), the sampled branch on the star
+    //   (its own T_1 and both S-SP preambles);
+    // - two_vs_four: the probes' S-SP reuses T_1 and charges its D₀ once.
+    type Row = ((u64, u64), (i64, i64));
+    let golden: [(&str, Graph, [Row; 4]); 3] = [
+        (
+            "ws",
+            generators::watts_strogatz(64, 3, 0.05, 7),
+            [
+                ((255, 17952), (1, 0)),
+                ((268, 23443), (2, 2)),
+                ((144, 4931), (2, 2)),
+                ((90, 3275), (1, 0)),
+            ],
+        ),
+        (
+            "grid",
+            generators::grid(8, 8),
+            [
+                ((283, 7777), (1, 0)),
+                ((512, 16625), (3, 3)),
+                ((215, 2828), (2, 2)),
+                ((131, 1211), (1, 0)),
+            ],
+        ),
+        (
+            "star",
+            generators::star(64),
+            [
+                ((4, 252), (0, 0)),
+                ((4, 252), (0, -1)),
+                ((44, 2646), (3, 2)),
+                ((13, 756), (1, 0)),
+            ],
+        ),
+    ];
+    for (name, g, rows) in &golden {
+        let t1 = bfs::run(g, 0).expect("T_1");
+        let depths: Vec<u64> = t1.dist.iter().map(|&d| u64::from(d)).collect();
+        let d0 = aggregate::run(g, &t1.tree, &depths, AggOp::Max).expect("D₀");
+        let unit = |s: &RunStats| (s.rounds as i64, s.messages as i64);
+        let (bfs, max) = (unit(&t1.stats), unit(&d0.stats));
+        for ((composite, run), &((rounds, messages), (bfs_runs, max_runs))) in
+            composites.iter().zip(rows)
+        {
+            let want = (
+                rounds as i64 - bfs_runs * bfs.0 - max_runs * max.0,
+                messages as i64 - bfs_runs * bfs.1 - max_runs * max.1,
+            );
+            assert_eq!(unit(&run(g)), want, "{name}: {composite}");
+        }
+    }
+    let branches: Vec<three_halves::Branch> = golden
+        .iter()
+        .map(|(_, g, _)| three_halves::run(g, 5).expect("three_halves").branch)
+        .collect();
+    use three_halves::Branch::{DominatingSet, Sampled};
+    assert_eq!(branches, [DominatingSet, DominatingSet, Sampled]);
 }
 
 /// §8 end to end: the k-BFS census decides diameter <= k, cross-checked
