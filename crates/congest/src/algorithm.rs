@@ -5,13 +5,19 @@ use crate::node::{Inbox, NodeContext, NodeId, Outbox, Port};
 
 /// A node's termination vote, polled by the engine after every round.
 ///
-/// The engine ends the run when either
+/// After round 0 the engine polls every node; after each later round it
+/// polls only the nodes it stepped — the present nodes that had arrivals or
+/// were [`is_active`](NodeAlgorithm::is_active) at the round's start. A node
+/// it did not poll is inactive and counts as
+/// [`Passive`](Quiescence::Passive), whatever it would have voted. The run
+/// ends when either
 ///
-/// * no messages are in flight and **no** node votes
+/// * no messages are in flight and **no** polled node votes
 ///   [`Active`](Quiescence::Active), or
-/// * **every** node votes [`Shutdown`](Quiescence::Shutdown) — even with
-///   messages still in flight (the votes assert those messages no longer
-///   matter).
+/// * **every** node was polled and votes
+///   [`Shutdown`](Quiescence::Shutdown) — even with messages still in
+///   flight (the votes assert those messages no longer matter). An idle or
+///   absent node therefore vetoes a unanimous shutdown.
 ///
 /// The variants are ordered `Active < Passive < Shutdown`; composite
 /// algorithms (e.g. protocol stacks) combine component votes with `min`.

@@ -2,11 +2,13 @@
 //! topology mutations plus the per-node change summary every engine hands
 //! to [`NodeAlgorithm::on_topology`](crate::NodeAlgorithm::on_topology).
 //!
-//! All three engines funnel their round's events through
-//! [`apply_events`] at the same choke point, so the mutation order, the
-//! resulting epoch, and the per-node deltas are identical by construction
-//! — the churn analogue of the single outbox-validation point that keeps
-//! fault injection bit-identical.
+//! Both executors funnel their round's events through [`apply_events`] at
+//! the same choke point, so the mutation order, the resulting epoch, and
+//! the per-node deltas are identical by construction — the churn analogue
+//! of the single outbox-validation point that keeps fault injection
+//! bit-identical. The [`ReferenceSimulator`](crate::ReferenceSimulator)
+//! oracle applies churn with its own code, so the equivalence tests check
+//! this module instead of sharing it.
 
 use std::collections::BTreeMap;
 

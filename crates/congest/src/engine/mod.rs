@@ -31,8 +31,9 @@
 //! commit is always replayed in node-id order on the engine thread, every
 //! executor yields bit-for-bit identical [`Report`]s and observer event
 //! streams; the equivalence proptests in
-//! `tests/engine_equivalence.rs` pin this against the seed-verbatim
-//! [`ReferenceSimulator`](crate::ReferenceSimulator).
+//! `tests/engine_equivalence.rs` pin this against
+//! [`ReferenceSimulator`](crate::ReferenceSimulator), a naive dense engine
+//! that shares none of this module's code.
 //!
 //! Phase wall-clock timing ([`RoundTiming`]) is measured here, around the
 //! executor calls, and reported through
@@ -788,7 +789,8 @@ impl<'t, A: NodeAlgorithm> Simulator<'t, A> {
     /// their send round), and the algorithm layer's `on_topology` sweep
     /// via the executor. Runs entirely on the engine thread; the order of
     /// every side effect here is part of the cross-engine determinism
-    /// contract (the reference simulator mirrors it verbatim).
+    /// contract (the reference simulator writes the same order out on its
+    /// own).
     fn apply_churn<E: Executor<A>>(
         core: &mut Core<'_, A::Message>,
         executor: &mut E,

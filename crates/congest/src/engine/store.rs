@@ -1,4 +1,4 @@
-//! Struct-of-arrays node storage shared by every engine.
+//! Struct-of-arrays node storage shared by both executors.
 //!
 //! Before this module each executor owned its node state ad hoc: the
 //! serial executor held a `Vec<Option<A>>`, the pool split that vector
@@ -22,10 +22,12 @@
 //!   [`BitSet`] (one bit per node instead of one byte), and the sorted
 //!   awake/schedule lists live here next to the slab they index.
 //!
-//! The store is engine-agnostic: the serial executor, the work-stealing
-//! pool, and the dense [`ReferenceSimulator`](crate::ReferenceSimulator)
-//! all step through the same slab, which is what keeps their outputs
-//! trivially comparable.
+//! The store is executor-agnostic: the serial executor and the
+//! work-stealing pool both step through the same slab, which is what keeps
+//! their outputs trivially comparable. The
+//! [`ReferenceSimulator`](crate::ReferenceSimulator) oracle deliberately
+//! does not use it: it keeps its own `Vec` of node states, so a bug here
+//! cannot hide in both sides of the equivalence tests.
 
 use crate::algorithm::{NodeAlgorithm, Quiescence, RepairAction};
 use crate::churn::{notify_order, RoundChanges};
@@ -136,11 +138,6 @@ impl<A: NodeAlgorithm> NodeStore<A> {
     /// Number of nodes.
     pub(crate) fn len(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Node `v`'s state, immutably.
-    pub(crate) fn state(&self, v: NodeId) -> &A {
-        self.slots[v as usize].as_ref().expect("node state present")
     }
 
     /// Node `v`'s state, mutably.

@@ -72,16 +72,15 @@ use crate::trace::TraceEvent;
 /// The optimized engine's phase pipeline times each phase on the engine
 /// thread, bracketing the executor's `deliver`/`step`/`commit` calls, so
 /// the split means the same thing for every
-/// [`ExecutorKind`](crate::ExecutorKind). The seed engine interleaves
-/// stepping and committing per node and accumulates the same three
-/// buckets from per-node clocks instead.
+/// [`ExecutorKind`](crate::ExecutorKind). The
+/// [`ReferenceSimulator`](crate::ReferenceSimulator) oracle reports no
+/// timing.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RoundTiming {
-    /// Inbox turnover: carving arrivals (serial executor), distributing
-    /// shards to workers (pool executor), or allocating (seed engine) the
-    /// per-node inbox buffers. The zero-allocation engine fuses delivery
-    /// enqueueing into commit and inbox sorting into step, so its deliver
-    /// share is near zero *by design*.
+    /// Inbox turnover: carving arrivals (serial executor) or distributing
+    /// shards to workers (pool executor). The zero-allocation engine fuses
+    /// delivery enqueueing into commit and inbox sorting into step, so its
+    /// deliver share is near zero *by design*.
     pub deliver: Duration,
     /// Node-local `on_round` execution. The pool executor runs this phase
     /// on its workers (which also pre-validate outboxes into staged
@@ -116,10 +115,10 @@ pub struct TransportSummary {
     pub gave_up: u64,
 }
 
-/// What watches a run. [`Simulator`](crate::Simulator) and
-/// [`ReferenceSimulator`](crate::ReferenceSimulator) hand every
+/// What watches a run. [`Simulator`](crate::Simulator) and the independent
+/// [`ReferenceSimulator`](crate::ReferenceSimulator) oracle hand every
 /// [`TraceEvent`] to `on_event`, on the engine thread, in one
-/// deterministic order per run:
+/// deterministic order per run — the same order from both:
 ///
 /// ```text
 /// RunStart (Message|Drop)* QuiescenceVotes(0)

@@ -1,55 +1,46 @@
-//! The original (pre-optimization) round engine, kept verbatim as the
-//! oracle the equivalence tests compare against.
-//!
-//! [`ReferenceSimulator`] preserves the seed engine's behavior *and* its
-//! allocation profile: `n` fresh inbox `Vec`s per round, a fresh [`Outbox`]
-//! per node per round, and a fresh `vec![false; degree]` duplicate-send
-//! check per commit. The optimized [`Simulator`](crate::Simulator) must
-//! produce bit-for-bit identical reports (`tests/engine_equivalence.rs`).
+//! The oracle the equivalence tests hold [`Simulator`](crate::Simulator)
+//! to: a naive, dense round loop sharing none of the code it checks. It
+//! uses only the node API, [`Topology`]'s public reads and mutators,
+//! [`Config`] and the report types (the test below enforces this), steps
+//! every present, non-crashed node over freshly allocated queues, and
+//! writes out its own churn deltas, dead-port purge, votes and certificate.
 
-use std::sync::Arc;
+use std::borrow::Cow;
 
-use crate::algorithm::NodeAlgorithm;
-use crate::churn;
-use crate::config::{Config, DropReason, TopologyEvent};
-use crate::engine::store::NodeStore;
-use crate::engine::{ChurnState, QuiescenceState, Report, TerminationCertificate};
+use crate::algorithm::{NodeAlgorithm, Quiescence, RepairAction, TopologyDelta};
+use crate::config::{Config, DropReason, EdgeEvent, NodeEvent, TopologyEvent};
+use crate::engine::{Report, TerminationCertificate, TerminationReason};
 use crate::error::SimError;
-use crate::message::Message;
-use crate::node::{Inbox, NodeContext, NodeId, Outbox};
-use crate::obs::RoundTiming;
+use crate::message::{Message, TraceTags};
+use crate::node::{Inbox, NodeContext, NodeId, Outbox, Port};
 use crate::stats::RunStats;
 use crate::topology::Topology;
 use crate::trace::TraceEvent;
 
-/// The seed round engine: allocates per round, steps sequentially.
-///
-/// Exists solely as the baseline against which the optimized
-/// [`Simulator`](crate::Simulator) is benchmarked and equivalence-tested;
-/// use the optimized engine for real runs.
+/// One node's `(port, message)` arrivals, in commit order.
+type Queue<M> = Vec<(Port, M)>;
+
+/// The dense oracle engine: [`Simulator`](crate::Simulator)'s reports from
+/// none of its machinery. Use the optimized engine for real runs.
 pub struct ReferenceSimulator<'t, A: NodeAlgorithm> {
-    topology: &'t Topology,
+    /// The live topology, copied on the first plan event.
+    topo: Cow<'t, Topology>,
     config: Config,
-    /// The shared state slab: the reference engine steps the same
-    /// [`NodeStore`] the optimized executors do (its schedule/awake lists
-    /// stay unused — the dense engine visits every node).
-    store: NodeStore<A>,
-    /// `pending[v]` holds the messages to be delivered to `v` next round.
-    pending: Vec<Vec<(u32, A::Message)>>,
-    /// The live (possibly churned) topology plus the plan cursor; `None`
-    /// when the run has no topology plan. Mirrors the optimized engine's
-    /// churn state exactly — same choke point, same event batching.
-    churn: Option<ChurnState>,
-    in_flight: u64,
-    round: u64,
+    nodes: Vec<A>,
+    queues: Vec<Queue<A::Message>>,
+    /// `stats.rounds` is the round being run.
     stats: RunStats,
-    /// Pre-pass marks: `scheduled[v]` iff the active-set engine would
-    /// schedule `v` this round. The reference engine still steps every
-    /// node (that is what makes it the dense baseline), but it must book
-    /// the same per-round scheduled counts and poll termination votes
-    /// over the same set, or the two engines' reports would diverge.
-    scheduled: Vec<bool>,
-    quiescence: QuiescenceState,
+}
+
+fn ctx(topo: &Topology, v: usize, round: u64) -> NodeContext<'_> {
+    let (node_id, num_nodes) = (v as NodeId, topo.num_nodes());
+    let neighbor_ids = topo.neighbors(node_id);
+    NodeContext {
+        node_id,
+        num_nodes,
+        neighbor_ids,
+        round,
+    }
 }
 
 impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
@@ -60,465 +51,335 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
         F: FnMut(&NodeContext<'_>) -> A,
     {
         let n = topology.num_nodes();
-        let nodes = (0..n)
-            .map(|v| {
-                let ctx = NodeContext {
-                    node_id: v as NodeId,
-                    num_nodes: n,
-                    neighbor_ids: topology.neighbors(v as NodeId),
-                    round: 0,
-                };
-                Some(init(&ctx))
-            })
-            .collect();
-        let churn = config
-            .topology
-            .as_ref()
-            .filter(|plan| !plan.is_empty())
-            .map(|_| ChurnState {
-                topo: Arc::new(topology.clone()),
-                next_event: 0,
-            });
         ReferenceSimulator {
-            topology,
+            topo: Cow::Borrowed(topology),
             config,
-            store: NodeStore::new(nodes),
-            pending: (0..n).map(|_| Vec::new()).collect(),
-            churn,
-            in_flight: 0,
-            round: 0,
+            nodes: (0..n).map(|v| init(&ctx(topology, v, 0))).collect(),
+            queues: (0..n).map(|_| Vec::new()).collect(),
             stats: RunStats::default(),
-            scheduled: vec![false; n],
-            quiescence: QuiescenceState::default(),
         }
     }
 
-    /// Nodes that run `on_start` (everyone not crashed at round 0).
-    fn started_nodes(&self) -> u64 {
-        let n = self.store.len();
-        match &self.config.faults {
-            Some(f) if f.has_crashes() => {
-                (0..n).filter(|&v| !f.crashed(0, v as NodeId)).count() as u64
-            }
-            _ => n as u64,
+    fn emit(&self, event: TraceEvent) {
+        if let Some(obs) = &self.config.observer {
+            obs.lock().on_event(&event);
         }
     }
 
-    fn commit_outbox(
+    fn crashed(&self, round: u64, v: usize) -> bool {
+        let faults = self.config.faults.as_ref();
+        faults.is_some_and(|f| f.crashed(round, v as NodeId))
+    }
+
+    fn in_flight(&self) -> u64 {
+        self.queues.iter().map(Vec::len).sum::<usize>() as u64
+    }
+
+    fn drop_message(
         &mut self,
-        v: NodeId,
-        outbox: Outbox<A::Message>,
-        send_round: u64,
-    ) -> Result<(), SimError> {
-        // An owned snapshot sidesteps the borrow of `self` the per-item
-        // accounting below needs; within one commit the view is constant.
-        let churn_topo = self.churn.as_ref().map(|c| Arc::clone(&c.topo));
-        let topo: &Topology = churn_topo.as_deref().unwrap_or(self.topology);
-        let degree = topo.degree(v);
+        round: u64,
+        at: (NodeId, Port),
+        reason: DropReason,
+        tags: TraceTags,
+    ) {
+        let (from, port) = at;
+        self.stats.dropped += 1;
+        self.emit(TraceEvent::Drop {
+            round,
+            from,
+            port,
+            reason,
+            tags,
+        });
+    }
+
+    /// Polls the nodes `who` picks, tallied `[active, passive, shutdown]`.
+    /// A skipped node is inactive, hence `Passive`: it vetoes a unanimous
+    /// `Shutdown`.
+    fn poll(&self, who: impl Fn(usize) -> bool) -> [u64; 3] {
+        let mut votes = [0; 3];
+        let polled = self.nodes.iter().enumerate().filter(|&(v, _)| who(v));
+        polled.for_each(|(_, a)| votes[a.quiescence() as usize] += 1);
+        let [active, passive, shutdown] = votes;
+        let round = self.stats.rounds;
+        self.emit(TraceEvent::QuiescenceVotes {
+            round,
+            active,
+            passive,
+            shutdown,
+        });
+        votes
+    }
+
+    /// Steps node `v` (`on_start` in round 0) and commits its sends.
+    fn step(&mut self, v: usize, mut inbox: Queue<A::Message>) -> Result<(), SimError> {
+        let round = self.stats.rounds;
+        let (mut out, ctx) = (Outbox::new(), ctx(&self.topo, v, round));
+        inbox.sort_by_key(|&(port, _)| port);
+        match round {
+            0 => self.nodes[v].on_start(&ctx, &mut out),
+            _ => self.nodes[v].on_round(&ctx, &Inbox { items: &inbox }, &mut out),
+        }
+        let (node, degree, bandwidth_bits) =
+            (v as NodeId, ctx.degree(), self.config.bandwidth_bits);
         let mut used = vec![false; degree];
-        let mut observer = self.config.observer.as_ref().map(|h| h.lock());
-        for (port, msg) in outbox.items {
+        for (port, msg) in out.items {
+            let (bits, tags) = (msg.bit_size(), msg.trace_tags());
             if port as usize >= degree {
-                return Err(SimError::InvalidPort {
-                    node: v,
-                    port,
-                    degree,
-                });
-            }
-            if used[port as usize] {
-                return Err(SimError::DuplicateSend {
-                    node: v,
-                    port,
-                    round: send_round,
-                });
-            }
-            used[port as usize] = true;
-            let bits = msg.bit_size();
-            if bits > self.config.bandwidth_bits {
+                return Err(SimError::InvalidPort { node, port, degree });
+            } else if std::mem::replace(&mut used[port as usize], true) {
+                return Err(SimError::DuplicateSend { node, port, round });
+            } else if bits > bandwidth_bits {
                 return Err(SimError::BandwidthExceeded {
-                    node: v,
+                    node,
                     port,
-                    round: send_round,
+                    round,
                     message_bits: bits,
-                    bandwidth_bits: self.config.bandwidth_bits,
+                    bandwidth_bits,
                 });
             }
-            let to = topo.neighbor_at(v, port);
-            // Removal wins over crash windows, as documented on
-            // `CrashWindow`: the dead-port check precedes the fault plan.
-            if !topo.port_live(v, port) {
-                self.stats.dropped += 1;
-                if let Some(obs) = observer.as_deref_mut() {
-                    obs.on_event(&TraceEvent::Drop {
-                        round: send_round,
-                        from: v,
-                        port,
-                        reason: DropReason::TopologyChange,
-                        tags: msg.trace_tags(),
-                    });
-                }
+            // A dead port outranks the fault plan; loss outranks a crash window.
+            let to = self.topo.neighbor_at(node, port);
+            let faults = self.config.faults.as_ref();
+            let reason = if !self.topo.port_live(node, port) {
+                Some(DropReason::TopologyChange)
+            } else if faults.is_some_and(|f| f.drops(round, node, port)) {
+                Some(DropReason::Loss)
+            } else if self.crashed(round + 1, to as usize) {
+                Some(DropReason::ReceiverCrashed)
+            } else {
+                None
+            };
+            if let Some(reason) = reason {
+                self.drop_message(round, (node, port), reason, tags);
                 continue;
             }
-            if let Some(plan) = &self.config.faults {
-                // Same decision order as the optimized engine's validate:
-                // loss rules first, then the receiver's crash window at
-                // delivery time (send_round + 1).
-                let reason = if plan.drops(send_round, v, port) {
-                    Some(DropReason::Loss)
-                } else if plan.crashed(send_round + 1, to) {
-                    Some(DropReason::ReceiverCrashed)
-                } else {
-                    None
-                };
-                if let Some(reason) = reason {
-                    self.stats.dropped += 1;
-                    if let Some(obs) = observer.as_deref_mut() {
-                        obs.on_event(&TraceEvent::Drop {
-                            round: send_round,
-                            from: v,
-                            port,
-                            reason,
-                            tags: msg.trace_tags(),
-                        });
-                    }
-                    continue;
-                }
-            }
-            let to_port = topo.reverse_port(v, port);
-            if let Some(obs) = observer.as_deref_mut() {
-                obs.on_event(&TraceEvent::Message {
-                    round: send_round,
-                    from: v,
-                    to,
-                    to_port,
-                    edge: topo.directed_edge_index(v, port),
-                    reverse_edge: topo.directed_edge_index(to, to_port),
-                    bits,
-                    stream: msg.stream_id(),
-                    tags: msg.trace_tags(),
-                });
-            }
+            let to_port = self.topo.reverse_port(node, port);
+            let edge = self.topo.directed_edge_index(node, port);
+            let reverse_edge = self.topo.directed_edge_index(to, to_port);
             self.stats.messages += 1;
             self.stats.bits += u64::from(bits);
             self.stats.max_message_bits = self.stats.max_message_bits.max(bits);
-            self.pending[to as usize].push((to_port, msg));
-            self.in_flight += 1;
-        }
-        Ok(())
-    }
-
-    fn start_all(&mut self) -> Result<(), SimError> {
-        for v in 0..self.store.len() {
-            // A node already inside a crash window at round 0 never boots.
-            if self
-                .config
-                .faults
-                .as_ref()
-                .is_some_and(|f| f.crashed(0, v as NodeId))
-            {
-                continue;
-            }
-            let ctx = NodeContext {
-                node_id: v as NodeId,
-                num_nodes: self.store.len(),
-                neighbor_ids: self.topology.neighbors(v as NodeId),
-                round: 0,
-            };
-            let mut outbox = Outbox::new();
-            self.store
-                .state_mut(v as NodeId)
-                .on_start(&ctx, &mut outbox);
-            self.commit_outbox(v as NodeId, outbox, 0)?;
-        }
-        // Seed the termination votes with one full poll, exactly as the
-        // optimized executors do after their `on_start` sweep (crashed-at-0
-        // nodes participate with their frozen initial state).
-        let n = self.store.len();
-        let mut quiescence = QuiescenceState::fold_start(n, n);
-        for node in &self.store.slots {
-            quiescence.vote(node.as_ref().expect("node state present").quiescence());
-        }
-        self.quiescence = quiescence;
-        Ok(())
-    }
-
-    /// True while the topology plan still has unapplied events: the run
-    /// must keep stepping to reach them even through quiet stretches.
-    fn churn_pending(&self) -> bool {
-        matches!(
-            (&self.churn, &self.config.topology),
-            (Some(c), Some(p)) if c.next_event < p.events().len()
-        )
-    }
-
-    /// Mirror of the optimized engine's choke point (same batching, same
-    /// observer order, same drop stream): applies every plan event due by
-    /// this round, purges pending deliveries that were crossing a killed
-    /// link — per receiver ascending, entries in commit order, exactly the
-    /// optimized engine's receiver-sorted purge — and notifies affected
-    /// nodes through the shared [`NodeStore`].
-    fn apply_churn(&mut self) -> Result<(), SimError> {
-        let round = self.round;
-        let (changes, batch_events) = {
-            let (Some(churn), Some(plan)) = (self.churn.as_mut(), self.config.topology.as_ref())
-            else {
-                return Ok(());
-            };
-            let events = plan.events();
-            let lo = churn.next_event;
-            let mut hi = lo;
-            while hi < events.len() && events[hi].0 <= round {
-                hi += 1;
-            }
-            if hi == lo {
-                return Ok(());
-            }
-            churn.next_event = hi;
-            let batch_events: Vec<TopologyEvent> = events[lo..hi].iter().map(|&(_, e)| e).collect();
-            let changes = churn::apply_events(Arc::make_mut(&mut churn.topo), &events[lo..hi])?;
-            (changes, batch_events)
-        };
-        self.stats.topo_events += batch_events.len() as u64;
-        if let Some(obs) = &self.config.observer {
-            let mut obs = obs.lock();
-            for &event in &batch_events {
-                obs.on_event(&TraceEvent::TopologyChange { round, event });
-            }
-        }
-        let topo = Arc::clone(&self.churn.as_ref().expect("churn state present").topo);
-        let mut purged: u64 = 0;
-        {
-            let mut observer = self.config.observer.as_ref().map(|h| h.lock());
-            for (v, queue) in self.pending.iter_mut().enumerate() {
-                let v = v as NodeId;
-                queue.retain(|&(port, ref msg)| {
-                    let live = topo.port_live(v, port);
-                    if !live {
-                        purged += 1;
-                        if let Some(obs) = observer.as_deref_mut() {
-                            // Tombstoned ports still resolve sender and
-                            // port; the message was sent last round.
-                            obs.on_event(&TraceEvent::Drop {
-                                round: round - 1,
-                                from: topo.neighbor_at(v, port),
-                                port: topo.reverse_port(v, port),
-                                reason: DropReason::TopologyChange,
-                                tags: msg.trace_tags(),
-                            });
-                        }
-                    }
-                    live
-                });
-            }
-        }
-        self.stats.dropped += purged;
-        self.in_flight -= purged;
-        let (repaired, recompute) =
-            self.store
-                .notify_topology(&topo, &self.config.faults, round, &changes);
-        self.stats.repaired_node_rounds += repaired;
-        self.stats.recompute_fallbacks += recompute;
-        Ok(())
-    }
-
-    fn step(&mut self) -> Result<(), SimError> {
-        self.round += 1;
-        self.stats.rounds = self.round;
-        // The topology choke point: identical position to the optimized
-        // engine's (after the round stamp, before the in-flight peak is
-        // booked — purged messages never count toward the peak).
-        if self.churn.is_some() {
-            self.apply_churn()?;
-        }
-        let churn_topo = self.churn.as_ref().map(|c| Arc::clone(&c.topo));
-        let topo: &Topology = churn_topo.as_deref().unwrap_or(self.topology);
-        self.stats.max_messages_per_round = self.stats.max_messages_per_round.max(self.in_flight);
-        let delivered = self.in_flight;
-        self.in_flight = 0;
-        let n = self.store.len();
-        // Pre-pass: mark the set the active-set engine would schedule —
-        // nodes with arrivals waiting or reporting `is_active` after their
-        // last step. The marks drive the scheduled-count metrics and the
-        // post-step vote poll; the dense step loop below still visits
-        // every node.
-        let mut scheduled_count: u64 = 0;
-        for v in 0..n {
-            let active = self.store.state(v as NodeId).is_active();
-            // Absent (removed) nodes are never scheduled: their arrivals
-            // were purged at the choke point and the active-set engine
-            // filters them out of its awake rebuild.
-            let on = topo.node_present(v as NodeId) && (!self.pending[v].is_empty() || active);
-            self.scheduled[v] = on;
-            scheduled_count += u64::from(on);
-        }
-        self.stats.scheduled_node_rounds += scheduled_count;
-        self.stats.max_scheduled_per_round =
-            self.stats.max_scheduled_per_round.max(scheduled_count);
-        let watch = self.config.observer.is_some();
-        let mut timing = RoundTiming::default();
-        if let Some(obs) = &self.config.observer {
-            obs.lock().on_event(&TraceEvent::RoundStart {
-                round: self.round,
-                delivered,
-                scheduled: scheduled_count,
+            self.emit(TraceEvent::Message {
+                round,
+                from: node,
+                to,
+                to_port,
+                edge,
+                reverse_edge,
+                bits,
+                stream: msg.stream_id(),
+                tags,
             });
+            self.queues[to as usize].push((to_port, msg));
         }
-        // Crash bookkeeping sits between round start and delivery, exactly
-        // where the optimized engine books it, so observers see identical
-        // event orders from both engines.
-        if let Some(plan) = &self.config.faults {
-            if plan.has_crashes() {
-                let down = plan.crashed_nodes(self.round);
-                self.stats.crashed += down.len() as u64;
-                if let Some(obs) = &self.config.observer {
-                    let mut obs = obs.lock();
-                    for &node in &down {
-                        obs.on_event(&TraceEvent::Crash {
-                            round: self.round,
-                            node,
-                        });
-                    }
+        Ok(())
+    }
+
+    /// Applies one round's plan events, purges the queued messages whose
+    /// link died, and notifies every present node, plus each node the batch
+    /// removed, in id order. A node crashed and re-joined in one batch is
+    /// told its net fate only.
+    fn churn(&mut self, batch: &[(u64, TopologyEvent)]) -> Result<(), SimError> {
+        let (n, round, topo) = (self.nodes.len(), self.stats.rounds, self.topo.to_mut());
+        let (mut lost, mut gained): (Vec<Vec<Port>>, Vec<Vec<_>>) =
+            (vec![vec![]; n], vec![vec![]; n]);
+        for &(_, event) in batch {
+            let halves = match event {
+                TopologyEvent::Edge(EdgeEvent::Insert { u, v }) => {
+                    let [(a, pa), (b, pb)] = topo.insert_edge(u, v)?;
+                    gained[a as usize].push((pa, b));
+                    gained[b as usize].push((pb, a));
+                    vec![]
+                }
+                TopologyEvent::Edge(EdgeEvent::Remove { u, v }) => topo.remove_edge(u, v)?.to_vec(),
+                TopologyEvent::Node(NodeEvent::Crash(v)) => topo.remove_node(v)?,
+                TopologyEvent::Node(NodeEvent::Join(v)) => topo.join_node(v).map(|()| vec![])?,
+            };
+            for (w, p) in halves {
+                lost[w as usize].push(p);
+            }
+        }
+        // The batch size: every port half removed or inserted, plus one per node event.
+        let halves = lost.iter().map(Vec::len).chain(gained.iter().map(Vec::len));
+        let node_events = batch
+            .iter()
+            .filter(|(_, e)| matches!(e, TopologyEvent::Node(_)));
+        let size = (halves.sum::<usize>() + node_events.count()) as u32;
+        self.stats.topo_events += batch.len() as u64;
+        for &(_, event) in batch {
+            self.emit(TraceEvent::TopologyChange { round, event });
+        }
+        for v in 0..n as NodeId {
+            for (port, msg) in std::mem::take(&mut self.queues[v as usize]) {
+                let t = &self.topo;
+                if t.port_live(v, port) {
+                    self.queues[v as usize].push((port, msg));
+                } else {
+                    // Sent last round, from the far end of the dead port.
+                    let at = (t.neighbor_at(v, port), t.reverse_port(v, port));
+                    self.drop_message(round - 1, at, DropReason::TopologyChange, msg.trace_tags());
                 }
             }
         }
-        // The seed engine allocates n fresh inboxes per round — its
-        // "deliver" time is real work, unlike the optimized engine's swap.
-        let clock = watch.then(std::time::Instant::now);
-        let mut inboxes: Vec<Vec<(u32, A::Message)>> =
-            std::mem::replace(&mut self.pending, (0..n).map(|_| Vec::new()).collect());
-        if let Some(t) = clock {
-            timing.deliver = t.elapsed();
-        }
-        // Stepping and committing interleave per node here, so the split
-        // accumulates per-node durations instead of bracketing two loops.
-        #[allow(clippy::needless_range_loop)] // v doubles as the node id
         for v in 0..n {
-            // Removed nodes are gone: no step, no commit, inboxes purged
-            // at the choke point.
-            if !topo.node_present(v as NodeId) {
-                debug_assert!(inboxes[v].is_empty(), "absent node received a message");
-                continue;
+            let (present, epoch) = (self.topo.node_present(v as NodeId), self.topo.epoch());
+            let named = |e: NodeEvent| batch.iter().any(|&(_, b)| b == TopologyEvent::Node(e));
+            let removed = !present && named(NodeEvent::Crash(v as NodeId));
+            let joined = present && named(NodeEvent::Join(v as NodeId));
+            if (present || removed) && !self.crashed(round, v) {
+                let (removed_ports, inserted_ports) = (&lost[v][..], &gained[v][..]);
+                let delta = TopologyDelta {
+                    epoch,
+                    batch: size,
+                    removed_ports,
+                    inserted_ports,
+                    removed,
+                    joined,
+                };
+                match self.nodes[v].on_topology(&ctx(&self.topo, v, round), &delta) {
+                    RepairAction::Ignored => {}
+                    RepairAction::Repaired => self.stats.repaired_node_rounds += 1,
+                    RepairAction::Recompute => self.stats.recompute_fallbacks += 1,
+                }
             }
-            // Crashed nodes freeze: no step, no commit. Their inboxes are
-            // empty by construction (deliveries into the window dropped).
-            if self
-                .config
-                .faults
-                .as_ref()
-                .is_some_and(|f| f.crashed(self.round, v as NodeId))
-            {
-                debug_assert!(inboxes[v].is_empty(), "crashed node received a message");
-                continue;
-            }
-            let clock = watch.then(std::time::Instant::now);
-            inboxes[v].sort_by_key(|(p, _)| *p);
-            let inbox = Inbox { items: &inboxes[v] };
-            let ctx = NodeContext {
-                node_id: v as NodeId,
-                num_nodes: n,
-                neighbor_ids: topo.neighbors(v as NodeId),
-                round: self.round,
-            };
-            let mut outbox = Outbox::new();
-            self.store
-                .state_mut(v as NodeId)
-                .on_round(&ctx, &inbox, &mut outbox);
-            if let Some(t) = clock {
-                timing.step += t.elapsed();
-            }
-            let clock = watch.then(std::time::Instant::now);
-            self.commit_outbox(v as NodeId, outbox, self.round)?;
-            if let Some(t) = clock {
-                timing.commit += t.elapsed();
-            }
-        }
-        if let Some(obs) = &self.config.observer {
-            let mut obs = obs.lock();
-            obs.on_round_timing(self.round, &timing);
-            obs.on_event(&TraceEvent::RoundEnd { round: self.round });
-        }
-        // Poll termination votes over exactly the scheduled set: the
-        // active-set engine only polls the nodes it stepped (off-schedule
-        // nodes are inactive, hence at most `Passive` by contract), and a
-        // mismatch in who votes could shift the termination round.
-        let mut quiescence = QuiescenceState::fold_start(scheduled_count as usize, n);
-        for v in 0..n {
-            if self.scheduled[v] {
-                quiescence.vote(self.store.state(v as NodeId).quiescence());
-            }
-        }
-        self.quiescence = quiescence;
-        // Vote decomposition, emitted after `RoundEnd` — the same
-        // position the optimized pipeline uses, so streams stay identical.
-        if let Some(obs) = &self.config.observer {
-            obs.lock().on_event(&quiescence.event(self.round));
         }
         Ok(())
     }
 
     /// Runs to quiescence; same contract as
-    /// [`Simulator::run`](crate::Simulator::run) (minus the `Send` bounds —
-    /// the reference engine is strictly sequential).
+    /// [`Simulator::run`](crate::Simulator::run), minus the `Send` bounds.
     ///
     /// # Errors
     ///
-    /// Propagates any bandwidth/port violation committed by a node, and
-    /// returns [`SimError::RoundLimitExceeded`] if the run does not quiesce
-    /// within [`Config::max_rounds`].
+    /// The first bandwidth, port or plan violation, or
+    /// [`SimError::RoundLimitExceeded`] past [`Config::max_rounds`].
     pub fn run(mut self) -> Result<Report<A::Output>, SimError> {
-        let started = std::time::Instant::now();
-        let started_nodes = self.started_nodes();
-        if let Some(obs) = &self.config.observer {
-            obs.lock().on_event(&TraceEvent::RunStart {
-                phase: self.config.phase.clone(),
-                nodes: self.topology.num_nodes() as u64,
-                edges: self.topology.num_directed_edges() as u64,
-                started: started_nodes,
-            });
+        let (started, n) = (std::time::Instant::now(), self.nodes.len());
+        let plan = self.config.topology.clone().unwrap_or_default();
+        let (events, mut applied) = (plan.events(), 0);
+        let boots: Vec<usize> = (0..n).filter(|&v| !self.crashed(0, v)).collect();
+        let started_nodes = boots.len() as u64;
+        self.emit(TraceEvent::RunStart {
+            phase: self.config.phase.clone(),
+            nodes: n as u64,
+            edges: self.topo.num_directed_edges() as u64,
+            started: started_nodes,
+        });
+        for v in boots {
+            self.step(v, vec![])?;
         }
-        self.start_all()?;
-        // Round 0 schedules every started node (they all run `on_start`).
-        self.stats.scheduled_node_rounds += started_nodes;
-        self.stats.max_scheduled_per_round = self.stats.max_scheduled_per_round.max(started_nodes);
-        if let Some(obs) = &self.config.observer {
-            obs.lock().on_event(&self.quiescence.event(0));
-        }
-        while self.churn_pending() || !self.quiescence.terminal(self.in_flight) {
-            if self.round >= self.config.max_rounds {
+        self.stats.scheduled_node_rounds = started_nodes;
+        self.stats.max_scheduled_per_round = started_nodes;
+        // Round 0 polls every node; one that never booted, in its initial state.
+        let mut votes = self.poll(|_| true);
+        // The engines' rule: a unanimous `Shutdown`, or no `Active` vote and silence.
+        while applied < events.len()
+            || !(votes[2] == n as u64 || votes[0] == 0 && self.in_flight() == 0)
+        {
+            if self.stats.rounds >= self.config.max_rounds {
                 return Err(SimError::RoundLimitExceeded {
                     limit: self.config.max_rounds,
                 });
             }
-            self.step()?;
-        }
-        if let Some(obs) = &self.config.observer {
-            obs.lock().on_event(&TraceEvent::EarlyTermination {
-                round: self.round,
-                in_flight: self.in_flight,
+            self.stats.rounds += 1;
+            let round = self.stats.rounds;
+            let due = events.partition_point(|&(r, _)| r <= round);
+            if due > applied {
+                self.churn(&events[applied..due])?;
+                applied = due;
+            }
+            // This round polls the present nodes with arrivals or awake.
+            let awake = |v: usize| !self.queues[v].is_empty() || self.nodes[v].is_active();
+            let polled: Vec<bool> = (0..n)
+                .map(|v| self.topo.node_present(v as NodeId) && awake(v))
+                .collect();
+            let delivered = self.in_flight();
+            let scheduled = polled.iter().filter(|&&p| p).count() as u64;
+            let stats = &mut self.stats;
+            stats.max_messages_per_round = stats.max_messages_per_round.max(delivered);
+            stats.scheduled_node_rounds += scheduled;
+            stats.max_scheduled_per_round = stats.max_scheduled_per_round.max(scheduled);
+            self.emit(TraceEvent::RoundStart {
+                round,
+                delivered,
+                scheduled,
             });
+            for node in 0..n as NodeId {
+                if self.crashed(round, node as usize) {
+                    self.stats.crashed += 1;
+                    self.emit(TraceEvent::Crash { round, node });
+                }
+            }
+            let inboxes = std::mem::replace(&mut self.queues, (0..n).map(|_| vec![]).collect());
+            for (v, inbox) in inboxes.into_iter().enumerate() {
+                if self.topo.node_present(v as NodeId) && !self.crashed(round, v) {
+                    self.step(v, inbox)?;
+                }
+            }
+            self.emit(TraceEvent::RoundEnd { round });
+            votes = self.poll(|v| polled[v]);
         }
-        let certificate = Some(TerminationCertificate::from_votes(
-            self.round,
-            self.in_flight,
-            self.quiescence,
-            self.store.final_votes(),
-        ));
-        let churn_topo = self.churn.as_ref().map(|c| Arc::clone(&c.topo));
-        let outputs = self
-            .store
-            .into_outputs(churn_topo.as_deref().unwrap_or(self.topology), self.round);
+        let (round, in_flight) = (self.stats.rounds, self.in_flight());
+        self.emit(TraceEvent::EarlyTermination { round, in_flight });
+        let node_votes: Vec<_> = (0..n)
+            .map(|v| (v as NodeId, self.nodes[v].quiescence()))
+            .collect();
+        let count = |q| node_votes.iter().filter(|&&(_, vote)| vote == q).count() as u64;
+        let certificate = Some(TerminationCertificate {
+            round,
+            in_flight,
+            reason: if votes[2] == n as u64 {
+                TerminationReason::ShutdownUnanimous
+            } else {
+                TerminationReason::PassiveDrained
+            },
+            votes_active: count(Quiescence::Active),
+            votes_passive: count(Quiescence::Passive),
+            votes_shutdown: count(Quiescence::Shutdown),
+            node_votes,
+        });
+        let nodes = std::mem::take(&mut self.nodes).into_iter().enumerate();
+        let outputs = nodes
+            .map(|(v, a)| a.into_output(&ctx(&self.topo, v, round)))
+            .collect();
         self.stats.wall_time = started.elapsed();
-        if let Some(obs) = &self.config.observer {
-            obs.lock().on_event(&TraceEvent::RunEnd {
-                rounds: self.stats.rounds,
-                messages: self.stats.messages,
-            });
-        }
+        let messages = self.stats.messages;
+        self.emit(TraceEvent::RunEnd {
+            rounds: round,
+            messages,
+        });
         Ok(Report {
             outputs,
             stats: self.stats,
             certificate,
             sched: None,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// The oracle shares nothing with the engines it checks: each
+    /// `use crate::…` names the node API, the topology, the config or an
+    /// output type, and no engine internal is named anywhere.
+    #[test]
+    fn imports_only_the_node_api_and_output_types() {
+        let src = include_str!("reference.rs");
+        let engine = "engine::{Report, TerminationCertificate, TerminationReason};";
+        let allowed = "algorithm config error message node stats topology trace";
+        for path in src
+            .lines()
+            .filter_map(|l| l.trim_start().strip_prefix("use crate::"))
+        {
+            let module = path.split_once("::").map_or(path, |(m, _)| m);
+            let ok = path == engine || allowed.split(' ').any(|a| a == module);
+            assert!(ok, "forbidden import: {path}");
+        }
+        // Spelled split, so that this test does not name what it forbids.
+        let internals = "churn|:: store|:: Quiescence|State Churn|State from|_votes";
+        for name in internals.split(' ').map(|s| s.replace('|', "")) {
+            assert!(!src.contains(&name), "names an engine internal: {name}");
+        }
     }
 }

@@ -2,15 +2,16 @@
 //! `k`-threaded run must be bit-for-bit identical to the sequential run —
 //! same outputs, same statistics, same typed event trace (per-round
 //! delivery counts included) — and the optimized engine must agree with the
-//! verbatim seed engine ([`ReferenceSimulator`]).
+//! independent dense oracle ([`ReferenceSimulator`]).
 
 use proptest::prelude::*;
 
 use dapsp_congest::obs::RoundMetrics;
 use dapsp_congest::{
     Config, ExecutorKind, FanOut, FaultPlan, Inbox, LossRule, Message, MetricsRecorder,
-    NodeAlgorithm, NodeContext, Outbox, Port, ReferenceSimulator, Report, RunStats, SharedObserver,
-    Simulator, TerminationReason, Topology, TopologyPlan, TraceEvent, TraceRecorder,
+    NodeAlgorithm, NodeContext, Outbox, Port, Quiescence, ReferenceSimulator, RepairAction, Report,
+    RunStats, SharedObserver, Simulator, TerminationReason, Topology, TopologyDelta, TopologyPlan,
+    TraceEvent, TraceRecorder,
 };
 
 /// A gossip token: (origin id, hop count). Sized like a real CONGEST
@@ -65,6 +66,26 @@ impl NodeAlgorithm for Gossip {
         }
         if let Some(t) = self.queue.pop_front() {
             out.send_to_all(0..ctx.degree() as Port, t);
+        }
+    }
+
+    /// Churn: a re-joined node recomputes, forgetting every origin and
+    /// re-flooding its own; a node that lost a port counts as repaired.
+    fn on_topology(&mut self, ctx: &NodeContext<'_>, delta: &TopologyDelta<'_>) -> RepairAction {
+        if delta.joined {
+            let id = ctx.node_id();
+            self.first_heard.iter_mut().for_each(|h| *h = None);
+            self.first_heard[id as usize] = Some((ctx.round(), 0));
+            self.queue.clear();
+            self.queue.push_back(Token {
+                origin: id,
+                hops: 1,
+            });
+            RepairAction::Recompute
+        } else if !delta.removed && !delta.removed_ports.is_empty() {
+            RepairAction::Repaired
+        } else {
+            RepairAction::Ignored
         }
     }
 
@@ -297,6 +318,74 @@ fn fully_idle_protocol_quiesces_at_round_zero() {
         assert!(report.outputs.iter().all(|&s| s == 0), "t{threads}");
         assert_eq!(report.stats.scheduled_node_rounds, N as u64, "t{threads}");
         assert_eq!(report.stats, dense.stats, "t{threads}");
+    }
+}
+
+/// Nodes 0 and 1 bounce one token until each has received it `hits`
+/// times; node 2 never hears anything. Every node votes `Shutdown` once it
+/// has taken part — node 2 from the start — and none is ever active.
+struct PingPong {
+    received: u64,
+    hits: u64,
+}
+impl NodeAlgorithm for PingPong {
+    type Message = Token;
+    type Output = u64;
+
+    fn on_start(&mut self, ctx: &NodeContext<'_>, out: &mut Outbox<Token>) {
+        if ctx.node_id() == 0 {
+            out.send(0, Token { origin: 0, hops: 0 });
+        }
+    }
+
+    fn on_round(&mut self, _: &NodeContext<'_>, inbox: &Inbox<Token>, out: &mut Outbox<Token>) {
+        for (port, msg) in inbox.iter() {
+            self.received += 1;
+            if self.received < self.hits {
+                out.send(port, msg.clone());
+            }
+        }
+    }
+
+    fn quiescence(&self) -> Quiescence {
+        if self.received > 0 || self.hits == 0 {
+            Quiescence::Shutdown
+        } else {
+            Quiescence::Passive
+        }
+    }
+
+    fn into_output(self, _: &NodeContext<'_>) -> u64 {
+        self.received
+    }
+}
+
+/// The termination rule as `Quiescence` documents it: a unanimous
+/// `Shutdown` needs every node *polled* after the round to vote it. Idle
+/// node 2 votes `Shutdown` but is never polled after round 0, so it counts
+/// as `Passive` and vetoes; the path(3) run ends only when the ping-pong
+/// drains, after round 5 — not after round 2, when all three current votes
+/// first read `Shutdown`. Same on serial, pool(2) and the reference engine.
+#[test]
+fn an_unpolled_shutdown_vote_vetoes_a_unanimous_shutdown() {
+    let topo = Topology::from_adjacency(vec![vec![1], vec![0, 2], vec![1]]).expect("valid");
+    let init = |ctx: &NodeContext<'_>| PingPong {
+        received: 0,
+        hits: if ctx.node_id() == 2 { 0 } else { 3 },
+    };
+    let config = gossip_config(3);
+    let reports = [
+        Simulator::new(&topo, config.clone(), init).run(),
+        Simulator::new(&topo, config.clone().with_threads(2), init).run(),
+        ReferenceSimulator::new(&topo, config, init).run(),
+    ];
+    for report in reports {
+        let report = report.expect("runs");
+        let cert = report.certificate.expect("certificate");
+        assert_eq!(cert.reason, TerminationReason::PassiveDrained);
+        assert_eq!((cert.round, report.stats.rounds), (5, 5));
+        assert_eq!(cert.votes_shutdown, 3, "every final vote is Shutdown");
+        assert_eq!(report.outputs, [2, 3, 0]);
     }
 }
 
@@ -675,7 +764,10 @@ proptest! {
     /// reference engine must agree on outputs, stats (including the new
     /// `topo_events` / `repaired_node_rounds` / `recompute_fallbacks`
     /// columns) and the trace stream — `TopologyChange` events included —
-    /// on random graphs × random plans × loss × observer modes.
+    /// on random graphs × random plans × loss × observer modes. A crashed
+    /// node re-joins — one round later, or in the crash's own batch — and
+    /// is re-linked to a former neighbour, and `Gossip`'s repair hook keeps
+    /// both repair counters non-zero, so the four-way comparison covers them.
     #[test]
     fn churned_runs_match_four_ways(
         n in 3usize..20,
@@ -683,12 +775,14 @@ proptest! {
         lossy in any::<bool>(),
         observed in any::<bool>(),
         crash in any::<bool>(),
+        one_batch in any::<bool>(),
     ) {
         let adj = random_connected_adj(n, seed, 1);
         let topo = Topology::from_adjacency(adj.clone()).expect("valid");
         // Build a plan that is valid against the initial graph: insert a
         // non-edge (when one exists) at round 1, remove an original edge
-        // at round 2, optionally remove a whole node at round 3.
+        // at round 2, optionally remove a whole node at round 3 and re-join
+        // it (at round 4, or at 3 in the same batch) with one former edge.
         let mut edges = Vec::new();
         let mut non_edges = Vec::new();
         for u in 0..n as u32 {
@@ -708,7 +802,12 @@ proptest! {
         let (u, v) = edges[(seed / 7) as usize % edges.len()];
         plan = plan.with_remove(2, u, v);
         if crash {
-            plan = plan.with_crash(3, (seed % n as u64) as u32);
+            let v = (seed % n as u64) as u32;
+            let join = if one_batch { 3 } else { 4 };
+            plan = plan
+                .with_crash(3, v)
+                .with_join(join, v)
+                .with_insert(join + 1, v, adj[v as usize][0]);
         }
         let init = |_: &NodeContext<'_>| Gossip {
             first_heard: vec![None; n],
@@ -740,6 +839,10 @@ proptest! {
         let (baseline, base_jsonl) = run_one(ExecutorKind::Serial, 0, false);
         let applied = plan.events().len() as u64;
         prop_assert_eq!(baseline.stats.topo_events, applied, "every event applies");
+        prop_assert!(baseline.stats.repaired_node_rounds > 0, "the round-2 removal repairs");
+        if crash {
+            prop_assert!(baseline.stats.recompute_fallbacks > 0, "the re-join recomputes");
+        }
         if let Some(jsonl) = &base_jsonl {
             prop_assert_eq!(
                 jsonl.matches("\"ev\":\"topology\"").count() as u64,
