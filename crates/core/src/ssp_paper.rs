@@ -14,8 +14,8 @@
 //! **unresolved** (never learned) — the production implementation in
 //! [`crate::ssp`] repairs both issues. Distances that *were* adopted may
 //! additionally be overestimates; compare against [`crate::ssp`] or the
-//! oracle to count those (see the ablation benchmark
-//! `ablation_ssp_variants`).
+//! oracle to count those (see the `ablation_ssp_variants` section of
+//! `artifacts/table1.txt`).
 
 use dapsp_congest::{Config, NodeContext, Port, RunStats, Width};
 use dapsp_graph::{Graph, INFINITY};

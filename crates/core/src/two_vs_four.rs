@@ -242,8 +242,8 @@ mod tests {
 ///
 /// [`run`] uses Algorithm 2 instead — `O(|S| + D)` rather than
 /// `O(|S| · D)` rounds — which is a documented substitution; this variant
-/// exists to measure the difference (see the `table1_two_vs_four`
-/// experiment).
+/// exists to measure the difference against the E8 rounds of
+/// `artifacts/table1.txt`.
 ///
 /// # Errors
 ///

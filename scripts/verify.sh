@@ -21,7 +21,10 @@ echo "==> cargo test"
 # assertion is live in every suite (crates/core/tests/message_budget.rs
 # runs every algorithm for exactly that). Includes tier-1's golden model
 # costs (static, churned, faulty), the small-graph conformance sweeps, the
-# four-way engine equivalence proptests and the allocation budget.
+# four-way engine equivalence proptests and the allocation budget. Also
+# the Table 1 golden (crates/bench/tests/table1.rs): every section of
+# artifacts/table1.txt re-run and compared, about 24 s of this step in
+# debug on 2 vCPUs, dominated by E1's round-robin distance vector.
 cargo test --offline --workspace -q
 
 echo "==> forced-stealing parity (DAPSP_POOL_CHUNK=1)"
