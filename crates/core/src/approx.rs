@@ -8,7 +8,8 @@
 //! 2. `k := min(⌊ε·D₀/4⌋, D₀)` (any node is within `D ≤ D₀` of all
 //!    others, so a larger radius changes nothing); build a k-dominating
 //!    set `DOM` of size at most
-//!    `max{1, ⌊n/(k+1)⌋} = O(n/(εD))` — `O(D)`;
+//!    `max{1, ⌊n/(k+1)⌋} = O(n/(εD))` — `O(D)`, one convergecast; every
+//!    node knows that bound from `n` and `k`, so no round counts `|DOM|`;
 //! 3. solve `DOM`-SP with Algorithm 2, whose own `T_1` and `D₀` are
 //!    phase 1's, so only its growth runs — `O(|DOM| + D) = O(n/(εD) + D)`;
 //! 4. every node `v` sets `ecc̃(v) := k + max_{u ∈ DOM} d(v, u)`, which
@@ -37,7 +38,8 @@ pub struct ApproxEccResult {
     pub estimates: Vec<u32>,
     /// The dominating-set radius `k = min(⌊ε·D₀/4⌋, D₀)` used.
     pub k: u32,
-    /// The size of the dominating set (the `|S|` of the S-SP call).
+    /// The size of the dominating set (the `|S|` of the S-SP call),
+    /// counted by the host; no node learns it.
     pub dom_size: u64,
     /// Round/message statistics over all phases.
     pub stats: RunStats,
@@ -152,9 +154,10 @@ pub fn eccentricities(graph: &Graph, eps: f64) -> Result<ApproxEccResult, CoreEr
 
 /// Like [`eccentricities`], streaming round/message/timing events of every
 /// phase to `observer` — the phases report as `"bfs"`, `"agg:max"`,
-/// `"dom:select"`, `"agg:sum"`, then `"ssp:growth"`, matching Theorem 4's
-/// pipeline structure: the S-SP grows from phase 1's `T_1` and `D₀`
-/// instead of repeating `"bfs"` and `"agg:max"`.
+/// `"dom:select"`, then `"ssp:growth"`, matching Theorem 4's pipeline
+/// structure: the S-SP grows from phase 1's `T_1` and `D₀` instead of
+/// repeating `"bfs"` and `"agg:max"`, and no `"agg:sum"` counts `|DOM|`,
+/// since every node takes Lemma 10's bound as the growth's `|S|`.
 ///
 /// # Errors
 ///
@@ -454,10 +457,7 @@ mod tests {
         let r = eccentricities_observed(&g, 1.0, &shared.observer()).unwrap();
         let phases: Vec<String> =
             shared.with(|p| p.profiles().iter().map(|p| p.phase.clone()).collect());
-        assert_eq!(
-            phases,
-            ["bfs", "agg:max", "dom:select", "agg:sum", "ssp:growth"]
-        );
+        assert_eq!(phases, ["bfs", "agg:max", "dom:select", "ssp:growth"]);
         assert_eq!(r, eccentricities(&g, 1.0).unwrap());
     }
 

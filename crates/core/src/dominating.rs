@@ -11,11 +11,12 @@
 //! in its subtree. A node whose `need` reaches `k` joins the set (its whole
 //! pending chain of `k+1` nodes is then covered), and the root joins if
 //! anything is left pending. One convergecast = `O(depth(T_1)) = O(D)`
-//! rounds; a final sum-aggregation tells every node `|DOM|`, which the
-//! S-SP round budget needs.
+//! rounds, and nothing after it: no census of `|DOM|` is run.
 //!
 //! Every dominator placed below the root absorbs a private chain of `k+1`
-//! nodes, which yields the Kutten–Peleg size bound.
+//! nodes, which yields the Kutten–Peleg size bound. Every node knows `n`
+//! and `k`, so it computes that bound locally in zero rounds and takes it
+//! as the `|S|` of the DOM-SP's `|S| + D₀` horizon.
 
 use dapsp_congest::{
     bits_for_count, Config, Inbox, Message, NodeAlgorithm, NodeContext, Outbox, Port, RunStats,
@@ -23,7 +24,6 @@ use dapsp_congest::{
 };
 use dapsp_graph::Graph;
 
-use crate::aggregate::{self, AggOp};
 use crate::error::CoreError;
 use crate::observe::Obs;
 use crate::runner::run_algorithm_on;
@@ -150,11 +150,11 @@ impl NodeAlgorithm for DomNode {
 pub struct DominatingResult {
     /// `members[v]` is true iff `v` was chosen.
     pub members: Vec<bool>,
-    /// `|DOM|`, known to every node (needed by the S-SP round budget).
+    /// `|DOM|`, counted by the host; no node learns it.
     pub size: u64,
     /// The parameter `k` used, at most `n − 1`.
     pub k: u32,
-    /// Round/message statistics (convergecast + size aggregation).
+    /// Round/message statistics of the selection convergecast.
     pub stats: RunStats,
 }
 
@@ -171,9 +171,8 @@ impl DominatingResult {
 }
 
 /// Builds a k-dominating set of size at most `max{1, ⌊n/(k+1)⌋}` over the
-/// spanning tree `tree` in `O(D)` rounds, then sum-aggregates its size so
-/// every node knows `|DOM|`. A `k` above `n − 1` runs as `n − 1`, which
-/// selects the same set.
+/// spanning tree `tree` in one `O(D)`-round convergecast. A `k` above
+/// `n − 1` runs as `n − 1`, which selects the same set.
 ///
 /// # Errors
 ///
@@ -218,8 +217,7 @@ pub fn run_on(
 }
 
 /// Like [`run_on`], with an optional observer attached: the selection
-/// convergecast reports under the phase label `"dom:select"` and the size
-/// aggregation under `"agg:sum"`.
+/// convergecast reports under the phase label `"dom:select"`.
 ///
 /// # Errors
 ///
@@ -257,15 +255,11 @@ pub fn run_on_obs(
         }
     })?;
     let members = report.outputs;
-    let flags: Vec<u64> = members.iter().map(|&m| u64::from(m)).collect();
-    let sum = aggregate::run_on_obs(topology, tree, &flags, AggOp::Sum, obs)?;
-    let mut stats = report.stats;
-    stats.absorb_sequential(&sum.stats);
     Ok(DominatingResult {
+        size: members.iter().filter(|&&m| m).count() as u64,
         members,
-        size: sum.value,
         k,
-        stats,
+        stats: report.stats,
     })
 }
 
@@ -357,12 +351,10 @@ mod tests {
         let g = generators::path(40);
         let t1 = bfs::run(&g, 0).unwrap();
         let dom = run(&g, &t1.tree, 3).unwrap();
-        // Convergecast is one sweep (≤ depth+2), the size aggregation two.
-        assert!(
-            dom.stats.rounds <= 3 * 40 + 10,
-            "rounds={}",
-            dom.stats.rounds
-        );
+        // One convergecast sweep and nothing after it: a census of |DOM|
+        // would add two more.
+        let depth = u64::from(*t1.dist.iter().max().unwrap());
+        assert!(dom.stats.rounds <= depth + 2, "rounds={}", dom.stats.rounds);
     }
 
     #[test]

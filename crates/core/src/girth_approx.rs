@@ -5,7 +5,8 @@
 //! upper bound `ĝ`, initially `2·D₀ + 1` (every non-tree graph contains a
 //! cycle of length at most `2D + 1`). Repeatedly build a k-dominating set
 //! with `k = ⌊ĝ/4⌋` and run `DOM`-SP — its growth only, since `T_1` and
-//! `D₀` are built once, up front. During the simultaneous growth every
+//! `D₀` are built once, up front, and no round counts `|DOM|` (every node
+//! knows Lemma 10's bound). During the simultaneous growth every
 //! repeated arrival closes a cycle: a dominator within distance `k` of a
 //! shortest cycle detects a candidate of length at most `g + 2k ≤ g + ĝ/2`,
 //! so each iteration at least halves the gap between `ĝ` and `2g` — after

@@ -10,7 +10,7 @@
 
 use dapsp_congest::{churned_topology, ExecutorKind, TopologyPlan};
 use dapsp_core::routing::RouteTable;
-use dapsp_core::{apsp, bfs, churned_graph, girth, ssp, summary, ChurnedResult, Obs};
+use dapsp_core::{apsp, bfs, churned_graph, dominating, girth, ssp, summary, ChurnedResult, Obs};
 use dapsp_graph::enumerate::{self, MAX_ENUMERATED_NODES};
 use dapsp_graph::{reference, Graph, INFINITY};
 
@@ -316,6 +316,40 @@ fn rejoined_nodes_are_repaired_back_on_every_small_connected_graph() {
         }
     }
     assert!(runs > 200, "sweep must actually cover the enumeration");
+}
+
+/// Lemma 10's size bound is the `|S|` every node takes for the DOM-SP
+/// horizon, so it must hold on every input, not only sampled ones: every
+/// connected graph on up to 6 nodes, `T_1` from node 0, every `k < n`.
+#[test]
+fn dominating_sets_cover_within_the_size_bound_on_every_small_connected_graph() {
+    let mut runs = 0usize;
+    for (n, g) in all_graphs() {
+        if n > 6 {
+            break;
+        }
+        let t1 = bfs::run(&g, 0).unwrap();
+        for k in 0..n as u32 {
+            let ids = dominating::run(&g, &t1.tree, k)
+                .unwrap_or_else(|e| panic!("dominating set failed on {g:?}, k = {k}: {e}"))
+                .member_ids();
+            assert!(
+                reference::is_k_dominating_set(&g, &ids, k),
+                "not {k}-dominating on {g:?}: {ids:?}"
+            );
+            let bound = 1.max(n / (k as usize + 1));
+            assert!(
+                ids.len() <= bound,
+                "|DOM| = {} > {bound} on {g:?}, k = {k}",
+                ids.len()
+            );
+            runs += 1;
+        }
+    }
+    let want: usize = (1..=6)
+        .map(|n| n * enumerate::CONNECTED_GRAPH_COUNTS[n])
+        .sum();
+    assert_eq!(runs, want, "sweep must cover every graph and k");
 }
 
 #[test]

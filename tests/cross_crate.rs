@@ -546,7 +546,7 @@ fn static_model_cost_is_pinned() {
             generators::watts_strogatz(64, 3, 0.05, 7),
             (209, 17371, 257665, 171, 7493),
             ((40, 2053, 23551, 258, 941), 3),
-            ((68, 2247, 24375, 237, 1251), 5),
+            ((50, 2121, 23994, 237, 1077), 5),
             (10, 329, 2191, 74, 222),
         ),
         (
@@ -554,7 +554,7 @@ fn static_model_cost_is_pinned() {
             generators::barabasi_albert(64, 3, 7),
             (196, 16662, 247141, 224, 7611),
             ((19, 2050, 23309, 325, 834), 18),
-            ((38, 5971, 72587, 368, 1769), 17),
+            ((32, 5845, 72077, 368, 1619), 17),
             (4, 328, 2183, 224, 201),
         ),
         (
@@ -562,7 +562,7 @@ fn static_model_cost_is_pinned() {
             generators::grid(8, 8),
             (212, 7350, 108493, 64, 4350),
             ((59, 1106, 12047, 98, 881), 0),
-            ((101, 1778, 19281, 164, 1317), 8),
+            ((73, 1652, 18830, 164, 1127), 8),
             (15, 175, 959, 22, 183),
         ),
     ];
@@ -636,45 +636,46 @@ fn composites_charge_t1_and_d0_once() {
         }),
     ];
     // Per graph and composite: (rounds, messages) before, then how many
-    // BFS_1 and max-aggregation runs were dropped.
+    // BFS_1, max-aggregation and |DOM| sum-aggregation runs were dropped.
     // - girth: Algorithm 1 reuses the Claim 1 BFS (no D₀ involved);
-    // - girth_approx: every probe's DOM-SP (2 probes on ws, 3 on grid);
-    //   on the star, a tree, the D₀ aggregation now runs before the tree
-    //   test where it used to be skipped: −1 dropped;
+    // - girth_approx: every probe's DOM-SP (2 probes on ws, 3 on grid),
+    //   and every probe's |DOM| census; on the star, a tree, the D₀
+    //   aggregation now runs before the tree test where it used to be
+    //   skipped: −1 dropped;
     // - three_halves: the dominating-set branch on ws and grid (its
-    //   Corollary 4 and DOM-SP preambles), the sampled branch on the star
-    //   (its own T_1 and both S-SP preambles);
+    //   Corollary 4 and DOM-SP preambles, and its |DOM| census), the
+    //   sampled branch on the star (its own T_1 and both S-SP preambles);
     // - two_vs_four: the probes' S-SP reuses T_1 and charges its D₀ once.
-    type Row = ((u64, u64), (i64, i64));
+    type Row = ((u64, u64), (i64, i64, i64));
     let golden: [(&str, Graph, [Row; 4]); 3] = [
         (
             "ws",
             generators::watts_strogatz(64, 3, 0.05, 7),
             [
-                ((255, 17952), (1, 0)),
-                ((268, 23443), (2, 2)),
-                ((144, 4931), (2, 2)),
-                ((90, 3275), (1, 0)),
+                ((255, 17952), (1, 0, 0)),
+                ((268, 23443), (2, 2, 2)),
+                ((144, 4931), (2, 2, 1)),
+                ((90, 3275), (1, 0, 0)),
             ],
         ),
         (
             "grid",
             generators::grid(8, 8),
             [
-                ((283, 7777), (1, 0)),
-                ((512, 16625), (3, 3)),
-                ((215, 2828), (2, 2)),
-                ((131, 1211), (1, 0)),
+                ((283, 7777), (1, 0, 0)),
+                ((512, 16625), (3, 3, 3)),
+                ((215, 2828), (2, 2, 1)),
+                ((131, 1211), (1, 0, 0)),
             ],
         ),
         (
             "star",
             generators::star(64),
             [
-                ((4, 252), (0, 0)),
-                ((4, 252), (0, -1)),
-                ((44, 2646), (3, 2)),
-                ((13, 756), (1, 0)),
+                ((4, 252), (0, 0, 0)),
+                ((4, 252), (0, -1, 0)),
+                ((44, 2646), (3, 2, 0)),
+                ((13, 756), (1, 0, 0)),
             ],
         ),
     ];
@@ -682,14 +683,16 @@ fn composites_charge_t1_and_d0_once() {
         let t1 = bfs::run(g, 0).expect("T_1");
         let depths: Vec<u64> = t1.dist.iter().map(|&d| u64::from(d)).collect();
         let d0 = aggregate::run(g, &t1.tree, &depths, AggOp::Max).expect("D₀");
+        let flags = vec![1; g.num_nodes()];
+        let census = aggregate::run(g, &t1.tree, &flags, AggOp::Sum).expect("|DOM| census");
         let unit = |s: &RunStats| (s.rounds as i64, s.messages as i64);
-        let (bfs, max) = (unit(&t1.stats), unit(&d0.stats));
-        for ((composite, run), &((rounds, messages), (bfs_runs, max_runs))) in
+        let (bfs, max, sum) = (unit(&t1.stats), unit(&d0.stats), unit(&census.stats));
+        for ((composite, run), &((rounds, messages), (bfs_runs, max_runs, sum_runs))) in
             composites.iter().zip(rows)
         {
             let want = (
-                rounds as i64 - bfs_runs * bfs.0 - max_runs * max.0,
-                messages as i64 - bfs_runs * bfs.1 - max_runs * max.1,
+                rounds as i64 - bfs_runs * bfs.0 - max_runs * max.0 - sum_runs * sum.0,
+                messages as i64 - bfs_runs * bfs.1 - max_runs * max.1 - sum_runs * sum.1,
             );
             assert_eq!(unit(&run(g)), want, "{name}: {composite}");
         }
