@@ -74,8 +74,9 @@ pub struct AggregateResult {
 /// # Errors
 ///
 /// * [`CoreError::EmptyGraph`] on an empty graph.
-/// * [`CoreError::InvalidParameter`] if `values.len() != n` or the tree does
-///   not span the graph.
+/// * [`CoreError::InvalidParameter`] if `values.len() != n` or the tree is
+///   not a rooted spanning tree of this graph (its ports out of range or
+///   not reciprocal — e.g. a tree taken from another graph).
 /// * [`CoreError::Sim`] on simulator failures (e.g. a value too large for
 ///   the bandwidth).
 ///
@@ -138,18 +139,7 @@ pub fn run_on_obs(
     if n == 0 {
         return Err(CoreError::EmptyGraph);
     }
-    if values.len() != n {
-        return Err(CoreError::InvalidParameter(format!(
-            "got {} values for {} nodes",
-            values.len(),
-            n
-        )));
-    }
-    if !tree.spans_all() {
-        return Err(CoreError::InvalidParameter(
-            "aggregation tree does not span the graph".into(),
-        ));
-    }
+    check_inputs(topology, tree, values)?;
     let config = obs.apply(Config::for_n(n), op.phase_label());
     let report = run_protocol_on(topology, config, |ctx| {
         ConvergecastKernel::new(ctx, tree, values[ctx.node_id() as usize], op)
@@ -163,6 +153,59 @@ pub fn run_on_obs(
         value,
         stats: report.stats,
     })
+}
+
+/// Rejects `values` of the wrong length and a `tree` that is not a rooted
+/// spanning tree *of `topology`*: walking down from the root, every child
+/// port must be in range and lead to a node whose parent port leads back,
+/// and the walk must reach each of the `n` nodes exactly once. A tree taken
+/// from another graph fails here rather than running the convergecast over
+/// ports that mean something else (`O(n)` on the host).
+fn check_inputs(
+    topology: &Topology,
+    tree: &TreeKnowledge,
+    values: &[u64],
+) -> Result<(), CoreError> {
+    let n = topology.num_nodes();
+    if values.len() != n {
+        return Err(CoreError::InvalidParameter(format!(
+            "got {} values for {} nodes",
+            values.len(),
+            n
+        )));
+    }
+    let invalid = || {
+        CoreError::InvalidParameter("aggregation tree is not a spanning tree of the graph".into())
+    };
+    let root = tree.root as usize;
+    if tree.num_nodes() != n
+        || tree.children_ports.len() != n
+        || root >= n
+        || tree.parent_port[root].is_some()
+    {
+        return Err(invalid());
+    }
+    let across = |v: u32, p: u32| topology.neighbors(v).get(p as usize).copied();
+    let mut seen = vec![false; n];
+    seen[root] = true;
+    let mut stack = vec![tree.root];
+    let mut reached = 1;
+    while let Some(v) = stack.pop() {
+        for &c in &tree.children_ports[v as usize] {
+            let w = across(v, c).ok_or_else(invalid)?;
+            let back = tree.parent_port[w as usize].and_then(|p| across(w, p));
+            if back != Some(v) || seen[w as usize] {
+                return Err(invalid());
+            }
+            seen[w as usize] = true;
+            reached += 1;
+            stack.push(w);
+        }
+    }
+    if reached != n {
+        return Err(invalid());
+    }
+    Ok(())
 }
 
 /// Like [`run_on_obs`], over links a [`FaultPlan`] drops messages from:
@@ -187,18 +230,7 @@ pub fn run_faulty_on(
     if n == 0 {
         return Err(CoreError::EmptyGraph);
     }
-    if values.len() != n {
-        return Err(CoreError::InvalidParameter(format!(
-            "got {} values for {} nodes",
-            values.len(),
-            n
-        )));
-    }
-    if !tree.spans_all() {
-        return Err(CoreError::InvalidParameter(
-            "aggregation tree does not span the graph".into(),
-        ));
-    }
+    check_inputs(topology, tree, values)?;
     // Convergecast up plus broadcast down is 2·depth(T) + O(1) rounds
     // fault-free; depth ≤ n − 1.
     let horizon = 2 * n as u64 + 4;
@@ -301,6 +333,35 @@ mod tests {
             run(&g, &broken, &[1, 2, 3, 4], AggOp::Max).unwrap_err(),
             CoreError::InvalidParameter(_)
         ));
+    }
+
+    #[test]
+    fn rejects_a_tree_from_another_graph() {
+        // The star's T_1 spans four nodes too, but its root's child ports
+        // 1 and 2 do not exist at the path's endpoint 0.
+        let path = generators::path(4);
+        let star_tree = setup(&generators::star(4));
+        assert!(star_tree.spans_all());
+        assert!(matches!(
+            run(&path, &star_tree, &[1, 2, 3, 4], AggOp::Max).unwrap_err(),
+            CoreError::InvalidParameter(_)
+        ));
+        // In-range ports that are not reciprocal fail too: 1 lists 2 as
+        // its child, but 2's parent port now leads to 3.
+        let mut skewed = setup(&path);
+        let other = skewed.parent_port[2].map(|p| 1 - p);
+        skewed.parent_port[2] = other;
+        assert!(skewed.spans_all());
+        assert!(matches!(
+            run(&path, &skewed, &[1, 2, 3, 4], AggOp::Max).unwrap_err(),
+            CoreError::InvalidParameter(_)
+        ));
+        assert_eq!(
+            run(&path, &setup(&path), &[1, 2, 3, 4], AggOp::Max)
+                .unwrap()
+                .value,
+            4
+        );
     }
 
     use dapsp_graph::Graph;

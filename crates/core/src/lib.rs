@@ -6,8 +6,8 @@
 //! `B = Θ(log n)`-bit per-edge bandwidth, and report the exact number of
 //! synchronous rounds used — the paper's complexity measure. Pipelines can
 //! also stream every phase's events to a live observer — see [`observe`],
-//! the `run_observed` entry points on [`apsp`], [`ssp`] and [`girth`],
-//! [`approx::eccentricities_observed`] and [`metrics::bundle_observed`].
+//! the `run_observed` entry points on [`apsp`], [`ssp`] and [`girth`], and
+//! [`approx::eccentricities_observed`].
 //!
 //! # What's here
 //!
@@ -59,7 +59,6 @@ pub mod observe;
 pub mod routing;
 pub mod ssp;
 pub mod ssp_paper;
-pub mod summary;
 pub mod three_halves;
 pub mod tree;
 pub mod two_vs_four;

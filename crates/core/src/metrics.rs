@@ -1,29 +1,20 @@
 //! Exact graph metrics from APSP (Lemmas 2–6 of the paper), all `O(n)`
 //! rounds: eccentricities, diameter, radius, center, peripheral vertices.
 //!
-//! Each function runs Algorithm 1 once and then performs the paper's `O(D)`
-//! aggregation over `T_1` distributedly, so the reported round counts are
-//! the true end-to-end CONGEST costs. If you need several metrics at once,
-//! compute APSP once with [`apsp::run`] and derive the
-//! rest from [`from_apsp`].
+//! Two entry points, both costed end to end in CONGEST rounds:
+//! [`from_apsp`] derives the whole [`MetricsBundle`] from one finished
+//! [`apsp::run`] with the paper's `O(D)` aggregations over `T_1`, and
+//! [`diameter`] is the exact baseline the approximations are measured
+//! against — Algorithm 1 plus one max-aggregation. The girth (Lemma 7)
+//! needs no extra call: it is the run's
+//! [`girth_candidate`](ApspResult::girth_candidate).
 
-use dapsp_congest::{ObserverHandle, RunStats, Topology};
+use dapsp_congest::RunStats;
 use dapsp_graph::Graph;
 
 use crate::aggregate::{self, AggOp};
 use crate::apsp::{self, ApspResult};
 use crate::error::CoreError;
-use crate::observe::Obs;
-
-/// Per-node eccentricities (Lemma 2).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EccentricityResult {
-    /// `eccentricities[v]` = `ecc(v)`; per Definition 6, node `v` knows its
-    /// own entry.
-    pub eccentricities: Vec<u32>,
-    /// Round/message statistics.
-    pub stats: RunStats,
-}
 
 /// A single graph-wide value (diameter or radius) known to every node.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -73,34 +64,6 @@ fn local_eccentricities(apsp: &ApspResult) -> Vec<u32> {
         .collect()
 }
 
-/// Computes every node's eccentricity (Lemma 2): APSP + free local maxima.
-///
-/// # Errors
-///
-/// Propagates [`apsp::run`]'s errors (empty/disconnected graph, simulation
-/// failures).
-///
-/// # Examples
-///
-/// ```
-/// use dapsp_core::metrics;
-/// use dapsp_graph::generators;
-///
-/// # fn main() -> Result<(), dapsp_core::CoreError> {
-/// let g = generators::path(5);
-/// assert_eq!(metrics::eccentricities(&g)?.eccentricities, vec![4, 3, 2, 3, 4]);
-/// # Ok(())
-/// # }
-/// ```
-pub fn eccentricities(graph: &Graph) -> Result<EccentricityResult, CoreError> {
-    let topology = graph.to_topology();
-    let result = apsp::run_on(&topology)?;
-    Ok(EccentricityResult {
-        eccentricities: local_eccentricities(&result),
-        stats: result.stats,
-    })
-}
-
 /// Derives all five Lemma 2–6 metrics from one APSP run, performing the
 /// required `O(D)` aggregations over `T_1` distributedly.
 #[derive(Clone, Debug)]
@@ -119,51 +82,38 @@ pub struct MetricsBundle {
     pub stats: RunStats,
 }
 
-/// Computes the full metric bundle from an existing APSP result.
+/// Computes the full metric bundle from an existing APSP run on `graph`:
+/// the eccentricities are local (Lemma 2), the diameter and radius one
+/// max- and one min-aggregation over the run's `T_1` (Lemmas 3–4), and
+/// the center and periphery a local comparison against them (Lemmas 5–6).
 ///
 /// # Errors
 ///
-/// Propagates aggregation failures.
+/// [`CoreError::InvalidParameter`] when `apsp` is not a run on `graph`
+/// (its `T_1` is not a spanning tree of `graph`); otherwise propagates
+/// aggregation failures.
+///
+/// # Examples
+///
+/// ```
+/// use dapsp_core::{apsp, metrics};
+/// use dapsp_graph::generators;
+///
+/// # fn main() -> Result<(), dapsp_core::CoreError> {
+/// let g = generators::path(5);
+/// let bundle = metrics::from_apsp(&g, &apsp::run(&g)?)?;
+/// assert_eq!(bundle.eccentricities, vec![4, 3, 2, 3, 4]);
+/// assert_eq!((bundle.diameter, bundle.radius), (4, 2));
+/// assert_eq!(bundle.center, vec![false, false, true, false, false]);
+/// # Ok(())
+/// # }
+/// ```
 pub fn from_apsp(graph: &Graph, apsp: &ApspResult) -> Result<MetricsBundle, CoreError> {
-    from_apsp_on(&graph.to_topology(), apsp)
-}
-
-/// [`from_apsp`] on a prebuilt [`Topology`], so callers that already hold
-/// one avoid rebuilding the CSR arrays.
-///
-/// # Errors
-///
-/// Propagates aggregation failures.
-pub fn from_apsp_on(topology: &Topology, apsp: &ApspResult) -> Result<MetricsBundle, CoreError> {
-    from_apsp_obs(topology, apsp, Obs::none())
-}
-
-/// Computes the full Lemma 2–6 bundle with every phase streamed to
-/// `observer`: the APSP run reports as `"bfs"` + `"apsp:waves"` and the
-/// two threshold aggregations as `"agg:max"` / `"agg:min"`.
-///
-/// # Errors
-///
-/// Propagates [`apsp::run`] and aggregation failures.
-pub fn bundle_observed(
-    graph: &Graph,
-    observer: &ObserverHandle,
-) -> Result<MetricsBundle, CoreError> {
     let topology = graph.to_topology();
-    let obs = Obs::watching(observer);
-    let result = apsp::run_on_obs(&topology, obs)?;
-    from_apsp_obs(&topology, &result, obs)
-}
-
-fn from_apsp_obs(
-    topology: &Topology,
-    apsp: &ApspResult,
-    obs: Obs<'_>,
-) -> Result<MetricsBundle, CoreError> {
     let ecc = local_eccentricities(apsp);
     let values: Vec<u64> = ecc.iter().map(|&e| u64::from(e)).collect();
-    let max = aggregate::run_on_obs(topology, &apsp.tree, &values, AggOp::Max, obs)?;
-    let min = aggregate::run_on_obs(topology, &apsp.tree, &values, AggOp::Min, obs)?;
+    let max = aggregate::run_on(&topology, &apsp.tree, &values, AggOp::Max)?;
+    let min = aggregate::run_on(&topology, &apsp.tree, &values, AggOp::Min)?;
     let diameter = max.value as u32;
     let radius = min.value as u32;
     let center = ecc.iter().map(|&e| e == radius).collect();
@@ -213,73 +163,6 @@ pub fn diameter(graph: &Graph) -> Result<ScalarResult, CoreError> {
     })
 }
 
-/// Computes the radius in `O(n)` rounds (Lemma 4): APSP +
-/// min-aggregation over `T_1`.
-///
-/// # Errors
-///
-/// Propagates [`apsp::run`] and aggregation errors.
-pub fn radius(graph: &Graph) -> Result<ScalarResult, CoreError> {
-    let topology = graph.to_topology();
-    let result = apsp::run_on(&topology)?;
-    let ecc = local_eccentricities(&result);
-    let values: Vec<u64> = ecc.iter().map(|&e| u64::from(e)).collect();
-    let agg = aggregate::run_on(&topology, &result.tree, &values, AggOp::Min)?;
-    let mut stats = result.stats;
-    stats.absorb_sequential(&agg.stats);
-    Ok(ScalarResult {
-        value: agg.value as u32,
-        stats,
-    })
-}
-
-/// Computes the center in `O(n)` rounds (Lemma 5): each node compares its
-/// eccentricity to the broadcast radius.
-///
-/// # Errors
-///
-/// Propagates [`apsp::run`] and aggregation errors.
-///
-/// # Examples
-///
-/// ```
-/// use dapsp_core::metrics;
-/// use dapsp_graph::generators;
-///
-/// # fn main() -> Result<(), dapsp_core::CoreError> {
-/// let c = metrics::center(&generators::path(7))?;
-/// assert_eq!(c.member_ids(), vec![3]);
-/// # Ok(())
-/// # }
-/// ```
-pub fn center(graph: &Graph) -> Result<MembershipResult, CoreError> {
-    let topology = graph.to_topology();
-    let result = apsp::run_on(&topology)?;
-    let bundle = from_apsp_on(&topology, &result)?;
-    Ok(MembershipResult {
-        members: bundle.center,
-        threshold: bundle.radius,
-        stats: bundle.stats,
-    })
-}
-
-/// Computes the peripheral vertices in `O(n)` rounds (Lemma 6): each node
-/// compares its eccentricity to the broadcast diameter.
-///
-/// # Errors
-///
-/// Propagates [`apsp::run`] and aggregation errors.
-pub fn peripheral_vertices(graph: &Graph) -> Result<MembershipResult, CoreError> {
-    let topology = graph.to_topology();
-    let result = apsp::run_on(&topology)?;
-    let bundle = from_apsp_on(&topology, &result)?;
-    Ok(MembershipResult {
-        members: bundle.peripheral,
-        threshold: bundle.diameter,
-        stats: bundle.stats,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,33 +183,30 @@ mod tests {
     }
 
     #[test]
-    fn eccentricities_match_oracle() {
+    fn bundle_matches_the_oracles() {
         for g in zoo() {
-            let r = eccentricities(&g).unwrap();
-            assert_eq!(Some(r.eccentricities), reference::eccentricities(&g));
-        }
-    }
-
-    #[test]
-    fn diameter_and_radius_match_oracle() {
-        for g in zoo() {
+            let b = from_apsp(&g, &apsp::run(&g).unwrap()).unwrap();
+            let ids = |m: &[bool]| (0..m.len() as u32).filter(|&v| m[v as usize]).collect();
+            assert_eq!(Some(b.eccentricities), reference::eccentricities(&g));
+            assert_eq!(Some(b.diameter), reference::diameter(&g));
+            assert_eq!(Some(b.radius), reference::radius(&g));
+            assert_eq!(Some(ids(&b.center)), reference::center(&g));
+            assert_eq!(Some(ids(&b.peripheral)), reference::peripheral_vertices(&g));
             assert_eq!(Some(diameter(&g).unwrap().value), reference::diameter(&g));
-            assert_eq!(Some(radius(&g).unwrap().value), reference::radius(&g));
         }
     }
 
     #[test]
-    fn center_and_peripheral_match_oracle() {
-        for g in zoo() {
-            assert_eq!(
-                Some(center(&g).unwrap().member_ids()),
-                reference::center(&g)
-            );
-            assert_eq!(
-                Some(peripheral_vertices(&g).unwrap().member_ids()),
-                reference::peripheral_vertices(&g)
-            );
-        }
+    fn a_run_on_another_graph_is_rejected() {
+        // Same node count: the star's distances are finite everywhere, so
+        // only its T_1 — whose root ports do not exist on the path — tells
+        // the two apart. Unchecked, this returned the star's metrics.
+        let path = generators::path(4);
+        let star_run = apsp::run(&generators::star(4)).unwrap();
+        assert!(matches!(
+            from_apsp(&path, &star_run).unwrap_err(),
+            CoreError::InvalidParameter(_)
+        ));
     }
 
     #[test]

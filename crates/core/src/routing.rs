@@ -1,6 +1,5 @@
 //! The routing table — the paper's framing application (§1: link-state vs
-//! distance-vector both exist to compute exactly these tables) — and
-//! packet forwarding over it.
+//! distance-vector both exist to compute exactly these tables).
 //!
 //! A [`RouteTable`] is the one routing-table type of the workspace. It is
 //! built once from an [`ApspResult`] (the initial epoch) or a
@@ -30,28 +29,13 @@
 //! the header (epoch, size) and the per-node payload. [`RouteTable::verify`]
 //! re-derives every digest and the fold; [`RouteTable::corrupt_row`] names
 //! the first row that no longer matches its digest.
-//!
-//! [`simulate_flows`] runs actual packet delivery over a table on the same
-//! CONGEST network: each flow is a `(source, destination)` pair known
-//! network-wide (like a traffic-engineering config), a packet is a `B`-bit
-//! message carrying its flow id, and every edge forwards at most one
-//! packet per direction per round — so *congestion is part of the
-//! simulation*: flows sharing an edge queue up, and the delivery report
-//! shows exactly how much each packet waited beyond its hop distance.
 
-use std::collections::VecDeque;
-use std::sync::Arc;
-
-use dapsp_congest::{
-    bits_for_id, Config, Inbox, Message, NodeAlgorithm, NodeContext, Outbox, Port, RunStats,
-    TerminationCertificate, Topology,
-};
-use dapsp_graph::{Graph, INFINITY};
+use dapsp_congest::{RunStats, TerminationCertificate, Topology};
+use dapsp_graph::INFINITY;
 
 use crate::apsp::ApspResult;
 use crate::churned::ChurnedResult;
 use crate::error::CoreError;
-use crate::runner::run_algorithm_on;
 
 /// The most nodes a table can cover: node ids and hop counts (`< n`) are
 /// 16-bit cell fields with `0xFFFF` reserved for none / ∞.
@@ -587,247 +571,11 @@ fn derive_girth<'a>(root_rows: impl Iterator<Item = &'a [u32]>, adj: &[Vec<u32>]
     (best != INFINITY).then_some(best)
 }
 
-/// One traffic demand.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Flow {
-    /// Injecting node.
-    pub source: u32,
-    /// Destination node.
-    pub destination: u32,
-}
-
-/// A packet in flight: just its flow id (the flow list is network-wide
-/// configuration, so `log₂ |flows|` bits suffice — comfortably within `B`).
-#[derive(Clone, Debug)]
-struct PacketMsg {
-    flow: u32,
-    num_flows: u32,
-}
-
-impl Message for PacketMsg {
-    fn bit_size(&self) -> u32 {
-        bits_for_id(self.num_flows as usize)
-    }
-}
-
-struct RouterNode {
-    num_flows: u32,
-    flows: Arc<Vec<Flow>>,
-    /// Port toward each flow's next hop from here (`None` = we are the
-    /// destination).
-    out_port: Vec<Option<Port>>,
-    /// FIFO queue per port — one packet per edge-direction per round.
-    queues: Vec<VecDeque<u32>>,
-    /// Arrival round per flow terminating here.
-    arrivals: Vec<Option<u64>>,
-}
-
-impl RouterNode {
-    fn enqueue(&mut self, flow: u32, round: u64) {
-        match self.out_port[flow as usize] {
-            Some(p) => self.queues[p as usize].push_back(flow),
-            None => self.arrivals[flow as usize] = Some(round),
-        }
-    }
-
-    /// Transmits the head of every port queue (one packet per
-    /// edge-direction per round).
-    fn transmit(&mut self, out: &mut Outbox<PacketMsg>) {
-        for (port, queue) in self.queues.iter_mut().enumerate() {
-            if let Some(flow) = queue.pop_front() {
-                out.send(
-                    port as Port,
-                    PacketMsg {
-                        flow,
-                        num_flows: self.num_flows,
-                    },
-                );
-            }
-        }
-    }
-}
-
-impl NodeAlgorithm for RouterNode {
-    type Message = PacketMsg;
-    type Output = Vec<Option<u64>>;
-
-    fn on_start(&mut self, ctx: &NodeContext<'_>, out: &mut Outbox<PacketMsg>) {
-        let me = ctx.node_id();
-        let flows = Arc::clone(&self.flows);
-        for (idx, flow) in flows.iter().enumerate() {
-            if flow.source == me {
-                self.enqueue(idx as u32, 0);
-            }
-        }
-        self.transmit(out);
-    }
-
-    fn on_round(
-        &mut self,
-        ctx: &NodeContext<'_>,
-        inbox: &Inbox<PacketMsg>,
-        out: &mut Outbox<PacketMsg>,
-    ) {
-        let round = ctx.round();
-        for (_port, msg) in inbox.iter() {
-            self.enqueue(msg.flow, round);
-        }
-        self.transmit(out);
-    }
-
-    fn is_active(&self) -> bool {
-        self.queues.iter().any(|q| !q.is_empty())
-    }
-
-    fn into_output(self, _ctx: &NodeContext<'_>) -> Vec<Option<u64>> {
-        self.arrivals
-    }
-}
-
-/// Delivery record for one flow.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Delivery {
-    /// The flow.
-    pub flow: Flow,
-    /// Shortest-path hop distance (what the packet would take alone).
-    pub hops: u32,
-    /// Round the packet actually arrived.
-    pub arrival_round: u64,
-    /// Rounds spent queueing behind other flows (`arrival - hops`).
-    pub queueing_delay: u64,
-}
-
-/// The outcome of a flow simulation.
-#[derive(Clone, Debug)]
-pub struct FlowReport {
-    /// Per-flow delivery records, in input order.
-    pub deliveries: Vec<Delivery>,
-    /// Simulation statistics.
-    pub stats: RunStats,
-}
-
-impl FlowReport {
-    /// The worst queueing delay over all flows.
-    pub fn max_queueing_delay(&self) -> u64 {
-        self.deliveries
-            .iter()
-            .map(|d| d.queueing_delay)
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-/// Injects one packet per flow and forwards them along the routing table
-/// until every packet arrives, one packet per edge-direction per round.
-///
-/// # Errors
-///
-/// * [`CoreError::EmptyGraph`] on an empty graph.
-/// * [`CoreError::InvalidNode`] for out-of-range flow endpoints.
-/// * [`CoreError::InvalidParameter`] when the table has no route for a
-///   flow (its destination is unreachable or absent), or routes it over a
-///   hop that is not an edge of `graph` — both rejected before the run.
-/// * [`CoreError::Sim`] on simulator failures.
-///
-/// # Examples
-///
-/// ```
-/// use dapsp_core::{apsp, routing};
-/// use dapsp_graph::generators;
-///
-/// # fn main() -> Result<(), dapsp_core::CoreError> {
-/// let g = generators::grid(4, 4);
-/// let table = routing::RouteTable::from_apsp(apsp::run(&g)?, 0);
-/// let flows = vec![routing::Flow { source: 0, destination: 15 }];
-/// let report = routing::simulate_flows(&g, &table, &flows)?;
-/// assert_eq!(report.deliveries[0].arrival_round, 6); // = d(0, 15)
-/// assert_eq!(report.deliveries[0].queueing_delay, 0);
-/// # Ok(())
-/// # }
-/// ```
-pub fn simulate_flows(
-    graph: &Graph,
-    table: &RouteTable,
-    flows: &[Flow],
-) -> Result<FlowReport, CoreError> {
-    let n = graph.num_nodes();
-    if n == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
-    if table.num_nodes() != n {
-        return Err(CoreError::InvalidParameter(format!(
-            "routing table covers {} nodes but the graph has {n}",
-            table.num_nodes()
-        )));
-    }
-    let topology = graph.to_topology();
-    // Resolve every flow's route to ports before the run: `out_ports[v][f]`
-    // is the port `v` forwards flow `f` on (`None` off the route and at the
-    // destination, where the packet is recorded as arrived).
-    let mut out_ports: Vec<Vec<Option<Port>>> = vec![vec![None; flows.len()]; n];
-    let mut route_hops = Vec::with_capacity(flows.len());
-    for (idx, f) in flows.iter().enumerate() {
-        for node in [f.source, f.destination] {
-            if node as usize >= n {
-                return Err(CoreError::InvalidNode { node, num_nodes: n });
-            }
-        }
-        let route = table.path(f.source, f.destination).ok_or_else(|| {
-            CoreError::InvalidParameter(format!(
-                "the routing table has no route for flow {} -> {}",
-                f.source, f.destination
-            ))
-        })?;
-        for hop in route.windows(2) {
-            let port = topology
-                .neighbors(hop[0])
-                .iter()
-                .position(|&u| u == hop[1])
-                .ok_or_else(|| {
-                    CoreError::InvalidParameter(format!(
-                        "the routing table forwards {} -> {} but the graph has no such edge",
-                        hop[0], hop[1]
-                    ))
-                })?;
-            out_ports[hop[0] as usize][idx] = Some(port as Port);
-        }
-        route_hops.push(route.len() as u32 - 1);
-    }
-    let flows_arc = Arc::new(flows.to_vec());
-    let config = Config::for_n(n.max(flows.len()));
-    let report = run_algorithm_on(&topology, config, |ctx| RouterNode {
-        num_flows: flows_arc.len() as u32,
-        flows: Arc::clone(&flows_arc),
-        out_port: std::mem::take(&mut out_ports[ctx.node_id() as usize]),
-        queues: vec![VecDeque::new(); ctx.degree()],
-        arrivals: vec![None; flows_arc.len()],
-    })?;
-    let deliveries = flows
-        .iter()
-        .zip(route_hops)
-        .enumerate()
-        .map(|(idx, (flow, hops))| {
-            let arrival = report.outputs[flow.destination as usize][idx]
-                .expect("a packet on a validated route reaches its destination");
-            Delivery {
-                flow: *flow,
-                hops,
-                arrival_round: arrival,
-                queueing_delay: arrival - u64::from(hops),
-            }
-        })
-        .collect();
-    Ok(FlowReport {
-        deliveries,
-        stats: report.stats,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::apsp;
-    use dapsp_graph::{generators, reference};
+    use dapsp_graph::{generators, reference, Graph};
 
     fn table(g: &Graph) -> RouteTable {
         RouteTable::from_apsp(apsp::run(g).unwrap(), 0)
@@ -1007,146 +755,19 @@ mod tests {
             }
         }
     }
-
-    #[test]
-    fn lone_packets_arrive_in_exactly_their_hop_distance() {
-        let g = generators::grid(5, 5);
-        let t = table(&g);
-        for (s, d) in [(0u32, 24u32), (3, 20), (12, 12)] {
-            let flows = vec![Flow {
-                source: s,
-                destination: d,
-            }];
-            let r = simulate_flows(&g, &t, &flows).unwrap();
-            assert_eq!(
-                u64::from(r.deliveries[0].hops),
-                r.deliveries[0].arrival_round
-            );
-            assert_eq!(r.deliveries[0].queueing_delay, 0);
-        }
-    }
-
-    #[test]
-    fn self_flow_arrives_instantly() {
-        let g = generators::path(4);
-        let t = table(&g);
-        let r = simulate_flows(
-            &g,
-            &t,
-            &[Flow {
-                source: 2,
-                destination: 2,
-            }],
-        )
-        .unwrap();
-        assert_eq!(r.deliveries[0].arrival_round, 0);
-    }
-
-    #[test]
-    fn contending_flows_queue_on_the_shared_edge() {
-        // A star: every cross-leaf packet must traverse the hub, and the
-        // hub can push one packet per leaf-edge per round. k flows to the
-        // same destination serialize on the final edge.
-        let g = generators::star(8);
-        let t = table(&g);
-        let flows: Vec<Flow> = (1..6)
-            .map(|s| Flow {
-                source: s,
-                destination: 7,
-            })
-            .collect();
-        let r = simulate_flows(&g, &t, &flows).unwrap();
-        // All have hop distance 2; arrivals serialize: 2, 3, 4, 5, 6.
-        let mut arrivals: Vec<u64> = r.deliveries.iter().map(|d| d.arrival_round).collect();
-        arrivals.sort_unstable();
-        assert_eq!(arrivals, vec![2, 3, 4, 5, 6]);
-        assert_eq!(r.max_queueing_delay(), 4);
-    }
-
-    #[test]
-    fn disjoint_flows_do_not_interact() {
-        let g = generators::cycle(12);
-        let t = table(&g);
-        let flows = vec![
-            Flow {
-                source: 0,
-                destination: 2,
-            },
-            Flow {
-                source: 6,
-                destination: 8,
-            },
-        ];
-        let r = simulate_flows(&g, &t, &flows).unwrap();
-        for d in &r.deliveries {
-            assert_eq!(d.queueing_delay, 0);
-        }
-    }
-
-    #[test]
-    fn rejects_bad_endpoints() {
-        let g = generators::path(3);
-        let t = table(&g);
-        assert!(matches!(
-            simulate_flows(
-                &g,
-                &t,
-                &[Flow {
-                    source: 0,
-                    destination: 9
-                }]
-            )
-            .unwrap_err(),
-            CoreError::InvalidNode { node: 9, .. }
-        ));
-    }
-
-    #[test]
-    fn rejects_a_table_that_does_not_match_the_graph() {
-        // Same node count, different edges: the cycle's table routes 0 -> 5
-        // over the closing edge the path does not have.
-        let t = table(&generators::cycle(6));
-        let err = simulate_flows(
-            &generators::path(6),
-            &t,
-            &[Flow {
-                source: 0,
-                destination: 5,
-            }],
-        )
-        .unwrap_err();
-        assert!(matches!(err, CoreError::InvalidParameter(_)), "{err:?}");
-    }
-
-    /// A packet names its flow out of at most `n²` demands (all pairs) —
-    /// `⌈log₂ n²⌉ ≤ 2⌈log₂ n⌉` bits, within the budget.
-    #[test]
-    fn packet_width_fits_the_budget() {
-        for n in [2usize, 100, 1 << 10] {
-            let budget = Config::for_n(n).message_budget.unwrap();
-            let num_flows = (n * n) as u32;
-            let packet = PacketMsg {
-                flow: num_flows - 1,
-                num_flows,
-            };
-            assert!(packet.bit_size() <= budget, "n={n}");
-        }
-    }
 }
 
 #[cfg(test)]
 mod churn_tests {
     //! Tables × churn: a table built from a *post-repair* run must serve
-    //! the mutated graph's oracle, and packets forwarded over it on the
-    //! *mutated* topology must still satisfy the queueing-delay invariants
-    //! the static tests pin — the repaired next-hop tree is a real
-    //! shortest-path forest on the new graph, not a stale copy of the old
-    //! one.
+    //! the mutated graph's oracle, and its paths must walk edges of the
+    //! *mutated* graph — the repaired next-hop tree is a real shortest-path
+    //! forest on the new graph, not a stale copy of the old one.
 
     use super::*;
     use crate::{apsp, churned_graph};
     use dapsp_congest::{churned_topology, TopologyPlan};
-    use dapsp_graph::{generators, reference};
+    use dapsp_graph::{generators, reference, Graph};
 
     fn churned_table(g: &Graph, plan: &TopologyPlan) -> (RouteTable, Graph) {
         let topo = g.to_topology();
@@ -1168,69 +789,15 @@ mod churn_tests {
         for s in 0..16u32 {
             for d in 0..16u32 {
                 assert_eq!(t.dist(s, d), oracle.get(s, d), "hops({s}, {d})");
+                let p = t.path(s, d).expect("the mutated grid stays connected");
+                assert!(
+                    p.windows(2).all(|w| mutated.has_edge(w[0], w[1])),
+                    "path({s}, {d})"
+                );
             }
         }
         assert_eq!(t.epoch(), 1);
         assert_eq!(t.policy(), RebuildPolicy::Repaired);
-    }
-
-    #[test]
-    fn lone_flows_on_the_repaired_table_arrive_at_hop_distance() {
-        let g = generators::grid(4, 4);
-        let plan = TopologyPlan::new()
-            .with_remove(2, 0, 1)
-            .with_insert(3, 0, 15);
-        let (t, mutated) = churned_table(&g, &plan);
-        let oracle = reference::apsp(&mutated);
-        for (s, d) in [(0u32, 15u32), (1, 14), (3, 12), (5, 5)] {
-            let r = simulate_flows(
-                &mutated,
-                &t,
-                &[Flow {
-                    source: s,
-                    destination: d,
-                }],
-            )
-            .unwrap();
-            assert_eq!(
-                r.deliveries[0].arrival_round,
-                u64::from(oracle.get(s, d).unwrap()),
-                "flow {s}->{d} took a non-shortest route post-repair"
-            );
-            assert_eq!(r.deliveries[0].queueing_delay, 0);
-        }
-    }
-
-    #[test]
-    fn contending_flows_on_the_repaired_table_keep_the_delay_bound() {
-        // k single-destination flows forward along the repaired next-hop
-        // tree toward the destination; each packet can be overtaken by
-        // every other packet at most once, so queueing delay stays below k.
-        let g = generators::grid(4, 4);
-        let plan = TopologyPlan::new().with_remove(2, 5, 6);
-        let (t, mutated) = churned_table(&g, &plan);
-        let flows: Vec<Flow> = (0..6)
-            .map(|s| Flow {
-                source: s,
-                destination: 15,
-            })
-            .collect();
-        let r = simulate_flows(&mutated, &t, &flows).unwrap();
-        assert_eq!(r.deliveries.len(), flows.len());
-        for d in &r.deliveries {
-            assert!(
-                d.arrival_round >= u64::from(d.hops),
-                "packet beat its own hop distance"
-            );
-            assert!(
-                d.queueing_delay < flows.len() as u64,
-                "flow {:?} queued {} rounds, more than the other {} packets \
-                 could have caused",
-                d.flow,
-                d.queueing_delay,
-                flows.len() - 1
-            );
-        }
     }
 
     #[test]
@@ -1242,31 +809,6 @@ mod churn_tests {
         assert_eq!(t.next_hop(0, 5), None);
         assert_eq!(t.path(0, 5), None);
         assert_eq!(t.path(0, 2).unwrap(), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn flows_to_severed_destinations_are_rejected_before_the_run() {
-        // Regression: the packet used to be booked as "arrived at round 0"
-        // at its source and the delay computed as `0 - INFINITY` — a
-        // subtract overflow in debug, garbage in release.
-        let g = generators::path(6);
-        let plan = TopologyPlan::new().with_remove(2, 2, 3);
-        let (t, mutated) = churned_table(&g, &plan);
-        let flows = [
-            Flow {
-                source: 0,
-                destination: 2,
-            },
-            Flow {
-                source: 0,
-                destination: 5,
-            },
-        ];
-        let err = simulate_flows(&mutated, &t, &flows).unwrap_err();
-        assert!(matches!(err, CoreError::InvalidParameter(_)), "{err:?}");
-        // The routable flow alone still runs.
-        let r = simulate_flows(&mutated, &t, &flows[..1]).unwrap();
-        assert_eq!(r.deliveries[0].arrival_round, 2);
     }
 
     #[test]

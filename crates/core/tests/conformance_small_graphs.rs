@@ -10,7 +10,7 @@
 
 use dapsp_congest::{churned_topology, ExecutorKind, TopologyPlan};
 use dapsp_core::routing::RouteTable;
-use dapsp_core::{apsp, bfs, churned_graph, dominating, girth, ssp, summary, ChurnedResult, Obs};
+use dapsp_core::{apsp, bfs, churned_graph, dominating, girth, metrics, ssp, ChurnedResult, Obs};
 use dapsp_graph::enumerate::{self, MAX_ENUMERATED_NODES};
 use dapsp_graph::{reference, Graph, INFINITY};
 
@@ -84,36 +84,39 @@ fn girth_matches_oracle_on_every_small_connected_graph() {
 #[test]
 fn metrics_match_oracles_on_every_small_connected_graph() {
     for (_, g) in all_graphs() {
-        let s = summary::analyze(&g).unwrap_or_else(|e| panic!("summary failed on {g:?}: {e}"));
+        let r = apsp::run(&g).unwrap_or_else(|e| panic!("apsp failed on {g:?}: {e}"));
+        let b =
+            metrics::from_apsp(&g, &r).unwrap_or_else(|e| panic!("metrics failed on {g:?}: {e}"));
+        let ids = |m: &[bool]| (0..m.len() as u32).filter(|&v| m[v as usize]).collect();
         assert_eq!(
-            Some(s.eccentricities.clone()),
+            Some(b.eccentricities),
             reference::eccentricities(&g),
             "eccentricities wrong on {g:?}"
         );
         assert_eq!(
-            Some(s.diameter),
+            Some(b.diameter),
             reference::diameter(&g),
             "diameter wrong on {g:?}"
         );
         assert_eq!(
-            Some(s.radius),
+            Some(b.radius),
             reference::radius(&g),
             "radius wrong on {g:?}"
         );
         assert_eq!(
-            Some(s.center_ids()),
+            Some(ids(&b.center)),
             reference::center(&g),
             "center wrong on {g:?}"
         );
         assert_eq!(
-            Some(s.peripheral_ids()),
+            Some(ids(&b.peripheral)),
             reference::peripheral_vertices(&g),
             "peripheral vertices wrong on {g:?}"
         );
         assert_eq!(
-            s.girth,
+            r.girth_candidate,
             reference::girth(&g),
-            "summary girth wrong on {g:?}"
+            "apsp girth wrong on {g:?}"
         );
     }
 }

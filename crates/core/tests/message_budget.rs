@@ -14,8 +14,8 @@
 use dapsp_congest::{bits_for_id, Config};
 use dapsp_core::kernel::{run_protocol_on, WaveKernel};
 use dapsp_core::{
-    aggregate, approx, apsp, bfs, dominating, girth, girth_approx, leader, metrics, routing, ssp,
-    ssp_paper, three_halves, two_vs_four,
+    aggregate, approx, apsp, bfs, dominating, girth, girth_approx, leader, metrics, ssp, ssp_paper,
+    three_halves, two_vs_four,
 };
 use dapsp_graph::{generators, Graph};
 
@@ -76,7 +76,7 @@ fn aggregation_respects_the_budget() {
 }
 
 /// The composite pipelines (metrics, girth, approximations, Algorithm 3)
-/// and the remaining message types (leader claims, routed packets).
+/// and the remaining message type (leader claims).
 #[test]
 fn composite_pipelines_respect_the_budget() {
     for g in zoo() {
@@ -87,12 +87,6 @@ fn composite_pipelines_respect_the_budget() {
         three_halves::run(&g, 7).unwrap();
         two_vs_four::run(&g, 7).unwrap();
         leader::elect(&g).unwrap();
-        let tables = routing::RouteTable::from_apsp(apsp::run(&g).unwrap(), 0);
-        let flows = vec![routing::Flow {
-            source: 0,
-            destination: g.num_nodes() as u32 - 1,
-        }];
-        routing::simulate_flows(&g, &tables, &flows).unwrap();
     }
 }
 

@@ -235,28 +235,6 @@ proptest! {
         );
     }
 
-    /// Routing: lone packets arrive in exactly their hop distance; with
-    /// contention, never earlier and at most (#flows - 1) rounds later.
-    #[test]
-    fn routing_delivery_bounds(n in 4usize..22, seed in any::<u64>(), nflows in 1usize..6) {
-        let g = connected(n, 0.2, seed);
-        let tables = routing::RouteTable::from_apsp(apsp::run(&g).expect("apsp"), 0);
-        let flows: Vec<routing::Flow> = (0..nflows)
-            .map(|i| routing::Flow {
-                source: ((i * 3) % n) as u32,
-                destination: ((i * 7 + n / 2) % n) as u32,
-            })
-            .collect();
-        let r = routing::simulate_flows(&g, &tables, &flows).expect("flows");
-        let oracle = reference::apsp(&g);
-        for d in &r.deliveries {
-            let hops = oracle.get(d.flow.source, d.flow.destination).unwrap();
-            prop_assert_eq!(d.hops, hops);
-            prop_assert!(d.arrival_round >= u64::from(hops));
-            prop_assert!(d.queueing_delay <= (flows.len() as u64 - 1) * u64::from(hops).max(1));
-        }
-    }
-
     /// Corollary 4 memberships: approximate center/peripheral contain the
     /// exact sets.
     #[test]

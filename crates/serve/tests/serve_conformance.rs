@@ -2,7 +2,8 @@
 //! most 7 nodes (996 instances): the published [`RouteTable`] must agree
 //! with the Floyd–Warshall oracle pair by pair, and — the part no matrix
 //! check covers — *walking* the next-hop pointers from every source must
-//! actually arrive at every destination in exactly `hops(s, d)` steps.
+//! actually arrive at every destination in exactly `hops(s, d)` steps,
+//! each step over an edge of the served graph.
 //! A second sweep applies a deterministic churn plan to every graph and
 //! holds the republished snapshot to the mutated-graph oracle.
 
@@ -12,13 +13,26 @@ use dapsp_serve::{RouteService, RouteTable};
 
 /// Walks next-hop pointers from `s` to `d` step by step (no trust in
 /// `RouteTable::path`'s own bookkeeping) and checks arrival in exactly
-/// `want` hops, with every prefix geodesic.
-fn walk(table: &RouteTable, oracle: &dapsp_graph::DistanceMatrix, s: u32, d: u32, want: u32) {
+/// `want` hops, every hop an edge of `g` and every prefix geodesic.
+fn walk(
+    table: &RouteTable,
+    g: &Graph,
+    oracle: &dapsp_graph::DistanceMatrix,
+    s: u32,
+    d: u32,
+    want: u32,
+) {
     let mut cur = s;
     for step in 0..want {
         let hop = table
             .next_hop(cur, d)
             .unwrap_or_else(|| panic!("no hop at {cur} toward {d} (from {s}, step {step})"));
+        // A packet can only be handed to a neighbour: a non-neighbour at
+        // the right distance passes the geodesic check below.
+        assert!(
+            g.has_edge(cur, hop),
+            "hop {cur}->{hop} toward {d} is not an edge"
+        );
         // Each hop must make geodesic progress on the oracle metric.
         assert_eq!(
             oracle.get(hop, d),
@@ -46,7 +60,7 @@ fn assert_conforms(table: &RouteTable, g: &Graph) {
             assert_eq!(table.dist(s, d), want, "d({s}, {d}) on {g:?}");
             match want {
                 Some(h) => {
-                    walk(table, &oracle, s, d, h);
+                    walk(table, g, &oracle, s, d, h);
                     let path = table.path(s, d).expect("reachable pair must have a path");
                     assert_eq!(path.len() as u32, h + 1);
                     assert_eq!(path[0], s);

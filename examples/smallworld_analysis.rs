@@ -3,14 +3,15 @@
 //!
 //! Generates a Watts–Strogatz small world and a Barabási–Albert scale-free
 //! network, elects a leader (the paper's "node with ID 1" assumption, made
-//! executable), runs the one-shot [`summary::analyze`] pipeline, and prints
-//! the structural profile of each network plus an edge-list export sample.
+//! executable), runs Algorithm 1 once, derives every Lemma 2–7 quantity
+//! from that one run, and prints the structural profile of each network
+//! plus an edge-list export sample.
 //!
 //! ```text
 //! cargo run --release --example smallworld_analysis
 //! ```
 
-use dapsp::core::{leader, summary};
+use dapsp::core::{apsp, leader, metrics};
 use dapsp::graph::{generators, io, properties, Graph};
 
 fn profile(name: &str, g: &Graph) -> Result<(), Box<dyn std::error::Error>> {
@@ -35,19 +36,22 @@ fn profile(name: &str, g: &Graph) -> Result<(), Box<dyn std::error::Error>> {
         led.leader, led.stats.rounds
     );
 
-    let s = summary::analyze(g)?;
+    let run = apsp::run(g)?;
+    let m = metrics::from_apsp(g, &run)?;
+    let ids = |set: &[bool]| (0..set.len()).filter(|&v| set[v]).collect::<Vec<_>>();
+    let (center, peripheral) = (ids(&m.center), ids(&m.peripheral));
     println!(
         "   diameter {} / radius {} / girth {} — {} rounds total",
-        s.diameter,
-        s.radius,
-        s.girth.map_or("∞".into(), |v| v.to_string()),
-        s.stats.rounds
+        m.diameter,
+        m.radius,
+        run.girth_candidate.map_or("∞".into(), |v| v.to_string()),
+        m.stats.rounds
     );
     println!(
         "   center: {:?} ({} nodes); peripheral: {} nodes",
-        &s.center_ids()[..s.center_ids().len().min(8)],
-        s.center_ids().len(),
-        s.peripheral_ids().len()
+        &center[..center.len().min(8)],
+        center.len(),
+        peripheral.len()
     );
     Ok(())
 }

@@ -11,7 +11,7 @@
 //! cargo run --release --example social_center
 //! ```
 
-use dapsp::core::{approx, metrics};
+use dapsp::core::{approx, apsp, metrics};
 use dapsp::graph::Graph;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -56,22 +56,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let celebrity = g.num_nodes() as u32 - 1;
 
-    let center = metrics::center(&g)?;
-    let peripheral = metrics::peripheral_vertices(&g)?;
+    // One Algorithm 1 run yields both sets (Lemmas 5 and 6).
+    let exact = metrics::from_apsp(&g, &apsp::run(&g)?)?;
+    let ids = |set: &[bool]| {
+        (0..set.len() as u32)
+            .filter(|&v| set[v as usize])
+            .collect::<Vec<_>>()
+    };
+    let center = ids(&exact.center);
     println!(
         "exact ({} rounds): radius {}, center {:?}",
-        center.stats.rounds,
-        center.threshold,
-        center.member_ids()
+        exact.stats.rounds, exact.radius, center
     );
     println!(
         "exact: diameter {}, peripheral vertices {:?}",
-        peripheral.threshold,
-        peripheral.member_ids()
+        exact.diameter,
+        ids(&exact.peripheral)
     );
     println!(
         "the celebrity (node {celebrity}) is{} in the center",
-        if center.members[celebrity as usize] {
+        if exact.center[celebrity as usize] {
             ""
         } else {
             " not"
@@ -80,10 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Approximate center: must contain the exact one (Corollary 4).
     let approx_center = approx::center(&g, 0.5)?;
-    assert!(center
-        .member_ids()
-        .iter()
-        .all(|&c| approx_center.members[c as usize]));
+    assert!(center.iter().all(|&c| approx_center.members[c as usize]));
     println!(
         "approx ({} rounds): candidate center {:?} — a superset of the exact center",
         approx_center.stats.rounds,

@@ -167,39 +167,6 @@ fn apsp_message_volume_accounting() {
     assert!(r.stats.messages >= n * m / 2);
 }
 
-/// The application layer end to end: tables from Algorithm 1, packets
-/// delivered over the same CONGEST network along true shortest paths.
-#[test]
-fn routing_layer_delivers_along_shortest_paths() {
-    use dapsp::core::routing::{self, Flow};
-    let g = generators::grid(6, 6);
-    let table = routing::RouteTable::from_apsp(apsp::run(&g).expect("apsp"), 0);
-    let flows: Vec<Flow> = vec![
-        Flow {
-            source: 0,
-            destination: 35,
-        },
-        Flow {
-            source: 5,
-            destination: 30,
-        },
-        Flow {
-            source: 14,
-            destination: 21,
-        },
-    ];
-    let r = routing::simulate_flows(&g, &table, &flows).expect("flows");
-    let oracle = reference::apsp(&g);
-    for d in &r.deliveries {
-        assert_eq!(
-            Some(d.hops),
-            oracle.get(d.flow.source, d.flow.destination),
-            "table hops must be true distances"
-        );
-        assert!(d.arrival_round >= u64::from(d.hops));
-    }
-}
-
 /// The serve layer end to end: build, apply one edge removal, and hold every
 /// pair of the republished snapshot to the oracle on the mutated graph —
 /// while the retained epoch-0 snapshot stays intact.
