@@ -134,9 +134,11 @@ fn run_traced(opts: &RunOpts) -> SharedObserver<TraceRecorder> {
     let handle = shared.observer();
     let obs = Obs::watching(&handle).with_executor(executor_for(opts.threads));
     let sources: Vec<u32> = vec![0, (opts.n / 2) as u32];
+    let faults = FaultPlan::uniform_loss(opts.loss, opts.seed);
     let outcome = if opts.churn > 0 {
         // The churned entry points repair in place of recomputing; loss is
-        // not composed here (the repair kernel assumes reliable links).
+        // not composed here (the repair kernel has no reliable transport
+        // and refuses a fault plan).
         let plan = opts.churn_plan(&graph);
         match opts.workload.as_str() {
             "bfs" => bfs::run_churned_on(&topology, 0, &plan, obs).map(|_| ()),
@@ -144,15 +146,14 @@ fn run_traced(opts: &RunOpts) -> SharedObserver<TraceRecorder> {
             "apsp" => apsp::run_churned_on(&topology, &plan, obs).map(|_| ()),
             other => panic!("unknown workload {other}; expected apsp|bfs|ssp"),
         }
-    } else if opts.loss > 0.0 {
-        let faults = FaultPlan::uniform_loss(opts.loss, opts.seed);
-        match opts.workload.as_str() {
-            "bfs" => bfs::run_faulty_on(&topology, 0, faults, obs).map(|_| ()),
-            "ssp" => ssp::run_faulty_on(&topology, &sources, faults, obs).map(|_| ()),
-            "apsp" => apsp::run_faulty_on(&topology, faults, obs).map(|_| ()),
-            other => panic!("unknown workload {other}; expected apsp|bfs|ssp"),
-        }
     } else {
+        // Loss rides in `obs`: every phase then runs on the reliable
+        // transport and reports as `"<phase>:reliable"`.
+        let obs = if opts.loss > 0.0 {
+            obs.with_faults(&faults)
+        } else {
+            obs
+        };
         match opts.workload.as_str() {
             "bfs" => bfs::run_on_obs(&topology, 0, obs).map(|_| ()),
             "ssp" => ssp::run_on_obs(&topology, &sources, obs).map(|_| ()),
@@ -218,11 +219,7 @@ fn cmd_summary(opts: &RunOpts) -> ExitCode {
             })
             .collect();
         if !topo_rows.is_empty() {
-            print_table(
-                "topology changes",
-                &["round", "kind", "where"],
-                &topo_rows,
-            );
+            print_table("topology changes", &["round", "kind", "where"], &topo_rows);
         }
         let edge_rows: Vec<Vec<String>> = rec
             .top_edges(10)
@@ -266,13 +263,12 @@ fn cmd_summary(opts: &RunOpts) -> ExitCode {
                     term_rows.push(vec![
                         "transport".into(),
                         format!(
-                            "sim_rounds={} frames={} retransmits={} acks={} truncated={} gave_up={}",
+                            "sim_rounds={} frames={} retransmits={} acks={} truncated={}",
                             t.sim_rounds,
                             t.frames_sent,
                             t.retransmissions,
                             t.acks_sent,
-                            t.truncated_sends,
-                            t.gave_up
+                            t.truncated_sends
                         ),
                     ]);
                 }

@@ -15,8 +15,8 @@
 
 use dapsp_congest::{Config, MetricsRecorder, SharedObserver, SimError};
 use dapsp_core::three_halves::{self, Branch};
-use dapsp_core::CoreError;
 use dapsp_core::{approx, apsp, girth, girth_approx, metrics, ssp, ssp_paper, two_vs_four};
+use dapsp_core::{CoreError, Obs};
 use dapsp_graph::{generators, lowerbound, reference, Graph, INFINITY};
 
 /// An experiment: appends its section body, panicking on a failed shape
@@ -1118,7 +1118,8 @@ fn figure_wave_pipeline(out: &mut String) {
         ("tree n=96", generators::random_tree(96, 3)),
     ] {
         let recorder = SharedObserver::new(MetricsRecorder::new());
-        let result = apsp::run_observed(&g, &recorder.observer()).expect("apsp");
+        let handle = recorder.observer();
+        let result = apsp::run_on_obs(&g.to_topology(), Obs::watching(&handle)).expect("apsp");
         // Row r of the wave phase's metric stream counts the messages sent
         // in round r — the deliveries of round r + 1. The phase's last row
         // is its final round, which sends nothing further.

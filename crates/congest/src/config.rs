@@ -3,43 +3,6 @@
 use crate::message::bits_for_id;
 use crate::obs::ObserverHandle;
 
-/// Deterministic message-loss injection: each delivery is dropped
-/// independently with `probability`, decided by a hash of
-/// `(seed, round, sender, port)` — reproducible across runs.
-///
-/// The paper's model assumes reliable links; loss plans exist to *test*
-/// that assumption (algorithms are expected to miscompute or stall, and
-/// callers to detect it).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LossPlan {
-    /// Per-message drop probability in `[0, 1]`.
-    pub probability: f64,
-    /// Seed of the deterministic drop decisions.
-    pub seed: u64,
-}
-
-impl LossPlan {
-    /// Whether the message sent by `node` on `port` in `round` is dropped.
-    pub fn drops(&self, round: u64, node: u32, port: u32) -> bool {
-        if self.probability <= 0.0 {
-            return false;
-        }
-        if self.probability >= 1.0 {
-            return true;
-        }
-        // SplitMix64-style hash of the coordinates.
-        let mut z = self
-            .seed
-            .wrapping_add(round.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(u64::from(node) << 32)
-            .wrapping_add(u64::from(port));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z as f64 / u64::MAX as f64) < self.probability
-    }
-}
-
 /// One deterministic loss pattern inside a [`FaultPlan`].
 ///
 /// Every rule is a pure function of `(seed, round, sender, port)` — no
@@ -47,8 +10,7 @@ impl LossPlan {
 /// thread counts, and reruns.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LossRule {
-    /// Drop each delivery independently with `probability` (the classic
-    /// [`LossPlan`] behavior).
+    /// Drop each delivery independently with `probability`.
     Uniform {
         /// Per-message drop probability in `[0, 1]`.
         probability: f64,
@@ -130,11 +92,11 @@ pub struct CrashWindow {
 /// A composable deterministic fault adversary: any number of loss rules
 /// plus a schedule of node crash windows.
 ///
-/// This generalizes [`LossPlan`]: a plan with one [`LossRule::Uniform`]
-/// rule and no crashes makes exactly the same per-message decisions as the
-/// equivalent `LossPlan` (same hash, same seed). Loss rules compose as
-/// independent adversaries — a message is dropped if *any* rule drops it —
-/// and each rule hashes with its own salt so rules never correlate.
+/// Each delivery's fate is a SplitMix64-style hash of `(seed, round,
+/// sender, port)` compared against the rule's probability — reproducible
+/// across runs. Loss rules compose as independent adversaries — a message
+/// is dropped if *any* rule drops it — and each rule hashes with its own
+/// salt so rules never correlate.
 ///
 /// The paper's model assumes reliable synchronous links; fault plans exist
 /// to *break* that assumption reproducibly, so the recovery layer
@@ -161,7 +123,7 @@ impl FaultPlan {
         }
     }
 
-    /// The [`LossPlan`]-equivalent plan: uniform loss, no crashes.
+    /// Uniform loss with `probability`, no crashes.
     pub fn uniform_loss(probability: f64, seed: u64) -> Self {
         FaultPlan::new(seed).with_rule(LossRule::Uniform { probability })
     }
@@ -187,16 +149,26 @@ impl FaultPlan {
     /// [`FaultPlan::crashed`]).
     pub fn drops(&self, round: u64, node: u32, port: u32) -> bool {
         self.losses.iter().enumerate().any(|(i, rule)| {
-            // Salt the seed per rule (rule 0 keeps the plain seed, so a
-            // single-rule uniform plan reproduces LossPlan decisions).
+            let probability = rule.probability_at(round);
+            if probability <= 0.0 {
+                return false;
+            }
+            if probability >= 1.0 {
+                return true;
+            }
+            // Salt the seed per rule (rule 0 keeps the plain seed), then
+            // SplitMix64-hash the coordinates.
             let salted = self
                 .seed
                 .wrapping_add((i as u64).wrapping_mul(0xA076_1D64_78BD_642F));
-            LossPlan {
-                probability: rule.probability_at(round),
-                seed: salted,
-            }
-            .drops(round, node, port)
+            let mut z = salted
+                .wrapping_add(round.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .wrapping_add(u64::from(node) << 32)
+                .wrapping_add(u64::from(port));
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            (z as f64 / u64::MAX as f64) < probability
         })
     }
 
@@ -534,9 +506,8 @@ impl Config {
         self
     }
 
-    /// Injects uniform deterministic message loss — shorthand for a
-    /// single-rule [`FaultPlan`] that makes exactly the decisions the old
-    /// [`LossPlan`] made for the same `(probability, seed)`.
+    /// Injects uniform deterministic message loss — shorthand for
+    /// [`FaultPlan::uniform_loss`].
     pub fn with_loss(self, probability: f64, seed: u64) -> Self {
         self.with_faults(FaultPlan::uniform_loss(probability, seed))
     }
@@ -704,46 +675,34 @@ mod tests {
         assert_eq!(Config::for_n(8).pool_chunk, None);
     }
 
+    /// Drop decisions are a pinned function of `(seed, round, node, port)`:
+    /// the fingerprints of a uniform and a two-rule plan over 1 600
+    /// coordinates move iff one decision does.
     #[test]
-    fn loss_plan_determinism_and_extremes() {
-        let plan = LossPlan {
-            probability: 0.5,
-            seed: 7,
-        };
-        for round in 0..20 {
-            assert_eq!(plan.drops(round, 3, 1), plan.drops(round, 3, 1));
-        }
-        let never = LossPlan {
-            probability: 0.0,
-            seed: 7,
-        };
-        let always = LossPlan {
-            probability: 1.0,
-            seed: 7,
-        };
-        assert!(!never.drops(1, 0, 0));
-        assert!(always.drops(1, 0, 0));
-        // Roughly half of many coordinates drop.
-        let hits = (0..1000).filter(|&r| plan.drops(r, 1, 0)).count();
-        assert!((350..650).contains(&hits), "hits={hits}");
-    }
-
-    #[test]
-    fn uniform_fault_plan_reproduces_loss_plan_decisions() {
-        let loss = LossPlan {
-            probability: 0.3,
-            seed: 42,
-        };
-        let plan = FaultPlan::uniform_loss(0.3, 42);
-        for round in 0..200 {
-            for port in 0..4 {
-                assert_eq!(
-                    plan.drops(round, 7, port),
-                    loss.drops(round, 7, port),
-                    "round={round} port={port}"
-                );
+    fn drop_decisions_are_pinned() {
+        let fingerprint = |plan: &FaultPlan| {
+            let (mut hits, mut hash) = (0u32, 0u64);
+            for round in 0..200 {
+                for node in [0, 7] {
+                    for port in 0..4 {
+                        let drop = plan.drops(round, node, port);
+                        hits += u32::from(drop);
+                        hash = hash.wrapping_mul(31).wrapping_add(u64::from(drop));
+                    }
+                }
             }
-        }
+            (hits, hash)
+        };
+        let uniform = FaultPlan::uniform_loss(0.3, 42);
+        let composed = FaultPlan::uniform_loss(0.2, 7).with_rule(LossRule::Burst {
+            probability: 0.5,
+            period: 10,
+            len: 4,
+        });
+        assert_eq!(fingerprint(&uniform), (474, 16_459_597_100_168_937_138));
+        assert_eq!(fingerprint(&FaultPlan::uniform_loss(0.0, 7)).0, 0);
+        assert_eq!(fingerprint(&FaultPlan::uniform_loss(1.0, 7)).0, 1_600);
+        assert_eq!(fingerprint(&composed), (566, 14_611_977_859_473_556_324));
     }
 
     #[test]

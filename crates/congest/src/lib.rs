@@ -92,8 +92,8 @@ pub mod trace;
 pub use algorithm::{NodeAlgorithm, Quiescence, RepairAction, TopologyDelta};
 pub use churn::churned_topology;
 pub use config::{
-    Config, CrashWindow, DropReason, EdgeEvent, ExecutorKind, FaultPlan, LossPlan, LossRule,
-    NodeEvent, TopologyEvent, TopologyPlan,
+    Config, CrashWindow, DropReason, EdgeEvent, ExecutorKind, FaultPlan, LossRule, NodeEvent,
+    TopologyEvent, TopologyPlan,
 };
 pub use engine::pool_workers_spawned;
 pub use engine::{PoolSched, Report, Simulator, TerminationCertificate, TerminationReason};

@@ -95,13 +95,14 @@ pub struct RoundTiming {
 
 /// End-of-run transport-layer telemetry: what a reliable-delivery
 /// synchronizer (the kernel layer's `ReliableKernel`) did over a whole run,
-/// aggregated across nodes. Entry points that wrap their protocol in a
-/// reliable transport emit it as [`TraceEvent::Transport`] after the
-/// phase's `RunEnd`, so retransmission telemetry lands in the same stream
-/// as everything else.
+/// aggregated across nodes. A phase that runs wrapped in the reliable
+/// transport emits it as [`TraceEvent::Transport`] after its `RunEnd` and
+/// stores it in [`RunStats::transport`](crate::RunStats::transport), so
+/// retransmission telemetry lands in the same stream as everything else.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransportSummary {
-    /// Simulated rounds the transport ran for.
+    /// Simulated rounds the transport ran for (the slowest node's count;
+    /// summed over sequential phases).
     pub sim_rounds: u64,
     /// Frames put on the wire (first sends and retries).
     pub frames_sent: u64,
@@ -109,10 +110,21 @@ pub struct TransportSummary {
     pub retransmissions: u64,
     /// Acknowledgements sent.
     pub acks_sent: u64,
-    /// Sends refused because the retry horizon was exhausted.
+    /// Inner-kernel sends discarded because they were produced at the
+    /// horizon; nonzero means the horizon was too short.
     pub truncated_sends: u64,
-    /// Node-links that gave up entirely.
-    pub gave_up: u64,
+}
+
+impl TransportSummary {
+    /// Accumulates a later phase's counters into this one: every field,
+    /// `sim_rounds` included, adds up.
+    pub fn absorb(&mut self, other: &TransportSummary) {
+        self.sim_rounds += other.sim_rounds;
+        self.frames_sent += other.frames_sent;
+        self.retransmissions += other.retransmissions;
+        self.acks_sent += other.acks_sent;
+        self.truncated_sends += other.truncated_sends;
+    }
 }
 
 /// What watches a run. [`Simulator`](crate::Simulator) and the independent
@@ -438,8 +450,7 @@ impl MetricsRecorder {
                 out,
                 concat!(
                     "{{\"transport\":\"{}\",\"sim_rounds\":{},\"frames_sent\":{},",
-                    "\"retransmissions\":{},\"acks_sent\":{},\"truncated_sends\":{},",
-                    "\"gave_up\":{}}}"
+                    "\"retransmissions\":{},\"acks_sent\":{},\"truncated_sends\":{}}}"
                 ),
                 phase,
                 t.sim_rounds,
@@ -447,7 +458,6 @@ impl MetricsRecorder {
                 t.retransmissions,
                 t.acks_sent,
                 t.truncated_sends,
-                t.gave_up,
             )?;
         }
         Ok(())
@@ -939,7 +949,6 @@ mod tests {
                     retransmissions: 2,
                     acks_sent: 1,
                     truncated_sends: 0,
-                    gave_up: 0,
                 }),
             ],
         );

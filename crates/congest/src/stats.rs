@@ -1,5 +1,7 @@
 //! Round, message, and bit accounting.
 
+use crate::obs::TransportSummary;
+
 /// Aggregate statistics of a completed run.
 ///
 /// Rounds are the CONGEST complexity measure; messages and bits let the
@@ -59,6 +61,10 @@ pub struct RunStats {
     /// [`PoolSched`](crate::PoolSched)). Timing-dependent run to run;
     /// excluded from equality alongside `chunks_stepped`.
     pub steals: u64,
+    /// What the reliable transport did, summed over the phases that ran
+    /// wrapped in it; all zero for a run over reliable links.
+    /// Deterministic; participates in equality.
+    pub transport: TransportSummary,
     /// Wall-clock time of the run, filled in by the simulator. Excluded
     /// from equality so determinism checks (`stats_a == stats_b`) compare
     /// only model-level quantities.
@@ -83,6 +89,7 @@ impl PartialEq for RunStats {
             && self.recompute_fallbacks == other.recompute_fallbacks
             && self.scheduled_node_rounds == other.scheduled_node_rounds
             && self.max_scheduled_per_round == other.max_scheduled_per_round
+            && self.transport == other.transport
     }
 }
 
@@ -134,6 +141,7 @@ impl RunStats {
             .max(other.max_scheduled_per_round);
         self.chunks_stepped += other.chunks_stepped;
         self.steals += other.steals;
+        self.transport.absorb(&other.transport);
         self.wall_time += other.wall_time;
     }
 }
@@ -168,6 +176,14 @@ impl std::fmt::Display for RunStats {
                 self.chunks_stepped, self.steals
             )?;
         }
+        let t = &self.transport;
+        if t.frames_sent > 0 {
+            write!(
+                f,
+                ", {} simulated rounds, {} frames ({} resent), {} acks",
+                t.sim_rounds, t.frames_sent, t.retransmissions, t.acks_sent
+            )?;
+        }
         Ok(())
     }
 }
@@ -193,6 +209,11 @@ mod tests {
             max_scheduled_per_round: 8,
             chunks_stepped: 6,
             steals: 2,
+            transport: TransportSummary {
+                sim_rounds: 7,
+                frames_sent: 9,
+                ..TransportSummary::default()
+            },
             wall_time: std::time::Duration::from_millis(3),
         };
         let b = RunStats {
@@ -210,6 +231,13 @@ mod tests {
             max_scheduled_per_round: 12,
             chunks_stepped: 3,
             steals: 1,
+            transport: TransportSummary {
+                sim_rounds: 4,
+                frames_sent: 6,
+                retransmissions: 1,
+                acks_sent: 5,
+                truncated_sends: 0,
+            },
             wall_time: std::time::Duration::from_millis(4),
         };
         a.absorb_sequential(&b);
@@ -227,6 +255,13 @@ mod tests {
         assert_eq!(a.max_scheduled_per_round, 12);
         assert_eq!(a.chunks_stepped, 9);
         assert_eq!(a.steals, 3);
+        // Sequential phases: simulated rounds add up like real ones.
+        let t = a.transport;
+        assert_eq!(
+            (t.sim_rounds, t.frames_sent, t.retransmissions),
+            (11, 15, 1)
+        );
+        assert_eq!((t.acks_sent, t.truncated_sends), (5, 0));
         assert_eq!(a.wall_time, std::time::Duration::from_millis(7));
     }
 
@@ -287,6 +322,7 @@ mod tests {
         // Zero-valued optional counters stay out of the rendering.
         assert!(!s.to_string().contains("peak"));
         assert!(!s.to_string().contains("dropped"));
+        assert!(!s.to_string().contains("frames"));
     }
 
     #[test]
@@ -303,6 +339,18 @@ mod tests {
         assert!(rendered.contains("peak 4/round"), "{rendered}");
         assert!(rendered.contains("2 dropped"), "{rendered}");
         assert!(rendered.contains("3 crashed node-rounds"), "{rendered}");
+        let mut reliable = s;
+        (
+            reliable.transport.sim_rounds,
+            reliable.transport.frames_sent,
+        ) = (5, 8);
+        (
+            reliable.transport.retransmissions,
+            reliable.transport.acks_sent,
+        ) = (2, 6);
+        let rendered = reliable.to_string();
+        let tail = ", 5 simulated rounds, 8 frames (2 resent), 6 acks";
+        assert!(rendered.ends_with(tail), "{rendered}");
     }
 
     #[test]

@@ -162,9 +162,9 @@ pub enum TraceEvent {
         /// Messages committed.
         messages: u64,
     },
-    /// A reliable-transport entry point's aggregated telemetry for the
-    /// phase that just ended — emitted after that phase's `RunEnd`,
-    /// outside the engine, by the wrapper that owns the transport state.
+    /// A reliable-transport phase's telemetry, aggregated over nodes —
+    /// emitted after that phase's `RunEnd`, outside the engine, by the
+    /// runner that unwraps the transport state.
     Transport(TransportSummary),
 }
 
@@ -253,8 +253,8 @@ impl TraceEvent {
                 format!("{{\"ev\":\"run_end\",\"rounds\":{rounds},\"messages\":{messages}}}")
             }
             TraceEvent::Transport(t) => format!(
-                "{{\"ev\":\"transport\",\"sim_rounds\":{},\"frames_sent\":{},\"retransmissions\":{},\"acks_sent\":{},\"truncated_sends\":{},\"gave_up\":{}}}",
-                t.sim_rounds, t.frames_sent, t.retransmissions, t.acks_sent, t.truncated_sends, t.gave_up
+                "{{\"ev\":\"transport\",\"sim_rounds\":{},\"frames_sent\":{},\"retransmissions\":{},\"acks_sent\":{},\"truncated_sends\":{}}}",
+                t.sim_rounds, t.frames_sent, t.retransmissions, t.acks_sent, t.truncated_sends
             ),
         }
     }
@@ -903,7 +903,6 @@ mod tests {
             retransmissions: 1,
             acks_sent: 2,
             truncated_sends: 4,
-            gave_up: 0,
         };
         let rec = record(&[
             run_start("p"),

@@ -7,13 +7,11 @@
 //! the total flows back down so *every* node knows it, as Definition 6
 //! requires.
 
-use dapsp_congest::{Config, FaultPlan, RunStats, Topology};
+use dapsp_congest::{RunStats, Topology};
 use dapsp_graph::Graph;
 
 use crate::error::CoreError;
-use crate::kernel::{
-    run_protocol_on, split_reliable_report, ConvergecastKernel, RelStats, ReliableKernel,
-};
+use crate::kernel::{run_phase, ConvergecastKernel};
 use crate::observe::Obs;
 use crate::tree::TreeKnowledge;
 
@@ -122,12 +120,14 @@ pub fn run_on(
     run_on_obs(topology, tree, values, op, Obs::none())
 }
 
-/// Like [`run_on`], with an optional observer attached under the phase
-/// label [`AggOp::phase_label`].
+/// Like [`run_on`], run as `obs` says: an observer attached under the
+/// phase label [`AggOp::phase_label`] and, with a fault plan, over lossy
+/// links with the exact aggregate.
 ///
 /// # Errors
 ///
-/// Same as [`run`].
+/// Same as [`run`]; under faults, an unbeatable adversary fails loudly via
+/// [`CoreError::Sim`].
 pub fn run_on_obs(
     topology: &Topology,
     tree: &TreeKnowledge,
@@ -140,8 +140,9 @@ pub fn run_on_obs(
         return Err(CoreError::EmptyGraph);
     }
     check_inputs(topology, tree, values)?;
-    let config = obs.apply(Config::for_n(n), op.phase_label());
-    let report = run_protocol_on(topology, config, |ctx| {
+    // Convergecast up plus broadcast down is 2·depth(T) + O(1) rounds
+    // fault-free; depth ≤ n − 1.
+    let report = run_phase(topology, obs, op.phase_label(), 2 * n as u64 + 4, |ctx| {
         ConvergecastKernel::new(ctx, tree, values[ctx.node_id() as usize], op)
     })?;
     let value = report.outputs[tree.root as usize];
@@ -206,62 +207,6 @@ fn check_inputs(
         return Err(invalid());
     }
     Ok(())
-}
-
-/// Like [`run_on_obs`], over links a [`FaultPlan`] drops messages from:
-/// the convergecast runs inside the
-/// [`ReliableKernel`], so the aggregate is
-/// exact for any loss rate below one. Returns the transport statistics
-/// alongside the result.
-///
-/// # Errors
-///
-/// Same as [`run`]; unbeatable adversaries fail loudly via
-/// [`CoreError::Sim`].
-pub fn run_faulty_on(
-    topology: &Topology,
-    tree: &TreeKnowledge,
-    values: &[u64],
-    op: AggOp,
-    faults: FaultPlan,
-    obs: Obs<'_>,
-) -> Result<(AggregateResult, RelStats), CoreError> {
-    let n = topology.num_nodes();
-    if n == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
-    check_inputs(topology, tree, values)?;
-    // Convergecast up plus broadcast down is 2·depth(T) + O(1) rounds
-    // fault-free; depth ≤ n − 1.
-    let horizon = 2 * n as u64 + 4;
-    let label = match op {
-        AggOp::Max => "agg:max:reliable",
-        AggOp::Min => "agg:min:reliable",
-        AggOp::Sum => "agg:sum:reliable",
-        AggOp::Or => "agg:or:reliable",
-    };
-    let config = obs.apply(Config::for_n(n), label).with_faults(faults);
-    let report = run_protocol_on(topology, config, |ctx| {
-        ReliableKernel::new(
-            ConvergecastKernel::new(ctx, tree, values[ctx.node_id() as usize], op),
-            horizon,
-            crate::bfs::FAULTY_MAX_RETRIES,
-        )
-    })?;
-    let (report, rel) = split_reliable_report(report);
-    obs.report_transport(&rel.summary());
-    let value = report.outputs[tree.root as usize];
-    debug_assert!(
-        report.outputs.iter().all(|&r| r == value),
-        "all nodes must agree on the aggregate"
-    );
-    Ok((
-        AggregateResult {
-            value,
-            stats: report.stats,
-        },
-        rel,
-    ))
 }
 
 #[cfg(test)]

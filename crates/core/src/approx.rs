@@ -81,7 +81,7 @@ fn estimate_eccentricities(
     }
     let topology = graph.to_topology();
     // Phase 1: T_1 and D0 = 2·ecc(1).
-    let pre = ssp::preamble(&topology, None, obs)?;
+    let pre = ssp::preamble(&topology, obs)?;
     let (ecc, tree) = estimate_from(&topology, pre, eps, obs)?;
     Ok((ecc, tree, topology))
 }
@@ -281,7 +281,7 @@ pub fn diameter_times_two(graph: &Graph) -> Result<ApproxScalarResult, CoreError
     if graph.num_nodes() == 0 {
         return Err(CoreError::EmptyGraph);
     }
-    let pre = ssp::preamble(&graph.to_topology(), None, Obs::none())?;
+    let pre = ssp::preamble(&graph.to_topology(), Obs::none())?;
     Ok(ApproxScalarResult {
         value: pre.d0,
         k: 0,
@@ -486,7 +486,7 @@ pub fn eccentricities_times_two(graph: &Graph) -> Result<ApproxEccResult, CoreEr
     if graph.num_nodes() == 0 {
         return Err(CoreError::EmptyGraph);
     }
-    let pre = ssp::preamble(&graph.to_topology(), None, Obs::none())?;
+    let pre = ssp::preamble(&graph.to_topology(), Obs::none())?;
     let ecc0 = pre.d0 / 2;
     Ok(ApproxEccResult {
         estimates: pre.dist.iter().map(|&d| d.max(ecc0)).collect(),

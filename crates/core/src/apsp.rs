@@ -22,19 +22,13 @@
 //! also record *cycle candidates* (two wave receipts for the same root),
 //! which is exactly what Lemma 7 needs to compute the girth.
 
-use dapsp_congest::{
-    Config, FaultPlan, NodeContext, ObserverHandle, RunStats, TerminationCertificate, Topology,
-    TopologyPlan,
-};
+use dapsp_congest::{NodeContext, RunStats, TerminationCertificate, Topology, TopologyPlan};
 use dapsp_graph::{DistanceMatrix, Graph, INFINITY};
 
 use crate::bfs;
 use crate::churned::{run_repair, ChurnedResult, RepairMode};
 use crate::error::CoreError;
-use crate::kernel::{
-    run_protocol_on, split_reliable_report, Coupling, PebbleKernel, RelStats, ReliableKernel,
-    Stack, WaveKernel, WaveState,
-};
+use crate::kernel::{run_phase, Coupling, PebbleKernel, Stack, WaveKernel, WaveState};
 use crate::observe::Obs;
 use crate::routing::check_table_size;
 use crate::runner::fold_outputs;
@@ -166,105 +160,41 @@ pub fn run_on(topology: &Topology) -> Result<ApspResult, CoreError> {
     run_on_obs(topology, Obs::none())
 }
 
-/// Like [`run_on`], with an optional observer attached: the `T_1` phase
-/// reports as `"bfs"` and the pebble + wave phase as `"apsp:waves"`.
+/// Like [`run_on`], run as `obs` says. An attached observer sees the
+/// `T_1` phase as `"bfs"` and the pebble + wave phase as `"apsp:waves"`
+/// (attach a [`MetricsRecorder`](dapsp_congest::MetricsRecorder) for the
+/// per-round metric stream, or congestion probes to check Lemma 1 on a
+/// live run). With a fault plan, both phases run on the reliable
+/// transport: for any loss rate `p < 1` the distance matrix, next hops and
+/// girth candidates are *bit-identical* to the fault-free run, at ≈ 2×
+/// the rounds fault-free and ≈ 2/(1−p)× under loss `p`.
 ///
 /// # Errors
 ///
-/// Same as [`run`].
-pub fn run_on_obs(topology: &Topology, obs: Obs<'_>) -> Result<ApspResult, CoreError> {
-    run_phases(topology, true, u32::MAX, obs)
-}
-
-/// Like [`run`], streaming round/message/timing events of both phases to
-/// `observer` (see [`dapsp_congest::obs`]). Attach a
-/// [`MetricsRecorder`](dapsp_congest::MetricsRecorder) to get the
-/// per-round metric stream, or congestion probes to check the paper's
-/// Lemma 1 on a live run.
-///
-/// # Errors
-///
-/// Same as [`run`].
+/// Same as [`run`]; under faults, an adversary no retransmission budget
+/// can beat (e.g. a permanently severed link) fails loudly with a
+/// round-limit [`CoreError::Sim`] instead of returning corrupted
+/// distances.
 ///
 /// # Examples
 ///
 /// ```
 /// use dapsp_congest::{MetricsRecorder, SharedObserver};
-/// use dapsp_core::apsp;
+/// use dapsp_core::{apsp, Obs};
 /// use dapsp_graph::generators;
 ///
 /// # fn main() -> Result<(), dapsp_core::CoreError> {
 /// let recorder = SharedObserver::new(MetricsRecorder::new());
-/// let result = apsp::run_observed(&generators::cycle(8), &recorder.observer())?;
+/// let handle = recorder.observer();
+/// let topology = generators::cycle(8).to_topology();
+/// let result = apsp::run_on_obs(&topology, Obs::watching(&handle))?;
 /// let recorded: u64 = recorder.with(|r| r.stream().iter().map(|m| m.messages).sum());
 /// assert_eq!(recorded, result.stats.messages);
 /// # Ok(())
 /// # }
 /// ```
-pub fn run_observed(graph: &Graph, observer: &ObserverHandle) -> Result<ApspResult, CoreError> {
-    run_on_obs(&graph.to_topology(), Obs::watching(observer))
-}
-
-/// Like [`run`], over links a [`FaultPlan`] adversary drops messages
-/// from: both phases run inside the
-/// [`ReliableKernel`] synchronizer, so for
-/// any loss rate `p < 1` the distance matrix, next hops, and girth
-/// candidates are *bit-identical* to the fault-free run. The returned
-/// [`RelStats`] aggregates both phases' transport cost; the result's
-/// `stats.rounds` against a fault-free run's measures the round
-/// inflation (≈ 2× fault-free, ≈ 2/(1−p)× under loss `p`).
-///
-/// # Errors
-///
-/// Same as [`run`]; an adversary no retransmission budget can beat (e.g.
-/// a permanently severed link) fails loudly with a round-limit
-/// [`CoreError::Sim`] instead of returning corrupted distances.
-pub fn run_faulty(graph: &Graph, faults: FaultPlan) -> Result<(ApspResult, RelStats), CoreError> {
-    run_faulty_on(&graph.to_topology(), faults, Obs::none())
-}
-
-/// Like [`run_faulty`], over a prebuilt [`Topology`] with an optional
-/// observer (`"bfs:reliable"` and `"apsp:waves:reliable"` phases) — the
-/// entry point the fault-sweep benchmark drives.
-///
-/// # Errors
-///
-/// Same as [`run_faulty`].
-pub fn run_faulty_on(
-    topology: &Topology,
-    faults: FaultPlan,
-    obs: Obs<'_>,
-) -> Result<(ApspResult, RelStats), CoreError> {
-    let n = topology.num_nodes();
-    check_size(n)?;
-    // Phase A: build T_1 reliably.
-    let (t1, mut rel) = bfs::run_faulty_on(topology, 0, faults.clone(), obs)?;
-    if !t1.reached_all() {
-        return Err(CoreError::Disconnected);
-    }
-    // Phase B: Theorem 1 bounds the fault-free pebble + wave phase by
-    // 4n + 10 rounds; the horizon pads that.
-    let horizon = 4 * n as u64 + 16;
-    let config = obs
-        .apply(Config::for_n(n), "apsp:waves:reliable")
-        .with_faults(faults);
-    let report = run_protocol_on(topology, config, |ctx| {
-        ReliableKernel::new(
-            Stack::coupled(
-                PebbleKernel::new(ctx, &t1.tree, true),
-                WaveKernel::all_roots(ctx, u32::MAX),
-                StartWaveOnRelease,
-            ),
-            horizon,
-            crate::bfs::FAULTY_MAX_RETRIES,
-        )
-    })?;
-    let (report, rel_b) = split_reliable_report(report);
-    obs.report_transport(&rel_b.summary());
-    rel.absorb(&rel_b);
-    let mut result = assemble(topology, t1.tree, report);
-    result.stats.absorb_sequential(&t1.stats);
-    Ok((result, rel))
+pub fn run_on_obs(topology: &Topology, obs: Obs<'_>) -> Result<ApspResult, CoreError> {
+    run_phases(topology, true, u32::MAX, obs)
 }
 
 /// Computes **all k-BFS trees** (Definition 7 of the paper): every node
@@ -388,7 +318,8 @@ pub fn run_churned(graph: &Graph, plan: &TopologyPlan) -> Result<ChurnedResult, 
 ///
 /// # Errors
 ///
-/// Same as [`run_churned`].
+/// Same as [`run_churned`]; additionally [`CoreError::InvalidParameter`] if
+/// `obs` carries a fault plan (the repair kernel has no reliable transport).
 pub fn run_churned_on(
     topology: &Topology,
     plan: &TopologyPlan,
@@ -440,8 +371,9 @@ pub(crate) fn waves(
 ) -> Result<ApspResult, CoreError> {
     let n = topology.num_nodes();
     check_size(n)?;
-    let config = obs.apply(Config::for_n(n), "apsp:waves");
-    let report = run_protocol_on(topology, config, |ctx| {
+    // Theorem 1 bounds the fault-free pebble + wave phase by 4n + 10
+    // rounds; the reliable horizon pads that.
+    let report = run_phase(topology, obs, "apsp:waves", 4 * n as u64 + 16, |ctx| {
         Stack::coupled(
             PebbleKernel::new(ctx, &tree, wait_one_slot),
             WaveKernel::all_roots(ctx, max_depth),
@@ -531,54 +463,6 @@ mod tests {
         let r = run(&g).unwrap();
         assert_eq!(r.distances.get(0, 0), Some(0));
         assert_eq!(r.girth_candidate, None);
-    }
-
-    #[test]
-    fn reliable_apsp_is_exact_under_loss() {
-        for (g, seed) in [
-            (generators::cycle(8), 3u64),
-            (generators::grid(3, 3), 7),
-            (generators::lollipop(4, 4), 11),
-        ] {
-            let clean = run(&g).unwrap();
-            let (faulty, rel) = run_faulty(&g, FaultPlan::uniform_loss(0.1, seed)).unwrap();
-            assert_eq!(faulty.distances, reference::apsp(&g));
-            assert_eq!(faulty.distances, clean.distances);
-            assert_eq!(faulty.next_hop, clean.next_hop);
-            assert_eq!(faulty.girth_candidate, clean.girth_candidate);
-            assert_eq!(faulty.local_girth_candidates, clean.local_girth_candidates);
-            assert!(faulty.stats.dropped > 0, "adversary never fired");
-            assert!(rel.retransmissions > 0, "loss never forced a retransmit");
-            assert!(!rel.gave_up);
-            assert_eq!(rel.truncated_sends, 0, "horizon cut the run short");
-            // Shutdown quiescence ends the run at the wrapped protocol's
-            // actual quiescence round, not the padded worst-case horizon.
-            let horizon = 4 * g.num_nodes() as u64 + 16;
-            assert!(
-                rel.sim_rounds < horizon,
-                "early shutdown should beat the {horizon}-round horizon (simulated {})",
-                rel.sim_rounds
-            );
-        }
-    }
-
-    #[test]
-    fn reliable_apsp_matches_clean_run_without_faults() {
-        let g = generators::grid(3, 4);
-        let clean = run(&g).unwrap();
-        let (faulty, rel) = run_faulty(&g, FaultPlan::new(5)).unwrap();
-        assert_eq!(faulty.distances, clean.distances);
-        assert_eq!(faulty.girth_candidate, clean.girth_candidate);
-        assert_eq!(
-            rel.retransmissions, 0,
-            "fault-free runs must not retransmit"
-        );
-        assert_eq!(faulty.stats.dropped, 0);
-        assert!(
-            rel.sim_rounds < 4 * g.num_nodes() as u64 + 16,
-            "fault-free reliable run should quiesce before the horizon (simulated {})",
-            rel.sim_rounds
-        );
     }
 
     #[test]

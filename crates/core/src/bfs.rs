@@ -11,52 +11,15 @@
 //! adoption-announcing configuration; this module only validates input and
 //! folds the per-node [`WaveState`]s into a [`BfsResult`].
 
-use dapsp_congest::{Config, FaultPlan, Port, Topology, TopologyPlan};
+use dapsp_congest::{Topology, TopologyPlan};
 use dapsp_graph::{Graph, INFINITY};
 
 use crate::churned::{run_repair, ChurnedResult, RepairMode};
 use crate::error::CoreError;
-use crate::kernel::{
-    run_protocol_on, split_reliable_report, RelStats, ReliableKernel, WaveKernel, WaveState,
-};
+use crate::kernel::{run_phase, WaveKernel, WaveState};
 use crate::observe::Obs;
 use crate::runner::fold_outputs;
 use crate::tree::TreeKnowledge;
-
-/// Retransmissions allowed per frame per link in the `run_faulty`
-/// variants. Loss decisions are an (effectively independent) hash per
-/// attempt, so for any loss rate `p < 1` the chance of exhausting this is
-/// `p^101` — unreachable; the bound exists so a totally severed link
-/// (`p = 1`, or a crash window outlasting it) fails loudly instead of
-/// spinning forever.
-pub(crate) const FAULTY_MAX_RETRIES: u32 = 100;
-
-/// What each node knows when the BFS quiesces.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BfsNodeOutput {
-    /// Distance to the root (`None` if never reached — disconnected graph).
-    pub dist: Option<u32>,
-    /// The port toward the parent in the BFS tree (`None` at the root and
-    /// at unreached nodes).
-    pub parent_port: Option<Port>,
-    /// The ports toward this node's children in the BFS tree.
-    pub children_ports: Vec<Port>,
-    /// How many times the wave reached this node. A value `> 1` anywhere
-    /// proves the graph is not a tree (Claim 1).
-    pub wave_receipts: u32,
-}
-
-impl BfsNodeOutput {
-    /// Reads the single-root slot of a wave kernel's final state.
-    fn from_wave(state: WaveState) -> Self {
-        BfsNodeOutput {
-            dist: (state.dist[0] != INFINITY).then_some(state.dist[0]),
-            parent_port: (state.parent[0] != u32::MAX).then_some(state.parent[0]),
-            children_ports: state.children_ports,
-            wave_receipts: state.receipts,
-        }
-    }
-}
 
 /// The result of one distributed BFS.
 #[derive(Clone, Debug)]
@@ -141,66 +104,17 @@ pub fn run_on(topology: &Topology, root: u32) -> Result<BfsResult, CoreError> {
     run_on_obs(topology, root, Obs::none())
 }
 
-/// Like [`run_on`], with an optional observer attached under the phase
-/// label `"bfs"` — the hook multi-phase pipelines use so their `T_1`
-/// construction shows up as its own phase in recorded metric streams.
+/// Like [`run_on`], run as `obs` says: an observer attached under the
+/// phase label `"bfs"` — the hook multi-phase pipelines use so their `T_1`
+/// construction shows up as its own phase in recorded metric streams —
+/// and, with a fault plan, over lossy links with the fault-free result.
 ///
 /// # Errors
 ///
-/// Same as [`run`].
+/// Same as [`run`]; under faults, an adversary no link can get a frame
+/// through (e.g. loss probability 1) stalls the run into [`CoreError::Sim`]
+/// with a round-limit error rather than returning corrupted distances.
 pub fn run_on_obs(topology: &Topology, root: u32, obs: Obs<'_>) -> Result<BfsResult, CoreError> {
-    let n = topology.num_nodes();
-    if n == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
-    if root as usize >= n {
-        return Err(CoreError::InvalidNode {
-            node: root,
-            num_nodes: n,
-        });
-    }
-    let config = obs.apply(Config::for_n(n), "bfs");
-    let report = run_protocol_on(topology, config, |ctx| WaveKernel::single_root(ctx, root))?;
-    Ok(fold_bfs(root, n, report))
-}
-
-/// Like [`run`], but over links a [`FaultPlan`] adversary drops messages
-/// from: the wave kernel runs inside a
-/// [`ReliableKernel`] synchronizer, so for
-/// any loss rate `p < 1` the result is *bit-identical* to the fault-free
-/// run — same distances, same tree, same Claim 1 verdict — at a measured
-/// round-inflation cost reported through the returned [`RelStats`].
-///
-/// # Errors
-///
-/// Same as [`run`]; additionally, an adversary a link cannot get a frame
-/// through (e.g. loss probability 1) stalls the run into
-/// [`CoreError::Sim`] with a round-limit error rather than returning
-/// corrupted distances.
-pub fn run_faulty(
-    graph: &Graph,
-    root: u32,
-    faults: FaultPlan,
-) -> Result<(BfsResult, RelStats), CoreError> {
-    if graph.num_nodes() == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
-    run_faulty_on(&graph.to_topology(), root, faults, Obs::none())
-}
-
-/// Like [`run_faulty`], over a prebuilt [`Topology`] with an optional
-/// observer (phase label `"bfs:reliable"`) — the phase-A hook of the
-/// faulty multi-phase pipelines.
-///
-/// # Errors
-///
-/// Same as [`run_faulty`].
-pub fn run_faulty_on(
-    topology: &Topology,
-    root: u32,
-    faults: FaultPlan,
-    obs: Obs<'_>,
-) -> Result<(BfsResult, RelStats), CoreError> {
     let n = topology.num_nodes();
     if n == 0 {
         return Err(CoreError::EmptyGraph);
@@ -213,20 +127,10 @@ pub fn run_faulty_on(
     }
     // Fault-free, the wave quiesces by ecc(root) + 3 ≤ n + 2 — the wave
     // front, one adopt round, one settle round.
-    let horizon = n as u64 + 4;
-    let config = obs
-        .apply(Config::for_n(n), "bfs:reliable")
-        .with_faults(faults);
-    let report = run_protocol_on(topology, config, |ctx| {
-        ReliableKernel::new(
-            WaveKernel::single_root(ctx, root),
-            horizon,
-            FAULTY_MAX_RETRIES,
-        )
+    let report = run_phase(topology, obs, "bfs", n as u64 + 4, |ctx| {
+        WaveKernel::single_root(ctx, root)
     })?;
-    let (report, rel) = split_reliable_report(report);
-    obs.report_transport(&rel.summary());
-    Ok((fold_bfs(root, n, report), rel))
+    Ok(fold_bfs(root, n, report))
 }
 
 /// Like [`run`], but over a network whose topology changes mid-run per
@@ -255,7 +159,8 @@ pub fn run_churned(
 ///
 /// # Errors
 ///
-/// Same as [`run_churned`].
+/// Same as [`run_churned`]; additionally [`CoreError::InvalidParameter`] if
+/// `obs` carries a fault plan (the repair kernel has no reliable transport).
 pub fn run_churned_on(
     topology: &Topology,
     root: u32,
@@ -296,18 +201,14 @@ fn fold_bfs(root: u32, n: usize, report: dapsp_congest::Report<WaveState>) -> Bf
         receipts: vec![0; n],
         stats: report.stats,
     };
+    // Each node's state holds the single root's slot 0.
     fold_outputs(report.outputs, seed, |acc, v, state| {
-        let out = BfsNodeOutput::from_wave(state);
         let v = v as usize;
-        if let Some(d) = out.dist {
-            acc.dist[v] = d;
-        }
-        acc.tree.parent_port[v] = out.parent_port;
-        acc.tree.children_ports[v] = out.children_ports;
-        acc.receipts[v] = out.wave_receipts;
-        if out.wave_receipts > 1 {
-            acc.cycle_detected = true;
-        }
+        acc.dist[v] = state.dist[0];
+        acc.tree.parent_port[v] = (state.parent[0] != u32::MAX).then_some(state.parent[0]);
+        acc.tree.children_ports[v] = state.children_ports;
+        acc.receipts[v] = state.receipts;
+        acc.cycle_detected |= state.receipts > 1;
     })
 }
 
@@ -486,59 +387,5 @@ mod fault_tests {
         });
         let report = sim.run().unwrap();
         assert!(report.stats.dropped > 0, "loss must be visible in stats");
-    }
-
-    /// The reliable wrapper restores exactness: under the same kind of
-    /// loss that corrupts a raw run, `run_faulty` reproduces the
-    /// fault-free result bit for bit and reports the retransmission cost.
-    #[test]
-    fn reliable_bfs_is_exact_under_loss() {
-        use dapsp_congest::FaultPlan;
-        for g in [
-            generators::path(9),
-            generators::complete(7),
-            generators::grid(3, 3),
-        ] {
-            let clean = run(&g, 0).unwrap();
-            let (faulty, rel) = run_faulty(&g, 0, FaultPlan::uniform_loss(0.2, 9)).unwrap();
-            assert_eq!(faulty.dist, clean.dist);
-            assert_eq!(faulty.tree.parent_port, clean.tree.parent_port);
-            assert_eq!(faulty.tree.children_ports, clean.tree.children_ports);
-            assert_eq!(faulty.receipts, clean.receipts);
-            assert_eq!(faulty.cycle_detected, clean.cycle_detected);
-            assert!(faulty.stats.dropped > 0, "adversary must have fired");
-            assert!(rel.retransmissions > 0, "losses must cost retransmissions");
-            assert!(!rel.gave_up);
-            assert_eq!(rel.truncated_sends, 0, "horizon must cover quiescence");
-        }
-    }
-
-    /// Fault-free, the synchronizer's only cost is the ~2× lock-step
-    /// overhead: zero retransmissions, and rounds within 2·horizon + O(1).
-    #[test]
-    fn reliable_bfs_round_inflation_is_bounded() {
-        use dapsp_congest::FaultPlan;
-        let g = generators::path(10);
-        let (faulty, rel) = run_faulty(&g, 0, FaultPlan::new(1)).unwrap();
-        assert_eq!(rel.retransmissions, 0);
-        let horizon = 10 + 4;
-        assert!(
-            faulty.stats.rounds <= 2 * horizon + 4,
-            "rounds={}",
-            faulty.stats.rounds
-        );
-    }
-
-    /// A fully severed link can never be recovered; the bounded retry
-    /// budget turns it into a loud round-limit error, not a wrong answer.
-    #[test]
-    fn reliable_bfs_fails_loudly_when_loss_is_total() {
-        use dapsp_congest::FaultPlan;
-        let g = generators::path(4);
-        let err = run_faulty(&g, 0, FaultPlan::uniform_loss(1.0, 2)).unwrap_err();
-        assert!(matches!(
-            err,
-            CoreError::Sim(dapsp_congest::SimError::RoundLimitExceeded { .. })
-        ));
     }
 }

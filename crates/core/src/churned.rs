@@ -72,7 +72,8 @@ pub(crate) enum RepairMode {
 /// Runs a [`RepairKernel`] under `plan` and folds the per-node states into
 /// a [`ChurnedResult`]. The round limit is stretched past the plan's last
 /// event by the `O(n)` a repair (or count-to-infinity retraction chain)
-/// can take.
+/// can take. An `obs` carrying a fault plan is rejected: the repair kernel
+/// has no reliable transport.
 pub(crate) fn run_repair(
     topology: &Topology,
     plan: &TopologyPlan,
@@ -81,6 +82,7 @@ pub(crate) fn run_repair(
     obs: Obs<'_>,
     phase: &str,
 ) -> Result<ChurnedResult, CoreError> {
+    obs.reject_faults(phase)?;
     let n = topology.num_nodes();
     let mut config = obs
         .apply(Config::for_n(n), phase)

@@ -221,13 +221,16 @@ pub fn run_on(
 ///
 /// # Errors
 ///
-/// Same as [`run`].
+/// Same as [`run`]; additionally [`CoreError::InvalidParameter`] if `obs`
+/// carries a fault plan — the selection is a raw node algorithm the
+/// reliable transport cannot wrap.
 pub fn run_on_obs(
     topology: &Topology,
     tree: &TreeKnowledge,
     k: u32,
     obs: Obs<'_>,
 ) -> Result<DominatingResult, CoreError> {
+    obs.reject_faults("dom:select")?;
     let n = topology.num_nodes();
     if n == 0 {
         return Err(CoreError::EmptyGraph);

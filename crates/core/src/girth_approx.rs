@@ -105,7 +105,7 @@ pub fn run(graph: &Graph, eps: f64) -> Result<GirthApproxResult, CoreError> {
     }
     let topology = graph.to_topology();
     // T_1 and D0, shared by the tree test and every probe's DOM-SP.
-    let pre = ssp::preamble(&topology, None, Obs::none())?;
+    let pre = ssp::preamble(&topology, Obs::none())?;
     let mut stats = pre.stats;
     // Claim 1 tree test, as in the exact algorithm.
     let flags: Vec<u64> = pre.receipts.iter().map(|&r| u64::from(r > 1)).collect();

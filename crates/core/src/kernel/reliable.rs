@@ -41,6 +41,12 @@
 //! the run early instead of circulating empty marker frames to the
 //! horizon.
 //!
+//! Pipelines never name this wrapper: a fault plan in the run's
+//! [`Obs`](crate::Obs) makes the kernel layer's phase runner wrap every
+//! phase here, with a horizon from the paper's round bound for that phase,
+//! and fold the per-node [`TransportSummary`] outputs into the result's
+//! [`RunStats::transport`](dapsp_congest::RunStats::transport).
+//!
 //! # Budget
 //!
 //! A frame costs 5 bits of overhead on top of the wrapped payload: one
@@ -52,7 +58,7 @@
 
 use std::collections::VecDeque;
 
-use dapsp_congest::{NodeContext, Port, Quiescence, TraceTags, Width};
+use dapsp_congest::{NodeContext, Port, Quiescence, TraceTags, TransportSummary, Width};
 
 use super::protocol::{Protocol, Tx};
 
@@ -78,59 +84,6 @@ pub struct Frame<P> {
     /// counts it; it exists so observers can attribute retry traffic (see
     /// [`TraceTags::retransmit`]).
     pub retransmit: bool,
-}
-
-/// Per-node transport counters accumulated by a [`ReliableKernel`] run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RelStats {
-    /// Simulated (inner) rounds executed. May be *less* than the horizon
-    /// on success: when every node's wrapped kernel is finished and no
-    /// real payload remains buffered or unacknowledged anywhere, the
-    /// kernels vote [`Quiescence::Shutdown`] and the engine stops early
-    /// instead of ticking marker frames to the horizon.
-    pub sim_rounds: u64,
-    /// Data frames transmitted, including retransmissions.
-    pub frames_sent: u64,
-    /// Retransmissions — frames sent beyond each frame's first attempt.
-    /// Zero under zero loss.
-    pub retransmissions: u64,
-    /// Acknowledgments sent (piggybacked or standalone).
-    pub acks_sent: u64,
-    /// Inner-kernel sends discarded because they were produced *at* the
-    /// horizon (too late to deliver). Nonzero means the horizon was too
-    /// small for the wrapped protocol — results may be incomplete.
-    pub truncated_sends: u64,
-    /// True if some link exhausted its retransmission budget; the node
-    /// then stays active without sending, so the run fails loudly with a
-    /// round-limit error instead of returning partial results.
-    pub gave_up: bool,
-}
-
-impl RelStats {
-    /// Accumulates another node's (or phase's) counters into this one.
-    pub fn absorb(&mut self, other: &RelStats) {
-        self.sim_rounds = self.sim_rounds.max(other.sim_rounds);
-        self.frames_sent += other.frames_sent;
-        self.retransmissions += other.retransmissions;
-        self.acks_sent += other.acks_sent;
-        self.truncated_sends += other.truncated_sends;
-        self.gave_up |= other.gave_up;
-    }
-
-    /// These counters as the observer-facing
-    /// [`TransportSummary`](dapsp_congest::TransportSummary), the payload
-    /// of the [`TraceEvent::Transport`](dapsp_congest::TraceEvent::Transport)
-    /// event the `run_faulty` entry points emit.
-    pub fn summary(&self) -> dapsp_congest::TransportSummary {
-        dapsp_congest::TransportSummary {
-            sim_rounds: self.sim_rounds,
-            frames_sent: self.frames_sent,
-            retransmissions: self.retransmissions,
-            acks_sent: self.acks_sent,
-            truncated_sends: self.truncated_sends,
-            gave_up: u64::from(self.gave_up),
-        }
-    }
 }
 
 /// Wraps a [`Protocol`] with reliable-delivery semantics (see the module
@@ -164,7 +117,13 @@ pub struct ReliableKernel<P: Protocol> {
     pending_ack: Vec<Option<bool>>,
     /// Scratch for demultiplexing one simulated round's inner sends.
     slots: Vec<Option<P::Payload>>,
-    stats: RelStats,
+    /// This node's transport counters; `sim_rounds` is
+    /// [`sim_executed`](Self::sim_executed) at the end.
+    stats: TransportSummary,
+    /// Some link exhausted its retransmission budget: the node stays
+    /// active without sending, so the run fails loudly with a round-limit
+    /// error instead of returning partial results.
+    gave_up: bool,
 }
 
 impl<P: Protocol> ReliableKernel<P> {
@@ -174,7 +133,7 @@ impl<P: Protocol> ReliableKernel<P> {
     /// `horizon` must cover the wrapped protocol's fault-free quiescence
     /// round (the paper's round bounds give it: `n + O(1)` for one BFS,
     /// `4n + O(1)` for the Algorithm 1 wave phase, …); sends produced at
-    /// or after the horizon are counted in [`RelStats::truncated_sends`].
+    /// or after the horizon are counted in [`TransportSummary::truncated_sends`].
     pub fn new(inner: P, horizon: u64, max_retries: u32) -> Self {
         ReliableKernel {
             inner,
@@ -190,7 +149,8 @@ impl<P: Protocol> ReliableKernel<P> {
             recv: Vec::new(),
             pending_ack: Vec::new(),
             slots: Vec::new(),
-            stats: RelStats::default(),
+            stats: TransportSummary::default(),
+            gave_up: false,
         }
     }
 
@@ -257,7 +217,7 @@ impl<P: Protocol> ReliableKernel<P> {
                         // Retries exhausted: stall (stay active, send
                         // nothing) so the engine's round limit turns the
                         // unrecoverable link into a loud error.
-                        self.stats.gave_up = true;
+                        self.gave_up = true;
                         None
                     } else {
                         if self.attempts[port] > 0 {
@@ -292,7 +252,7 @@ impl<P: Protocol> ReliableKernel<P> {
 
 impl<P: Protocol> Protocol for ReliableKernel<P> {
     type Payload = Frame<P::Payload>;
-    type Output = (P::Output, RelStats);
+    type Output = (P::Output, TransportSummary);
 
     /// The transport is not a kernel slot of its own — it reports the
     /// wrapped protocol's slots and flags its own traffic through the
@@ -367,7 +327,7 @@ impl<P: Protocol> Protocol for ReliableKernel<P> {
         // this state), so discarding the markers changes nothing. A
         // gave-up link never consents: the run must end in the loud
         // round-limit error.
-        let done = !self.stats.gave_up
+        let done = !self.gave_up
             && self.inner.quiescence() != Quiescence::Active
             && self.in_queue.iter().flatten().all(|p| p.is_none())
             && self.out.iter().flatten().all(|p| p.is_none());
@@ -428,30 +388,4 @@ impl<P: Protocol> Protocol for ReliableKernel<P> {
         let ictx = ctx.at_round(self.sim_executed);
         (self.inner.finish(&ictx), self.stats)
     }
-}
-
-/// Splits a reliable run's report into the wrapped protocol's outputs and
-/// the transport counters aggregated over all nodes — the shape the
-/// `run_faulty` entry points fold their fault-free result types from.
-pub fn split_reliable_report<T>(
-    report: dapsp_congest::Report<(T, RelStats)>,
-) -> (dapsp_congest::Report<T>, RelStats) {
-    let mut rel = RelStats::default();
-    let outputs = report
-        .outputs
-        .into_iter()
-        .map(|(out, stats)| {
-            rel.absorb(&stats);
-            out
-        })
-        .collect();
-    (
-        dapsp_congest::Report {
-            outputs,
-            stats: report.stats,
-            certificate: report.certificate,
-            sched: report.sched,
-        },
-        rel,
-    )
 }

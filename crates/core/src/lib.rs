@@ -4,10 +4,11 @@
 //!
 //! All algorithms run on the [`dapsp_congest`] simulator, which enforces the
 //! `B = Θ(log n)`-bit per-edge bandwidth, and report the exact number of
-//! synchronous rounds used — the paper's complexity measure. Pipelines can
-//! also stream every phase's events to a live observer — see [`observe`],
-//! the `run_observed` entry points on [`apsp`], [`ssp`] and [`girth`], and
-//! [`approx::eccentricities_observed`].
+//! synchronous rounds used — the paper's complexity measure. A pipeline's
+//! `run_on_obs` takes an [`Obs`] ([`observe`]): a live observer for every
+//! phase's events, the executor, and a fault adversary, under which `bfs`,
+//! `aggregate`, `apsp` and `ssp` run on the reliable transport of
+//! [`kernel`] and return the fault-free result.
 //!
 //! # What's here
 //!

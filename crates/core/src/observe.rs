@@ -1,28 +1,30 @@
-//! Threading one [`ObserverHandle`] through multi-phase pipelines.
+//! Threading one per-run spec through multi-phase pipelines.
 //!
 //! Every algorithm in this crate is a sequence of simulator runs (a BFS,
 //! some aggregations, a main phase, …). To observe a *pipeline* rather
 //! than a single run, the same handle must reach every [`Config`] the
 //! pipeline builds, each labeled with a phase name so the recorded metric
 //! stream attributes rounds to phases (`"bfs"`, `"agg:max"`,
-//! `"apsp:waves"`, …).
+//! `"apsp:waves"`, …); so must the executor and the fault adversary.
 //!
-//! [`Obs`] is that plumbing: a `Copy` wrapper around an optional borrowed
-//! handle. Internal phase functions take an `Obs<'_>` parameter;
-//! [`Obs::none`] keeps the unobserved call sites zero-cost (a `None`
-//! branch), and the public `run_observed` entry points construct
-//! [`Obs::watching`] from a caller's handle.
+//! [`Obs`] is that plumbing: a `Copy` spec of an optional borrowed handle,
+//! the executor and an optional borrowed [`FaultPlan`], taken by every
+//! pipeline's `run_on_obs`. [`Obs::none`] keeps plain call sites
+//! zero-cost; with [`Obs::with_faults`] each phase runs on the reliable
+//! transport of [`kernel`](crate::kernel) and returns the fault-free result.
 //!
 //! # Examples
 //!
 //! ```
 //! use dapsp_congest::{MetricsRecorder, SharedObserver};
-//! use dapsp_core::apsp;
+//! use dapsp_core::{apsp, Obs};
 //! use dapsp_graph::generators;
 //!
 //! # fn main() -> Result<(), dapsp_core::CoreError> {
 //! let recorder = SharedObserver::new(MetricsRecorder::new());
-//! let result = apsp::run_observed(&generators::path(6), &recorder.observer())?;
+//! let handle = recorder.observer();
+//! let topology = generators::path(6).to_topology();
+//! let result = apsp::run_on_obs(&topology, Obs::watching(&handle))?;
 //! let phases: Vec<String> = recorder.with(|r| {
 //!     r.stream().iter().map(|row| row.phase.to_string()).collect()
 //! });
@@ -35,14 +37,16 @@
 //! # }
 //! ```
 
-use dapsp_congest::{Config, ExecutorKind, ObserverHandle, TraceEvent, TransportSummary};
+use dapsp_congest::{Config, ExecutorKind, FaultPlan, ObserverHandle};
 
-/// An optional, borrowed observer to attach to each phase of a pipeline,
-/// plus the round-engine executor every phase should run on.
+use crate::error::CoreError;
+
+/// How every phase of a pipeline runs: an optional, borrowed observer to
+/// attach, the round-engine executor, and an optional fault adversary.
 ///
 /// `Copy`, so phase functions pass it along by value; the handle inside is
 /// only cloned (an `Arc` bump) at the moment a phase actually attaches it
-/// to a [`Config`].
+/// to a [`Config`], and the plan only when a phase installs it.
 ///
 /// The executor selection rides along because composite pipelines build
 /// their `Config`s internally: [`Obs::with_executor`] is how a caller runs
@@ -53,6 +57,7 @@ use dapsp_congest::{Config, ExecutorKind, ObserverHandle, TraceEvent, TransportS
 pub struct Obs<'a> {
     handle: Option<&'a ObserverHandle>,
     executor: ExecutorKind,
+    faults: Option<&'a FaultPlan>,
 }
 
 impl<'a> Obs<'a> {
@@ -60,17 +65,14 @@ impl<'a> Obs<'a> {
     /// untouched (not even the phase label is set, keeping unobserved
     /// runs identical to pre-observer behavior).
     pub fn none() -> Self {
-        Obs {
-            handle: None,
-            executor: ExecutorKind::Serial,
-        }
+        Obs::default()
     }
 
     /// Attach `handle` to every phase config this `Obs` is applied to.
     pub fn watching(handle: &'a ObserverHandle) -> Self {
         Obs {
             handle: Some(handle),
-            executor: ExecutorKind::Serial,
+            ..Obs::default()
         }
     }
 
@@ -81,25 +83,38 @@ impl<'a> Obs<'a> {
         self
     }
 
-    /// The executor phases will run on.
-    pub fn executor(&self) -> ExecutorKind {
-        self.executor
+    /// Runs every phase over links `faults` drops messages from, each
+    /// wrapped in the reliable transport: results stay those of the
+    /// fault-free run, phases report as `"{phase}:reliable"`, and the
+    /// transport's counters land in the result's `stats.transport`.
+    /// Pipelines the transport cannot wrap (`dominating`, every
+    /// `run_churned_on`) reject such an `Obs` with
+    /// [`CoreError::InvalidParameter`].
+    pub fn with_faults(mut self, faults: &'a FaultPlan) -> Self {
+        self.faults = Some(faults);
+        self
     }
 
-    /// Whether an observer is attached.
-    pub fn is_watching(&self) -> bool {
-        self.handle.is_some()
+    /// The fault adversary phases run against, if any.
+    pub(crate) fn faults(&self) -> Option<&'a FaultPlan> {
+        self.faults
     }
 
-    /// Reports a reliable phase's aggregated transport counters to the
-    /// attached observer as one [`TraceEvent::Transport`] (a no-op when
-    /// nobody is watching). Called by the `run_faulty` entry points after
-    /// folding the per-node `RelStats`, i.e. outside the engine, after
-    /// that phase's `RunEnd`.
-    pub fn report_transport(&self, summary: &TransportSummary) {
-        if let Some(h) = self.handle {
-            h.lock().on_event(&TraceEvent::Transport(*summary));
+    /// Refuses a fault adversary in `pipeline`, which the reliable
+    /// transport cannot wrap: a raw run over lossy links would return a
+    /// silently wrong answer.
+    pub(crate) fn reject_faults(&self, pipeline: &str) -> Result<(), CoreError> {
+        match self.faults {
+            Some(_) => Err(CoreError::InvalidParameter(format!(
+                "{pipeline} cannot run over a fault plan: its kernel has no reliable transport"
+            ))),
+            None => Ok(()),
         }
+    }
+
+    /// The attached observer, if any.
+    pub(crate) fn observer(&self) -> Option<&'a ObserverHandle> {
+        self.handle
     }
 
     /// Labels `config` with `phase`, attaches the observer, and selects
@@ -125,7 +140,6 @@ mod tests {
     #[test]
     fn none_leaves_config_untouched() {
         let obs = Obs::none();
-        assert!(!obs.is_watching());
         let config = obs.apply(Config::for_n(8), "bfs");
         assert!(config.observer.is_none());
         assert_eq!(config.phase, "");
@@ -137,7 +151,6 @@ mod tests {
         let shared = SharedObserver::new(MetricsRecorder::new());
         let handle = shared.observer();
         let obs = Obs::watching(&handle);
-        assert!(obs.is_watching());
         let config = obs.apply(Config::for_n(8), "apsp:waves");
         assert!(config.observer.is_some());
         assert_eq!(config.phase, "apsp:waves");
@@ -147,7 +160,6 @@ mod tests {
     fn executor_rides_along_with_and_without_observer() {
         let pool = ExecutorKind::Pool { workers: 2 };
         let unwatched = Obs::none().with_executor(pool);
-        assert_eq!(unwatched.executor(), pool);
         let config = unwatched.apply(Config::for_n(8), "bfs");
         assert_eq!(config.executor, pool);
         assert!(config.observer.is_none());

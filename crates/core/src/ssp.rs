@@ -31,17 +31,14 @@
 //! repeated wave arrivals; the girth approximation (Theorem 5) feeds on
 //! them.
 
-use dapsp_congest::{Config, FaultPlan, ObserverHandle, Report, RunStats, Topology, TopologyPlan};
+use dapsp_congest::{Report, RunStats, Topology, TopologyPlan};
 use dapsp_graph::{Graph, INFINITY};
 
 use crate::aggregate::{self, AggOp};
 use crate::bfs;
 use crate::churned::{run_repair, ChurnedResult, RepairMode};
 use crate::error::CoreError;
-use crate::kernel::{
-    run_protocol_on, split_reliable_report, RelStats, ReliableKernel, SourceSlots, WaveKernel,
-    WaveState,
-};
+use crate::kernel::{run_phase, SourceSlots, WaveKernel, WaveState};
 use crate::observe::Obs;
 use crate::runner::fold_outputs;
 use crate::tree::TreeKnowledge;
@@ -59,47 +56,24 @@ pub(crate) struct Preamble {
     pub(crate) d0: u32,
     /// The cost of both phases.
     pub(crate) stats: RunStats,
-    /// Both phases' transport cost, zero unless they ran over faults.
-    pub(crate) rel: RelStats,
 }
 
 /// Phases 1 and 2 of Algorithm 2, the one place a pipeline builds `T_1`
-/// and `D₀`: `BFS_1`, then a max-aggregation of its depths over `T_1`.
-/// With `faults`, both run inside the [`ReliableKernel`].
+/// and `D₀`: `BFS_1`, then a max-aggregation of its depths over `T_1`,
+/// both run as `obs` says.
 ///
 /// # Errors
 ///
 /// [`CoreError::Disconnected`] if `BFS_1` does not reach every node;
 /// [`CoreError::EmptyGraph`] and [`CoreError::Sim`] as the phases report
 /// them.
-pub(crate) fn preamble(
-    topology: &Topology,
-    faults: Option<&FaultPlan>,
-    obs: Obs<'_>,
-) -> Result<Preamble, CoreError> {
-    let (t1, mut rel) = match faults {
-        None => (bfs::run_on_obs(topology, 0, obs)?, RelStats::default()),
-        Some(plan) => bfs::run_faulty_on(topology, 0, plan.clone(), obs)?,
-    };
+pub(crate) fn preamble(topology: &Topology, obs: Obs<'_>) -> Result<Preamble, CoreError> {
+    let t1 = bfs::run_on_obs(topology, 0, obs)?;
     if !t1.reached_all() {
         return Err(CoreError::Disconnected);
     }
     let depths: Vec<u64> = t1.dist.iter().map(|&d| u64::from(d)).collect();
-    let agg = match faults {
-        None => aggregate::run_on_obs(topology, &t1.tree, &depths, AggOp::Max, obs)?,
-        Some(plan) => {
-            let (agg, rel_agg) = aggregate::run_faulty_on(
-                topology,
-                &t1.tree,
-                &depths,
-                AggOp::Max,
-                plan.clone(),
-                obs,
-            )?;
-            rel.absorb(&rel_agg);
-            agg
-        }
-    };
+    let agg = aggregate::run_on_obs(topology, &t1.tree, &depths, AggOp::Max, obs)?;
     let mut stats = t1.stats;
     stats.absorb_sequential(&agg.stats);
     Ok(Preamble {
@@ -108,7 +82,6 @@ pub(crate) fn preamble(
         receipts: t1.receipts,
         d0: 2 * agg.value as u32,
         stats,
-        rel,
     })
 }
 
@@ -128,8 +101,10 @@ pub(crate) fn grow(
     d0: u32,
     obs: Obs<'_>,
 ) -> Result<SspResult, CoreError> {
-    let config = obs.apply(Config::for_n(topology.num_nodes()), "ssp:growth");
-    let report = run_protocol_on(topology, config, |ctx| {
+    // Theorem 3 bounds the fault-free growth by |S| + D₀ ≤ |S| + 2(n−1)
+    // rounds; the reliable horizon pads that.
+    let horizon = 2 * topology.num_nodes() as u64 + slots.ids().len() as u64 + 8;
+    let report = run_phase(topology, obs, "ssp:growth", horizon, |ctx| {
         WaveKernel::queued_sources(ctx, &slots)
     })?;
     Ok(assemble(topology, slots, tree, d0, report))
@@ -285,35 +260,21 @@ pub fn run_on(topology: &Topology, sources: &[u32]) -> Result<SspResult, CoreErr
     run_on_obs(topology, sources, Obs::none())
 }
 
-/// Like [`run`], streaming the events of every phase to `observer`:
-/// `"bfs"` and `"agg:max"` for the `D₀` estimate, then `"ssp:growth"` for
-/// the simultaneous growth itself. Since the growth's announcements carry
+/// Like [`run_on`], run as `obs` says. An attached observer sees `"bfs"`
+/// and `"agg:max"` for the `D₀` estimate, then `"ssp:growth"` for the
+/// simultaneous growth itself. Since the growth's announcements carry
 /// their source id as [`stream_id`](dapsp_congest::Message::stream_id), a
 /// [`TraceRecorder`](dapsp_congest::TraceRecorder) attached here keeps the
 /// growth's first arrivals — its last run — and its
 /// [`max_delay`](dapsp_congest::TraceRecorder::max_delay) verifies the
-/// paper's Lemma 8 delay bound directly.
+/// paper's Lemma 8 delay bound directly. With a fault plan, all three
+/// phases run on the reliable transport, and the distances and next hops
+/// are *bit-identical* to the fault-free run for any loss rate below one.
 ///
 /// # Errors
 ///
-/// Same as [`run`].
-pub fn run_observed(
-    graph: &Graph,
-    sources: &[u32],
-    observer: &ObserverHandle,
-) -> Result<SspResult, CoreError> {
-    if graph.num_nodes() == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
-    run_on_obs(&graph.to_topology(), sources, Obs::watching(observer))
-}
-
-/// Like [`run_on`], with an optional observer attached (see
-/// [`run_observed`] for the phase labels).
-///
-/// # Errors
-///
-/// Same as [`run`].
+/// Same as [`run`]; under faults, an unbeatable adversary (a severed link)
+/// fails loudly with a round-limit [`CoreError::Sim`].
 pub fn run_on_obs(
     topology: &Topology,
     sources: &[u32],
@@ -324,74 +285,10 @@ pub fn run_on_obs(
         return Err(CoreError::EmptyGraph);
     }
     let slots = SourceSlots::new(n, sources)?;
-    let pre = preamble(topology, None, obs)?;
+    let pre = preamble(topology, obs)?;
     let mut sp = grow(topology, slots, pre.tree, pre.d0, obs)?;
     sp.stats.absorb_sequential(&pre.stats);
     Ok(sp)
-}
-
-/// Like [`run`], over links a [`FaultPlan`] adversary drops messages
-/// from: all three phases (`T_1`, the `D₀` aggregation, and the
-/// simultaneous growth) run inside the
-/// [`ReliableKernel`], so the distances and
-/// next hops are *bit-identical* to the fault-free run for any loss rate
-/// below one. The returned [`RelStats`] sums the transport cost of all
-/// phases.
-///
-/// # Errors
-///
-/// Same as [`run`]; an unbeatable adversary (a severed link) fails loudly
-/// with a round-limit [`CoreError::Sim`].
-pub fn run_faulty(
-    graph: &Graph,
-    sources: &[u32],
-    faults: FaultPlan,
-) -> Result<(SspResult, RelStats), CoreError> {
-    if graph.num_nodes() == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
-    run_faulty_on(&graph.to_topology(), sources, faults, Obs::none())
-}
-
-/// Like [`run_faulty`], over a prebuilt [`Topology`] with an optional
-/// observer (`"bfs:reliable"`, `"agg:max:reliable"`, and
-/// `"ssp:growth:reliable"` phases).
-///
-/// # Errors
-///
-/// Same as [`run_faulty`].
-pub fn run_faulty_on(
-    topology: &Topology,
-    sources: &[u32],
-    faults: FaultPlan,
-    obs: Obs<'_>,
-) -> Result<(SspResult, RelStats), CoreError> {
-    let n = topology.num_nodes();
-    if n == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
-    let slots = SourceSlots::new(n, sources)?;
-    let pre = preamble(topology, Some(&faults), obs)?;
-    let mut rel = pre.rel;
-    // Theorem 3 bounds the fault-free growth by |S| + D₀ ≤ |S| + 2(n−1)
-    // rounds; the horizon pads that.
-    let horizon = 2 * n as u64 + sources.len() as u64 + 8;
-    let config = obs
-        .apply(Config::for_n(n), "ssp:growth:reliable")
-        .with_faults(faults);
-    let report = run_protocol_on(topology, config, |ctx| {
-        ReliableKernel::new(
-            WaveKernel::queued_sources(ctx, &slots),
-            horizon,
-            crate::bfs::FAULTY_MAX_RETRIES,
-        )
-    })?;
-    let (report, rel_growth) = split_reliable_report(report);
-    obs.report_transport(&rel_growth.summary());
-    rel.absorb(&rel_growth);
-    let mut sp = assemble(topology, slots, pre.tree, pre.d0, report);
-    sp.stats.absorb_sequential(&pre.stats);
-    Ok((sp, rel))
 }
 
 /// Like [`run`], but over a network whose topology changes mid-run per
@@ -426,7 +323,8 @@ pub fn run_churned(
 ///
 /// # Errors
 ///
-/// Same as [`run_churned`].
+/// Same as [`run_churned`]; additionally [`CoreError::InvalidParameter`] if
+/// `obs` carries a fault plan (the repair kernel has no reliable transport).
 pub fn run_churned_on(
     topology: &Topology,
     sources: &[u32],
@@ -676,27 +574,6 @@ mod tests {
                     assert!(g.has_edge(v, h));
                 }
             }
-        }
-    }
-
-    #[test]
-    fn reliable_ssp_is_exact_under_loss() {
-        for (g, sources, seed) in [
-            (generators::path(10), vec![0, 9], 2u64),
-            (generators::grid(3, 3), vec![0, 4, 8], 5),
-            (generators::cycle(8), vec![1, 6], 13),
-        ] {
-            let clean = run(&g, &sources).unwrap();
-            let (faulty, rel) =
-                run_faulty(&g, &sources, FaultPlan::uniform_loss(0.1, seed)).unwrap();
-            assert_eq!(faulty.dist, clean.dist);
-            assert_eq!(faulty.next_hop, clean.next_hop);
-            assert_eq!(faulty.d0, clean.d0);
-            assert_eq!(faulty.local_girth_candidates, clean.local_girth_candidates);
-            assert!(faulty.stats.dropped > 0, "adversary never fired");
-            assert!(rel.retransmissions > 0, "loss never forced a retransmit");
-            assert!(!rel.gave_up);
-            assert_eq!(rel.truncated_sends, 0, "horizon cut the run short");
         }
     }
 

@@ -190,7 +190,7 @@ pub fn run(graph: &Graph, sources: &[u32]) -> Result<PaperSspResult, CoreError> 
         is_source[s as usize] = true;
     }
     let topology = graph.to_topology();
-    let pre = ssp::preamble(&topology, None, Obs::none())?;
+    let pre = ssp::preamble(&topology, Obs::none())?;
     let budget = sources.len() as u64 + u64::from(pre.d0);
     let report = run_protocol_on(&topology, Config::for_n(n), |ctx| {
         let me = ctx.node_id();

@@ -70,7 +70,7 @@ pub fn sampled_lower_estimate(graph: &Graph, seed: u64) -> Result<(u32, RunStats
         return Err(CoreError::EmptyGraph);
     }
     let topology = graph.to_topology();
-    let pre = ssp::preamble(&topology, None, Obs::none())?;
+    let pre = ssp::preamble(&topology, Obs::none())?;
     sampled(graph, &topology, pre, seed)
 }
 
@@ -159,7 +159,7 @@ pub fn run(graph: &Graph, seed: u64) -> Result<ThreeHalvesResult, CoreError> {
     // O(D): the (×,2) estimate D₀ decides the branch, and its T_1 serves
     // whichever branch runs.
     let topology = graph.to_topology();
-    let pre = ssp::preamble(&topology, None, Obs::none())?;
+    let pre = ssp::preamble(&topology, Obs::none())?;
     let d0 = f64::from(pre.d0.max(1));
     let nf = n as f64;
     if d0 * nf.sqrt() <= nf / d0 + d0 {

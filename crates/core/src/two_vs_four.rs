@@ -137,7 +137,7 @@ pub fn run(graph: &Graph, seed: u64) -> Result<TwoVsFourResult, CoreError> {
     let topology = graph.to_topology();
     // T_1 for the probe election and the depth test, and the D₀ the
     // probes' S-SP would otherwise build a second time.
-    let pre = ssp::preamble(&topology, None, Obs::none())?;
+    let pre = ssp::preamble(&topology, Obs::none())?;
     let mut stats = pre.stats;
     let (sources, strategy) = select_probes(&topology, &pre.tree, seed, &mut stats)?;
     let slots = SourceSlots::new(n, &sources)?;

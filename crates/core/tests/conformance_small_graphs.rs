@@ -6,9 +6,12 @@
 //! All 996 isomorphism classes of connected graphs on 1–7 nodes (OEIS
 //! A001349) pass through APSP, S-SP, girth, and the eccentricity /
 //! diameter / radius pipeline, and every answer must match the sequential
-//! reference exactly — not approximately, not probabilistically.
+//! reference exactly — not approximately, not probabilistically. The 143
+//! classes on at most 6 nodes also run over a lossy, crashing network on
+//! the reliable transport, which must change no answer.
 
-use dapsp_congest::{churned_topology, ExecutorKind, TopologyPlan};
+use dapsp_congest::{churned_topology, ExecutorKind, FaultPlan, RunStats, TopologyPlan};
+use dapsp_core::aggregate::{self, AggOp};
 use dapsp_core::routing::RouteTable;
 use dapsp_core::{apsp, bfs, churned_graph, dominating, girth, metrics, ssp, ChurnedResult, Obs};
 use dapsp_graph::enumerate::{self, MAX_ENUMERATED_NODES};
@@ -119,6 +122,109 @@ fn metrics_match_oracles_on_every_small_connected_graph() {
             "apsp girth wrong on {g:?}"
         );
     }
+}
+
+/// The largest graphs the fault sweep covers: the 853 seven-node classes
+/// would take it from ≈ 1 s to ≈ 10 s in a debug build.
+const FAULTY_MAX_NODES: usize = 6;
+
+/// The reliable transport gives the paper its reliable links back: on
+/// every connected graph with at most [`FAULTY_MAX_NODES`] nodes (all
+/// 143), a pipeline whose [`Obs`]
+/// carries 20 % loss plus a crash window returns the fault-free result bit
+/// for bit — `bfs` from node 0, `ssp` from the first ⌈n/2⌉ ids, `apsp`,
+/// and `aggregate` with each operation over `T₁` — and its horizon never
+/// truncates a send.
+#[test]
+fn faulty_runs_equal_fault_free_runs_on_every_small_connected_graph() {
+    let mut dropped = 0;
+    for (seed, (n, g)) in all_graphs()
+        .take_while(|&(n, _)| n <= FAULTY_MAX_NODES)
+        .enumerate()
+    {
+        let topo = g.to_topology();
+        let faults = FaultPlan::uniform_loss(0.2, seed as u64).with_crash(n as u32 - 1, 3, 9);
+        let faulty = Obs::none().with_faults(&faults);
+        let mut check = |stats: &RunStats, what: &str| {
+            assert_eq!(
+                stats.transport.truncated_sends, 0,
+                "{what}: horizon too short on {g:?}"
+            );
+            dropped += stats.dropped;
+        };
+
+        let (clean, lossy) = (
+            bfs::run_on(&topo, 0).unwrap(),
+            bfs::run_on_obs(&topo, 0, faulty).unwrap(),
+        );
+        check(&lossy.stats, "bfs");
+        assert_eq!(
+            (
+                &lossy.dist,
+                &lossy.tree,
+                &lossy.receipts,
+                lossy.cycle_detected
+            ),
+            (
+                &clean.dist,
+                &clean.tree,
+                &clean.receipts,
+                clean.cycle_detected
+            ),
+            "bfs on {g:?}"
+        );
+
+        let sources: Vec<u32> = (0..n.div_ceil(2) as u32).collect();
+        let (clean_sp, lossy_sp) = (
+            ssp::run_on(&topo, &sources).unwrap(),
+            ssp::run_on_obs(&topo, &sources, faulty).unwrap(),
+        );
+        check(&lossy_sp.stats, "ssp");
+        let fields = |r: &ssp::SspResult| {
+            (
+                r.dist.clone(),
+                r.next_hop.clone(),
+                r.d0,
+                r.local_girth_candidates.clone(),
+                r.relaxations,
+                r.tree.clone(),
+            )
+        };
+        assert_eq!(fields(&lossy_sp), fields(&clean_sp), "ssp on {g:?}");
+
+        let (clean_ap, lossy_ap) = (
+            apsp::run_on(&topo).unwrap(),
+            apsp::run_on_obs(&topo, faulty).unwrap(),
+        );
+        check(&lossy_ap.stats, "apsp");
+        let fields = |r: &apsp::ApspResult| {
+            (
+                r.distances.clone(),
+                r.next_hop.clone(),
+                r.girth_candidate,
+                r.local_girth_candidates.clone(),
+                r.tree.clone(),
+            )
+        };
+        assert_eq!(fields(&lossy_ap), fields(&clean_ap), "apsp on {g:?}");
+
+        let spread: Vec<u64> = (0..n as u64).map(|v| (v * 5 + 3) % 7).collect();
+        let bits: Vec<u64> = (0..n as u64)
+            .map(|v| u64::from(v == n as u64 - 1))
+            .collect();
+        for (op, values) in [
+            (AggOp::Max, &spread),
+            (AggOp::Min, &spread),
+            (AggOp::Sum, &spread),
+            (AggOp::Or, &bits),
+        ] {
+            let clean_agg = aggregate::run_on(&topo, &clean.tree, values, op).unwrap();
+            let lossy_agg = aggregate::run_on_obs(&topo, &clean.tree, values, op, faulty).unwrap();
+            check(&lossy_agg.stats, op.phase_label());
+            assert_eq!(lossy_agg.value, clean_agg.value, "{op:?} on {g:?}");
+        }
+    }
+    assert!(dropped > 0, "the adversary never fired");
 }
 
 /// The packed table of a churned run must read back exactly what the run

@@ -15,7 +15,7 @@ use dapsp_congest::{bits_for_id, Config};
 use dapsp_core::kernel::{run_protocol_on, WaveKernel};
 use dapsp_core::{
     aggregate, approx, apsp, bfs, dominating, girth, girth_approx, leader, metrics, ssp, ssp_paper,
-    three_halves, two_vs_four,
+    three_halves, two_vs_four, Obs,
 };
 use dapsp_graph::{generators, Graph};
 
@@ -144,9 +144,10 @@ fn reliable_pipelines_respect_the_budget_under_loss() {
     for g in zoo() {
         let n = g.num_nodes() as u32;
         let plan = FaultPlan::uniform_loss(0.15, 77);
-        bfs::run_faulty(&g, 0, plan.clone()).unwrap();
-        apsp::run_faulty(&g, plan.clone()).unwrap();
-        ssp::run_faulty(&g, &[0, n - 1], plan).unwrap();
+        let (topo, obs) = (g.to_topology(), Obs::none().with_faults(&plan));
+        bfs::run_on_obs(&topo, 0, obs).unwrap();
+        apsp::run_on_obs(&topo, obs).unwrap();
+        ssp::run_on_obs(&topo, &[0, n - 1], obs).unwrap();
     }
 }
 

@@ -10,9 +10,10 @@
 //! * **Lemma 8 / Theorem 3** (S-SP): during the simultaneous growth of
 //!   `|S|` BFS trees, a wave's first arrival at any node lags the ideal
 //!   uncongested schedule by at most `|S|` rounds.
-//! * **Fault model**: under a [`FaultPlan`] adversary, the
-//!   `ReliableKernel`-wrapped pipelines stay *exact* for any loss rate
-//!   below one, and even the unwrapped wave kernels can only lose
+//! * **Fault model**: under a [`FaultPlan`] adversary carried in their
+//!   [`Obs`], the pipelines (every phase on the reliable transport) stay
+//!   *exact* for any loss rate below one, and even the unwrapped wave
+//!   kernels can only lose
 //!   information — a dropped message may leave a distance unknown or
 //!   stale, never too small.
 
@@ -22,7 +23,7 @@ use dapsp_congest::{
     Config, EdgeCongestionProbe, FanOut, FaultPlan, ObserverHandle, SharedObserver, TraceRecorder,
 };
 use dapsp_core::kernel::{run_protocol_on, WaveKernel};
-use dapsp_core::{apsp, ssp};
+use dapsp_core::{apsp, ssp, Obs};
 use dapsp_graph::{generators, reference, Graph, INFINITY};
 
 /// The four topology families of the acceptance criteria. Cliques are kept
@@ -46,7 +47,7 @@ fn lemma1_wave_phase_congestion_and_spacing() {
             congestion.observer(),
             arrivals.observer(),
         ]));
-        let result = apsp::run_observed(&g, &fan).expect("apsp runs");
+        let result = apsp::run_on_obs(&g.to_topology(), Obs::watching(&fan)).expect("apsp runs");
 
         congestion.with(|p| {
             assert!(
@@ -104,7 +105,8 @@ fn ssp_wave_delay_is_at_most_the_source_count() {
             // The recorder's wave maps describe the last run: the growth.
             let arrivals = SharedObserver::new(TraceRecorder::new());
             let handle = arrivals.observer();
-            let result = ssp::run_observed(&g, &sources, &handle).expect("ssp runs");
+            let result = ssp::run_on_obs(&g.to_topology(), &sources, Obs::watching(&handle))
+                .expect("ssp runs");
 
             let index: HashMap<u32, usize> = result
                 .sources
@@ -136,7 +138,7 @@ fn ssp_wave_delay_is_at_most_the_source_count() {
 
 #[test]
 fn reliable_apsp_equals_oracle_on_random_graphs_under_any_loss_below_one() {
-    // The ReliableKernel exactness claim, probed across random topologies
+    // The reliable transport's exactness claim, probed across random topologies
     // and loss rates up to 50% (where barely a quarter of frame/ack round
     // trips survive): the distance matrix must equal the sequential oracle
     // bit-for-bit, with the adversary verifiably active.
@@ -145,13 +147,12 @@ fn reliable_apsp_equals_oracle_on_random_graphs_under_any_loss_below_one() {
         let oracle = reference::apsp(&g);
         for loss in [0.05, 0.25, 0.5] {
             let plan = FaultPlan::uniform_loss(loss, seed.wrapping_mul(31) + 7);
-            let (r, rel) = apsp::run_faulty(&g, plan)
+            let r = apsp::run_on_obs(&g.to_topology(), Obs::none().with_faults(&plan))
                 .unwrap_or_else(|e| panic!("seed {seed} loss {loss}: {e}"));
             assert_eq!(
                 r.distances, oracle,
                 "seed {seed} loss {loss}: wrong distances"
             );
-            assert!(!rel.gave_up, "seed {seed} loss {loss}: a link gave up");
             assert!(
                 r.stats.dropped > 0,
                 "seed {seed} loss {loss}: adversary never fired"
@@ -167,14 +168,14 @@ fn reliable_ssp_equals_oracle_on_random_graphs_under_loss() {
         let sources: Vec<u32> = (0..16).step_by(3).collect();
         let oracle = reference::s_shortest_paths(&g, &sources);
         let plan = FaultPlan::uniform_loss(0.2, 1000 + seed);
-        let (r, rel) =
-            ssp::run_faulty(&g, &sources, plan).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let r = ssp::run_on_obs(&g.to_topology(), &sources, Obs::none().with_faults(&plan))
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         for (i, dists) in oracle.iter().enumerate() {
             for (v, &d) in dists.iter().enumerate() {
                 assert_eq!(r.dist[v][i], d, "seed {seed}: d({v}, source {i}) wrong");
             }
         }
-        assert!(!rel.gave_up && r.stats.dropped > 0, "seed {seed}");
+        assert!(r.stats.dropped > 0, "seed {seed}");
     }
 }
 

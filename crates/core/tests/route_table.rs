@@ -7,7 +7,7 @@
 
 use dapsp_congest::{churned_topology, FaultPlan, TopologyPlan};
 use dapsp_core::routing::RouteTable;
-use dapsp_core::{apsp, CoreError};
+use dapsp_core::{apsp, CoreError, Obs};
 use dapsp_graph::{enumerate, generators, Graph};
 
 fn table(g: &Graph) -> RouteTable {
@@ -38,7 +38,12 @@ fn apsp_rejects_sizes_no_table_can_cover() {
         assert_eq!(apsp::run_on(&g.to_topology()).unwrap_err(), want);
         assert_eq!(apsp::run_without_wait(&g).unwrap_err(), want);
         assert_eq!(apsp::run_truncated(&g, 2).unwrap_err(), want);
-        assert_eq!(apsp::run_faulty(&g, FaultPlan::new(1)).unwrap_err(), want);
+        let faults = FaultPlan::new(1);
+        let faulty = Obs::none().with_faults(&faults);
+        assert_eq!(
+            apsp::run_on_obs(&g.to_topology(), faulty).unwrap_err(),
+            want
+        );
         assert_eq!(
             apsp::run_churned(&g, &TopologyPlan::new()).unwrap_err(),
             want

@@ -1,7 +1,7 @@
 //! Integration checks tying the transport layer's end-of-run counters to
 //! the observer stream: the per-round `retransmits`/`acks` columns recorded
-//! by [`MetricsRecorder`] must sum exactly to the [`RelStats`] totals the
-//! reliable entry points return — every transmitted frame is either
+//! by [`MetricsRecorder`] must sum exactly to the `stats.transport` totals
+//! a pipeline run over faults returns — every transmitted frame is either
 //! committed or dropped at the engine's choke point, and both paths carry
 //! the frame's [`TraceTags`]. The traced [`TraceEvent::Transport`] events
 //! carry each phase's summary whole.
@@ -32,12 +32,12 @@ fn watch() -> Watch {
 }
 
 /// Runs a lossy reliable pipeline and asserts the stream's transport
-/// columns reproduce the returned `RelStats` and the per-phase transport
+/// columns reproduce the returned `stats.transport` and the per-phase transport
 /// summaries exactly — and that the trace carries those summaries whole,
 /// one `Transport` event per reliable phase, right after its `RunEnd`.
 fn assert_columns_match(
     watch: &Watch,
-    rel: &dapsp_core::kernel::RelStats,
+    rel: &TransportSummary,
     expected_phases: &[&str],
     tag: &str,
 ) {
@@ -60,22 +60,21 @@ fn assert_columns_match(
         }
         traced
     });
-    // Folded like `RelStats::absorb`, the traced summaries are the
-    // returned counters — all six fields, `sim_rounds` and
+    // Summed like sequential phases, the traced summaries are the
+    // returned counters — all five fields, `sim_rounds` and
     // `truncated_sends` included.
     let folded = traced
         .iter()
         .fold(TransportSummary::default(), |acc, (_, t)| {
             TransportSummary {
-                sim_rounds: acc.sim_rounds.max(t.sim_rounds),
+                sim_rounds: acc.sim_rounds + t.sim_rounds,
                 frames_sent: acc.frames_sent + t.frames_sent,
                 retransmissions: acc.retransmissions + t.retransmissions,
                 acks_sent: acc.acks_sent + t.acks_sent,
                 truncated_sends: acc.truncated_sends + t.truncated_sends,
-                gave_up: acc.gave_up.max(t.gave_up),
             }
         });
-    assert_eq!(folded, rel.summary(), "{tag}: traced Transport events");
+    assert_eq!(folded, *rel, "{tag}: traced Transport events");
     assert!(
         folded.sim_rounds > 0,
         "{tag}: sim_rounds travels in the trace"
@@ -91,11 +90,11 @@ fn assert_columns_match(
         let acks: u64 = rec.stream().iter().map(|m| m.acks).sum();
         assert_eq!(
             retransmits, rel.retransmissions,
-            "{tag}: retransmit column sum != RelStats total"
+            "{tag}: retransmit column sum != stats.transport total"
         );
         assert_eq!(
             acks, rel.acks_sent,
-            "{tag}: ack column sum != RelStats total"
+            "{tag}: ack column sum != stats.transport total"
         );
     });
     // Each reliable phase reported one transport summary, labeled with its
@@ -105,16 +104,13 @@ fn assert_columns_match(
 }
 
 #[test]
-fn bfs_transport_columns_sum_to_relstats() {
+fn bfs_transport_columns_sum_to_the_transport_stats() {
     let g = generators::watts_strogatz(24, 2, 0.1, 5);
     let watch = watch();
-    let (result, rel) = bfs::run_faulty_on(
-        &g.to_topology(),
-        0,
-        FaultPlan::uniform_loss(0.25, 11),
-        Obs::watching(&watch.handle),
-    )
-    .expect("reliable BFS survives 25% loss");
+    let faults = FaultPlan::uniform_loss(0.25, 11);
+    let obs = Obs::watching(&watch.handle).with_faults(&faults);
+    let result = bfs::run_on_obs(&g.to_topology(), 0, obs).expect("reliable BFS survives 25% loss");
+    let rel = result.stats.transport;
     assert!(result.reached_all(), "BFS must still reach everyone");
     assert!(
         rel.retransmissions > 0,
@@ -128,17 +124,15 @@ fn bfs_transport_columns_sum_to_relstats() {
 fn apsp_pipeline_transport_columns_sum_across_phases() {
     let g = generators::watts_strogatz(16, 2, 0.1, 9);
     let watch = watch();
-    let (result, rel) = apsp::run_faulty_on(
-        &g.to_topology(),
-        FaultPlan::uniform_loss(0.2, 13),
-        Obs::watching(&watch.handle),
-    )
-    .expect("reliable APSP survives 20% loss");
+    let faults = FaultPlan::uniform_loss(0.2, 13);
+    let obs = Obs::watching(&watch.handle).with_faults(&faults);
+    let result = apsp::run_on_obs(&g.to_topology(), obs).expect("reliable APSP survives 20% loss");
+    let rel = result.stats.transport;
     assert_eq!(result.next_hop.num_nodes(), 16, "full routing table");
     assert!(rel.retransmissions > 0, "loss must force retransmissions");
     // Two reliable phases (the T_1 BFS, then the wave phase), each
-    // reporting its own transport summary; the folded RelStats the entry
-    // point returns is their sum, and so are the stream columns.
+    // reporting its own transport summary; the `stats.transport` the
+    // pipeline returns is their sum, and so are the stream columns.
     assert_columns_match(
         &watch,
         &rel,
@@ -178,14 +172,12 @@ fn apsp_pipeline_transport_columns_sum_across_phases() {
 fn fault_free_reliable_run_reports_zero_retransmits() {
     let g = generators::path(12);
     let watch = watch();
-    let (_, rel) = bfs::run_faulty_on(
-        &g.to_topology(),
-        0,
-        FaultPlan::new(3),
-        Obs::watching(&watch.handle),
-    )
-    .expect("fault-free reliable BFS");
+    let faults = FaultPlan::new(3);
+    let obs = Obs::watching(&watch.handle).with_faults(&faults);
+    let rel = bfs::run_on_obs(&g.to_topology(), 0, obs)
+        .expect("fault-free reliable BFS")
+        .stats
+        .transport;
     assert_eq!(rel.retransmissions, 0, "no loss, no retransmissions");
-    assert!(!rel.gave_up);
     assert_columns_match(&watch, &rel, &["bfs:reliable"], "fault-free");
 }

@@ -7,19 +7,21 @@
 //!
 //! 1. a bare flood under increasing loss — failures are *detectable*
 //!    (unreached nodes, drop counters), never silent;
-//! 2. the same loss rates under `bfs::run_faulty`, whose reliable
-//!    transport retransmits until every distance is **exact** — asserted
-//!    against the sequential oracle each time;
+//! 2. the same loss rates handed to `bfs::run_on_obs` in its [`Obs`]:
+//!    every phase then runs on the reliable transport, which retransmits
+//!    until every distance is **exact** — asserted against the sequential
+//!    oracle each time;
 //! 3. a composed adversary (burst loss + background loss + a crash
-//!    window) against `apsp::run_faulty`, asserting full recovery and
-//!    reporting the round overhead the reliability layer paid.
+//!    window) handed to `apsp::run_on_obs` the same way, asserting full
+//!    recovery and reporting the round overhead the reliability layer
+//!    paid.
 //!
 //! ```text
 //! cargo run --release --example lossy_network
 //! ```
 
 use dapsp::congest::{Config, FaultPlan, LossRule, Simulator};
-use dapsp::core::{apsp, bfs};
+use dapsp::core::{apsp, bfs, Obs};
 use dapsp::graph::{generators, reference};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -48,16 +50,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    println!("\n-- bfs::run_faulty: same adversary, exact recovery --");
+    println!("\n-- bfs over the reliable transport: same adversary, exact recovery --");
     println!(
         "{:>6} {:>10} {:>10} {:>10} {:>8}",
         "loss", "dropped", "frames", "retx", "rounds"
     );
     let oracle = reference::bfs(&network, 0);
     for loss in [0.0, 0.05, 0.2, 0.5] {
-        let (result, rel) = bfs::run_faulty(&network, 0, FaultPlan::uniform_loss(loss, 42))?;
+        let plan = FaultPlan::uniform_loss(loss, 42);
+        let result = bfs::run_on_obs(&topo, 0, Obs::none().with_faults(&plan))?;
         assert_eq!(result.dist, oracle, "reliable BFS must match the oracle");
-        assert!(!rel.gave_up);
+        let rel = result.stats.transport;
         println!(
             "{:>5.0}% {:>10} {:>10} {:>10} {:>8}",
             loss * 100.0,
@@ -68,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    println!("\n-- apsp::run_faulty vs a composed adversary --");
+    println!("\n-- apsp over the reliable transport vs a composed adversary --");
     // 35% loss bursts two of every ten rounds, 5% background loss, and
     // node 27 crashes outright for rounds 40..80.
     let adversary = FaultPlan::new(7)
@@ -80,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_rule(LossRule::Uniform { probability: 0.05 })
         .with_crash(27, 40, 80);
     let clean = apsp::run(&network)?;
-    let (faulty, rel) = apsp::run_faulty(&network, adversary)?;
+    let faulty = apsp::run_on_obs(&topo, Obs::none().with_faults(&adversary))?;
     assert_eq!(
         faulty.distances,
         reference::apsp(&network),
@@ -95,7 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(faulty.stats.crashed > 0, "the crash window was entered");
     println!(
         "dropped {} messages, {} node-rounds crashed, {} retransmissions",
-        faulty.stats.dropped, faulty.stats.crashed, rel.retransmissions
+        faulty.stats.dropped, faulty.stats.crashed, faulty.stats.transport.retransmissions
     );
     println!(
         "rounds: {} fault-free -> {} reliable-under-attack ({:.1}x)",

@@ -365,21 +365,21 @@ fn churned_bfs_ssp_and_rejoin_model_cost_is_pinned() {
 }
 
 /// The model cost of the reliable stack is pinned: `bfs`, `ssp` and `apsp`
-/// `run_faulty_on` on two small graphs under three
+/// `run_on_obs` with an `Obs` carrying each of three
 /// [`FaultPlan`](dapsp::congest::FaultPlan)s — quiet, lossy, and lossy with
-/// a crash window. Per cell the engine counters `(rounds, messages, bits,
-/// dropped)` and the transport counters `(frames_sent, retransmissions,
-/// acks_sent)` are exact, no link gave up, the horizon truncated nothing,
+/// a crash window — on two small graphs. Per cell the engine counters
+/// `(rounds, messages, bits, dropped)` and the transport counters
+/// `(frames_sent, retransmissions, acks_sent)` are exact, the horizon
+/// truncated nothing,
 /// every distance equals its sequential oracle, and the 2-worker pool
 /// reproduces the serial run.
 #[test]
 fn faulty_model_cost_is_pinned() {
     use dapsp::congest::{ExecutorKind, FaultPlan, RunStats};
-    use dapsp::core::kernel::RelStats;
     use dapsp::core::{bfs, Obs};
     type FaultyCost = ((u64, u64, u64, u64), (u64, u64, u64));
-    fn cost(what: &str, s: &RunStats, rel: &RelStats) -> FaultyCost {
-        assert!(!rel.gave_up, "{what}: a link exhausted its retries");
+    fn cost(what: &str, s: &RunStats) -> FaultyCost {
+        let rel = &s.transport;
         assert_eq!(rel.truncated_sends, 0, "{what}: horizon too short");
         (
             (s.rounds, s.messages, s.bits, s.dropped),
@@ -445,28 +445,27 @@ fn faulty_model_cost_is_pinned() {
         let apsp_oracle = reference::apsp(g);
         for (plan, want) in plans.iter().zip(want) {
             let run = |executor| {
-                let obs = || Obs::none().with_executor(executor);
+                let obs = Obs::none().with_executor(executor).with_faults(plan);
                 let what = format!("{name} under {plan:?} on {executor:?}");
-                let (b, b_rel) = bfs::run_faulty_on(&topo, 0, plan.clone(), obs()).expect("bfs");
+                let b = bfs::run_on_obs(&topo, 0, obs).expect("bfs");
                 assert_eq!(b.dist, bfs_oracle, "bfs, {what}");
-                let (s, s_rel) =
-                    ssp::run_faulty_on(&topo, sources, plan.clone(), obs()).expect("ssp");
+                let s = ssp::run_on_obs(&topo, sources, obs).expect("ssp");
                 for (v, row) in s.dist.iter().enumerate() {
                     for (i, &d) in row.iter().enumerate() {
                         assert_eq!(d, ssp_oracle[i][v], "ssp d({v}, {}), {what}", sources[i]);
                     }
                 }
-                let (a, a_rel) = apsp::run_faulty_on(&topo, plan.clone(), obs()).expect("apsp");
+                let a = apsp::run_on_obs(&topo, obs).expect("apsp");
                 assert_eq!(a.distances, apsp_oracle, "apsp, {what}");
                 let pinned = [
-                    cost(&what, &b.stats, &b_rel),
-                    cost(&what, &s.stats, &s_rel),
-                    cost(&what, &a.stats, &a_rel),
+                    cost(&what, &b.stats),
+                    cost(&what, &s.stats),
+                    cost(&what, &a.stats),
                 ];
-                // Everything else a run reports, for serial ≡ pool.
+                // Everything else a run reports — the full transport
+                // counters ride in `stats` — for serial ≡ pool.
                 let rest = (
                     [b.stats, s.stats, a.stats],
-                    [b_rel, s_rel, a_rel],
                     (s.next_hop, s.d0, a.next_hop, a.girth_candidate),
                 );
                 (pinned, rest)
