@@ -972,8 +972,7 @@ fn ablation_ssp_variants(out: &mut String) {
     for (label, g, sources) in &instances {
         let paper = ssp_paper::run(g, sources).expect("verbatim");
         let fixed = ssp::run(g, sources).expect("repaired");
-        let (paper_wrong, paper_unresolved) =
-            wrong_count(paper.dist.iter().map(Vec::as_slice), sources, g);
+        let (paper_wrong, paper_unresolved) = wrong_count(paper.dist.iter(), sources, g);
         let (fixed_wrong, fixed_unresolved) = wrong_count(fixed.dist.iter(), sources, g);
         assert_eq!(
             fixed_wrong + fixed_unresolved,

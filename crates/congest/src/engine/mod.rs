@@ -528,10 +528,15 @@ pub(crate) fn step_node<A: NodeAlgorithm>(
 /// All per-round buffers (inboxes, outboxes, staged commit queues, the
 /// duplicate-send scratches) are recycled between rounds, so once message
 /// volume peaks the engine runs allocation-free. The kernel layer hosted
-/// in the step phase keeps the same discipline, and the claim is defended
-/// end to end: `dapsp-core`'s `tests/alloc_budget.rs` counts the
-/// allocation calls of whole Algorithm 1 runs and fails when they grow
-/// with the message count instead of the node count.
+/// in the step phase keeps the same discipline: its distance kernels
+/// borrow their rows of run-level matrices through `init` (which is why
+/// `init` runs in id order, and why a node state may hold borrows that
+/// outlive the simulator's construction but not its run), so a node owns
+/// only per-port scratch. The claim is defended end to end:
+/// `dapsp-core`'s `tests/alloc_budget.rs` counts the allocation calls of
+/// whole Algorithm 1 runs and fails when they grow with the message count
+/// instead of the node count, and tracks the live heap's high-water mark
+/// of a cold build.
 pub struct Simulator<'t, A: NodeAlgorithm> {
     core: Core<'t, A::Message>,
     nodes: Vec<Option<A>>,

@@ -16,9 +16,11 @@
 //! collide on an edge, the run would abort with a duplicate-send error.
 //!
 //! Following Remark 4, every node records its distance to each root, so the
-//! result is the full distance matrix (stored distributedly in the model;
-//! assembled into a [`DistanceMatrix`] here for inspection). Shortest-path
-//! trees are kept as per-root parent pointers. As a by-product the nodes
+//! result is the full distance matrix: stored distributedly in the model,
+//! and in the simulator each node's row *is* its row of the run's one
+//! [`DistanceMatrix`] — the kernels write there, and nothing assembles a
+//! copy. Shortest-path trees are kept as per-root parent ports, turned into
+//! next-hop ids in place once the run ends. As a by-product the nodes
 //! also record *cycle candidates* (two wave receipts for the same root),
 //! which is exactly what Lemma 7 needs to compute the girth.
 
@@ -28,10 +30,11 @@ use dapsp_graph::{DistanceMatrix, Graph, INFINITY};
 use crate::bfs;
 use crate::churned::{run_repair, ChurnedResult, RepairMode};
 use crate::error::CoreError;
-use crate::kernel::{run_phase, Coupling, PebbleKernel, Stack, WaveKernel, WaveState};
+use crate::kernel::{
+    distance_rows, run_phase, Coupling, Deal, PebbleKernel, Rows, Stack, WaveKernel, WaveState,
+};
 use crate::observe::Obs;
 use crate::routing::check_table_size;
-use crate::runner::fold_outputs;
 use crate::tree::TreeKnowledge;
 
 /// The pebble-to-wave wiring of Algorithm 1: the round the pebble leaves
@@ -40,8 +43,13 @@ use crate::tree::TreeKnowledge;
 /// Lemma 1 turns into a congestion-free wave schedule.
 struct StartWaveOnRelease;
 
-impl Coupling<PebbleKernel, WaveKernel> for StartWaveOnRelease {
-    fn couple(&mut self, _ctx: &NodeContext<'_>, pebble: &mut PebbleKernel, wave: &mut WaveKernel) {
+impl Coupling<PebbleKernel, WaveKernel<'_>> for StartWaveOnRelease {
+    fn couple(
+        &mut self,
+        _ctx: &NodeContext<'_>,
+        pebble: &mut PebbleKernel,
+        wave: &mut WaveKernel<'_>,
+    ) {
         if pebble.take_released() {
             wave.schedule_start();
         }
@@ -325,10 +333,8 @@ pub fn run_churned_on(
     plan: &TopologyPlan,
     obs: Obs<'_>,
 ) -> Result<ChurnedResult, CoreError> {
-    let n = topology.num_nodes();
-    check_size(n)?;
-    let roots: Vec<u32> = (0..n as u32).collect();
-    run_repair(topology, plan, roots, RepairMode::All, obs, "apsp:churn")
+    check_size(topology.num_nodes())?;
+    run_repair(topology, plan, RepairMode::All, obs, "apsp:churn")
 }
 
 fn run_with_wait(graph: &Graph, wait_one_slot: bool) -> Result<ApspResult, CoreError> {
@@ -371,52 +377,43 @@ pub(crate) fn waves(
 ) -> Result<ApspResult, CoreError> {
     let n = topology.num_nodes();
     check_size(n)?;
+    let (mut dist, mut parent) = distance_rows(n, n);
+    let mut deal = Deal::new(&mut dist, &mut parent);
     // Theorem 1 bounds the fault-free pebble + wave phase by 4n + 10
     // rounds; the reliable horizon pads that.
     let report = run_phase(topology, obs, "apsp:waves", 4 * n as u64 + 16, |ctx| {
         Stack::coupled(
             PebbleKernel::new(ctx, &tree, wait_one_slot),
-            WaveKernel::all_roots(ctx, max_depth),
+            WaveKernel::all_roots(ctx, max_depth, deal.row(ctx)),
             StartWaveOnRelease,
         )
     })?;
-    Ok(assemble(topology, tree, report))
+    Ok(assemble(topology, tree, dist, parent, report))
 }
 
-/// Folds per-node outputs into the host-side result structure, with the
-/// wave phase's statistics.
+/// The host-side result of the wave phase: the distance matrix the
+/// kernels wrote is the result's, the parent-port matrix becomes the
+/// next-hop matrix by one in-place pass, and the per-node outputs add the
+/// girth candidates — no `n²` buffer is allocated or copied here.
 fn assemble(
     topology: &Topology,
     tree: TreeKnowledge,
+    dist: Rows<u32>,
+    parent: Rows<u32>,
     report: dapsp_congest::Report<((), WaveState)>,
 ) -> ApspResult {
     let n = topology.num_nodes();
-    let seed = (
-        DistanceMatrix::new(n),
-        vec![u32::MAX; n * n],
-        INFINITY,
-        vec![INFINITY; n],
-    );
-    let (distances, next_hop, girth_candidate, local_girth_candidates) =
-        fold_outputs(report.outputs, seed, |acc, v, (_, state)| {
-            acc.0.set_row(v, &state.dist);
-            let row = &mut acc.1[v as usize * n..][..n];
-            for (hop, &p) in row.iter_mut().zip(&state.parent) {
-                if p != u32::MAX {
-                    *hop = topology.neighbor_at(v, p);
-                }
-            }
-            acc.3[v as usize] = state.girth_candidate;
-            acc.2 = acc.2.min(state.girth_candidate);
-        });
+    let next_hop = parent.into_next_hops(topology).into_cells();
+    let local_girth_candidates: Vec<u32> = report
+        .outputs
+        .iter()
+        .map(|(_, state)| state.girth_candidate)
+        .collect();
+    let girth_candidate = local_girth_candidates.iter().copied().min();
     ApspResult {
-        distances,
+        distances: DistanceMatrix::from_row_major(n, dist.into_cells()),
         next_hop: NextHopMatrix { n, data: next_hop },
-        girth_candidate: if girth_candidate == INFINITY {
-            None
-        } else {
-            Some(girth_candidate)
-        },
+        girth_candidate: girth_candidate.filter(|&g| g != INFINITY),
         local_girth_candidates,
         tree,
         stats: report.stats,

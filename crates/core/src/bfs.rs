@@ -8,15 +8,16 @@
 //! which is exactly the paper's Claim 1 tree test.
 //!
 //! The state machine is the shared [`WaveKernel`] in single-root,
-//! adoption-announcing configuration; this module only validates input and
-//! folds the per-node [`WaveState`]s into a [`BfsResult`].
+//! adoption-announcing configuration, writing into a one-column distance
+//! and parent-port matrix; this module only validates input and folds the
+//! matrices and the per-node [`WaveState`]s into a [`BfsResult`].
 
 use dapsp_congest::{Topology, TopologyPlan};
 use dapsp_graph::{Graph, INFINITY};
 
 use crate::churned::{run_repair, ChurnedResult, RepairMode};
 use crate::error::CoreError;
-use crate::kernel::{run_phase, WaveKernel, WaveState};
+use crate::kernel::{distance_rows, run_phase, Deal, Rows, WaveKernel, WaveState};
 use crate::observe::Obs;
 use crate::runner::fold_outputs;
 use crate::tree::TreeKnowledge;
@@ -127,10 +128,12 @@ pub fn run_on_obs(topology: &Topology, root: u32, obs: Obs<'_>) -> Result<BfsRes
     }
     // Fault-free, the wave quiesces by ecc(root) + 3 ≤ n + 2 — the wave
     // front, one adopt round, one settle round.
+    let (mut dist, mut parent) = distance_rows(n, 1);
+    let mut deal = Deal::new(&mut dist, &mut parent);
     let report = run_phase(topology, obs, "bfs", n as u64 + 4, |ctx| {
-        WaveKernel::single_root(ctx, root)
+        WaveKernel::single_root(ctx, root, deal.row(ctx))
     })?;
-    Ok(fold_bfs(root, n, report))
+    Ok(fold_bfs(root, dist, &parent, report))
 }
 
 /// Like [`run`], but over a network whose topology changes mid-run per
@@ -177,37 +180,37 @@ pub fn run_churned_on(
             num_nodes: n,
         });
     }
-    run_repair(
-        topology,
-        plan,
-        vec![root],
-        RepairMode::Single(root),
-        obs,
-        "bfs:churn",
-    )
+    run_repair(topology, plan, RepairMode::Single(root), obs, "bfs:churn")
 }
 
-/// Folds per-node wave states into the host-side [`BfsResult`].
-fn fold_bfs(root: u32, n: usize, report: dapsp_congest::Report<WaveState>) -> BfsResult {
+/// Folds the run's one-column matrices and per-node wave states into the
+/// host-side [`BfsResult`]; the distance column becomes `dist` as it is.
+fn fold_bfs(
+    root: u32,
+    dist: Rows<u32>,
+    parent: &Rows<u32>,
+    report: dapsp_congest::Report<WaveState>,
+) -> BfsResult {
+    let n = dist.len();
     let seed = BfsResult {
         root,
-        dist: vec![INFINITY; n],
+        dist: dist.into_cells(),
         tree: TreeKnowledge {
             root,
-            parent_port: vec![None; n],
-            children_ports: vec![Vec::new(); n],
+            parent_port: parent
+                .cells()
+                .iter()
+                .map(|&p| (p != u32::MAX).then_some(p))
+                .collect(),
+            children_ports: Vec::with_capacity(n),
         },
         cycle_detected: false,
-        receipts: vec![0; n],
+        receipts: Vec::with_capacity(n),
         stats: report.stats,
     };
-    // Each node's state holds the single root's slot 0.
-    fold_outputs(report.outputs, seed, |acc, v, state| {
-        let v = v as usize;
-        acc.dist[v] = state.dist[0];
-        acc.tree.parent_port[v] = (state.parent[0] != u32::MAX).then_some(state.parent[0]);
-        acc.tree.children_ports[v] = state.children_ports;
-        acc.receipts[v] = state.receipts;
+    fold_outputs(report.outputs, seed, |acc, _, state| {
+        acc.tree.children_ports.push(state.children_ports);
+        acc.receipts.push(state.receipts);
         acc.cycle_detected |= state.receipts > 1;
     })
 }
@@ -360,16 +363,14 @@ mod fault_tests {
         let g = generators::path(12);
         let topo = g.to_topology();
         let cfg = Config::for_n(12).with_loss(1.0, 3);
+        let (mut dist, mut parent) = distance_rows(12, 1);
+        let mut deal = Deal::new(&mut dist, &mut parent);
         let sim = dapsp_congest::Simulator::new(&topo, cfg, |ctx| {
-            ProtocolHost::new(WaveKernel::single_root(ctx, 0))
+            ProtocolHost::new(WaveKernel::single_root(ctx, 0, deal.row(ctx)))
         });
         let report = sim.run().unwrap();
         // The root knows itself; every downstream message was dropped.
-        let reached = report
-            .outputs
-            .iter()
-            .filter(|state| state.dist[0] != INFINITY)
-            .count();
+        let reached = dist.cells().iter().filter(|&&d| d != INFINITY).count();
         assert_eq!(reached, 1);
         assert!(report.stats.dropped > 0);
     }
@@ -382,8 +383,10 @@ mod fault_tests {
         let g = generators::complete(10);
         let topo = g.to_topology();
         let cfg = Config::for_n(10).with_loss(0.3, 5);
+        let (mut dist, mut parent) = distance_rows(10, 1);
+        let mut deal = Deal::new(&mut dist, &mut parent);
         let sim = dapsp_congest::Simulator::new(&topo, cfg, |ctx| {
-            ProtocolHost::new(WaveKernel::single_root(ctx, 0))
+            ProtocolHost::new(WaveKernel::single_root(ctx, 0, deal.row(ctx)))
         });
         let report = sim.run().unwrap();
         assert!(report.stats.dropped > 0, "loss must be visible in stats");

@@ -21,23 +21,26 @@ use dapsp_congest::{
 use dapsp_graph::Graph;
 
 use crate::error::CoreError;
-use crate::kernel::{repair_threshold, run_protocol_on, RepairKernel};
+use crate::kernel::{
+    distance_rows, repair_threshold, run_protocol_on, Deal, RepairKernel, Rows, SourceSlots,
+};
 use crate::observe::Obs;
 
 /// The result of a churn-tolerant shortest-path run: distances on the
 /// *post-churn* graph, per node per requested root.
 #[derive(Clone, Debug)]
 pub struct ChurnedResult {
-    /// The roots/sources distances were maintained for, as requested.
+    /// The roots/sources distances were maintained for, in ascending id
+    /// order.
     pub roots: Vec<u32>,
     /// `dist[v][i]` = hop distance from `v` to `roots[i]` on the final
     /// (post-churn) graph; [`INFINITY`](dapsp_graph::INFINITY) when
     /// unreachable. Rows of removed nodes are frozen at their last
     /// pre-removal state — check [`present`](Self::present).
-    pub dist: Vec<Vec<u32>>,
+    pub dist: Rows<u32>,
     /// `parent_port[v][i]` = `v`'s port toward its parent in the repaired
-    /// tree of `roots[i]` (`None` at the root and at unreached nodes).
-    pub parent_port: Vec<Vec<Option<Port>>>,
+    /// tree of `roots[i]` (`u32::MAX` at the root and at unreached nodes).
+    pub parent_port: Rows<Port>,
     /// Whether each node is still part of the final topology; removed
     /// nodes keep their last outputs but no guarantee covers them.
     pub present: Vec<bool>,
@@ -48,14 +51,16 @@ pub struct ChurnedResult {
     /// quiescence poll, carried so snapshot layers (`dapsp-serve`) can
     /// attribute republished tables to a certified run.
     pub certificate: Option<TerminationCertificate>,
+    /// The run's id → column map (`roots[i]` ↦ `i`).
+    slots: SourceSlots,
 }
 
 impl ChurnedResult {
     /// Distance from `v` to `root` on the post-churn graph; `None` if
     /// `root` was not in the maintained set or `v` is not a node.
     pub fn dist_to(&self, v: u32, root: u32) -> Option<u32> {
-        let i = self.roots.iter().position(|&r| r == root)?;
-        self.dist.get(v as usize)?.get(i).copied()
+        let i = self.slots.get(root)?;
+        self.dist.get(v as usize).map(|row| row[i])
     }
 }
 
@@ -65,19 +70,19 @@ pub(crate) enum RepairMode {
     Single(u32),
     /// Every node (churned APSP).
     All,
-    /// A source subset, as a membership mask (churned S-SP).
-    Sources(Vec<bool>),
+    /// A source set (churned S-SP), its slots in ascending id order.
+    Sources(SourceSlots),
 }
 
-/// Runs a [`RepairKernel`] under `plan` and folds the per-node states into
-/// a [`ChurnedResult`]. The round limit is stretched past the plan's last
+/// Runs a [`RepairKernel`] under `plan`, each node writing its distance
+/// and parent-port rows into the run's two matrices, which become the
+/// [`ChurnedResult`]'s. The round limit is stretched past the plan's last
 /// event by the `O(n)` a repair (or count-to-infinity retraction chain)
 /// can take. An `obs` carrying a fault plan is rejected: the repair kernel
 /// has no reliable transport.
 pub(crate) fn run_repair(
     topology: &Topology,
     plan: &TopologyPlan,
-    roots: Vec<u32>,
     mode: RepairMode,
     obs: Obs<'_>,
     phase: &str,
@@ -90,37 +95,31 @@ pub(crate) fn run_repair(
     let horizon = plan.last_round().unwrap_or(0) + 4 * n as u64 + 16;
     config.max_rounds = config.max_rounds.max(horizon);
     let threshold = repair_threshold(n);
-    let report = run_protocol_on(topology, config, |ctx| match &mode {
-        RepairMode::Single(root) => RepairKernel::single_root(ctx, *root, threshold),
-        RepairMode::All => RepairKernel::all_roots(ctx, threshold),
-        RepairMode::Sources(is_source) => {
-            RepairKernel::sources(ctx, is_source[ctx.node_id() as usize], threshold)
+    let slots = match &mode {
+        RepairMode::Single(root) => SourceSlots::new(n, &[*root])?,
+        RepairMode::All => SourceSlots::new(n, &(0..n as u32).collect::<Vec<_>>())?,
+        RepairMode::Sources(slots) => slots.clone(),
+    };
+    let (mut dist, mut parent_port) = distance_rows(n, slots.ids().len());
+    let mut deal = Deal::new(&mut dist, &mut parent_port);
+    let report = run_protocol_on(topology, config, |ctx| {
+        let row = deal.row(ctx);
+        match &mode {
+            RepairMode::Single(root) => RepairKernel::single_root(ctx, *root, threshold, row),
+            RepairMode::All => RepairKernel::all_roots(ctx, threshold, row),
+            RepairMode::Sources(slots) => RepairKernel::sources(ctx, slots, threshold, row),
         }
     })?;
     let final_topo = churned_topology(topology, plan)?;
-    let slot_of: Vec<usize> = match mode {
-        RepairMode::Single(_) => vec![0; roots.len()],
-        _ => roots.iter().map(|&r| r as usize).collect(),
-    };
-    let mut dist = Vec::with_capacity(n);
-    let mut parent_port = Vec::with_capacity(n);
-    for state in &report.outputs {
-        dist.push(slot_of.iter().map(|&s| state.dist[s]).collect::<Vec<_>>());
-        parent_port.push(
-            slot_of
-                .iter()
-                .map(|&s| (state.parent[s] != u32::MAX).then_some(state.parent[s]))
-                .collect::<Vec<_>>(),
-        );
-    }
     let present = (0..n as u32).map(|v| final_topo.node_present(v)).collect();
     Ok(ChurnedResult {
-        roots,
+        roots: slots.ids().to_vec(),
         dist,
         parent_port,
         present,
         stats: report.stats,
         certificate: report.certificate,
+        slots,
     })
 }
 
@@ -216,7 +215,9 @@ mod tests {
     fn dist_to_answers_none_outside_the_table() {
         let g = generators::grid(3, 3);
         let plan = TopologyPlan::new().with_remove(3, 4, 5);
-        let r = ssp::run_churned(&g, &[0, 8], &plan).unwrap();
+        let r = ssp::run_churned(&g, &[8, 0], &plan).unwrap();
+        assert_eq!(r.roots, [0, 8], "columns in id order");
+        assert_eq!((r.dist.width(), r.dist[4][1]), (2, 2));
         assert_eq!(r.dist_to(4, 8), Some(2));
         assert_eq!(r.dist_to(4, 5), None, "not a maintained root");
         assert_eq!(r.dist_to(9, 0), None, "v = n");
@@ -261,7 +262,7 @@ mod tests {
         let a = assert_apsp_matches(&g, &plan);
         assert_eq!(a.present, vec![true; 4]);
         assert_eq!((a.dist_to(0, 3), a.dist_to(3, 0)), (Some(3), Some(3)));
-        assert_eq!(a.parent_port[3][0], Some(1), "via the new port");
+        assert_eq!(a.parent_port[3][0], 1, "via the new port");
         assert_eq!(a.stats.dropped, 0);
         for root in [0, 3] {
             assert_bfs_matches(&g, root, &plan);
@@ -269,8 +270,8 @@ mod tests {
             assert_eq!((b.present[3], b.stats.dropped), (true, 0));
         }
         let s = ssp::run_churned(&g, &[0, 3], &plan).unwrap();
-        let want: Vec<Vec<u32>> = (0..4).map(|v| vec![v, 3 - v]).collect();
-        assert_eq!((s.dist, s.stats.dropped), (want, 0));
+        let want: Vec<u32> = (0..4).flat_map(|v| [v, 3 - v]).collect();
+        assert_eq!((s.dist.cells(), s.stats.dropped), (&want[..], 0));
         // Crash and re-join in one batch: the node is told `joined` only.
         let plan = TopologyPlan::new()
             .with_crash(5, 3)
@@ -380,7 +381,7 @@ mod tests {
             .with_remove(1, 0, 77)
             .with_insert(40, 0, 77);
         let r = assert_apsp_matches(&g, &plan);
-        assert_eq!(r.parent_port[0][77], Some(129));
+        assert_eq!(r.parent_port[0][77], 129);
         let s = &r.stats;
         assert_eq!(
             (s.rounds, s.messages, s.bits, s.scheduled_node_rounds),

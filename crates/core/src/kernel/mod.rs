@@ -54,17 +54,23 @@
 //! per node, never per send or per round: [`Tx`] buffers, the arrival
 //! list and [`Stack`]'s merge scratch are per-node vectors whose capacity
 //! is reused, and state shared by all nodes of a run (the
-//! [`SourceSlots`] map) is built once and reference-counted. Per-node
-//! state is what the paper says a node stores — `n` distances for
-//! Algorithm 1, `|S|` for Algorithm 2. `tests/alloc_budget.rs` fails when
-//! a kernel starts allocating per send; tier-1's
-//! `static_model_cost_is_pinned` fails when one changes a send.
+//! [`SourceSlots`] map) is built once and reference-counted. What the
+//! paper says a node stores — `n` distances and parents for Algorithm 1,
+//! `|S|` for Algorithm 2 — is not the kernel's own: the pipeline allocates
+//! the run's distance and parent-port [`Rows`] once, [`Deal`]s each node
+//! its [`Row`] of them in its `init` closure, and reads the matrices as
+//! the result when the run ends. A kernel owns `O(degree)` scratch and
+//! nothing of size `n`. `tests/alloc_budget.rs` fails when a kernel starts
+//! allocating per send, or a cold build starts holding more than its two
+//! `n²` matrices; tier-1's `static_model_cost_is_pinned` fails when one
+//! changes a send.
 
 mod convergecast;
 mod pebble;
 mod protocol;
 mod reliable;
 mod repair;
+mod rows;
 mod stack;
 mod wave;
 
@@ -74,6 +80,7 @@ pub use protocol::{Protocol, ProtocolHost, Tx};
 pub use reliable::{Frame, ReliableKernel};
 pub(crate) use repair::repair_threshold;
 pub use repair::{RepairKernel, RepairMsg};
+pub use rows::{distance_rows, Deal, Row, Rows};
 pub use stack::{Both, Coupling, Stack};
 pub use wave::{SourceSlots, WaveKernel, WaveMsg, WaveState};
 

@@ -28,9 +28,13 @@
 //!   every notified node, so all engines (and all nodes) take the same
 //!   branch deterministically.
 //!
-//! One message per port per round carries one `(slot, dist)` pair —
+//! One message per port per round carries one `(root, dist)` pair —
 //! `⌈log₂ n⌉ + ⌈log₂ (n+1)⌉ ≤ B` bits — so the repair traffic lives inside
-//! the same CONGEST budget as the waves it patches.
+//! the same CONGEST budget as the waves it patches. A node keeps one slot
+//! per maintained root, in ascending root-id order (`n` for APSP, `|S|`
+//! for S-SP through a [`SourceSlots`] map, one for BFS), and writes its
+//! distances and parent ports into the run's matrices like the static
+//! kernels do.
 //!
 //! Which pair goes out is Algorithm 2's per-edge list `L_i` with its
 //! `(dist, id)` priority: every port has an announcement queue keyed
@@ -69,7 +73,8 @@ use dapsp_congest::{NodeContext, Port, RepairAction, TopologyDelta, Width};
 use dapsp_graph::INFINITY;
 
 use super::protocol::{Protocol, Tx};
-use super::wave::WaveState;
+use super::rows::Row;
+use super::wave::{Roots, SourceSlots, WaveState};
 
 /// The divergence-adaptive default: fall back to a full per-node recompute
 /// when a round's global change batch reaches `max(4, n / 8)` directed
@@ -79,33 +84,27 @@ pub(crate) fn repair_threshold(n: usize) -> u32 {
     (n as u32 / 8).max(4)
 }
 
-/// Which slots this kernel maintains distances for.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Slots {
-    /// One slot, for the given root (churned BFS).
-    Single(u32),
-    /// `n` slots indexed by root id; this node owns slot `me` iff it is a
-    /// source (churned APSP: everyone; churned S-SP: the source set).
-    PerNode,
-}
-
-/// The wire message: "my current distance for `slot` is `dist`"
+/// The wire message: "my current distance to `root` is `dist`"
 /// (`dist = n` encodes unreachable — the count-to-infinity clamp).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RepairMsg {
-    /// The root slot the distance belongs to (always 0 in single-root
-    /// mode, where it costs no wire bits).
-    pub slot: u32,
-    /// The sender's clamped distance for that slot.
+    /// The id of the root the distance belongs to (free on the wire in
+    /// single-root mode, where every node knows it).
+    pub root: u32,
+    /// The sender's clamped distance to that root.
     pub dist: u32,
 }
 
-/// Churn-tolerant multi-root distance computation (see module docs).
-pub struct RepairKernel {
+/// Churn-tolerant multi-root distance computation (see module docs). Like
+/// the [`WaveKernel`](super::WaveKernel), it keeps its distance and parent
+/// port per root slot in the [`Row`] its pipeline lends it.
+pub struct RepairKernel<'a> {
     n: u32,
-    slots: Slots,
-    /// True iff this node is a source (owns distance 0 in its own slot).
-    own: bool,
+    /// Which roots the rows' slots belong to; slot order is id order, so
+    /// the `(dist, slot)` priority is Algorithm 2's `(dist, id)`.
+    roots: Roots,
+    /// The slot this node owns distance 0 in, if it is a root.
+    own: Option<usize>,
     /// Distances reaching this value clamp to [`INFINITY`] (`= n`; every
     /// real shortest path is shorter).
     clamp: u32,
@@ -127,83 +126,82 @@ pub struct RepairKernel {
     /// distances are in the table already): `slot << 32 | port`, one
     /// integer so that grouping by slot is a branchless small sort.
     arrivals: Vec<u64>,
+    /// Distance per root slot, this node's row of the run's matrix.
+    dist: &'a mut [u32],
+    /// Parent port per root slot (`u32::MAX` = none).
+    parent: &'a mut [Port],
     state: WaveState,
 }
 
-impl RepairKernel {
-    fn base(ctx: &NodeContext<'_>, slots: Slots, own: bool, reset_threshold: u32) -> Self {
+impl<'a> RepairKernel<'a> {
+    fn base(ctx: &NodeContext<'_>, roots: Roots, reset_threshold: u32, row: Row<'a>) -> Self {
         let n = ctx.num_nodes();
         let degree = ctx.degree();
-        let slot_count = match slots {
-            Slots::Single(_) => 1,
-            Slots::PerNode => n,
-        };
-        let mut k = RepairKernel {
+        let slots = row.dist.len();
+        let own = roots.slot(ctx.node_id());
+        let k = RepairKernel {
             n: n as u32,
-            slots,
+            roots,
             own,
             clamp: n as u32,
             reset_threshold,
-            near: Neighbours::new(slot_count, degree),
-            queues: AnnounceQueues::new(slot_count, degree),
+            near: Neighbours::new(slots, degree),
+            queues: AnnounceQueues::new(slots, degree),
             port_dead: vec![false; degree],
             removed: false,
             arrivals: Vec::new(),
-            state: WaveState {
-                dist: vec![INFINITY; slot_count],
-                parent: vec![u32::MAX; slot_count],
-                children_ports: Vec::new(),
-                receipts: 0,
-                girth_candidate: INFINITY,
-                relaxations: 0,
-            },
+            dist: row.dist,
+            parent: row.parent,
+            state: WaveState::new(),
         };
-        if own {
-            let s = k.own_slot(ctx.node_id());
-            k.state.dist[s] = 0;
+        if let Some(s) = own {
+            k.dist[s] = 0;
         }
         k
     }
 
     /// Churned single-root BFS: one slot, rooted at `root`.
-    pub fn single_root(ctx: &NodeContext<'_>, root: u32, reset_threshold: u32) -> Self {
-        Self::base(
-            ctx,
-            Slots::Single(root),
-            ctx.node_id() == root,
-            reset_threshold,
-        )
+    pub fn single_root(
+        ctx: &NodeContext<'_>,
+        root: u32,
+        reset_threshold: u32,
+        row: Row<'a>,
+    ) -> Self {
+        debug_assert_eq!(row.dist.len(), 1);
+        Self::base(ctx, Roots::Single(root), reset_threshold, row)
     }
 
-    /// Churned APSP: every node owns its own slot.
-    pub fn all_roots(ctx: &NodeContext<'_>, reset_threshold: u32) -> Self {
-        Self::base(ctx, Slots::PerNode, true, reset_threshold)
+    /// Churned APSP: `n` slots indexed by root id; every node owns its own.
+    pub fn all_roots(ctx: &NodeContext<'_>, reset_threshold: u32, row: Row<'a>) -> Self {
+        debug_assert_eq!(row.dist.len(), ctx.num_nodes());
+        Self::base(ctx, Roots::All, reset_threshold, row)
     }
 
-    /// Churned S-SP: per-node slots, distance 0 only at the sources.
-    pub fn sources(ctx: &NodeContext<'_>, is_source: bool, reset_threshold: u32) -> Self {
-        Self::base(ctx, Slots::PerNode, is_source, reset_threshold)
-    }
-
-    /// The slot this node's own wave occupies (meaningful only when `own`).
-    fn own_slot(&self, me: u32) -> usize {
-        match self.slots {
-            Slots::Single(_) => 0,
-            Slots::PerNode => me as usize,
-        }
+    /// Churned S-SP: one slot per source of `slots`, which must be in
+    /// ascending id order (see [`SourceSlots`]); distance 0 only at the
+    /// sources.
+    pub fn sources(
+        ctx: &NodeContext<'_>,
+        slots: &SourceSlots,
+        reset_threshold: u32,
+        row: Row<'a>,
+    ) -> Self {
+        debug_assert!(slots.ids().is_sorted(), "slot order must be id order");
+        debug_assert_eq!(row.dist.len(), slots.ids().len());
+        Self::base(ctx, Roots::Sources(slots.clone()), reset_threshold, row)
     }
 
     fn slot_count(&self) -> usize {
-        self.state.dist.len()
+        self.dist.len()
     }
 
     /// Recomputes slot `s` from the caches; returns true iff the value
     /// changed. Parent = lowest port achieving the minimum (dead ports
     /// cache [`INFINITY`], so they never do).
-    fn recompute(&mut self, me: u32, s: usize) -> bool {
+    fn recompute(&mut self, s: usize) -> bool {
         debug_assert!((0..self.port_dead.len())
             .all(|p| !self.port_dead[p] || self.near.cells(p, s) == (INFINITY, INFINITY)));
-        let (best, best_port) = if self.own && s == self.own_slot(me) {
+        let (best, best_port) = if self.own == Some(s) {
             (0, u32::MAX)
         } else {
             match self.near.nearest(s) {
@@ -211,19 +209,19 @@ impl RepairKernel {
                 _ => (INFINITY, u32::MAX),
             }
         };
-        let changed = self.state.dist[s] != best;
-        if changed && self.state.dist[s] != INFINITY {
+        let changed = self.dist[s] != best;
+        if changed && self.dist[s] != INFINITY {
             self.state.relaxations += 1;
         }
-        self.state.dist[s] = best;
-        self.state.parent[s] = best_port;
+        self.dist[s] = best;
+        self.parent[s] = best_port;
         changed
     }
 
     /// The queue key of slot `s`: its distance, "unreachable" clamped to
     /// the wire value `n`.
     fn key(&self, s: usize) -> u32 {
-        self.state.dist[s].min(self.clamp)
+        self.dist[s].min(self.clamp)
     }
 
     /// Queues slot `s` for announcement on every live port.
@@ -236,9 +234,9 @@ impl RepairKernel {
     /// changed, re-announces it everywhere — first lifting the entries
     /// still queued under the old distance, which is what keeps every
     /// queued key current. Returns true iff the value changed.
-    fn refresh(&mut self, me: u32, s: usize) -> bool {
+    fn refresh(&mut self, s: usize) -> bool {
         let stale = self.key(s);
-        let changed = self.recompute(me, s);
+        let changed = self.recompute(s);
         if changed {
             self.queues.remove_everywhere(stale, s as u32);
             self.announce_everywhere(s);
@@ -274,7 +272,8 @@ impl RepairKernel {
                     // suppressed by the `dist != told` check above (else
                     // two severed nodes bounce retractions forever).
                     *self.near.told_mut(p, su) = dist;
-                    tx.send(p as Port, RepairMsg { slot: s, dist });
+                    let root = self.roots.id(su);
+                    tx.send(p as Port, RepairMsg { root, dist });
                     break;
                 }
             }
@@ -590,13 +589,12 @@ impl AnnounceQueues {
     }
 }
 
-impl Protocol for RepairKernel {
+impl Protocol for RepairKernel<'_> {
     type Payload = RepairMsg;
     type Output = WaveState;
 
-    fn init(&mut self, ctx: &NodeContext<'_>, tx: &mut Tx<RepairMsg>) {
-        if self.own {
-            let s = self.own_slot(ctx.node_id());
+    fn init(&mut self, _ctx: &NodeContext<'_>, tx: &mut Tx<RepairMsg>) {
+        if let Some(s) = self.own {
             self.announce_everywhere(s);
         }
         self.transmit(tx);
@@ -620,18 +618,20 @@ impl Protocol for RepairKernel {
             } else {
                 payload.dist
             };
-            *self.near.cache_mut(p, payload.slot as usize) = heard;
-            self.arrivals
-                .push(u64::from(payload.slot) << 32 | u64::from(port));
+            let s = self
+                .roots
+                .slot(payload.root)
+                .expect("only roots are announced");
+            *self.near.cache_mut(p, s) = heard;
+            self.arrivals.push((s as u64) << 32 | u64::from(port));
         }
     }
 
-    fn on_round_end(&mut self, ctx: &NodeContext<'_>, tx: &mut Tx<RepairMsg>) {
+    fn on_round_end(&mut self, _ctx: &NodeContext<'_>, tx: &mut Tx<RepairMsg>) {
         if self.removed {
             self.arrivals.clear();
             return;
         }
-        let me = ctx.node_id();
         let mut arrivals = std::mem::take(&mut self.arrivals);
         arrivals.sort_unstable();
         // Sorted by slot, so each slot's arrivals are one run: re-derive
@@ -641,7 +641,7 @@ impl Protocol for RepairKernel {
         // ours, and the transmit filter decides whether replying is useful.
         for run in arrivals.chunk_by(|a, b| a >> 32 == b >> 32) {
             let s = (run[0] >> 32) as usize;
-            if !self.refresh(me, s) {
+            if !self.refresh(s) {
                 let heard = run.iter().map(|&arrival| arrival as Port as usize);
                 self.queues.insert(self.key(s), s as u32, heard);
             }
@@ -659,7 +659,6 @@ impl Protocol for RepairKernel {
             self.arrivals.clear();
             return RepairAction::Ignored;
         }
-        let me = ctx.node_id();
         self.grow_ports(ctx.degree());
         if delta.joined {
             // Fresh boot, edgeless: the node thaws, everything resets, and
@@ -667,11 +666,10 @@ impl Protocol for RepairKernel {
             // them; the crash notification froze us before recording it).
             // This batch's insertions, below, revive theirs.
             self.removed = false;
-            self.state.dist.fill(INFINITY);
-            self.state.parent.fill(u32::MAX);
-            if self.own {
-                let s = self.own_slot(me);
-                self.state.dist[s] = 0;
+            self.dist.fill(INFINITY);
+            self.parent.fill(u32::MAX);
+            if let Some(s) = self.own {
+                self.dist[s] = 0;
             }
             self.port_dead.fill(true);
             self.near.blank();
@@ -693,15 +691,15 @@ impl Protocol for RepairKernel {
             // Divergence-adaptive fallback: the batch is too large for
             // per-slot surgery — re-derive every slot from the caches.
             for s in 0..self.slot_count() {
-                self.refresh(me, s);
+                self.refresh(s);
             }
         } else {
             // Affected-slot invalidation: only distances routed through a
             // dead port can have worsened.
             for &p in delta.removed_ports {
                 for s in 0..self.slot_count() {
-                    if self.state.parent[s] == p {
-                        self.refresh(me, s);
+                    if self.parent[s] == p {
+                        self.refresh(s);
                     }
                 }
             }
@@ -711,7 +709,7 @@ impl Protocol for RepairKernel {
         // the peer's table crosses ours.
         for &(p, _) in delta.inserted_ports {
             for s in 0..self.slot_count() {
-                if self.state.dist[s] != INFINITY {
+                if self.dist[s] != INFINITY {
                     self.queues.insert(self.key(s), s as u32, [p as usize]);
                 }
             }
@@ -729,7 +727,7 @@ impl Protocol for RepairKernel {
 
     fn width(&self, _payload: &RepairMsg) -> Width {
         let mut w = Width::ZERO;
-        if self.slots == Slots::PerNode {
+        if !matches!(self.roots, Roots::Single(_)) {
             w = w.id(self.n as usize);
         }
         // The distance field is fixed-width over its clamped domain
@@ -738,9 +736,9 @@ impl Protocol for RepairKernel {
     }
 
     fn stream(&self, payload: &RepairMsg) -> Option<u32> {
-        match self.slots {
-            Slots::PerNode => Some(payload.slot),
-            Slots::Single(_) => None,
+        match self.roots {
+            Roots::Single(_) => None,
+            _ => Some(payload.root),
         }
     }
 
@@ -760,13 +758,14 @@ mod width_tests {
         for n in [2usize, 3, 10, 100, 1 << 16] {
             let budget = Config::for_n(n).message_budget.unwrap();
             let worst = RepairMsg {
-                slot: n as u32 - 1,
+                root: n as u32 - 1,
                 dist: n as u32,
             };
+            let (mut dist, mut parent) = ([INFINITY], [u32::MAX]);
             let mut k = RepairKernel {
                 n: n as u32,
-                slots: Slots::Single(0),
-                own: false,
+                roots: Roots::Single(0),
+                own: None,
                 clamp: n as u32,
                 reset_threshold: 4,
                 near: Neighbours::new(1, 0),
@@ -774,17 +773,12 @@ mod width_tests {
                 port_dead: Vec::new(),
                 removed: false,
                 arrivals: Vec::new(),
-                state: WaveState {
-                    dist: vec![INFINITY],
-                    parent: vec![u32::MAX],
-                    children_ports: Vec::new(),
-                    receipts: 0,
-                    girth_candidate: INFINITY,
-                    relaxations: 0,
-                },
+                dist: &mut dist,
+                parent: &mut parent,
+                state: WaveState::new(),
             };
             assert!(k.width(&worst).bits() <= budget, "single-root, n={n}");
-            k.slots = Slots::PerNode;
+            k.roots = Roots::All;
             assert!(k.width(&worst).bits() <= budget, "per-node, n={n}");
         }
     }
@@ -806,7 +800,7 @@ mod queue_tests {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::kernel::run_protocol_on;
+    use crate::kernel::{distance_rows, run_protocol_on, Deal};
     use dapsp_congest::{Config, TopologyPlan};
     use dapsp_graph::generators;
 
@@ -979,9 +973,9 @@ mod queue_tests {
 
     /// A hosted [`RepairKernel`] whose output is the number of level
     /// blocks its queues still own when the run ends.
-    struct BlocksAtFinish(RepairKernel);
+    struct BlocksAtFinish<'a>(RepairKernel<'a>);
 
-    impl Protocol for BlocksAtFinish {
+    impl Protocol for BlocksAtFinish<'_> {
         type Payload = RepairMsg;
         type Output = usize;
 
@@ -1029,8 +1023,10 @@ mod queue_tests {
             .with_insert(90, 0, 47);
         let config = Config::for_n(n).with_topology(plan);
         let threshold = repair_threshold(n);
+        let (mut dist, mut parent) = distance_rows(n, n);
+        let mut deal = Deal::new(&mut dist, &mut parent);
         let report = run_protocol_on(&topology, config, |ctx| {
-            BlocksAtFinish(RepairKernel::all_roots(ctx, threshold))
+            BlocksAtFinish(RepairKernel::all_roots(ctx, threshold, deal.row(ctx)))
         })
         .expect("run quiesces");
         assert_eq!(report.outputs, vec![0; n]);

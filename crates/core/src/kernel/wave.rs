@@ -2,10 +2,12 @@
 //! single-root BFS (Claim 1), Algorithm 1's per-node waves, and
 //! Algorithm 2's ID-priority simultaneous growth.
 //!
-//! The two forwarding modes keep no queue at all. Algorithm 2's per-port
-//! lists `L_i` are `PortQueues`: one allocation per node holding a source
-//! bitset per port, whose `(dist, id)` order is looked up in the node's
-//! distance row when a port sends rather than stored with the entry.
+//! A kernel writes its distances and parent ports into the [`Row`] its
+//! pipeline lends it: the node's rows of the run's matrices. The two
+//! forwarding modes keep no queue at all. Algorithm 2's per-port lists
+//! `L_i` are `PortQueues`: one allocation per node holding a source bitset
+//! per port, whose `(dist, id)` order is looked up in the node's distance
+//! row when a port sends rather than stored with the entry.
 
 use std::sync::Arc;
 
@@ -13,19 +15,40 @@ use dapsp_congest::{NodeContext, Port, Width};
 use dapsp_graph::INFINITY;
 
 use super::protocol::{Protocol, Tx};
+use super::rows::Row;
 use crate::error::CoreError;
 
-/// Which nodes root a wave.
+/// Which nodes root a wave, and which slot of a node's rows each root
+/// owns. Shared by the static and the churn-tolerant kernels.
 #[derive(Clone, Debug)]
-enum Roots {
-    /// One wave, rooted at the given node; per-node state is a single slot.
+pub(super) enum Roots {
+    /// One wave, rooted at the given node; the rows are a single slot.
     Single(u32),
-    /// Every node roots its own wave (Algorithm 1); per-node state is
-    /// indexed by root id.
+    /// Every node roots its own wave (Algorithm 1); slot = root id.
     All,
-    /// The members of a source set root waves (Algorithm 2); per-node
-    /// state has one slot per source.
+    /// The members of a source set root waves (Algorithm 2); one slot per
+    /// source.
     Sources(SourceSlots),
+}
+
+impl Roots {
+    /// The slot of root `id`, `None` for a node that roots nothing here.
+    pub(super) fn slot(&self, id: u32) -> Option<usize> {
+        match self {
+            Roots::Single(root) => (id == *root).then_some(0),
+            Roots::All => Some(id as usize),
+            Roots::Sources(slots) => slots.get(id),
+        }
+    }
+
+    /// The id of the root owning `slot`.
+    pub(super) fn id(&self, slot: usize) -> u32 {
+        match self {
+            Roots::Single(root) => *root,
+            Roots::All => slot as u32,
+            Roots::Sources(slots) => slots.ids[slot],
+        }
+    }
 }
 
 /// The run-wide id → state-slot map of a validated source set `S`: source
@@ -87,6 +110,14 @@ impl SourceSlots {
     /// The source list as given, `ids()[slot]` owning `slot`.
     pub(crate) fn ids(&self) -> &[u32] {
         &self.ids
+    }
+
+    /// The same set with its slots in ascending id order, so that slot
+    /// order is id order.
+    pub(crate) fn sorted(&self) -> SourceSlots {
+        let mut ids = self.ids.to_vec();
+        ids.sort_unstable();
+        SourceSlots::new(self.slot_of.len(), &ids).expect("a validated set stays valid")
     }
 }
 
@@ -198,15 +229,9 @@ pub enum WaveMsg {
     Adopt,
 }
 
-/// What a node knows when a wave kernel quiesces.
+/// What a node knows when a wave kernel quiesces, besides its rows.
 #[derive(Clone, Debug)]
 pub struct WaveState {
-    /// Distance per root slot ([`INFINITY`] = unreached). One slot for a
-    /// single-root kernel, `n` slots indexed by root id for an all-roots
-    /// kernel, `|S|` slots in source-set order for a queued-sources one.
-    pub dist: Vec<u32>,
-    /// Parent port per root slot (`u32::MAX` = none).
-    pub parent: Vec<Port>,
     /// Ports toward this node's children (populated only when adoption
     /// announcements are enabled).
     pub children_ports: Vec<Port>,
@@ -220,6 +245,17 @@ pub struct WaveState {
     /// How often a known distance was improved by a later arrival
     /// (queue-priority growth only; see `ssp`'s module docs).
     pub relaxations: u64,
+}
+
+impl WaveState {
+    pub(super) fn new() -> Self {
+        WaveState {
+            children_ports: Vec::new(),
+            receipts: 0,
+            girth_candidate: INFINITY,
+            relaxations: 0,
+        }
+    }
 }
 
 /// BFS wave growth over one or many roots.
@@ -236,7 +272,12 @@ pub struct WaveState {
 ///   coupling), optionally truncated at depth `k` (Definition 7).
 /// * [`queued_sources`](WaveKernel::queued_sources) — Algorithm 2's
 ///   simultaneous growth with per-port ID-priority queues and relaxation.
-pub struct WaveKernel {
+///
+/// Each writes its distance and parent port per root slot into the
+/// [`Row`] it is given — one slot for a single root, `n` indexed by root
+/// id for all roots, `|S|` in source-set order for a source set — and
+/// owns nothing of size `n` itself: what it holds is per-port scratch.
+pub struct WaveKernel<'a> {
     n: u32,
     roots: Roots,
     contention: Contention,
@@ -256,14 +297,18 @@ pub struct WaveKernel {
     /// [`queued_sources`](WaveKernel::queued_sources) gives them storage;
     /// a forwarding kernel's stay empty and unallocated.
     queues: PortQueues,
+    /// Distance per root slot, this node's row of the run's matrix.
+    dist: &'a mut [u32],
+    /// Parent port per root slot (`u32::MAX` = none).
+    parent: &'a mut [Port],
     state: WaveState,
 }
 
-impl WaveKernel {
-    fn base(n: usize, slots: usize) -> Self {
+impl<'a> WaveKernel<'a> {
+    fn base(n: usize, roots: Roots, row: Row<'a>) -> Self {
         WaveKernel {
             n: n as u32,
-            roots: Roots::All,
+            roots,
             contention: Contention::Forward,
             max_depth: u32::MAX,
             announce_adopt: false,
@@ -271,54 +316,51 @@ impl WaveKernel {
             start_pending: false,
             arrivals: Vec::new(),
             queues: PortQueues::default(),
-            state: WaveState {
-                dist: vec![INFINITY; slots],
-                parent: vec![u32::MAX; slots],
-                children_ports: Vec::new(),
-                receipts: 0,
-                girth_candidate: INFINITY,
-                relaxations: 0,
-            },
+            dist: row.dist,
+            parent: row.parent,
+            state: WaveState::new(),
         }
     }
 
     /// The single-root tree-building BFS (Claim 1): the root starts its
     /// wave at `init`; adoptions are announced so every node learns its
-    /// children.
-    pub fn single_root(ctx: &NodeContext<'_>, root: u32) -> Self {
-        let mut k = Self::base(ctx.num_nodes(), 1);
-        k.roots = Roots::Single(root);
+    /// children. `row` has one slot.
+    pub fn single_root(ctx: &NodeContext<'_>, root: u32, row: Row<'a>) -> Self {
+        debug_assert_eq!(row.dist.len(), 1);
+        let mut k = Self::base(ctx.num_nodes(), Roots::Single(root), row);
         k.announce_adopt = true;
         k
     }
 
     /// Algorithm 1's waves: every node roots its own `BFS_v`, started via
     /// [`schedule_start`](WaveKernel::schedule_start) (the pebble
-    /// coupling), truncated at `max_depth` for the k-BFS variant.
-    pub fn all_roots(ctx: &NodeContext<'_>, max_depth: u32) -> Self {
+    /// coupling), truncated at `max_depth` for the k-BFS variant. `row`
+    /// has `n` slots, indexed by root id.
+    pub fn all_roots(ctx: &NodeContext<'_>, max_depth: u32, row: Row<'a>) -> Self {
         let n = ctx.num_nodes();
-        let mut k = Self::base(n, n);
+        debug_assert_eq!(row.dist.len(), n);
+        let mut k = Self::base(n, Roots::All, row);
         k.max_depth = max_depth;
         k.tagged_streams = true;
-        k.state.dist[ctx.node_id() as usize] = 0;
+        k.dist[ctx.node_id() as usize] = 0;
         k
     }
 
     /// Algorithm 2's simultaneous growth from the sources in `slots`
     /// (shared by all nodes of the run): sources seed their own id into
     /// every port queue; contention resolves by the `(dist, id)` priority.
-    /// The final [`WaveState`] has one slot per source, in `slots` order.
-    pub fn queued_sources(ctx: &NodeContext<'_>, slots: &SourceSlots) -> Self {
+    /// `row` has one slot per source, in `slots` order.
+    pub fn queued_sources(ctx: &NodeContext<'_>, slots: &SourceSlots, row: Row<'a>) -> Self {
         let me = ctx.node_id();
-        let mut k = Self::base(ctx.num_nodes(), slots.ids.len());
+        debug_assert_eq!(row.dist.len(), slots.ids.len());
+        let mut k = Self::base(ctx.num_nodes(), Roots::Sources(slots.clone()), row);
         k.contention = Contention::QueuePriority;
         k.tagged_streams = true;
         k.queues = PortQueues::new(slots.ids.len(), ctx.degree());
         if let Some(slot) = slots.get(me) {
-            k.state.dist[slot] = 0;
+            k.dist[slot] = 0;
             k.queues.list(slot, None);
         }
-        k.roots = Roots::Sources(slots.clone());
         k
     }
 
@@ -329,13 +371,9 @@ impl WaveKernel {
         self.start_pending = true;
     }
 
-    /// The state slot for `root`.
+    /// The row slot of `root`.
     fn slot(&self, root: u32) -> usize {
-        match &self.roots {
-            Roots::Single(_) => 0,
-            Roots::All => root as usize,
-            Roots::Sources(slots) => slots.get(root).expect("only sources root waves"),
-        }
+        self.roots.slot(root).expect("only roots send waves")
     }
 
     /// A repeated arrival of a known root closes a walk through it: the
@@ -343,15 +381,15 @@ impl WaveKernel {
     /// modes.
     fn record_candidate(&mut self, port: Port, root: u32, dist: u32) {
         let r = self.slot(root);
-        if self.state.dist[r] == INFINITY || dist == 0 {
+        if self.dist[r] == INFINITY || dist == 0 {
             return;
         }
         let sender_dist = dist - 1;
-        if port != self.state.parent[r] && sender_dist <= self.state.dist[r] {
+        if port != self.parent[r] && sender_dist <= self.dist[r] {
             self.state.girth_candidate = self
                 .state
                 .girth_candidate
-                .min(self.state.dist[r] + sender_dist + 1);
+                .min(self.dist[r] + sender_dist + 1);
         }
     }
 
@@ -395,7 +433,7 @@ impl WaveKernel {
             }
             let group = &arrivals[i..j];
             let r = self.slot(root);
-            if self.state.dist[r] == INFINITY {
+            if self.dist[r] == INFINITY {
                 // Adopt: all simultaneous arrivals of one wave carry the
                 // same distance (synchronous BFS), one per port, so the
                 // sort leaves the group in port order, lowest first.
@@ -403,8 +441,8 @@ impl WaveKernel {
                     .windows(2)
                     .all(|w| w[0].1 == w[1].1 && w[0].2 < w[1].2));
                 let (_, d, first_port) = group[0];
-                self.state.dist[r] = d;
-                self.state.parent[r] = first_port;
+                self.dist[r] = d;
+                self.parent[r] = first_port;
                 if d < self.max_depth {
                     let mut delivering = group.iter().map(|&(_, _, p)| p).peekable();
                     for p in 0..ctx.degree() as Port {
@@ -441,16 +479,16 @@ impl WaveKernel {
             }
             let u = self.slot(id);
             let (_, dist, port) = arrivals[i]; // smallest dist, lowest port
-            if dist < self.state.dist[u] {
-                if self.state.dist[u] != INFINITY {
+            if dist < self.dist[u] {
+                if self.dist[u] != INFINITY {
                     self.state.relaxations += 1;
                 }
-                self.state.dist[u] = dist;
-                self.state.parent[u] = port;
+                self.dist[u] = dist;
+                self.parent[u] = port;
                 self.queues.list(u, Some(port));
             }
             for &(_, d, p) in &arrivals[i..j] {
-                if p != self.state.parent[u] {
+                if p != self.parent[u] {
                     self.record_candidate(p, id, d);
                 }
             }
@@ -464,7 +502,7 @@ impl WaveKernel {
             unreachable!("only a source set grows through queues");
         };
         for port in 0..ctx.degree() {
-            if let Some((dist, id)) = self.queues.pop(port, &self.state.dist, &slots.ids) {
+            if let Some((dist, id)) = self.queues.pop(port, self.dist, &slots.ids) {
                 tx.send(port as Port, WaveMsg::Wave { root: id, dist });
             }
         }
@@ -472,14 +510,14 @@ impl WaveKernel {
     }
 }
 
-impl Protocol for WaveKernel {
+impl Protocol for WaveKernel<'_> {
     type Payload = WaveMsg;
     type Output = WaveState;
 
     fn init(&mut self, ctx: &NodeContext<'_>, tx: &mut Tx<WaveMsg>) {
         if let Roots::Single(root) = self.roots {
             if ctx.node_id() == root {
-                self.state.dist[0] = 0;
+                self.dist[0] = 0;
                 self.emit_own_wave(ctx, tx);
             }
         }
@@ -568,6 +606,17 @@ mod width_tests {
         }
     }
 
+    /// `f` on a kernel of `roots` in an `n`-node network (widths do not
+    /// depend on the row, so it has one slot).
+    fn with_kernel(n: usize, roots: Roots, f: impl FnOnce(&mut WaveKernel<'_>)) {
+        let (mut dist, mut parent) = ([INFINITY], [u32::MAX]);
+        let row = Row {
+            dist: &mut dist,
+            parent: &mut parent,
+        };
+        f(&mut WaveKernel::base(n, roots, row));
+    }
+
     /// Every wave configuration's worst-case message fits the per-message
     /// budget `B = 2⌈log₂ n⌉ + 8`; the Algorithm 1 waves must fit even
     /// with the two presence tags their pebble stack adds on the wire.
@@ -576,22 +625,22 @@ mod width_tests {
         for n in [2usize, 3, 10, 100, 1 << 16] {
             let budget = Config::for_n(n).message_budget.unwrap();
             // Single-root announcing BFS: discriminant tag + distance.
-            let mut k = WaveKernel::base(n, 1);
-            k.roots = Roots::Single(0);
-            k.announce_adopt = true;
-            assert!(k.width(&worst_wave(n)).bits() <= budget, "bfs wave, n={n}");
-            assert!(k.width(&WaveMsg::Adopt).bits() <= budget, "adopt, n={n}");
+            with_kernel(n, Roots::Single(0), |k| {
+                k.announce_adopt = true;
+                assert!(k.width(&worst_wave(n)).bits() <= budget, "bfs wave, n={n}");
+                assert!(k.width(&WaveMsg::Adopt).bits() <= budget, "adopt, n={n}");
+            });
             // Algorithm 1 waves: root id + distance, plus the stack's two
             // presence tags.
-            let k = WaveKernel::base(n, n);
-            assert!(
-                k.width(&worst_wave(n)).bits() + 2 <= budget,
-                "stacked apsp wave, n={n}"
-            );
-            // Algorithm 2 growth: root id + distance.
-            let mut k = WaveKernel::base(n, n);
-            k.contention = Contention::QueuePriority;
-            assert!(k.width(&worst_wave(n)).bits() <= budget, "ssp wave, n={n}");
+            with_kernel(n, Roots::All, |k| {
+                assert!(
+                    k.width(&worst_wave(n)).bits() + 2 <= budget,
+                    "stacked apsp wave, n={n}"
+                );
+                // Algorithm 2 growth: root id + distance.
+                k.contention = Contention::QueuePriority;
+                assert!(k.width(&worst_wave(n)).bits() <= budget, "ssp wave, n={n}");
+            });
         }
     }
 
@@ -600,9 +649,10 @@ mod width_tests {
     /// width never under-counts the decodable encoding.
     #[test]
     fn width_is_fixed_by_domain_not_value() {
-        let k = WaveKernel::base(100, 100);
-        let near = WaveMsg::Wave { root: 0, dist: 1 };
-        assert_eq!(k.width(&near).bits(), k.width(&worst_wave(100)).bits());
+        with_kernel(100, Roots::All, |k| {
+            let near = WaveMsg::Wave { root: 0, dist: 1 };
+            assert_eq!(k.width(&near).bits(), k.width(&worst_wave(100)).bits());
+        });
     }
 }
 

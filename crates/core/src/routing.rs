@@ -223,7 +223,10 @@ impl RouteTable {
                     if !present[d] {
                         return EMPTY;
                     }
-                    let next = ports[d].map_or(u32::MAX, |p| final_topo.neighbor_at(v as u32, p));
+                    let next = match ports[d] {
+                        u32::MAX => u32::MAX,
+                        p => final_topo.neighbor_at(v as u32, p),
+                    };
                     pack(dist[d], next)
                 }));
             } else {

@@ -38,7 +38,7 @@ use crate::aggregate::{self, AggOp};
 use crate::bfs;
 use crate::churned::{run_repair, ChurnedResult, RepairMode};
 use crate::error::CoreError;
-use crate::kernel::{run_phase, SourceSlots, WaveKernel, WaveState};
+use crate::kernel::{distance_rows, run_phase, Deal, Rows, SourceSlots, WaveKernel, WaveState};
 use crate::observe::Obs;
 use crate::runner::fold_outputs;
 use crate::tree::TreeKnowledge;
@@ -103,74 +103,14 @@ pub(crate) fn grow(
 ) -> Result<SspResult, CoreError> {
     // Theorem 3 bounds the fault-free growth by |S| + D₀ ≤ |S| + 2(n−1)
     // rounds; the reliable horizon pads that.
-    let horizon = 2 * topology.num_nodes() as u64 + slots.ids().len() as u64 + 8;
+    let n = topology.num_nodes();
+    let horizon = 2 * n as u64 + slots.ids().len() as u64 + 8;
+    let (mut dist, mut parent) = distance_rows(n, slots.ids().len());
+    let mut deal = Deal::new(&mut dist, &mut parent);
     let report = run_phase(topology, obs, "ssp:growth", horizon, |ctx| {
-        WaveKernel::queued_sources(ctx, &slots)
+        WaveKernel::queued_sources(ctx, &slots, deal.row(ctx))
     })?;
-    Ok(assemble(topology, slots, tree, d0, report))
-}
-
-/// An `n × |S|` matrix in one row-major allocation, read like the vector
-/// of per-node rows it replaces: `rows[v]` is node `v`'s row as a slice
-/// (so `rows[v][i]` is one cell), [`len`](Rows::len) counts rows and
-/// [`iter`](Rows::iter) walks them. `2n` little row vectors were most of
-/// what a run left behind on the heap; a single block per matrix keeps
-/// both the resident set and a reader's cache misses down.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Rows<T> {
-    cells: Vec<T>,
-    /// Cells per row, at least one (a source set is never empty).
-    width: usize,
-}
-
-impl<T> Rows<T> {
-    fn with_capacity(rows: usize, width: usize) -> Self {
-        debug_assert!(width > 0);
-        Rows {
-            cells: Vec::with_capacity(rows * width),
-            width,
-        }
-    }
-
-    /// Appends one row of exactly `width` cells.
-    fn push_row(&mut self, row: impl IntoIterator<Item = T>) {
-        let start = self.cells.len();
-        self.cells.extend(row);
-        debug_assert_eq!(self.cells.len(), start + self.width);
-    }
-
-    /// The number of rows.
-    pub fn len(&self) -> usize {
-        self.cells.len() / self.width
-    }
-
-    /// Whether there are no rows.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Row `v`, `None` past the last row.
-    pub fn get(&self, v: usize) -> Option<&[T]> {
-        self.iter().nth(v)
-    }
-
-    /// The rows in order.
-    pub fn iter(&self) -> std::slice::ChunksExact<'_, T> {
-        self.cells.chunks_exact(self.width)
-    }
-}
-
-impl<T> std::ops::Index<usize> for Rows<T> {
-    type Output = [T];
-
-    /// Row `v`.
-    ///
-    /// # Panics
-    ///
-    /// If `v` is not a row; [`Rows::get`] is the checked read.
-    fn index(&self, v: usize) -> &[T] {
-        &self.cells[v * self.width..][..self.width]
-    }
+    Ok(assemble(topology, slots, tree, d0, dist, parent, report))
 }
 
 /// The result of an S-SP computation.
@@ -180,9 +120,9 @@ pub struct SspResult {
     pub sources: Vec<u32>,
     /// `dist[v][i]` = `d(v, sources[i])`.
     pub dist: Rows<u32>,
-    /// `next_hop[v][i]` = `v`'s parent in `T_{sources[i]}` (`None` at the
+    /// `next_hop[v][i]` = `v`'s parent in `T_{sources[i]}` (`u32::MAX` at the
     /// source itself).
-    pub next_hop: Rows<Option<u32>>,
+    pub next_hop: Rows<u32>,
     /// The broadcast diameter bound `D₀ = 2·ecc(1)` (the paper's
     /// self-termination horizon `|S| + D₀`; see [`SspResult::budget`]).
     pub d0: u32,
@@ -213,8 +153,10 @@ impl SspResult {
     pub fn dist_to(&self, v: u32, s: u32) -> Option<u32> {
         // `i < width`, so the cell index is in range exactly when `v` is.
         let i = self.slots.get(s)?;
-        let cell = (v as usize).checked_mul(self.dist.width)?.checked_add(i)?;
-        self.dist.cells.get(cell).copied()
+        let cell = (v as usize)
+            .checked_mul(self.dist.width())?
+            .checked_add(i)?;
+        self.dist.cells().get(cell).copied()
     }
 }
 
@@ -296,7 +238,7 @@ pub fn run_on_obs(
 /// insertions/removals and node churn by a
 /// [`RepairKernel`](crate::kernel::RepairKernel). The returned
 /// [`ChurnedResult`] holds `d(v, s)` on the *post-churn* graph for every
-/// source, with `roots = sources`.
+/// source, with `roots` = the sources in ascending id order.
 ///
 /// The repair protocol skips the `T_1`/`D₀` preamble (its horizon comes
 /// from quiescence plus the count-to-infinity clamp instead), so
@@ -335,53 +277,42 @@ pub fn run_churned_on(
     if n == 0 {
         return Err(CoreError::EmptyGraph);
     }
-    let slots = SourceSlots::new(n, sources)?;
-    let is_source = (0..n as u32).map(|v| slots.get(v).is_some()).collect();
-    run_repair(
-        topology,
-        plan,
-        sources.to_vec(),
-        RepairMode::Sources(is_source),
-        obs,
-        "ssp:churn",
-    )
+    // Slot order is id order, so the repair kernel's `(dist, slot)`
+    // priority is Algorithm 2's `(dist, id)`.
+    let slots = SourceSlots::new(n, sources)?.sorted();
+    run_repair(topology, plan, RepairMode::Sources(slots), obs, "ssp:churn")
 }
 
-/// Folds the growth-phase wave states — already one slot per source, in
-/// `slots`' order — into the [`SspResult`], with the growth's statistics
-/// only.
+/// Folds the growth phase — its matrices, already one column per source
+/// in `slots`' order, and the per-node wave states — into the
+/// [`SspResult`], with the growth's statistics only. The distance matrix
+/// is the result's as it is, the parent ports become next hops in place.
 fn assemble(
     topology: &Topology,
     slots: SourceSlots,
     tree: TreeKnowledge,
     d0: u32,
+    dist: Rows<u32>,
+    parent: Rows<u32>,
     report: Report<WaveState>,
 ) -> SspResult {
     let n = topology.num_nodes();
     let sources = slots.ids();
     let budget = sources.len() as u64 + u64::from(d0);
-    let seed = (
-        Rows::with_capacity(n, sources.len()),
-        Rows::with_capacity(n, sources.len()),
-        Vec::with_capacity(n),
-        0u64,
-    );
-    let (dist, next_hop, local_girth_candidates, relaxations) =
-        fold_outputs(report.outputs, seed, |acc, v, state| {
-            let toward = |&port: &u32| (port != u32::MAX).then(|| topology.neighbor_at(v, port));
-            acc.1.push_row(state.parent.iter().map(toward));
-            acc.0.push_row(state.dist);
-            acc.2.push(state.girth_candidate);
-            acc.3 += state.relaxations;
+    let seed = (Vec::with_capacity(n), 0u64);
+    let (local_girth_candidates, relaxations) =
+        fold_outputs(report.outputs, seed, |acc, _, state| {
+            acc.0.push(state.girth_candidate);
+            acc.1 += state.relaxations;
         });
     debug_assert!(
-        dist.cells.iter().all(|&d| d != INFINITY),
+        dist.cells().iter().all(|&d| d != INFINITY),
         "quiescence implies every source was learned on a connected graph"
     );
     SspResult {
         sources: sources.to_vec(),
         dist,
-        next_hop,
+        next_hop: parent.into_next_hops(topology),
         d0,
         budget,
         local_girth_candidates,
@@ -456,25 +387,6 @@ mod tests {
                 assert_eq!((r.stats, r.relaxations), (by_id.stats, by_id.relaxations));
             }
         }
-    }
-
-    /// `Rows` reads like the nested vectors it replaced, and its checked
-    /// read answers `None` where indexing would panic.
-    #[test]
-    fn rows_read_like_nested_vectors() {
-        let mut rows = Rows::with_capacity(3, 2);
-        for v in 0..3u32 {
-            rows.push_row([10 * v, 10 * v + 1]);
-        }
-        assert_eq!((rows.len(), rows.is_empty()), (3, false));
-        assert_eq!(rows[2], [20, 21]);
-        assert_eq!(rows[1][0], 10);
-        let nested: Vec<&[u32]> = rows.iter().collect();
-        assert_eq!(nested, [[0, 1], [10, 11], [20, 21]]);
-        assert_eq!(rows.get(2), Some(&[20, 21][..]));
-        assert_eq!(rows.get(3), None);
-        assert_eq!(rows.get(usize::MAX), None);
-        assert!(Rows::<u32>::with_capacity(0, 2).is_empty());
     }
 
     #[test]
@@ -567,9 +479,9 @@ mod tests {
         for v in 0..16u32 {
             for (i, &s) in r.sources.iter().enumerate() {
                 if v == s {
-                    assert_eq!(r.next_hop[v as usize][i], None);
+                    assert_eq!(r.next_hop[v as usize][i], u32::MAX);
                 } else {
-                    let h = r.next_hop[v as usize][i].unwrap();
+                    let h = r.next_hop[v as usize][i];
                     assert_eq!(r.dist[h as usize][i] + 1, r.dist[v as usize][i]);
                     assert!(g.has_edge(v, h));
                 }

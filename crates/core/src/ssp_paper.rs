@@ -21,9 +21,8 @@ use dapsp_congest::{Config, NodeContext, Port, RunStats, Width};
 use dapsp_graph::{Graph, INFINITY};
 
 use crate::error::CoreError;
-use crate::kernel::{run_protocol_on, Protocol, Tx};
+use crate::kernel::{distance_rows, run_protocol_on, Deal, Protocol, Row, Rows, SourceSlots, Tx};
 use crate::observe::Obs;
-use crate::runner::fold_outputs;
 use crate::ssp;
 
 /// One (id, distance) announcement, as in [`crate::ssp`].
@@ -34,22 +33,24 @@ struct Claim {
 }
 
 /// The verbatim Algorithm 2 as a [`Protocol`]: bare-id priority, the
-/// lines 18–27 drop rule, and a fixed `|S| + D₀` schedule.
-struct PaperGrowth {
+/// lines 18–27 drop rule, and a fixed `|S| + D₀` schedule. `δ` and the
+/// parents are the node's rows of the run's matrices, one slot per source.
+struct PaperGrowth<'a> {
     n: u32,
     budget: u64,
     rounds_done: u64,
-    delta: Vec<u32>,
-    parent: Vec<Port>,
+    slots: SourceSlots,
+    delta: &'a mut [u32],
+    parent: &'a mut [Port],
     li: Vec<std::collections::BTreeSet<u32>>,
     last_sent: Vec<Option<u32>>,
     /// This round's arrival per port (`r_i` of the pseudocode).
     received: Vec<Option<Claim>>,
 }
 
-impl Protocol for PaperGrowth {
+impl Protocol for PaperGrowth<'_> {
     type Payload = Claim;
-    type Output = Vec<u32>;
+    type Output = ();
 
     fn on_message(
         &mut self,
@@ -99,7 +100,7 @@ impl Protocol for PaperGrowth {
                         port,
                         Claim {
                             id,
-                            dist: self.delta[id as usize] + 1,
+                            dist: self.delta[self.slot(id)] + 1,
                         },
                     );
                 }
@@ -120,14 +121,16 @@ impl Protocol for PaperGrowth {
         Width::ZERO.id(self.n as usize).count(self.n as usize)
     }
 
-    fn finish(self, _ctx: &NodeContext<'_>) -> Vec<u32> {
-        self.delta
-    }
+    fn finish(self, _ctx: &NodeContext<'_>) {}
 }
 
-impl PaperGrowth {
+impl PaperGrowth<'_> {
+    fn slot(&self, id: u32) -> usize {
+        self.slots.get(id).expect("only sources are announced")
+    }
+
     fn adopt_if_new(&mut self, port: Port, claim: Claim) {
-        let u = claim.id as usize;
+        let u = self.slot(claim.id);
         if self.delta[u] == INFINITY {
             // Lines 20–23, with the paper's lowest-index tie-break implied
             // by processing ports in increasing order.
@@ -149,7 +152,7 @@ pub struct PaperSspResult {
     pub sources: Vec<u32>,
     /// `dist[v][i]` — may be [`INFINITY`] if the
     /// budget ran out before `sources[i]` reached `v`.
-    pub dist: Vec<Vec<u32>>,
+    pub dist: Rows<u32>,
     /// Number of `(node, source)` pairs left unresolved by the fixed
     /// schedule.
     pub unresolved: u64,
@@ -171,33 +174,18 @@ pub fn run(graph: &Graph, sources: &[u32]) -> Result<PaperSspResult, CoreError> 
     if n == 0 {
         return Err(CoreError::EmptyGraph);
     }
-    if sources.is_empty() {
-        return Err(CoreError::EmptySourceSet);
-    }
-    let mut is_source = vec![false; n];
-    for &s in sources {
-        if s as usize >= n {
-            return Err(CoreError::InvalidNode {
-                node: s,
-                num_nodes: n,
-            });
-        }
-        if is_source[s as usize] {
-            return Err(CoreError::InvalidParameter(format!(
-                "source {s} listed twice"
-            )));
-        }
-        is_source[s as usize] = true;
-    }
+    let slots = SourceSlots::new(n, sources)?;
     let topology = graph.to_topology();
     let pre = ssp::preamble(&topology, Obs::none())?;
     let budget = sources.len() as u64 + u64::from(pre.d0);
+    let (mut dist, mut parent) = distance_rows(n, sources.len());
+    let mut deal = Deal::new(&mut dist, &mut parent);
     let report = run_protocol_on(&topology, Config::for_n(n), |ctx| {
         let me = ctx.node_id();
-        let mut delta = vec![INFINITY; n];
+        let Row { dist, parent } = deal.row(ctx);
         let mut li = vec![std::collections::BTreeSet::new(); ctx.degree()];
-        if is_source[me as usize] {
-            delta[me as usize] = 0;
+        if let Some(slot) = slots.get(me) {
+            dist[slot] = 0;
             for set in &mut li {
                 set.insert(me);
             }
@@ -206,23 +194,15 @@ pub fn run(graph: &Graph, sources: &[u32]) -> Result<PaperSspResult, CoreError> 
             n: n as u32,
             budget,
             rounds_done: 0,
-            delta,
-            parent: vec![u32::MAX; n],
+            slots: slots.clone(),
+            delta: dist,
+            parent,
             li,
             last_sent: vec![None; ctx.degree()],
             received: vec![None; ctx.degree()],
         }
     })?;
-    let seed = (vec![Vec::with_capacity(sources.len()); n], 0u64);
-    let (dist, unresolved) = fold_outputs(report.outputs, seed, |acc, v, delta| {
-        for &s in sources {
-            let d = delta[s as usize];
-            if d == INFINITY {
-                acc.1 += 1;
-            }
-            acc.0[v as usize].push(d);
-        }
-    });
+    let unresolved = dist.cells().iter().filter(|&&d| d == INFINITY).count() as u64;
     let mut stats = pre.stats;
     stats.absorb_sequential(&report.stats);
     Ok(PaperSspResult {

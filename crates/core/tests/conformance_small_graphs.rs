@@ -241,7 +241,9 @@ fn assert_table_packs_the_run(g: &Graph, plan: &TopologyPlan, result: &ChurnedRe
             let (dist, hop) = if result.present[s] && result.present[d] {
                 (
                     Some(result.dist[s][d]).filter(|&h| h != INFINITY),
-                    result.parent_port[s][d].map(|p| final_topo.neighbor_at(s as u32, p)),
+                    Some(result.parent_port[s][d])
+                        .filter(|&p| p != u32::MAX)
+                        .map(|p| final_topo.neighbor_at(s as u32, p)),
                 )
             } else {
                 (None, None)

@@ -12,7 +12,7 @@
 //! in debug mode, where the checks are live.)
 
 use dapsp_congest::{bits_for_id, Config};
-use dapsp_core::kernel::{run_protocol_on, WaveKernel};
+use dapsp_core::kernel::{distance_rows, run_protocol_on, Deal, WaveKernel};
 use dapsp_core::{
     aggregate, approx, apsp, bfs, dominating, girth, girth_approx, leader, metrics, ssp, ssp_paper,
     three_halves, two_vs_four, Obs,
@@ -98,8 +98,13 @@ fn pool_executor_checks_kernel_envelopes() {
         let g = generators::erdos_renyi_connected(24, 0.2, 3);
         let topo = g.to_topology();
         let config = Config::for_n(24).with_threads(threads);
-        let report = run_protocol_on(&topo, config, |ctx| WaveKernel::single_root(ctx, 0)).unwrap();
-        assert!(report.outputs.iter().all(|s| s.dist[0] != u32::MAX));
+        let (mut dist, mut parent) = distance_rows(24, 1);
+        let mut deal = Deal::new(&mut dist, &mut parent);
+        run_protocol_on(&topo, config, |ctx| {
+            WaveKernel::single_root(ctx, 0, deal.row(ctx))
+        })
+        .unwrap();
+        assert!(dist.cells().iter().all(|&d| d != u32::MAX));
     }
 }
 

@@ -37,6 +37,19 @@ impl DistanceMatrix {
         DistanceMatrix { n, data }
     }
 
+    /// The `n × n` matrix whose row-major buffer is `data` (`data[u·n + v]`
+    /// = the distance from `u` to `v`, [`INFINITY`] = unreachable): a
+    /// producer that wrote its rows in place hands them over without a
+    /// copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != n²`.
+    pub fn from_row_major(n: usize, data: Vec<u32>) -> Self {
+        assert_eq!(data.len(), n * n, "a row-major n × n buffer has n² cells");
+        DistanceMatrix { n, data }
+    }
+
     /// The matrix dimension `n`.
     pub fn num_nodes(&self) -> usize {
         self.n
@@ -48,7 +61,7 @@ impl DistanceMatrix {
     ///
     /// Panics if `u >= n` or `v >= n`.
     pub fn get(&self, u: u32, v: u32) -> Option<u32> {
-        let d = self.data[u as usize * self.n + v as usize];
+        let d = self.data[self.index(u, v)];
         if d == INFINITY {
             None
         } else {
@@ -62,7 +75,16 @@ impl DistanceMatrix {
     ///
     /// Panics if `u >= n` or `v >= n`.
     pub fn set(&mut self, u: u32, v: u32, d: u32) {
-        self.data[u as usize * self.n + v as usize] = d;
+        let i = self.index(u, v);
+        self.data[i] = d;
+    }
+
+    /// The buffer index of `(u, v)`, range-checked per coordinate: `u·n + v`
+    /// alone would let `v >= n` read or write a cell of row `u + 1`.
+    fn index(&self, u: u32, v: u32) -> usize {
+        let (u, v) = (u as usize, v as usize);
+        assert!(u < self.n && v < self.n, "({u}, {v}) out of range");
+        u * self.n + v
     }
 
     /// The row of distances from `u` (raw, with [`INFINITY`] sentinels).
@@ -133,6 +155,35 @@ mod tests {
     fn set_row_rejects_wrong_length() {
         let mut d = DistanceMatrix::new(3);
         d.set_row(0, &[0, 1]);
+    }
+
+    /// A column past the last one is out of range even where `u·n + v`
+    /// still lands inside the buffer (on the next row's cell).
+    #[test]
+    fn out_of_range_coordinates_panic() {
+        let probes: [fn(&mut DistanceMatrix); 3] = [
+            |d| assert_eq!(d.get(0, 2), None),
+            |d| d.set(0, 2, 7),
+            |d| assert_eq!(d.get(2, 0), None),
+        ];
+        for probe in probes {
+            let mut d = DistanceMatrix::new(2);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| probe(&mut d)));
+            assert!(caught.is_err(), "an out-of-range pair must panic");
+            assert_eq!(d, DistanceMatrix::new(2), "and write nothing");
+        }
+    }
+
+    #[test]
+    fn from_row_major_keeps_the_buffer() {
+        let d = DistanceMatrix::from_row_major(2, vec![0, 3, INFINITY, 0]);
+        assert_eq!((d.get(0, 1), d.get(1, 0)), (Some(3), None));
+    }
+
+    #[test]
+    #[should_panic(expected = "n² cells")]
+    fn from_row_major_rejects_a_short_buffer() {
+        DistanceMatrix::from_row_major(2, vec![0; 3]);
     }
 
     #[test]

@@ -46,10 +46,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let client = 77u32;
     println!("\nanycast table at switch {client}:");
     for (i, &s) in servers.iter().enumerate() {
+        let hop = r.next_hop[client as usize][i];
+        assert_ne!(hop, u32::MAX, "client is not a server");
         println!(
-            "  replica {s}: {} hops, next hop {:?}",
-            r.dist[client as usize][i],
-            r.next_hop[client as usize][i].expect("client is not a server")
+            "  replica {s}: {} hops, next hop {hop}",
+            r.dist[client as usize][i]
         );
     }
 
