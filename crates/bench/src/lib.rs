@@ -69,19 +69,7 @@ pub fn render() -> String {
 }
 
 /// Renders an aligned text table.
-///
-/// # Examples
-///
-/// ```
-/// let s = dapsp_bench::render_table(
-///     "demo",
-///     &["n", "rounds"],
-///     &[vec!["8".into(), "24".into()], vec!["16".into(), "48".into()]],
-/// );
-/// assert!(s.contains("demo"));
-/// assert!(s.contains("rounds"));
-/// ```
-pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
+fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -132,16 +120,7 @@ fn table(out: &mut String, title: &str, headers: &str, rows: &[Vec<String>]) {
 ///
 /// Panics if fewer than two points, if all `x` values coincide, or if any
 /// coordinate is non-positive.
-///
-/// # Examples
-///
-/// ```
-/// let xs = [8.0, 16.0, 32.0, 64.0];
-/// let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x).collect();
-/// let slope = dapsp_bench::loglog_slope(&xs, &ys);
-/// assert!((slope - 1.0).abs() < 1e-9);
-/// ```
-pub fn loglog_slope(xs: &[f64], ys: &[f64]) -> f64 {
+fn loglog_slope(xs: &[f64], ys: &[f64]) -> f64 {
     assert!(xs.len() == ys.len() && xs.len() >= 2, "need >= 2 points");
     assert!(
         xs.iter().chain(ys.iter()).all(|&v| v > 0.0),
@@ -1054,11 +1033,11 @@ fn ablation_pebble_wait(out: &mut String) {
 /// marks cells the paper itself leaves open.
 const TABLE1: &str = "\
 APSP | Θ̃(n) — core::apsp (E1) | Ω(n/(D·B))+D — lowerbound::diameter_gap (E5) | Ω(n/B) — Lemma 11 via Thm 6 family (E5) | — | — | —
-eccentricity | Θ̃(n) — core::metrics (E3) | Ω(n/(D·B))+D — same family (E5) | Ω(√n/B)+D — cited [22] | — | O(n/D + D) — core::approx (E6) | Θ(D) — approx::eccentricities_times_two
+eccentricity | Θ̃(n) — core::metrics (E3) | Ω(n/(D·B))+D — same family (E5) | Ω(√n/B)+D — cited [22] | — | O(n/D + D) — core::approx (E6) | Θ(D) — approx::diameter_times_two (Rem. 1)
 diameter | Θ̃(n) — core::metrics (E1/E3) | Ω(n/(D·B))+D — Thm 2 family (E5) | O(n¾+D) — core::three_halves (E9); Ω(√n/B)+D cited [22] | O(n¾+D) — Corollary 1 (E9) | O(n/D + D) — core::approx (E6) | Θ(D) — approx::diameter_times_two
-radius | O(n) — core::metrics (E3) | — | — | — | O(n/D + D) — core::approx | Θ(D) — approx::radius_times_two
-center | Θ̃(n) — core::metrics (E3) | Ω(n/(D·B))+D — Lemma 9 | Ω(√n/B)+D — Lemma 9 | — | O(n/D + D) — core::approx::center (E6) | 0 — approx::center_times_two (Rem. 2)
-p. vertices | Θ̃(n) — core::metrics (E3) | Ω(n/(D·B))+D — Lemma 8 | Ω(√n/B)+D — Lemma 8 | — | O(n/D + D) — core::approx (E6) | 0 — approx::peripheral_times_two (Rem. 2)
+radius | O(n) — core::metrics (E3) | — | — | — | O(n/D + D) — approx::from_estimates | Θ(D) — approx::diameter_times_two (Rem. 1)
+center | Θ̃(n) — core::metrics (E3) | Ω(n/(D·B))+D — Lemma 9 | Ω(√n/B)+D — Lemma 9 | — | O(n/D + D) — approx::from_estimates (E6) | 0 — V itself (Rem. 2)
+p. vertices | Θ̃(n) — core::metrics (E3) | Ω(n/(D·B))+D — Lemma 8 | Ω(√n/B)+D — Lemma 8 | — | O(n/D + D) — approx::from_estimates (E6) | 0 — V itself (Rem. 2)
 girth | O(n) — core::girth (E4) | — | — | — | O(n/g + D·log(D/g)) — core::girth_approx (E7) | (×,2−1/g): girth_approx::corollary2 (Cor. 2)
 ";
 

@@ -25,21 +25,11 @@ pub enum LossRule {
         /// How many rounds at the start of each cycle are lossy.
         len: u64,
     },
-    /// An adversary that degrades the network over time: probability
-    /// `min(cap, base + per_round · round)`.
-    Adaptive {
-        /// Loss probability at round 0.
-        base: f64,
-        /// Probability added per elapsed round.
-        per_round: f64,
-        /// Upper bound on the probability.
-        cap: f64,
-    },
 }
 
 impl LossRule {
     /// The effective drop probability of this rule at `round`.
-    pub fn probability_at(&self, round: u64) -> f64 {
+    fn probability_at(&self, round: u64) -> f64 {
         match *self {
             LossRule::Uniform { probability } => probability,
             LossRule::Burst {
@@ -53,11 +43,6 @@ impl LossRule {
                     0.0
                 }
             }
-            LossRule::Adaptive {
-                base,
-                per_round,
-                cap,
-            } => cap.min(base + per_round * round as f64),
         }
     }
 }
@@ -723,26 +708,6 @@ mod tests {
             len: 3,
         });
         assert!(!degenerate.drops(5, 0, 0));
-    }
-
-    #[test]
-    fn adaptive_rule_ramps_and_caps() {
-        let rule = LossRule::Adaptive {
-            base: 0.0,
-            per_round: 0.1,
-            cap: 0.5,
-        };
-        assert_eq!(rule.probability_at(0), 0.0);
-        assert!((rule.probability_at(3) - 0.3).abs() < 1e-12);
-        assert_eq!(rule.probability_at(100), 0.5);
-        // At cap 1.0 with a steep ramp, late rounds drop everything.
-        let plan = FaultPlan::new(1).with_rule(LossRule::Adaptive {
-            base: 0.0,
-            per_round: 1.0,
-            cap: 1.0,
-        });
-        assert!(!plan.drops(0, 0, 0));
-        assert!(plan.drops(1, 0, 0));
     }
 
     #[test]

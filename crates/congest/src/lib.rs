@@ -23,9 +23,8 @@
 //!   bit-for-bit identical results), which detects quiescence, enforces
 //!   bandwidth, and collects [`RunStats`] (rounds, messages, bits),
 //! * [`obs`] — live observers, the one way to watch a run (attach with
-//!   [`Config::with_observer`]): per-round metric streams, a wall-clock phase
-//!   profiler, and a probe of the paper's congestion invariant, each a fold
-//!   over the engines' one event type,
+//!   [`Config::with_observer`]): per-round metric streams and a wall-clock
+//!   phase profiler, each a fold over the engines' one event type,
 //! * [`trace`] — that event type ([`TraceEvent`]) and the recorder that
 //!   keeps a bounded stream of it ([`TraceRecorder`]), for debugging and for
 //!   testing algorithm invariants (e.g. that two BFS waves never congest an
@@ -101,8 +100,8 @@ pub use error::SimError;
 pub use message::{bits_for_count, bits_for_id, Envelope, Message, TraceTags, Width};
 pub use node::{Inbox, NodeContext, NodeId, Outbox, Port};
 pub use obs::{
-    EdgeCongestionProbe, FanOut, MetricsRecorder, Observer, ObserverHandle, PhaseProfiler,
-    SharedObserver, TransportSummary,
+    FanOut, MetricsRecorder, Observer, ObserverHandle, PhaseProfiler, SharedObserver,
+    TransportSummary,
 };
 pub use reference::ReferenceSimulator;
 pub use stats::RunStats;

@@ -16,12 +16,10 @@
 //!   received, with per-kernel, per-edge and per-wave aggregates (the
 //!   Lemma 1 collision and Lemma 8 delay checks read the latter).
 //! * [`MetricsRecorder`] — a per-round metric stream (messages, bits,
-//!   drops, active senders, per-edge load histogram, max edge congestion,
-//!   wall-clock phase split), streamable to JSONL.
+//!   drops, active senders, per-edge load histogram, max edge congestion),
+//!   each row renderable as one JSON line.
 //! * [`PhaseProfiler`] — per-phase wall-clock totals splitting each round
-//!   into deliver/step/commit time.
-//! * [`EdgeCongestionProbe`] — a live check of Lemma 1's per-edge
-//!   congestion bound over real runs.
+//!   into deliver/step/commit time; the one wall-clock fold.
 //!
 //! Attach an observer with [`Config::with_observer`](crate::Config) and
 //! keep a typed handle via [`SharedObserver`] to read the recording back:
@@ -265,7 +263,7 @@ impl Observer for FanOut {
 /// sitting out round `r` inside a crash window. Summing a column over the
 /// stream therefore reproduces the corresponding [`RunStats`](crate::RunStats)
 /// total exactly, and a stream always has `stats.rounds + 1` rows.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RoundMetrics {
     /// The phase label of the run this row belongs to (`""` unlabeled).
     pub phase: Arc<str>,
@@ -313,12 +311,6 @@ pub struct RoundMetrics {
     /// `edge_load_hist[l - 1]` = number of undirected edges that carried
     /// exactly `l` messages this round.
     pub edge_load_hist: Vec<u64>,
-    /// Inbox-turnover wall time (see [`RoundTiming::deliver`]).
-    pub deliver_ns: u64,
-    /// Node-stepping wall time (see [`RoundTiming::step`]).
-    pub step_ns: u64,
-    /// Sequential-commit wall time (see [`RoundTiming::commit`]).
-    pub commit_ns: u64,
 }
 
 impl RoundMetrics {
@@ -341,8 +333,7 @@ impl RoundMetrics {
                 "\"retransmits\":{},\"acks\":{},",
                 "\"votes_active\":{},\"votes_passive\":{},\"votes_shutdown\":{},",
                 "\"active_nodes\":{},\"scheduled_nodes\":{},\"max_edge_load\":{},",
-                "\"edge_load_hist\":[{}],\"deliver_ns\":{},\"step_ns\":{},",
-                "\"commit_ns\":{}}}"
+                "\"edge_load_hist\":[{}]}}"
             ),
             self.phase,
             self.round,
@@ -360,39 +351,9 @@ impl RoundMetrics {
             self.scheduled_nodes,
             self.max_edge_load,
             hist.join(","),
-            self.deliver_ns,
-            self.step_ns,
-            self.commit_ns,
         )
     }
 }
-
-/// Equality over the model-level columns only; the `*_ns` wall-clock
-/// fields are ignored so that deterministic runs compare equal across
-/// engines and thread counts (the same convention as
-/// [`RunStats`](crate::RunStats)'s `PartialEq`).
-impl PartialEq for RoundMetrics {
-    fn eq(&self, other: &Self) -> bool {
-        self.phase == other.phase
-            && self.round == other.round
-            && self.messages == other.messages
-            && self.bits == other.bits
-            && self.dropped == other.dropped
-            && self.crashed == other.crashed
-            && self.topo_events == other.topo_events
-            && self.retransmits == other.retransmits
-            && self.acks == other.acks
-            && self.votes_active == other.votes_active
-            && self.votes_passive == other.votes_passive
-            && self.votes_shutdown == other.votes_shutdown
-            && self.active_nodes == other.active_nodes
-            && self.scheduled_nodes == other.scheduled_nodes
-            && self.max_edge_load == other.max_edge_load
-            && self.edge_load_hist == other.edge_load_hist
-    }
-}
-
-impl Eq for RoundMetrics {}
 
 /// Records the full per-round metric stream of every run it observes.
 ///
@@ -432,35 +393,6 @@ impl MetricsRecorder {
     /// `(phase, summary)` entry per reliable run observed.
     pub fn transports(&self) -> &[(Arc<str>, TransportSummary)] {
         &self.transports
-    }
-
-    /// Writes the stream as JSONL (one [`RoundMetrics::to_json`] object per
-    /// line), followed by one `"transport"` row per reliable run that
-    /// reported end-of-run transport telemetry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `out`.
-    pub fn write_jsonl<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<()> {
-        for row in &self.stream {
-            writeln!(out, "{}", row.to_json())?;
-        }
-        for (phase, t) in &self.transports {
-            writeln!(
-                out,
-                concat!(
-                    "{{\"transport\":\"{}\",\"sim_rounds\":{},\"frames_sent\":{},",
-                    "\"retransmissions\":{},\"acks_sent\":{},\"truncated_sends\":{}}}"
-                ),
-                phase,
-                t.sim_rounds,
-                t.frames_sent,
-                t.retransmissions,
-                t.acks_sent,
-                t.truncated_sends,
-            )?;
-        }
-        Ok(())
     }
 
     fn row(&mut self) -> &mut RoundMetrics {
@@ -590,13 +522,6 @@ impl Observer for MetricsRecorder {
             TraceEvent::RoundEnd { .. } | TraceEvent::EarlyTermination { .. } => {}
         }
     }
-
-    fn on_round_timing(&mut self, _round: u64, timing: &RoundTiming) {
-        let row = self.row();
-        row.deliver_ns = timing.deliver.as_nanos() as u64;
-        row.step_ns = timing.step.as_nanos() as u64;
-        row.commit_ns = timing.commit.as_nanos() as u64;
-    }
 }
 
 /// Per-phase wall-clock totals: how each run's time splits across the
@@ -687,125 +612,6 @@ impl Observer for PhaseProfiler {
             p.deliver += timing.deliver;
             p.step += timing.step;
             p.commit += timing.commit;
-        }
-    }
-}
-
-/// One recorded violation of an [`EdgeCongestionProbe`] limit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CongestionViolation {
-    /// The send round the limit was exceeded in.
-    pub round: u64,
-    /// The sender of the violating message.
-    pub from: NodeId,
-    /// The receiver of the violating message.
-    pub to: NodeId,
-    /// The load the directed edge reached.
-    pub load: u32,
-}
-
-/// Live check of the paper's Lemma 1 congestion claim: every *directed*
-/// edge carries at most `limit` messages per round.
-///
-/// Algorithm 1's one-slot pebble wait spaces consecutive BFS waves so that
-/// no edge ever needs to carry two wave messages in one round — with the
-/// wait, pebble-APSP runs clean at `limit = 1` on any graph. The engine's
-/// own duplicate-send discipline would abort a violating run; this probe
-/// verifies the claim independently, from the *observed* message stream,
-/// so a recorded run carries its own evidence.
-#[derive(Debug, Default)]
-pub struct EdgeCongestionProbe {
-    limit: u32,
-    phase_filter: Option<String>,
-    active: bool,
-    load: Vec<u32>,
-    touched: Vec<u32>,
-    max_load: u32,
-    violations: Vec<CongestionViolation>,
-}
-
-impl EdgeCongestionProbe {
-    /// A probe asserting per-directed-edge load ≤ `limit` each round.
-    pub fn new(limit: u32) -> Self {
-        EdgeCongestionProbe {
-            limit,
-            active: true,
-            ..EdgeCongestionProbe::default()
-        }
-    }
-
-    /// Restricts the probe to runs whose phase label equals `phase`
-    /// (other runs are ignored entirely).
-    pub fn for_phase(mut self, phase: impl Into<String>) -> Self {
-        self.phase_filter = Some(phase.into());
-        self
-    }
-
-    /// The largest per-round directed-edge load observed.
-    pub fn max_load(&self) -> u32 {
-        self.max_load
-    }
-
-    /// Loads that exceeded the limit, in commit order.
-    pub fn violations(&self) -> &[CongestionViolation] {
-        &self.violations
-    }
-
-    /// True iff no observed round exceeded the limit.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    fn reset_round(&mut self) {
-        for &e in &self.touched {
-            self.load[e as usize] = 0;
-        }
-        self.touched.clear();
-    }
-}
-
-impl Observer for EdgeCongestionProbe {
-    fn on_event(&mut self, ev: &TraceEvent) {
-        match *ev {
-            TraceEvent::RunStart {
-                ref phase, edges, ..
-            } => {
-                self.active = self.phase_filter.as_ref().is_none_or(|f| f == phase);
-                if self.active {
-                    self.reset_round();
-                    self.load.clear();
-                    self.load.resize(edges as usize, 0);
-                }
-            }
-            TraceEvent::RoundStart { .. } if self.active => self.reset_round(),
-            TraceEvent::Message {
-                round,
-                from,
-                to,
-                edge,
-                ..
-            } if self.active => {
-                // Churn-inserted edges index past the run-start `2m` sizing.
-                if edge as usize >= self.load.len() {
-                    self.load.resize(edge as usize + 1, 0);
-                }
-                let load = &mut self.load[edge as usize];
-                *load += 1;
-                if *load == 1 {
-                    self.touched.push(edge);
-                }
-                let load = *load;
-                self.max_load = self.max_load.max(load);
-                if load > self.limit {
-                    self.violations.push(CongestionViolation {
-                        round,
-                        from,
-                        to,
-                        load,
-                    });
-                }
-            }
-            _ => {}
         }
     }
 }
@@ -958,33 +764,7 @@ mod tests {
         assert_eq!(rec.transports().len(), 1);
         assert_eq!(&*rec.transports()[0].0, "rel");
         assert_eq!(rec.transports()[0].1.retransmissions, 2);
-        let mut out = Vec::new();
-        rec.write_jsonl(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("\"retransmits\":2"));
-        assert!(text.contains("\"transport\":\"rel\""));
-        assert!(text.contains("\"frames_sent\":3"));
-    }
-
-    #[test]
-    fn recorder_keeps_timing_outside_equality() {
-        let mut rec = MetricsRecorder::new();
-        feed(&mut rec, &[start("s"), round(1)]);
-        rec.on_round_timing(
-            1,
-            &RoundTiming {
-                deliver: Duration::from_nanos(1),
-                step: Duration::from_nanos(2),
-                commit: Duration::from_nanos(3),
-            },
-        );
-        feed(&mut rec, &[TraceEvent::RoundEnd { round: 1 }, END]);
-        let row = &rec.stream()[1];
-        assert_eq!((row.deliver_ns, row.step_ns, row.commit_ns), (1, 2, 3));
-        let mut other = row.clone();
-        other.commit_ns = 0;
-        assert_eq!(*row, other, "wall-clock columns stay out of equality");
-        assert!(row.to_json().contains("\"commit_ns\":3"));
+        assert!(row.to_json().contains("\"retransmits\":2"));
     }
 
     #[test]
@@ -1021,59 +801,21 @@ mod tests {
     fn round_metrics_json_is_well_formed() {
         let mut rec = MetricsRecorder::new();
         feed(&mut rec, &[start("j"), msg(0, 0, 1, 0, 3), END]);
-        let mut out = Vec::new();
-        rec.write_jsonl(&mut out).unwrap();
-        let line = String::from_utf8(out).unwrap();
+        let line = rec.stream()[0].to_json();
         assert!(line.contains("\"phase\":\"j\""));
         assert!(line.contains("\"messages\":1"));
-        assert!(line.ends_with("}\n"));
-    }
-
-    #[test]
-    fn congestion_probe_flags_overload() {
-        let mut probe = EdgeCongestionProbe::new(1);
-        feed(&mut probe, &[start(""), round(1), msg(1, 0, 1, 0, 3)]);
-        assert!(probe.is_clean());
-        probe.on_event(&msg(1, 0, 1, 0, 3));
-        assert!(!probe.is_clean());
-        assert_eq!(probe.max_load(), 2);
-        assert_eq!(
-            probe.violations(),
-            &[CongestionViolation {
-                round: 1,
-                from: 0,
-                to: 1,
-                load: 2
-            }]
-        );
-        // A new round resets the counts.
-        feed(&mut probe, &[round(2), msg(2, 0, 1, 0, 3)]);
-        assert_eq!(probe.violations().len(), 1);
-    }
-
-    #[test]
-    fn congestion_probe_phase_filter() {
-        let mut probe = EdgeCongestionProbe::new(0).for_phase("watched");
-        feed(&mut probe, &[start("other"), round(1), msg(1, 0, 1, 0, 3)]);
-        assert!(probe.is_clean());
-        feed(
-            &mut probe,
-            &[start("watched"), round(1), msg(1, 0, 1, 0, 3)],
-        );
-        assert!(!probe.is_clean());
+        assert!(line.starts_with('{') && line.ends_with("]}"));
     }
 
     #[test]
     fn fan_out_forwards_to_all() {
         let rec = SharedObserver::new(MetricsRecorder::new());
-        let probe = SharedObserver::new(EdgeCongestionProbe::new(1));
         let prof = SharedObserver::new(PhaseProfiler::new());
-        let mut fan = FanOut::new(vec![rec.observer(), probe.observer(), prof.observer()]);
+        let mut fan = FanOut::new(vec![rec.observer(), prof.observer()]);
         feed(&mut fan, &[start(""), round(1), msg(1, 0, 1, 0, 3)]);
         fan.on_round_timing(1, &RoundTiming::default());
         feed(&mut fan, &[TraceEvent::RoundEnd { round: 1 }, END]);
         rec.with(|r| assert_eq!(r.stream().len(), 2));
-        probe.with(|p| assert_eq!(p.max_load(), 1));
         prof.with(|p| assert_eq!(p.total().rounds, 1));
     }
 

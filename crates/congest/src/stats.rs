@@ -96,17 +96,6 @@ impl PartialEq for RunStats {
 impl Eq for RunStats {}
 
 impl RunStats {
-    /// The peak active fraction: the largest single-round scheduled count
-    /// as a fraction of `n` (0 for an empty network). A frontier-sparse
-    /// workload keeps this well under 1; a flood touches 1.0.
-    pub fn peak_scheduled_fraction(&self, n: usize) -> f64 {
-        if n == 0 {
-            0.0
-        } else {
-            self.max_scheduled_per_round as f64 / n as f64
-        }
-    }
-
     /// The fraction of stepped chunks that were stolen (0 when no chunks
     /// were stepped, e.g. on the serial executor). A well-balanced
     /// frontier keeps this near 0; a hub-dominated frontier pushes it up
@@ -280,16 +269,6 @@ mod tests {
         assert_eq!(a, b);
         assert!((a.steal_fraction() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(b.steal_fraction(), 0.0);
-    }
-
-    #[test]
-    fn peak_scheduled_fraction_is_per_node() {
-        let s = RunStats {
-            max_scheduled_per_round: 5,
-            ..RunStats::default()
-        };
-        assert!((s.peak_scheduled_fraction(20) - 0.25).abs() < 1e-12);
-        assert_eq!(RunStats::default().peak_scheduled_fraction(0), 0.0);
     }
 
     #[test]

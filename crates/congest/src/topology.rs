@@ -218,8 +218,8 @@ impl Topology {
     }
 
     /// Degree of node `v` — the size of its port space, *including*
-    /// tombstoned (dead) ports. Use [`Topology::live_degree`] for the count
-    /// of live edges.
+    /// tombstoned (dead) ports; [`Topology::port_live`] tells the live ones
+    /// apart.
     ///
     /// # Panics
     ///
@@ -229,15 +229,6 @@ impl Topology {
             Some(s) => s.neighbors.len(),
             None => (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize,
         }
-    }
-
-    /// The largest degree (port-space size) of any node (0 for an edgeless
-    /// graph).
-    pub fn max_degree(&self) -> usize {
-        (0..self.num_nodes() as NodeId)
-            .map(|v| self.degree(v))
-            .max()
-            .unwrap_or(0)
     }
 
     /// The neighbors of `v`, in port order — including the former
@@ -333,18 +324,6 @@ impl Topology {
         match self.spill(v) {
             Some(s) => !s.dead[p as usize],
             None => true,
-        }
-    }
-
-    /// Number of live edges at `v` (its degree in the current live graph).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= n`.
-    pub fn live_degree(&self, v: NodeId) -> usize {
-        match self.spill(v) {
-            Some(s) => s.dead.iter().filter(|&&d| !d).count(),
-            None => self.degree(v),
         }
     }
 
@@ -629,7 +608,6 @@ mod tests {
         assert_eq!(t.degree(1), 0);
         assert_eq!(t.neighbors(1), &[] as &[NodeId]);
         assert_eq!(t.neighbors(2), &[3, 0]);
-        assert_eq!(t.max_degree(), 2);
         for v in [0u32, 2, 3] {
             for p in 0..t.degree(v) as u32 {
                 let u = t.neighbor_at(v, p);
@@ -646,7 +624,6 @@ mod tests {
             .collect();
         let t = Topology::from_adjacency(adj).unwrap();
         assert_eq!(t.num_edges(), (n as usize * (n as usize - 1)) / 2);
-        assert_eq!(t.max_degree(), n as usize - 1);
         for v in 0..n {
             for p in 0..t.degree(v) as u32 {
                 let u = t.neighbor_at(v, p);
@@ -689,7 +666,7 @@ mod tests {
         assert_eq!(t.epoch(), 0);
         for v in 0..3u32 {
             assert!(t.node_present(v));
-            assert_eq!(t.live_degree(v), t.degree(v));
+            assert_eq!(t.to_adjacency()[v as usize].len(), t.degree(v));
             for p in 0..t.degree(v) as u32 {
                 assert!(t.port_live(v, p));
             }
@@ -706,7 +683,7 @@ mod tests {
         assert_eq!(t.num_edges(), 1);
         // Port space unchanged; port 1 of node 1 still reaches node 2.
         assert_eq!(t.degree(1), 2);
-        assert_eq!(t.live_degree(1), 1);
+        assert_eq!(t.to_adjacency()[1].len(), 1);
         assert!(!t.port_live(1, 0));
         assert!(t.port_live(1, 1));
         assert_eq!(t.neighbor_at(1, 1), 2);
@@ -759,14 +736,14 @@ mod tests {
         assert_eq!(dead, vec![(1, 0), (0, 0), (1, 1), (2, 0)]);
         assert!(!t.node_present(1));
         assert_eq!(t.num_edges(), 0);
-        assert_eq!(t.live_degree(0), 0);
+        assert_eq!(t.to_adjacency()[0].len(), 0);
         assert_eq!(t.to_adjacency(), vec![vec![], vec![], vec![]]);
         assert!(t.remove_node(1).is_err(), "already absent");
         assert!(t.insert_edge(0, 1).is_err(), "absent endpoint");
         assert!(t.join_node(0).is_err(), "node 0 is present");
         t.join_node(1).unwrap();
         assert!(t.node_present(1));
-        assert_eq!(t.live_degree(1), 0, "joins with no edges");
+        assert_eq!(t.to_adjacency()[1].len(), 0, "joins with no edges");
         t.insert_edge(1, 2).unwrap();
         assert_eq!(t.to_adjacency(), vec![vec![], vec![2], vec![1]]);
     }

@@ -139,7 +139,14 @@ pub fn run_on_obs(
     if n == 0 {
         return Err(CoreError::EmptyGraph);
     }
-    check_inputs(topology, tree, values)?;
+    if values.len() != n {
+        return Err(CoreError::InvalidParameter(format!(
+            "got {} values for {} nodes",
+            values.len(),
+            n
+        )));
+    }
+    tree.check_spans(topology)?;
     // Convergecast up plus broadcast down is 2·depth(T) + O(1) rounds
     // fault-free; depth ≤ n − 1.
     let report = run_phase(topology, obs, op.phase_label(), 2 * n as u64 + 4, |ctx| {
@@ -154,59 +161,6 @@ pub fn run_on_obs(
         value,
         stats: report.stats,
     })
-}
-
-/// Rejects `values` of the wrong length and a `tree` that is not a rooted
-/// spanning tree *of `topology`*: walking down from the root, every child
-/// port must be in range and lead to a node whose parent port leads back,
-/// and the walk must reach each of the `n` nodes exactly once. A tree taken
-/// from another graph fails here rather than running the convergecast over
-/// ports that mean something else (`O(n)` on the host).
-fn check_inputs(
-    topology: &Topology,
-    tree: &TreeKnowledge,
-    values: &[u64],
-) -> Result<(), CoreError> {
-    let n = topology.num_nodes();
-    if values.len() != n {
-        return Err(CoreError::InvalidParameter(format!(
-            "got {} values for {} nodes",
-            values.len(),
-            n
-        )));
-    }
-    let invalid = || {
-        CoreError::InvalidParameter("aggregation tree is not a spanning tree of the graph".into())
-    };
-    let root = tree.root as usize;
-    if tree.num_nodes() != n
-        || tree.children_ports.len() != n
-        || root >= n
-        || tree.parent_port[root].is_some()
-    {
-        return Err(invalid());
-    }
-    let across = |v: u32, p: u32| topology.neighbors(v).get(p as usize).copied();
-    let mut seen = vec![false; n];
-    seen[root] = true;
-    let mut stack = vec![tree.root];
-    let mut reached = 1;
-    while let Some(v) = stack.pop() {
-        for &c in &tree.children_ports[v as usize] {
-            let w = across(v, c).ok_or_else(invalid)?;
-            let back = tree.parent_port[w as usize].and_then(|p| across(w, p));
-            if back != Some(v) || seen[w as usize] {
-                return Err(invalid());
-            }
-            seen[w as usize] = true;
-            reached += 1;
-            stack.push(w);
-        }
-    }
-    if reached != n {
-        return Err(invalid());
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -286,7 +240,6 @@ mod tests {
         // 1 and 2 do not exist at the path's endpoint 0.
         let path = generators::path(4);
         let star_tree = setup(&generators::star(4));
-        assert!(star_tree.spans_all());
         assert!(matches!(
             run(&path, &star_tree, &[1, 2, 3, 4], AggOp::Max).unwrap_err(),
             CoreError::InvalidParameter(_)
@@ -296,7 +249,6 @@ mod tests {
         let mut skewed = setup(&path);
         let other = skewed.parent_port[2].map(|p| 1 - p);
         skewed.parent_port[2] = other;
-        assert!(skewed.spans_all());
         assert!(matches!(
             run(&path, &skewed, &[1, 2, 3, 4], AggOp::Max).unwrap_err(),
             CoreError::InvalidParameter(_)

@@ -1,7 +1,8 @@
 //! `(×, 1+ε)`-approximations in `O(n/D + D)` rounds (Theorem 4 and
-//! Corollary 4 of the paper).
+//! Corollary 4 of the paper), and the `O(D)`-round `(×, 2)` bounds of
+//! Remarks 1 and 2.
 //!
-//! The pipeline, with each phase's honest round cost:
+//! Theorem 4's pipeline, with each phase's honest round cost:
 //!
 //! 1. `BFS_1` + max-aggregation → `D₀ = 2·ecc(1)`, a `(×,2)` diameter
 //!    bound (Fact 1) — `O(D)`;
@@ -13,11 +14,26 @@
 //! 3. solve `DOM`-SP with Algorithm 2, whose own `T_1` and `D₀` are
 //!    phase 1's, so only its growth runs — `O(|DOM| + D) = O(n/(εD) + D)`;
 //! 4. every node `v` sets `ecc̃(v) := k + max_{u ∈ DOM} d(v, u)`, which
-//!    satisfies `ecc(v) ≤ ecc̃(v) ≤ (1+ε)·ecc(v)`;
-//! 5. diameter/radius estimates are one more `O(D)` aggregation; center and
-//!    peripheral membership fall out by comparing against the broadcast
-//!    threshold with a `2k` slack (every true member is kept; any extra
-//!    member's true eccentricity is within `2k ≤ ε·D₀/2` of the threshold).
+//!    satisfies `ecc(v) ≤ ecc̃(v) ≤ (1+ε)·ecc(v)`.
+//!
+//! The entry points:
+//!
+//! * [`eccentricities`] / [`eccentricities_observed`] — phases 1–4;
+//! * [`from_estimates`] — Corollary 4's bundle from those estimates: one
+//!   max- and one min-aggregation over their `T_1`, `O(D)`, give the
+//!   diameter and radius estimates; the center is `{v : ecc̃(v) ≤ rad̃ + k}`
+//!   and the periphery `{v : ecc̃(v) ≥ D̃ − k}` (every true member is kept;
+//!   any extra member's true eccentricity is within `2k ≤ ε·D₀/2` of the
+//!   threshold);
+//! * [`diameter`] — Corollary 4's diameter alone, phases 1–4 plus one
+//!   max-aggregation: the counterpart of [`metrics::diameter`];
+//! * [`diameter_times_two`] — Remark 1's whole `(×, 2)` bundle from phase 1
+//!   alone.
+//!
+//! Remark 1's `(×, 2)` radius is `diameter_times_two(g)?.value / 2 =
+//! ecc(1)`, since `rad ≤ ecc(1) ≤ 2·rad`. Remark 2's `(×, 2)` center and
+//! periphery cost zero rounds: both are `V` itself, since every node is
+//! within `rad ≤ ecc(c)` of any center vertex `c`.
 
 use dapsp_congest::{ObserverHandle, RunStats, Topology};
 use dapsp_graph::Graph;
@@ -26,7 +42,7 @@ use crate::aggregate::{self, AggOp};
 use crate::dominating;
 use crate::error::CoreError;
 use crate::kernel::SourceSlots;
-use crate::metrics::MembershipResult;
+use crate::metrics::{self, MetricsBundle};
 use crate::observe::Obs;
 use crate::ssp;
 use crate::tree::TreeKnowledge;
@@ -43,18 +59,33 @@ pub struct ApproxEccResult {
     pub dom_size: u64,
     /// Round/message statistics over all phases.
     pub stats: RunStats,
+    /// `T_1`, the tree every phase ran on, for follow-up aggregations.
+    pub tree: TreeKnowledge,
 }
 
-/// Result of an approximate scalar (diameter/radius) computation.
+/// Result of the approximate diameter of Corollary 4.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ApproxScalarResult {
-    /// The estimate (`OPT <= value <= (1+ε)·OPT`).
+    /// The estimate (`D <= value <= (1+ε)·D`).
     pub value: u32,
     /// The dominating-set radius used.
     pub k: u32,
     /// The size of the dominating set.
     pub dom_size: u64,
     /// Round/message statistics.
+    pub stats: RunStats,
+}
+
+/// Remark 1's `(×, 2)` bounds, all from `BFS_1` and one max-aggregation.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TimesTwoResult {
+    /// `D₀ = 2·ecc(1)`, with `D <= value <= 2·D` (Fact 1).
+    pub value: u32,
+    /// `estimates[v] = max(d(v, 1), ecc(1))`, with
+    /// `ecc(v)/2 <= estimates[v] <= 2·ecc(v)` (Fact 1 and the triangle
+    /// inequality).
+    pub estimates: Vec<u32>,
+    /// Round/message statistics of both phases.
     pub stats: RunStats,
 }
 
@@ -67,14 +98,13 @@ fn validate_eps(eps: f64) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// Shared phases 1–4; returns per-node estimates plus bookkeeping, the
-/// tree `T_1`, and the topology all phases ran on, so follow-up
-/// aggregations need not rebuild either.
+/// Phases 1–4 on a fresh topology, which is handed back with the
+/// estimates so a follow-up aggregation need not rebuild it.
 fn estimate_eccentricities(
     graph: &Graph,
     eps: f64,
     obs: Obs<'_>,
-) -> Result<(ApproxEccResult, TreeKnowledge, Topology), CoreError> {
+) -> Result<(ApproxEccResult, Topology), CoreError> {
     validate_eps(eps)?;
     if graph.num_nodes() == 0 {
         return Err(CoreError::EmptyGraph);
@@ -82,20 +112,19 @@ fn estimate_eccentricities(
     let topology = graph.to_topology();
     // Phase 1: T_1 and D0 = 2·ecc(1).
     let pre = ssp::preamble(&topology, obs)?;
-    let (ecc, tree) = estimate_from(&topology, pre, eps, obs)?;
-    Ok((ecc, tree, topology))
+    let ecc = estimate_from(&topology, pre, eps, obs)?;
+    Ok((ecc, topology))
 }
 
 /// Phases 2–4 over the `T_1` and `D₀` of phase 1, whose cost `pre`
 /// carries and the result charges once: the DOM-SP of phase 3 grows from
-/// them instead of building its own. Hands `T_1` back for follow-up
-/// aggregations.
+/// them instead of building its own.
 pub(crate) fn estimate_from(
     topology: &Topology,
     pre: ssp::Preamble,
     eps: f64,
     obs: Obs<'_>,
-) -> Result<(ApproxEccResult, TreeKnowledge), CoreError> {
+) -> Result<ApproxEccResult, CoreError> {
     let n = topology.num_nodes();
     let mut stats = pre.stats;
     // Phase 2: k-dominating set. Past k = D₀ every node dominates the
@@ -111,15 +140,13 @@ pub(crate) fn estimate_from(
     let estimates: Vec<u32> = (0..n)
         .map(|v| k + sp.dist[v].iter().copied().max().expect("nonempty DOM"))
         .collect();
-    Ok((
-        ApproxEccResult {
-            estimates,
-            k,
-            dom_size: dom.size,
-            stats,
-        },
-        sp.tree,
-    ))
+    Ok(ApproxEccResult {
+        estimates,
+        k,
+        dom_size: dom.size,
+        stats,
+        tree: sp.tree,
+    })
 }
 
 /// Theorem 4: every node learns a `(×, 1+ε)` estimate of its own
@@ -149,7 +176,7 @@ pub(crate) fn estimate_from(
 /// # }
 /// ```
 pub fn eccentricities(graph: &Graph, eps: f64) -> Result<ApproxEccResult, CoreError> {
-    estimate_eccentricities(graph, eps, Obs::none()).map(|(r, _, _)| r)
+    estimate_eccentricities(graph, eps, Obs::none()).map(|(r, _)| r)
 }
 
 /// Like [`eccentricities`], streaming round/message/timing events of every
@@ -167,10 +194,47 @@ pub fn eccentricities_observed(
     eps: f64,
     observer: &ObserverHandle,
 ) -> Result<ApproxEccResult, CoreError> {
-    estimate_eccentricities(graph, eps, Obs::watching(observer)).map(|(r, _, _)| r)
+    estimate_eccentricities(graph, eps, Obs::watching(observer)).map(|(r, _)| r)
 }
 
-/// Corollary 4: a `(×, 1+ε)` diameter estimate in `O(n/D + D)` rounds.
+/// Corollary 4: the diameter, radius, center and periphery estimates of
+/// `ecc`, a Theorem 4 run on `graph`, in one max- and one min-aggregation
+/// over its `T_1` — `O(D)` rounds on top of the run, whose cost the bundle
+/// carries.
+///
+/// `D <= diameter <= (1+ε)·D` and `rad <= radius <= (1+ε)·rad`. Every true
+/// center vertex is in `center`, and every member has
+/// `ecc(v) <= rad + 2k` with `k <= ε·rad`; every true peripheral vertex is
+/// in `peripheral`, and every member has `ecc(v) >= D − 2k`.
+///
+/// # Errors
+///
+/// [`CoreError::InvalidParameter`] when `ecc` is not a run on `graph` (its
+/// `T_1` is not a spanning tree of `graph`, or it has the wrong number of
+/// estimates); otherwise propagates aggregation failures.
+///
+/// # Examples
+///
+/// ```
+/// use dapsp_core::approx;
+/// use dapsp_graph::{generators, reference};
+///
+/// # fn main() -> Result<(), dapsp_core::CoreError> {
+/// let g = generators::double_broom(30, 10);
+/// let bundle = approx::from_estimates(&g, &approx::eccentricities(&g, 0.5)?)?;
+/// assert!(bundle.diameter >= 10 && bundle.diameter <= 15);
+/// for c in reference::center(&g).unwrap() {
+///     assert!(bundle.center[c as usize]);
+/// }
+/// # Ok(())
+/// # }
+/// ```
+pub fn from_estimates(graph: &Graph, ecc: &ApproxEccResult) -> Result<MetricsBundle, CoreError> {
+    metrics::bundle(graph, &ecc.tree, ecc.estimates.clone(), ecc.k, ecc.stats)
+}
+
+/// Corollary 4: a `(×, 1+ε)` diameter estimate in `O(n/D + D)` rounds —
+/// [`eccentricities`] plus one max-aggregation.
 ///
 /// # Errors
 ///
@@ -190,102 +254,43 @@ pub fn eccentricities_observed(
 /// # }
 /// ```
 pub fn diameter(graph: &Graph, eps: f64) -> Result<ApproxScalarResult, CoreError> {
-    let (ecc, t1, topology) = estimate_eccentricities(graph, eps, Obs::none())?;
-    scalar_from_estimates(&topology, ecc, &t1, AggOp::Max)
+    let (ecc, topology) = estimate_eccentricities(graph, eps, Obs::none())?;
+    diameter_from(&topology, ecc)
 }
 
-/// Corollary 4: a `(×, 1+ε)` radius estimate in `O(n/D + D)` rounds.
-///
-/// # Errors
-///
-/// Same as [`eccentricities`].
-pub fn radius(graph: &Graph, eps: f64) -> Result<ApproxScalarResult, CoreError> {
-    let (ecc, t1, topology) = estimate_eccentricities(graph, eps, Obs::none())?;
-    scalar_from_estimates(&topology, ecc, &t1, AggOp::Min)
-}
-
-pub(crate) fn scalar_from_estimates(
+/// The diameter estimate of `ecc`: one max-aggregation over its `T_1`.
+pub(crate) fn diameter_from(
     topology: &Topology,
     ecc: ApproxEccResult,
-    t1: &TreeKnowledge,
-    op: AggOp,
 ) -> Result<ApproxScalarResult, CoreError> {
-    // One more O(D) aggregation over the already-built T_1.
     let values: Vec<u64> = ecc.estimates.iter().map(|&e| u64::from(e)).collect();
-    let agg = aggregate::run_on(topology, t1, &values, op)?;
+    let max = aggregate::run_on(topology, &ecc.tree, &values, AggOp::Max)?;
     let mut stats = ecc.stats;
-    stats.absorb_sequential(&agg.stats);
+    stats.absorb_sequential(&max.stats);
     Ok(ApproxScalarResult {
-        value: agg.value as u32,
+        value: max.value as u32,
         k: ecc.k,
         dom_size: ecc.dom_size,
         stats,
     })
 }
 
-/// Corollary 4: an approximate center in `O(n/D + D)` rounds.
-///
-/// Guarantees: every true center vertex is included, and every included
-/// vertex has `ecc(v) <= rad + 2k` where `k = ⌊ε·D₀/4⌋ <= ε·rad`, i.e. the
-/// output is a `(+, 2k)`-approximation of the center in the sense of
-/// Definition 5 (equivalently `(×, 1+2ε)` on the eccentricity threshold).
-///
-/// # Errors
-///
-/// Same as [`eccentricities`].
-pub fn center(graph: &Graph, eps: f64) -> Result<MembershipResult, CoreError> {
-    let (ecc, t1, topology) = estimate_eccentricities(graph, eps, Obs::none())?;
-    let values: Vec<u64> = ecc.estimates.iter().map(|&e| u64::from(e)).collect();
-    let min = aggregate::run_on(&topology, &t1, &values, AggOp::Min)?;
-    let threshold = min.value as u32 + ecc.k;
-    let members = ecc.estimates.iter().map(|&e| e <= threshold).collect();
-    let mut stats = ecc.stats;
-    stats.absorb_sequential(&min.stats);
-    Ok(MembershipResult {
-        members,
-        threshold,
-        stats,
-    })
-}
-
-/// Corollary 4: approximate peripheral vertices in `O(n/D + D)` rounds.
-///
-/// Guarantees: every true peripheral vertex is included, and every included
-/// vertex has `ecc(v) >= D - 2k`.
-///
-/// # Errors
-///
-/// Same as [`eccentricities`].
-pub fn peripheral_vertices(graph: &Graph, eps: f64) -> Result<MembershipResult, CoreError> {
-    let (ecc, t1, topology) = estimate_eccentricities(graph, eps, Obs::none())?;
-    let values: Vec<u64> = ecc.estimates.iter().map(|&e| u64::from(e)).collect();
-    let max = aggregate::run_on(&topology, &t1, &values, AggOp::Max)?;
-    let threshold = (max.value as u32).saturating_sub(ecc.k);
-    let members = ecc.estimates.iter().map(|&e| e >= threshold).collect();
-    let mut stats = ecc.stats;
-    stats.absorb_sequential(&max.stats);
-    Ok(MembershipResult {
-        members,
-        threshold,
-        stats,
-    })
-}
-
-/// Remark 1: a `(×, 2)` estimate of the diameter — just `2·ecc(1)` — in
-/// `O(D)` rounds.
+/// Remark 1: `(×, 2)` estimates of the diameter — `D₀ = 2·ecc(1)` — and of
+/// every node's eccentricity — `max(d(v, 1), ecc(1))` — in `O(D)` rounds:
+/// one BFS from node 1 and one max-aggregation of its depths.
 ///
 /// # Errors
 ///
 /// Same as [`eccentricities`], minus the parameter check.
-pub fn diameter_times_two(graph: &Graph) -> Result<ApproxScalarResult, CoreError> {
+pub fn diameter_times_two(graph: &Graph) -> Result<TimesTwoResult, CoreError> {
     if graph.num_nodes() == 0 {
         return Err(CoreError::EmptyGraph);
     }
     let pre = ssp::preamble(&graph.to_topology(), Obs::none())?;
-    Ok(ApproxScalarResult {
+    let ecc1 = pre.d0 / 2;
+    Ok(TimesTwoResult {
         value: pre.d0,
-        k: 0,
-        dom_size: 1,
+        estimates: pre.dist.iter().map(|&d| d.max(ecc1)).collect(),
         stats: pre.stats,
     })
 }
@@ -338,51 +343,56 @@ mod tests {
             for eps in [0.2, 0.7] {
                 let rd = diameter(&g, eps).unwrap();
                 assert!(rd.value >= d && f64::from(rd.value) <= (1.0 + eps) * f64::from(d) + 1e-9);
-                let rr = radius(&g, eps).unwrap();
+                let b = from_estimates(&g, &eccentricities(&g, eps).unwrap()).unwrap();
+                assert_eq!(b.diameter, rd.value);
                 assert!(
-                    rr.value >= rad && f64::from(rr.value) <= (1.0 + eps) * f64::from(rad) + 1e-9
+                    b.radius >= rad && f64::from(b.radius) <= (1.0 + eps) * f64::from(rad) + 1e-9
                 );
             }
         }
     }
 
     #[test]
-    fn center_includes_true_center_and_stays_close() {
+    fn bundle_keeps_true_members_and_stays_close() {
         for g in [
             generators::path(25),
             generators::double_broom(30, 10),
             generators::grid(4, 6),
         ] {
-            let r = center(&g, 0.5).unwrap();
-            let truth = reference::center(&g).unwrap();
+            let ecc = eccentricities(&g, 0.5).unwrap();
+            let b = from_estimates(&g, &ecc).unwrap();
             let exact = reference::eccentricities(&g).unwrap();
-            let rad = reference::radius(&g).unwrap();
-            for &c in &truth {
-                assert!(r.members[c as usize], "true center {c} missing");
+            let (d, rad) = (
+                reference::diameter(&g).unwrap(),
+                reference::radius(&g).unwrap(),
+            );
+            for c in reference::center(&g).unwrap() {
+                assert!(b.center[c as usize], "true center {c} missing");
             }
-            let ecc_approx = eccentricities(&g, 0.5).unwrap();
-            for (v, &m) in r.members.iter().enumerate() {
-                if m {
-                    assert!(
-                        exact[v] <= rad + 2 * ecc_approx.k,
-                        "spurious member {v}: ecc {} rad {rad} k {}",
-                        exact[v],
-                        ecc_approx.k
-                    );
+            for p in reference::peripheral_vertices(&g).unwrap() {
+                assert!(b.peripheral[p as usize], "true peripheral {p} missing");
+            }
+            for v in 0..g.num_nodes() {
+                if b.center[v] {
+                    assert!(exact[v] <= rad + 2 * ecc.k, "spurious center {v}");
+                }
+                if b.peripheral[v] {
+                    assert!(exact[v] + 2 * ecc.k >= d, "spurious peripheral {v}");
                 }
             }
+            assert_eq!(b.eccentricities, ecc.estimates);
+            assert!(b.stats.rounds > ecc.stats.rounds);
         }
     }
 
     #[test]
-    fn peripheral_includes_true_peripherals() {
-        for g in [generators::path(25), generators::double_broom(30, 10)] {
-            let r = peripheral_vertices(&g, 0.5).unwrap();
-            let truth = reference::peripheral_vertices(&g).unwrap();
-            for &p in &truth {
-                assert!(r.members[p as usize], "true peripheral {p} missing");
-            }
-        }
+    fn estimates_of_another_graph_are_rejected() {
+        // Same node count; only the star's T_1 tells the two apart.
+        let star = eccentricities(&generators::star(4), 0.5).unwrap();
+        assert!(matches!(
+            from_estimates(&generators::path(4), &star).unwrap_err(),
+            CoreError::InvalidParameter(_)
+        ));
     }
 
     #[test]
@@ -414,11 +424,32 @@ mod tests {
     }
 
     #[test]
-    fn times_two_estimate() {
-        let g = generators::cycle(20);
-        let r = diameter_times_two(&g).unwrap();
-        let d = reference::diameter(&g).unwrap();
-        assert!(r.value >= d && r.value <= 2 * d);
+    fn times_two_bounds_are_two_sided() {
+        for g in [
+            generators::path(20),
+            generators::cycle(14),
+            generators::double_broom(25, 9),
+            generators::erdos_renyi_connected(22, 0.15, 8),
+            generators::star(11),
+        ] {
+            let r = diameter_times_two(&g).unwrap();
+            let exact = reference::eccentricities(&g).unwrap();
+            let (d, rad) = (
+                reference::diameter(&g).unwrap(),
+                reference::radius(&g).unwrap(),
+            );
+            assert!(r.value >= d && r.value <= 2 * d);
+            assert!(
+                r.value / 2 >= rad && r.value / 2 <= 2 * rad,
+                "Remark 1 radius"
+            );
+            for v in 0..g.num_nodes() {
+                assert!(2 * r.estimates[v] >= exact[v], "lower side at {v}");
+                assert!(r.estimates[v] <= 2 * exact[v], "upper side at {v}");
+            }
+            // O(D) rounds, far below O(n) for compact graphs.
+            assert!(r.stats.rounds <= 4 * u64::from(exact[0]) + 8);
+        }
     }
 
     #[test]
@@ -469,126 +500,4 @@ mod tests {
     }
 
     use dapsp_graph::Graph;
-}
-
-/// Remark 1: a `(×, 2)`-style estimate of every node's eccentricity from a
-/// single BFS, in `O(D)` rounds.
-///
-/// Node `v` estimates `ẽcc(v) := max(d(v, 1), ecc(1))`; both quantities
-/// come out of one BFS from node 1 plus one aggregation. The guarantee is
-/// two-sided: `ecc(v)/2 <= ẽcc(v) <= 2·ecc(v)` (by Fact 1 and the triangle
-/// inequality), which is the factor-2 knowledge Remark 1 refers to.
-///
-/// # Errors
-///
-/// Same as [`diameter_times_two`].
-pub fn eccentricities_times_two(graph: &Graph) -> Result<ApproxEccResult, CoreError> {
-    if graph.num_nodes() == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
-    let pre = ssp::preamble(&graph.to_topology(), Obs::none())?;
-    let ecc0 = pre.d0 / 2;
-    Ok(ApproxEccResult {
-        estimates: pre.dist.iter().map(|&d| d.max(ecc0)).collect(),
-        k: 0,
-        dom_size: 1,
-        stats: pre.stats,
-    })
-}
-
-/// Remark 1: a `(×, 2)` radius estimate — just `ecc(1)` — in `O(D)`
-/// rounds (`rad <= ecc(1) <= 2·rad`).
-///
-/// # Errors
-///
-/// Same as [`diameter_times_two`].
-pub fn radius_times_two(graph: &Graph) -> Result<ApproxScalarResult, CoreError> {
-    let r = diameter_times_two(graph)?;
-    Ok(ApproxScalarResult {
-        value: r.value / 2, // diameter_times_two returns 2·ecc(1)
-        ..r
-    })
-}
-
-/// Remark 2: the trivial `(×, 2)`-approximation of the center — the whole
-/// vertex set — in **zero** rounds: `center ⊆ V ⊆ N_rad(center)` because
-/// every node is within `rad <= ecc(c)` of any center vertex `c`.
-///
-/// # Errors
-///
-/// [`CoreError::EmptyGraph`] on an empty graph.
-pub fn center_times_two(graph: &Graph) -> Result<MembershipResult, CoreError> {
-    trivial_membership(graph)
-}
-
-/// Remark 2: the trivial `(×, 2)`-approximation of the peripheral
-/// vertices — the whole vertex set — in **zero** rounds.
-///
-/// # Errors
-///
-/// [`CoreError::EmptyGraph`] on an empty graph.
-pub fn peripheral_times_two(graph: &Graph) -> Result<MembershipResult, CoreError> {
-    trivial_membership(graph)
-}
-
-fn trivial_membership(graph: &Graph) -> Result<MembershipResult, CoreError> {
-    let n = graph.num_nodes();
-    if n == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
-    Ok(MembershipResult {
-        members: vec![true; n],
-        threshold: 0,
-        stats: RunStats::default(),
-    })
-}
-
-#[cfg(test)]
-#[allow(clippy::needless_range_loop)]
-mod remark_tests {
-    use super::*;
-    use dapsp_graph::{generators, reference};
-
-    #[test]
-    fn times_two_eccentricities_are_two_sided() {
-        for g in [
-            generators::path(20),
-            generators::cycle(14),
-            generators::double_broom(25, 9),
-            generators::erdos_renyi_connected(22, 0.15, 8),
-        ] {
-            let r = eccentricities_times_two(&g).unwrap();
-            let exact = reference::eccentricities(&g).unwrap();
-            for v in 0..g.num_nodes() {
-                assert!(2 * r.estimates[v] >= exact[v], "lower side at {v}");
-                assert!(r.estimates[v] <= 2 * exact[v], "upper side at {v}");
-            }
-            // O(D) rounds, far below O(n) for compact graphs.
-            assert!(r.stats.rounds <= 4 * u64::from(exact[0]) + 8);
-        }
-    }
-
-    #[test]
-    fn times_two_radius_brackets() {
-        for g in [generators::path(21), generators::star(11)] {
-            let rad = reference::radius(&g).unwrap();
-            let r = radius_times_two(&g).unwrap();
-            assert!(r.value >= rad && r.value <= 2 * rad);
-        }
-    }
-
-    #[test]
-    fn remark_2_sets_are_free_supersets() {
-        let g = generators::grid(4, 5);
-        let c = center_times_two(&g).unwrap();
-        assert_eq!(c.stats.rounds, 0);
-        for v in reference::center(&g).unwrap() {
-            assert!(c.members[v as usize]);
-        }
-        let p = peripheral_times_two(&g).unwrap();
-        assert_eq!(p.stats.rounds, 0);
-        for v in reference::peripheral_vertices(&g).unwrap() {
-            assert!(p.members[v as usize]);
-        }
-    }
 }

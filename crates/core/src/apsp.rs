@@ -234,16 +234,7 @@ pub fn run_on_obs(topology: &Topology, obs: Obs<'_>) -> Result<ApspResult, CoreE
 /// # }
 /// ```
 pub fn run_truncated(graph: &Graph, k: u32) -> Result<KbfsResult, CoreError> {
-    run_truncated_on(&graph.to_topology(), k)
-}
-
-/// Like [`run_truncated`], but over a prebuilt [`Topology`].
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_truncated_on(topology: &Topology, k: u32) -> Result<KbfsResult, CoreError> {
-    run_phases(topology, true, k, Obs::none()).map(|result| KbfsResult { k, result })
+    run_phases(&graph.to_topology(), true, k, Obs::none()).map(|result| KbfsResult { k, result })
 }
 
 /// The outcome of a truncated (k-BFS) run; see [`run_truncated`].

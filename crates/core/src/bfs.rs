@@ -42,17 +42,6 @@ pub struct BfsResult {
 }
 
 impl BfsResult {
-    /// The eccentricity of the root (max distance), or `None` if some node
-    /// was unreached.
-    pub fn root_eccentricity(&self) -> Option<u32> {
-        let max = self.dist.iter().copied().max().unwrap_or(0);
-        if max == INFINITY {
-            None
-        } else {
-            Some(max)
-        }
-    }
-
     /// True if the BFS reached every node.
     pub fn reached_all(&self) -> bool {
         self.dist.iter().all(|&d| d != INFINITY)
@@ -83,7 +72,6 @@ impl BfsResult {
 /// let g = generators::path(5);
 /// let r = bfs::run(&g, 0)?;
 /// assert_eq!(r.dist, vec![0, 1, 2, 3, 4]);
-/// assert_eq!(r.root_eccentricity(), Some(4));
 /// assert!(!r.cycle_detected);
 /// # Ok(())
 /// # }
@@ -293,7 +281,6 @@ mod tests {
         let g = b.build();
         let r = run(&g, 0).unwrap();
         assert!(!r.reached_all());
-        assert_eq!(r.root_eccentricity(), None);
         assert_eq!(r.dist[2], INFINITY);
     }
 

@@ -177,7 +177,8 @@ impl DominatingResult {
 /// # Errors
 ///
 /// * [`CoreError::EmptyGraph`] on an empty graph.
-/// * [`CoreError::InvalidParameter`] if `tree` does not span the graph.
+/// * [`CoreError::InvalidParameter`] if `tree` is not a rooted spanning
+///   tree of the graph (e.g. a tree taken from another graph).
 /// * [`CoreError::Sim`] on simulator failures.
 ///
 /// # Examples
@@ -235,11 +236,7 @@ pub fn run_on_obs(
     if n == 0 {
         return Err(CoreError::EmptyGraph);
     }
-    if !tree.spans_all() {
-        return Err(CoreError::InvalidParameter(
-            "dominating-set tree does not span the graph".into(),
-        ));
-    }
+    tree.check_spans(topology)?;
     // Every node is within n − 1 hops of every other, so any larger k
     // selects the same set; clamping keeps `k + 1` and the message width
     // bounded.
@@ -360,6 +357,25 @@ mod tests {
         assert!(dom.stats.rounds <= depth + 2, "rounds={}", dom.stats.rounds);
     }
 
+    /// A tree of another graph is rejected, not run over ports that mean
+    /// something else. Unchecked, the star's `T_1` on a path returned an
+    /// empty set, the cycle's returned `{5}`, which does not 1-dominate the
+    /// path, and a smaller path's tree indexed out of bounds.
+    #[test]
+    fn a_tree_of_another_graph_is_rejected() {
+        for (tree_of, root, g) in [
+            (generators::star(4), 0, generators::path(4)),
+            (generators::cycle(8), 3, generators::path(8)),
+            (generators::path(3), 0, generators::path(6)),
+        ] {
+            let tree = bfs::run(&tree_of, root).unwrap().tree;
+            assert!(matches!(
+                run(&g, &tree, 1).unwrap_err(),
+                CoreError::InvalidParameter(_)
+            ));
+        }
+    }
+
     #[test]
     fn single_node_graph() {
         let g = Graph::builder(1).build();
@@ -369,141 +385,6 @@ mod tests {
     }
 
     use dapsp_graph::Graph;
-}
-
-/// Definition 9's partition `P`: every node assigned to one dominator at
-/// distance at most `k`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PartitionResult {
-    /// The underlying dominating set.
-    pub dominating: DominatingResult,
-    /// `dominator_of[v]` — the dominator `v` belongs to (its nearest one,
-    /// smallest id on ties).
-    pub dominator_of: Vec<u32>,
-    /// `distance_to_dominator[v] <= k`.
-    pub distance_to_dominator: Vec<u32>,
-    /// Statistics across the construction, the DOM-SP, and the assignment.
-    pub stats: dapsp_congest::RunStats,
-}
-
-/// Builds a k-dominating set and the partition of Definition 9 on top of
-/// it: a DOM-SP run (Algorithm 2) gives every node its distances to all
-/// dominators, and each node joins its nearest one. `O(n/(k+1) + D)`
-/// rounds — the same cost the paper's Lemma 10 charges for `DOM` plus `P`.
-///
-/// # Errors
-///
-/// Same as [`run`], plus S-SP failures.
-///
-/// # Examples
-///
-/// ```
-/// use dapsp_core::{bfs, dominating};
-/// use dapsp_graph::generators;
-///
-/// # fn main() -> Result<(), dapsp_core::CoreError> {
-/// let g = generators::path(12);
-/// let t1 = bfs::run(&g, 0)?;
-/// let p = dominating::partition(&g, &t1.tree, 2)?;
-/// for v in 0..12 {
-///     assert!(p.distance_to_dominator[v] <= 2);
-/// }
-/// # Ok(())
-/// # }
-/// ```
-pub fn partition(
-    graph: &Graph,
-    tree: &TreeKnowledge,
-    k: u32,
-) -> Result<PartitionResult, CoreError> {
-    if graph.num_nodes() == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
-    partition_on(&graph.to_topology(), tree, k)
-}
-
-/// Like [`partition`], but over a prebuilt [`Topology`].
-///
-/// # Errors
-///
-/// Same as [`partition`].
-pub fn partition_on(
-    topology: &Topology,
-    tree: &TreeKnowledge,
-    k: u32,
-) -> Result<PartitionResult, CoreError> {
-    let dominating = run_on(topology, tree, k)?;
-    let sources = dominating.member_ids();
-    let sp = crate::ssp::run_on(topology, &sources)?;
-    let n = topology.num_nodes();
-    let mut dominator_of = Vec::with_capacity(n);
-    let mut distance_to_dominator = Vec::with_capacity(n);
-    for v in 0..n {
-        let (idx, &d) = sp.dist[v]
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, &d)| (d, sources[i]))
-            .expect("dominating set is nonempty");
-        dominator_of.push(sources[idx]);
-        distance_to_dominator.push(d);
-    }
-    let mut stats = dominating.stats;
-    stats.absorb_sequential(&sp.stats);
-    Ok(PartitionResult {
-        dominating,
-        dominator_of,
-        distance_to_dominator,
-        stats,
-    })
-}
-
-#[cfg(test)]
-mod partition_tests {
-    use super::*;
-    use crate::bfs;
-    use dapsp_graph::{generators, reference};
-
-    #[test]
-    fn every_node_is_within_k_of_its_dominator() {
-        for (g, k) in [
-            (generators::path(20), 2u32),
-            (generators::grid(4, 5), 1),
-            (generators::erdos_renyi_connected(24, 0.12, 6), 3),
-            (generators::cycle(15), 0),
-        ] {
-            let t1 = bfs::run(&g, 0).unwrap();
-            let p = partition(&g, &t1.tree, k).unwrap();
-            let oracle = reference::apsp(&g);
-            for v in 0..g.num_nodes() as u32 {
-                let dom = p.dominator_of[v as usize];
-                assert!(
-                    p.dominating.members[dom as usize],
-                    "assigned to a dominator"
-                );
-                assert_eq!(
-                    Some(p.distance_to_dominator[v as usize]),
-                    oracle.get(v, dom),
-                    "distance is exact"
-                );
-                assert!(p.distance_to_dominator[v as usize] <= k, "within k");
-                // Nearest: no dominator is strictly closer.
-                for u in p.dominating.member_ids() {
-                    assert!(oracle.get(v, u).unwrap() >= p.distance_to_dominator[v as usize]);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dominators_own_themselves() {
-        let g = generators::grid(4, 4);
-        let t1 = bfs::run(&g, 0).unwrap();
-        let p = partition(&g, &t1.tree, 2).unwrap();
-        for d in p.dominating.member_ids() {
-            assert_eq!(p.dominator_of[d as usize], d);
-            assert_eq!(p.distance_to_dominator[d as usize], 0);
-        }
-    }
 }
 
 #[cfg(test)]

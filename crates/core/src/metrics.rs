@@ -15,6 +15,7 @@ use dapsp_graph::Graph;
 use crate::aggregate::{self, AggOp};
 use crate::apsp::{self, ApspResult};
 use crate::error::CoreError;
+use crate::tree::TreeKnowledge;
 
 /// A single graph-wide value (diameter or radius) known to every node.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -25,47 +26,24 @@ pub struct ScalarResult {
     pub stats: RunStats,
 }
 
-/// A vertex subset defined by an eccentricity threshold (center or
-/// peripheral vertices); per Definition 6, each node knows whether it
-/// belongs.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MembershipResult {
-    /// `members[v]` is true iff `v` belongs to the set.
-    pub members: Vec<bool>,
-    /// The threshold used (radius for the center, diameter for peripheral
-    /// vertices).
-    pub threshold: u32,
-    /// Round/message statistics.
-    pub stats: RunStats,
-}
-
-impl MembershipResult {
-    /// The member node ids, ascending.
-    pub fn member_ids(&self) -> Vec<u32> {
-        self.members
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m)
-            .map(|(v, _)| v as u32)
-            .collect()
-    }
-}
-
 /// What each metric needs from a finished APSP run: the local
-/// eccentricities (free local computation, Lemma 2).
-fn local_eccentricities(apsp: &ApspResult) -> Vec<u32> {
+/// eccentricities (free local computation, Lemma 2). A row with an
+/// infinite entry — a truncated run, or a run on a disconnected graph —
+/// has no eccentricity.
+fn local_eccentricities(apsp: &ApspResult) -> Result<Vec<u32>, CoreError> {
     let n = apsp.distances.num_nodes();
     (0..n as u32)
         .map(|v| {
-            apsp.distances
-                .eccentricity(v)
-                .expect("APSP result of a connected graph is finite")
+            apsp.distances.eccentricity(v).ok_or_else(|| {
+                CoreError::InvalidParameter(format!("APSP row {v} has an infinite distance"))
+            })
         })
         .collect()
 }
 
-/// Derives all five Lemma 2–6 metrics from one APSP run, performing the
-/// required `O(D)` aggregations over `T_1` distributedly.
+/// The five metrics of Lemmas 2–6, each known to every node: exact from
+/// [`from_apsp`], Corollary 4's estimates from
+/// [`approx::from_estimates`](crate::approx::from_estimates).
 #[derive(Clone, Debug)]
 pub struct MetricsBundle {
     /// Per-node eccentricities.
@@ -78,7 +56,7 @@ pub struct MetricsBundle {
     pub center: Vec<bool>,
     /// Peripheral-vertex membership per node.
     pub peripheral: Vec<bool>,
-    /// Statistics including the APSP run and both aggregations.
+    /// Statistics including the run that fed it and both aggregations.
     pub stats: RunStats,
 }
 
@@ -90,8 +68,8 @@ pub struct MetricsBundle {
 /// # Errors
 ///
 /// [`CoreError::InvalidParameter`] when `apsp` is not a run on `graph`
-/// (its `T_1` is not a spanning tree of `graph`); otherwise propagates
-/// aggregation failures.
+/// (its `T_1` is not a spanning tree of `graph`) or has an infinite
+/// distance (a truncated run); otherwise propagates aggregation failures.
 ///
 /// # Examples
 ///
@@ -109,16 +87,33 @@ pub struct MetricsBundle {
 /// # }
 /// ```
 pub fn from_apsp(graph: &Graph, apsp: &ApspResult) -> Result<MetricsBundle, CoreError> {
+    let ecc = local_eccentricities(apsp)?;
+    bundle(graph, &apsp.tree, ecc, 0, apsp.stats)
+}
+
+/// The bundle from per-node eccentricity values `ecc` that are exact up to
+/// `slack`: one max- and one min-aggregation over `tree` give the diameter
+/// and radius, and a node is in the center iff `ecc ≤ radius + slack`, in
+/// the periphery iff `ecc ≥ diameter − slack`. `stats` is the cost of
+/// whatever produced `ecc`; both aggregations are charged on top.
+pub(crate) fn bundle(
+    graph: &Graph,
+    tree: &TreeKnowledge,
+    ecc: Vec<u32>,
+    slack: u32,
+    mut stats: RunStats,
+) -> Result<MetricsBundle, CoreError> {
     let topology = graph.to_topology();
-    let ecc = local_eccentricities(apsp);
     let values: Vec<u64> = ecc.iter().map(|&e| u64::from(e)).collect();
-    let max = aggregate::run_on(&topology, &apsp.tree, &values, AggOp::Max)?;
-    let min = aggregate::run_on(&topology, &apsp.tree, &values, AggOp::Min)?;
+    let max = aggregate::run_on(&topology, tree, &values, AggOp::Max)?;
+    let min = aggregate::run_on(&topology, tree, &values, AggOp::Min)?;
     let diameter = max.value as u32;
     let radius = min.value as u32;
-    let center = ecc.iter().map(|&e| e == radius).collect();
-    let peripheral = ecc.iter().map(|&e| e == diameter).collect();
-    let mut stats = apsp.stats;
+    let center = ecc.iter().map(|&e| e <= radius + slack).collect();
+    let peripheral = ecc
+        .iter()
+        .map(|&e| e >= diameter.saturating_sub(slack))
+        .collect();
     stats.absorb_sequential(&max.stats);
     stats.absorb_sequential(&min.stats);
     Ok(MetricsBundle {
@@ -152,7 +147,7 @@ pub fn from_apsp(graph: &Graph, apsp: &ApspResult) -> Result<MetricsBundle, Core
 pub fn diameter(graph: &Graph) -> Result<ScalarResult, CoreError> {
     let topology = graph.to_topology();
     let result = apsp::run_on(&topology)?;
-    let ecc = local_eccentricities(&result);
+    let ecc = local_eccentricities(&result)?;
     let values: Vec<u64> = ecc.iter().map(|&e| u64::from(e)).collect();
     let agg = aggregate::run_on(&topology, &result.tree, &values, AggOp::Max)?;
     let mut stats = result.stats;
@@ -205,6 +200,17 @@ mod tests {
         let star_run = apsp::run(&generators::star(4)).unwrap();
         assert!(matches!(
             from_apsp(&path, &star_run).unwrap_err(),
+            CoreError::InvalidParameter(_)
+        ));
+    }
+
+    #[test]
+    fn a_truncated_run_is_rejected() {
+        // Rows of a 1-BFS on a path hold infinite entries: no eccentricity.
+        let g = generators::path(6);
+        let truncated = apsp::run_truncated(&g, 1).unwrap().result;
+        assert!(matches!(
+            from_apsp(&g, &truncated).unwrap_err(),
             CoreError::InvalidParameter(_)
         ));
     }

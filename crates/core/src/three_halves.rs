@@ -58,22 +58,6 @@ pub struct ThreeHalvesResult {
     pub stats: RunStats,
 }
 
-/// The sampled estimator on its own: returns `ℓ` with `⌊2D/3⌋ ≤ ℓ ≤ D`
-/// (w.h.p.) in `Õ(D·√n)` rounds.
-///
-/// # Errors
-///
-/// * [`CoreError::EmptyGraph`] / [`CoreError::Disconnected`] on bad graphs.
-/// * [`CoreError::Sim`] on simulator failures.
-pub fn sampled_lower_estimate(graph: &Graph, seed: u64) -> Result<(u32, RunStats), CoreError> {
-    if graph.num_nodes() == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
-    let topology = graph.to_topology();
-    let pre = ssp::preamble(&topology, Obs::none())?;
-    sampled(graph, &topology, pre, seed)
-}
-
 /// The sampled estimator over `T_1` and `D₀`, whose cost `pre` carries:
 /// both S-SP runs grow from them, and every aggregation runs over `T_1`.
 fn sampled(
@@ -136,7 +120,8 @@ fn sampled(
 ///
 /// # Errors
 ///
-/// Same as [`sampled_lower_estimate`].
+/// * [`CoreError::EmptyGraph`] / [`CoreError::Disconnected`] on bad graphs.
+/// * [`CoreError::Sim`] on simulator failures.
 ///
 /// # Examples
 ///
@@ -172,8 +157,8 @@ pub fn run(graph: &Graph, seed: u64) -> Result<ThreeHalvesResult, CoreError> {
             stats,
         })
     } else {
-        let (ecc, tree) = approx::estimate_from(&topology, pre, 0.5, Obs::none())?;
-        let approx = approx::scalar_from_estimates(&topology, ecc, &tree, AggOp::Max)?;
+        let ecc = approx::estimate_from(&topology, pre, 0.5, Obs::none())?;
+        let approx = approx::diameter_from(&topology, ecc)?;
         Ok(ThreeHalvesResult {
             estimate: approx.value,
             branch: Branch::DominatingSet,
@@ -230,7 +215,9 @@ mod tests {
         for seed in 0..5 {
             let g = generators::erdos_renyi_connected(40, 0.1, seed);
             let d = reference::diameter(&g).unwrap();
-            let (l, _) = sampled_lower_estimate(&g, seed).unwrap();
+            let topology = g.to_topology();
+            let pre = ssp::preamble(&topology, Obs::none()).unwrap();
+            let (l, _) = sampled(&g, &topology, pre, seed).unwrap();
             assert!(l <= d, "l={l} exceeds D={d}");
             assert!(3 * l + 2 >= 2 * d, "l={l} below 2D/3 (D={d})");
         }

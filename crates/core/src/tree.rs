@@ -1,7 +1,9 @@
 //! Node-local knowledge of a rooted spanning tree.
 
-use dapsp_congest::Port;
+use dapsp_congest::{Port, Topology};
 use dapsp_graph::Graph;
+
+use crate::error::CoreError;
 
 /// What every node knows about a rooted spanning tree (such as the paper's
 /// `T_1`) after a BFS: its parent port and its children ports.
@@ -51,12 +53,45 @@ impl TreeKnowledge {
         self.parent_port.len()
     }
 
-    /// True if every node is in the tree (has a parent or is the root).
-    pub fn spans_all(&self) -> bool {
-        self.parent_port
-            .iter()
-            .enumerate()
-            .all(|(v, p)| p.is_some() || v as u32 == self.root)
+    /// Rejects a tree that is not a rooted spanning tree *of `topology`*:
+    /// walking down from the root, every child port must be in range and
+    /// lead to a node whose parent port leads back, and the walk must reach
+    /// each of the `n` nodes exactly once. A tree taken from another graph
+    /// fails here rather than running a tree algorithm over ports that mean
+    /// something else (`O(n)` on the host).
+    pub(crate) fn check_spans(&self, topology: &Topology) -> Result<(), CoreError> {
+        let n = topology.num_nodes();
+        let invalid =
+            || CoreError::InvalidParameter("tree is not a spanning tree of the graph".into());
+        let root = self.root as usize;
+        if self.num_nodes() != n
+            || self.children_ports.len() != n
+            || root >= n
+            || self.parent_port[root].is_some()
+        {
+            return Err(invalid());
+        }
+        let across = |v: u32, p: u32| topology.neighbors(v).get(p as usize).copied();
+        let mut seen = vec![false; n];
+        seen[root] = true;
+        let mut stack = vec![self.root];
+        let mut reached = 1;
+        while let Some(v) = stack.pop() {
+            for &c in &self.children_ports[v as usize] {
+                let w = across(v, c).ok_or_else(invalid)?;
+                let back = self.parent_port[w as usize].and_then(|p| across(w, p));
+                if back != Some(v) || seen[w as usize] {
+                    return Err(invalid());
+                }
+                seen[w as usize] = true;
+                reached += 1;
+                stack.push(w);
+            }
+        }
+        if reached != n {
+            return Err(invalid());
+        }
+        Ok(())
     }
 }
 
@@ -81,16 +116,16 @@ mod tests {
         }
         // A spanning tree on 9 nodes has 8 edges.
         assert_eq!(edge_count, 8);
-        assert!(r.tree.spans_all());
+        assert!(r.tree.check_spans(&g.to_topology()).is_ok());
         assert_eq!(r.tree.num_nodes(), 9);
     }
 
     #[test]
-    fn spans_all_is_false_on_disconnected() {
+    fn a_tree_of_a_disconnected_graph_does_not_span() {
         let mut b = dapsp_graph::Graph::builder(3);
         b.add_edge(0, 1).unwrap();
         let g = b.build();
         let r = bfs::run(&g, 0).unwrap();
-        assert!(!r.tree.spans_all());
+        assert!(r.tree.check_spans(&g.to_topology()).is_err());
     }
 }

@@ -27,7 +27,6 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::aggregate::{self, AggOp};
-use crate::bfs;
 use crate::error::CoreError;
 use crate::kernel::SourceSlots;
 use crate::observe::Obs;
@@ -64,9 +63,9 @@ pub fn degree_threshold(n: usize) -> usize {
     (n as f64 * logn).sqrt().ceil() as usize
 }
 
-/// Phase shared by both probe schedules: elect the smallest-id low-degree
-/// node (or fall back to random sampling when none exists) and derive the
-/// probe set. Charges its min-aggregation to `stats`.
+/// Elects the smallest-id low-degree node (or falls back to random
+/// sampling when none exists) and derives the probe set. Charges its
+/// min-aggregation to `stats`.
 fn select_probes(
     topology: &Topology,
     t1: &crate::tree::TreeKnowledge,
@@ -233,86 +232,5 @@ mod tests {
         assert!(degree_threshold(100) >= 25);
         assert!(degree_threshold(100) <= 27);
         assert!(degree_threshold(10_000) > degree_threshold(100) * 5);
-    }
-}
-
-/// Algorithm 3 with the paper's literal probe schedule: one BFS per source,
-/// run back to back (the paper notes this is "already fast enough" since
-/// `D <= 4` under the promise, and skips `N₁(v)`-SP).
-///
-/// [`run`] uses Algorithm 2 instead — `O(|S| + D)` rather than
-/// `O(|S| · D)` rounds — which is a documented substitution; this variant
-/// exists to measure the difference against the E8 rounds of
-/// `artifacts/table1.txt`.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_sequential_probes(graph: &Graph, seed: u64) -> Result<TwoVsFourResult, CoreError> {
-    let n = graph.num_nodes();
-    if n == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
-    let topology = graph.to_topology();
-    let t1 = bfs::run_on(&topology, 0)?;
-    if !t1.reached_all() {
-        return Err(CoreError::Disconnected);
-    }
-    let mut stats = t1.stats;
-    let (sources, strategy) = select_probes(&topology, &t1.tree, seed, &mut stats)?;
-    // The paper's schedule: one full BFS per probed vertex, sequentially.
-    let mut deep = vec![0u64; n];
-    for &src in &sources {
-        let b = bfs::run_on(&topology, src)?;
-        stats.absorb_sequential(&b.stats);
-        for (flag, &d) in deep.iter_mut().zip(&b.dist) {
-            if d != dapsp_graph::INFINITY && d > 2 {
-                *flag = 1;
-            }
-        }
-    }
-    let or = aggregate::run_on(&topology, &t1.tree, &deep, AggOp::Or)?;
-    stats.absorb_sequential(&or.stats);
-    Ok(TwoVsFourResult {
-        claimed_diameter: if or.value == 1 { 4 } else { 2 },
-        strategy,
-        probed_sources: sources.len(),
-        stats,
-    })
-}
-
-#[cfg(test)]
-mod sequential_probe_tests {
-    use super::*;
-    use dapsp_graph::generators;
-
-    #[test]
-    fn agrees_with_the_pipelined_variant() {
-        for (g, seed) in [
-            (generators::star(20), 1u64),
-            (generators::double_broom(24, 4), 1),
-            (generators::complete_bipartite(16, 16), 2),
-            (generators::grid(3, 3), 3),
-        ] {
-            let fast = run(&g, seed).unwrap();
-            let slow = run_sequential_probes(&g, seed).unwrap();
-            assert_eq!(fast.claimed_diameter, slow.claimed_diameter);
-            assert_eq!(fast.probed_sources, slow.probed_sources);
-        }
-    }
-
-    #[test]
-    fn pipelined_probing_is_never_slower_at_scale() {
-        // With many probes the S-SP pipeline beats the sequential schedule.
-        let g = generators::complete_bipartite(40, 40);
-        let fast = run(&g, 5).unwrap();
-        let slow = run_sequential_probes(&g, 5).unwrap();
-        assert!(fast.probed_sources > 8, "need enough probes to matter");
-        assert!(
-            fast.stats.rounds < slow.stats.rounds,
-            "pipelined {} vs sequential {}",
-            fast.stats.rounds,
-            slow.stats.rounds
-        );
     }
 }

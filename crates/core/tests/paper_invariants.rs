@@ -1,12 +1,13 @@
 //! Paper-invariant probes: the observer layer watching the real algorithms
 //! for the structural claims the proofs rest on.
 //!
-//! * **Lemma 1** (pebble-APSP): during the wave phase, no directed edge
-//!   ever carries more than one message per round, and no node is first
-//!   reached by two different waves in the same round. A corollary checked
-//!   here too: each wave propagates at exactly speed 1, so per stream the
-//!   quantity `first_arrival − distance` is a constant (the wave's start
-//!   offset).
+//! * **Lemma 1** (pebble-APSP): during the wave phase no node is first
+//!   reached by two different waves in the same round, and each wave
+//!   propagates at exactly speed 1, so per stream the quantity
+//!   `first_arrival − distance` is a constant (the wave's start offset).
+//!   The other half of Lemma 1 — no directed edge carries two messages in
+//!   one round — is the engine's `DuplicateSend` rule, which aborts any run
+//!   that breaks it.
 //! * **Lemma 8 / Theorem 3** (S-SP): during the simultaneous growth of
 //!   `|S|` BFS trees, a wave's first arrival at any node lags the ideal
 //!   uncongested schedule by at most `|S|` rounds.
@@ -19,9 +20,7 @@
 
 use std::collections::HashMap;
 
-use dapsp_congest::{
-    Config, EdgeCongestionProbe, FanOut, FaultPlan, ObserverHandle, SharedObserver, TraceRecorder,
-};
+use dapsp_congest::{Config, FaultPlan, SharedObserver, TraceEvent, TraceRecorder};
 use dapsp_core::kernel::{distance_rows, run_protocol_on, Deal, WaveKernel};
 use dapsp_core::{apsp, ssp, Obs};
 use dapsp_graph::{generators, reference, Graph, INFINITY};
@@ -40,25 +39,25 @@ fn families() -> Vec<(&'static str, Graph)> {
 #[test]
 fn lemma1_wave_phase_congestion_and_spacing() {
     for (family, g) in families() {
-        let congestion = SharedObserver::new(EdgeCongestionProbe::new(1).for_phase("apsp:waves"));
         // The recorder's wave maps describe the last run: the wave phase.
         let arrivals = SharedObserver::new(TraceRecorder::new());
-        let fan = ObserverHandle::new(FanOut::new(vec![
-            congestion.observer(),
-            arrivals.observer(),
-        ]));
-        let result = apsp::run_on_obs(&g.to_topology(), Obs::watching(&fan)).expect("apsp runs");
-
-        congestion.with(|p| {
-            assert!(
-                p.is_clean(),
-                "{family}: Lemma 1 violated, edge loads {:?}",
-                p.violations()
-            );
-            assert_eq!(p.max_load(), 1, "{family}: wave phase sent messages");
-        });
+        let handle = arrivals.observer();
+        let result = apsp::run_on_obs(&g.to_topology(), Obs::watching(&handle)).expect("apsp runs");
 
         arrivals.with(|p| {
+            let mut phase = String::new();
+            let wave_messages = p
+                .events()
+                .filter(|ev| match ev {
+                    TraceEvent::RunStart { phase: label, .. } => {
+                        phase.clone_from(label);
+                        false
+                    }
+                    TraceEvent::Message { .. } => phase == "apsp:waves",
+                    _ => false,
+                })
+                .count();
+            assert!(wave_messages > 0, "{family}: wave phase sent messages");
             assert!(
                 !p.wave_arrivals().is_empty(),
                 "{family}: wave arrivals were recorded"

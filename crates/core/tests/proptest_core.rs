@@ -240,13 +240,13 @@ proptest! {
     #[test]
     fn approx_membership_supersets(n in 2usize..24, seed in any::<u64>()) {
         let g = connected(n, 0.12, seed);
-        let c = approx::center(&g, 0.5).expect("center");
+        let ecc = approx::eccentricities(&g, 0.5).expect("estimates");
+        let b = approx::from_estimates(&g, &ecc).expect("bundle");
         for v in reference::center(&g).unwrap() {
-            prop_assert!(c.members[v as usize], "center {} missing", v);
+            prop_assert!(b.center[v as usize], "center {} missing", v);
         }
-        let p = approx::peripheral_vertices(&g, 0.5).expect("peripheral");
         for v in reference::peripheral_vertices(&g).unwrap() {
-            prop_assert!(p.members[v as usize], "peripheral {} missing", v);
+            prop_assert!(b.peripheral[v as usize], "peripheral {} missing", v);
         }
     }
 }

@@ -114,27 +114,6 @@ pub fn grid(rows: usize, cols: usize) -> Graph {
     b.build()
 }
 
-/// The `rows × cols` torus (grid with wraparound).
-///
-/// # Panics
-///
-/// Panics if either dimension is `< 3` (smaller tori collapse to
-/// multi-edges).
-pub fn torus(rows: usize, cols: usize) -> Graph {
-    assert!(rows >= 3 && cols >= 3, "torus dimensions must be >= 3");
-    let mut b = Graph::builder(rows * cols);
-    let id = |r: usize, c: usize| (r * cols + c) as u32;
-    for r in 0..rows {
-        for c in 0..cols {
-            b.add_edge(id(r, c), id(r, (c + 1) % cols))
-                .expect("valid edge");
-            b.add_edge(id(r, c), id((r + 1) % rows, c))
-                .expect("valid edge");
-        }
-    }
-    b.build()
-}
-
 /// The `dim`-dimensional hypercube on `2^dim` nodes. Diameter `dim`.
 ///
 /// # Panics
@@ -511,14 +490,11 @@ mod tests {
     }
 
     #[test]
-    fn grid_and_torus_shapes() {
+    fn grid_shape() {
         let g = grid(4, 5);
         assert_eq!(g.num_nodes(), 20);
         assert_eq!(g.num_edges(), 4 * 4 + 3 * 5);
         assert_eq!(reference::diameter(&g), Some(7));
-        let t = torus(4, 4);
-        assert_eq!(t.num_edges(), 2 * 16);
-        assert_eq!(reference::diameter(&t), Some(4));
     }
 
     #[test]

@@ -121,37 +121,6 @@ impl Graph {
         })
     }
 
-    /// Renders the graph in Graphviz DOT format (undirected), one edge per
-    /// line — handy for eyeballing generated topologies.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use dapsp_graph::Graph;
-    ///
-    /// # fn main() -> Result<(), dapsp_graph::GraphError> {
-    /// let mut b = Graph::builder(3);
-    /// b.add_edge(0, 1)?;
-    /// b.add_edge(1, 2)?;
-    /// let dot = b.build().to_dot("triangle-less");
-    /// assert!(dot.contains("0 -- 1;"));
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn to_dot(&self, name: &str) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(out, "graph \"{name}\" {{");
-        for v in 0..self.num_nodes() {
-            let _ = writeln!(out, "  {v};");
-        }
-        for (u, v) in self.edges() {
-            let _ = writeln!(out, "  {u} -- {v};");
-        }
-        out.push_str("}\n");
-        out
-    }
-
     /// Converts the graph into a simulator [`Topology`].
     ///
     /// The conversion cannot fail: a `Graph` is simple and symmetric by
@@ -285,18 +254,6 @@ mod tests {
         assert_eq!(t.num_nodes(), 3);
         assert_eq!(t.num_edges(), 2);
         assert_eq!(t.neighbors(1), &[0, 2]);
-    }
-
-    #[test]
-    fn dot_export_lists_every_node_and_edge() {
-        let mut b = Graph::builder(3);
-        b.add_edge(0, 2).unwrap();
-        let dot = b.build().to_dot("t");
-        assert!(dot.starts_with("graph \"t\""));
-        for needle in ["  0;", "  1;", "  2;", "  0 -- 2;"] {
-            assert!(dot.contains(needle), "missing {needle}");
-        }
-        assert!(dot.trim_end().ends_with('}'));
     }
 
     #[test]

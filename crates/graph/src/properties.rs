@@ -4,7 +4,6 @@
 //! validate generators.
 
 use crate::graph::Graph;
-use crate::reference::bfs;
 
 /// Summary statistics of a graph's degree sequence.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -51,44 +50,6 @@ pub fn density(g: &Graph) -> f64 {
     g.num_edges() as f64 / (n as f64 * (n as f64 - 1.0) / 2.0)
 }
 
-/// The connected components, as sorted vectors of node ids, sorted by
-/// smallest member.
-///
-/// # Examples
-///
-/// ```
-/// use dapsp_graph::{properties, Graph};
-///
-/// # fn main() -> Result<(), dapsp_graph::GraphError> {
-/// let mut b = Graph::builder(5);
-/// b.add_edge(0, 1)?;
-/// b.add_edge(3, 4)?;
-/// let comps = properties::connected_components(&b.build());
-/// assert_eq!(comps, vec![vec![0, 1], vec![2], vec![3, 4]]);
-/// # Ok(())
-/// # }
-/// ```
-pub fn connected_components(g: &Graph) -> Vec<Vec<u32>> {
-    let n = g.num_nodes();
-    let mut seen = vec![false; n];
-    let mut components = Vec::new();
-    for start in 0..n as u32 {
-        if seen[start as usize] {
-            continue;
-        }
-        let dist = bfs(g, start);
-        let mut comp: Vec<u32> = (0..n as u32)
-            .filter(|&v| dist[v as usize] != crate::INFINITY)
-            .collect();
-        for &v in &comp {
-            seen[v as usize] = true;
-        }
-        comp.sort_unstable();
-        components.push(comp);
-    }
-    components
-}
-
 /// True if the graph is bipartite (2-colorable). Vacuously true when
 /// empty.
 ///
@@ -123,19 +84,6 @@ pub fn is_bipartite(g: &Graph) -> bool {
     true
 }
 
-/// The full degree histogram: `hist[d]` = number of nodes of degree `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let max = (0..g.num_nodes() as u32)
-        .map(|v| g.degree(v))
-        .max()
-        .unwrap_or(0);
-    let mut hist = vec![0usize; max + 1];
-    for v in 0..g.num_nodes() as u32 {
-        hist[g.degree(v)] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,12 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn components_of_connected_graph_is_single() {
-        let g = generators::grid(3, 3);
-        assert_eq!(connected_components(&g).len(), 1);
-    }
-
-    #[test]
     fn bipartite_classification() {
         assert!(is_bipartite(&generators::path(9)));
         assert!(is_bipartite(&generators::hypercube(4)));
@@ -173,15 +115,6 @@ mod tests {
         assert!(!is_bipartite(&generators::complete(3)));
         assert!(is_bipartite(&generators::complete_bipartite(4, 5)));
         assert!(is_bipartite(&Graph::builder(0).build()));
-    }
-
-    #[test]
-    fn histogram_sums_to_n() {
-        let g = generators::barabasi_albert(40, 2, 3);
-        let hist = degree_histogram(&g);
-        assert_eq!(hist.iter().sum::<usize>(), 40);
-        // Preferential attachment: the tail is nonempty well above the mean.
-        assert!(hist.len() > 5);
     }
 
     use crate::Graph;

@@ -83,12 +83,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Approximate center: must contain the exact one (Corollary 4).
-    let approx_center = approx::center(&g, 0.5)?;
-    assert!(center.iter().all(|&c| approx_center.members[c as usize]));
+    let estimate = approx::from_estimates(&g, &approx::eccentricities(&g, 0.5)?)?;
+    assert!(center.iter().all(|&c| estimate.center[c as usize]));
     println!(
         "approx ({} rounds): candidate center {:?} — a superset of the exact center",
-        approx_center.stats.rounds,
-        approx_center.member_ids()
+        estimate.stats.rounds,
+        ids(&estimate.center)
     );
     Ok(())
 }
