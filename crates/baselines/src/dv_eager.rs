@@ -14,7 +14,7 @@ use dapsp_congest::{
 };
 use dapsp_graph::{DistanceMatrix, Graph, INFINITY};
 
-use dapsp_core::{run_algorithm, CoreError};
+use dapsp_core::{run_algorithm_on, CoreError};
 
 use crate::BaselineResult;
 
@@ -121,8 +121,8 @@ pub fn distance_vector_eager(graph: &Graph) -> Result<BaselineResult, CoreError>
     if n == 0 {
         return Err(CoreError::EmptyGraph);
     }
-    let report = run_algorithm(
-        graph,
+    let report = run_algorithm_on(
+        &graph.to_topology(),
         Config::for_n(n).with_max_rounds(64 * (n as u64) * (n as u64) + 1000),
         |ctx| EagerNode {
             n: n as u32,
@@ -168,7 +168,7 @@ mod tests {
     fn roughly_linear_rounds_but_more_messages_than_apsp() {
         let g = generators::erdos_renyi_connected(40, 0.1, 7);
         let eager = distance_vector_eager(&g).unwrap();
-        let apsp = dapsp_core::apsp::run(&g).unwrap();
+        let apsp = dapsp_core::apsp::run_on_obs(&g.to_topology(), dapsp_core::Obs::none()).unwrap();
         // Same answers...
         assert_eq!(eager.distances, apsp.distances);
         // ...but re-announcements cost messages: eager sends at least as

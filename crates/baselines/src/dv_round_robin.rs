@@ -14,7 +14,7 @@ use dapsp_congest::{
 };
 use dapsp_graph::{DistanceMatrix, Graph, INFINITY};
 
-use dapsp_core::{run_algorithm, CoreError};
+use dapsp_core::{run_algorithm_on, CoreError};
 
 use crate::BaselineResult;
 
@@ -116,8 +116,8 @@ pub fn distance_vector(graph: &Graph) -> Result<BaselineResult, CoreError> {
     // The protocol has no termination detection; give it a budget that is
     // provably enough and measure the actual convergence round.
     let budget = (n as u64) * (n as u64 + 2) + 2 * n as u64;
-    let report = run_algorithm(
-        graph,
+    let report = run_algorithm_on(
+        &graph.to_topology(),
         Config::for_n(n).with_max_rounds(budget + 10),
         |ctx| {
             let me = ctx.node_id();

@@ -15,7 +15,7 @@ use dapsp_congest::{
 };
 use dapsp_graph::{Graph, INFINITY};
 
-use dapsp_core::{run_algorithm, CoreError};
+use dapsp_core::{run_algorithm_on, CoreError};
 
 use crate::BaselineResult;
 
@@ -116,8 +116,8 @@ pub fn link_state(graph: &Graph) -> Result<BaselineResult, CoreError> {
         return Err(CoreError::EmptyGraph);
     }
     let m = graph.num_edges() as u64;
-    let report = run_algorithm(
-        graph,
+    let report = run_algorithm_on(
+        &graph.to_topology(),
         Config::for_n(n).with_max_rounds(4 * m + 16 * n as u64 + 100),
         |ctx| FloodNode {
             n: n as u32,

@@ -8,7 +8,7 @@
 
 use dapsp_graph::{DistanceMatrix, Graph};
 
-use dapsp_core::{bfs, CoreError};
+use dapsp_core::{bfs, CoreError, Obs};
 
 use crate::BaselineResult;
 
@@ -40,8 +40,9 @@ pub fn sequential_bfs(graph: &Graph) -> Result<BaselineResult, CoreError> {
     }
     let mut distances = DistanceMatrix::new(n);
     let mut stats = dapsp_congest::RunStats::default();
+    let topology = graph.to_topology();
     for root in 0..n as u32 {
-        let r = bfs::run(graph, root)?;
+        let r = bfs::run_on_obs(&topology, root, Obs::none())?;
         if !r.reached_all() {
             return Err(CoreError::Disconnected);
         }
@@ -76,7 +77,7 @@ mod tests {
     fn costs_n_times_d_on_paths_where_apsp_is_linear() {
         let g = generators::path(40);
         let seq = sequential_bfs(&g).unwrap();
-        let apsp = dapsp_core::apsp::run(&g).unwrap();
+        let apsp = dapsp_core::apsp::run_on_obs(&g.to_topology(), Obs::none()).unwrap();
         assert_eq!(seq.distances, apsp.distances);
         // Sequential: sum of eccentricities ≈ n·D/ 1.5; Algorithm 1: ~3n.
         assert!(

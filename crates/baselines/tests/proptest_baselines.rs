@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use dapsp_baselines::{distance_vector, distance_vector_eager, link_state, sequential_bfs};
-use dapsp_core::apsp;
+use dapsp_core::{apsp, Obs};
 use dapsp_graph::{generators, reference, Graph};
 
 fn connected(n: usize, p: f64, seed: u64) -> Graph {
@@ -20,7 +20,7 @@ proptest! {
     fn all_implementations_agree_with_the_oracle(n in 2usize..22, p in 0.0f64..0.3, seed in any::<u64>()) {
         let g = connected(n, p, seed);
         let truth = reference::apsp(&g);
-        prop_assert_eq!(apsp::run(&g).expect("apsp").distances, truth.clone());
+        prop_assert_eq!(apsp::run_on_obs(&g.to_topology(), Obs::none()).expect("apsp").distances, truth.clone());
         prop_assert_eq!(sequential_bfs(&g).expect("seq").distances, truth.clone());
         prop_assert_eq!(distance_vector_eager(&g).expect("eager").distances, truth.clone());
         prop_assert_eq!(distance_vector(&g).expect("rr").distances, truth.clone());
@@ -32,7 +32,7 @@ proptest! {
     #[test]
     fn pipelining_never_loses(n in 3usize..26, seed in any::<u64>()) {
         let g = connected(n, 0.15, seed);
-        let a = apsp::run(&g).expect("apsp");
+        let a = apsp::run_on_obs(&g.to_topology(), Obs::none()).expect("apsp");
         let s = sequential_bfs(&g).expect("seq");
         prop_assert!(a.stats.rounds <= s.stats.rounds + 12,
                      "pebbled {} vs sequential {}", a.stats.rounds, s.stats.rounds);

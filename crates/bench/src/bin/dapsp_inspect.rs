@@ -15,10 +15,12 @@
 //!
 //! Workload flags:
 //! `[--workload apsp|bfs|ssp] [--family FAM] [--n N] [--loss P]
-//! [--threads T] [--seed S] [--churn K]`; `--churn K` runs the *churned*
-//! variant of the workload — a [`TopologyPlan`] removing `K` edges and
-//! inserting one mid-run — so the trace carries `TopologyChange` events
-//! and the summary shows them alongside the per-kernel drop attribution.
+//! [--threads T] [--seed S] [--churn K]`; `--churn K` runs churned APSP
+//! (`apsp::run_churned_on`, the one churned pipeline) instead — a
+//! [`TopologyPlan`] removing `K` edges and inserting one mid-run — so the
+//! trace carries `TopologyChange` events and the summary shows them
+//! alongside the per-kernel drop attribution. `--churn` with `bfs` or
+//! `ssp` is refused.
 //! `perfetto` adds `[--out PATH] [--by node|kernel]`.
 
 use std::process::ExitCode;
@@ -95,6 +97,19 @@ impl Default for RunOpts {
 }
 
 impl RunOpts {
+    /// Refuses option combinations no pipeline runs: churn exists for
+    /// APSP only.
+    fn validate(&self) -> Result<(), String> {
+        if self.churn > 0 && self.workload != "apsp" {
+            return Err(format!(
+                "--churn runs churned APSP only (apsp::run_churned_on); \
+                 --workload {} has no churned pipeline",
+                self.workload
+            ));
+        }
+        Ok(())
+    }
+
     fn describe(&self) -> String {
         format!(
             "{}/{}/n={} loss={} threads={} churn={}",
@@ -136,16 +151,10 @@ fn run_traced(opts: &RunOpts) -> SharedObserver<TraceRecorder> {
     let sources: Vec<u32> = vec![0, (opts.n / 2) as u32];
     let faults = FaultPlan::uniform_loss(opts.loss, opts.seed);
     let outcome = if opts.churn > 0 {
-        // The churned entry points repair in place of recomputing; loss is
-        // not composed here (the repair kernel has no reliable transport
-        // and refuses a fault plan).
-        let plan = opts.churn_plan(&graph);
-        match opts.workload.as_str() {
-            "bfs" => bfs::run_churned_on(&topology, 0, &plan, obs).map(|_| ()),
-            "ssp" => ssp::run_churned_on(&topology, &sources, &plan, obs).map(|_| ()),
-            "apsp" => apsp::run_churned_on(&topology, &plan, obs).map(|_| ()),
-            other => panic!("unknown workload {other}; expected apsp|bfs|ssp"),
-        }
+        // Churned APSP repairs in place of recomputing; loss is not
+        // composed here (the repair kernel has no reliable transport and
+        // refuses a fault plan); `main` refuses `--churn` with bfs or ssp.
+        apsp::run_churned_on(&topology, &opts.churn_plan(&graph), obs).map(|_| ())
     } else {
         // Loss rides in `obs`: every phase then runs on the reliable
         // transport and reports as `"<phase>:reliable"`.
@@ -403,6 +412,16 @@ fn cmd_smoke() -> ExitCode {
         "smoke: churned summary failed"
     );
     println!("smoke: churned summary shows TopologyChange events");
+    for workload in ["bfs", "ssp"] {
+        let opts = RunOpts {
+            workload: workload.into(),
+            ..opts.clone()
+        };
+        assert!(
+            opts.validate().is_err(),
+            "smoke: --churn accepted with {workload}"
+        );
+    }
 
     // diff path: serial vs pool event streams must be bit-identical.
     let opts = RunOpts {
@@ -478,6 +497,10 @@ fn main() -> ExitCode {
             }
             other => panic!("unknown argument {other}; {USAGE}"),
         }
+    }
+    if let Err(e) = opts.validate() {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
     }
     match cmd.as_str() {
         "summary" => cmd_summary(&opts),

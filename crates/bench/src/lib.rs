@@ -171,7 +171,7 @@ fn table1_apsp(out: &mut String) {
     let mut dv_path: Vec<(f64, f64)> = Vec::new();
     for &n in &ns {
         for (label, g) in apsp_families(n) {
-            let a = apsp::run(&g).expect("apsp");
+            let a = apsp::run_on_obs(&g.to_topology(), Obs::none()).expect("apsp");
             let seq = dapsp_baselines::sequential_bfs(&g).expect("sequential");
             let eager = dapsp_baselines::distance_vector_eager(&g).expect("eager dv");
             // The round-robin protocol is Θ(n·D); cap it to keep runtimes sane.
@@ -266,7 +266,7 @@ fn table1_ssp(out: &mut String) {
     let mut increments = Vec::new();
     for s_count in [4usize, 16, 48, 96, 160] {
         let sources: Vec<u32> = (0..s_count as u32).collect();
-        let r = ssp::run(&g, &sources).expect("ssp");
+        let r = ssp::run_on_obs(&g.to_topology(), &sources, Obs::none()).expect("ssp");
         if let Some((ps, pr)) = prev {
             increments.push((r.stats.rounds - pr) as f64 / (s_count - ps) as f64);
         }
@@ -297,7 +297,7 @@ fn table1_ssp(out: &mut String) {
     for d in [8usize, 16, 32, 64, 120] {
         let g = generators::double_broom(128, d);
         let sources: Vec<u32> = (0..8).collect();
-        let r = ssp::run(&g, &sources).expect("ssp");
+        let r = ssp::run_on_obs(&g.to_topology(), &sources, Obs::none()).expect("ssp");
         let per_d = r.stats.rounds as f64 / d as f64;
         assert!(
             per_d < 4.5,
@@ -338,7 +338,7 @@ fn table1_exact_apps(out: &mut String) {
     ];
     let mut rows = Vec::new();
     for (label, g) in &instances {
-        let a = apsp::run(g).expect("apsp");
+        let a = apsp::run_on_obs(&g.to_topology(), Obs::none()).expect("apsp");
         let bundle = metrics::from_apsp(g, &a).expect("metrics");
         assert_eq!(Some(bundle.diameter), reference::diameter(g), "{label}");
         assert_eq!(Some(bundle.radius), reference::radius(g), "{label}");
@@ -537,7 +537,7 @@ fn table1_lower_bounds(out: &mut String) {
             n.to_string(),
             inst.bound.rounds(bw).to_string(),
             inst.bound.rounds(1).to_string(),
-            kbfs.result.stats.rounds.to_string(),
+            kbfs.stats.rounds.to_string(),
             fast.claimed_diameter.to_string(),
             fast.stats.rounds.to_string(),
         ]);
@@ -857,7 +857,7 @@ fn table1_bits(out: &mut String) {
     ] {
         for s_count in [4usize, 16, 64] {
             let sources: Vec<u32> = (0..s_count as u32).collect();
-            let r = ssp::run(&g, &sources).expect("ssp");
+            let r = ssp::run_on_obs(&g.to_topology(), &sources, Obs::none()).expect("ssp");
             let m = g.num_edges() as f64;
             let ratio = r.stats.messages as f64 / ((s_count as f64 + f64::from(r.d0)) * m);
             max_ratio = max_ratio.max(ratio);
@@ -950,7 +950,7 @@ fn ablation_ssp_variants(out: &mut String) {
     let mut total_paper_defects = 0;
     for (label, g, sources) in &instances {
         let paper = ssp_paper::run(g, sources).expect("verbatim");
-        let fixed = ssp::run(g, sources).expect("repaired");
+        let fixed = ssp::run_on_obs(&g.to_topology(), sources, Obs::none()).expect("repaired");
         let (paper_wrong, paper_unresolved) = wrong_count(paper.dist.iter(), sources, g);
         let (fixed_wrong, fixed_unresolved) = wrong_count(fixed.dist.iter(), sources, g);
         assert_eq!(
@@ -1005,7 +1005,8 @@ fn ablation_pebble_wait(out: &mut String) {
     ];
     let mut rows = Vec::new();
     for (label, g) in &instances {
-        let with_wait = apsp::run(g).expect("with the wait everything is clean");
+        let with_wait = apsp::run_on_obs(&g.to_topology(), Obs::none())
+            .expect("with the wait everything is clean");
         let outcome = apsp::run_without_wait(g);
         let Err(CoreError::Sim(SimError::DuplicateSend { node, round, .. })) = outcome else {
             let rounds = outcome.map(|r| r.stats.rounds);

@@ -8,7 +8,6 @@
 //! requires.
 
 use dapsp_congest::{RunStats, Topology};
-use dapsp_graph::Graph;
 
 use crate::error::CoreError;
 use crate::kernel::{run_phase, ConvergecastKernel};
@@ -61,9 +60,12 @@ pub struct AggregateResult {
     pub stats: RunStats,
 }
 
-/// Aggregates `values[v]` over all nodes with `op`, using the rooted tree
-/// `tree`; every node learns the result (convergecast + broadcast,
-/// `O(depth)` rounds).
+/// Aggregates `values[v]` over all nodes of `topology` with `op`, using
+/// the rooted tree `tree`, run as `obs` says; every node learns the
+/// result (convergecast + broadcast, `O(depth)` rounds). An attached
+/// observer sees the run under the phase label [`AggOp::phase_label`];
+/// with a fault plan it goes over lossy links and returns the exact
+/// aggregate.
 ///
 /// Values must be small enough that any partial combination fits the
 /// `B`-bit bandwidth; all uses in this crate send counts/distances
@@ -76,58 +78,25 @@ pub struct AggregateResult {
 ///   not a rooted spanning tree of this graph (its ports out of range or
 ///   not reciprocal — e.g. a tree taken from another graph).
 /// * [`CoreError::Sim`] on simulator failures (e.g. a value too large for
-///   the bandwidth).
+///   the bandwidth, or an unbeatable fault adversary).
 ///
 /// # Examples
 ///
 /// ```
-/// use dapsp_core::{aggregate, bfs};
+/// use dapsp_core::{aggregate, bfs, Obs};
 /// use dapsp_graph::generators;
 ///
 /// # fn main() -> Result<(), dapsp_core::CoreError> {
 /// let g = generators::path(5);
-/// let t1 = bfs::run(&g, 0)?;
+/// let topology = g.to_topology();
+/// let t1 = bfs::run_on_obs(&topology, 0, Obs::none())?;
 /// let degrees: Vec<u64> = (0..5).map(|v| g.degree(v) as u64).collect();
-/// let total = aggregate::run(&g, &t1.tree, &degrees, aggregate::AggOp::Sum)?;
+/// let sum = aggregate::AggOp::Sum;
+/// let total = aggregate::run_on_obs(&topology, &t1.tree, &degrees, sum, Obs::none())?;
 /// assert_eq!(total.value, 8); // 2m
 /// # Ok(())
 /// # }
 /// ```
-pub fn run(
-    graph: &Graph,
-    tree: &TreeKnowledge,
-    values: &[u64],
-    op: AggOp,
-) -> Result<AggregateResult, CoreError> {
-    if graph.num_nodes() == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
-    run_on(&graph.to_topology(), tree, values, op)
-}
-
-/// Like [`run`], but over a prebuilt [`Topology`] — used by multi-phase
-/// algorithms that aggregate repeatedly over the same graph.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_on(
-    topology: &Topology,
-    tree: &TreeKnowledge,
-    values: &[u64],
-    op: AggOp,
-) -> Result<AggregateResult, CoreError> {
-    run_on_obs(topology, tree, values, op, Obs::none())
-}
-
-/// Like [`run_on`], run as `obs` says: an observer attached under the
-/// phase label [`AggOp::phase_label`] and, with a fault plan, over lossy
-/// links with the exact aggregate.
-///
-/// # Errors
-///
-/// Same as [`run`]; under faults, an unbeatable adversary fails loudly via
-/// [`CoreError::Sim`].
 pub fn run_on_obs(
     topology: &Topology,
     tree: &TreeKnowledge,
@@ -167,10 +136,21 @@ pub fn run_on_obs(
 mod tests {
     use super::*;
     use crate::bfs;
-    use dapsp_graph::generators;
+    use dapsp_graph::{generators, Graph};
 
     fn setup(g: &Graph) -> TreeKnowledge {
-        bfs::run(g, 0).unwrap().tree
+        bfs::run_on_obs(&g.to_topology(), 0, Obs::none())
+            .unwrap()
+            .tree
+    }
+
+    fn run(
+        g: &Graph,
+        tree: &TreeKnowledge,
+        values: &[u64],
+        op: AggOp,
+    ) -> Result<AggregateResult, CoreError> {
+        run_on_obs(&g.to_topology(), tree, values, op, Obs::none())
     }
 
     #[test]
@@ -260,6 +240,4 @@ mod tests {
             4
         );
     }
-
-    use dapsp_graph::Graph;
 }

@@ -264,7 +264,7 @@ pub(crate) fn diameter_from(
     ecc: ApproxEccResult,
 ) -> Result<ApproxScalarResult, CoreError> {
     let values: Vec<u64> = ecc.estimates.iter().map(|&e| u64::from(e)).collect();
-    let max = aggregate::run_on(topology, &ecc.tree, &values, AggOp::Max)?;
+    let max = aggregate::run_on_obs(topology, &ecc.tree, &values, AggOp::Max, Obs::none())?;
     let mut stats = ecc.stats;
     stats.absorb_sequential(&max.stats);
     Ok(ApproxScalarResult {

@@ -24,14 +24,17 @@
 //! also record *cycle candidates* (two wave receipts for the same root),
 //! which is exactly what Lemma 7 needs to compute the girth.
 
-use dapsp_congest::{NodeContext, RunStats, TerminationCertificate, Topology, TopologyPlan};
+use dapsp_congest::{
+    churned_topology, Config, NodeContext, RunStats, TerminationCertificate, Topology, TopologyPlan,
+};
 use dapsp_graph::{DistanceMatrix, Graph, INFINITY};
 
 use crate::bfs;
-use crate::churned::{run_repair, ChurnedResult, RepairMode};
+use crate::churned::ChurnedResult;
 use crate::error::CoreError;
 use crate::kernel::{
-    distance_rows, run_phase, Coupling, Deal, PebbleKernel, Rows, Stack, WaveKernel, WaveState,
+    distance_rows, run_phase, run_protocol_on, Coupling, Deal, PebbleKernel, RepairKernel, Rows,
+    SourceSlots, Stack, WaveKernel, WaveState,
 };
 use crate::observe::Obs;
 use crate::routing::check_table_size;
@@ -126,7 +129,17 @@ pub struct ApspResult {
     pub certificate: Option<TerminationCertificate>,
 }
 
-/// Runs Algorithm 1: exact all-pairs shortest paths in `O(n)` rounds.
+/// Runs Algorithm 1 over `topology`, as `obs` says: exact all-pairs
+/// shortest paths in `O(n)` rounds.
+///
+/// An attached observer sees the `T_1` phase as `"bfs"` and the pebble +
+/// wave phase as `"apsp:waves"` (attach a
+/// [`MetricsRecorder`](dapsp_congest::MetricsRecorder) for the per-round
+/// metric stream, or congestion probes to check Lemma 1 on a live run).
+/// With a fault plan, both phases run on the reliable transport: for any
+/// loss rate `p < 1` the distance matrix, next hops and girth candidates
+/// are *bit-identical* to the fault-free run, at ≈ 2× the rounds
+/// fault-free and ≈ 2/(1−p)× under loss `p`.
 ///
 /// # Errors
 ///
@@ -138,64 +151,23 @@ pub struct ApspResult {
 ///   first round and before any `n²` allocation, here and in every other
 ///   all-pairs entry point of this module.
 /// * [`CoreError::Sim`] on simulator failures — which would indicate a
-///   violation of Lemma 1.
-///
-/// # Examples
-///
-/// ```
-/// use dapsp_core::apsp;
-/// use dapsp_graph::{generators, reference};
-///
-/// # fn main() -> Result<(), dapsp_core::CoreError> {
-/// let g = generators::grid(3, 3);
-/// let result = apsp::run(&g)?;
-/// assert_eq!(result.distances, reference::apsp(&g));
-/// # Ok(())
-/// # }
-/// ```
-pub fn run(graph: &Graph) -> Result<ApspResult, CoreError> {
-    run_with_wait(graph, true)
-}
-
-/// Like [`run`], but over a prebuilt [`Topology`] — used by the metric and
-/// girth pipelines, which follow APSP with `O(D)` aggregations over the
-/// same graph.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_on(topology: &Topology) -> Result<ApspResult, CoreError> {
-    run_on_obs(topology, Obs::none())
-}
-
-/// Like [`run_on`], run as `obs` says. An attached observer sees the
-/// `T_1` phase as `"bfs"` and the pebble + wave phase as `"apsp:waves"`
-/// (attach a [`MetricsRecorder`](dapsp_congest::MetricsRecorder) for the
-/// per-round metric stream, or congestion probes to check Lemma 1 on a
-/// live run). With a fault plan, both phases run on the reliable
-/// transport: for any loss rate `p < 1` the distance matrix, next hops and
-/// girth candidates are *bit-identical* to the fault-free run, at ≈ 2×
-/// the rounds fault-free and ≈ 2/(1−p)× under loss `p`.
-///
-/// # Errors
-///
-/// Same as [`run`]; under faults, an adversary no retransmission budget
-/// can beat (e.g. a permanently severed link) fails loudly with a
-/// round-limit [`CoreError::Sim`] instead of returning corrupted
-/// distances.
+///   violation of Lemma 1; under faults, an adversary no retransmission
+///   budget can beat (e.g. a permanently severed link) fails loudly with
+///   a round-limit error instead of returning corrupted distances.
 ///
 /// # Examples
 ///
 /// ```
 /// use dapsp_congest::{MetricsRecorder, SharedObserver};
 /// use dapsp_core::{apsp, Obs};
-/// use dapsp_graph::generators;
+/// use dapsp_graph::{generators, reference};
 ///
 /// # fn main() -> Result<(), dapsp_core::CoreError> {
+/// let g = generators::cycle(8);
 /// let recorder = SharedObserver::new(MetricsRecorder::new());
 /// let handle = recorder.observer();
-/// let topology = generators::cycle(8).to_topology();
-/// let result = apsp::run_on_obs(&topology, Obs::watching(&handle))?;
+/// let result = apsp::run_on_obs(&g.to_topology(), Obs::watching(&handle))?;
+/// assert_eq!(result.distances, reference::apsp(&g));
 /// let recorded: u64 = recorder.with(|r| r.stream().iter().map(|m| m.messages).sum());
 /// assert_eq!(recorded, result.stats.messages);
 /// # Ok(())
@@ -216,7 +188,7 @@ pub fn run_on_obs(topology: &Topology, obs: Obs<'_>) -> Result<ApspResult, CoreE
 ///
 /// # Errors
 ///
-/// Same as [`run`].
+/// Same as [`run_on_obs`].
 ///
 /// # Examples
 ///
@@ -227,35 +199,53 @@ pub fn run_on_obs(topology: &Topology, obs: Obs<'_>) -> Result<ApspResult, CoreE
 /// # fn main() -> Result<(), dapsp_core::CoreError> {
 /// let g = generators::path(6);
 /// let r = apsp::run_truncated(&g, 2)?;
-/// assert_eq!(r.result.distances.get(0, 2), Some(2));
-/// assert_eq!(r.result.distances.get(0, 3), None); // beyond depth 2
+/// assert_eq!(r.distances.get(0, 2), Some(2));
+/// assert_eq!(r.distances.get(0, 3), None); // beyond depth 2
 /// assert_eq!(r.neighborhood_sizes(), vec![3, 4, 5, 5, 4, 3]);
 /// # Ok(())
 /// # }
 /// ```
 pub fn run_truncated(graph: &Graph, k: u32) -> Result<KbfsResult, CoreError> {
-    run_phases(&graph.to_topology(), true, k, Obs::none()).map(|result| KbfsResult { k, result })
+    let result = run_phases(&graph.to_topology(), true, k, Obs::none())?;
+    Ok(KbfsResult {
+        k,
+        distances: result.distances,
+        stats: result.stats,
+    })
 }
 
 /// The outcome of a truncated (k-BFS) run; see [`run_truncated`].
+///
+/// It is deliberately not an [`ApspResult`]: its rows stop at depth `k`,
+/// so a consumer of full tables — a served
+/// [`RouteTable`](crate::routing::RouteTable), which would read the
+/// missing entries as "unreachable" — cannot be handed one:
+///
+/// ```compile_fail
+/// use dapsp_core::{apsp, routing::RouteTable};
+/// use dapsp_graph::generators;
+///
+/// let truncated = apsp::run_truncated(&generators::path(6), 1).unwrap();
+/// let table = RouteTable::from_apsp(truncated.result, 0);
+/// ```
 #[derive(Clone, Debug)]
 pub struct KbfsResult {
     /// The truncation depth `k`.
     pub k: u32,
-    /// The partial APSP result: distances beyond `k` are absent, the girth
-    /// candidates only witness cycles of length at most `2k + 1`.
-    pub result: ApspResult,
+    /// `d(u, v)` wherever it is at most `k`; entries beyond `k` are absent.
+    pub distances: DistanceMatrix,
+    /// Combined statistics of both phases.
+    pub stats: RunStats,
 }
 
 impl KbfsResult {
     /// `|N_k(v)|` per node: how many nodes (including `v`) lie within `k`
     /// hops. Row `v` of the matrix holds `d(v, u)` for exactly those `u`.
     pub fn neighborhood_sizes(&self) -> Vec<u32> {
-        let n = self.result.distances.num_nodes();
+        let n = self.distances.num_nodes();
         (0..n as u32)
             .map(|v| {
-                self.result
-                    .distances
+                self.distances
                     .row(v)
                     .iter()
                     .filter(|&&d| d != INFINITY)
@@ -267,7 +257,7 @@ impl KbfsResult {
     /// True iff every node's k-neighborhood is the whole graph — i.e. the
     /// diameter is at most `k` (the §8 / Theorem 8 predicate).
     pub fn covers_everything(&self) -> bool {
-        let n = self.result.distances.num_nodes() as u32;
+        let n = self.distances.num_nodes() as u32;
         self.neighborhood_sizes().iter().all(|&c| c == n)
     }
 }
@@ -285,51 +275,68 @@ impl KbfsResult {
 ///
 /// Usually [`CoreError::Sim`] with
 /// [`SimError::DuplicateSend`](dapsp_congest::SimError::DuplicateSend);
-/// same input validation as [`run`].
+/// same input validation as [`run_on_obs`].
 pub fn run_without_wait(graph: &Graph) -> Result<ApspResult, CoreError> {
-    run_with_wait(graph, false)
+    run_phases(&graph.to_topology(), false, u32::MAX, Obs::none())
 }
 
-/// Like [`run`], but over a network whose topology changes mid-run per
-/// `plan`: every node maintains its full distance row through edge
-/// insertions/removals and node churn via a
-/// [`RepairKernel`](crate::kernel::RepairKernel) (affected-subtree
-/// invalidation after removals, bounded relaxation waves after insertions,
-/// adaptive full recompute on large batches). The returned
-/// [`ChurnedResult`] holds the all-pairs distances on the *post-churn*
-/// graph, with `roots = 0..n`.
+/// Runs Algorithm 1's churn-tolerant counterpart over `topology`, whose
+/// edges and nodes change mid-run per `plan`: every node maintains its
+/// full distance row through edge insertions/removals and node churn via
+/// a [`RepairKernel`] (affected-subtree invalidation after removals,
+/// bounded relaxation waves after insertions, adaptive full recompute on
+/// large batches), writing it into the run's two matrices, which become
+/// the returned [`ChurnedResult`]'s: the all-pairs distances on the
+/// *post-churn* graph. An attached observer sees the run
+/// as `"apsp:churn"`. This is the run behind
+/// `dapsp_serve::RouteService::apply`.
 ///
-/// Unlike the static [`run`], the repair protocol does not use the pebble
-/// schedule (waves must be restartable), so disconnected post-churn graphs
-/// are fine: unreachable pairs report
-/// [`INFINITY`].
+/// Unlike the static [`run_on_obs`], the repair protocol does not use the
+/// pebble schedule (waves must be restartable), so disconnected
+/// post-churn graphs are fine: unreachable pairs report [`INFINITY`]. The
+/// round limit is stretched past the plan's last event by the `O(n)` a
+/// repair (or count-to-infinity retraction chain) can take.
 ///
 /// # Errors
 ///
-/// Same as [`run`] minus the connectivity requirement; a plan that does
-/// not apply cleanly surfaces as [`CoreError::Sim`].
-pub fn run_churned(graph: &Graph, plan: &TopologyPlan) -> Result<ChurnedResult, CoreError> {
-    run_churned_on(&graph.to_topology(), plan, Obs::none())
-}
-
-/// Like [`run_churned`], over a prebuilt [`Topology`] with an optional
-/// observer (phase label `"apsp:churn"`).
-///
-/// # Errors
-///
-/// Same as [`run_churned`]; additionally [`CoreError::InvalidParameter`] if
-/// `obs` carries a fault plan (the repair kernel has no reliable transport).
+/// Same as [`run_on_obs`] minus the connectivity requirement;
+/// additionally a plan that does not apply cleanly surfaces as
+/// [`CoreError::Sim`], and [`CoreError::InvalidParameter`] is returned
+/// before round 0 when `obs` carries a fault plan (the repair kernel has
+/// no reliable transport) or the plan schedules an event past
+/// [`Config::for_n`]'s round limit (the run would only idle until then).
 pub fn run_churned_on(
     topology: &Topology,
     plan: &TopologyPlan,
     obs: Obs<'_>,
 ) -> Result<ChurnedResult, CoreError> {
-    check_size(topology.num_nodes())?;
-    run_repair(topology, plan, RepairMode::All, obs, "apsp:churn")
-}
-
-fn run_with_wait(graph: &Graph, wait_one_slot: bool) -> Result<ApspResult, CoreError> {
-    run_phases(&graph.to_topology(), wait_one_slot, u32::MAX, Obs::none())
+    const PHASE: &str = "apsp:churn";
+    let n = topology.num_nodes();
+    check_size(n)?;
+    obs.reject_faults(PHASE)?;
+    let mut config = obs.apply(Config::for_n(n), PHASE);
+    let last = plan.last_round().unwrap_or(0);
+    if last > config.max_rounds {
+        return Err(CoreError::InvalidParameter(format!(
+            "the plan's last event is at round {last}, past the round limit {}",
+            config.max_rounds
+        )));
+    }
+    config.max_rounds = config.max_rounds.max(last + 4 * n as u64 + 16);
+    let (mut dist, mut parent_port) = distance_rows(n, n);
+    let mut deal = Deal::new(&mut dist, &mut parent_port);
+    let report = run_protocol_on(topology, config.with_topology(plan.clone()), |ctx| {
+        RepairKernel::all_roots(ctx, deal.row(ctx))
+    })?;
+    let final_topo = churned_topology(topology, plan)?;
+    Ok(ChurnedResult {
+        dist,
+        parent_port,
+        present: (0..n as u32).map(|v| final_topo.node_present(v)).collect(),
+        stats: report.stats,
+        certificate: report.certificate,
+        slots: SourceSlots::new(n, &(0..n as u32).collect::<Vec<_>>())?,
+    })
 }
 
 /// The shared two-phase pipeline behind every Algorithm 1 variant:
@@ -358,7 +365,7 @@ fn run_phases(
 ///
 /// # Errors
 ///
-/// Same as [`run`], minus the connectivity check.
+/// Same as [`run_on_obs`], minus the connectivity check.
 pub(crate) fn waves(
     topology: &Topology,
     tree: TreeKnowledge,
@@ -416,6 +423,10 @@ fn assemble(
 mod tests {
     use super::*;
     use dapsp_graph::{generators, reference};
+
+    pub(super) fn run(g: &Graph) -> Result<ApspResult, CoreError> {
+        run_on_obs(&g.to_topology(), Obs::none())
+    }
 
     fn check_against_oracle(g: &Graph) -> ApspResult {
         let result = run(g).unwrap();
@@ -530,6 +541,7 @@ mod tests {
 
 #[cfg(test)]
 mod ablation_tests {
+    use super::tests::run;
     use super::*;
     use dapsp_congest::SimError;
     use dapsp_graph::generators;
@@ -568,6 +580,7 @@ mod ablation_tests {
 
 #[cfg(test)]
 mod kbfs_tests {
+    use super::tests::run;
     use super::*;
     use dapsp_graph::{generators, lowerbound, reference};
 
@@ -584,7 +597,7 @@ mod kbfs_tests {
                 for u in 0..g.num_nodes() as u32 {
                     for v in 0..g.num_nodes() as u32 {
                         let want = oracle.get(u, v).filter(|&d| d <= k);
-                        assert_eq!(r.result.distances.get(u, v), want, "k={k} u={u} v={v}");
+                        assert_eq!(r.distances.get(u, v), want, "k={k} u={u} v={v}");
                     }
                 }
             }
@@ -629,8 +642,8 @@ mod kbfs_tests {
         let g = generators::path(80);
         let full = run(&g).unwrap();
         let trunc = run_truncated(&g, 2).unwrap();
-        assert!(trunc.result.stats.rounds <= full.stats.rounds);
-        assert!(trunc.result.stats.messages * 4 < full.stats.messages);
+        assert!(trunc.stats.rounds <= full.stats.rounds);
+        assert!(trunc.stats.messages * 4 < full.stats.messages);
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //! and parent-port matrix; this module only validates input and folds the
 //! matrices and the per-node [`WaveState`]s into a [`BfsResult`].
 
-use dapsp_congest::{Topology, TopologyPlan};
-use dapsp_graph::{Graph, INFINITY};
+use dapsp_congest::Topology;
+use dapsp_graph::INFINITY;
 
-use crate::churned::{run_repair, ChurnedResult, RepairMode};
 use crate::error::CoreError;
 use crate::kernel::{distance_rows, run_phase, Deal, Rows, WaveKernel, WaveState};
 use crate::observe::Obs;
@@ -48,16 +47,22 @@ impl BfsResult {
     }
 }
 
-/// Runs a distributed BFS from `root` and returns distances, the BFS tree
-/// `T_root`, and the Claim 1 cycle flag.
+/// Runs a distributed BFS from `root` over `topology`, as `obs` says,
+/// and returns distances, the BFS tree `T_root`, and the Claim 1 cycle
+/// flag. Takes `O(ecc(root))` rounds.
 ///
-/// Takes `O(ecc(root))` rounds.
+/// An attached observer sees the run as phase `"bfs"` (so a pipeline's
+/// `T_1` shows up as its own phase); with a fault plan the run goes over
+/// lossy links and returns the fault-free result.
 ///
 /// # Errors
 ///
 /// * [`CoreError::EmptyGraph`] if the graph has no nodes.
 /// * [`CoreError::InvalidNode`] if `root >= n`.
-/// * [`CoreError::Sim`] on simulator-level failures.
+/// * [`CoreError::Sim`] on simulator-level failures; under faults, an
+///   adversary no link can get a frame through (e.g. loss probability 1)
+///   stalls the run into a round-limit error rather than returning
+///   corrupted distances.
 ///
 /// Note that a disconnected graph is *not* an error here: unreached nodes
 /// simply keep infinite distance (check [`BfsResult::reached_all`]).
@@ -65,44 +70,17 @@ impl BfsResult {
 /// # Examples
 ///
 /// ```
-/// use dapsp_core::bfs;
+/// use dapsp_core::{bfs, Obs};
 /// use dapsp_graph::generators;
 ///
 /// # fn main() -> Result<(), dapsp_core::CoreError> {
 /// let g = generators::path(5);
-/// let r = bfs::run(&g, 0)?;
+/// let r = bfs::run_on_obs(&g.to_topology(), 0, Obs::none())?;
 /// assert_eq!(r.dist, vec![0, 1, 2, 3, 4]);
 /// assert!(!r.cycle_detected);
 /// # Ok(())
 /// # }
 /// ```
-pub fn run(graph: &Graph, root: u32) -> Result<BfsResult, CoreError> {
-    if graph.num_nodes() == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
-    run_on(&graph.to_topology(), root)
-}
-
-/// Like [`run`], but over a prebuilt [`Topology`] — used by multi-phase
-/// algorithms that run several simulations over the same graph.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_on(topology: &Topology, root: u32) -> Result<BfsResult, CoreError> {
-    run_on_obs(topology, root, Obs::none())
-}
-
-/// Like [`run_on`], run as `obs` says: an observer attached under the
-/// phase label `"bfs"` — the hook multi-phase pipelines use so their `T_1`
-/// construction shows up as its own phase in recorded metric streams —
-/// and, with a fault plan, over lossy links with the fault-free result.
-///
-/// # Errors
-///
-/// Same as [`run`]; under faults, an adversary no link can get a frame
-/// through (e.g. loss probability 1) stalls the run into [`CoreError::Sim`]
-/// with a round-limit error rather than returning corrupted distances.
 pub fn run_on_obs(topology: &Topology, root: u32, obs: Obs<'_>) -> Result<BfsResult, CoreError> {
     let n = topology.num_nodes();
     if n == 0 {
@@ -122,53 +100,6 @@ pub fn run_on_obs(topology: &Topology, root: u32, obs: Obs<'_>) -> Result<BfsRes
         WaveKernel::single_root(ctx, root, deal.row(ctx))
     })?;
     Ok(fold_bfs(root, dist, &parent, report))
-}
-
-/// Like [`run`], but over a network whose topology changes mid-run per
-/// `plan`: a [`RepairKernel`](crate::kernel::RepairKernel) maintains the
-/// root's distances through edge insertions/removals and node churn, and
-/// the returned [`ChurnedResult`] holds distances on the *post-churn*
-/// graph (validated against a fresh recompute by the conformance suite).
-///
-/// # Errors
-///
-/// Same as [`run`]; additionally a plan that does not apply cleanly to the
-/// graph (removing a missing edge, …) surfaces as [`CoreError::Sim`].
-pub fn run_churned(
-    graph: &Graph,
-    root: u32,
-    plan: &TopologyPlan,
-) -> Result<ChurnedResult, CoreError> {
-    if graph.num_nodes() == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
-    run_churned_on(&graph.to_topology(), root, plan, Obs::none())
-}
-
-/// Like [`run_churned`], over a prebuilt [`Topology`] with an optional
-/// observer (phase label `"bfs:churn"`).
-///
-/// # Errors
-///
-/// Same as [`run_churned`]; additionally [`CoreError::InvalidParameter`] if
-/// `obs` carries a fault plan (the repair kernel has no reliable transport).
-pub fn run_churned_on(
-    topology: &Topology,
-    root: u32,
-    plan: &TopologyPlan,
-    obs: Obs<'_>,
-) -> Result<ChurnedResult, CoreError> {
-    let n = topology.num_nodes();
-    if n == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
-    if root as usize >= n {
-        return Err(CoreError::InvalidNode {
-            node: root,
-            num_nodes: n,
-        });
-    }
-    run_repair(topology, plan, RepairMode::Single(root), obs, "bfs:churn")
 }
 
 /// Folds the run's one-column matrices and per-node wave states into the
@@ -206,7 +137,11 @@ fn fold_bfs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dapsp_graph::{generators, reference};
+    use dapsp_graph::{generators, reference, Graph};
+
+    fn run(g: &Graph, root: u32) -> Result<BfsResult, CoreError> {
+        run_on_obs(&g.to_topology(), root, Obs::none())
+    }
 
     #[test]
     fn distances_match_oracle_on_zoo() {

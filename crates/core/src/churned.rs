@@ -1,10 +1,9 @@
-//! Shared plumbing for churn-tolerant shortest-path runs: the
-//! [`ChurnedResult`] all three `run_churned` entry points ([`bfs`](crate::bfs),
-//! [`apsp`](crate::apsp), [`ssp`](crate::ssp)) return, the
-//! [`RepairKernel`]-driving runner behind them, and the
-//! [`churned_graph`] oracle helper conformance tests recompute reference
-//! answers on (with [`graph_of`], its half that starts from a topology
-//! already churned).
+//! The churn track's data: the [`ChurnedResult`] that
+//! [`apsp::run_churned_on`](crate::apsp::run_churned_on) — the one churned
+//! run, the one `dapsp_serve::RouteService::apply` makes — returns, and
+//! the [`churned_graph`] oracle helper conformance tests recompute
+//! reference answers on (with [`graph_of`], its half that starts from a
+//! topology already churned).
 //!
 //! A churned run hands the engine a
 //! [`TopologyPlan`] next to the usual config; the engine applies each
@@ -12,34 +11,28 @@
 //! [`Protocol::on_topology`](crate::kernel::Protocol::on_topology), and the
 //! repair kernel patches its distances in place (see the
 //! [`kernel::repair`](crate::kernel::RepairKernel) docs for the policy).
-//! When the run quiesces, every *present* node's distances equal a fresh
-//! computation on the post-churn graph.
+//! When the run quiesces, every *present* node's distance row equals a
+//! fresh BFS on the post-churn graph.
 
 use dapsp_congest::{
-    churned_topology, Config, Port, RunStats, TerminationCertificate, Topology, TopologyPlan,
+    churned_topology, Port, RunStats, TerminationCertificate, Topology, TopologyPlan,
 };
 use dapsp_graph::Graph;
 
 use crate::error::CoreError;
-use crate::kernel::{
-    distance_rows, repair_threshold, run_protocol_on, Deal, RepairKernel, Rows, SourceSlots,
-};
-use crate::observe::Obs;
+use crate::kernel::{Rows, SourceSlots};
 
-/// The result of a churn-tolerant shortest-path run: distances on the
-/// *post-churn* graph, per node per requested root.
+/// The result of a churned APSP run: distances on the *post-churn* graph,
+/// per node per root — every node is a root.
 #[derive(Clone, Debug)]
 pub struct ChurnedResult {
-    /// The roots/sources distances were maintained for, in ascending id
-    /// order.
-    pub roots: Vec<u32>,
-    /// `dist[v][i]` = hop distance from `v` to `roots[i]` on the final
+    /// `dist[v][r]` = hop distance from `v` to root `r` on the final
     /// (post-churn) graph; [`INFINITY`](dapsp_graph::INFINITY) when
     /// unreachable. Rows of removed nodes are frozen at their last
     /// pre-removal state — check [`present`](Self::present).
     pub dist: Rows<u32>,
-    /// `parent_port[v][i]` = `v`'s port toward its parent in the repaired
-    /// tree of `roots[i]` (`u32::MAX` at the root and at unreached nodes).
+    /// `parent_port[v][r]` = `v`'s port toward its parent in the repaired
+    /// tree of root `r` (`u32::MAX` at the root and at unreached nodes).
     pub parent_port: Rows<Port>,
     /// Whether each node is still part of the final topology; removed
     /// nodes keep their last outputs but no guarantee covers them.
@@ -51,76 +44,17 @@ pub struct ChurnedResult {
     /// quiescence poll, carried so snapshot layers (`dapsp-serve`) can
     /// attribute republished tables to a certified run.
     pub certificate: Option<TerminationCertificate>,
-    /// The run's id → column map (`roots[i]` ↦ `i`).
-    slots: SourceSlots,
+    /// The run's id → column map (root `r` ↦ column `r`).
+    pub(crate) slots: SourceSlots,
 }
 
 impl ChurnedResult {
     /// Distance from `v` to `root` on the post-churn graph; `None` if
-    /// `root` was not in the maintained set or `v` is not a node.
+    /// either is not a node.
     pub fn dist_to(&self, v: u32, root: u32) -> Option<u32> {
         let i = self.slots.get(root)?;
         self.dist.get(v as usize).map(|row| row[i])
     }
-}
-
-/// Which distances a churned run maintains.
-pub(crate) enum RepairMode {
-    /// One root (churned BFS).
-    Single(u32),
-    /// Every node (churned APSP).
-    All,
-    /// A source set (churned S-SP), its slots in ascending id order.
-    Sources(SourceSlots),
-}
-
-/// Runs a [`RepairKernel`] under `plan`, each node writing its distance
-/// and parent-port rows into the run's two matrices, which become the
-/// [`ChurnedResult`]'s. The round limit is stretched past the plan's last
-/// event by the `O(n)` a repair (or count-to-infinity retraction chain)
-/// can take. An `obs` carrying a fault plan is rejected: the repair kernel
-/// has no reliable transport.
-pub(crate) fn run_repair(
-    topology: &Topology,
-    plan: &TopologyPlan,
-    mode: RepairMode,
-    obs: Obs<'_>,
-    phase: &str,
-) -> Result<ChurnedResult, CoreError> {
-    obs.reject_faults(phase)?;
-    let n = topology.num_nodes();
-    let mut config = obs
-        .apply(Config::for_n(n), phase)
-        .with_topology(plan.clone());
-    let horizon = plan.last_round().unwrap_or(0) + 4 * n as u64 + 16;
-    config.max_rounds = config.max_rounds.max(horizon);
-    let threshold = repair_threshold(n);
-    let slots = match &mode {
-        RepairMode::Single(root) => SourceSlots::new(n, &[*root])?,
-        RepairMode::All => SourceSlots::new(n, &(0..n as u32).collect::<Vec<_>>())?,
-        RepairMode::Sources(slots) => slots.clone(),
-    };
-    let (mut dist, mut parent_port) = distance_rows(n, slots.ids().len());
-    let mut deal = Deal::new(&mut dist, &mut parent_port);
-    let report = run_protocol_on(topology, config, |ctx| {
-        let row = deal.row(ctx);
-        match &mode {
-            RepairMode::Single(root) => RepairKernel::single_root(ctx, *root, threshold, row),
-            RepairMode::All => RepairKernel::all_roots(ctx, threshold, row),
-            RepairMode::Sources(slots) => RepairKernel::sources(ctx, slots, threshold, row),
-        }
-    })?;
-    let final_topo = churned_topology(topology, plan)?;
-    let present = (0..n as u32).map(|v| final_topo.node_present(v)).collect();
-    Ok(ChurnedResult {
-        roots: slots.ids().to_vec(),
-        dist,
-        parent_port,
-        present,
-        stats: report.stats,
-        certificate: report.certificate,
-        slots,
-    })
 }
 
 /// The graph `graph` ends up as after every event of `plan` — the oracle
@@ -158,30 +92,17 @@ pub fn graph_of(topology: &Topology) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{apsp, bfs, ssp};
+    use crate::{apsp, Obs};
     use dapsp_graph::{generators, reference, INFINITY};
 
-    /// Repaired distances must equal a fresh reference BFS on the
-    /// post-churn graph.
-    fn assert_bfs_matches(g: &Graph, root: u32, plan: &TopologyPlan) {
-        let r = bfs::run_churned(g, root, plan).unwrap();
-        let oracle = reference::bfs(&churned_graph(g, plan).unwrap(), root);
-        for (v, &want) in oracle.iter().enumerate() {
-            if !r.present[v] {
-                continue;
-            }
-            assert_eq!(
-                r.dist[v][0], want,
-                "node {v} after plan {plan:?}: got {}, oracle {want}",
-                r.dist[v][0]
-            );
-        }
+    fn run_churned(g: &Graph, plan: &TopologyPlan) -> Result<ChurnedResult, CoreError> {
+        apsp::run_churned_on(&g.to_topology(), plan, Obs::none())
     }
 
     /// Repaired all-pairs distances must equal the oracle on the
     /// post-churn graph at every present node.
     fn assert_apsp_matches(g: &Graph, plan: &TopologyPlan) -> ChurnedResult {
-        let r = apsp::run_churned(g, plan).unwrap();
+        let r = run_churned(g, plan).unwrap();
         let oracle = reference::apsp(&churned_graph(g, plan).unwrap());
         let n = g.num_nodes() as u32;
         for v in (0..n).filter(|&v| r.present[v as usize]) {
@@ -194,58 +115,6 @@ mod tests {
             }
         }
         r
-    }
-
-    #[test]
-    fn churned_bfs_repairs_a_removal() {
-        let g = generators::cycle(8);
-        assert_bfs_matches(&g, 0, &TopologyPlan::new().with_remove(2, 0, 1));
-    }
-
-    #[test]
-    fn churned_bfs_uses_an_insertion() {
-        let g = generators::path(8);
-        let plan = TopologyPlan::new().with_insert(3, 0, 7);
-        let r = bfs::run_churned(&g, 0, &plan).unwrap();
-        assert_eq!(r.dist_to(7, 0), Some(1));
-        assert_bfs_matches(&g, 0, &plan);
-    }
-
-    #[test]
-    fn dist_to_answers_none_outside_the_table() {
-        let g = generators::grid(3, 3);
-        let plan = TopologyPlan::new().with_remove(3, 4, 5);
-        let r = ssp::run_churned(&g, &[8, 0], &plan).unwrap();
-        assert_eq!(r.roots, [0, 8], "columns in id order");
-        assert_eq!((r.dist.width(), r.dist[4][1]), (2, 2));
-        assert_eq!(r.dist_to(4, 8), Some(2));
-        assert_eq!(r.dist_to(4, 5), None, "not a maintained root");
-        assert_eq!(r.dist_to(9, 0), None, "v = n");
-        assert_eq!(r.dist_to(u32::MAX, 8), None);
-    }
-
-    #[test]
-    fn churned_bfs_retracts_when_disconnected() {
-        // Removing the middle edge severs nodes 4..8 from the root; their
-        // distances must retract to INFINITY (count-to-infinity clamp).
-        let g = generators::path(8);
-        let plan = TopologyPlan::new().with_remove(2, 3, 4);
-        let r = bfs::run_churned(&g, 0, &plan).unwrap();
-        for v in 4..8 {
-            assert_eq!(r.dist[v][0], INFINITY, "node {v} must be unreachable");
-        }
-        assert_bfs_matches(&g, 0, &plan);
-    }
-
-    #[test]
-    fn churned_bfs_handles_a_crash() {
-        // Crashing node 2 of a cycle leaves a path; the survivors' repaired
-        // distances match the oracle and the victim is flagged absent.
-        let g = generators::cycle(6);
-        let plan = TopologyPlan::new().with_crash(2, 2);
-        let r = bfs::run_churned(&g, 0, &plan).unwrap();
-        assert!(!r.present[2]);
-        assert_bfs_matches(&g, 0, &plan);
     }
 
     #[test]
@@ -264,14 +133,6 @@ mod tests {
         assert_eq!((a.dist_to(0, 3), a.dist_to(3, 0)), (Some(3), Some(3)));
         assert_eq!(a.parent_port[3][0], 1, "via the new port");
         assert_eq!(a.stats.dropped, 0);
-        for root in [0, 3] {
-            assert_bfs_matches(&g, root, &plan);
-            let b = bfs::run_churned(&g, root, &plan).unwrap();
-            assert_eq!((b.present[3], b.stats.dropped), (true, 0));
-        }
-        let s = ssp::run_churned(&g, &[0, 3], &plan).unwrap();
-        let want: Vec<u32> = (0..4).flat_map(|v| [v, 3 - v]).collect();
-        assert_eq!((s.dist.cells(), s.stats.dropped), (&want[..], 0));
         // Crash and re-join in one batch: the node is told `joined` only.
         let plan = TopologyPlan::new()
             .with_crash(5, 3)
@@ -290,22 +151,10 @@ mod tests {
         let r = assert_apsp_matches(&g, &plan);
         assert_eq!(r.stats.topo_events, 2);
         assert!(r.stats.repaired_node_rounds > 0);
-    }
-
-    #[test]
-    fn churned_ssp_matches_oracle() {
-        let g = generators::grid(3, 3);
-        let sources = [0u32, 8];
-        let plan = TopologyPlan::new().with_remove(3, 4, 5);
-        let r = ssp::run_churned(&g, &sources, &plan).unwrap();
-        let mutated = churned_graph(&g, &plan).unwrap();
-        for (i, &s) in sources.iter().enumerate() {
-            let oracle = reference::bfs(&mutated, s);
-            for (v, &want) in oracle.iter().enumerate() {
-                assert_eq!(r.dist[v][i], want, "d({v}, {s})");
-            }
-        }
-        assert_eq!(r.roots, sources);
+        assert_eq!((r.dist.width(), r.dist[4][8]), (9, 2));
+        assert_eq!(r.dist_to(4, 9), None, "root = n");
+        assert_eq!(r.dist_to(9, 0), None, "v = n");
+        assert_eq!(r.dist_to(u32::MAX, 8), None);
     }
 
     #[test]
@@ -401,7 +250,7 @@ mod tests {
             (generators::watts_strogatz(48, 3, 0.02, 42), true),
         ] {
             let event_round = if settled {
-                let quiet = apsp::run_churned(&g, &TopologyPlan::new()).unwrap();
+                let quiet = run_churned(&g, &TopologyPlan::new()).unwrap();
                 quiet.stats.rounds + 2
             } else {
                 2
@@ -413,7 +262,7 @@ mod tests {
             if settled {
                 // Patching a converged table beats rebuilding it cold.
                 let mutated = churned_graph(&g, &plan).unwrap();
-                let cold = apsp::run_churned(&mutated, &TopologyPlan::new()).unwrap();
+                let cold = run_churned(&mutated, &TopologyPlan::new()).unwrap();
                 assert!(
                     r.stats.rounds - event_round < cold.stats.rounds,
                     "repair took {} rounds, a cold build {}",

@@ -22,7 +22,6 @@ use dapsp_congest::{
     bits_for_count, Config, Inbox, Message, NodeAlgorithm, NodeContext, Outbox, Port, RunStats,
     Topology,
 };
-use dapsp_graph::Graph;
 
 use crate::error::CoreError;
 use crate::observe::Obs;
@@ -171,60 +170,35 @@ impl DominatingResult {
 }
 
 /// Builds a k-dominating set of size at most `max{1, ⌊n/(k+1)⌋}` over the
-/// spanning tree `tree` in one `O(D)`-round convergecast. A `k` above
-/// `n − 1` runs as `n − 1`, which selects the same set.
+/// spanning tree `tree` of `topology` in one `O(D)`-round convergecast,
+/// which an attached observer sees under the phase label `"dom:select"`.
+/// A `k` above `n − 1` runs as `n − 1`, which selects the same set.
 ///
 /// # Errors
 ///
 /// * [`CoreError::EmptyGraph`] on an empty graph.
 /// * [`CoreError::InvalidParameter`] if `tree` is not a rooted spanning
-///   tree of the graph (e.g. a tree taken from another graph).
+///   tree of the graph (e.g. a tree taken from another graph), or if `obs`
+///   carries a fault plan — the selection is a raw node algorithm the
+///   reliable transport cannot wrap.
 /// * [`CoreError::Sim`] on simulator failures.
 ///
 /// # Examples
 ///
 /// ```
-/// use dapsp_core::{bfs, dominating};
+/// use dapsp_core::{bfs, dominating, Obs};
 /// use dapsp_graph::{generators, reference};
 ///
 /// # fn main() -> Result<(), dapsp_core::CoreError> {
 /// let g = generators::path(12);
-/// let t1 = bfs::run(&g, 0)?;
-/// let dom = dominating::run(&g, &t1.tree, 2)?;
+/// let topology = g.to_topology();
+/// let t1 = bfs::run_on_obs(&topology, 0, Obs::none())?;
+/// let dom = dominating::run_on_obs(&topology, &t1.tree, 2, Obs::none())?;
 /// assert!(reference::is_k_dominating_set(&g, &dom.member_ids(), 2));
 /// assert!(dom.size <= 12 / 3);
 /// # Ok(())
 /// # }
 /// ```
-pub fn run(graph: &Graph, tree: &TreeKnowledge, k: u32) -> Result<DominatingResult, CoreError> {
-    if graph.num_nodes() == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
-    run_on(&graph.to_topology(), tree, k)
-}
-
-/// Like [`run`], but over a prebuilt [`Topology`] — used by the
-/// approximation pipelines, which chain this with S-SP over the same graph.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_on(
-    topology: &Topology,
-    tree: &TreeKnowledge,
-    k: u32,
-) -> Result<DominatingResult, CoreError> {
-    run_on_obs(topology, tree, k, Obs::none())
-}
-
-/// Like [`run_on`], with an optional observer attached: the selection
-/// convergecast reports under the phase label `"dom:select"`.
-///
-/// # Errors
-///
-/// Same as [`run`]; additionally [`CoreError::InvalidParameter`] if `obs`
-/// carries a fault plan — the selection is a raw node algorithm the
-/// reliable transport cannot wrap.
 pub fn run_on_obs(
     topology: &Topology,
     tree: &TreeKnowledge,
@@ -267,10 +241,14 @@ pub fn run_on_obs(
 mod tests {
     use super::*;
     use crate::bfs;
-    use dapsp_graph::{generators, reference};
+    use dapsp_graph::{generators, reference, Graph};
+
+    fn run(g: &Graph, tree: &TreeKnowledge, k: u32) -> Result<DominatingResult, CoreError> {
+        run_on_obs(&g.to_topology(), tree, k, Obs::none())
+    }
 
     fn check(g: &Graph, k: u32) -> DominatingResult {
-        let t1 = bfs::run(g, 0).unwrap();
+        let t1 = bfs::run_on_obs(&g.to_topology(), 0, Obs::none()).unwrap();
         let dom = run(g, &t1.tree, k).unwrap();
         let ids = dom.member_ids();
         assert!(
@@ -312,7 +290,7 @@ mod tests {
     #[test]
     fn k_zero_selects_everyone() {
         let g = generators::path(5);
-        let t1 = bfs::run(&g, 0).unwrap();
+        let t1 = bfs::run_on_obs(&g.to_topology(), 0, Obs::none()).unwrap();
         let dom = run(&g, &t1.tree, 0).unwrap();
         assert_eq!(dom.size, 5);
     }
@@ -320,7 +298,7 @@ mod tests {
     #[test]
     fn huge_k_selects_single_node() {
         let g = generators::grid(3, 3);
-        let t1 = bfs::run(&g, 0).unwrap();
+        let t1 = bfs::run_on_obs(&g.to_topology(), 0, Obs::none()).unwrap();
         let dom = run(&g, &t1.tree, 100).unwrap();
         assert_eq!(dom.size, 1);
     }
@@ -335,7 +313,7 @@ mod tests {
             generators::grid(3, 3),
         ] {
             let n = g.num_nodes() as u32;
-            let t1 = bfs::run(&g, 0).unwrap();
+            let t1 = bfs::run_on_obs(&g.to_topology(), 0, Obs::none()).unwrap();
             let at_limit = run(&g, &t1.tree, n - 1).unwrap();
             for k in [n, 4 * n, u32::MAX] {
                 let dom = run(&g, &t1.tree, k).unwrap();
@@ -349,7 +327,7 @@ mod tests {
     #[test]
     fn rounds_are_linear_in_depth() {
         let g = generators::path(40);
-        let t1 = bfs::run(&g, 0).unwrap();
+        let t1 = bfs::run_on_obs(&g.to_topology(), 0, Obs::none()).unwrap();
         let dom = run(&g, &t1.tree, 3).unwrap();
         // One convergecast sweep and nothing after it: a census of |DOM|
         // would add two more.
@@ -368,7 +346,9 @@ mod tests {
             (generators::cycle(8), 3, generators::path(8)),
             (generators::path(3), 0, generators::path(6)),
         ] {
-            let tree = bfs::run(&tree_of, root).unwrap().tree;
+            let tree = bfs::run_on_obs(&tree_of.to_topology(), root, Obs::none())
+                .unwrap()
+                .tree;
             assert!(matches!(
                 run(&g, &tree, 1).unwrap_err(),
                 CoreError::InvalidParameter(_)
@@ -379,12 +359,10 @@ mod tests {
     #[test]
     fn single_node_graph() {
         let g = Graph::builder(1).build();
-        let t1 = bfs::run(&g, 0).unwrap();
+        let t1 = bfs::run_on_obs(&g.to_topology(), 0, Obs::none()).unwrap();
         let dom = run(&g, &t1.tree, 4).unwrap();
         assert_eq!(dom.member_ids(), vec![0]);
     }
-
-    use dapsp_graph::Graph;
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! 3. **Min-aggregation, `O(D)` rounds:** the smallest candidate is folded
 //!    up `T_1` and broadcast.
 
-use dapsp_congest::{ObserverHandle, RunStats};
+use dapsp_congest::RunStats;
 use dapsp_graph::Graph;
 
 use crate::aggregate::{self, AggOp};
@@ -56,29 +56,13 @@ pub struct GirthResult {
 /// # }
 /// ```
 pub fn run(graph: &Graph) -> Result<GirthResult, CoreError> {
-    run_obs(graph, Obs::none())
-}
-
-/// Like [`run`], streaming round/message/timing events of every phase to
-/// `observer`: the tree test reports as `"bfs"` and `"agg:or"`, the cycle
-/// detection as `"apsp:waves"` (its `T_1` is the tree test's), and the
-/// final fold as `"agg:min"`.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_observed(graph: &Graph, observer: &ObserverHandle) -> Result<GirthResult, CoreError> {
-    run_obs(graph, Obs::watching(observer))
-}
-
-fn run_obs(graph: &Graph, obs: Obs<'_>) -> Result<GirthResult, CoreError> {
     let n = graph.num_nodes();
     if n == 0 {
         return Err(CoreError::EmptyGraph);
     }
     let topology = graph.to_topology();
     // Claim 1: BFS from node 0 doubles as the tree test.
-    let t1 = bfs::run_on_obs(&topology, 0, obs)?;
+    let t1 = bfs::run_on_obs(&topology, 0, Obs::none())?;
     if !t1.reached_all() {
         return Err(CoreError::Disconnected);
     }
@@ -86,30 +70,25 @@ fn run_obs(graph: &Graph, obs: Obs<'_>) -> Result<GirthResult, CoreError> {
     // OR-aggregate the per-node "received the wave twice" flags over T_1 so
     // every node learns whether the graph is a tree.
     let flags: Vec<u64> = t1.receipts.iter().map(|&r| u64::from(r > 1)).collect();
-    let or = aggregate::run_on_obs(&topology, &t1.tree, &flags, AggOp::Or, obs)?;
+    let or = aggregate::run_on_obs(&topology, &t1.tree, &flags, AggOp::Or, Obs::none())?;
     stats.absorb_sequential(&or.stats);
     if or.value == 0 {
         return Ok(GirthResult { girth: None, stats });
     }
     // Not a tree: run Algorithm 1's waves over the T_1 just built and
     // min-aggregate the per-node cycle candidates. Sentinel for "no
-    // candidate at this node": anything above 2n + 1 works, since every
-    // cycle candidate is at most 2D + 1 < 2n + 2.
-    let apsp_result = apsp::waves(&topology, t1.tree, true, u32::MAX, obs)?;
+    // candidate at this node" (`INFINITY`): anything above 2n + 1 works,
+    // since every cycle candidate is at most 2D + 1 < 2n + 2.
+    let apsp_result = apsp::waves(&topology, t1.tree, true, u32::MAX, Obs::none())?;
     stats.absorb_sequential(&apsp_result.stats);
     let sentinel = 2 * n as u64 + 2;
     let candidates: Vec<u64> = apsp_result
         .local_girth_candidates
         .iter()
-        .map(|&c| {
-            if c == dapsp_graph::INFINITY {
-                sentinel
-            } else {
-                u64::from(c)
-            }
-        })
+        .map(|&c| u64::from(c).min(sentinel))
         .collect();
-    let min = aggregate::run_on_obs(&topology, &apsp_result.tree, &candidates, AggOp::Min, obs)?;
+    let tree = &apsp_result.tree;
+    let min = aggregate::run_on_obs(&topology, tree, &candidates, AggOp::Min, Obs::none())?;
     stats.absorb_sequential(&min.stats);
     debug_assert!(min.value < sentinel, "non-tree graph must have a cycle");
     Ok(GirthResult {

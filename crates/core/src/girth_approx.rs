@@ -48,7 +48,7 @@ fn probe(
     stats: &mut RunStats,
 ) -> Result<(Option<u32>, TreeKnowledge), CoreError> {
     let n = topology.num_nodes();
-    let dom = dominating::run_on(topology, &tree, k)?;
+    let dom = dominating::run_on_obs(topology, &tree, k, Obs::none())?;
     stats.absorb_sequential(&dom.stats);
     let slots = SourceSlots::new(n, &dom.member_ids())?;
     let sp = ssp::grow(topology, slots, tree, d0, Obs::none())?;
@@ -65,7 +65,7 @@ fn probe(
             }
         })
         .collect();
-    let min = aggregate::run_on(topology, &sp.tree, &candidates, AggOp::Min)?;
+    let min = aggregate::run_on_obs(topology, &sp.tree, &candidates, AggOp::Min, Obs::none())?;
     stats.absorb_sequential(&min.stats);
     let found = (min.value < sentinel).then_some(min.value as u32);
     Ok((found, sp.tree))
@@ -109,7 +109,7 @@ pub fn run(graph: &Graph, eps: f64) -> Result<GirthApproxResult, CoreError> {
     let mut stats = pre.stats;
     // Claim 1 tree test, as in the exact algorithm.
     let flags: Vec<u64> = pre.receipts.iter().map(|&r| u64::from(r > 1)).collect();
-    let or = aggregate::run_on(&topology, &pre.tree, &flags, AggOp::Or)?;
+    let or = aggregate::run_on_obs(&topology, &pre.tree, &flags, AggOp::Or, Obs::none())?;
     stats.absorb_sequential(&or.stats);
     if or.value == 0 {
         return Ok(GirthApproxResult {

@@ -78,7 +78,6 @@ pub use convergecast::{CastMsg, ConvergecastKernel};
 pub use pebble::{PebbleKernel, Token};
 pub use protocol::{Protocol, ProtocolHost, Tx};
 pub use reliable::{Frame, ReliableKernel};
-pub(crate) use repair::repair_threshold;
 pub use repair::{RepairKernel, RepairMsg};
 pub use rows::{distance_rows, Deal, Row, Rows};
 pub use stack::{Both, Coupling, Stack};
@@ -191,7 +190,7 @@ mod tests {
 
     use crate::error::CoreError;
     use crate::observe::Obs;
-    use crate::{apsp, bfs, dominating, ssp};
+    use crate::{apsp, bfs, dominating};
 
     /// Fault-free, the transport's only cost is the ~2× lock-step
     /// overhead: zero retransmissions, rounds within 2·horizon + O(1).
@@ -243,25 +242,20 @@ mod tests {
     }
 
     /// Where the transport cannot go — the dominating set's raw node
-    /// algorithm, the repair kernel of every churned pipeline — a fault
+    /// algorithm, the repair kernel of the churned pipeline — a fault
     /// plan is refused up front instead of running lossy and raw.
     #[test]
     fn pipelines_without_a_transport_reject_faults() {
         let g = generators::grid(3, 3);
         let topo = g.to_topology();
-        let tree = bfs::run_on(&topo, 0).unwrap().tree;
+        let tree = bfs::run_on_obs(&topo, 0, Obs::none()).unwrap().tree;
         let plan = TopologyPlan::new().with_remove(2, 0, 1);
         let faults = FaultPlan::uniform_loss(0.1, 4);
         let obs = Obs::none().with_faults(&faults);
-        let runs: [(&str, Result<(), CoreError>); 4] = [
+        let runs: [(&str, Result<(), CoreError>); 2] = [
             (
                 "dominating",
                 dominating::run_on_obs(&topo, &tree, 2, obs).map(drop),
-            ),
-            ("bfs", bfs::run_churned_on(&topo, 0, &plan, obs).map(drop)),
-            (
-                "ssp",
-                ssp::run_churned_on(&topo, &[0, 8], &plan, obs).map(drop),
             ),
             ("apsp", apsp::run_churned_on(&topo, &plan, obs).map(drop)),
         ];

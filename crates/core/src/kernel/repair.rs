@@ -31,10 +31,8 @@
 //! One message per port per round carries one `(root, dist)` pair —
 //! `⌈log₂ n⌉ + ⌈log₂ (n+1)⌉ ≤ B` bits — so the repair traffic lives inside
 //! the same CONGEST budget as the waves it patches. A node keeps one slot
-//! per maintained root, in ascending root-id order (`n` for APSP, `|S|`
-//! for S-SP through a [`SourceSlots`] map, one for BFS), and writes its
-//! distances and parent ports into the run's matrices like the static
-//! kernels do.
+//! per root, slot `r` for node `r`, and writes its distances and parent
+//! ports into the run's matrices like the static kernels do.
 //!
 //! Which pair goes out is Algorithm 2's per-edge list `L_i` with its
 //! `(dist, id)` priority: every port has an announcement queue keyed
@@ -74,13 +72,13 @@ use dapsp_graph::INFINITY;
 
 use super::protocol::{Protocol, Tx};
 use super::rows::Row;
-use super::wave::{Roots, SourceSlots, WaveState};
+use super::wave::WaveState;
 
 /// The divergence-adaptive default: fall back to a full per-node recompute
 /// when a round's global change batch reaches `max(4, n / 8)` directed
 /// port halves (each edge event counts both endpoints' ports; node events
 /// add one).
-pub(crate) fn repair_threshold(n: usize) -> u32 {
+fn repair_threshold(n: usize) -> u32 {
     (n as u32 / 8).max(4)
 }
 
@@ -88,8 +86,7 @@ pub(crate) fn repair_threshold(n: usize) -> u32 {
 /// (`dist = n` encodes unreachable — the count-to-infinity clamp).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RepairMsg {
-    /// The id of the root the distance belongs to (free on the wire in
-    /// single-root mode, where every node knows it).
+    /// The id of the root the distance belongs to.
     pub root: u32,
     /// The sender's clamped distance to that root.
     pub dist: u32,
@@ -99,14 +96,12 @@ pub struct RepairMsg {
 /// the [`WaveKernel`](super::WaveKernel), it keeps its distance and parent
 /// port per root slot in the [`Row`] its pipeline lends it.
 pub struct RepairKernel<'a> {
-    n: u32,
-    /// Which roots the rows' slots belong to; slot order is id order, so
-    /// the `(dist, slot)` priority is Algorithm 2's `(dist, id)`.
-    roots: Roots,
-    /// The slot this node owns distance 0 in, if it is a root.
-    own: Option<usize>,
-    /// Distances reaching this value clamp to [`INFINITY`] (`= n`; every
-    /// real shortest path is shorter).
+    /// The slot this node owns distance 0 in: its own id. Slot order is
+    /// id order, so the `(dist, slot)` priority is Algorithm 2's
+    /// `(dist, id)`.
+    own: usize,
+    /// `n`: distances reaching it clamp to [`INFINITY`] (every real
+    /// shortest path is shorter).
     clamp: u32,
     /// Global-batch size at which `on_topology` abandons per-slot surgery.
     reset_threshold: u32,
@@ -134,61 +129,28 @@ pub struct RepairKernel<'a> {
 }
 
 impl<'a> RepairKernel<'a> {
-    fn base(ctx: &NodeContext<'_>, roots: Roots, reset_threshold: u32, row: Row<'a>) -> Self {
+    /// Churned APSP: `n` slots indexed by root id; every node owns its
+    /// own, and falls back to a full recompute at `max(4, n / 8)` changed
+    /// port halves.
+    pub fn all_roots(ctx: &NodeContext<'_>, row: Row<'a>) -> Self {
         let n = ctx.num_nodes();
         let degree = ctx.degree();
-        let slots = row.dist.len();
-        let own = roots.slot(ctx.node_id());
-        let k = RepairKernel {
-            n: n as u32,
-            roots,
+        debug_assert_eq!(row.dist.len(), n);
+        let own = ctx.node_id() as usize;
+        row.dist[own] = 0;
+        RepairKernel {
             own,
             clamp: n as u32,
-            reset_threshold,
-            near: Neighbours::new(slots, degree),
-            queues: AnnounceQueues::new(slots, degree),
+            reset_threshold: repair_threshold(n),
+            near: Neighbours::new(n, degree),
+            queues: AnnounceQueues::new(n, degree),
             port_dead: vec![false; degree],
             removed: false,
             arrivals: Vec::new(),
             dist: row.dist,
             parent: row.parent,
             state: WaveState::new(),
-        };
-        if let Some(s) = own {
-            k.dist[s] = 0;
         }
-        k
-    }
-
-    /// Churned single-root BFS: one slot, rooted at `root`.
-    pub fn single_root(
-        ctx: &NodeContext<'_>,
-        root: u32,
-        reset_threshold: u32,
-        row: Row<'a>,
-    ) -> Self {
-        debug_assert_eq!(row.dist.len(), 1);
-        Self::base(ctx, Roots::Single(root), reset_threshold, row)
-    }
-
-    /// Churned APSP: `n` slots indexed by root id; every node owns its own.
-    pub fn all_roots(ctx: &NodeContext<'_>, reset_threshold: u32, row: Row<'a>) -> Self {
-        debug_assert_eq!(row.dist.len(), ctx.num_nodes());
-        Self::base(ctx, Roots::All, reset_threshold, row)
-    }
-
-    /// Churned S-SP: one slot per source of `slots`, which must be in
-    /// ascending id order (see [`SourceSlots`]); distance 0 only at the
-    /// sources.
-    pub fn sources(
-        ctx: &NodeContext<'_>,
-        slots: &SourceSlots,
-        reset_threshold: u32,
-        row: Row<'a>,
-    ) -> Self {
-        debug_assert!(slots.ids().is_sorted(), "slot order must be id order");
-        debug_assert_eq!(row.dist.len(), slots.ids().len());
-        Self::base(ctx, Roots::Sources(slots.clone()), reset_threshold, row)
     }
 
     fn slot_count(&self) -> usize {
@@ -201,7 +163,7 @@ impl<'a> RepairKernel<'a> {
     fn recompute(&mut self, s: usize) -> bool {
         debug_assert!((0..self.port_dead.len())
             .all(|p| !self.port_dead[p] || self.near.cells(p, s) == (INFINITY, INFINITY)));
-        let (best, best_port) = if self.own == Some(s) {
+        let (best, best_port) = if self.own == s {
             (0, u32::MAX)
         } else {
             match self.near.nearest(s) {
@@ -272,8 +234,7 @@ impl<'a> RepairKernel<'a> {
                     // suppressed by the `dist != told` check above (else
                     // two severed nodes bounce retractions forever).
                     *self.near.told_mut(p, su) = dist;
-                    let root = self.roots.id(su);
-                    tx.send(p as Port, RepairMsg { root, dist });
+                    tx.send(p as Port, RepairMsg { root: s, dist });
                     break;
                 }
             }
@@ -421,8 +382,7 @@ impl Neighbours {
 /// stale level and one for the new, then a bit per port. Nothing allocates
 /// once the pool has reached its high-water mark.
 struct AnnounceQueues {
-    /// Words per port per block: `⌈slot_count / 64⌉` (one in single-root
-    /// mode).
+    /// Words per port per block: `⌈slot_count / 64⌉`.
     words: usize,
     /// Ports a block has room for: the degree at boot, doubling when an
     /// insertion appends a port past it.
@@ -594,9 +554,7 @@ impl Protocol for RepairKernel<'_> {
     type Output = WaveState;
 
     fn init(&mut self, _ctx: &NodeContext<'_>, tx: &mut Tx<RepairMsg>) {
-        if let Some(s) = self.own {
-            self.announce_everywhere(s);
-        }
+        self.announce_everywhere(self.own);
         self.transmit(tx);
     }
 
@@ -618,10 +576,7 @@ impl Protocol for RepairKernel<'_> {
             } else {
                 payload.dist
             };
-            let s = self
-                .roots
-                .slot(payload.root)
-                .expect("only roots are announced");
+            let s = payload.root as usize;
             *self.near.cache_mut(p, s) = heard;
             self.arrivals.push((s as u64) << 32 | u64::from(port));
         }
@@ -668,9 +623,7 @@ impl Protocol for RepairKernel<'_> {
             self.removed = false;
             self.dist.fill(INFINITY);
             self.parent.fill(u32::MAX);
-            if let Some(s) = self.own {
-                self.dist[s] = 0;
-            }
+            self.dist[self.own] = 0;
             self.port_dead.fill(true);
             self.near.blank();
             self.queues.clear_all();
@@ -726,20 +679,14 @@ impl Protocol for RepairKernel<'_> {
     }
 
     fn width(&self, _payload: &RepairMsg) -> Width {
-        let mut w = Width::ZERO;
-        if !matches!(self.roots, Roots::Single(_)) {
-            w = w.id(self.n as usize);
-        }
         // The distance field is fixed-width over its clamped domain
         // `0..=n`, like the static wave kernels'.
-        w.count(self.n as usize)
+        let n = self.clamp as usize;
+        Width::ZERO.id(n).count(n)
     }
 
     fn stream(&self, payload: &RepairMsg) -> Option<u32> {
-        match self.roots {
-            Roots::Single(_) => None,
-            _ => Some(payload.root),
-        }
+        Some(payload.root)
     }
 
     fn finish(self, _ctx: &NodeContext<'_>) -> WaveState {
@@ -752,7 +699,7 @@ mod width_tests {
     use super::*;
     use dapsp_congest::Config;
 
-    /// Worst-case repair messages fit `B = 2⌈log₂ n⌉ + 8` in every mode.
+    /// Worst-case repair messages fit `B = 2⌈log₂ n⌉ + 8`.
     #[test]
     fn worst_case_widths_fit_the_budget() {
         for n in [2usize, 3, 10, 100, 1 << 16] {
@@ -762,10 +709,8 @@ mod width_tests {
                 dist: n as u32,
             };
             let (mut dist, mut parent) = ([INFINITY], [u32::MAX]);
-            let mut k = RepairKernel {
-                n: n as u32,
-                roots: Roots::Single(0),
-                own: None,
+            let k = RepairKernel {
+                own: 0,
                 clamp: n as u32,
                 reset_threshold: 4,
                 near: Neighbours::new(1, 0),
@@ -777,9 +722,7 @@ mod width_tests {
                 parent: &mut parent,
                 state: WaveState::new(),
             };
-            assert!(k.width(&worst).bits() <= budget, "single-root, n={n}");
-            k.roots = Roots::All;
-            assert!(k.width(&worst).bits() <= budget, "per-node, n={n}");
+            assert!(k.width(&worst).bits() <= budget, "n={n}");
         }
     }
 
@@ -1022,11 +965,10 @@ mod queue_tests {
             .with_crash(25, 10)
             .with_insert(90, 0, 47);
         let config = Config::for_n(n).with_topology(plan);
-        let threshold = repair_threshold(n);
         let (mut dist, mut parent) = distance_rows(n, n);
         let mut deal = Deal::new(&mut dist, &mut parent);
         let report = run_protocol_on(&topology, config, |ctx| {
-            BlocksAtFinish(RepairKernel::all_roots(ctx, threshold, deal.row(ctx)))
+            BlocksAtFinish(RepairKernel::all_roots(ctx, deal.row(ctx)))
         })
         .expect("run quiesces");
         assert_eq!(report.outputs, vec![0; n]);

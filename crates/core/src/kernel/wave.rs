@@ -19,7 +19,7 @@ use super::rows::Row;
 use crate::error::CoreError;
 
 /// Which nodes root a wave, and which slot of a node's rows each root
-/// owns. Shared by the static and the churn-tolerant kernels.
+/// owns.
 #[derive(Clone, Debug)]
 pub(super) enum Roots {
     /// One wave, rooted at the given node; the rows are a single slot.
@@ -38,15 +38,6 @@ impl Roots {
             Roots::Single(root) => (id == *root).then_some(0),
             Roots::All => Some(id as usize),
             Roots::Sources(slots) => slots.get(id),
-        }
-    }
-
-    /// The id of the root owning `slot`.
-    pub(super) fn id(&self, slot: usize) -> u32 {
-        match self {
-            Roots::Single(root) => *root,
-            Roots::All => slot as u32,
-            Roots::Sources(slots) => slots.ids[slot],
         }
     }
 }
@@ -110,14 +101,6 @@ impl SourceSlots {
     /// The source list as given, `ids()[slot]` owning `slot`.
     pub(crate) fn ids(&self) -> &[u32] {
         &self.ids
-    }
-
-    /// The same set with its slots in ascending id order, so that slot
-    /// order is id order.
-    pub(crate) fn sorted(&self) -> SourceSlots {
-        let mut ids = self.ids.to_vec();
-        ids.sort_unstable();
-        SourceSlots::new(self.slot_of.len(), &ids).expect("a validated set stays valid")
     }
 }
 

@@ -15,7 +15,7 @@ use dapsp_congest::{
 use dapsp_graph::Graph;
 
 use crate::error::CoreError;
-use crate::runner::run_algorithm;
+use crate::runner::run_algorithm_on;
 
 #[derive(Clone, Debug)]
 struct Claim {
@@ -114,7 +114,7 @@ pub fn elect(graph: &Graph) -> Result<LeaderResult, CoreError> {
     if n == 0 {
         return Err(CoreError::EmptyGraph);
     }
-    let report = run_algorithm(graph, Config::for_n(n), |ctx| ElectNode {
+    let report = run_algorithm_on(&graph.to_topology(), Config::for_n(n), |ctx| ElectNode {
         n: n as u32,
         best: ctx.node_id(),
     })?;

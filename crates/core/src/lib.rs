@@ -26,12 +26,12 @@
 //! # Quickstart
 //!
 //! ```
-//! use dapsp_core::apsp;
+//! use dapsp_core::{apsp, Obs};
 //! use dapsp_graph::generators;
 //!
 //! # fn main() -> Result<(), dapsp_core::CoreError> {
 //! let g = generators::cycle(10);
-//! let result = apsp::run(&g)?;
+//! let result = apsp::run_on_obs(&g.to_topology(), Obs::none())?;
 //! assert_eq!(result.distances.get(0, 5), Some(5));
 //! // Theorem 1: linear in n.
 //! assert!(result.stats.rounds <= 4 * 10);
@@ -67,4 +67,4 @@ pub mod two_vs_four;
 pub use churned::{churned_graph, ChurnedResult};
 pub use error::CoreError;
 pub use observe::Obs;
-pub use runner::{fold_outputs, run_algorithm, run_algorithm_on};
+pub use runner::{fold_outputs, run_algorithm_on};

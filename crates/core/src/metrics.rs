@@ -3,7 +3,7 @@
 //!
 //! Two entry points, both costed end to end in CONGEST rounds:
 //! [`from_apsp`] derives the whole [`MetricsBundle`] from one finished
-//! [`apsp::run`] with the paper's `O(D)` aggregations over `T_1`, and
+//! [`apsp::run_on_obs`] with the paper's `O(D)` aggregations over `T_1`, and
 //! [`diameter`] is the exact baseline the approximations are measured
 //! against — Algorithm 1 plus one max-aggregation. The girth (Lemma 7)
 //! needs no extra call: it is the run's
@@ -15,6 +15,7 @@ use dapsp_graph::Graph;
 use crate::aggregate::{self, AggOp};
 use crate::apsp::{self, ApspResult};
 use crate::error::CoreError;
+use crate::observe::Obs;
 use crate::tree::TreeKnowledge;
 
 /// A single graph-wide value (diameter or radius) known to every node.
@@ -28,8 +29,8 @@ pub struct ScalarResult {
 
 /// What each metric needs from a finished APSP run: the local
 /// eccentricities (free local computation, Lemma 2). A row with an
-/// infinite entry — a truncated run, or a run on a disconnected graph —
-/// has no eccentricity.
+/// infinite entry — which no `apsp` entry point returns, but a result
+/// built by hand may hold — has no eccentricity.
 fn local_eccentricities(apsp: &ApspResult) -> Result<Vec<u32>, CoreError> {
     let n = apsp.distances.num_nodes();
     (0..n as u32)
@@ -69,17 +70,17 @@ pub struct MetricsBundle {
 ///
 /// [`CoreError::InvalidParameter`] when `apsp` is not a run on `graph`
 /// (its `T_1` is not a spanning tree of `graph`) or has an infinite
-/// distance (a truncated run); otherwise propagates aggregation failures.
+/// distance; otherwise propagates aggregation failures.
 ///
 /// # Examples
 ///
 /// ```
-/// use dapsp_core::{apsp, metrics};
+/// use dapsp_core::{apsp, metrics, Obs};
 /// use dapsp_graph::generators;
 ///
 /// # fn main() -> Result<(), dapsp_core::CoreError> {
 /// let g = generators::path(5);
-/// let bundle = metrics::from_apsp(&g, &apsp::run(&g)?)?;
+/// let bundle = metrics::from_apsp(&g, &apsp::run_on_obs(&g.to_topology(), Obs::none())?)?;
 /// assert_eq!(bundle.eccentricities, vec![4, 3, 2, 3, 4]);
 /// assert_eq!((bundle.diameter, bundle.radius), (4, 2));
 /// assert_eq!(bundle.center, vec![false, false, true, false, false]);
@@ -105,8 +106,8 @@ pub(crate) fn bundle(
 ) -> Result<MetricsBundle, CoreError> {
     let topology = graph.to_topology();
     let values: Vec<u64> = ecc.iter().map(|&e| u64::from(e)).collect();
-    let max = aggregate::run_on(&topology, tree, &values, AggOp::Max)?;
-    let min = aggregate::run_on(&topology, tree, &values, AggOp::Min)?;
+    let max = aggregate::run_on_obs(&topology, tree, &values, AggOp::Max, Obs::none())?;
+    let min = aggregate::run_on_obs(&topology, tree, &values, AggOp::Min, Obs::none())?;
     let diameter = max.value as u32;
     let radius = min.value as u32;
     let center = ecc.iter().map(|&e| e <= radius + slack).collect();
@@ -131,7 +132,7 @@ pub(crate) fn bundle(
 ///
 /// # Errors
 ///
-/// Propagates [`apsp::run`] and aggregation errors.
+/// Propagates [`apsp::run_on_obs`] and aggregation errors.
 ///
 /// # Examples
 ///
@@ -146,10 +147,10 @@ pub(crate) fn bundle(
 /// ```
 pub fn diameter(graph: &Graph) -> Result<ScalarResult, CoreError> {
     let topology = graph.to_topology();
-    let result = apsp::run_on(&topology)?;
+    let result = apsp::run_on_obs(&topology, Obs::none())?;
     let ecc = local_eccentricities(&result)?;
     let values: Vec<u64> = ecc.iter().map(|&e| u64::from(e)).collect();
-    let agg = aggregate::run_on(&topology, &result.tree, &values, AggOp::Max)?;
+    let agg = aggregate::run_on_obs(&topology, &result.tree, &values, AggOp::Max, Obs::none())?;
     let mut stats = result.stats;
     stats.absorb_sequential(&agg.stats);
     Ok(ScalarResult {
@@ -162,6 +163,10 @@ pub fn diameter(graph: &Graph) -> Result<ScalarResult, CoreError> {
 mod tests {
     use super::*;
     use dapsp_graph::{generators, reference};
+
+    fn run(g: &Graph) -> ApspResult {
+        apsp::run_on_obs(&g.to_topology(), Obs::none()).unwrap()
+    }
 
     fn zoo() -> Vec<Graph> {
         vec![
@@ -180,7 +185,7 @@ mod tests {
     #[test]
     fn bundle_matches_the_oracles() {
         for g in zoo() {
-            let b = from_apsp(&g, &apsp::run(&g).unwrap()).unwrap();
+            let b = from_apsp(&g, &run(&g)).unwrap();
             let ids = |m: &[bool]| (0..m.len() as u32).filter(|&v| m[v as usize]).collect();
             assert_eq!(Some(b.eccentricities), reference::eccentricities(&g));
             assert_eq!(Some(b.diameter), reference::diameter(&g));
@@ -197,7 +202,7 @@ mod tests {
         // only its T_1 — whose root ports do not exist on the path — tells
         // the two apart. Unchecked, this returned the star's metrics.
         let path = generators::path(4);
-        let star_run = apsp::run(&generators::star(4)).unwrap();
+        let star_run = run(&generators::star(4));
         assert!(matches!(
             from_apsp(&path, &star_run).unwrap_err(),
             CoreError::InvalidParameter(_)
@@ -206,9 +211,13 @@ mod tests {
 
     #[test]
     fn a_truncated_run_is_rejected() {
-        // Rows of a 1-BFS on a path hold infinite entries: no eccentricity.
+        // No entry point hands out a truncated run any more; build one from
+        // the crate-private wave phase. Rows of a 1-BFS on a path hold
+        // infinite entries: no eccentricity.
         let g = generators::path(6);
-        let truncated = apsp::run_truncated(&g, 1).unwrap().result;
+        let topology = g.to_topology();
+        let t1 = crate::bfs::run_on_obs(&topology, 0, Obs::none()).unwrap();
+        let truncated = apsp::waves(&topology, t1.tree, true, 1, Obs::none()).unwrap();
         assert!(matches!(
             from_apsp(&g, &truncated).unwrap_err(),
             CoreError::InvalidParameter(_)
@@ -218,7 +227,7 @@ mod tests {
     #[test]
     fn bundle_is_internally_consistent() {
         let g = generators::grid(4, 4);
-        let a = apsp::run(&g).unwrap();
+        let a = run(&g);
         let b = from_apsp(&g, &a).unwrap();
         assert!(b.radius <= b.diameter && b.diameter <= 2 * b.radius);
         assert!(b.center.iter().any(|&c| c));

@@ -167,7 +167,7 @@ impl RouteTable {
     }
 
     /// Compacts a churn-repaired APSP run
-    /// ([`apsp::run_churned`](crate::apsp::run_churned)) into the
+    /// ([`apsp::run_churned_on`](crate::apsp::run_churned_on)) into the
     /// epoch-`epoch` table. `final_topo` must be the *post-churn* topology
     /// (see [`churned_topology`](dapsp_congest::churned_topology)): each
     /// node's parent port per root resolves to a neighbor id through it —
@@ -178,9 +178,8 @@ impl RouteTable {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidParameter`] unless the result maintains every
-    /// root (`roots = 0..n`, the churned-APSP shape) and `final_topo` has
-    /// matching size; [`CoreError::TableTooLarge`] past [`MAX_NODES`].
+    /// [`CoreError::InvalidParameter`] unless `final_topo` has the
+    /// result's size; [`CoreError::TableTooLarge`] past [`MAX_NODES`].
     pub fn from_churned(
         result: &ChurnedResult,
         final_topo: &Topology,
@@ -193,12 +192,6 @@ impl RouteTable {
                 "topology covers {} nodes but the churned result has {n}",
                 final_topo.num_nodes()
             )));
-        }
-        if !result.roots.iter().copied().eq(0..n as u32) {
-            return Err(CoreError::InvalidParameter(
-                "churned routing tables need all-pairs roots (0..n); run apsp::run_churned"
-                    .to_string(),
-            ));
         }
         let present = &result.present;
         // Absent nodes keep frozen kernel state; they serve nothing and
@@ -577,11 +570,11 @@ fn derive_girth<'a>(root_rows: impl Iterator<Item = &'a [u32]>, adj: &[Vec<u32>]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apsp;
+    use crate::{apsp, Obs};
     use dapsp_graph::{generators, reference, Graph};
 
     fn table(g: &Graph) -> RouteTable {
-        RouteTable::from_apsp(apsp::run(g).unwrap(), 0)
+        RouteTable::from_apsp(apsp::run_on_obs(&g.to_topology(), Obs::none()).unwrap(), 0)
     }
 
     #[test]
@@ -632,7 +625,9 @@ mod tests {
         // n <= 6 lacks and the `2·dx >= best` cut must not skip.
         for n in 1..=7 {
             for g in dapsp_graph::enumerate::connected_graphs(n) {
-                let dist = apsp::run(&g).unwrap().distances;
+                let dist = apsp::run_on_obs(&g.to_topology(), Obs::none())
+                    .unwrap()
+                    .distances;
                 let adj = g.to_topology().to_adjacency();
                 assert_eq!(
                     derive_girth((0..n as u32).map(|w| dist.row(w)), &adj),
@@ -768,13 +763,13 @@ mod churn_tests {
     //! forest on the new graph, not a stale copy of the old one.
 
     use super::*;
-    use crate::{apsp, churned_graph};
+    use crate::{apsp, churned_graph, Obs};
     use dapsp_congest::{churned_topology, TopologyPlan};
     use dapsp_graph::{generators, reference, Graph};
 
     fn churned_table(g: &Graph, plan: &TopologyPlan) -> (RouteTable, Graph) {
         let topo = g.to_topology();
-        let repaired = apsp::run_churned(g, plan).unwrap();
+        let repaired = apsp::run_churned_on(&topo, plan, Obs::none()).unwrap();
         let final_topo = churned_topology(&topo, plan).unwrap();
         let t = RouteTable::from_churned(&repaired, &final_topo, 1).unwrap();
         let mutated = churned_graph(g, plan).unwrap();
@@ -857,19 +852,5 @@ mod churn_tests {
             .collect();
         assert_eq!(t.centers(), &centers[..]);
         assert_eq!(t.girth(), reference::girth(&mutated));
-    }
-
-    #[test]
-    fn from_churned_rejects_partial_roots() {
-        // A churned BFS maintains one root, not all pairs — no routing
-        // table can be compacted from it.
-        let g = generators::path(4);
-        let plan = TopologyPlan::new();
-        let r = crate::bfs::run_churned(&g, 0, &plan).unwrap();
-        let topo = g.to_topology();
-        assert!(matches!(
-            RouteTable::from_churned(&r, &topo, 1).unwrap_err(),
-            CoreError::InvalidParameter(_)
-        ));
     }
 }

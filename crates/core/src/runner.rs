@@ -1,28 +1,30 @@
-//! Convenience glue between [`Graph`]s and the simulator.
+//! Glue between the algorithms and the simulator.
 
 use dapsp_congest::{Config, NodeAlgorithm, NodeContext, Report, Simulator, Topology};
-use dapsp_graph::Graph;
 
 use crate::error::CoreError;
 
-/// Runs `init`-constructed node algorithms over `graph` to quiescence and
-/// returns the simulator's [`Report`] (per-node outputs plus round/bit
-/// statistics).
+/// Runs `init`-constructed node algorithms over `topology` to quiescence
+/// and returns the simulator's [`Report`] (per-node outputs plus
+/// round/bit statistics).
 ///
-/// This is the entry point used by every algorithm in this crate; it is
-/// public so downstream users can run custom CONGEST algorithms over a
-/// [`Graph`] without hand-building a topology.
+/// This is the entry point every algorithm in this crate runs through;
+/// it is public so downstream users can run custom CONGEST algorithms
+/// over a [`Graph`](dapsp_graph::Graph)'s
+/// [`to_topology`](dapsp_graph::Graph::to_topology). Multi-phase
+/// algorithms (APSP = BFS + pebble walk, the approximations = dominating
+/// set + S-SP, …) build the topology once and run every phase over it.
 ///
 /// # Errors
 ///
 /// Propagates simulator failures ([`CoreError::Sim`]) and rejects empty
-/// graphs.
+/// topologies.
 ///
 /// # Examples
 ///
 /// ```
 /// use dapsp_congest::{Config, Inbox, Message, NodeAlgorithm, NodeContext, Outbox};
-/// use dapsp_core::run_algorithm;
+/// use dapsp_core::run_algorithm_on;
 /// use dapsp_graph::generators;
 ///
 /// #[derive(Clone, Debug)]
@@ -38,40 +40,12 @@ use crate::error::CoreError;
 /// }
 ///
 /// # fn main() -> Result<(), dapsp_core::CoreError> {
-/// let g = generators::path(3);
-/// let report = run_algorithm(&g, Config::for_n(3), |_| Idle)?;
+/// let topology = generators::path(3).to_topology();
+/// let report = run_algorithm_on(&topology, Config::for_n(3), |_| Idle)?;
 /// assert_eq!(report.outputs, vec![0, 1, 2]);
 /// # Ok(())
 /// # }
 /// ```
-pub fn run_algorithm<A, F>(
-    graph: &Graph,
-    config: Config,
-    init: F,
-) -> Result<Report<A::Output>, CoreError>
-where
-    A: NodeAlgorithm + Send,
-    A::Message: Send,
-    F: FnMut(&NodeContext<'_>) -> A,
-{
-    if graph.num_nodes() == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
-    let topology = graph.to_topology();
-    run_algorithm_on(&topology, config, init)
-}
-
-/// Like [`run_algorithm`], but over a prebuilt [`Topology`].
-///
-/// Multi-phase algorithms (APSP = BFS + pebble walk, the approximations =
-/// dominating set + S-SP, …) run several simulations over the *same* graph;
-/// building the topology once and passing it here avoids re-validating and
-/// re-flattening the adjacency lists for every phase.
-///
-/// # Errors
-///
-/// Propagates simulator failures ([`CoreError::Sim`]) and rejects empty
-/// topologies.
 pub fn run_algorithm_on<A, F>(
     topology: &Topology,
     config: Config,
@@ -131,7 +105,7 @@ mod tests {
     #[test]
     fn empty_graph_is_rejected() {
         let g = Graph::builder(0).build();
-        let err = run_algorithm(&g, Config::for_n(1), |_| Idle).unwrap_err();
+        let err = run_algorithm_on(&g.to_topology(), Config::for_n(1), |_| Idle).unwrap_err();
         assert_eq!(err, CoreError::EmptyGraph);
     }
 

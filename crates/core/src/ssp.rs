@@ -25,18 +25,17 @@
 //! (Theorems 4 and 5, Corollary 1, Algorithm 3) build for themselves, as
 //! the paper's phase 1 hands its `D₀` to the DOM-SP of phase 3. A
 //! composite that already holds `T_1` and `D₀` runs phase 3 only; the
-//! public entry points here run and charge all three.
+//! public entry point here runs and charges all three.
 //!
 //! As in Algorithm 1, nodes opportunistically record cycle candidates from
 //! repeated wave arrivals; the girth approximation (Theorem 5) feeds on
 //! them.
 
-use dapsp_congest::{Report, RunStats, Topology, TopologyPlan};
-use dapsp_graph::{Graph, INFINITY};
+use dapsp_congest::{Report, RunStats, Topology};
+use dapsp_graph::INFINITY;
 
 use crate::aggregate::{self, AggOp};
 use crate::bfs;
-use crate::churned::{run_repair, ChurnedResult, RepairMode};
 use crate::error::CoreError;
 use crate::kernel::{distance_rows, run_phase, Deal, Rows, SourceSlots, WaveKernel, WaveState};
 use crate::observe::Obs;
@@ -160,52 +159,13 @@ impl SspResult {
     }
 }
 
-/// Runs Algorithm 2: exact shortest paths from every node to every source
-/// in `O(|S| + D)` rounds.
+/// Runs Algorithm 2 over `topology`, as `obs` says: exact shortest paths
+/// from every node to every source in `O(|S| + D)` rounds.
 ///
-/// # Errors
-///
-/// * [`CoreError::EmptySourceSet`] if `sources` is empty.
-/// * [`CoreError::InvalidNode`] for out-of-range sources, and
-///   [`CoreError::InvalidParameter`] for duplicated sources.
-/// * [`CoreError::EmptyGraph`] / [`CoreError::Disconnected`] on bad graphs.
-/// * [`CoreError::Sim`] on simulator failures.
-///
-/// # Examples
-///
-/// ```
-/// use dapsp_core::ssp;
-/// use dapsp_graph::generators;
-///
-/// # fn main() -> Result<(), dapsp_core::CoreError> {
-/// let g = generators::path(8);
-/// let r = ssp::run(&g, &[0, 7])?;
-/// assert_eq!(r.dist_to(3, 0), Some(3));
-/// assert_eq!(r.dist_to(3, 7), Some(4));
-/// # Ok(())
-/// # }
-/// ```
-pub fn run(graph: &Graph, sources: &[u32]) -> Result<SspResult, CoreError> {
-    if graph.num_nodes() == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
-    run_on(&graph.to_topology(), sources)
-}
-
-/// Like [`run`], but over a prebuilt [`Topology`] — this is the entry point
-/// the approximation pipelines use, sharing one topology across all phases.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_on(topology: &Topology, sources: &[u32]) -> Result<SspResult, CoreError> {
-    run_on_obs(topology, sources, Obs::none())
-}
-
-/// Like [`run_on`], run as `obs` says. An attached observer sees `"bfs"`
-/// and `"agg:max"` for the `D₀` estimate, then `"ssp:growth"` for the
-/// simultaneous growth itself. Since the growth's announcements carry
-/// their source id as [`stream_id`](dapsp_congest::Message::stream_id), a
+/// An attached observer sees `"bfs"` and `"agg:max"` for the `D₀`
+/// estimate, then `"ssp:growth"` for the simultaneous growth itself.
+/// Since the growth's announcements carry their source id as
+/// [`stream_id`](dapsp_congest::Message::stream_id), a
 /// [`TraceRecorder`](dapsp_congest::TraceRecorder) attached here keeps the
 /// growth's first arrivals — its last run — and its
 /// [`max_delay`](dapsp_congest::TraceRecorder::max_delay) verifies the
@@ -215,8 +175,28 @@ pub fn run_on(topology: &Topology, sources: &[u32]) -> Result<SspResult, CoreErr
 ///
 /// # Errors
 ///
-/// Same as [`run`]; under faults, an unbeatable adversary (a severed link)
-/// fails loudly with a round-limit [`CoreError::Sim`].
+/// * [`CoreError::EmptySourceSet`] if `sources` is empty.
+/// * [`CoreError::InvalidNode`] for out-of-range sources, and
+///   [`CoreError::InvalidParameter`] for duplicated sources.
+/// * [`CoreError::EmptyGraph`] / [`CoreError::Disconnected`] on bad graphs.
+/// * [`CoreError::Sim`] on simulator failures; under faults, an
+///   unbeatable adversary (a severed link) fails loudly with a round-limit
+///   error.
+///
+/// # Examples
+///
+/// ```
+/// use dapsp_core::{ssp, Obs};
+/// use dapsp_graph::generators;
+///
+/// # fn main() -> Result<(), dapsp_core::CoreError> {
+/// let g = generators::path(8);
+/// let r = ssp::run_on_obs(&g.to_topology(), &[0, 7], Obs::none())?;
+/// assert_eq!(r.dist_to(3, 0), Some(3));
+/// assert_eq!(r.dist_to(3, 7), Some(4));
+/// # Ok(())
+/// # }
+/// ```
 pub fn run_on_obs(
     topology: &Topology,
     sources: &[u32],
@@ -231,56 +211,6 @@ pub fn run_on_obs(
     let mut sp = grow(topology, slots, pre.tree, pre.d0, obs)?;
     sp.stats.absorb_sequential(&pre.stats);
     Ok(sp)
-}
-
-/// Like [`run`], but over a network whose topology changes mid-run per
-/// `plan`: distances to every source in `S` are maintained through edge
-/// insertions/removals and node churn by a
-/// [`RepairKernel`](crate::kernel::RepairKernel). The returned
-/// [`ChurnedResult`] holds `d(v, s)` on the *post-churn* graph for every
-/// source, with `roots` = the sources in ascending id order.
-///
-/// The repair protocol skips the `T_1`/`D₀` preamble (its horizon comes
-/// from quiescence plus the count-to-infinity clamp instead), so
-/// disconnected post-churn graphs are fine: unreachable pairs report
-/// [`INFINITY`].
-///
-/// # Errors
-///
-/// Same source-set validation as [`run`]; a plan that does not apply
-/// cleanly surfaces as [`CoreError::Sim`].
-pub fn run_churned(
-    graph: &Graph,
-    sources: &[u32],
-    plan: &TopologyPlan,
-) -> Result<ChurnedResult, CoreError> {
-    if graph.num_nodes() == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
-    run_churned_on(&graph.to_topology(), sources, plan, Obs::none())
-}
-
-/// Like [`run_churned`], over a prebuilt [`Topology`] with an optional
-/// observer (phase label `"ssp:churn"`).
-///
-/// # Errors
-///
-/// Same as [`run_churned`]; additionally [`CoreError::InvalidParameter`] if
-/// `obs` carries a fault plan (the repair kernel has no reliable transport).
-pub fn run_churned_on(
-    topology: &Topology,
-    sources: &[u32],
-    plan: &TopologyPlan,
-    obs: Obs<'_>,
-) -> Result<ChurnedResult, CoreError> {
-    let n = topology.num_nodes();
-    if n == 0 {
-        return Err(CoreError::EmptyGraph);
-    }
-    // Slot order is id order, so the repair kernel's `(dist, slot)`
-    // priority is Algorithm 2's `(dist, id)`.
-    let slots = SourceSlots::new(n, sources)?.sorted();
-    run_repair(topology, plan, RepairMode::Sources(slots), obs, "ssp:churn")
 }
 
 /// Folds the growth phase — its matrices, already one column per source
@@ -326,7 +256,11 @@ fn assemble(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dapsp_graph::{generators, reference};
+    use dapsp_graph::{generators, reference, Graph};
+
+    fn run(g: &Graph, sources: &[u32]) -> Result<SspResult, CoreError> {
+        run_on_obs(&g.to_topology(), sources, Obs::none())
+    }
 
     fn check(g: &Graph, sources: &[u32]) -> SspResult {
         let r = run(g, sources).unwrap();

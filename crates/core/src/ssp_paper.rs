@@ -167,7 +167,7 @@ pub struct PaperSspResult {
 ///
 /// # Errors
 ///
-/// Same input validation as [`crate::ssp::run`]. An exhausted budget is
+/// Same input validation as [`ssp::run_on_obs`]. An exhausted budget is
 /// *not* an error — it is the observable outcome (`unresolved > 0`).
 pub fn run(graph: &Graph, sources: &[u32]) -> Result<PaperSspResult, CoreError> {
     let n = graph.num_nodes();
@@ -262,7 +262,7 @@ mod tests {
             "the verbatim tie-break should record a detour distance here"
         );
         // The production implementation gets the same instance right.
-        let fixed = crate::ssp::run(&g, &[1, 2]).unwrap();
+        let fixed = ssp::run_on_obs(&g.to_topology(), &[1, 2], Obs::none()).unwrap();
         for v in 0..6 {
             for i in 0..2 {
                 assert_eq!(fixed.dist[v][i], oracle[i][v]);

@@ -82,7 +82,7 @@ fn sampled(
     let per_node_max: Vec<u64> = (0..n)
         .map(|v| u64::from(*sp.dist[v].iter().max().expect("nonempty sample")))
         .collect();
-    let l1 = aggregate::run_on(topology, &sp.tree, &per_node_max, AggOp::Max)?;
+    let l1 = aggregate::run_on_obs(topology, &sp.tree, &per_node_max, AggOp::Max, Obs::none())?;
     stats.absorb_sequential(&l1.stats);
     // 3. The node farthest from the sample (ties broken toward larger id),
     //    via an encoded (distance, id) max-aggregation.
@@ -92,7 +92,7 @@ fn sampled(
             dmin * n as u64 + v as u64
         })
         .collect();
-    let far = aggregate::run_on(topology, &sp.tree, &encoded, AggOp::Max)?;
+    let far = aggregate::run_on_obs(topology, &sp.tree, &encoded, AggOp::Max, Obs::none())?;
     stats.absorb_sequential(&far.stats);
     let w = (far.value % n as u64) as u32;
     // 4. Probe w and its neighborhood (capped to the usual √(n log n)).
@@ -106,7 +106,7 @@ fn sampled(
     let per_node_max2: Vec<u64> = (0..n)
         .map(|v| u64::from(*sp2.dist[v].iter().max().expect("nonempty probes")))
         .collect();
-    let l2 = aggregate::run_on(topology, &sp2.tree, &per_node_max2, AggOp::Max)?;
+    let l2 = aggregate::run_on_obs(topology, &sp2.tree, &per_node_max2, AggOp::Max, Obs::none())?;
     stats.absorb_sequential(&l2.stats);
     Ok((l1.value.max(l2.value) as u32, stats))
 }

@@ -97,14 +97,13 @@ impl TreeKnowledge {
 
 #[cfg(test)]
 mod tests {
-
-    use crate::bfs;
+    use crate::{bfs, Obs};
     use dapsp_graph::generators;
 
     #[test]
     fn ids_resolve_consistently() {
         let g = generators::grid(3, 3);
-        let r = bfs::run(&g, 0).unwrap();
+        let r = bfs::run_on_obs(&g.to_topology(), 0, Obs::none()).unwrap();
         let parents = r.tree.parent_ids(&g);
         let children = r.tree.children_ids(&g);
         let mut edge_count = 0;
@@ -125,7 +124,7 @@ mod tests {
         let mut b = dapsp_graph::Graph::builder(3);
         b.add_edge(0, 1).unwrap();
         let g = b.build();
-        let r = bfs::run(&g, 0).unwrap();
+        let r = bfs::run_on_obs(&g.to_topology(), 0, Obs::none()).unwrap();
         assert!(r.tree.check_spans(&g.to_topology()).is_err());
     }
 }

@@ -86,7 +86,7 @@ fn select_probes(
             }
         })
         .collect();
-    let min = aggregate::run_on(topology, t1, &candidate_ids, AggOp::Min)?;
+    let min = aggregate::run_on_obs(topology, t1, &candidate_ids, AggOp::Min, Obs::none())?;
     stats.absorb_sequential(&min.stats);
     Ok(if (min.value as usize) < n {
         let chosen = min.value as u32;
@@ -146,7 +146,7 @@ pub fn run(graph: &Graph, seed: u64) -> Result<TwoVsFourResult, CoreError> {
     let deep: Vec<u64> = (0..n)
         .map(|v| u64::from(sp.dist[v].iter().any(|&d| d > 2)))
         .collect();
-    let or = aggregate::run_on(&topology, &sp.tree, &deep, AggOp::Or)?;
+    let or = aggregate::run_on_obs(&topology, &sp.tree, &deep, AggOp::Or, Obs::none())?;
     stats.absorb_sequential(&or.stats);
     Ok(TwoVsFourResult {
         claimed_diameter: if or.value == 1 { 4 } else { 2 },

@@ -122,7 +122,7 @@ fn kernel_hot_path_stays_within_its_allocation_budget() {
     for (name, g) in &graphs {
         let n = g.num_nodes() as u64;
         let topology = g.to_topology();
-        let (calls, _, result) = measure(|| apsp::run_on(&topology));
+        let (calls, _, result) = measure(|| apsp::run_on_obs(&topology, Obs::none()));
         let result = result.expect("apsp");
         println!(
             "{name}: {calls} calls = {} per node, {} messages",
@@ -145,7 +145,7 @@ fn kernel_hot_path_stays_within_its_allocation_budget() {
     let (name, g) = &graphs[2];
     let n = g.num_nodes() as u64;
     let topology = g.to_topology();
-    let (calls, _, result) = measure(|| bfs::run_on(&topology, 0));
+    let (calls, _, result) = measure(|| bfs::run_on_obs(&topology, 0, Obs::none()));
     let messages = result.expect("bfs").stats.messages;
     println!(
         "bfs {name}: {calls} calls = {:.1} per node, {messages} messages",
@@ -170,8 +170,9 @@ fn kernel_hot_path_stays_within_its_allocation_budget() {
     let (name, g) = &graphs[0];
     let n = g.num_nodes() as u64;
     let topology = g.to_topology();
-    let (_, bytes, table) =
-        measure(|| apsp::run_on(&topology).map(|result| RouteTable::from_apsp(result, 0)));
+    let (_, bytes, table) = measure(|| {
+        apsp::run_on_obs(&topology, Obs::none()).map(|result| RouteTable::from_apsp(result, 0))
+    });
     table.expect("apsp");
     println!(
         "build {name}: {bytes} bytes = {:.1} n²",
@@ -195,8 +196,9 @@ fn kernel_hot_path_stays_within_its_allocation_budget() {
     let g = generators::watts_strogatz(256, 3, 0.05, 7);
     let n = g.num_nodes() as u64;
     let topology = g.to_topology();
-    let (peak, table) =
-        peak_live(|| apsp::run_on(&topology).map(|result| RouteTable::from_apsp(result, 0)));
+    let (peak, table) = peak_live(|| {
+        apsp::run_on_obs(&topology, Obs::none()).map(|result| RouteTable::from_apsp(result, 0))
+    });
     table.expect("apsp");
     println!(
         "cold build ws(256,3): peak {peak} live bytes = {:.2} n² words",
@@ -226,7 +228,7 @@ fn kernel_hot_path_stays_within_its_allocation_budget() {
     let topology = g.to_topology();
     for count in [8u64, 48] {
         let sources: Vec<u32> = (0..count).map(|i| (i * n / count) as u32).collect();
-        let (calls, bytes, result) = measure(|| ssp::run_on(&topology, &sources));
+        let (calls, bytes, result) = measure(|| ssp::run_on_obs(&topology, &sources, Obs::none()));
         let messages = result.expect("ssp").stats.messages;
         println!(
             "ssp grid(32,32) |S| = {count}: {calls} calls = {} per node, {bytes} bytes, \

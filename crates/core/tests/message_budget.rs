@@ -47,10 +47,10 @@ fn default_budget_is_two_ids_plus_constant() {
 fn wave_protocols_respect_the_budget() {
     for g in zoo() {
         let n = g.num_nodes() as u32;
-        bfs::run(&g, 0).unwrap();
-        apsp::run(&g).unwrap();
+        bfs::run_on_obs(&g.to_topology(), 0, Obs::none()).unwrap();
+        apsp::run_on_obs(&g.to_topology(), Obs::none()).unwrap();
         apsp::run_truncated(&g, 3).unwrap();
-        ssp::run(&g, &[0, n - 1]).unwrap();
+        ssp::run_on_obs(&g.to_topology(), &[0, n - 1], Obs::none()).unwrap();
         ssp_paper::run(&g, &[0, n - 1]).unwrap();
     }
 }
@@ -61,7 +61,9 @@ fn wave_protocols_respect_the_budget() {
 fn aggregation_respects_the_budget() {
     for g in zoo() {
         let n = g.num_nodes();
-        let t1 = bfs::run(&g, 0).unwrap().tree;
+        let t1 = bfs::run_on_obs(&g.to_topology(), 0, Obs::none())
+            .unwrap()
+            .tree;
         let counts: Vec<u64> = (0..n as u64).collect();
         for op in [
             aggregate::AggOp::Max,
@@ -69,9 +71,9 @@ fn aggregation_respects_the_budget() {
             aggregate::AggOp::Sum,
             aggregate::AggOp::Or,
         ] {
-            aggregate::run(&g, &t1, &counts, op).unwrap();
+            aggregate::run_on_obs(&g.to_topology(), &t1, &counts, op, Obs::none()).unwrap();
         }
-        dominating::run(&g, &t1, 2).unwrap();
+        dominating::run_on_obs(&g.to_topology(), &t1, 2, Obs::none()).unwrap();
     }
 }
 

@@ -6,7 +6,8 @@
 use proptest::prelude::*;
 
 use dapsp_core::{
-    aggregate, approx, apsp, bfs, dominating, girth, girth_approx, metrics, routing, ssp, ssp_paper,
+    aggregate, approx, apsp, bfs, dominating, girth, girth_approx, metrics, routing, ssp,
+    ssp_paper, Obs,
 };
 use dapsp_graph::{generators, reference, Graph, INFINITY};
 
@@ -23,7 +24,7 @@ proptest! {
     #[test]
     fn apsp_is_exact_and_linear(n in 2usize..36, p in 0.0f64..0.35, seed in any::<u64>()) {
         let g = connected(n, p, seed);
-        let r = apsp::run(&g).expect("apsp");
+        let r = apsp::run_on_obs(&g.to_topology(), Obs::none()).expect("apsp");
         prop_assert_eq!(r.distances, reference::apsp(&g));
         prop_assert!(r.stats.rounds <= 4 * n as u64 + 10, "rounds={}", r.stats.rounds);
     }
@@ -33,7 +34,7 @@ proptest! {
     fn apsp_paths_are_shortest(n in 2usize..20, seed in any::<u64>()) {
         let g = connected(n, 0.2, seed);
         let oracle = reference::apsp(&g);
-        let table = routing::RouteTable::from_apsp(apsp::run(&g).expect("apsp"), 0);
+        let table = routing::RouteTable::from_apsp(apsp::run_on_obs(&g.to_topology(), Obs::none()).expect("apsp"), 0);
         for u in 0..n as u32 {
             for v in 0..n as u32 {
                 let path = table.path(u, v).expect("connected");
@@ -55,7 +56,7 @@ proptest! {
         let sources: Vec<u32> = (0..count).map(|i| (i * n / count) as u32).collect();
         let mut sources = sources;
         sources.dedup();
-        let r = ssp::run(&g, &sources).expect("ssp");
+        let r = ssp::run_on_obs(&g.to_topology(), &sources, Obs::none()).expect("ssp");
         let oracle = reference::s_shortest_paths(&g, &sources);
         for (i, _) in sources.iter().enumerate() {
             for v in 0..n {
@@ -81,7 +82,7 @@ proptest! {
         let mut sources: Vec<u32> = (0..count).map(|i| (i * n / count) as u32).collect();
         sources.dedup();
         let paper = ssp_paper::run(&g, &sources).expect("ssp_paper");
-        let kernel = ssp::run(&g, &sources).expect("ssp");
+        let kernel = ssp::run_on_obs(&g.to_topology(), &sources, Obs::none()).expect("ssp");
         let oracle = reference::s_shortest_paths(&g, &sources);
         let mut unresolved = 0u64;
         for (i, _) in sources.iter().enumerate() {
@@ -104,7 +105,7 @@ proptest! {
     fn bfs_matches_oracle(n in 1usize..32, p in 0.0f64..0.3, seed in any::<u64>()) {
         let g = connected(n, p, seed);
         let root = (seed % n as u64) as u32;
-        let r = bfs::run(&g, root).expect("bfs");
+        let r = bfs::run_on_obs(&g.to_topology(), root, Obs::none()).expect("bfs");
         prop_assert_eq!(&r.dist, &reference::bfs(&g, root));
         prop_assert_eq!(r.cycle_detected, !reference::is_tree(&g));
         let parents = r.tree.parent_ids(&g);
@@ -124,7 +125,7 @@ proptest! {
         let n = n.min(values.len());
         let values = &values[..n];
         let g = connected(n, 0.2, seed);
-        let t = bfs::run(&g, 0).expect("bfs").tree;
+        let t = bfs::run_on_obs(&g.to_topology(), 0, Obs::none()).expect("bfs").tree;
         use aggregate::AggOp::*;
         for (op, want) in [
             (Max, values.iter().copied().max().unwrap()),
@@ -137,7 +138,7 @@ proptest! {
             } else {
                 values.to_vec()
             };
-            let got = aggregate::run(&g, &t, &input, op).expect("aggregate").value;
+            let got = aggregate::run_on_obs(&g.to_topology(), &t, &input, op, Obs::none()).expect("aggregate").value;
             prop_assert_eq!(got, want, "op {:?}", op);
         }
     }
@@ -147,8 +148,8 @@ proptest! {
     #[test]
     fn dominating_set_properties(n in 1usize..36, p in 0.0f64..0.3, seed in any::<u64>(), k in 0u32..8) {
         let g = connected(n, p, seed);
-        let t = bfs::run(&g, 0).expect("bfs").tree;
-        let dom = dominating::run(&g, &t, k).expect("dominating");
+        let t = bfs::run_on_obs(&g.to_topology(), 0, Obs::none()).expect("bfs").tree;
+        let dom = dominating::run_on_obs(&g.to_topology(), &t, k, Obs::none()).expect("dominating");
         let ids = dom.member_ids();
         prop_assert!(reference::is_k_dominating_set(&g, &ids, k));
         prop_assert!(dom.size <= 1u64.max(n as u64 / (u64::from(k) + 1)),
@@ -159,7 +160,7 @@ proptest! {
     #[test]
     fn metric_bundle_matches_oracle(n in 2usize..28, p in 0.0f64..0.3, seed in any::<u64>()) {
         let g = connected(n, p, seed);
-        let a = apsp::run(&g).expect("apsp");
+        let a = apsp::run_on_obs(&g.to_topology(), Obs::none()).expect("apsp");
         let b = metrics::from_apsp(&g, &a).expect("metrics");
         prop_assert_eq!(Some(b.diameter), reference::diameter(&g));
         prop_assert_eq!(Some(b.radius), reference::radius(&g));
@@ -217,7 +218,7 @@ proptest! {
         for u in 0..n as u32 {
             for v in 0..n as u32 {
                 prop_assert_eq!(
-                    r.result.distances.get(u, v),
+                    r.distances.get(u, v),
                     oracle.get(u, v).filter(|&d| d <= k)
                 );
             }

@@ -11,7 +11,7 @@ use dapsp_core::{apsp, CoreError, Obs};
 use dapsp_graph::{enumerate, generators, Graph};
 
 fn table(g: &Graph) -> RouteTable {
-    RouteTable::from_apsp(apsp::run(g).unwrap(), 0)
+    RouteTable::from_apsp(apsp::run_on_obs(&g.to_topology(), Obs::none()).unwrap(), 0)
 }
 
 #[test]
@@ -35,7 +35,10 @@ fn apsp_rejects_sizes_no_table_can_cover() {
             CoreError::TableTooLarge { num_nodes: 65_536 },
         ),
     ] {
-        assert_eq!(apsp::run_on(&g.to_topology()).unwrap_err(), want);
+        assert_eq!(
+            apsp::run_on_obs(&g.to_topology(), Obs::none()).unwrap_err(),
+            want
+        );
         assert_eq!(apsp::run_without_wait(&g).unwrap_err(), want);
         assert_eq!(apsp::run_truncated(&g, 2).unwrap_err(), want);
         let faults = FaultPlan::new(1);
@@ -45,7 +48,7 @@ fn apsp_rejects_sizes_no_table_can_cover() {
             want
         );
         assert_eq!(
-            apsp::run_churned(&g, &TopologyPlan::new()).unwrap_err(),
+            apsp::run_churned_on(&g.to_topology(), &TopologyPlan::new(), Obs::none()).unwrap_err(),
             want
         );
     }
@@ -144,7 +147,7 @@ fn churned_grid() -> RouteTable {
     let plan = TopologyPlan::new()
         .with_remove(2, 0, 1)
         .with_insert(3, 0, 15);
-    let repaired = apsp::run_churned(&g, &plan).unwrap();
+    let repaired = apsp::run_churned_on(&g.to_topology(), &plan, Obs::none()).unwrap();
     let final_topo = churned_topology(&g.to_topology(), &plan).unwrap();
     RouteTable::from_churned(&repaired, &final_topo, 1).unwrap()
 }
@@ -153,7 +156,10 @@ fn churned_grid() -> RouteTable {
 fn checksum_matches_its_scalar_spec() {
     for n in 1..=6 {
         for (i, g) in enumerate::connected_graphs(n).into_iter().enumerate() {
-            let t = RouteTable::from_apsp(apsp::run(&g).unwrap(), i as u64);
+            let t = RouteTable::from_apsp(
+                apsp::run_on_obs(&g.to_topology(), Obs::none()).unwrap(),
+                i as u64,
+            );
             assert_eq!(t.checksum(), spec_checksum(&t), "{n}-node graph {g:?}");
         }
     }

@@ -96,11 +96,11 @@ impl ServeHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dapsp_core::apsp;
+    use dapsp_core::{apsp, Obs};
     use dapsp_graph::generators;
 
     fn table(epoch: u64) -> Arc<RouteTable> {
-        let run = apsp::run(&generators::cycle(5)).unwrap();
+        let run = apsp::run_on_obs(&generators::cycle(5).to_topology(), Obs::none()).unwrap();
         Arc::new(RouteTable::from_apsp(run, epoch))
     }
 

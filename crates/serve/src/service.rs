@@ -331,6 +331,26 @@ mod tests {
     }
 
     #[test]
+    fn a_far_future_event_is_refused_before_the_run() {
+        // Past the round limit the run could only idle (or overflow its
+        // stretched limit): refused up front, nothing published.
+        let g = generators::path(6);
+        let mut service = RouteService::build(&g).unwrap();
+        let handle = service.handle();
+        let before = handle.load();
+        let limit = Config::for_n(6).max_rounds;
+        for round in [u64::MAX, limit + 1] {
+            let plan = TopologyPlan::new().with_remove(round, 0, 1);
+            let err = service.apply(&plan).unwrap_err();
+            let refused = matches!(err, ServeError::Core(CoreError::InvalidParameter(_)));
+            assert!(refused, "round {round}: {err:?}");
+            assert_eq!((service.epoch(), handle.epoch()), (0, 0));
+            assert!(Arc::ptr_eq(&handle.load(), &before));
+            assert_eq!(*service.graph(), g);
+        }
+    }
+
+    #[test]
     fn a_late_invalid_event_is_rejected_like_an_early_one() {
         // The plan is validated as a whole before the run starts, so where
         // in time the bad event sits changes neither the error nor what

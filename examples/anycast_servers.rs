@@ -8,7 +8,7 @@
 //! cargo run --release --example anycast_servers
 //! ```
 
-use dapsp::core::{apsp, ssp};
+use dapsp::core::{apsp, ssp, Obs};
 use dapsp::graph::generators;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let servers = vec![13u32, 22, 121, 130];
     println!("network: {} switches; replicas at {:?}\n", n, servers);
 
-    let r = ssp::run(&network, &servers)?;
+    let r = ssp::run_on_obs(&network.to_topology(), &servers, Obs::none())?;
     println!(
         "S-SP finished in {} rounds (D0 = {}, |S| = {}) — Theorem 3 budget |S| + D0 = {}",
         r.stats.rounds,
@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Contrast with full APSP: same distances, many more rounds.
-    let full = apsp::run(&network)?;
+    let full = apsp::run_on_obs(&network.to_topology(), Obs::none())?;
     for (i, &s) in servers.iter().enumerate() {
         for v in 0..n as u32 {
             assert_eq!(Some(r.dist[v as usize][i]), full.distances.get(v, s));

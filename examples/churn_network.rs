@@ -6,9 +6,10 @@
 //! named round on every engine identically. This example drives one grid
 //! network through four stages:
 //!
-//! 1. `bfs::run_churned` against a remove + insert mid-run — the repair
-//!    wave only revisits the nodes the damage actually moved, asserted
-//!    **exact** against the sequential oracle on the mutated graph;
+//! 1. `apsp::run_churned_on` — the call a serving layer's republish makes
+//!    — against a remove + insert mid-run: the repair wave only revisits
+//!    the nodes the damage actually moved, asserted **exact** against the
+//!    sequential oracle on the mutated graph;
 //! 2. a node crash via the plan — every route through the lost node is
 //!    retracted, again exactly;
 //! 3. a churn batch past the adaptive threshold — the kernel gives up on
@@ -25,33 +26,35 @@
 //! ```
 
 use dapsp::congest::{Config, FaultPlan, Simulator, TopologyPlan};
-use dapsp::core::{apsp, bfs, churned_graph};
+use dapsp::core::{apsp, churned_graph, Obs};
 use dapsp::graph::{generators, reference, INFINITY};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let network = generators::grid(6, 6);
     let n = network.num_nodes();
+    let topo = network.to_topology();
 
     // -- 1. repair after a remove + insert ----------------------------------
-    println!("6x6 grid, BFS from node 0 while the topology shifts underfoot\n");
-    println!("-- bfs::run_churned: remove (0,1) at round 3, insert (0,35) at round 4 --");
+    println!("6x6 grid, all-pairs distances while the topology shifts underfoot\n");
+    println!("-- apsp::run_churned_on: remove (0,1) at round 3, insert (0,35) at round 4 --");
     let plan = TopologyPlan::new()
         .with_remove(3, 0, 1)
         .with_insert(4, 0, 35);
-    let repaired = bfs::run_churned(&network, 0, &plan)?;
-    let mutated = churned_graph(&network, &plan)?;
-    let oracle = reference::bfs(&mutated, 0);
+    let repaired = apsp::run_churned_on(&topo, &plan, Obs::none())?;
+    let oracle = reference::apsp(&churned_graph(&network, &plan)?);
     for v in 0..n as u32 {
-        assert_eq!(
-            repaired.dist_to(v, 0),
-            Some(oracle[v as usize]),
-            "repaired d({v}) must match the oracle on the mutated graph"
-        );
+        for r in 0..n as u32 {
+            assert_eq!(
+                repaired.dist_to(v, r),
+                oracle.get(v, r),
+                "repaired d({v},{r}) must match the oracle on the mutated graph"
+            );
+        }
     }
     // The insert put the far corner one hop away; the oracle agrees.
     assert_eq!(repaired.dist_to(35, 0), Some(1));
     println!(
-        "exact on all {n} nodes; {} topology events, {} node-rounds of repair work, \
+        "exact on all {n}² pairs; {} topology events, {} node-rounds of repair work, \
          {} full-recompute fallbacks",
         repaired.stats.topo_events,
         repaired.stats.repaired_node_rounds,
@@ -59,9 +62,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // -- 2. a node crash via the plan ---------------------------------------
-    println!("\n-- apsp::run_churned: node 14 crashes out of the network at round 3 --");
+    println!("\n-- node 14 crashes out of the network at round 3 --");
     let plan = TopologyPlan::new().with_crash(3, 14);
-    let repaired = apsp::run_churned(&network, &plan)?;
+    let repaired = apsp::run_churned_on(&topo, &plan, Obs::none())?;
     let mutated = churned_graph(&network, &plan)?;
     let oracle = reference::apsp(&mutated);
     assert!(!repaired.present[14], "the crashed node left the network");
@@ -98,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_remove(3, 7, 13)
         .with_remove(3, 20, 26)
         .with_remove(3, 33, 34);
-    let repaired = apsp::run_churned(&network, &plan)?;
+    let repaired = apsp::run_churned_on(&topo, &plan, Obs::none())?;
     assert!(
         repaired.stats.recompute_fallbacks > 0,
         "a batch this large must trip the adaptive fallback"
@@ -125,7 +128,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = Config::for_n(n)
         .with_faults(faults)
         .with_topology(plan.clone());
-    let topo = network.to_topology();
     let report = Simulator::new(&topo, cfg, |_| flood::Flood::default()).run()?;
     let reached = report.outputs.iter().filter(|r| r.is_some()).count();
     // The window closed and node 1 still has three other grid edges, so the

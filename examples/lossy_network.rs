@@ -82,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .with_rule(LossRule::Uniform { probability: 0.05 })
         .with_crash(27, 40, 80);
-    let clean = apsp::run(&network)?;
+    let clean = apsp::run_on_obs(&network.to_topology(), Obs::none())?;
     let faulty = apsp::run_on_obs(&topo, Obs::none().with_faults(&adversary))?;
     assert_eq!(
         faulty.distances,

@@ -6,7 +6,7 @@
 //! ```
 
 use dapsp::core::routing::RouteTable;
-use dapsp::core::{apsp, metrics};
+use dapsp::core::{apsp, metrics, Obs};
 use dapsp::graph::{generators, Graph};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Algorithm 1: all pairs shortest paths in O(n) CONGEST rounds.
-    let result = apsp::run(&network)?;
+    let result = apsp::run_on_obs(&network.to_topology(), Obs::none())?;
     println!(
         "APSP finished in {} rounds ({} messages, {} bits) — Theorem 1 bound: O(n) = O(16)",
         result.stats.rounds, result.stats.messages, result.stats.bits
@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     custom.add_edge(2, 3)?;
     custom.add_edge(3, 0)?;
     let ring = custom.build();
-    let r = apsp::run(&ring)?;
+    let r = apsp::run_on_obs(&ring.to_topology(), Obs::none())?;
     println!(
         "custom 4-ring: d(0,2) = {}, computed in {} rounds",
         r.distances.get(0, 2).expect("connected"),

@@ -11,7 +11,7 @@
 //! cargo run --release --example smallworld_analysis
 //! ```
 
-use dapsp::core::{apsp, leader, metrics};
+use dapsp::core::{apsp, leader, metrics, Obs};
 use dapsp::graph::{generators, io, properties, Graph};
 
 fn profile(name: &str, g: &Graph) -> Result<(), Box<dyn std::error::Error>> {
@@ -36,7 +36,7 @@ fn profile(name: &str, g: &Graph) -> Result<(), Box<dyn std::error::Error>> {
         led.leader, led.stats.rounds
     );
 
-    let run = apsp::run(g)?;
+    let run = apsp::run_on_obs(&g.to_topology(), Obs::none())?;
     let m = metrics::from_apsp(g, &run)?;
     let ids = |set: &[bool]| (0..set.len()).filter(|&v| set[v]).collect::<Vec<_>>();
     let (center, peripheral) = (ids(&m.center), ids(&m.peripheral));

@@ -11,7 +11,7 @@
 //! cargo run --release --example social_center
 //! ```
 
-use dapsp::core::{approx, apsp, metrics};
+use dapsp::core::{approx, apsp, metrics, Obs};
 use dapsp::graph::Graph;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let celebrity = g.num_nodes() as u32 - 1;
 
     // One Algorithm 1 run yields both sets (Lemmas 5 and 6).
-    let exact = metrics::from_apsp(&g, &apsp::run(&g)?)?;
+    let exact = metrics::from_apsp(&g, &apsp::run_on_obs(&g.to_topology(), Obs::none())?)?;
     let ids = |set: &[bool]| {
         (0..set.len() as u32)
             .filter(|&v| set[v as usize])

@@ -56,7 +56,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet
 echo "==> dapsp-inspect --smoke"
 # Self-check of the trace subsystem end to end: a lossy traced BFS
 # records kernel-attributed events, a churned trace carries its
-# TopologyChange events, a serial-vs-pool stream diff under 15% loss is
+# TopologyChange events, `--churn` is refused with bfs and ssp (only APSP
+# has a churned pipeline), a serial-vs-pool stream diff under 15% loss is
 # bit-identical, and the Perfetto export is well-formed.
 cargo run --offline --release -p dapsp-bench --bin dapsp-inspect -- --smoke
 
@@ -78,6 +79,8 @@ bash benchmark/run.sh --smoke
 # is visible on every run: every line of crates/*/src and src, and the
 # shipped lines, which leave out the in-source `#[cfg(test)]` modules (each
 # runs from its column-0 attribute to the module's closing `}` at column 0).
+# Beside them, the public surface: every `pub fn` of crates/*/src and src,
+# and the `pub fn run*` entry points of crates/core/src.
 src_lines=$(find crates/*/src src -name '*.rs' | xargs cat | wc -l)
 shipped_lines=$(find crates/*/src src -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { skip = 0 }
@@ -85,4 +88,6 @@ shipped_lines=$(find crates/*/src src -name '*.rs' -print0 | xargs -0 awk '
     !skip { n++ }
     skip && /^}$/ { skip = 0 }
     END { print n }')
-echo "OK: fmt + build + tests + forced-stealing parity + clippy + docs + inspect smokes + benchmark smoke all green; source lines: $src_lines (shipped, without #[cfg(test)] modules: $shipped_lines)"
+pub_fns=$(grep -rE '^\s*pub fn' crates/*/src src | wc -l)
+core_runs=$(grep -rE '^\s*pub fn run' crates/core/src | wc -l)
+echo "OK: fmt + build + tests + forced-stealing parity + clippy + docs + inspect smokes + benchmark smoke all green; source lines: $src_lines (shipped, without #[cfg(test)] modules: $shipped_lines); pub fn: $pub_fns (core pub fn run*: $core_runs)"

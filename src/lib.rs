@@ -20,12 +20,12 @@
 //! # Quickstart
 //!
 //! ```
-//! use dapsp::core::apsp;
+//! use dapsp::core::{apsp, Obs};
 //! use dapsp::graph::generators;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let graph = generators::cycle(8);
-//! let result = apsp::run(&graph)?;
+//! let result = apsp::run_on_obs(&graph.to_topology(), Obs::none())?;
 //! assert_eq!(result.distances.get(0, 4), Some(4));
 //! println!("APSP finished in {} rounds", result.stats.rounds);
 //! # Ok(())

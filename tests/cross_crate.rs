@@ -3,7 +3,7 @@
 
 use dapsp::baselines;
 use dapsp::congest::Config;
-use dapsp::core::{approx, apsp, metrics, ssp, three_halves, two_vs_four};
+use dapsp::core::{approx, apsp, metrics, ssp, three_halves, two_vs_four, Obs};
 use dapsp::graph::{generators, lowerbound, reference, Graph};
 
 fn zoo() -> Vec<(String, Graph)> {
@@ -26,7 +26,7 @@ fn zoo() -> Vec<(String, Graph)> {
 fn all_apsp_implementations_agree() {
     for (name, g) in zoo() {
         let oracle = reference::apsp(&g);
-        let a = apsp::run(&g).expect("apsp");
+        let a = apsp::run_on_obs(&g.to_topology(), Obs::none()).expect("apsp");
         assert_eq!(a.distances, oracle, "{name}: algorithm 1");
         let seq = baselines::sequential_bfs(&g).expect("sequential");
         assert_eq!(seq.distances, oracle, "{name}: sequential");
@@ -44,7 +44,7 @@ fn all_apsp_implementations_agree() {
 #[test]
 fn pipelining_dominates_sequential_schedule() {
     for (name, g) in zoo() {
-        let a = apsp::run(&g).expect("apsp");
+        let a = apsp::run_on_obs(&g.to_topology(), Obs::none()).expect("apsp");
         let seq = baselines::sequential_bfs(&g).expect("sequential");
         assert!(
             a.stats.rounds <= seq.stats.rounds + 10,
@@ -54,7 +54,7 @@ fn pipelining_dominates_sequential_schedule() {
         );
     }
     let long = generators::path(60);
-    let a = apsp::run(&long).expect("apsp");
+    let a = apsp::run_on_obs(&long.to_topology(), Obs::none()).expect("apsp");
     let seq = baselines::sequential_bfs(&long).expect("sequential");
     assert!(a.stats.rounds * 5 < seq.stats.rounds);
 }
@@ -91,8 +91,8 @@ fn approx_stack_brackets_exact_stack() {
 fn ssp_is_a_cheap_submatrix_of_apsp() {
     let g = generators::grid(8, 8);
     let sources = vec![0u32, 27, 63];
-    let full = apsp::run(&g).expect("apsp");
-    let part = ssp::run(&g, &sources).expect("ssp");
+    let full = apsp::run_on_obs(&g.to_topology(), Obs::none()).expect("apsp");
+    let part = ssp::run_on_obs(&g.to_topology(), &sources, Obs::none()).expect("ssp");
     for v in 0..g.num_nodes() as u32 {
         for (i, &s) in sources.iter().enumerate() {
             assert_eq!(Some(part.dist[v as usize][i]), full.distances.get(v, s));
@@ -135,8 +135,14 @@ fn disconnected_inputs_rejected_everywhere() {
     b.add_edge(4, 5).unwrap();
     let g = b.build();
     use dapsp::core::CoreError;
-    assert_eq!(apsp::run(&g).unwrap_err(), CoreError::Disconnected);
-    assert_eq!(ssp::run(&g, &[0]).unwrap_err(), CoreError::Disconnected);
+    assert_eq!(
+        apsp::run_on_obs(&g.to_topology(), Obs::none()).unwrap_err(),
+        CoreError::Disconnected
+    );
+    assert_eq!(
+        ssp::run_on_obs(&g.to_topology(), &[0], Obs::none()).unwrap_err(),
+        CoreError::Disconnected
+    );
     assert_eq!(metrics::diameter(&g).unwrap_err(), CoreError::Disconnected);
     assert_eq!(
         approx::diameter(&g, 0.5).unwrap_err(),
@@ -159,7 +165,7 @@ fn disconnected_inputs_rejected_everywhere() {
 fn apsp_message_volume_accounting() {
     let g = generators::erdos_renyi_connected(48, 0.12, 9);
     let (n, m) = (g.num_nodes() as u64, g.num_edges() as u64);
-    let r = apsp::run(&g).expect("apsp");
+    let r = apsp::run_on_obs(&g.to_topology(), Obs::none()).expect("apsp");
     // Each of the n waves crosses each edge at most twice (once per
     // direction), plus pebble and T1 overhead.
     assert!(r.stats.messages <= 2 * n * m + 4 * n + 4 * m);
@@ -254,7 +260,7 @@ fn churned_apsp_model_cost_is_pinned() {
         (batch, (99, 16234, 211042, 3654, 0, 64, 0)),
     ];
     for (plan, want) in golden {
-        let r = apsp::run_churned(&g, &plan).expect("churned apsp");
+        let r = apsp::run_churned_on(&g.to_topology(), &plan, Obs::none()).expect("churned apsp");
         assert_eq!(churn_cost(&r.stats), want, "model cost under {plan:?}");
         let oracle = reference::apsp(&churned_graph(&g, &plan).expect("plan applies"));
         for v in (0..64u32).filter(|&v| r.present[v as usize]) {
@@ -269,21 +275,18 @@ fn churned_apsp_model_cost_is_pinned() {
     }
 }
 
-/// The model cost of the repair kernel's other two modes and of the event
-/// kind the APSP golden misses: churned BFS (single-root: one queue word
-/// per level) and churned S-SP (five sources) under quiet / remove /
-/// insert / crash plans, and all three modes under crash → re-join →
-/// re-insert-every-edge with the edges returning one round after the join
-/// and in the join's own round. Same counters ([`churn_cost`]) as
-/// [`churned_apsp_model_cost_is_pinned`]; every result equals its oracle
-/// (for the re-join plans that is the original graph's).
+/// The model cost of the event kind the APSP golden misses: crash →
+/// re-join → re-insert-every-edge, with the edges returning one round
+/// after the join and in the join's own round. Same counters
+/// ([`churn_cost`]) as [`churned_apsp_model_cost_is_pinned`]; every result
+/// equals the original graph's oracle. The name is this tier-1 golden's
+/// id; churn runs only through APSP, whose `conformance_small_graphs`
+/// sweeps check every root a churned BFS or source set could name.
 #[test]
 fn churned_bfs_ssp_and_rejoin_model_cost_is_pinned() {
     use dapsp::congest::TopologyPlan;
-    use dapsp::core::{bfs, churned_graph, ChurnedResult};
+    use dapsp::core::churned_graph;
     let g = generators::watts_strogatz(64, 3, 0.05, 7);
-    let sources = [3u32, 17, 18, 40, 63];
-    let all: Vec<u32> = (0..64).collect();
     assert_eq!(g.neighbors(5), &[2, 3, 4, 6, 7, 8]);
     let rejoin = |insert_round| {
         g.neighbors(5).iter().fold(
@@ -291,76 +294,25 @@ fn churned_bfs_ssp_and_rejoin_model_cost_is_pinned() {
             |plan, &x| plan.with_insert(insert_round, 5, x),
         )
     };
-    let check = |what: &str, plan: &TopologyPlan, r: ChurnedResult, want: ChurnCost| {
-        assert_eq!(
-            churn_cost(&r.stats),
-            want,
-            "{what} model cost under {plan:?}"
-        );
-        let mutated = churned_graph(&g, plan).expect("plan applies");
-        for (i, &root) in r.roots.iter().enumerate() {
-            let oracle = reference::bfs(&mutated, root);
-            for v in (0..64).filter(|&v| r.present[v]) {
+    let golden: [(TopologyPlan, ChurnCost); 2] = [
+        (rejoin(121), (176, 25219, 327847, 6288, 64, 127, 0)),
+        (rejoin(120), (175, 24962, 324506, 6225, 0, 127, 0)),
+    ];
+    for (plan, want) in &golden {
+        let r = apsp::run_churned_on(&g.to_topology(), plan, Obs::none()).expect("churned apsp");
+        assert_eq!(churn_cost(&r.stats), *want, "model cost under {plan:?}");
+        assert_eq!(r.present, vec![true; 64]);
+        assert_eq!(churned_graph(&g, plan).expect("plan applies"), g);
+        let oracle = reference::apsp(&g);
+        for v in 0..64u32 {
+            for root in 0..64u32 {
                 assert_eq!(
-                    r.dist[v][i], oracle[v],
-                    "{what} d({v}, {root}) under {plan:?}"
+                    r.dist_to(v, root),
+                    oracle.get(v, root),
+                    "d({v}, {root}) under {plan:?}"
                 );
             }
         }
-    };
-    // (plan, bfs from 0, ssp from `sources`)
-    let two_modes: [(TopologyPlan, ChurnCost, ChurnCost); 4] = [
-        (
-            TopologyPlan::new(),
-            (10, 266, 1862, 188, 0, 0, 0),
-            (11, 1310, 17030, 498, 0, 0, 0),
-        ),
-        (
-            TopologyPlan::new().with_remove(1, 0, 1),
-            (10, 263, 1841, 188, 64, 0, 1),
-            (11, 1303, 16939, 498, 64, 0, 0),
-        ),
-        (
-            TopologyPlan::new().with_insert(1, 0, 4),
-            (10, 267, 1869, 189, 64, 0, 0),
-            (11, 1324, 17212, 496, 64, 0, 0),
-        ),
-        (
-            TopologyPlan::new().with_crash(80, 5),
-            (80, 266, 1862, 188, 0, 63, 0),
-            (82, 1319, 17147, 508, 0, 63, 0),
-        ),
-    ];
-    for (plan, want_bfs, want_ssp) in &two_modes {
-        let b = bfs::run_churned(&g, 0, plan).expect("churned bfs");
-        check("bfs", plan, b, *want_bfs);
-        let s = ssp::run_churned(&g, &sources, plan).expect("churned ssp");
-        check("ssp", plan, s, *want_ssp);
-    }
-    // (plan, apsp, bfs, ssp)
-    let three_modes: [(TopologyPlan, ChurnCost, ChurnCost, ChurnCost); 2] = [
-        (
-            rejoin(121),
-            (176, 25219, 327847, 6288, 64, 127, 0),
-            (122, 272, 1904, 195, 64, 127, 0),
-            (126, 1372, 17836, 555, 64, 127, 0),
-        ),
-        (
-            rejoin(120),
-            (175, 24962, 324506, 6225, 0, 127, 0),
-            (121, 272, 1904, 195, 0, 127, 0),
-            (125, 1372, 17836, 555, 0, 127, 0),
-        ),
-    ];
-    for (plan, want_apsp, want_bfs, want_ssp) in &three_modes {
-        let a = apsp::run_churned(&g, plan).expect("churned apsp");
-        assert_eq!(a.present, vec![true; 64]);
-        assert_eq!(a.roots, all);
-        check("apsp", plan, a, *want_apsp);
-        let b = bfs::run_churned(&g, 0, plan).expect("churned bfs");
-        check("bfs", plan, b, *want_bfs);
-        let s = ssp::run_churned(&g, &sources, plan).expect("churned ssp");
-        check("ssp", plan, s, *want_ssp);
     }
 }
 
@@ -533,11 +485,11 @@ fn static_model_cost_is_pinned() {
         ),
     ];
     for (name, g, want_apsp, want_ssp, want_ecc, want_bfs) in golden {
-        let a = apsp::run(&g).expect("apsp");
+        let a = apsp::run_on_obs(&g.to_topology(), Obs::none()).expect("apsp");
         assert_eq!(cost(&a.stats), want_apsp, "{name}: apsp model cost");
         assert_eq!(a.distances, reference::apsp(&g), "{name}: apsp");
 
-        let s = ssp::run(&g, &sources).expect("ssp");
+        let s = ssp::run_on_obs(&g.to_topology(), &sources, Obs::none()).expect("ssp");
         assert_eq!(
             (cost(&s.stats), s.relaxations),
             want_ssp,
@@ -554,9 +506,11 @@ fn static_model_cost_is_pinned() {
         // Theorem 4's pipeline is the dominating set over T_1 followed by
         // a DOM-SP whose T_1 and D₀ are that same preamble, so it costs
         // exactly what the two standalone runs cost together.
-        let t1 = bfs::run(&g, 0).expect("T_1");
-        let dom = dominating::run(&g, &t1.tree, e.k).expect("dominating set");
-        let dom_sp = ssp::run(&g, &dom.member_ids()).expect("DOM-SP");
+        let t1 = bfs::run_on_obs(&g.to_topology(), 0, Obs::none()).expect("T_1");
+        let dom = dominating::run_on_obs(&g.to_topology(), &t1.tree, e.k, Obs::none())
+            .expect("dominating set");
+        let dom_sp =
+            ssp::run_on_obs(&g.to_topology(), &dom.member_ids(), Obs::none()).expect("DOM-SP");
         assert_eq!(
             (cost(&e.stats), e.dom_size),
             (oplus(cost(&dom.stats), cost(&dom_sp.stats)), dom.size),
@@ -572,7 +526,7 @@ fn static_model_cost_is_pinned() {
             assert!(ecc <= est && est <= 2 * ecc, "{name}: ecc({v})");
         }
 
-        let b = bfs::run(&g, 0).expect("bfs");
+        let b = bfs::run_on_obs(&g.to_topology(), 0, Obs::none()).expect("bfs");
         assert_eq!(cost(&b.stats), want_bfs, "{name}: bfs model cost");
         assert_eq!(b.dist, reference::bfs(&g, 0), "{name}: bfs");
     }
@@ -646,11 +600,15 @@ fn composites_charge_t1_and_d0_once() {
         ),
     ];
     for (name, g, rows) in &golden {
-        let t1 = bfs::run(g, 0).expect("T_1");
+        let t1 = bfs::run_on_obs(&g.to_topology(), 0, Obs::none()).expect("T_1");
         let depths: Vec<u64> = t1.dist.iter().map(|&d| u64::from(d)).collect();
-        let d0 = aggregate::run(g, &t1.tree, &depths, AggOp::Max).expect("D₀");
+        let d0 =
+            aggregate::run_on_obs(&g.to_topology(), &t1.tree, &depths, AggOp::Max, Obs::none())
+                .expect("D₀");
         let flags = vec![1; g.num_nodes()];
-        let census = aggregate::run(g, &t1.tree, &flags, AggOp::Sum).expect("|DOM| census");
+        let census =
+            aggregate::run_on_obs(&g.to_topology(), &t1.tree, &flags, AggOp::Sum, Obs::none())
+                .expect("|DOM| census");
         let unit = |s: &RunStats| (s.rounds as i64, s.messages as i64);
         let (bfs, max, sum) = (unit(&t1.stats), unit(&d0.stats), unit(&census.stats));
         for ((composite, run), &((rounds, messages), (bfs_runs, max_runs, sum_runs))) in
