@@ -15,22 +15,21 @@
 //!
 //! Workload flags:
 //! `[--workload apsp|bfs|ssp] [--family FAM] [--n N] [--loss P]
-//! [--threads T] [--seed S] [--churn K]`; `--churn K` runs churned APSP
-//! (`apsp::run_churned_on`, the one churned pipeline) instead — a
-//! [`TopologyPlan`] removing `K` edges and inserting one mid-run — so the
-//! trace carries `TopologyChange` events and the summary shows them
-//! alongside the per-kernel drop attribution. `--churn` with `bfs` or
-//! `ssp` is refused.
+//! [--threads T] [--seed S] [--churn K]`; `--churn K` applies a
+//! [`TopologyPlan`] removing `K` edges and inserting one to the graph
+//! before any workload runs — churn happens between runs, so the trace is
+//! the static trace of the changed graph. With `apsp` the run is churned
+//! APSP (`apsp::run_churned_on`, what a serving republish runs).
 //! `perfetto` adds `[--out PATH] [--by node|kernel]`.
 
 use std::process::ExitCode;
 
 use dapsp_bench::print_table;
 use dapsp_congest::{
-    Config, EdgeEvent, ExecutorKind, FaultPlan, NodeEvent, SharedObserver, TopologyEvent,
-    TopologyPlan, TraceEvent, TraceRecorder, TrackBy,
+    churned_topology, Config, ExecutorKind, FaultPlan, SharedObserver, TopologyPlan, TraceEvent,
+    TraceRecorder, TrackBy,
 };
-use dapsp_core::{apsp, bfs, ssp, Obs};
+use dapsp_core::{apsp, bfs, churned_graph, ssp, Obs};
 use dapsp_graph::{generators, Graph};
 
 /// Builds the `n`-node member of `family` (deterministic seeds).
@@ -97,19 +96,6 @@ impl Default for RunOpts {
 }
 
 impl RunOpts {
-    /// Refuses option combinations no pipeline runs: churn exists for
-    /// APSP only.
-    fn validate(&self) -> Result<(), String> {
-        if self.churn > 0 && self.workload != "apsp" {
-            return Err(format!(
-                "--churn runs churned APSP only (apsp::run_churned_on); \
-                 --workload {} has no churned pipeline",
-                self.workload
-            ));
-        }
-        Ok(())
-    }
-
     fn describe(&self) -> String {
         format!(
             "{}/{}/n={} loss={} threads={} churn={}",
@@ -117,12 +103,15 @@ impl RunOpts {
         )
     }
 
-    /// The churn plan `--churn K` stands for: `K` edge removals at round 2
-    /// (deterministic spread picks) plus the first available non-edge
-    /// inserted at round 3.
+    /// The churn plan `--churn K` stands for: `K` edge removals
+    /// (deterministic spread picks), then the first available non-edge
+    /// inserted; empty without `--churn`.
     fn churn_plan(&self, graph: &dapsp_graph::Graph) -> TopologyPlan {
-        let edges: Vec<(u32, u32)> = graph.edges().collect();
         let mut plan = TopologyPlan::new();
+        if self.churn == 0 {
+            return plan;
+        }
+        let edges: Vec<(u32, u32)> = graph.edges().collect();
         let stride = (edges.len() / self.churn.max(1)).max(1);
         for i in 0..self.churn.min(edges.len()) {
             let (u, v) = edges[(i * stride) % edges.len()];
@@ -144,31 +133,29 @@ impl RunOpts {
 /// returns the recorder.
 fn run_traced(opts: &RunOpts) -> SharedObserver<TraceRecorder> {
     let graph = family_graph(&opts.family, opts.n);
-    let topology = graph.to_topology();
+    let base = graph.to_topology();
+    // `--churn` edits the graph before the run; the run sees one network.
+    let plan = opts.churn_plan(&graph);
+    let topology = churned_topology(&base, &plan)
+        .unwrap_or_else(|e| panic!("{}: the churn plan fails: {e}", opts.describe()));
     let shared = SharedObserver::new(TraceRecorder::new());
     let handle = shared.observer();
     let obs = Obs::watching(&handle).with_executor(executor_for(opts.threads));
     let sources: Vec<u32> = vec![0, (opts.n / 2) as u32];
+    // Loss rides in `obs`: every phase then runs on the reliable
+    // transport and reports as `"<phase>:reliable"`.
     let faults = FaultPlan::uniform_loss(opts.loss, opts.seed);
-    let outcome = if opts.churn > 0 {
-        // Churned APSP repairs in place of recomputing; loss is not
-        // composed here (the repair kernel has no reliable transport and
-        // refuses a fault plan); `main` refuses `--churn` with bfs or ssp.
-        apsp::run_churned_on(&topology, &opts.churn_plan(&graph), obs).map(|_| ())
+    let obs = if opts.loss > 0.0 {
+        obs.with_faults(&faults)
     } else {
-        // Loss rides in `obs`: every phase then runs on the reliable
-        // transport and reports as `"<phase>:reliable"`.
-        let obs = if opts.loss > 0.0 {
-            obs.with_faults(&faults)
-        } else {
-            obs
-        };
-        match opts.workload.as_str() {
-            "bfs" => bfs::run_on_obs(&topology, 0, obs).map(|_| ()),
-            "ssp" => ssp::run_on_obs(&topology, &sources, obs).map(|_| ()),
-            "apsp" => apsp::run_on_obs(&topology, obs).map(|_| ()),
-            other => panic!("unknown workload {other}; expected apsp|bfs|ssp"),
-        }
+        obs
+    };
+    let outcome = match opts.workload.as_str() {
+        "bfs" => bfs::run_on_obs(&topology, 0, obs).map(|_| ()),
+        "ssp" => ssp::run_on_obs(&topology, &sources, obs).map(|_| ()),
+        "apsp" if opts.churn > 0 => apsp::run_churned_on(&base, &plan, obs).map(|_| ()),
+        "apsp" => apsp::run_on_obs(&topology, obs).map(|_| ()),
+        other => panic!("unknown workload {other}; expected apsp|bfs|ssp"),
     };
     outcome.unwrap_or_else(|e| panic!("{}: workload failed: {e}", opts.describe()));
     shared
@@ -203,33 +190,6 @@ fn cmd_summary(opts: &RunOpts) -> ExitCode {
             &["mask", "messages", "bits", "dropped", "retransmits", "acks"],
             &kernel_rows,
         );
-        // Churned runs: every TopologyPlan event that took effect, in
-        // commit order. The drops such an event forces (in-flight messages
-        // on severed ports) are already attributed to their kernels in the
-        // `dropped` column above.
-        let topo_rows: Vec<Vec<String>> = rec
-            .events()
-            .filter_map(|e| match e {
-                TraceEvent::TopologyChange { round, event } => Some(match event {
-                    TopologyEvent::Edge(EdgeEvent::Insert { u, v }) => {
-                        vec![round.to_string(), "insert".into(), format!("{u}-{v}")]
-                    }
-                    TopologyEvent::Edge(EdgeEvent::Remove { u, v }) => {
-                        vec![round.to_string(), "remove".into(), format!("{u}-{v}")]
-                    }
-                    TopologyEvent::Node(NodeEvent::Crash(n)) => {
-                        vec![round.to_string(), "crash".into(), format!("node {n}")]
-                    }
-                    TopologyEvent::Node(NodeEvent::Join(n)) => {
-                        vec![round.to_string(), "join".into(), format!("node {n}")]
-                    }
-                }),
-                _ => None,
-            })
-            .collect();
-        if !topo_rows.is_empty() {
-            print_table("topology changes", &["round", "kind", "where"], &topo_rows);
-        }
         let edge_rows: Vec<Vec<String>> = rec
             .top_edges(10)
             .iter()
@@ -382,8 +342,9 @@ fn cmd_smoke() -> ExitCode {
     });
     println!("smoke: summary recorded traced events with kernel attribution");
 
-    // churned summary path: the trace must carry the plan's TopologyChange
-    // events so `summary` can render the topology-changes table.
+    // churned path: the plan applies before the run, so the churned trace
+    // is the static trace of the changed graph — event for event, with no
+    // message dropped.
     let opts = RunOpts {
         workload: "apsp".into(),
         family: "regular6".into(),
@@ -391,37 +352,36 @@ fn cmd_smoke() -> ExitCode {
         churn: 1,
         ..RunOpts::default()
     };
-    let shared = run_traced(&opts);
-    shared.with(|rec| {
-        let topo_events = rec
-            .events()
-            .filter(|e| matches!(e, TraceEvent::TopologyChange { .. }))
-            .count();
-        assert!(
-            topo_events >= 2,
-            "smoke: churned trace recorded {topo_events} TopologyChange events, expected the \
-             plan's remove + insert"
-        );
-        assert!(
-            !rec.kernels().is_empty(),
-            "smoke: churned run lost kernel attribution"
-        );
-    });
+    let churned = run_traced(&opts).with(|r| r.events_jsonl());
+    let graph = family_graph(&opts.family, opts.n);
+    let after = churned_graph(&graph, &opts.churn_plan(&graph)).expect("smoke: the plan applies");
+    let shared = SharedObserver::new(TraceRecorder::new());
+    let handle = shared.observer();
+    apsp::run_churned_on(
+        &after.to_topology(),
+        &TopologyPlan::new(),
+        Obs::watching(&handle),
+    )
+    .expect("smoke: static run on the churned graph");
+    let fixed = shared.with(|r| r.events_jsonl());
+    assert_eq!(
+        churned.lines().count(),
+        fixed.lines().count(),
+        "smoke: churned trace length differs from the churned graph's static trace"
+    );
+    assert!(
+        churned == fixed,
+        "smoke: churned trace differs from the churned graph's static trace"
+    );
+    assert!(
+        !churned.contains("\"ev\":\"drop\""),
+        "smoke: a churned run dropped a message"
+    );
     assert!(
         cmd_summary(&opts) == ExitCode::SUCCESS,
         "smoke: churned summary failed"
     );
-    println!("smoke: churned summary shows TopologyChange events");
-    for workload in ["bfs", "ssp"] {
-        let opts = RunOpts {
-            workload: workload.into(),
-            ..opts.clone()
-        };
-        assert!(
-            opts.validate().is_err(),
-            "smoke: --churn accepted with {workload}"
-        );
-    }
+    println!("smoke: churned trace is the changed graph's static trace, no drops");
 
     // diff path: serial vs pool event streams must be bit-identical.
     let opts = RunOpts {
@@ -497,10 +457,6 @@ fn main() -> ExitCode {
             }
             other => panic!("unknown argument {other}; {USAGE}"),
         }
-    }
-    if let Err(e) = opts.validate() {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
     }
     match cmd.as_str() {
         "summary" => cmd_summary(&opts),

@@ -1,12 +1,12 @@
 //! The per-node algorithm interface.
 
 use crate::message::Message;
-use crate::node::{Inbox, NodeContext, NodeId, Outbox, Port};
+use crate::node::{Inbox, NodeContext, Outbox};
 
 /// A node's termination vote, polled by the engine after every round.
 ///
 /// After round 0 the engine polls every node; after each later round it
-/// polls only the nodes it stepped — the present nodes that had arrivals or
+/// polls only the nodes it stepped — the nodes that had arrivals or
 /// were [`is_active`](NodeAlgorithm::is_active) at the round's start. A node
 /// it did not poll is inactive and counts as
 /// [`Passive`](Quiescence::Passive), whatever it would have voted. The run
@@ -41,57 +41,6 @@ pub enum Quiescence {
     /// the motivating case — it keeps clock frames flowing to a fixed
     /// horizon but knows when its inner protocol has finished.
     Shutdown,
-}
-
-/// What one node is told about a round's topology-churn batch (see
-/// [`TopologyPlan`](crate::TopologyPlan)): the ports this node lost and
-/// gained, whether the node itself was removed or re-joined, and the
-/// global batch size the round applied — the signal a divergence-adaptive
-/// repair policy keys its repair-vs-recompute decision on (it is the same
-/// number at every node, so the decision is deterministic and uniform).
-#[derive(Clone, Copy, Debug)]
-pub struct TopologyDelta<'a> {
-    /// The topology's epoch *after* this round's batch.
-    pub epoch: u64,
-    /// Total size of the round's global batch (directed port halves
-    /// removed + inserted, plus one per node removal/join) — identical at
-    /// every notified node.
-    pub batch: u32,
-    /// This node's ports tombstoned by the batch, in event order. The
-    /// ports still resolve their former neighbor via
-    /// [`NodeContext`] lookups, but no message can cross them again.
-    pub removed_ports: &'a [Port],
-    /// This node's freshly appended ports with the neighbor each reaches,
-    /// in event order.
-    pub inserted_ports: &'a [(Port, NodeId)],
-    /// True iff this node itself ends the round removed (its
-    /// `removed_ports` then cover every edge it had; this is its final
-    /// notification until a later join).
-    pub removed: bool,
-    /// True iff this node re-joined this round and ends it present
-    /// (edgeless until later insertions; every port it had before is a
-    /// tombstone). Never set together with `removed`: a node the batch
-    /// both crashed and re-joined is told its net fate only.
-    pub joined: bool,
-}
-
-/// What a node's [`on_topology`](NodeAlgorithm::on_topology) hook reports
-/// having done about a churn batch, tallied into
-/// [`RunStats`](crate::RunStats) (`repaired_node_rounds`,
-/// `recompute_fallbacks`).
-///
-/// Ordered `Ignored < Repaired < Recompute` so composite algorithms can
-/// combine component reactions with `max`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum RepairAction {
-    /// The change does not affect this node's state (the default).
-    Ignored,
-    /// The node patched its state incrementally (invalidated a subtree,
-    /// queued a bounded re-wave, …).
-    Repaired,
-    /// The change set was too large to repair; the node reset to recompute
-    /// from scratch.
-    Recompute,
 }
 
 /// The state machine a single node runs.
@@ -135,30 +84,6 @@ pub trait NodeAlgorithm {
         inbox: &Inbox<Self::Message>,
         outbox: &mut Outbox<Self::Message>,
     );
-
-    /// Notification that this round's [`TopologyPlan`](crate::TopologyPlan)
-    /// batch touched the network. Called at the churn choke point — after
-    /// the batch is applied and in-flight messages on dead links are
-    /// purged, before this round's deliveries — on *every* present node
-    /// (plus nodes removed by the batch, once, as their final call), in
-    /// node-id order on every engine. `delta` describes this node's local
-    /// port changes and the global batch size; `ctx` already sees the
-    /// post-churn topology (`ctx.at_round(round)` of the round being
-    /// entered).
-    ///
-    /// No outbox: a repair reacts by adjusting state and queueing work for
-    /// its next [`on_round`](Self::on_round) — every notified node is
-    /// scheduled this round (the engine rebuilds the active set right
-    /// after), so queued repairs flow immediately. The returned
-    /// [`RepairAction`] is tallied into [`RunStats`](crate::RunStats).
-    ///
-    /// The default ignores the change, which suits static algorithms run
-    /// without a churn plan (and documents that running them *with* one
-    /// silently yields pre-churn answers).
-    fn on_topology(&mut self, ctx: &NodeContext<'_>, delta: &TopologyDelta<'_>) -> RepairAction {
-        let _ = (ctx, delta);
-        RepairAction::Ignored
-    }
 
     /// True while this node may still send *spontaneously*, i.e. without
     /// first receiving a message (for example, while an internal timer is

@@ -60,10 +60,7 @@ impl LossRule {
 /// its neighbors keep their ports to it — sends into the window drop with
 /// [`DropReason::ReceiverCrashed`] and the node resumes where it left off.
 /// Contrast [`NodeEvent::Crash`] in a [`TopologyPlan`], which *removes*
-/// the node: its edges die with it and sends toward it drop with
-/// [`DropReason::TopologyChange`]. When both cover a round, removal wins —
-/// the dead-port check runs before the crash-window check at the engine's
-/// validation point, so such drops report `TopologyChange`.
+/// the node, with its edges, before a run starts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrashWindow {
     /// The crashing node.
@@ -193,25 +190,19 @@ pub enum DropReason {
     Loss,
     /// The receiver is inside a [`CrashWindow`] at the delivery round.
     ReceiverCrashed,
-    /// A [`TopologyPlan`] event invalidated the link before delivery: the
-    /// message was in flight across an edge that was removed (or whose
-    /// endpoint was removed), or was sent on an already-dead port.
-    TopologyChange,
 }
 
-/// A timed edge mutation in a [`TopologyPlan`].
+/// An edge edit in a [`TopologyPlan`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EdgeEvent {
-    /// Insert the undirected edge `u – v` (appending a fresh port at each
-    /// endpoint; see [`Topology::insert_edge`](crate::Topology::insert_edge)).
+    /// Insert the undirected edge `u – v`.
     Insert {
         /// One endpoint.
         u: u32,
         /// The other endpoint.
         v: u32,
     },
-    /// Remove the live edge `u – v` (tombstoning its ports; see
-    /// [`Topology::remove_edge`](crate::Topology::remove_edge)).
+    /// Remove the edge `u – v`.
     Remove {
         /// One endpoint.
         u: u32,
@@ -220,13 +211,12 @@ pub enum EdgeEvent {
     },
 }
 
-/// A timed node mutation in a [`TopologyPlan`].
+/// A node edit in a [`TopologyPlan`].
 ///
-/// `Crash` here means *permanent removal from the network* — the node's
-/// edges die with it — which is deliberately different from a
-/// [`CrashWindow`] fault, where the node keeps its edges and recovers. The
-/// documented precedence when both apply: removal wins (see
-/// [`CrashWindow`]).
+/// `Crash` here means *removal from the network* — the node's edges go
+/// with it, and it stays absent across later plans until a `Join` — which
+/// is deliberately different from a [`CrashWindow`] fault, where the node
+/// keeps its edges and recovers within the run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum NodeEvent {
     /// Remove the node and every edge incident to it; the id stays
@@ -246,21 +236,13 @@ pub enum TopologyEvent {
     Node(NodeEvent),
 }
 
-/// A deterministic schedule of topology mutations — the churn sibling of
-/// [`FaultPlan`].
+/// An edit batch of topology events, applied between runs by
+/// [`churned_topology`](crate::churned_topology) — never inside one: the
+/// CONGEST model's network is fixed for the length of a run.
 ///
-/// Events are applied at the engine's commit-side choke point at the
-/// *start* of their round, before that round's deliveries: messages still
-/// in flight across a removed edge are purged (reported as
-/// [`DropReason::TopologyChange`] drops), then every present node is
-/// notified through its `on_topology` hook, all in node-id order, so runs
-/// stay bit-for-bit identical across executors. Event rounds must be
-/// `>= 1` (round 0 is `on_start`; mutate the input graph instead). Events
-/// sharing a round apply in insertion order as one batch — the batch size
-/// is what the kernel layer's divergence-adaptive repair policy sees.
-///
-/// A run with a pending plan does not terminate before its last event has
-/// been applied, even if every node goes quiet in between.
+/// Each event carries a round, which only orders the batch: events apply
+/// by round and, within a round, in insertion order, so a plan whose
+/// events all sit at round 1 applies the same way.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct TopologyPlan {
     /// `(round, event)` entries, kept sorted by round (stable, so same-round
@@ -274,30 +256,29 @@ impl TopologyPlan {
         TopologyPlan::default()
     }
 
-    /// Schedules an event at `round` (must be `>= 1`; the engines reject
-    /// round-0 events at run start).
+    /// Adds an event, ordered by `round`.
     pub fn at(mut self, round: u64, event: TopologyEvent) -> Self {
         let pos = self.events.partition_point(|&(r, _)| r <= round);
         self.events.insert(pos, (round, event));
         self
     }
 
-    /// Schedules the insertion of edge `u – v` at `round`.
+    /// Adds the insertion of edge `u – v`, ordered by `round`.
     pub fn with_insert(self, round: u64, u: u32, v: u32) -> Self {
         self.at(round, TopologyEvent::Edge(EdgeEvent::Insert { u, v }))
     }
 
-    /// Schedules the removal of edge `u – v` at `round`.
+    /// Adds the removal of edge `u – v`, ordered by `round`.
     pub fn with_remove(self, round: u64, u: u32, v: u32) -> Self {
         self.at(round, TopologyEvent::Edge(EdgeEvent::Remove { u, v }))
     }
 
-    /// Schedules the removal of `node` (and all its edges) at `round`.
+    /// Adds the removal of `node` (and all its edges), ordered by `round`.
     pub fn with_crash(self, round: u64, node: u32) -> Self {
         self.at(round, TopologyEvent::Node(NodeEvent::Crash(node)))
     }
 
-    /// Schedules the edgeless re-join of `node` at `round`.
+    /// Adds the edgeless re-join of `node`, ordered by `round`.
     pub fn with_join(self, round: u64, node: u32) -> Self {
         self.at(round, TopologyEvent::Node(NodeEvent::Join(node)))
     }
@@ -305,23 +286,6 @@ impl TopologyPlan {
     /// All entries, sorted by round.
     pub fn events(&self) -> &[(u64, TopologyEvent)] {
         &self.events
-    }
-
-    /// True if the plan schedules no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// The events scheduled exactly at `round`, in application order.
-    pub fn events_at(&self, round: u64) -> &[(u64, TopologyEvent)] {
-        let start = self.events.partition_point(|&(r, _)| r < round);
-        let end = self.events.partition_point(|&(r, _)| r <= round);
-        &self.events[start..end]
-    }
-
-    /// The round of the last scheduled event (`None` for an empty plan).
-    pub fn last_round(&self) -> Option<u64> {
-        self.events.last().map(|&(r, _)| r)
     }
 }
 
@@ -400,9 +364,6 @@ pub struct Config {
     /// Optional deterministic fault adversary (message loss + node
     /// crashes); see [`FaultPlan`].
     pub faults: Option<FaultPlan>,
-    /// Optional deterministic topology-churn schedule (edge/node inserts
-    /// and removals applied mid-run); see [`TopologyPlan`].
-    pub topology: Option<TopologyPlan>,
     /// Which executor drives the round pipeline (default
     /// [`ExecutorKind::Serial`]). Any choice produces bit-for-bit identical
     /// runs: outboxes are always committed in node-id order, so outputs,
@@ -436,7 +397,6 @@ impl PartialEq for Config {
             && self.message_budget == other.message_budget
             && self.max_rounds == other.max_rounds
             && self.faults == other.faults
-            && self.topology == other.topology
             && self.executor == other.executor
             && self.pool_chunk == other.pool_chunk
             && self.phase == other.phase
@@ -458,7 +418,6 @@ impl Config {
             message_budget: Some(2 * bits_for_id(n) + 8),
             max_rounds: 10_000u64.max(64 * n as u64),
             faults: None,
-            topology: None,
             executor: ExecutorKind::Serial,
             pool_chunk: None,
             observer: None,
@@ -500,15 +459,6 @@ impl Config {
     /// Installs a composable fault adversary (see [`FaultPlan`]).
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = Some(faults);
-        self
-    }
-
-    /// Installs a deterministic topology-churn schedule (see
-    /// [`TopologyPlan`]). Composes with [`Config::with_faults`]: crash
-    /// windows freeze nodes in place while topology events rewire the
-    /// graph, with the precedence documented on [`CrashWindow`].
-    pub fn with_topology(mut self, plan: TopologyPlan) -> Self {
-        self.topology = Some(plan);
         self
     }
 
@@ -755,31 +705,14 @@ mod tests {
         assert_eq!(rounds, vec![2, 5, 5, 5, 9]);
         // Same-round entries keep insertion order.
         assert_eq!(
-            plan.events_at(5),
-            &[
+            plan.events()[1..4],
+            [
                 (5, TopologyEvent::Edge(EdgeEvent::Remove { u: 0, v: 1 })),
                 (5, TopologyEvent::Node(NodeEvent::Crash(4))),
                 (5, TopologyEvent::Edge(EdgeEvent::Insert { u: 0, v: 2 })),
             ]
         );
-        assert_eq!(plan.events_at(3), &[]);
-        assert_eq!(plan.last_round(), Some(9));
-        assert!(!plan.is_empty());
-        assert!(TopologyPlan::new().is_empty());
-        assert_eq!(TopologyPlan::new().last_round(), None);
-    }
-
-    #[test]
-    fn topology_plan_participates_in_config_equality() {
-        let base = Config::for_n(8);
-        let churned = base
-            .clone()
-            .with_topology(TopologyPlan::new().with_remove(1, 0, 1));
-        assert_ne!(base, churned);
-        assert_eq!(
-            churned,
-            Config::for_n(8).with_topology(TopologyPlan::new().with_remove(1, 0, 1))
-        );
+        assert!(TopologyPlan::new().events().is_empty());
     }
 
     #[test]

@@ -114,7 +114,7 @@ enum Verdict {
 }
 
 /// Everything about an outbox's sender that is the same for each of its
-/// messages, resolved once per outbox: the node's port view (one overlay
+/// messages, resolved once per outbox: the node's port view (one CSR
 /// look-up instead of four per message), the limits, the fault plan and
 /// the send round.
 struct Sender<'a> {
@@ -204,13 +204,6 @@ impl<'a> Sender<'a> {
                 "message budget exceeded: node {v} sent {bits} bits on port {port} in round \
                  {send_round}, over the B = O(log n) budget of {budget} bits ({msg:?})"
             );
-        }
-        // A send on a port the round's churn batch tombstoned (or whose
-        // endpoint was removed) is discarded before the fault plan is even
-        // consulted — removal wins over crash windows, as documented on
-        // [`CrashWindow`](crate::CrashWindow).
-        if self.ports.dead.is_some_and(|dead| dead[port as usize]) {
-            return Ok(Verdict::Dropped(DropReason::TopologyChange));
         }
         if let Some(plan) = self.faults {
             if plan.drops(send_round, v, port) {
@@ -330,13 +323,12 @@ pub(crate) fn stage_outbox<M: Message>(
 }
 
 /// The engine-thread accounting sinks of one commit call, split off
-/// [`Core`] so the sender's port view can stay borrowed from the live
+/// [`Core`] so the sender's port view can stay borrowed from the
 /// topology while messages are booked: observer, statistics, the arrival
 /// arena and the wake list.
 struct Books<'c, M> {
     observer: Option<&'c mut (dyn Observer + 'static)>,
-    /// The churned view when a topology plan is active: inserted edges
-    /// only exist in the overlay, and observers key on edge indices.
+    /// The run's topology: observers key on its edge indices.
     topo: &'c Topology,
     send_round: u64,
     stats: &'c mut RunStats,
@@ -401,14 +393,13 @@ impl<M: Message> Books<'_, M> {
 
 impl<M: Message> Core<'_, M> {
     /// Splits the core for one commit call: the mutable accounting sinks
-    /// (with the live topology), and beside them the config that
+    /// (with the topology), and beside them the config that
     /// validation reads. The send round is `self.round`: the pipeline
     /// advances it before any phase runs, and `on_start` commits happen at
     /// round 0.
     fn books<'c>(&'c mut self, observer: &'c mut ObsGuard<'_>) -> (Books<'c, M>, &'c Config) {
         let Core {
             topology,
-            churn,
             config,
             arrivals,
             wake,
@@ -417,13 +408,9 @@ impl<M: Message> Core<'_, M> {
             round,
             stats,
         } = self;
-        let topo: &Topology = match churn {
-            Some(c) => &c.topo,
-            None => topology,
-        };
         let books = Books {
             observer: observer.as_deref_mut(),
-            topo,
+            topo: topology,
             send_round: *round,
             stats,
             arrivals,

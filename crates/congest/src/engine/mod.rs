@@ -40,13 +40,9 @@
 //! [`Observer::on_round_timing`](crate::Observer::on_round_timing) —
 //! executors never touch the clock.
 
-use std::sync::Arc;
-
 use crate::algorithm::{NodeAlgorithm, Quiescence};
-use crate::churn::{self, RoundChanges};
-use crate::config::{Config, DropReason, ExecutorKind, TopologyEvent};
+use crate::config::{Config, ExecutorKind};
 use crate::error::SimError;
-use crate::message::Message;
 use crate::node::{Inbox, NodeContext, NodeId, Outbox, Port};
 use crate::obs::RoundTiming;
 use crate::stats::RunStats;
@@ -195,29 +191,12 @@ impl TerminationCertificate {
     }
 }
 
-/// Live-topology state of a churned run: the working copy every engine
-/// mutates at the choke point, plus the cursor into the plan's sorted
-/// event list. Present iff the config carries a non-empty
-/// [`TopologyPlan`](crate::TopologyPlan); static runs never clone the
-/// topology.
-pub(crate) struct ChurnState {
-    /// The working copy (base CSR + overlay) reflecting every applied
-    /// event, behind an `Arc` so pool chunks can hold a cheap per-round
-    /// snapshot while the engine thread keeps the authoritative handle
-    /// (`Arc::make_mut` copies-on-write only if a chunk still holds one).
-    pub(crate) topo: Arc<Topology>,
-    /// Events before this index are applied.
-    pub(crate) next_event: usize,
-}
-
 /// Engine state shared by every executor: the network, the run's
 /// bookkeeping, and the accounting sinks (stats, trace, profile). The
 /// executor owns everything node-local (states, inboxes-in-flight,
 /// outboxes); the `Core` owns everything observable.
 pub(crate) struct Core<'t, M> {
     pub(crate) topology: &'t Topology,
-    /// The churned working topology, when the run has a topology plan.
-    pub(crate) churn: Option<ChurnState>,
     pub(crate) config: Config,
     /// Messages to be delivered next round, staged flat in commit order;
     /// the deliver phase carves them in place into per-node slices, which
@@ -258,47 +237,6 @@ impl<M> Core<'_, M> {
     /// Empties the wake list (capacity kept) once a schedule absorbed it.
     pub(crate) fn clear_wake(&mut self) {
         self.wake.clear();
-    }
-
-    /// The topology every phase must consult: the churned working copy
-    /// when a topology plan is active, the static borrow otherwise.
-    pub(crate) fn live_topology(&self) -> &Topology {
-        match &self.churn {
-            Some(c) => &c.topo,
-            None => self.topology,
-        }
-    }
-
-    /// True while the run's topology plan still has unapplied events — the
-    /// engine keeps ticking rounds through quiescent stretches so a later
-    /// event can still fire.
-    pub(crate) fn churn_pending(&self) -> bool {
-        matches!(
-            (&self.churn, &self.config.topology),
-            (Some(c), Some(p)) if c.next_event < p.events().len()
-        )
-    }
-
-    /// Rebuilds the wake list (and its dedup marks) from the staged
-    /// arrivals — used after a churn purge removed messages whose
-    /// receivers may no longer have any arrival.
-    pub(crate) fn rebuild_wake(&mut self) {
-        for &v in &self.wake {
-            self.woken.clear(v as usize);
-        }
-        self.wake.clear();
-        let Core {
-            arrivals,
-            wake,
-            woken,
-            ..
-        } = self;
-        for to in arrivals.staged_receivers() {
-            if !woken.get(to as usize) {
-                woken.set(to as usize);
-                wake.push(to);
-            }
-        }
     }
 
     /// How many nodes run `on_start` in round 0 — everyone not inside a
@@ -413,18 +351,6 @@ pub(crate) trait Executor<A: NodeAlgorithm> {
     /// Phase 3 — validate and book every scheduled node's outbox in
     /// node-id order.
     fn commit(&mut self, core: &mut Core<'_, A::Message>) -> Result<(), SimError>;
-    /// Churn choke point (runs on the engine thread, after the round's
-    /// batch mutated `topo` and in-flight purges were booked): forward the
-    /// per-node [`TopologyDelta`](crate::TopologyDelta)s to the algorithm
-    /// layer in node-id order and rebuild the awake set against the new
-    /// topology. Returns the `(repaired, recompute)` tallies for
-    /// [`RunStats`].
-    fn notify_topology(
-        &mut self,
-        core: &mut Core<'_, A::Message>,
-        topo: &Topology,
-        changes: &RoundChanges,
-    ) -> (u64, u64);
     /// The aggregated termination votes after the most recent
     /// `start`/`step`.
     fn quiescence(&self) -> QuiescenceState;
@@ -446,10 +372,7 @@ pub(crate) trait Executor<A: NodeAlgorithm> {
         None
     }
     /// Tears the executor down and extracts outputs in node-id order.
-    /// `topology` is the run's final view — the churned working copy when
-    /// a topology plan ran, so `into_output` contexts see the post-churn
-    /// neighborhoods.
-    fn into_outputs(self, topology: &Topology, final_round: u64) -> Vec<A::Output>;
+    fn into_outputs(self, final_round: u64) -> Vec<A::Output>;
 }
 
 /// Merges two sorted id lists — the wake list (pending arrivals) and the
@@ -561,20 +484,9 @@ impl<'t, A: NodeAlgorithm> Simulator<'t, A> {
                 Some(init(&ctx))
             })
             .collect();
-        // A non-empty topology plan needs a mutable working copy; static
-        // runs keep borrowing the caller's topology unclones.
-        let churn = config
-            .topology
-            .as_ref()
-            .filter(|plan| !plan.is_empty())
-            .map(|_| ChurnState {
-                topo: Arc::new(topology.clone()),
-                next_event: 0,
-            });
         Simulator {
             core: Core {
                 topology,
-                churn,
                 config,
                 arrivals: InboxArena::new(n),
                 wake: Vec::new(),
@@ -666,10 +578,8 @@ impl<'t, A: NodeAlgorithm> Simulator<'t, A> {
         }
         // Termination: no messages in flight and no node voting `Active`,
         // or every node voting `Shutdown` (see `Quiescence`). The votes
-        // are aggregated by the executor over the awake list only. A
-        // pending topology plan keeps the engine ticking through quiescent
-        // stretches so later events still fire.
-        while self.core.churn_pending() || !executor.quiescence().terminal(self.core.in_flight) {
+        // are aggregated by the executor over the awake list only.
+        while !executor.quiescence().terminal(self.core.in_flight) {
             if self.core.round >= self.core.config.max_rounds {
                 return Err(SimError::RoundLimitExceeded {
                     limit: self.core.config.max_rounds,
@@ -690,7 +600,7 @@ impl<'t, A: NodeAlgorithm> Simulator<'t, A> {
             executor.final_votes(),
         ));
         let sched = executor.sched();
-        let outputs = executor.into_outputs(self.core.live_topology(), self.core.round);
+        let outputs = executor.into_outputs(self.core.round);
         self.core.stats.wall_time = started.elapsed();
         if let Some(obs) = &self.core.config.observer {
             obs.lock().on_event(&TraceEvent::RunEnd {
@@ -712,13 +622,6 @@ impl<'t, A: NodeAlgorithm> Simulator<'t, A> {
         let core = &mut self.core;
         core.round += 1;
         core.stats.rounds = core.round;
-        // Churn choke point: all plan events with `round <= core.round`
-        // that are not yet applied take effect now — before this round's
-        // deliveries, purging in-flight messages whose link died. Events
-        // at round 0 therefore land entering round 1, after `on_start`.
-        if core.churn.is_some() {
-            Self::apply_churn(core, executor)?;
-        }
         core.stats.max_messages_per_round = core.stats.max_messages_per_round.max(core.in_flight);
         let delivered = core.in_flight;
         core.in_flight = 0;
@@ -784,79 +687,6 @@ impl<'t, A: NodeAlgorithm> Simulator<'t, A> {
             // sit there on every engine for streams to be identical.
             obs.on_event(&executor.quiescence().event(core.round));
         }
-        Ok(())
-    }
-
-    /// Applies every not-yet-applied topology-plan event with
-    /// `round <= core.round`, then books the fallout: observer
-    /// notifications in plan order, the purge of in-flight messages whose
-    /// link died (booked as [`DropReason::TopologyChange`] drops against
-    /// their send round), and the algorithm layer's `on_topology` sweep
-    /// via the executor. Runs entirely on the engine thread; the order of
-    /// every side effect here is part of the cross-engine determinism
-    /// contract (the reference simulator writes the same order out on its
-    /// own).
-    fn apply_churn<E: Executor<A>>(
-        core: &mut Core<'_, A::Message>,
-        executor: &mut E,
-    ) -> Result<(), SimError> {
-        let round = core.round;
-        let (changes, batch_events) = {
-            let Core { churn, config, .. } = &mut *core;
-            let (Some(churn), Some(plan)) = (churn.as_mut(), config.topology.as_ref()) else {
-                return Ok(());
-            };
-            let events = plan.events();
-            let lo = churn.next_event;
-            let mut hi = lo;
-            while hi < events.len() && events[hi].0 <= round {
-                hi += 1;
-            }
-            if hi == lo {
-                return Ok(());
-            }
-            churn.next_event = hi;
-            let batch_events: Vec<TopologyEvent> = events[lo..hi].iter().map(|&(_, e)| e).collect();
-            let changes = churn::apply_events(Arc::make_mut(&mut churn.topo), &events[lo..hi])?;
-            (changes, batch_events)
-        };
-        core.stats.topo_events += batch_events.len() as u64;
-        if let Some(obs) = &core.config.observer {
-            let mut obs = obs.lock();
-            for &event in &batch_events {
-                obs.on_event(&TraceEvent::TopologyChange { round, event });
-            }
-        }
-        // Purge in-flight messages that were crossing a link the batch
-        // killed: they were sent last round (already counted as messages),
-        // and are now additionally counted as drops — on every engine.
-        let topo = Arc::clone(&core.churn.as_ref().expect("churn state present").topo);
-        let mut purged = core.arrivals.purge(|to, port| topo.port_live(to, port));
-        if !purged.is_empty() {
-            // The engine stages arrivals in commit order; the reference
-            // engine purges its per-receiver queues in receiver order. A
-            // stable sort by receiver makes the drop streams identical.
-            purged.sort_by_key(|&(to, _, _)| to);
-            core.stats.dropped += purged.len() as u64;
-            core.in_flight -= purged.len() as u64;
-            if let Some(obs) = &core.config.observer {
-                let mut obs = obs.lock();
-                for &(to, to_port, ref msg) in &purged {
-                    // Tombstoned ports still resolve sender and port.
-                    obs.on_event(&TraceEvent::Drop {
-                        round: round - 1,
-                        from: topo.neighbor_at(to, to_port),
-                        port: topo.reverse_port(to, to_port),
-                        reason: DropReason::TopologyChange,
-                        tags: msg.trace_tags(),
-                    });
-                }
-            }
-            core.rebuild_wake();
-        }
-        let (repaired, recompute) = executor.notify_topology(core, &topo, &changes);
-        core.stats.repaired_node_rounds += repaired;
-        core.stats.recompute_fallbacks += recompute;
         Ok(())
     }
 }

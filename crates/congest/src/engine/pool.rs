@@ -60,7 +60,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::{Scope, ScopedJoinHandle};
 
 use crate::algorithm::{NodeAlgorithm, Quiescence};
-use crate::churn::RoundChanges;
 use crate::config::{Config, FaultPlan};
 use crate::error::SimError;
 use crate::node::{NodeContext, NodeId, Outbox, Port};
@@ -134,11 +133,6 @@ struct Chunk<A: NodeAlgorithm> {
     awake: Vec<NodeId>,
     /// Chunk-local termination vote aggregate.
     votes: QuiescenceState,
-    /// Snapshot of the live (churned) topology this chunk must step
-    /// against; `None` on unchurned runs (the executor's base reference
-    /// is then current). Carried per chunk because a worker may still be
-    /// draining round R when the engine mutates its view for round R+1.
-    topo: Option<Arc<Topology>>,
 }
 
 impl<A: NodeAlgorithm> Default for Chunk<A> {
@@ -155,7 +149,6 @@ impl<A: NodeAlgorithm> Default for Chunk<A> {
             shard: StagedShard::default(),
             awake: Vec::new(),
             votes: QuiescenceState::default(),
-            topo: None,
         }
     }
 }
@@ -169,7 +162,6 @@ impl<A: NodeAlgorithm> Chunk<A> {
         self.inbox_data.clear();
         self.inbox_ends.clear();
         self.awake.clear();
-        self.topo = None;
         debug_assert!(self.shard.entries.is_empty() && self.shard.error.is_none());
     }
 }
@@ -258,13 +250,9 @@ fn step_chunk<A: NodeAlgorithm>(
         inbox_ends,
         shard,
         awake,
-        topo,
         ..
     } = chunk;
     let round = *round;
-    // Step against the chunk's churned snapshot when one was stamped; the
-    // executor's base reference is only current on unchurned runs.
-    let topology: &Topology = topo.as_deref().unwrap_or(topology);
     while outboxes.len() < ids.len() {
         outboxes.push(Outbox::new());
     }
@@ -564,7 +552,6 @@ where
             self.done.resize_with(chunks, || None);
         }
         let round = core.round;
-        let churned = core.churn.as_ref().map(|c| &c.topo);
         // One front-to-back pass over the carved arena: chunks are
         // consecutive schedule ranges, so each takes the next contiguous
         // run of arrivals.
@@ -576,7 +563,6 @@ where
             chunk.round = round;
             chunk.index = index as u32;
             chunk.home = (index / per_deque) as u32;
-            chunk.topo = churned.map(Arc::clone);
             let base = bounds[lo];
             chunk
                 .inbox_data
@@ -691,18 +677,6 @@ where
         Ok(())
     }
 
-    fn notify_topology(
-        &mut self,
-        core: &mut Core<'_, A::Message>,
-        topo: &Topology,
-        changes: &RoundChanges,
-    ) -> (u64, u64) {
-        // Runs on the engine thread, between rounds: every chunk of the
-        // previous round has been replayed, so the slab is whole.
-        self.store
-            .notify_topology(topo, &core.config.faults, core.round, changes)
-    }
-
     fn quiescence(&self) -> QuiescenceState {
         self.quiescence
     }
@@ -725,10 +699,10 @@ where
         })
     }
 
-    fn into_outputs(self, topology: &Topology, final_round: u64) -> Vec<A::Output> {
+    fn into_outputs(self, final_round: u64) -> Vec<A::Output> {
         // Dropping `self` right after closes the kick channels; every
         // worker's `recv` then fails and the thread exits before the
         // enclosing scope joins it.
-        self.store.into_outputs(topology, final_round)
+        self.store.into_outputs(self.topology, final_round)
     }
 }

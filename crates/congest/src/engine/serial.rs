@@ -7,8 +7,6 @@ use crate::error::SimError;
 use crate::node::{NodeContext, NodeId, Outbox};
 use crate::topology::Topology;
 
-use crate::churn::RoundChanges;
-
 use super::commit::DupScratch;
 use super::store::NodeStore;
 use super::{step_node, Core, Executor, QuiescenceState};
@@ -102,19 +100,13 @@ impl<A: NodeAlgorithm> Executor<A> for SerialExecutor<'_, A> {
     fn step(&mut self, core: &mut Core<'_, A::Message>) {
         let n = self.store.len();
         // Split the core's borrows: the arrival arena is read in place
-        // while the live (possibly churned) topology is consulted.
+        // while the fault plan is consulted.
         let Core {
-            topology,
-            churn,
             config,
             arrivals,
             round,
             ..
         } = core;
-        let topo: &Topology = match churn {
-            Some(c) => &c.topo,
-            None => topology,
-        };
         let round = *round;
         let faults = &config.faults;
         // Split the store's borrows: the schedule is read while the state
@@ -136,7 +128,7 @@ impl<A: NodeAlgorithm> Executor<A> for SerialExecutor<'_, A> {
                 debug_assert!(arrivals.len_at(i) == 0, "crashed node received a message");
             } else {
                 step_node(
-                    topo,
+                    self.topology,
                     n,
                     round,
                     v,
@@ -173,16 +165,6 @@ impl<A: NodeAlgorithm> Executor<A> for SerialExecutor<'_, A> {
         Ok(())
     }
 
-    fn notify_topology(
-        &mut self,
-        core: &mut Core<'_, A::Message>,
-        topo: &Topology,
-        changes: &RoundChanges,
-    ) -> (u64, u64) {
-        self.store
-            .notify_topology(topo, &core.config.faults, core.round, changes)
-    }
-
     fn quiescence(&self) -> QuiescenceState {
         self.quiescence
     }
@@ -191,7 +173,7 @@ impl<A: NodeAlgorithm> Executor<A> for SerialExecutor<'_, A> {
         self.store.final_votes()
     }
 
-    fn into_outputs(self, topology: &Topology, final_round: u64) -> Vec<A::Output> {
-        self.store.into_outputs(topology, final_round)
+    fn into_outputs(self, final_round: u64) -> Vec<A::Output> {
+        self.store.into_outputs(self.topology, final_round)
     }
 }

@@ -29,9 +29,7 @@
 //! does not use it: it keeps its own `Vec` of node states, so a bug here
 //! cannot hide in both sides of the equivalence tests.
 
-use crate::algorithm::{NodeAlgorithm, Quiescence, RepairAction};
-use crate::churn::{notify_order, RoundChanges};
-use crate::config::FaultPlan;
+use crate::algorithm::{NodeAlgorithm, Quiescence};
 use crate::node::{NodeContext, NodeId, Port};
 use crate::topology::Topology;
 
@@ -175,55 +173,6 @@ impl<A: NodeAlgorithm> NodeStore<A> {
         std::mem::swap(&mut self.awake, &mut self.awake_next);
     }
 
-    /// Delivers one round's churn batch to the algorithm layer: calls
-    /// [`NodeAlgorithm::on_topology`] on every node in
-    /// [`notify_order`] (present nodes plus the batch's removals, id
-    /// order) and returns the `(repaired, recompute)` tallies for
-    /// [`RunStats`](crate::RunStats).
-    ///
-    /// Nodes inside a [`CrashWindow`](crate::CrashWindow) at `round` are
-    /// skipped: a crashed node is frozen, so it misses churn notifications
-    /// exactly as it misses messages, and must re-derive the topology
-    /// after recovery (or recompute). Afterwards the `awake` list is
-    /// rebuilt from scratch — repairs may activate or deactivate any node,
-    /// and removed nodes must drop off future schedules.
-    pub(crate) fn notify_topology(
-        &mut self,
-        topo: &Topology,
-        faults: &Option<FaultPlan>,
-        round: u64,
-        changes: &RoundChanges,
-    ) -> (u64, u64) {
-        let n = self.len();
-        let mut repaired = 0u64;
-        let mut recompute = 0u64;
-        for v in notify_order(topo, changes) {
-            if faults.as_ref().is_some_and(|p| p.crashed(round, v)) {
-                continue;
-            }
-            let ctx = NodeContext {
-                node_id: v,
-                num_nodes: n,
-                neighbor_ids: topo.neighbors(v),
-                round,
-            };
-            match self.state_mut(v).on_topology(&ctx, &changes.delta_for(v)) {
-                RepairAction::Ignored => {}
-                RepairAction::Repaired => repaired += 1,
-                RepairAction::Recompute => recompute += 1,
-            }
-        }
-        self.awake.clear();
-        for (v, slot) in self.slots.iter().enumerate() {
-            if topo.node_present(v as NodeId)
-                && slot.as_ref().expect("node state present").is_active()
-            {
-                self.awake.push(v as NodeId);
-            }
-        }
-        (repaired, recompute)
-    }
-
     /// Every node's current termination vote, in node-id order — the
     /// deterministic re-poll behind the run's
     /// [`TerminationCertificate`](crate::TerminationCertificate).
@@ -305,34 +254,6 @@ impl<M> InboxArena<M> {
     pub(crate) fn push(&mut self, to: NodeId, to_port: Port, msg: M) {
         self.items.push((to_port, msg));
         self.to.push(to);
-    }
-
-    /// Removes every staged message whose `(receiver, receiver port)`
-    /// fails `keep`, preserving commit order among the survivors, and
-    /// returns the purged entries in commit order. Used by the churn choke
-    /// point to discard in-flight messages whose link died mid-flight.
-    pub(crate) fn purge(&mut self, keep: impl Fn(NodeId, Port) -> bool) -> Vec<(NodeId, Port, M)> {
-        let mut purged = Vec::new();
-        let mut survivors = Vec::with_capacity(self.items.len());
-        let mut receivers = Vec::with_capacity(self.to.len());
-        for ((port, msg), to) in self.items.drain(..).zip(self.to.drain(..)) {
-            if keep(to, port) {
-                survivors.push((port, msg));
-                receivers.push(to);
-            } else {
-                purged.push((to, port, msg));
-            }
-        }
-        self.items = survivors;
-        self.to = receivers;
-        purged
-    }
-
-    /// The receivers of the currently staged messages, in commit order
-    /// (with duplicates) — what the choke point re-derives the wake list
-    /// from after a purge.
-    pub(crate) fn staged_receivers(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.to.iter().copied()
     }
 
     /// Groups the staged messages into per-node slices ordered by

@@ -88,7 +88,7 @@ mod topology;
 pub mod obs;
 pub mod trace;
 
-pub use algorithm::{NodeAlgorithm, Quiescence, RepairAction, TopologyDelta};
+pub use algorithm::{NodeAlgorithm, Quiescence};
 pub use churn::churned_topology;
 pub use config::{
     Config, CrashWindow, DropReason, EdgeEvent, ExecutorKind, FaultPlan, LossRule, NodeEvent,

@@ -132,14 +132,13 @@ impl TransportSummary {
 ///
 /// ```text
 /// RunStart (Message|Drop)* QuiescenceVotes(0)
-///     ( TopologyChange* Drop* RoundStart Crash* (Message|Drop)* RoundEnd QuiescenceVotes )*
+///     ( RoundStart Crash* (Message|Drop)* RoundEnd QuiescenceVotes )*
 ///     EarlyTermination? RunEnd
 /// ```
 ///
 /// The first `(Message|Drop)*` are the `on_start` sends (send round 0).
-/// Each round then opens at the churn choke point — plan events, then the
-/// in-flight messages they severed — books its crash windows and commits
-/// every outbox in node-id order. A reliable-transport entry point appends
+/// Each round then books its crash windows and commits every outbox in
+/// node-id order. A reliable-transport entry point appends
 /// one [`TraceEvent::Transport`] after its phase's `RunEnd`.
 ///
 /// `on_round_timing` reports each round's wall-clock split right before
@@ -273,15 +272,11 @@ pub struct RoundMetrics {
     pub messages: u64,
     /// Payload bits committed this round.
     pub bits: u64,
-    /// Messages dropped this round (loss rules, deliveries into crash
-    /// windows, and in-flight messages a churn batch severed entering it).
+    /// Messages dropped this round (loss rules and deliveries into crash
+    /// windows).
     pub dropped: u64,
     /// Nodes sitting out this round inside a crash window.
     pub crashed: u64,
-    /// [`TopologyPlan`](crate::TopologyPlan) events that took effect
-    /// entering this row's round. Summing the column reproduces
-    /// `RunStats::topo_events`.
-    pub topo_events: u64,
     /// Frames committed (or dropped) this round that the transport layer
     /// marked as retransmissions. Summing the column over a reliable run
     /// reproduces the transport's `retransmissions` total exactly — every
@@ -329,7 +324,7 @@ impl RoundMetrics {
         format!(
             concat!(
                 "{{\"phase\":\"{}\",\"round\":{},\"messages\":{},\"bits\":{},",
-                "\"dropped\":{},\"crashed\":{},\"topo_events\":{},",
+                "\"dropped\":{},\"crashed\":{},",
                 "\"retransmits\":{},\"acks\":{},",
                 "\"votes_active\":{},\"votes_passive\":{},\"votes_shutdown\":{},",
                 "\"active_nodes\":{},\"scheduled_nodes\":{},\"max_edge_load\":{},",
@@ -341,7 +336,6 @@ impl RoundMetrics {
             self.bits,
             self.dropped,
             self.crashed,
-            self.topo_events,
             self.retransmits,
             self.acks,
             self.votes_active,
@@ -369,10 +363,6 @@ pub struct MetricsRecorder {
     edge_load: Vec<u32>,
     touched: Vec<u32>,
     last_sender: Option<NodeId>,
-    /// Topology events seen since the last `RoundStart`: the churn choke
-    /// point emits round `r`'s events *before* `RoundStart(r)`, so the
-    /// count is buffered here and folded into row `r` when it opens.
-    pending_topo: u64,
     /// End-of-run transport telemetry, one entry per reliable run,
     /// labeled with the phase it arrived under.
     transports: Vec<(Arc<str>, TransportSummary)>,
@@ -452,7 +442,6 @@ impl Observer for MetricsRecorder {
                 self.edge_load.resize(edges as usize, 0);
                 self.touched.clear();
                 self.last_sender = None;
-                self.pending_topo = 0;
                 self.stream
                     .push(RoundMetrics::new(phase.clone(), 0, started));
                 self.phase = Some(phase);
@@ -461,11 +450,9 @@ impl Observer for MetricsRecorder {
                 round, scheduled, ..
             } => {
                 self.seal_round();
-                let mut row = RoundMetrics::new(self.phase(), round, scheduled);
-                row.topo_events = std::mem::take(&mut self.pending_topo);
-                self.stream.push(row);
+                self.stream
+                    .push(RoundMetrics::new(self.phase(), round, scheduled));
             }
-            TraceEvent::TopologyChange { .. } => self.pending_topo += 1,
             TraceEvent::Message {
                 from,
                 edge,
@@ -475,11 +462,6 @@ impl Observer for MetricsRecorder {
                 ..
             } => {
                 let key = edge.min(reverse_edge);
-                // Churn-inserted edges carry directed indices past the
-                // run-start `2m` sizing; grow the counters on demand.
-                if key as usize >= self.edge_load.len() {
-                    self.edge_load.resize(key as usize + 1, 0);
-                }
                 let load = &mut self.edge_load[key as usize];
                 *load += 1;
                 if *load == 1 {
@@ -619,7 +601,7 @@ impl Observer for PhaseProfiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{DropReason, EdgeEvent, TopologyEvent};
+    use crate::config::DropReason;
     use crate::message::TraceTags;
 
     fn start(phase: &str) -> TraceEvent {
@@ -765,36 +747,6 @@ mod tests {
         assert_eq!(&*rec.transports()[0].0, "rel");
         assert_eq!(rec.transports()[0].1.retransmissions, 2);
         assert!(row.to_json().contains("\"retransmits\":2"));
-    }
-
-    #[test]
-    fn recorder_buffers_topology_events_into_next_row() {
-        let topo = |event| TraceEvent::TopologyChange { round: 2, event };
-        let mut rec = MetricsRecorder::new();
-        feed(
-            &mut rec,
-            &[
-                start("churn"),
-                round(1),
-                // The choke point emits round 2's plan events before
-                // RoundStart(2): they must land in row 2, not row 1.
-                topo(TopologyEvent::Edge(EdgeEvent::Remove { u: 0, v: 1 })),
-                topo(TopologyEvent::Edge(EdgeEvent::Insert { u: 0, v: 2 })),
-                round(2),
-                // Churn-inserted edges index past the run-start 2m sizing;
-                // the recorder must grow its counters instead of panicking.
-                msg(2, 0, 2, 6, 7),
-                END,
-            ],
-        );
-        let stream = rec.stream();
-        assert_eq!(stream[1].topo_events, 0);
-        assert_eq!(stream[2].topo_events, 2);
-        assert_eq!(stream[2].messages, 1);
-        assert!(stream[2].to_json().contains("\"topo_events\":2"));
-        let mut other = stream[2].clone();
-        other.topo_events = 0;
-        assert_ne!(stream[2], other, "topo_events participates in equality");
     }
 
     #[test]

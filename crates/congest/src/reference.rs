@@ -1,14 +1,12 @@
 //! The oracle the equivalence tests hold [`Simulator`](crate::Simulator)
 //! to: a naive, dense round loop sharing none of the code it checks. It
-//! uses only the node API, [`Topology`]'s public reads and mutators,
-//! [`Config`] and the report types (the test below enforces this), steps
-//! every present, non-crashed node over freshly allocated queues, and
-//! writes out its own churn deltas, dead-port purge, votes and certificate.
+//! uses only the node API, [`Topology`]'s public reads, [`Config`] and the
+//! report types (the test below enforces this), steps every non-crashed
+//! node over freshly allocated queues, and writes out its own votes and
+//! certificate.
 
-use std::borrow::Cow;
-
-use crate::algorithm::{NodeAlgorithm, Quiescence, RepairAction, TopologyDelta};
-use crate::config::{Config, DropReason, EdgeEvent, NodeEvent, TopologyEvent};
+use crate::algorithm::{NodeAlgorithm, Quiescence};
+use crate::config::{Config, DropReason};
 use crate::engine::{Report, TerminationCertificate, TerminationReason};
 use crate::error::SimError;
 use crate::message::{Message, TraceTags};
@@ -23,8 +21,7 @@ type Queue<M> = Vec<(Port, M)>;
 /// The dense oracle engine: [`Simulator`](crate::Simulator)'s reports from
 /// none of its machinery. Use the optimized engine for real runs.
 pub struct ReferenceSimulator<'t, A: NodeAlgorithm> {
-    /// The live topology, copied on the first plan event.
-    topo: Cow<'t, Topology>,
+    topo: &'t Topology,
     config: Config,
     nodes: Vec<A>,
     queues: Vec<Queue<A::Message>>,
@@ -52,7 +49,7 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
     {
         let n = topology.num_nodes();
         ReferenceSimulator {
-            topo: Cow::Borrowed(topology),
+            topo: topology,
             config,
             nodes: (0..n).map(|v| init(&ctx(topology, v, 0))).collect(),
             queues: (0..n).map(|_| Vec::new()).collect(),
@@ -114,7 +111,7 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
     /// Steps node `v` (`on_start` in round 0) and commits its sends.
     fn step(&mut self, v: usize, mut inbox: Queue<A::Message>) -> Result<(), SimError> {
         let round = self.stats.rounds;
-        let (mut out, ctx) = (Outbox::new(), ctx(&self.topo, v, round));
+        let (mut out, ctx) = (Outbox::new(), ctx(self.topo, v, round));
         inbox.sort_by_key(|&(port, _)| port);
         match round {
             0 => self.nodes[v].on_start(&ctx, &mut out),
@@ -138,12 +135,10 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
                     bandwidth_bits,
                 });
             }
-            // A dead port outranks the fault plan; loss outranks a crash window.
+            // Loss outranks a crash window.
             let to = self.topo.neighbor_at(node, port);
             let faults = self.config.faults.as_ref();
-            let reason = if !self.topo.port_live(node, port) {
-                Some(DropReason::TopologyChange)
-            } else if faults.is_some_and(|f| f.drops(round, node, port)) {
+            let reason = if faults.is_some_and(|f| f.drops(round, node, port)) {
                 Some(DropReason::Loss)
             } else if self.crashed(round + 1, to as usize) {
                 Some(DropReason::ReceiverCrashed)
@@ -176,77 +171,6 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
         Ok(())
     }
 
-    /// Applies one round's plan events, purges the queued messages whose
-    /// link died, and notifies every present node, plus each node the batch
-    /// removed, in id order. A node crashed and re-joined in one batch is
-    /// told its net fate only.
-    fn churn(&mut self, batch: &[(u64, TopologyEvent)]) -> Result<(), SimError> {
-        let (n, round, topo) = (self.nodes.len(), self.stats.rounds, self.topo.to_mut());
-        let (mut lost, mut gained): (Vec<Vec<Port>>, Vec<Vec<_>>) =
-            (vec![vec![]; n], vec![vec![]; n]);
-        for &(_, event) in batch {
-            let halves = match event {
-                TopologyEvent::Edge(EdgeEvent::Insert { u, v }) => {
-                    let [(a, pa), (b, pb)] = topo.insert_edge(u, v)?;
-                    gained[a as usize].push((pa, b));
-                    gained[b as usize].push((pb, a));
-                    vec![]
-                }
-                TopologyEvent::Edge(EdgeEvent::Remove { u, v }) => topo.remove_edge(u, v)?.to_vec(),
-                TopologyEvent::Node(NodeEvent::Crash(v)) => topo.remove_node(v)?,
-                TopologyEvent::Node(NodeEvent::Join(v)) => topo.join_node(v).map(|()| vec![])?,
-            };
-            for (w, p) in halves {
-                lost[w as usize].push(p);
-            }
-        }
-        // The batch size: every port half removed or inserted, plus one per node event.
-        let halves = lost.iter().map(Vec::len).chain(gained.iter().map(Vec::len));
-        let node_events = batch
-            .iter()
-            .filter(|(_, e)| matches!(e, TopologyEvent::Node(_)));
-        let size = (halves.sum::<usize>() + node_events.count()) as u32;
-        self.stats.topo_events += batch.len() as u64;
-        for &(_, event) in batch {
-            self.emit(TraceEvent::TopologyChange { round, event });
-        }
-        for v in 0..n as NodeId {
-            for (port, msg) in std::mem::take(&mut self.queues[v as usize]) {
-                let t = &self.topo;
-                if t.port_live(v, port) {
-                    self.queues[v as usize].push((port, msg));
-                } else {
-                    // Sent last round, from the far end of the dead port.
-                    let at = (t.neighbor_at(v, port), t.reverse_port(v, port));
-                    self.drop_message(round - 1, at, DropReason::TopologyChange, msg.trace_tags());
-                }
-            }
-        }
-        for v in 0..n {
-            let (present, epoch) = (self.topo.node_present(v as NodeId), self.topo.epoch());
-            let named = |e: NodeEvent| batch.iter().any(|&(_, b)| b == TopologyEvent::Node(e));
-            let removed = !present && named(NodeEvent::Crash(v as NodeId));
-            let joined = present && named(NodeEvent::Join(v as NodeId));
-            if (present || removed) && !self.crashed(round, v) {
-                let (removed_ports, inserted_ports) = (&lost[v][..], &gained[v][..]);
-                let delta = TopologyDelta {
-                    epoch,
-                    batch: size,
-                    removed_ports,
-                    inserted_ports,
-                    removed,
-                    joined,
-                };
-                match self.nodes[v].on_topology(&ctx(&self.topo, v, round), &delta) {
-                    RepairAction::Ignored => {}
-                    RepairAction::Repaired => self.stats.repaired_node_rounds += 1,
-                    RepairAction::Recompute => self.stats.recompute_fallbacks += 1,
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Runs to quiescence; same contract as
     /// [`Simulator::run`](crate::Simulator::run), minus the `Send` bounds.
     ///
@@ -256,8 +180,6 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
     /// [`SimError::RoundLimitExceeded`] past [`Config::max_rounds`].
     pub fn run(mut self) -> Result<Report<A::Output>, SimError> {
         let (started, n) = (std::time::Instant::now(), self.nodes.len());
-        let plan = self.config.topology.clone().unwrap_or_default();
-        let (events, mut applied) = (plan.events(), 0);
         let boots: Vec<usize> = (0..n).filter(|&v| !self.crashed(0, v)).collect();
         let started_nodes = boots.len() as u64;
         self.emit(TraceEvent::RunStart {
@@ -274,9 +196,7 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
         // Round 0 polls every node; one that never booted, in its initial state.
         let mut votes = self.poll(|_| true);
         // The engines' rule: a unanimous `Shutdown`, or no `Active` vote and silence.
-        while applied < events.len()
-            || !(votes[2] == n as u64 || votes[0] == 0 && self.in_flight() == 0)
-        {
+        while !(votes[2] == n as u64 || votes[0] == 0 && self.in_flight() == 0) {
             if self.stats.rounds >= self.config.max_rounds {
                 return Err(SimError::RoundLimitExceeded {
                     limit: self.config.max_rounds,
@@ -284,16 +204,9 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
             }
             self.stats.rounds += 1;
             let round = self.stats.rounds;
-            let due = events.partition_point(|&(r, _)| r <= round);
-            if due > applied {
-                self.churn(&events[applied..due])?;
-                applied = due;
-            }
-            // This round polls the present nodes with arrivals or awake.
+            // This round polls the nodes with arrivals or awake.
             let awake = |v: usize| !self.queues[v].is_empty() || self.nodes[v].is_active();
-            let polled: Vec<bool> = (0..n)
-                .map(|v| self.topo.node_present(v as NodeId) && awake(v))
-                .collect();
+            let polled: Vec<bool> = (0..n).map(awake).collect();
             let delivered = self.in_flight();
             let scheduled = polled.iter().filter(|&&p| p).count() as u64;
             let stats = &mut self.stats;
@@ -313,7 +226,7 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
             }
             let inboxes = std::mem::replace(&mut self.queues, (0..n).map(|_| vec![]).collect());
             for (v, inbox) in inboxes.into_iter().enumerate() {
-                if self.topo.node_present(v as NodeId) && !self.crashed(round, v) {
+                if !self.crashed(round, v) {
                     self.step(v, inbox)?;
                 }
             }
@@ -341,7 +254,7 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
         });
         let nodes = std::mem::take(&mut self.nodes).into_iter().enumerate();
         let outputs = nodes
-            .map(|(v, a)| a.into_output(&ctx(&self.topo, v, round)))
+            .map(|(v, a)| a.into_output(&ctx(self.topo, v, round)))
             .collect();
         self.stats.wall_time = started.elapsed();
         let messages = self.stats.messages;

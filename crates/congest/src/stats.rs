@@ -28,20 +28,14 @@ pub struct RunStats {
     /// inside a [`CrashWindow`](crate::CrashWindow); always 0 without
     /// scheduled crashes.
     pub crashed: u64,
-    /// Topology events applied from the run's
-    /// [`TopologyPlan`](crate::TopologyPlan) (edge inserts/removes, node
-    /// removals/joins); always 0 without a churn plan.
+    /// Events of the [`TopologyPlan`](crate::TopologyPlan) applied
+    /// before the run (edge inserts/removes, node removals/joins; see
+    /// [`churned_topology`](crate::churned_topology)); 0 for a run on an
+    /// unchanged topology. The engine itself never changes the network.
     pub topo_events: u64,
-    /// Repaired node-rounds: how many `on_topology` notifications returned
-    /// [`RepairAction::Repaired`](crate::RepairAction) — nodes that patched
-    /// their state incrementally instead of recomputing. Deterministic (the
-    /// choke point notifies every present node in id order), so it
-    /// participates in equality.
+    /// Always 0; read only by `benchmark/src/harness.rs:449-454`.
     pub repaired_node_rounds: u64,
-    /// How many `on_topology` notifications returned
-    /// [`RepairAction::Recompute`](crate::RepairAction) — the
-    /// divergence-adaptive policy giving up on incremental repair.
-    /// Deterministic; participates in equality.
+    /// Always 0; read only by `benchmark/src/harness.rs:449-454`.
     pub recompute_fallbacks: u64,
     /// Scheduled node-rounds: total nodes placed on a round schedule
     /// (arrivals waiting or awake) over the whole run, with round 0
@@ -85,8 +79,6 @@ impl PartialEq for RunStats {
             && self.dropped == other.dropped
             && self.crashed == other.crashed
             && self.topo_events == other.topo_events
-            && self.repaired_node_rounds == other.repaired_node_rounds
-            && self.recompute_fallbacks == other.recompute_fallbacks
             && self.scheduled_node_rounds == other.scheduled_node_rounds
             && self.max_scheduled_per_round == other.max_scheduled_per_round
             && self.transport == other.transport
@@ -122,8 +114,6 @@ impl RunStats {
         self.dropped += other.dropped;
         self.crashed += other.crashed;
         self.topo_events += other.topo_events;
-        self.repaired_node_rounds += other.repaired_node_rounds;
-        self.recompute_fallbacks += other.recompute_fallbacks;
         self.scheduled_node_rounds += other.scheduled_node_rounds;
         self.max_scheduled_per_round = self
             .max_scheduled_per_round
@@ -152,11 +142,7 @@ impl std::fmt::Display for RunStats {
             write!(f, ", {} crashed node-rounds", self.crashed)?;
         }
         if self.topo_events > 0 {
-            write!(
-                f,
-                ", {} topology events ({} repaired, {} recomputed)",
-                self.topo_events, self.repaired_node_rounds, self.recompute_fallbacks
-            )?;
+            write!(f, ", {} topology events", self.topo_events)?;
         }
         if self.chunks_stepped > 0 {
             write!(
@@ -192,8 +178,8 @@ mod tests {
             dropped: 1,
             crashed: 4,
             topo_events: 2,
-            repaired_node_rounds: 5,
-            recompute_fallbacks: 1,
+            repaired_node_rounds: 0,
+            recompute_fallbacks: 0,
             scheduled_node_rounds: 40,
             max_scheduled_per_round: 8,
             chunks_stepped: 6,
@@ -214,8 +200,8 @@ mod tests {
             dropped: 2,
             crashed: 1,
             topo_events: 3,
-            repaired_node_rounds: 4,
-            recompute_fallbacks: 2,
+            repaired_node_rounds: 0,
+            recompute_fallbacks: 0,
             scheduled_node_rounds: 25,
             max_scheduled_per_round: 12,
             chunks_stepped: 3,
@@ -238,8 +224,6 @@ mod tests {
         assert_eq!(a.dropped, 3);
         assert_eq!(a.crashed, 5);
         assert_eq!(a.topo_events, 5);
-        assert_eq!(a.repaired_node_rounds, 9);
-        assert_eq!(a.recompute_fallbacks, 3);
         assert_eq!(a.scheduled_node_rounds, 65);
         assert_eq!(a.max_scheduled_per_round, 12);
         assert_eq!(a.chunks_stepped, 9);
@@ -333,12 +317,10 @@ mod tests {
     }
 
     #[test]
-    fn repair_counters_participate_in_equality_and_display() {
+    fn topology_events_participate_in_equality_and_display() {
         let churned = RunStats {
             rounds: 3,
             topo_events: 2,
-            repaired_node_rounds: 6,
-            recompute_fallbacks: 1,
             ..RunStats::default()
         };
         let quiet = RunStats {
@@ -347,10 +329,7 @@ mod tests {
         };
         assert_ne!(churned, quiet);
         let rendered = churned.to_string();
-        assert!(
-            rendered.contains("2 topology events (6 repaired, 1 recomputed)"),
-            "{rendered}"
-        );
+        assert!(rendered.ends_with("2 topology events"), "{rendered}");
         assert!(!quiet.to_string().contains("topology"));
     }
 }

@@ -3,7 +3,7 @@
 //! The paper's bounds are statements about *rounds, messages and waves*.
 //! Every engine reports a run as a sequence of typed [`TraceEvent`]s — run
 //! and round boundaries, committed messages with their kernel tags, drops
-//! with reasons, crashes, topology changes, quiescence vote tallies and the
+//! with reasons, crashes, quiescence vote tallies and the
 //! termination decision — handed to
 //! [`Observer::on_event`] in the order that
 //! trait documents. Events carry no wall-clock fields (timing has its own
@@ -31,7 +31,7 @@
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::config::{DropReason, EdgeEvent, NodeEvent, TopologyEvent};
+use crate::config::DropReason;
 use crate::message::TraceTags;
 use crate::node::{NodeId, Port};
 use crate::obs::{Observer, TransportSummary};
@@ -51,7 +51,7 @@ pub enum TraceEvent {
         /// Nodes in the topology.
         nodes: u64,
         /// Directed edges (`2m`); [`TraceEvent::Message`] edge indices
-        /// range over `0..edges` (churn-inserted edges index past it).
+        /// range over `0..edges`.
         edges: u64,
         /// Nodes that run `on_start` (everyone not crashed at round 0).
         started: u64,
@@ -93,9 +93,7 @@ pub enum TraceEvent {
         /// Kernel mask and transport flags (see [`TraceTags`]).
         tags: TraceTags,
     },
-    /// A message was discarded: by the fault plan at commit, or — with
-    /// [`DropReason::TopologyChange`] — by a churn batch that killed its
-    /// link, purged in flight with the previous round as its send round.
+    /// A message was discarded by the fault plan at commit.
     Drop {
         /// The send round.
         round: u64,
@@ -103,19 +101,10 @@ pub enum TraceEvent {
         from: NodeId,
         /// The sender's port.
         port: Port,
-        /// Loss rule, receiver crash window, or topology change.
+        /// Loss rule or receiver crash window.
         reason: DropReason,
         /// The dropped frame's kernel mask and transport flags.
         tags: TraceTags,
-    },
-    /// A [`TopologyPlan`](crate::TopologyPlan) event took effect at the
-    /// churn choke point entering `round` — before the round's
-    /// deliveries, after the previous round's commits.
-    TopologyChange {
-        /// The round the event takes effect in.
-        round: u64,
-        /// The applied plan event.
-        event: TopologyEvent,
     },
     /// A node sits out `round` inside a
     /// [`CrashWindow`](crate::CrashWindow) (one per crashed node, in
@@ -221,17 +210,6 @@ impl TraceEvent {
                 "{{\"ev\":\"drop\",\"round\":{round},\"from\":{from},\"port\":{port},\"reason\":\"{reason:?}\",{}}}",
                 tagged(tags)
             ),
-            TraceEvent::TopologyChange { round, event } => {
-                let (kind, u, v) = match *event {
-                    TopologyEvent::Edge(EdgeEvent::Insert { u, v }) => ("insert", u, v),
-                    TopologyEvent::Edge(EdgeEvent::Remove { u, v }) => ("remove", u, v),
-                    TopologyEvent::Node(NodeEvent::Crash(n)) => ("crash", n, n),
-                    TopologyEvent::Node(NodeEvent::Join(n)) => ("join", n, n),
-                };
-                format!(
-                    "{{\"ev\":\"topology\",\"round\":{round},\"kind\":\"{kind}\",\"u\":{u},\"v\":{v}}}"
-                )
-            }
             TraceEvent::Crash { round, node } => {
                 format!("{{\"ev\":\"crash\",\"round\":{round},\"node\":{node}}}")
             }
@@ -618,10 +596,6 @@ impl TraceRecorder {
                     "{{\"name\":\"votes\",\"ph\":\"C\",\"ts\":{},\"pid\":0,\"tid\":0,\"args\":{{\"active\":{active},\"passive\":{passive},\"shutdown\":{shutdown}}}}}",
                     round * US
                 )),
-                TraceEvent::TopologyChange { round, event } => out.push(format!(
-                    "{{\"name\":\"topology {event:?}\",\"ph\":\"i\",\"s\":\"g\",\"ts\":{},\"pid\":0,\"tid\":0}}",
-                    round * US
-                )),
                 TraceEvent::EarlyTermination { round, in_flight } => out.push(format!(
                     "{{\"name\":\"early termination\",\"ph\":\"i\",\"s\":\"g\",\"ts\":{},\"pid\":0,\"tid\":0,\"args\":{{\"in_flight\":{in_flight}}}}}",
                     (round + 1) * US
@@ -860,32 +834,6 @@ mod tests {
         let delay = rec.max_delay(|s, v| (s == 7 && v == 1).then_some(1));
         assert_eq!(delay, Some(0));
         assert_eq!(rec.max_delay(|_, _| None), None);
-    }
-
-    #[test]
-    fn topology_events_render_kind_and_endpoints() {
-        let topo = |round, event| TraceEvent::TopologyChange { round, event };
-        let rec = record(&[
-            run_start("churn"),
-            topo(2, TopologyEvent::Edge(EdgeEvent::Remove { u: 1, v: 2 })),
-            topo(2, TopologyEvent::Node(NodeEvent::Crash(3))),
-            topo(5, TopologyEvent::Edge(EdgeEvent::Insert { u: 0, v: 3 })),
-            topo(5, TopologyEvent::Node(NodeEvent::Join(3))),
-        ]);
-        let text = rec.events_jsonl();
-        assert!(
-            text.contains("{\"ev\":\"topology\",\"round\":2,\"kind\":\"remove\",\"u\":1,\"v\":2}"),
-            "{text}"
-        );
-        assert!(
-            text.contains("\"kind\":\"crash\",\"u\":3,\"v\":3"),
-            "{text}"
-        );
-        assert!(
-            text.contains("\"kind\":\"insert\",\"u\":0,\"v\":3"),
-            "{text}"
-        );
-        assert!(text.contains("\"kind\":\"join\",\"u\":3,\"v\":3"), "{text}");
     }
 
     #[test]

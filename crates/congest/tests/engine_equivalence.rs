@@ -9,9 +9,8 @@ use proptest::prelude::*;
 use dapsp_congest::obs::RoundMetrics;
 use dapsp_congest::{
     Config, ExecutorKind, FanOut, FaultPlan, Inbox, LossRule, Message, MetricsRecorder,
-    NodeAlgorithm, NodeContext, Outbox, Port, Quiescence, ReferenceSimulator, RepairAction, Report,
-    RunStats, SharedObserver, Simulator, TerminationReason, Topology, TopologyDelta, TopologyPlan,
-    TraceEvent, TraceRecorder,
+    NodeAlgorithm, NodeContext, Outbox, Port, Quiescence, ReferenceSimulator, Report, RunStats,
+    SharedObserver, Simulator, TerminationReason, Topology, TraceEvent, TraceRecorder,
 };
 
 /// A gossip token: (origin id, hop count). Sized like a real CONGEST
@@ -66,26 +65,6 @@ impl NodeAlgorithm for Gossip {
         }
         if let Some(t) = self.queue.pop_front() {
             out.send_to_all(0..ctx.degree() as Port, t);
-        }
-    }
-
-    /// Churn: a re-joined node recomputes, forgetting every origin and
-    /// re-flooding its own; a node that lost a port counts as repaired.
-    fn on_topology(&mut self, ctx: &NodeContext<'_>, delta: &TopologyDelta<'_>) -> RepairAction {
-        if delta.joined {
-            let id = ctx.node_id();
-            self.first_heard.iter_mut().for_each(|h| *h = None);
-            self.first_heard[id as usize] = Some((ctx.round(), 0));
-            self.queue.clear();
-            self.queue.push_back(Token {
-                origin: id,
-                hops: 1,
-            });
-            RepairAction::Recompute
-        } else if !delta.removed && !delta.removed_ports.is_empty() {
-            RepairAction::Repaired
-        } else {
-            RepairAction::Ignored
         }
     }
 
@@ -394,21 +373,18 @@ fn an_unpolled_shutdown_vote_vetoes_a_unanimous_shutdown() {
 ///
 /// ```text
 /// RunStart (Message|Drop)* QuiescenceVotes(0)
-///     ( TopologyChange* Drop* RoundStart Crash* (Message|Drop)* RoundEnd QuiescenceVotes )*
+///     ( RoundStart Crash* (Message|Drop)* RoundEnd QuiescenceVotes )*
 ///     EarlyTermination? RunEnd
 /// ```
 ///
 /// with consecutive round numbers, every round-stamped event carrying its
-/// round (purge drops the previous one), and the per-kind counts equal to
-/// `stats`. Returns the first violation.
+/// round, and the per-kind counts equal to `stats`. Returns the first violation.
 fn check_stream(events: &[TraceEvent], stats: &RunStats) -> Result<(), String> {
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum At {
         Begin,
         Boot,
         Between,
-        Churn,
-        Purge,
         Open,
         Crashes,
         Sealed,
@@ -417,7 +393,7 @@ fn check_stream(events: &[TraceEvent], stats: &RunStats) -> Result<(), String> {
     }
     let mut at = At::Begin;
     let mut round = 0u64;
-    let [mut messages, mut dropped, mut crashed, mut topo, mut rounds] = [0u64; 5];
+    let [mut messages, mut dropped, mut crashed, mut rounds] = [0u64; 4];
     for (i, ev) in events.iter().enumerate() {
         let next = match (at, ev) {
             (At::Begin, TraceEvent::RunStart { .. }) => At::Boot,
@@ -442,21 +418,7 @@ fn check_stream(events: &[TraceEvent], stats: &RunStats) -> Result<(), String> {
                 }
             }
             (At::Boot, TraceEvent::QuiescenceVotes { round: 0, .. }) => At::Between,
-            (At::Between | At::Churn, TraceEvent::TopologyChange { round: r, .. })
-                if *r == round + 1 =>
-            {
-                topo += 1;
-                At::Churn
-            }
-            (At::Between | At::Churn | At::Purge, TraceEvent::Drop { round: r, .. })
-                if *r == round =>
-            {
-                dropped += 1;
-                At::Purge
-            }
-            (At::Between | At::Churn | At::Purge, TraceEvent::RoundStart { round: r, .. })
-                if *r == round + 1 =>
-            {
+            (At::Between, TraceEvent::RoundStart { round: r, .. }) if *r == round + 1 => {
                 round = *r;
                 rounds += 1;
                 At::Crashes
@@ -482,17 +444,11 @@ fn check_stream(events: &[TraceEvent], stats: &RunStats) -> Result<(), String> {
     if at != At::Done {
         return Err(format!("stream stops at {at:?}"));
     }
-    let counted = [messages, dropped, crashed, topo, rounds];
-    let booked = [
-        stats.messages,
-        stats.dropped,
-        stats.crashed,
-        stats.topo_events,
-        stats.rounds,
-    ];
+    let counted = [messages, dropped, crashed, rounds];
+    let booked = [stats.messages, stats.dropped, stats.crashed, stats.rounds];
     if counted != booked {
         return Err(format!(
-            "[Message, Drop, Crash, TopologyChange, RoundStart] counts {counted:?} != stats {booked:?}"
+            "[Message, Drop, Crash, RoundStart] counts {counted:?} != stats {booked:?}"
         ));
     }
     Ok(())
@@ -759,127 +715,18 @@ proptest! {
         }
     }
 
-    /// Churned runs stay deterministic four ways: Serial, Pool(2),
-    /// Pool(2) with forced unit chunks (maximum stealing), and the seed
-    /// reference engine must agree on outputs, stats (including the new
-    /// `topo_events` / `repaired_node_rounds` / `recompute_fallbacks`
-    /// columns) and the trace stream — `TopologyChange` events included —
-    /// on random graphs × random plans × loss × observer modes. A crashed
-    /// node re-joins — one round later, or in the crash's own batch — and
-    /// is re-linked to a former neighbour, and `Gossip`'s repair hook keeps
-    /// both repair counters non-zero, so the four-way comparison covers them.
-    #[test]
-    fn churned_runs_match_four_ways(
-        n in 3usize..20,
-        seed in any::<u64>(),
-        lossy in any::<bool>(),
-        observed in any::<bool>(),
-        crash in any::<bool>(),
-        one_batch in any::<bool>(),
-    ) {
-        let adj = random_connected_adj(n, seed, 1);
-        let topo = Topology::from_adjacency(adj.clone()).expect("valid");
-        // Build a plan that is valid against the initial graph: insert a
-        // non-edge (when one exists) at round 1, remove an original edge
-        // at round 2, optionally remove a whole node at round 3 and re-join
-        // it (at round 4, or at 3 in the same batch) with one former edge.
-        let mut edges = Vec::new();
-        let mut non_edges = Vec::new();
-        for u in 0..n as u32 {
-            for v in u + 1..n as u32 {
-                if adj[u as usize].contains(&v) {
-                    edges.push((u, v));
-                } else {
-                    non_edges.push((u, v));
-                }
-            }
-        }
-        let mut plan = TopologyPlan::new();
-        if !non_edges.is_empty() {
-            let (u, v) = non_edges[seed as usize % non_edges.len()];
-            plan = plan.with_insert(1, u, v);
-        }
-        let (u, v) = edges[(seed / 7) as usize % edges.len()];
-        plan = plan.with_remove(2, u, v);
-        if crash {
-            let v = (seed % n as u64) as u32;
-            let join = if one_batch { 3 } else { 4 };
-            plan = plan
-                .with_crash(3, v)
-                .with_join(join, v)
-                .with_insert(join + 1, v, adj[v as usize][0]);
-        }
-        let init = |_: &NodeContext<'_>| Gossip {
-            first_heard: vec![None; n],
-            queue: std::collections::VecDeque::new(),
-        };
-        let run_one = |executor: ExecutorKind, chunk: usize, reference: bool| {
-            let mut config = gossip_config(n)
-                .with_phase("churn")
-                .with_executor(executor)
-                .with_topology(plan.clone());
-            if chunk > 0 {
-                config = config.with_pool_chunk(chunk);
-            }
-            if lossy {
-                config = config.with_loss(0.25, seed);
-            }
-            let rec = observed.then(|| SharedObserver::new(TraceRecorder::new()));
-            if let Some(rec) = &rec {
-                config = config.with_observer(rec.observer());
-            }
-            let report = if reference {
-                ReferenceSimulator::new(&topo, config, init).run().expect("reference runs")
-            } else {
-                Simulator::new(&topo, config, init).run().expect("pipeline runs")
-            };
-            let jsonl = rec.map(|r| r.with(|t| t.events_jsonl()));
-            (report, jsonl)
-        };
-        let (baseline, base_jsonl) = run_one(ExecutorKind::Serial, 0, false);
-        let applied = plan.events().len() as u64;
-        prop_assert_eq!(baseline.stats.topo_events, applied, "every event applies");
-        prop_assert!(baseline.stats.repaired_node_rounds > 0, "the round-2 removal repairs");
-        if crash {
-            prop_assert!(baseline.stats.recompute_fallbacks > 0, "the re-join recomputes");
-        }
-        if let Some(jsonl) = &base_jsonl {
-            prop_assert_eq!(
-                jsonl.matches("\"ev\":\"topology\"").count() as u64,
-                applied,
-                "one trace event per plan event"
-            );
-        }
-        for (executor, chunk, reference) in [
-            (ExecutorKind::Pool { workers: 2 }, 0, false),
-            (ExecutorKind::Pool { workers: 2 }, 1, false),
-            (ExecutorKind::Serial, 0, true),
-        ] {
-            let (other, other_jsonl) = run_one(executor, chunk, reference);
-            let label = if reference {
-                "reference".to_string()
-            } else {
-                format!("{executor:?}/chunk{chunk}")
-            };
-            prop_assert_eq!(&baseline.outputs, &other.outputs, "outputs vs {}", &label);
-            prop_assert_eq!(baseline.stats, other.stats, "stats vs {}", &label);
-            prop_assert_eq!(&base_jsonl, &other_jsonl, "trace vs {}", &label);
-        }
-    }
-
     /// The documented event order holds on every engine under every
     /// adversity: Serial, Pool(2) and the seed reference engine, on random
-    /// graphs × loss × crash windows × churn plans, each emit one stream
-    /// matching [`check_stream`]'s grammar whose `Message` / `Drop` /
-    /// `Crash` / `TopologyChange` / `RoundStart` counts are the run's
-    /// `RunStats` — and the three streams are equal.
+    /// graphs × loss × crash windows, each emit one stream matching
+    /// [`check_stream`]'s grammar whose `Message` / `Drop` / `Crash` /
+    /// `RoundStart` counts are the run's `RunStats` — and the three
+    /// streams are equal.
     #[test]
     fn event_streams_follow_the_documented_order(
         n in 3usize..16,
         seed in any::<u64>(),
         lossy in any::<bool>(),
         crash_window in any::<bool>(),
-        churn in any::<bool>(),
     ) {
         let adj = random_connected_adj(n, seed, 1);
         let topo = Topology::from_adjacency(adj.clone()).expect("valid");
@@ -890,17 +737,7 @@ proptest! {
         if crash_window {
             faults = faults.with_crash((seed % n as u64) as u32, 1, 3);
         }
-        let mut config = gossip_config(n).with_phase("order").with_faults(faults);
-        if churn {
-            // Remove one original edge at round 2 and, on odd seeds, a
-            // whole node at round 3.
-            let u = (seed / 3 % n as u64) as u32;
-            let mut plan = TopologyPlan::new().with_remove(2, u, adj[u as usize][0]);
-            if seed % 2 == 1 {
-                plan = plan.with_crash(3, ((seed / 5) % n as u64) as u32);
-            }
-            config = config.with_topology(plan);
-        }
+        let config = gossip_config(n).with_phase("order").with_faults(faults);
         let init = |_: &NodeContext<'_>| Gossip {
             first_heard: vec![None; n],
             queue: std::collections::VecDeque::new(),
@@ -952,7 +789,7 @@ proptest! {
 }
 
 /// A node that sends a token on port 0 every round for `rounds` rounds —
-/// a steady message source for drop-attribution tests.
+/// a steady message source for the drop-attribution test.
 struct Pinger {
     remaining: u64,
 }
@@ -980,61 +817,9 @@ impl NodeAlgorithm for Pinger {
     fn into_output(self, _: &NodeContext<'_>) {}
 }
 
-/// The documented composition of [`FaultPlan`] crash windows with
-/// [`TopologyPlan`] removals: a *crashed* node keeps its edges (messages
-/// to it drop as [`DropReason::ReceiverCrashed`] and delivery resumes when
-/// the window closes), while a *removed* edge is gone for good — and when
-/// both apply to the same delivery, **removal wins**: the dead-port check
-/// runs before the fault-plan check at the commit choke point, so the
-/// drop is attributed to [`DropReason::TopologyChange`]. Verified on both
-/// the optimized and the seed reference engine.
-#[test]
-fn removal_wins_over_crash_windows() {
-    // Path 0 – 1: node 0 pings node 1 every round. Node 1 is inside a
-    // crash window for rounds 1..=4; the plan removes the edge at round 3,
-    // mid-window.
-    let topo = Topology::from_adjacency(vec![vec![1], vec![0]]).expect("valid");
-    let faults = FaultPlan::new(7).with_crash(1, 1, 4);
-    let plan = TopologyPlan::new().with_remove(3, 0, 1);
-    let run_one = |reference: bool| {
-        let config = Config::for_n(2)
-            .with_bandwidth_bits(16)
-            .with_faults(faults.clone())
-            .with_topology(plan.clone());
-        let rec = SharedObserver::new(TraceRecorder::new());
-        let config = config.with_observer(rec.observer());
-        let init = |ctx: &NodeContext<'_>| Pinger {
-            remaining: if ctx.node_id() == 0 { 6 } else { 0 },
-        };
-        let report = if reference {
-            ReferenceSimulator::new(&topo, config, init)
-                .run()
-                .expect("reference runs")
-        } else {
-            Simulator::new(&topo, config, init).run().expect("runs")
-        };
-        (report, rec.with(|t| t.events_jsonl()))
-    };
-    let (report, jsonl) = run_one(false);
-    // Rounds 1–2: in the window, edge intact → ReceiverCrashed. Rounds
-    // 3–6: the edge is gone; round 3 overlaps the window and must still be
-    // attributed to the removal, not the crash.
-    let crashed = jsonl.matches("\"reason\":\"ReceiverCrashed\"").count();
-    let churned = jsonl.matches("\"reason\":\"TopologyChange\"").count();
-    assert_eq!(crashed, 2, "rounds 1-2 drop as crashes:\n{jsonl}");
-    assert_eq!(churned, 4, "rounds 3-6 drop as removals:\n{jsonl}");
-    assert_eq!(report.stats.dropped, 6);
-    let (ref_report, ref_jsonl) = run_one(true);
-    assert_eq!(
-        report.stats, ref_report.stats,
-        "engines agree on precedence"
-    );
-    assert_eq!(jsonl, ref_jsonl, "trace agrees on precedence");
-}
-
-/// The other half of the composition: a crash window alone never touches
-/// the topology — the node resumes with all its edges when the window
-/// closes, and every drop is attributed to the crash.
+/// A crash window never touches the topology: the node resumes with all
+/// its edges when the window closes, and every drop is attributed to the
+/// crash.
 #[test]
 fn crash_windows_keep_edges() {
     let topo = Topology::from_adjacency(vec![vec![1], vec![0]]).expect("valid");
@@ -1052,7 +837,6 @@ fn crash_windows_keep_edges() {
     .expect("runs");
     let jsonl = rec.with(|t| t.events_jsonl());
     assert_eq!(jsonl.matches("\"reason\":\"ReceiverCrashed\"").count(), 2);
-    assert_eq!(jsonl.matches("\"reason\":\"TopologyChange\"").count(), 0);
     assert_eq!(report.stats.dropped, 2);
     assert_eq!(report.stats.messages, 3, "post-window pings deliver");
 }

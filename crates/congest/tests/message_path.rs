@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use dapsp_congest::{
     Config, ExecutorKind, Inbox, Message, NodeAlgorithm, NodeContext, NodeId, Outbox, Port,
-    ReferenceSimulator, SimError, Simulator, Topology, TopologyPlan,
+    ReferenceSimulator, SimError, Simulator, Topology,
 };
 
 #[derive(Clone, Copy, Debug)]
@@ -189,19 +189,20 @@ impl NodeAlgorithm for Roll {
     }
 }
 
-/// Inserting the edge 4–0 into a path gives node 4 its highest port (2) to
-/// its lowest-id neighbour. Commits run in sender-id order, so node 4's
-/// arrivals reach the arena as ports `[2, 0, 1]` — and its inbox must still
-/// read `[0, 1, 2]`, each port naming the neighbour behind it.
+/// A path with the edge 4–0 listed last at both ends gives node 4 its
+/// highest port (2) to its lowest-id neighbour. Commits run in sender-id
+/// order, so node 4's arrivals reach the arena as ports `[2, 0, 1]` — and
+/// its inbox must still read `[0, 1, 2]`, each port naming the neighbour
+/// behind it.
 #[test]
 fn inbox_reads_in_port_order_when_arrivals_are_not() {
-    let topo = path(6);
-    let plan = TopologyPlan::new().with_insert(0, 4, 0);
+    let mut adj = path(6).to_adjacency();
+    adj[4].push(0);
+    adj[0].push(4);
+    let topo = Topology::from_adjacency(adj).unwrap();
     let mut logs = vec![];
     for engine in ENGINES {
-        let config = Config::for_n(6)
-            .with_topology(plan.clone())
-            .with_max_rounds(8);
+        let config = Config::for_n(6).with_max_rounds(8);
         let outputs = run_on(engine, &topo, config, |_| Roll { log: vec![] }).unwrap();
         let hub = &outputs[4];
         assert!(!hub.is_empty(), "{engine:?}: node 4 heard nothing");

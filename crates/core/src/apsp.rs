@@ -25,7 +25,7 @@
 //! which is exactly what Lemma 7 needs to compute the girth.
 
 use dapsp_congest::{
-    churned_topology, Config, NodeContext, RunStats, TerminationCertificate, Topology, TopologyPlan,
+    churned_topology, NodeContext, RunStats, TerminationCertificate, Topology, TopologyPlan,
 };
 use dapsp_graph::{DistanceMatrix, Graph, INFINITY};
 
@@ -33,8 +33,8 @@ use crate::bfs;
 use crate::churned::ChurnedResult;
 use crate::error::CoreError;
 use crate::kernel::{
-    distance_rows, run_phase, run_protocol_on, Coupling, Deal, PebbleKernel, RepairKernel, Rows,
-    SourceSlots, Stack, WaveKernel, WaveState,
+    distance_rows, run_phase, Coupling, Deal, PebbleKernel, RepairKernel, Rows, SourceSlots, Stack,
+    WaveKernel, WaveState,
 };
 use crate::observe::Obs;
 use crate::routing::check_table_size;
@@ -280,60 +280,49 @@ pub fn run_without_wait(graph: &Graph) -> Result<ApspResult, CoreError> {
     run_phases(&graph.to_topology(), false, u32::MAX, Obs::none())
 }
 
-/// Runs Algorithm 1's churn-tolerant counterpart over `topology`, whose
-/// edges and nodes change mid-run per `plan`: every node maintains its
-/// full distance row through edge insertions/removals and node churn via
-/// a [`RepairKernel`] (affected-subtree invalidation after removals,
-/// bounded relaxation waves after insertions, adaptive full recompute on
-/// large batches), writing it into the run's two matrices, which become
-/// the returned [`ChurnedResult`]'s: the all-pairs distances on the
-/// *post-churn* graph. An attached observer sees the run
-/// as `"apsp:churn"`. This is the run behind
-/// `dapsp_serve::RouteService::apply`.
+/// All-pairs distances on the graph `plan` leaves `topology` as: the plan
+/// is applied on the host first ([`churned_topology`] — the network never
+/// changes inside a run), then a [`RepairKernel`] distance vector runs
+/// once, statically, on exactly that topology, writing every node's row
+/// into the run's two matrices, which become the returned
+/// [`ChurnedResult`]'s. `stats.topo_events` counts the plan's events. An
+/// attached observer sees the run as `"apsp:churn"`. This is the run
+/// behind `dapsp_serve::RouteService::apply`; with an empty plan it is
+/// that distance vector on `topology` itself.
 ///
-/// Unlike the static [`run_on_obs`], the repair protocol does not use the
-/// pebble schedule (waves must be restartable), so disconnected
-/// post-churn graphs are fine: unreachable pairs report [`INFINITY`]. The
-/// round limit is stretched past the plan's last event by the `O(n)` a
-/// repair (or count-to-infinity retraction chain) can take.
+/// Unlike the static [`run_on_obs`], the distance vector needs neither
+/// `T_1` nor the pebble schedule, so a disconnected post-change graph is
+/// fine: unreachable pairs report [`INFINITY`]. A fault plan in `obs`
+/// wraps the kernel in the reliable transport through the same
+/// `run_phase` as every static phase, with S-SP's horizon at `|S| = n`.
 ///
 /// # Errors
 ///
 /// Same as [`run_on_obs`] minus the connectivity requirement;
 /// additionally a plan that does not apply cleanly surfaces as
-/// [`CoreError::Sim`], and [`CoreError::InvalidParameter`] is returned
-/// before round 0 when `obs` carries a fault plan (the repair kernel has
-/// no reliable transport) or the plan schedules an event past
-/// [`Config::for_n`]'s round limit (the run would only idle until then).
+/// [`CoreError::Sim`] before the run.
 pub fn run_churned_on(
     topology: &Topology,
     plan: &TopologyPlan,
     obs: Obs<'_>,
 ) -> Result<ChurnedResult, CoreError> {
-    const PHASE: &str = "apsp:churn";
     let n = topology.num_nodes();
     check_size(n)?;
-    obs.reject_faults(PHASE)?;
-    let mut config = obs.apply(Config::for_n(n), PHASE);
-    let last = plan.last_round().unwrap_or(0);
-    if last > config.max_rounds {
-        return Err(CoreError::InvalidParameter(format!(
-            "the plan's last event is at round {last}, past the round limit {}",
-            config.max_rounds
-        )));
-    }
-    config.max_rounds = config.max_rounds.max(last + 4 * n as u64 + 16);
+    let after = churned_topology(topology, plan)?;
     let (mut dist, mut parent_port) = distance_rows(n, n);
     let mut deal = Deal::new(&mut dist, &mut parent_port);
-    let report = run_protocol_on(topology, config.with_topology(plan.clone()), |ctx| {
+    let horizon = 3 * n as u64 + 8;
+    let report = run_phase(&after, obs, "apsp:churn", horizon, |ctx| {
         RepairKernel::all_roots(ctx, deal.row(ctx))
     })?;
-    let final_topo = churned_topology(topology, plan)?;
     Ok(ChurnedResult {
         dist,
         parent_port,
-        present: (0..n as u32).map(|v| final_topo.node_present(v)).collect(),
-        stats: report.stats,
+        present: (0..n as u32).map(|v| after.node_present(v)).collect(),
+        stats: RunStats {
+            topo_events: plan.events().len() as u64,
+            ..report.stats
+        },
         certificate: report.certificate,
         slots: SourceSlots::new(n, &(0..n as u32).collect::<Vec<_>>())?,
     })

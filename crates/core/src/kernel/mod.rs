@@ -22,12 +22,11 @@
 //!   immediate start.
 //! * [`ConvergecastKernel`] — aggregate up `T_1`, broadcast the total
 //!   down (Definition 6).
-//! * [`RepairKernel`] — churn-tolerant distance growth: a synchronous
-//!   distance-vector protocol with per-port neighbor caches that survives
-//!   a [`TopologyPlan`](dapsp_congest::TopologyPlan) — affected-subtree
-//!   invalidation and re-waves after removals, bounded relaxation waves
-//!   after insertions, and a divergence-adaptive full recompute when the
-//!   change batch is large.
+//! * [`RepairKernel`] — all-roots distance growth without `T_1`: a
+//!   synchronous distance-vector protocol with per-port neighbor caches
+//!   and Algorithm 2's `(dist, id)` announcement priority, run on the
+//!   topology a [`TopologyPlan`](dapsp_congest::TopologyPlan) leaves
+//!   behind (disconnected ones included).
 //! * [`ReliableKernel`] — a bounded-horizon synchronizer giving any
 //!   kernel (or stack of kernels) exact fault-free semantics over links a
 //!   [`FaultPlan`](dapsp_congest::FaultPlan) adversary drops messages
@@ -242,30 +241,26 @@ mod tests {
     }
 
     /// Where the transport cannot go — the dominating set's raw node
-    /// algorithm, the repair kernel of the churned pipeline — a fault
-    /// plan is refused up front instead of running lossy and raw.
+    /// algorithm — a fault plan is refused up front instead of running
+    /// lossy and raw; the churned pipeline runs through `run_phase` and
+    /// takes the same plan, returning the fault-free answer.
     #[test]
-    fn pipelines_without_a_transport_reject_faults() {
+    fn only_dominating_rejects_faults() {
         let g = generators::grid(3, 3);
         let topo = g.to_topology();
         let tree = bfs::run_on_obs(&topo, 0, Obs::none()).unwrap().tree;
         let plan = TopologyPlan::new().with_remove(2, 0, 1);
         let faults = FaultPlan::uniform_loss(0.1, 4);
         let obs = Obs::none().with_faults(&faults);
-        let runs: [(&str, Result<(), CoreError>); 2] = [
-            (
-                "dominating",
-                dominating::run_on_obs(&topo, &tree, 2, obs).map(drop),
-            ),
-            ("apsp", apsp::run_churned_on(&topo, &plan, obs).map(drop)),
-        ];
-        for (what, r) in runs {
-            let refused = matches!(r, Err(CoreError::InvalidParameter(_)));
-            assert!(refused, "{what}: {r:?}");
-        }
-        // The same calls without faults succeed.
+        let r = dominating::run_on_obs(&topo, &tree, 2, obs);
+        assert!(matches!(r, Err(CoreError::InvalidParameter(_))), "{r:?}");
         assert!(dominating::run_on_obs(&topo, &tree, 2, Obs::none()).is_ok());
-        assert!(apsp::run_churned_on(&topo, &plan, Obs::none()).is_ok());
+        let lossy = apsp::run_churned_on(&topo, &plan, obs).unwrap();
+        let quiet = apsp::run_churned_on(&topo, &plan, Obs::none()).unwrap();
+        assert_eq!(lossy.dist, quiet.dist);
+        assert_eq!(lossy.parent_port, quiet.parent_port);
+        assert!(lossy.stats.dropped > 0 && lossy.stats.transport.retransmissions > 0);
+        assert_eq!(lossy.stats.transport.truncated_sends, 0);
     }
 
     /// Wrapping a kernel in the reliable transport happens in one place,

@@ -4,8 +4,7 @@
 use std::fmt::Debug;
 
 use dapsp_congest::{
-    Envelope, Inbox, NodeAlgorithm, NodeContext, Outbox, Port, Quiescence, RepairAction,
-    TopologyDelta, TraceTags, Width,
+    Envelope, Inbox, NodeAlgorithm, NodeContext, Outbox, Port, Quiescence, TraceTags, Width,
 };
 
 /// A per-node protocol kernel: the state machine interface the wave-kernel
@@ -61,21 +60,6 @@ pub trait Protocol {
     /// never fires.
     fn on_round_end(&mut self, ctx: &NodeContext<'_>, tx: &mut Tx<Self::Payload>) {
         let _ = (ctx, tx);
-    }
-
-    /// The engine's topology changed this round and this node is an
-    /// affected endpoint (a port died or appeared, or the node itself was
-    /// removed/re-joined); mirrors [`NodeAlgorithm::on_topology`]. Called
-    /// at the engine's churn choke point, *before* the round's deliveries.
-    /// There is no send buffer here: a kernel that must re-announce state
-    /// queues the work internally and reports itself
-    /// [`is_active`](Self::is_active), which schedules it this round — its
-    /// [`on_round_end`](Self::on_round_end) then emits the repair traffic.
-    /// The default ignores the change (correct only for kernels whose
-    /// state does not encode the topology).
-    fn on_topology(&mut self, ctx: &NodeContext<'_>, delta: &TopologyDelta<'_>) -> RepairAction {
-        let _ = (ctx, delta);
-        RepairAction::Ignored
     }
 
     /// True while this kernel may still send without first receiving
@@ -264,10 +248,6 @@ impl<P: Protocol> NodeAlgorithm for ProtocolHost<P> {
             }
             proto.on_round_end(ctx, tx);
         });
-    }
-
-    fn on_topology(&mut self, ctx: &NodeContext<'_>, delta: &TopologyDelta<'_>) -> RepairAction {
-        self.proto.on_topology(ctx, delta)
     }
 
     fn is_active(&self) -> bool {

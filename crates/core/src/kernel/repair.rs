@@ -1,38 +1,22 @@
-//! [`RepairKernel`]: churn-tolerant wave growth — the dynamic sibling of
-//! [`WaveKernel`](super::WaveKernel) for runs whose topology changes
-//! mid-flight (a [`TopologyPlan`](dapsp_congest::TopologyPlan)).
+//! [`RepairKernel`]: the distance vector behind
+//! [`apsp::run_churned_on`](crate::apsp::run_churned_on) — the run that
+//! recomputes every distance on the graph a
+//! [`TopologyPlan`](dapsp_congest::TopologyPlan) leaves behind. The plan
+//! is applied on the host before the run; the kernel itself sees one
+//! fixed network, like every other kernel.
 //!
-//! The static wave kernels are write-once: a node adopts the first (or
-//! best) claim per root and never revisits it, which is exactly what makes
-//! them unable to survive an edge removal. This kernel instead runs a
-//! synchronous distance-vector protocol with *per-port neighbor caches*:
-//! every node remembers the last distance each neighbor announced for each
-//! root slot, so when [`on_topology`](super::Protocol::on_topology)
-//! tombstones a port the node can re-derive the affected distances locally
-//! from the surviving caches — no network round trip for the common case.
-//!
-//! * **Removal** — affected-slot invalidation: only slots whose parent
-//!   pointer crossed the dead port are recomputed; a changed value is
-//!   re-announced and the correction wave propagates exactly as far as the
-//!   damage. Cycles cannot count to infinity: any distance reaching `n`
-//!   clamps to [`INFINITY`], so retraction chatter dies within `O(n)`
-//!   rounds.
-//! * **Insertion** — bounded relaxation wave: both endpoints (each is
-//!   notified) queue their known-finite slots on the new port, closest
-//!   first; the transmit filter drops announcements the peer demonstrably
-//!   cannot use, so the exchange self-prunes as the tables cross.
-//! * **Adaptive fallback** — when a round's global change batch reaches
-//!   the kernel's `reset_threshold`, per-slot surgery is pointless: the
-//!   node recomputes *every* slot from its caches in one sweep and
-//!   reports [`RepairAction::Recompute`]. The batch size is identical at
-//!   every notified node, so all engines (and all nodes) take the same
-//!   branch deterministically.
+//! Unlike the write-once [`WaveKernel`](super::WaveKernel), it needs no
+//! `T_1` and no pebble schedule, so a disconnected post-change graph is
+//! fine: unreachable pairs stay [`INFINITY`]. Every node remembers the
+//! last distance each neighbour announced for each root slot and the last
+//! value it told each neighbour; a slot's distance is the minimum over
+//! those caches plus one, and a distance reaching `n` clamps to
+//! [`INFINITY`].
 //!
 //! One message per port per round carries one `(root, dist)` pair —
-//! `⌈log₂ n⌉ + ⌈log₂ (n+1)⌉ ≤ B` bits — so the repair traffic lives inside
-//! the same CONGEST budget as the waves it patches. A node keeps one slot
-//! per root, slot `r` for node `r`, and writes its distances and parent
-//! ports into the run's matrices like the static kernels do.
+//! `⌈log₂ n⌉ + ⌈log₂ (n+1)⌉ ≤ B` bits. A node keeps one slot per root,
+//! slot `r` for node `r`, and writes its distances and parent ports into
+//! the run's matrices like the static kernels do.
 //!
 //! Which pair goes out is Algorithm 2's per-edge list `L_i` with its
 //! `(dist, id)` priority: every port has an announcement queue keyed
@@ -57,30 +41,13 @@
 //! run that is memory-bound. For the same reason an arriving distance is
 //! stored into its `cache` cell at once (`on_message`) and only the slot is
 //! re-derived at round end: the row fetches of a round's arrivals overlap.
-//! A dead port's cells hold [`INFINITY`] by construction — they are
-//! blanked when the port dies and nothing writes them until an insertion
-//! appends a fresh port — so neither loop tests liveness.
-//!
-//! **Re-join.** A node that is removed freezes; when a later event
-//! re-joins it, it boots again *edgeless*: `removed` clears, every distance
-//! but its own resets, and every port it left with is a tombstone (the
-//! topology killed them with the node). Only the insertions that follow
-//! reconnect it, each on a fresh port.
 
-use dapsp_congest::{NodeContext, Port, RepairAction, TopologyDelta, Width};
+use dapsp_congest::{NodeContext, Port, Width};
 use dapsp_graph::INFINITY;
 
 use super::protocol::{Protocol, Tx};
 use super::rows::Row;
 use super::wave::WaveState;
-
-/// The divergence-adaptive default: fall back to a full per-node recompute
-/// when a round's global change batch reaches `max(4, n / 8)` directed
-/// port halves (each edge event counts both endpoints' ports; node events
-/// add one).
-fn repair_threshold(n: usize) -> u32 {
-    (n as u32 / 8).max(4)
-}
 
 /// The wire message: "my current distance to `root` is `dist`"
 /// (`dist = n` encodes unreachable — the count-to-infinity clamp).
@@ -92,8 +59,8 @@ pub struct RepairMsg {
     pub dist: u32,
 }
 
-/// Churn-tolerant multi-root distance computation (see module docs). Like
-/// the [`WaveKernel`](super::WaveKernel), it keeps its distance and parent
+/// Multi-root distance-vector computation (see module docs). Like the
+/// [`WaveKernel`](super::WaveKernel), it keeps its distance and parent
 /// port per root slot in the [`Row`] its pipeline lends it.
 pub struct RepairKernel<'a> {
     /// The slot this node owns distance 0 in: its own id. Slot order is
@@ -103,22 +70,16 @@ pub struct RepairKernel<'a> {
     /// `n`: distances reaching it clamp to [`INFINITY`] (every real
     /// shortest path is shorter).
     clamp: u32,
-    /// Global-batch size at which `on_topology` abandons per-slot surgery.
-    reset_threshold: u32,
     /// Per slot and port: the last distance the neighbor announced
-    /// (`cache`, [`INFINITY`] = nothing heard / retracted) and the last
+    /// (`cache`, [`INFINITY`] = nothing heard) and the last
     /// wire value *we* announced (`told` — clamped, so "unreachable"
     /// records as `n`; [`INFINITY`] = never told anything).
     near: Neighbours,
     /// Per-port announcement queues; drained one useful entry per port
     /// per round, priority `(dist.min(clamp), slot)`.
     queues: AnnounceQueues,
-    /// Tombstoned ports (no sends, cells blank, nothing queued).
-    port_dead: Vec<bool>,
-    /// This node was removed from the topology; it freezes.
-    removed: bool,
-    /// Where this round's announcements landed, live ports only (their
-    /// distances are in the table already): `slot << 32 | port`, one
+    /// Where this round's announcements landed (their distances are in
+    /// the table already): `slot << 32 | port`, one
     /// integer so that grouping by slot is a branchless small sort.
     arrivals: Vec<u64>,
     /// Distance per root slot, this node's row of the run's matrix.
@@ -129,9 +90,7 @@ pub struct RepairKernel<'a> {
 }
 
 impl<'a> RepairKernel<'a> {
-    /// Churned APSP: `n` slots indexed by root id; every node owns its
-    /// own, and falls back to a full recompute at `max(4, n / 8)` changed
-    /// port halves.
+    /// `n` slots indexed by root id; every node owns its own.
     pub fn all_roots(ctx: &NodeContext<'_>, row: Row<'a>) -> Self {
         let n = ctx.num_nodes();
         let degree = ctx.degree();
@@ -141,11 +100,8 @@ impl<'a> RepairKernel<'a> {
         RepairKernel {
             own,
             clamp: n as u32,
-            reset_threshold: repair_threshold(n),
             near: Neighbours::new(n, degree),
             queues: AnnounceQueues::new(n, degree),
-            port_dead: vec![false; degree],
-            removed: false,
             arrivals: Vec::new(),
             dist: row.dist,
             parent: row.parent,
@@ -153,16 +109,9 @@ impl<'a> RepairKernel<'a> {
         }
     }
 
-    fn slot_count(&self) -> usize {
-        self.dist.len()
-    }
-
     /// Recomputes slot `s` from the caches; returns true iff the value
-    /// changed. Parent = lowest port achieving the minimum (dead ports
-    /// cache [`INFINITY`], so they never do).
+    /// changed. Parent = lowest port achieving the minimum.
     fn recompute(&mut self, s: usize) -> bool {
-        debug_assert!((0..self.port_dead.len())
-            .all(|p| !self.port_dead[p] || self.near.cells(p, s) == (INFINITY, INFINITY)));
         let (best, best_port) = if self.own == s {
             (0, u32::MAX)
         } else {
@@ -186,10 +135,10 @@ impl<'a> RepairKernel<'a> {
         self.dist[s].min(self.clamp)
     }
 
-    /// Queues slot `s` for announcement on every live port.
+    /// Queues slot `s` for announcement on every port.
     fn announce_everywhere(&mut self, s: usize) {
-        let live = (0..self.port_dead.len()).filter(|&p| !self.port_dead[p]);
-        self.queues.insert(self.key(s), s as u32, live);
+        self.queues
+            .insert(self.key(s), s as u32, 0..self.near.ports);
     }
 
     /// [`recompute`](Self::recompute)s slot `s` and, when its value
@@ -206,33 +155,22 @@ impl<'a> RepairKernel<'a> {
         changed
     }
 
-    /// Grows the per-port tables to `degree` (ports only ever append).
-    fn grow_ports(&mut self, degree: usize) {
-        while self.port_dead.len() < degree {
-            self.near.add_port();
-            self.queues.add_port();
-            self.port_dead.push(false);
-        }
-    }
-
-    /// One announcement per live port: pop queued slots in `(dist, slot)`
+    /// One announcement per port: pop queued slots in `(dist, slot)`
     /// priority, discarding entries the peer demonstrably cannot use —
     /// sent before (`told` unchanged), or no improvement over the peer's
     /// cached distance with nothing previously told to correct. A port
-    /// with nothing queued — every dead port — costs one load.
+    /// with nothing queued costs one load.
     fn transmit(&mut self, tx: &mut Tx<RepairMsg>) {
-        for p in 0..self.port_dead.len() {
-            debug_assert!(!self.port_dead[p] || self.queues.port_total[p] == 0);
+        for p in 0..self.near.ports {
             while let Some((dist, s)) = self.queues.pop(p) {
                 let su = s as usize;
                 debug_assert_eq!(dist, self.key(su), "slot {s} queued under a stale key");
                 let (cached, told) = self.near.cells(p, su);
                 let useful = dist != told && (dist.saturating_add(1) < cached || told != INFINITY);
                 if useful {
-                    // Record the wire value verbatim — a clamped
-                    // "unreachable" included — so an identical repeat is
-                    // suppressed by the `dist != told` check above (else
-                    // two severed nodes bounce retractions forever).
+                    // Record the wire value verbatim, so an identical
+                    // repeat is suppressed by the `dist != told` check
+                    // above.
                     *self.near.told_mut(p, su) = dist;
                     tx.send(p as Port, RepairMsg { root: s, dist });
                     break;
@@ -242,127 +180,56 @@ impl<'a> RepairKernel<'a> {
     }
 }
 
-/// `count` rows of `old` elements each, re-laid at `new ≥ old` elements
-/// per row, the new tail of every row holding `fill`.
-fn widen<T: Copy>(rows: &[T], count: usize, old: usize, new: usize, fill: T) -> Vec<T> {
-    let mut out = vec![fill; count * new];
-    for r in 0..count {
-        out[r * new..][..old].copy_from_slice(&rows[r * old..][..old]);
-    }
-    out
-}
-
-/// One slot-major panel of the neighbour table: row `s` is
-/// `cells[s * 2 * cap..][..2 * cap]`, laid out `[cache[0..cap] |
-/// told[0..cap]]`. Cells of dead ports and of capacity not yet used hold
-/// [`INFINITY`].
-struct Panel {
-    cap: usize,
-    cells: Vec<u32>,
-}
-
-impl Panel {
-    fn cache_row(&self, s: usize) -> &[u32] {
-        &self.cells[s * 2 * self.cap..][..self.cap]
-    }
-}
-
-/// The node's neighbour table (see the module docs), as two panels: the
-/// ports the node booted with, sized exactly and never moved, and the
-/// ports insertions appended since, its capacity doubling. A static run
-/// pays for the first only, and an insertion at a 255-port hub re-lays the
-/// few appended ports, not the hub's whole table.
+/// The node's neighbour table (see the module docs), slot-major: row `s`
+/// is `cells[s * 2 * ports..][..2 * ports]`, laid out `[cache[0..ports] |
+/// told[0..ports]]`, every cell [`INFINITY`] until heard from or told.
 struct Neighbours {
     slots: usize,
     ports: usize,
-    panels: [Panel; 2],
+    cells: Vec<u32>,
 }
 
 impl Neighbours {
     fn new(slots: usize, ports: usize) -> Self {
-        let booted = Panel {
-            cap: ports,
-            cells: vec![INFINITY; slots * 2 * ports],
-        };
-        let appended = Panel {
-            cap: 0,
-            cells: Vec::new(),
-        };
         Neighbours {
             slots,
             ports,
-            panels: [booted, appended],
+            cells: vec![INFINITY; slots * 2 * ports],
         }
     }
 
-    fn add_port(&mut self) {
-        self.ports += 1;
-        let booted = self.panels[0].cap;
-        let appended = &mut self.panels[1];
-        if self.ports - booted > appended.cap {
-            let cap = (2 * appended.cap).max(1);
-            appended.cells = widen(&appended.cells, 2 * self.slots, appended.cap, cap, INFINITY);
-            appended.cap = cap;
-        }
-    }
-
-    /// The panel port `p` lives in and the index of its `cache` cell for
-    /// slot `s`; its `told` cell is `cap` further on.
-    fn locate(&self, p: usize, s: usize) -> (usize, usize) {
+    /// The index of port `p`'s `cache` cell for slot `s`; its `told` cell
+    /// is `ports` further on.
+    fn locate(&self, p: usize, s: usize) -> usize {
         debug_assert!(p < self.ports && s < self.slots);
-        let [booted, appended] = &self.panels;
-        if p < booted.cap {
-            (0, s * 2 * booted.cap + p)
-        } else {
-            (1, s * 2 * appended.cap + p - booted.cap)
-        }
+        s * 2 * self.ports + p
     }
 
     /// `(cache, told)` of port `p` for slot `s`.
     fn cells(&self, p: usize, s: usize) -> (u32, u32) {
-        let (panel, i) = self.locate(p, s);
-        let panel = &self.panels[panel];
-        (panel.cells[i], panel.cells[i + panel.cap])
+        let i = self.locate(p, s);
+        (self.cells[i], self.cells[i + self.ports])
     }
 
     fn cache_mut(&mut self, p: usize, s: usize) -> &mut u32 {
-        let (panel, i) = self.locate(p, s);
-        &mut self.panels[panel].cells[i]
+        let i = self.locate(p, s);
+        &mut self.cells[i]
     }
 
     fn told_mut(&mut self, p: usize, s: usize) -> &mut u32 {
-        let (panel, i) = self.locate(p, s);
-        let panel = &mut self.panels[panel];
-        &mut panel.cells[i + panel.cap]
+        let i = self.locate(p, s) + self.ports;
+        &mut self.cells[i]
     }
 
     /// The minimum `(cache + 1, port)` over all ports for slot `s`; the
     /// distance is [`INFINITY`] when nobody offers one.
     fn nearest(&self, s: usize) -> (u32, Port) {
+        let row = &self.cells[s * 2 * self.ports..][..self.ports];
         let mut best = u64::MAX;
-        let mut first = 0;
-        for panel in &self.panels {
-            for (p, &c) in panel.cache_row(s).iter().enumerate() {
-                best = best.min(u64::from(c.saturating_add(1)) << 32 | (first + p) as u64);
-            }
-            first += panel.cap;
+        for (p, &c) in row.iter().enumerate() {
+            best = best.min(u64::from(c.saturating_add(1)) << 32 | p as u64);
         }
         ((best >> 32) as u32, best as Port)
-    }
-
-    /// Forgets everything heard from and told to port `p`.
-    fn blank_port(&mut self, p: usize) {
-        for s in 0..self.slots {
-            *self.cache_mut(p, s) = INFINITY;
-            *self.told_mut(p, s) = INFINITY;
-        }
-    }
-
-    /// Forgets everything, on every port.
-    fn blank(&mut self) {
-        for panel in &mut self.panels {
-            panel.cells.fill(INFINITY);
-        }
     }
 }
 
@@ -372,7 +239,7 @@ impl Neighbours {
 /// which is why the ports can share one level index.
 ///
 /// `levels` lists the node's non-empty levels, most urgent last. Each owns
-/// one block of `cap × words` words carved from a pool — port `p`'s slot
+/// one block of `ports × words` words carved from a pool — port `p`'s slot
 /// bitset is the block's words `p * words..(p + 1) * words` — and three
 /// counts say where the entries are without looking at the bits:
 /// `held` per (block, port), so a pop skips a level holding nothing for
@@ -384,12 +251,11 @@ impl Neighbours {
 struct AnnounceQueues {
     /// Words per port per block: `⌈slot_count / 64⌉`.
     words: usize,
-    /// Ports a block has room for: the degree at boot, doubling when an
-    /// insertion appends a port past it.
-    cap: usize,
-    /// Block `b` is `pool[b * cap * words..][..cap * words]`.
+    /// The node's degree.
+    ports: usize,
+    /// Block `b` is `pool[b * ports * words..][..ports * words]`.
     pool: Vec<u64>,
-    /// `held[b * cap + p]`: entries port `p` holds in block `b`.
+    /// `held[b * ports + p]`: entries port `p` holds in block `b`.
     held: Vec<u32>,
     /// Entries in each block over all ports; zero iff the block is free.
     block_total: Vec<u32>,
@@ -406,7 +272,7 @@ impl AnnounceQueues {
     fn new(slot_count: usize, ports: usize) -> Self {
         AnnounceQueues {
             words: slot_count.div_ceil(64),
-            cap: ports,
+            ports,
             pool: Vec::new(),
             held: Vec::new(),
             block_total: Vec::new(),
@@ -414,18 +280,6 @@ impl AnnounceQueues {
             free: Vec::new(),
             levels: Vec::new(),
         }
-    }
-
-    fn add_port(&mut self) {
-        if self.port_total.len() == self.cap {
-            let cap = (2 * self.cap).max(1);
-            let blocks = self.block_total.len();
-            let (old, new) = (self.cap * self.words, cap * self.words);
-            self.pool = widen(&self.pool, blocks, old, new, 0);
-            self.held = widen(&self.held, blocks, self.cap, cap, 0);
-            self.cap = cap;
-        }
-        self.port_total.push(0);
     }
 
     /// Where `level` sits (or would sit) in the descending list.
@@ -443,8 +297,9 @@ impl AnnounceQueues {
             Ok(i) => self.levels[i].1,
             Err(i) => {
                 let block = self.free.pop().unwrap_or_else(|| {
-                    self.pool.resize(self.pool.len() + self.cap * self.words, 0);
-                    self.held.resize(self.held.len() + self.cap, 0);
+                    self.pool
+                        .resize(self.pool.len() + self.ports * self.words, 0);
+                    self.held.resize(self.held.len() + self.ports, 0);
                     self.block_total.push(0);
                     self.block_total.len() as u32 - 1
                 });
@@ -454,10 +309,10 @@ impl AnnounceQueues {
         } as usize;
         let (w, bit) = (slot as usize / 64, 1 << (slot % 64));
         for p in std::iter::once(first).chain(ports) {
-            let word = &mut self.pool[(block * self.cap + p) * self.words + w];
+            let word = &mut self.pool[(block * self.ports + p) * self.words + w];
             if *word & bit == 0 {
                 *word |= bit;
-                self.held[block * self.cap + p] += 1;
+                self.held[block * self.ports + p] += 1;
                 self.port_total[p] += 1;
                 self.block_total[block] += 1;
             }
@@ -469,8 +324,8 @@ impl AnnounceQueues {
         let Ok(i) = self.find(level) else { return };
         let block = self.levels[i].1 as usize;
         let (w, bit) = (slot as usize / 64, 1 << (slot % 64));
-        for p in 0..self.port_total.len() {
-            let word = &mut self.pool[(block * self.cap + p) * self.words + w];
+        for p in 0..self.ports {
+            let word = &mut self.pool[(block * self.ports + p) * self.words + w];
             if *word & bit != 0 {
                 *word &= !bit;
                 self.took(block, p, 1);
@@ -487,11 +342,11 @@ impl AnnounceQueues {
         let i = self
             .levels
             .iter()
-            .rposition(|&(_, block)| self.held[block as usize * self.cap + p] != 0)
+            .rposition(|&(_, block)| self.held[block as usize * self.ports + p] != 0)
             .expect("a port's total counts entries in listed levels");
         let (level, block) = self.levels[i];
         let block = block as usize;
-        let bitset = &mut self.pool[(block * self.cap + p) * self.words..][..self.words];
+        let bitset = &mut self.pool[(block * self.ports + p) * self.words..][..self.words];
         let (w, word) = bitset
             .iter_mut()
             .enumerate()
@@ -506,7 +361,7 @@ impl AnnounceQueues {
 
     /// Books `count` entries leaving port `p`'s bitset in `block`.
     fn took(&mut self, block: usize, p: usize, count: u32) {
-        self.held[block * self.cap + p] -= count;
+        self.held[block * self.ports + p] -= count;
         self.port_total[p] -= count;
         self.block_total[block] -= count;
     }
@@ -517,29 +372,6 @@ impl AnnounceQueues {
         if self.block_total[block as usize] == 0 {
             self.levels.remove(i);
             self.free.push(block);
-        }
-    }
-
-    /// Empties port `p`'s queue.
-    fn clear(&mut self, p: usize) {
-        for i in (0..self.levels.len()).rev() {
-            if self.port_total[p] == 0 {
-                break;
-            }
-            let block = self.levels[i].1 as usize;
-            let held = self.held[block * self.cap + p];
-            if held != 0 {
-                self.pool[(block * self.cap + p) * self.words..][..self.words].fill(0);
-                self.took(block, p, held);
-                self.release_if_drained(i);
-            }
-        }
-    }
-
-    /// Empties every port's queue.
-    fn clear_all(&mut self) {
-        for p in 0..self.port_total.len() {
-            self.clear(p);
         }
     }
 
@@ -566,27 +398,20 @@ impl Protocol for RepairKernel<'_> {
         _tx: &mut Tx<RepairMsg>,
     ) {
         self.state.receipts = self.state.receipts.saturating_add(1);
-        let p = port as usize;
-        if self.port_dead.get(p) == Some(&false) {
-            // Cache it now, re-derive the slot at round end: the stores of
-            // a round's arrivals fetch their rows side by side instead of
-            // one `refresh` after the other.
-            let heard = if payload.dist >= self.clamp {
-                INFINITY
-            } else {
-                payload.dist
-            };
-            let s = payload.root as usize;
-            *self.near.cache_mut(p, s) = heard;
-            self.arrivals.push((s as u64) << 32 | u64::from(port));
-        }
+        // Cache it now, re-derive the slot at round end: the stores of a
+        // round's arrivals fetch their rows side by side instead of one
+        // `refresh` after the other.
+        let heard = if payload.dist >= self.clamp {
+            INFINITY
+        } else {
+            payload.dist
+        };
+        let s = payload.root as usize;
+        *self.near.cache_mut(port as usize, s) = heard;
+        self.arrivals.push((s as u64) << 32 | u64::from(port));
     }
 
     fn on_round_end(&mut self, _ctx: &NodeContext<'_>, tx: &mut Tx<RepairMsg>) {
-        if self.removed {
-            self.arrivals.clear();
-            return;
-        }
         let mut arrivals = std::mem::take(&mut self.arrivals);
         arrivals.sort_unstable();
         // Sorted by slot, so each slot's arrivals are one run: re-derive
@@ -606,76 +431,8 @@ impl Protocol for RepairKernel<'_> {
         self.transmit(tx);
     }
 
-    fn on_topology(&mut self, ctx: &NodeContext<'_>, delta: &TopologyDelta<'_>) -> RepairAction {
-        if delta.removed {
-            // Final notification: freeze (outputs keep the last state).
-            self.removed = true;
-            self.queues.clear_all();
-            self.arrivals.clear();
-            return RepairAction::Ignored;
-        }
-        self.grow_ports(ctx.degree());
-        if delta.joined {
-            // Fresh boot, edgeless: the node thaws, everything resets, and
-            // every port it left with is a tombstone (`remove_node` killed
-            // them; the crash notification froze us before recording it).
-            // This batch's insertions, below, revive theirs.
-            self.removed = false;
-            self.dist.fill(INFINITY);
-            self.parent.fill(u32::MAX);
-            self.dist[self.own] = 0;
-            self.port_dead.fill(true);
-            self.near.blank();
-            self.queues.clear_all();
-        }
-        for &p in delta.removed_ports {
-            // A dead port sends nothing, caches nothing, queues nothing.
-            let p = p as usize;
-            self.port_dead[p] = true;
-            self.near.blank_port(p);
-            self.queues.clear(p);
-        }
-        for &(p, _) in delta.inserted_ports {
-            // Always a port just appended, so its cells are still blank.
-            self.port_dead[p as usize] = false;
-        }
-        let full_reset = delta.batch >= self.reset_threshold;
-        if full_reset {
-            // Divergence-adaptive fallback: the batch is too large for
-            // per-slot surgery — re-derive every slot from the caches.
-            for s in 0..self.slot_count() {
-                self.refresh(s);
-            }
-        } else {
-            // Affected-slot invalidation: only distances routed through a
-            // dead port can have worsened.
-            for &p in delta.removed_ports {
-                for s in 0..self.slot_count() {
-                    if self.parent[s] == p {
-                        self.refresh(s);
-                    }
-                }
-            }
-        }
-        // Bounded relaxation wave: offer every finite distance on the new
-        // ports, closest first; the transmit filter prunes the exchange as
-        // the peer's table crosses ours.
-        for &(p, _) in delta.inserted_ports {
-            for s in 0..self.slot_count() {
-                if self.dist[s] != INFINITY {
-                    self.queues.insert(self.key(s), s as u32, [p as usize]);
-                }
-            }
-        }
-        if full_reset {
-            RepairAction::Recompute
-        } else {
-            RepairAction::Repaired
-        }
-    }
-
     fn is_active(&self) -> bool {
-        !self.removed && !self.queues.is_empty()
+        !self.queues.is_empty()
     }
 
     fn width(&self, _payload: &RepairMsg) -> Width {
@@ -712,11 +469,8 @@ mod width_tests {
             let k = RepairKernel {
                 own: 0,
                 clamp: n as u32,
-                reset_threshold: 4,
                 near: Neighbours::new(1, 0),
                 queues: AnnounceQueues::new(1, 0),
-                port_dead: Vec::new(),
-                removed: false,
                 arrivals: Vec::new(),
                 dist: &mut dist,
                 parent: &mut parent,
@@ -724,15 +478,6 @@ mod width_tests {
             };
             assert!(k.width(&worst).bits() <= budget, "n={n}");
         }
-    }
-
-    /// The adaptive threshold grows with `n` but never below 4.
-    #[test]
-    fn threshold_floor_and_growth() {
-        assert_eq!(repair_threshold(2), 4);
-        assert_eq!(repair_threshold(32), 4);
-        assert_eq!(repair_threshold(64), 8);
-        assert_eq!(repair_threshold(400), 50);
     }
 }
 
@@ -744,7 +489,7 @@ mod queue_tests {
 
     use super::*;
     use crate::kernel::{distance_rows, run_protocol_on, Deal};
-    use dapsp_congest::{Config, TopologyPlan};
+    use dapsp_congest::{churned_topology, Config, TopologyPlan};
     use dapsp_graph::generators;
 
     /// The implementation `AnnounceQueues` replaced, kept as the model:
@@ -772,15 +517,13 @@ mod queue_tests {
     /// The shared index is what it says it is: levels strictly
     /// descending, every listed level holding an entry, every block either
     /// listed once or free and all-zero, and the three counts equal to the
-    /// popcounts they summarise (capacity past the ports in use included,
-    /// which must stay zero).
+    /// popcounts they summarise.
     fn assert_consistent(q: &AnnounceQueues) {
-        let ports = q.port_total.len();
-        assert!(ports <= q.cap);
+        assert_eq!(q.port_total.len(), q.ports);
         assert!(q.levels.windows(2).all(|w| w[0].0 > w[1].0));
         let blocks = q.block_total.len();
-        assert_eq!(q.pool.len(), blocks * q.cap * q.words);
-        assert_eq!(q.held.len(), blocks * q.cap);
+        assert_eq!(q.pool.len(), blocks * q.ports * q.words);
+        assert_eq!(q.held.len(), blocks * q.ports);
         let mut listed = vec![false; blocks];
         for &(_, block) in &q.levels {
             assert!(!std::mem::replace(&mut listed[block as usize], true));
@@ -791,38 +534,33 @@ mod queue_tests {
             assert_eq!(q.block_total[block as usize], 0);
         }
         assert!(listed.iter().all(|&l| l), "a block is listed or free");
-        let mut port_total = vec![0; q.cap];
+        let mut port_total = vec![0; q.ports];
         for block in 0..blocks {
             let mut total = 0;
             for (p, port_total) in port_total.iter_mut().enumerate() {
-                let bitset = &q.pool[(block * q.cap + p) * q.words..][..q.words];
+                let bitset = &q.pool[(block * q.ports + p) * q.words..][..q.words];
                 let held: u32 = bitset.iter().map(|word| word.count_ones()).sum();
-                assert_eq!(q.held[block * q.cap + p], held);
+                assert_eq!(q.held[block * q.ports + p], held);
                 *port_total += held;
                 total += held;
             }
             assert_eq!(q.block_total[block], total);
         }
-        assert_eq!(&port_total[..ports], q.port_total);
-        assert!(port_total[ports..].iter().all(|&t| t == 0));
+        assert_eq!(port_total, q.port_total);
         assert_eq!(q.levels.len(), blocks - q.free.len());
     }
-
-    /// Ports the sequence starts with and grows to, one `add_port` at a
-    /// time: across every capacity doubling from 2 to 128 and the 64-port
-    /// mark.
-    const PORTS: std::ops::RangeInclusive<usize> = 2..=70;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Random counter-offer / re-key-on-change / pop / clear /
-        /// port-death / port-growth sequences pop identically from the
-        /// shared level index and from the scan model, with identical
-        /// emptiness and a consistent index after every step.
+        /// Random counter-offer / re-key-on-change / pop sequences pop
+        /// identically from the shared level index and from the scan
+        /// model, with identical emptiness and a consistent index after
+        /// every step — on 1 to 70 ports, across the 64-port mark.
         #[test]
         fn level_queues_pop_like_the_scan_they_replaced(
             shape in 0usize..6,
+            ports in 1usize..71,
             ops in proptest::collection::vec(any::<u64>(), 0..800),
         ) {
             let slots = [1usize, 2, 63, 64, 65, 200][shape];
@@ -830,16 +568,14 @@ mod queue_tests {
             // the "unreachable" level every INFINITY distance queues under.
             let clamp = 6u32;
             let mut dist = vec![INFINITY; slots];
-            let mut dead = vec![false; *PORTS.start()];
-            let mut q = AnnounceQueues::new(slots, *PORTS.start());
-            let mut model = ScanModel { pending: vec![BTreeSet::new(); *PORTS.start()] };
+            let mut q = AnnounceQueues::new(slots, ports);
+            let mut model = ScanModel { pending: vec![BTreeSet::new(); ports] };
             // The kernel's `refresh`: a changed distance clears the slot
             // under the stale level on every port and sets it under the
-            // new level on every live port.
+            // new level on every port.
             let rekey = |q: &mut AnnounceQueues,
                          model: &mut ScanModel,
                          dist: &mut [u32],
-                         dead: &[bool],
                          s: usize,
                          level: u32| {
                 let new = if level == clamp { INFINITY } else { level };
@@ -847,59 +583,37 @@ mod queue_tests {
                 if new != dist[s] {
                     dist[s] = new;
                     q.remove_everywhere(stale, s as u32);
-                    let live = (0..dead.len()).filter(|&p| !dead[p]);
-                    q.insert(level, s as u32, live.clone());
-                    for p in live {
-                        model.pending[p].insert(s as u32);
+                    q.insert(level, s as u32, 0..ports);
+                    for pending in &mut model.pending {
+                        pending.insert(s as u32);
                     }
                 }
             };
             for &op in &ops {
-                let p = (op >> 8) as usize % dead.len();
+                let p = (op >> 8) as usize % ports;
                 let s = (op >> 16) as usize % slots;
-                match op % 16 {
+                match op % 11 {
                     // Counter-offer: queue under the current key.
-                    0..=4 if !dead[p] => {
+                    0..=4 => {
                         q.insert(dist[s].min(clamp), s as u32, [p]);
                         model.pending[p].insert(s as u32);
                     }
                     5..=7 => {
                         let level = (op >> 32) as u32 % (clamp + 1);
-                        rekey(&mut q, &mut model, &mut dist, &dead, s, level);
+                        rekey(&mut q, &mut model, &mut dist, s, level);
                     }
-                    8..=10 => prop_assert_eq!(q.pop(p), model.pop(p, &dist, clamp)),
-                    // Port death clears the queue; nothing is queued on a
-                    // dead port, so a revived one starts empty.
-                    11 | 12 => {
-                        dead[p] = op % 16 == 11 && !dead[p];
-                        q.clear(p);
-                        model.pending[p].clear();
-                    }
-                    // An insertion appends a (live, empty) port.
-                    13..=15 if dead.len() < *PORTS.end() => {
-                        q.add_port();
-                        dead.push(false);
-                        model.pending.push(BTreeSet::new());
-                    }
-                    _ => {}
+                    _ => prop_assert_eq!(q.pop(p), model.pop(p, &dist, clamp)),
                 }
                 prop_assert_eq!(q.is_empty(), model.is_empty());
                 assert_consistent(&q);
             }
-            // Whatever the ops reached, finish at full width: grow to the
-            // last port, re-key every slot across all of them, and drain.
-            while dead.len() < *PORTS.end() {
-                q.add_port();
-                dead.push(false);
-                model.pending.push(BTreeSet::new());
-                assert_consistent(&q);
-            }
+            // Whatever the ops reached, re-key every slot and drain.
             for s in 0..slots {
                 let level = (dist[s].min(clamp) + 1 + s as u32) % (clamp + 1);
-                rekey(&mut q, &mut model, &mut dist, &dead, s, level);
+                rekey(&mut q, &mut model, &mut dist, s, level);
                 assert_consistent(&q);
             }
-            for p in 0..dead.len() {
+            for p in 0..ports {
                 loop {
                     let head = q.pop(p);
                     prop_assert_eq!(head, model.pop(p, &dist, clamp));
@@ -937,9 +651,6 @@ mod queue_tests {
         fn on_round_end(&mut self, ctx: &NodeContext<'_>, tx: &mut Tx<RepairMsg>) {
             self.0.on_round_end(ctx, tx);
         }
-        fn on_topology(&mut self, ctx: &NodeContext<'_>, d: &TopologyDelta<'_>) -> RepairAction {
-            self.0.on_topology(ctx, d)
-        }
         fn is_active(&self) -> bool {
             self.0.is_active()
         }
@@ -953,18 +664,18 @@ mod queue_tests {
     }
 
     /// Queue memory follows the live entries: a path run touches ~n
-    /// distance levels per port over its lifetime, a severing removal and
-    /// a crash add the clamp level and frozen nodes, yet once the run has
+    /// distance levels per port over its lifetime, and a severed path
+    /// with an isolated node adds the clamp level, yet once the run has
     /// quiesced no node's queues own a single level block.
     #[test]
     fn quiesced_queues_hold_no_level_blocks() {
         let n = 48;
-        let topology = generators::path(n).to_topology();
         let plan = TopologyPlan::new()
-            .with_remove(20, 30, 31)
-            .with_crash(25, 10)
-            .with_insert(90, 0, 47);
-        let config = Config::for_n(n).with_topology(plan);
+            .with_remove(1, 30, 31)
+            .with_crash(1, 10)
+            .with_insert(1, 0, 47);
+        let topology = churned_topology(&generators::path(n).to_topology(), &plan).unwrap();
+        let config = Config::for_n(n);
         let (mut dist, mut parent) = distance_rows(n, n);
         let mut deal = Deal::new(&mut dist, &mut parent);
         let report = run_protocol_on(&topology, config, |ctx| {

@@ -11,7 +11,7 @@
 //! function of the two send lists, pinned by a proptest against a
 //! `BTreeMap` model.
 
-use dapsp_congest::{NodeContext, Port, RepairAction, TopologyDelta, TraceTags, Width};
+use dapsp_congest::{NodeContext, Port, TraceTags, Width};
 
 use super::protocol::{Protocol, Tx};
 
@@ -206,14 +206,6 @@ impl<A: Protocol, B: Protocol, C: Coupling<A, B>> Protocol for Stack<A, B, C> {
         self.coupling.couple(ctx, &mut self.a, &mut self.b);
         self.b.on_round_end(ctx, &mut self.tx_b);
         self.flush(tx);
-    }
-
-    fn on_topology(&mut self, ctx: &NodeContext<'_>, delta: &TopologyDelta<'_>) -> RepairAction {
-        // Both components see the change; the stack reports the heavier
-        // reaction (`Ignored < Repaired < Recompute`).
-        let a = self.a.on_topology(ctx, delta);
-        let b = self.b.on_topology(ctx, delta);
-        a.max(b)
     }
 
     fn is_active(&self) -> bool {

@@ -87,9 +87,8 @@ impl<'a> Obs<'a> {
     /// wrapped in the reliable transport: results stay those of the
     /// fault-free run, phases report as `"{phase}:reliable"`, and the
     /// transport's counters land in the result's `stats.transport`.
-    /// Pipelines the transport cannot wrap (`dominating`, every
-    /// `run_churned_on`) reject such an `Obs` with
-    /// [`CoreError::InvalidParameter`].
+    /// The one pipeline the transport cannot wrap, `dominating`, rejects
+    /// such an `Obs` with [`CoreError::InvalidParameter`].
     pub fn with_faults(mut self, faults: &'a FaultPlan) -> Self {
         self.faults = Some(faults);
         self

@@ -19,9 +19,9 @@
 //! Every table carries the attribution trail of the run that produced it:
 //! its topology **epoch**, the engine's [`TerminationCertificate`], the
 //! run's [`RunStats`], and the [`RebuildPolicy`] that produced it (initial
-//! build, churn-track rerun, or the adaptive full-recompute fallback). A
-//! checksum over the query-visible payload lets stress tests assert that
-//! every observed answer was internally consistent with exactly one epoch.
+//! build or churned rerun). A checksum over the query-visible payload lets
+//! stress tests assert that every observed answer was internally
+//! consistent with exactly one epoch.
 //! It is a fold of per-row **digests**: each source row is hashed as soon
 //! as it is packed, two cells (one 64-bit word) per step over a fixed
 //! number of independent FNV-style chains — one chain would be bound by
@@ -71,15 +71,12 @@ fn pack(hops: u32, next: u32) -> u32 {
 pub enum RebuildPolicy {
     /// The initial full Algorithm 1 run (epoch 0).
     Initial,
-    /// A churn-track rerun: the [`RepairKernel`](crate::kernel::RepairKernel)
-    /// computed the distances from a cold `n`-slot distance vector booted on
-    /// the *old* topology, with the plan's events landing mid-run. No prior
-    /// table is passed in; warm start from the served table is open
-    /// (ROADMAP.md item 3, structural repair).
+    /// A churned rerun: the plan was applied to the topology on the host,
+    /// then the [`RepairKernel`](crate::kernel::RepairKernel) ran a cold
+    /// `n`-slot distance vector once on the post-change topology. No prior
+    /// table is passed in; recomputing only the affected rows is open
+    /// (ROADMAP.md item 3).
     Repaired,
-    /// The churn track ran, but the change batch crossed the adaptive
-    /// threshold and nodes fell back to a full cache recompute.
-    RecomputeFallback,
 }
 
 impl RebuildPolicy {
@@ -88,7 +85,6 @@ impl RebuildPolicy {
         match self {
             RebuildPolicy::Initial => "initial",
             RebuildPolicy::Repaired => "repair",
-            RebuildPolicy::RecomputeFallback => "recompute",
         }
     }
 }
@@ -166,15 +162,15 @@ impl RouteTable {
         .sealed()
     }
 
-    /// Compacts a churn-repaired APSP run
+    /// Compacts a churned APSP run
     /// ([`apsp::run_churned_on`](crate::apsp::run_churned_on)) into the
-    /// epoch-`epoch` table. `final_topo` must be the *post-churn* topology
-    /// (see [`churned_topology`](dapsp_congest::churned_topology)): each
-    /// node's parent port per root resolves to a neighbor id through it —
-    /// ports stay stable across churn, so dead ports still resolve. Rows of
+    /// epoch-`epoch` table. `final_topo` must be the post-change topology
+    /// the run ran on (see
+    /// [`churned_topology`](dapsp_congest::churned_topology)): each node's
+    /// parent port per root resolves to a neighbor id through it. Rows of
     /// absent nodes serve nothing. The girth is re-derived host-side from
-    /// the repaired distances plus the live adjacency, since the repair
-    /// kernel maintains distances, not wave-collision witnesses.
+    /// the distances plus the adjacency, since the distance-vector kernel
+    /// keeps distances, not wave-collision witnesses.
     ///
     /// # Errors
     ///
@@ -194,7 +190,7 @@ impl RouteTable {
             )));
         }
         let present = &result.present;
-        // Absent nodes keep frozen kernel state; they serve nothing and
+        // Absent nodes ran as isolated vertices; they serve nothing and
         // witness nothing.
         let live_rows = (0..n).filter(|&v| present[v]).map(|v| &result.dist[v][..]);
         let girth = derive_girth(live_rows, &final_topo.to_adjacency());
@@ -227,11 +223,6 @@ impl RouteTable {
             }
             digests.push(row_digest(v, &cells[v * n..]));
         }
-        let policy = if result.stats.recompute_fallbacks > 0 {
-            RebuildPolicy::RecomputeFallback
-        } else {
-            RebuildPolicy::Repaired
-        };
         Ok(RouteTable {
             n,
             epoch,
@@ -241,7 +232,7 @@ impl RouteTable {
             centers: Vec::new(),
             girth,
             digests,
-            policy,
+            policy: RebuildPolicy::Repaired,
             stats: result.stats,
             certificate: result.certificate.clone(),
             checksum: 0,
@@ -757,10 +748,10 @@ mod tests {
 
 #[cfg(test)]
 mod churn_tests {
-    //! Tables × churn: a table built from a *post-repair* run must serve
-    //! the mutated graph's oracle, and its paths must walk edges of the
-    //! *mutated* graph — the repaired next-hop tree is a real shortest-path
-    //! forest on the new graph, not a stale copy of the old one.
+    //! Tables × churn: a table built from a churned run must serve the
+    //! mutated graph's oracle, and its paths must walk edges of the
+    //! *mutated* graph — the next-hop tree is a real shortest-path forest
+    //! on the new graph, not a stale copy of the old one.
 
     use super::*;
     use crate::{apsp, churned_graph, Obs};

@@ -250,13 +250,14 @@ fn kernel_hot_path_stays_within_its_allocation_budget() {
         );
     }
 
-    // The repair path: a single-edge republish (remove an edge, put it
-    // back once the run has converged) allocates per node too — the level
-    // index, its block pool and the neighbour table are sized once and
-    // recycled. Per-port level lists and per-port cache rows cost 43, 45
-    // and 36 calls per node on these graphs; the shared index 24, 26, 27
-    // (22, 24, 26 on the one-buffer send path, 18, 20, 22 with the rows
-    // dealt out of the run's matrices).
+    // The churned path: a single-edge republish plan (remove an edge, put
+    // it back), applied before the distance-vector run, allocates per node
+    // too — the level index, its block pool and the neighbour table are
+    // sized once and recycled. Per-port level lists and per-port cache
+    // rows cost 43, 45 and 36 calls per node on these graphs; the shared
+    // index 24, 26, 27 (22, 24, 26 on the one-buffer send path, 18, 20, 22
+    // with the rows dealt out of the run's matrices, 17, 19, 21 once the
+    // plan stopped landing mid-run).
     let repair = |g: &Graph| {
         let (u, v) = g.edges().nth(5).expect("six edges");
         let plan = TopologyPlan::new()
@@ -287,12 +288,10 @@ fn kernel_hot_path_stays_within_its_allocation_budget() {
     }
 
     // A hub must not pay for sharing: the star's centre keeps one
-    // 129-port block per live level and gains a port when its spoke
-    // returns. With per-port queues and rows the run requested 924 838
-    // bytes (7.1 KB per node); the budget is that plus 10 %, which a
-    // table re-laid whole for the one new port (+268 KB) would break
-    // (measured: 897 922; 642 194 with the rows dealt out of the run's
-    // matrices).
+    // 129-port block per live level. With per-port queues and rows the run
+    // requested 924 838 bytes (7.1 KB per node); the budget is that plus
+    // 10 % (measured: 897 922; 642 194 with the rows dealt out of the
+    // run's matrices; 564 736 once the plan stopped landing mid-run).
     const PER_PORT_QUEUES: u64 = 924_838;
     let (calls, bytes, messages) = repair(&generators::star(130));
     println!("repair star(130): {calls} calls, {bytes} bytes, {messages} messages");

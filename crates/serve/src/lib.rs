@@ -15,10 +15,11 @@
 //!   atomic snapshot swap: one brief read-lock per `load()`, lock-free
 //!   queries on the loaded snapshot; a reader mid-batch keeps its snapshot
 //!   alive and consistent no matter how many republishes happen meanwhile.
-//! * **Control plane** — [`RouteService`]: owns the live graph, applies
-//!   [`TopologyPlan`](dapsp_congest::TopologyPlan)s through the churn
-//!   track (a cold distance-vector rerun with the plan's events mid-run,
-//!   see [`RouteService::apply`]), and publishes each table as a new epoch.
+//! * **Control plane** — [`RouteService`]: owns the served topology,
+//!   applies [`TopologyPlan`](dapsp_congest::TopologyPlan)s between runs
+//!   (the plan edits the topology, then a cold distance vector runs once on
+//!   the result, see [`RouteService::apply`]), and publishes each table as
+//!   a new epoch.
 //!   [`RouteService::spawn`] moves it onto a background thread driven
 //!   through a [`RouteServiceController`], so recomputes never run on a
 //!   reader thread.

@@ -1,12 +1,12 @@
 //! The write side: building the initial snapshot, applying topology
-//! changes through the churn track, and (optionally) a background
-//! control-plane thread that does both off the readers' path.
+//! changes between runs, and (optionally) a background control-plane
+//! thread that does both off the readers' path.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use dapsp_congest::{churned_topology, Config, TopologyPlan};
+use dapsp_congest::{churned_topology, Config, Topology, TopologyPlan};
 use dapsp_core::apsp;
 use dapsp_core::churned::graph_of;
 use dapsp_core::routing::RouteTable;
@@ -16,9 +16,9 @@ use dapsp_graph::Graph;
 use crate::error::ServeError;
 use crate::handle::ServeHandle;
 
-/// The control plane of the serving layer: owns the live graph, runs the
-/// distributed computation, and publishes [`RouteTable`] snapshots to its
-/// [`ServeHandle`].
+/// The control plane of the serving layer: owns the live topology, runs
+/// the distributed computation, and publishes [`RouteTable`] snapshots to
+/// its [`ServeHandle`].
 ///
 /// Use it synchronously — [`build`](Self::build), then
 /// [`apply`](Self::apply) per topology change — or hand it to a
@@ -28,6 +28,10 @@ use crate::handle::ServeHandle;
 /// service.
 #[derive(Debug)]
 pub struct RouteService {
+    /// The served network, with a presence bit per node: a node a plan
+    /// removed stays absent until a later plan re-joins it.
+    topology: Topology,
+    /// `topology` as a graph, absent nodes isolated.
     graph: Graph,
     epoch: u64,
     threads: usize,
@@ -57,9 +61,11 @@ impl RouteService {
     ///
     /// Same as [`build`](Self::build).
     pub fn with_threads(graph: &Graph, threads: usize) -> Result<RouteService, ServeError> {
-        let result = apsp::run_on_obs(&graph.to_topology(), obs_for(threads))?;
+        let topology = graph.to_topology();
+        let result = apsp::run_on_obs(&topology, obs_for(threads))?;
         let handle = ServeHandle::new(Arc::new(RouteTable::from_apsp(result, 0)));
         Ok(RouteService {
+            topology,
             graph: graph.clone(),
             epoch: 0,
             threads,
@@ -77,40 +83,39 @@ impl RouteService {
         self.epoch
     }
 
-    /// The graph the latest snapshot serves.
+    /// The graph the latest snapshot serves (a removed node as an
+    /// isolated vertex).
     pub fn graph(&self) -> &Graph {
         &self.graph
     }
 
-    /// Applies a topology change: reruns the computation under `plan`
-    /// through the churn track, compacts the result against the post-churn
-    /// topology, and atomically publishes it as epoch `+1`. Readers keep
-    /// the old snapshot until the new one is fully built.
+    /// Applies a topology change between runs: `plan` edits the served
+    /// topology on the host, [`apsp::run_churned_on`] runs once on the
+    /// result, and the table it compacts to is atomically published as
+    /// epoch `+1`. Readers keep the old snapshot until the new one is fully
+    /// built. A node the plan removes stays absent in later epochs until a
+    /// later plan re-joins it.
     ///
-    /// The rerun starts from nothing: no prior table is passed in, so
-    /// [`apsp::run_churned_on`] boots a cold `n`-slot distance vector on
-    /// the *old* topology, with the plan's events landing mid-run (and the
-    /// adaptive full-recompute fallback on large batches). Its cost is that
-    /// of a cold distance-vector run, not of the change; warm start from the
-    /// served table is open (ROADMAP.md item 3, structural repair).
+    /// The rerun starts from nothing: no prior table is passed in, so the
+    /// run is a cold `n`-slot distance vector on the post-change topology.
+    /// Its cost is that of that run, not of the change; recomputing only
+    /// the affected rows is open (ROADMAP.md item 3).
     ///
     /// # Errors
     ///
     /// [`ServeError::Core`] when the plan does not apply cleanly, the run
-    /// fails, or the repaired result cannot back a full routing table. The
-    /// published snapshot and the service's graph are unchanged on error.
+    /// fails, or its result cannot back a full routing table. The published
+    /// snapshot and the service's topology are unchanged on error.
     pub fn apply(&mut self, plan: &TopologyPlan) -> Result<Arc<RouteTable>, ServeError> {
-        let topo = self.graph.to_topology();
-        // Validate the whole plan before spending the run: the engine
-        // would only reject a bad event when its round comes up.
-        let final_topo = churned_topology(&topo, plan).map_err(CoreError::from)?;
-        let repaired = apsp::run_churned_on(&topo, plan, obs_for(self.threads))?;
+        let final_topo = churned_topology(&self.topology, plan).map_err(CoreError::from)?;
+        let result = apsp::run_churned_on(&self.topology, plan, obs_for(self.threads))?;
         let table = Arc::new(RouteTable::from_churned(
-            &repaired,
+            &result,
             &final_topo,
             self.epoch + 1,
         )?);
         self.graph = graph_of(&final_topo);
+        self.topology = final_topo;
         self.epoch += 1;
         self.handle.publish(Arc::clone(&table));
         Ok(table)
@@ -331,23 +336,22 @@ mod tests {
     }
 
     #[test]
-    fn a_far_future_event_is_refused_before_the_run() {
-        // Past the round limit the run could only idle (or overflow its
-        // stretched limit): refused up front, nothing published.
+    fn a_far_future_event_applies_like_a_round_one_event() {
+        // A plan's rounds only order its events: none is too late.
         let g = generators::path(6);
-        let mut service = RouteService::build(&g).unwrap();
-        let handle = service.handle();
-        let before = handle.load();
         let limit = Config::for_n(6).max_rounds;
-        for round in [u64::MAX, limit + 1] {
+        let mut tables = Vec::new();
+        for round in [1, limit + 1, u64::MAX] {
+            let mut service = RouteService::build(&g).unwrap();
             let plan = TopologyPlan::new().with_remove(round, 0, 1);
-            let err = service.apply(&plan).unwrap_err();
-            let refused = matches!(err, ServeError::Core(CoreError::InvalidParameter(_)));
-            assert!(refused, "round {round}: {err:?}");
-            assert_eq!((service.epoch(), handle.epoch()), (0, 0));
-            assert!(Arc::ptr_eq(&handle.load(), &before));
-            assert_eq!(*service.graph(), g);
+            tables.push(service.apply(&plan).unwrap());
+            assert_eq!(*service.graph(), churned_graph(&g, &plan).unwrap());
         }
+        for t in &tables[1..] {
+            assert_eq!(t.checksum(), tables[0].checksum());
+            assert_eq!(t.stats(), tables[0].stats());
+        }
+        assert_eq!(tables[0].dist(0, 1), None);
     }
 
     #[test]
@@ -392,7 +396,6 @@ mod tests {
             .with_insert(12, 2, 3);
         let table = service.apply(&plan).unwrap();
         assert_eq!(*service.graph(), g);
-        assert_eq!(table.stats().dropped, 0);
         let oracle = reference::apsp(&g);
         for s in 0..4u32 {
             for d in 0..4u32 {
@@ -403,6 +406,39 @@ mod tests {
         assert_eq!(handle.path(3, 0), Some(vec![3, 2, 1, 0]));
         assert_eq!(table.diameter(), Some(3));
         assert!(table.verify());
+    }
+
+    #[test]
+    fn a_crashed_node_stays_absent_across_epochs() {
+        // A node a plan removes is gone from every later epoch, not only
+        // the next one: a later, unrelated plan must not bring it back as
+        // a present, isolated node. Only a join does.
+        let g = generators::cycle(5);
+        let mut service = RouteService::build(&g).unwrap();
+        let handle = service.handle();
+        service
+            .apply(&TopologyPlan::new().with_crash(1, 3))
+            .unwrap();
+        assert_eq!(handle.dist(3, 3), None);
+        assert_eq!(handle.load().diameter(), Some(3));
+        let table = service
+            .apply(&TopologyPlan::new().with_insert(1, 0, 2))
+            .unwrap();
+        assert_eq!(handle.dist(3, 3), None);
+        assert!(!table.is_present(3));
+        assert_eq!(table.diameter(), Some(2));
+        // Nothing can attach to the absent node until it joins.
+        assert!(service
+            .apply(&TopologyPlan::new().with_insert(1, 2, 3))
+            .is_err());
+        let table = service.apply(&TopologyPlan::new().with_join(1, 3)).unwrap();
+        assert_eq!((handle.dist(3, 3), table.diameter()), (Some(0), None));
+        let back = TopologyPlan::new()
+            .with_insert(1, 2, 3)
+            .with_insert(1, 3, 4);
+        let table = service.apply(&back).unwrap();
+        assert_eq!((handle.dist(3, 0), table.diameter()), (Some(2), Some(2)));
+        assert_eq!(service.epoch(), 4);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! into one flat array of `hops | next hop` cells plus the derived metrics
 //! (eccentricities, centers, girth) and the engine's termination
 //! certificate. The **control plane** is a [`RouteService`] on a
-//! background thread: hand it a [`TopologyPlan`] and it reruns the
-//! computation through the churn track, then publishes the repaired table
-//! by an atomic snapshot swap. Readers keep their `ServeHandle` clones
+//! background thread: hand it a [`TopologyPlan`] and it applies the change
+//! to the network, reruns the computation on the result, then publishes
+//! the new table by an atomic snapshot swap. Readers keep their `ServeHandle` clones
 //! through any number of republishes; a reader mid-batch keeps the
 //! snapshot it loaded — never torn, never blocked.
 //!

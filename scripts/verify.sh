@@ -55,15 +55,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet
 
 echo "==> dapsp-inspect --smoke"
 # Self-check of the trace subsystem end to end: a lossy traced BFS
-# records kernel-attributed events, a churned trace carries its
-# TopologyChange events, `--churn` is refused with bfs and ssp (only APSP
-# has a churned pipeline), a serial-vs-pool stream diff under 15% loss is
+# records kernel-attributed events, a churned APSP trace equals the static
+# trace of the churned graph (same event count, no drops: the plan applies
+# before the run), a serial-vs-pool stream diff under 15% loss is
 # bit-identical, and the Perfetto export is well-formed.
 cargo run --offline --release -p dapsp-bench --bin dapsp-inspect -- --smoke
 
 echo "==> dapsp-inspect summary over a churned trace"
-# A churned APSP run under the trace recorder: the summary must render
-# the plan's TopologyChange events in a full-size summary.
+# A churned APSP run under the trace recorder, full size: `--churn 2`
+# applies its plan to the graph before the run, on the pool executor.
 cargo run --offline --release -p dapsp-bench --bin dapsp-inspect -- \
     summary --workload apsp --family regular6 --n 32 --churn 2 --threads 2
 
