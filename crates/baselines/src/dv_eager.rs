@@ -11,10 +11,11 @@
 
 use dapsp_congest::{
     bits_for_count, bits_for_id, Config, Inbox, Message, NodeAlgorithm, NodeContext, Outbox, Port,
+    Simulator,
 };
 use dapsp_graph::{DistanceMatrix, Graph, INFINITY};
 
-use dapsp_core::{run_algorithm_on, CoreError};
+use dapsp_core::CoreError;
 
 use crate::BaselineResult;
 
@@ -121,7 +122,7 @@ pub fn distance_vector_eager(graph: &Graph) -> Result<BaselineResult, CoreError>
     if n == 0 {
         return Err(CoreError::EmptyGraph);
     }
-    let report = run_algorithm_on(
+    let report = Simulator::new(
         &graph.to_topology(),
         Config::for_n(n).with_max_rounds(64 * (n as u64) * (n as u64) + 1000),
         |ctx| EagerNode {
@@ -129,7 +130,8 @@ pub fn distance_vector_eager(graph: &Graph) -> Result<BaselineResult, CoreError>
             dist: vec![INFINITY; n],
             pending: vec![std::collections::BTreeSet::new(); ctx.degree()],
         },
-    )?;
+    )
+    .run()?;
     let mut distances = DistanceMatrix::new(n);
     for (v, row) in report.outputs.iter().enumerate() {
         if row.contains(&INFINITY) {
@@ -196,7 +198,7 @@ mod width_tests {
     #[test]
     fn update_width_fits_the_budget() {
         for n in [2usize, 100, 1 << 16] {
-            let budget = Config::for_n(n).message_budget.unwrap();
+            let budget = Config::for_n(n).bandwidth_bits;
             let far = Update {
                 id: n as u32 - 1,
                 dist: n as u32 - 1,

@@ -11,10 +11,11 @@
 
 use dapsp_congest::{
     bits_for_count, bits_for_id, Config, Inbox, Message, NodeAlgorithm, NodeContext, Outbox, Port,
+    Simulator,
 };
 use dapsp_graph::{DistanceMatrix, Graph, INFINITY};
 
-use dapsp_core::{run_algorithm_on, CoreError};
+use dapsp_core::CoreError;
 
 use crate::BaselineResult;
 
@@ -116,7 +117,7 @@ pub fn distance_vector(graph: &Graph) -> Result<BaselineResult, CoreError> {
     // The protocol has no termination detection; give it a budget that is
     // provably enough and measure the actual convergence round.
     let budget = (n as u64) * (n as u64 + 2) + 2 * n as u64;
-    let report = run_algorithm_on(
+    let report = Simulator::new(
         &graph.to_topology(),
         Config::for_n(n).with_max_rounds(budget + 10),
         |ctx| {
@@ -133,7 +134,8 @@ pub fn distance_vector(graph: &Graph) -> Result<BaselineResult, CoreError> {
                 last_change: 0,
             }
         },
-    )?;
+    )
+    .run()?;
     let mut distances = DistanceMatrix::new(n);
     let mut converged = 0;
     for (v, (row, last_change)) in report.outputs.iter().enumerate() {
@@ -205,7 +207,7 @@ mod width_tests {
     #[test]
     fn entry_width_fits_the_budget() {
         for n in [2usize, 100, 1 << 16] {
-            let budget = Config::for_n(n).message_budget.unwrap();
+            let budget = Config::for_n(n).bandwidth_bits;
             let entry = Entry {
                 id: n as u32 - 1,
                 dist: n as u32 - 1,

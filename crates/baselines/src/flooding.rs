@@ -11,11 +11,11 @@
 //! computation is free local work (each node knows the whole graph).
 
 use dapsp_congest::{
-    bits_for_id, Config, Inbox, Message, NodeAlgorithm, NodeContext, Outbox, Port,
+    bits_for_id, Config, Inbox, Message, NodeAlgorithm, NodeContext, Outbox, Port, Simulator,
 };
 use dapsp_graph::{Graph, INFINITY};
 
-use dapsp_core::{run_algorithm_on, CoreError};
+use dapsp_core::CoreError;
 
 use crate::BaselineResult;
 
@@ -116,7 +116,7 @@ pub fn link_state(graph: &Graph) -> Result<BaselineResult, CoreError> {
         return Err(CoreError::EmptyGraph);
     }
     let m = graph.num_edges() as u64;
-    let report = run_algorithm_on(
+    let report = Simulator::new(
         &graph.to_topology(),
         Config::for_n(n).with_max_rounds(4 * m + 16 * n as u64 + 100),
         |ctx| FloodNode {
@@ -124,7 +124,8 @@ pub fn link_state(graph: &Graph) -> Result<BaselineResult, CoreError> {
             known: Default::default(),
             pending: vec![Default::default(); ctx.degree()],
         },
-    )?;
+    )
+    .run()?;
     // Every node must have learned the full topology.
     for known in &report.outputs {
         if known.len() as u64 != m {
@@ -196,7 +197,7 @@ mod width_tests {
     #[test]
     fn edge_record_width_fits_the_budget() {
         for n in [2usize, 100, 1 << 16] {
-            let budget = Config::for_n(n).message_budget.unwrap();
+            let budget = Config::for_n(n).bandwidth_bits;
             let record = EdgeRecord {
                 u: n as u32 - 2,
                 v: n as u32 - 1,

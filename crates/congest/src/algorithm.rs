@@ -20,7 +20,8 @@ use crate::node::{Inbox, NodeContext, Outbox};
 ///   absent node therefore vetoes a unanimous shutdown.
 ///
 /// The variants are ordered `Active < Passive < Shutdown`; composite
-/// algorithms (e.g. protocol stacks) combine component votes with `min`.
+/// algorithms (e.g. two kernels sharing a node) combine component votes
+/// with `min`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Quiescence {
     /// The node may still act spontaneously — the run must continue.

@@ -1,5 +1,6 @@
 //! Simulation parameters.
 
+use crate::error::SimError;
 use crate::message::bits_for_id;
 use crate::obs::ObserverHandle;
 
@@ -180,6 +181,27 @@ impl FaultPlan {
         nodes.dedup();
         nodes
     }
+
+    /// Refuses a plan no run can honour: a loss probability that is NaN
+    /// or outside `[0, 1]`, or a crash window naming a node outside the
+    /// `num_nodes`-node network. Both engines call this before round 0.
+    pub(crate) fn check(&self, num_nodes: usize) -> Result<(), SimError> {
+        for rule in &self.losses {
+            let (LossRule::Uniform { probability } | LossRule::Burst { probability, .. }) = *rule;
+            if !(0.0..=1.0).contains(&probability) {
+                return Err(SimError::InvalidFaultPlan(format!(
+                    "loss probability {probability} is not in [0, 1]"
+                )));
+            }
+        }
+        match self.crashes.iter().find(|w| w.node as usize >= num_nodes) {
+            Some(w) => Err(SimError::InvalidFaultPlan(format!(
+                "a crash window names node {}, outside the {num_nodes}-node network",
+                w.node
+            ))),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Why the engine discarded a message (see
@@ -349,15 +371,6 @@ impl ExecutorKind {
 pub struct Config {
     /// Per-edge, per-direction, per-round bandwidth `B` in bits.
     pub bandwidth_bits: u32,
-    /// The CONGEST contract `B = c·⌈log₂ n⌉ + O(1)` as an *enforced*
-    /// invariant: in builds with debug assertions, the engine panics if any
-    /// message's declared width exceeds this budget (both executors check
-    /// it at the single validation point every message passes through).
-    /// `None` disables the check. [`Config::for_n`] sets it to the
-    /// bandwidth, and [`Config::with_bandwidth_bits`] keeps the two in
-    /// sync; decouple them with [`Config::with_message_budget`] to assert
-    /// a budget tighter than the transport allows.
-    pub message_budget: Option<u32>,
     /// Hard cap on the number of rounds; exceeding it aborts the run with
     /// [`SimError::RoundLimitExceeded`](crate::SimError::RoundLimitExceeded).
     pub max_rounds: u64,
@@ -394,7 +407,6 @@ pub struct Config {
 impl PartialEq for Config {
     fn eq(&self, other: &Self) -> bool {
         self.bandwidth_bits == other.bandwidth_bits
-            && self.message_budget == other.message_budget
             && self.max_rounds == other.max_rounds
             && self.faults == other.faults
             && self.executor == other.executor
@@ -415,7 +427,6 @@ impl Config {
     pub fn for_n(n: usize) -> Self {
         Config {
             bandwidth_bits: 2 * bits_for_id(n) + 8,
-            message_budget: Some(2 * bits_for_id(n) + 8),
             max_rounds: 10_000u64.max(64 * n as u64),
             faults: None,
             executor: ExecutorKind::Serial,
@@ -426,21 +437,8 @@ impl Config {
     }
 
     /// Overrides the bandwidth `B` (bits per edge-direction per round).
-    ///
-    /// The debug-build message budget follows the bandwidth (workloads that
-    /// widen `B` for fixed-width tokens stay consistent); set a tighter
-    /// budget afterwards with [`Config::with_message_budget`].
     pub fn with_bandwidth_bits(mut self, bits: u32) -> Self {
         self.bandwidth_bits = bits;
-        self.message_budget = Some(bits);
-        self
-    }
-
-    /// Overrides the debug-build message-width budget independently of the
-    /// transport bandwidth (`None` disables the check). See
-    /// [`Config::message_budget`].
-    pub fn with_message_budget(mut self, budget: Option<u32>) -> Self {
-        self.message_budget = budget;
         self
     }
 
@@ -582,24 +580,6 @@ mod tests {
             .with_observer(SharedObserver::new(MetricsRecorder::new()).observer());
         assert_eq!(base, watched);
         assert_ne!(base, base.clone().with_phase("bfs"));
-    }
-
-    #[test]
-    fn message_budget_follows_bandwidth_until_decoupled() {
-        let n = 1 << 10;
-        let c = Config::for_n(n);
-        assert_eq!(c.message_budget, Some(c.bandwidth_bits));
-        let widened = c.clone().with_bandwidth_bits(64);
-        assert_eq!(widened.message_budget, Some(64));
-        let tight = widened.with_message_budget(Some(20));
-        assert_eq!(tight.bandwidth_bits, 64);
-        assert_eq!(tight.message_budget, Some(20));
-        assert_eq!(
-            Config::for_n(n).with_message_budget(None).message_budget,
-            None
-        );
-        // Budget participates in semantic equality.
-        assert_ne!(Config::for_n(n), Config::for_n(n).with_message_budget(None));
     }
 
     #[test]

@@ -80,23 +80,18 @@ impl DupScratch {
     }
 }
 
-/// The per-message size discipline both executors enforce: the hard
-/// transport bandwidth, plus the debug-build `B = O(log n)` budget
-/// ([`Config::message_budget`](crate::Config::message_budget)). Copied out
-/// of the config once per run so workers don't borrow it.
+/// The per-message size discipline both executors enforce: the transport
+/// bandwidth `B`. Copied out of the config once per run so workers don't
+/// borrow it.
 #[derive(Clone, Copy)]
 pub(crate) struct Limits {
     pub(crate) bandwidth_bits: u32,
-    // Only consulted by the debug-assertion budget check below.
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    pub(crate) message_budget: Option<u32>,
 }
 
 impl Limits {
     pub(crate) fn of(config: &crate::config::Config) -> Self {
         Limits {
             bandwidth_bits: config.bandwidth_bits,
-            message_budget: config.message_budget,
         }
     }
 }
@@ -191,19 +186,6 @@ impl<'a> Sender<'a> {
                 message_bits: bits,
                 bandwidth_bits: self.limits.bandwidth_bits,
             });
-        }
-        // The CONGEST `B = O(log n)` contract as a debug-build assertion. It
-        // sits *after* the bandwidth check on purpose: a message too large for
-        // the transport still reports the typed error, while one that fits the
-        // transport but overruns the declared budget is a protocol bug and
-        // fails the test run loudly.
-        #[cfg(debug_assertions)]
-        if let Some(budget) = self.limits.message_budget {
-            assert!(
-                bits <= budget,
-                "message budget exceeded: node {v} sent {bits} bits on port {port} in round \
-                 {send_round}, over the B = O(log n) budget of {budget} bits ({msg:?})"
-            );
         }
         if let Some(plan) = self.faults {
             if plan.drops(send_round, v, port) {

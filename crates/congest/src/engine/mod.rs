@@ -517,14 +517,19 @@ impl<'t, A: NodeAlgorithm> Simulator<'t, A> {
     ///
     /// # Errors
     ///
-    /// Propagates any bandwidth/port violation committed by a node, and
-    /// returns [`SimError::RoundLimitExceeded`] if the run does not quiesce
-    /// within [`Config::max_rounds`].
+    /// Returns [`SimError::InvalidFaultPlan`] before round 0 for a fault
+    /// plan that cannot apply to the network, propagates any
+    /// bandwidth/port violation committed by a node, and returns
+    /// [`SimError::RoundLimitExceeded`] if the run does not quiesce within
+    /// [`Config::max_rounds`].
     pub fn run(mut self) -> Result<Report<A::Output>, SimError>
     where
         A: Send,
         A::Message: Send,
     {
+        if let Some(plan) = &self.core.config.faults {
+            plan.check(self.core.topology.num_nodes())?;
+        }
         let started = std::time::Instant::now();
         if let Some(obs) = &self.core.config.observer {
             obs.lock().on_event(&TraceEvent::RunStart {
@@ -982,67 +987,6 @@ mod tests {
         // A message carrying two ids must fit the default config.
         let n = 1000;
         assert!(2 * bits_for_id(n) <= Config::for_n(n).bandwidth_bits);
-    }
-
-    /// A message that fits the transport but overruns the declared
-    /// `B = O(log n)` budget is a protocol bug: debug builds must fail the
-    /// run loudly at the validation point (serial executor).
-    #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "message budget exceeded"))]
-    fn budget_overrun_panics_in_debug_builds_serial() {
-        let topo = path(3);
-        let cfg = Config::for_n(3)
-            .with_bandwidth_bits(64)
-            .with_message_budget(Some(0));
-        let sim = Simulator::new(&topo, cfg, |_| Flood { seen_round: None });
-        let _ = sim.run();
-    }
-
-    /// The same check must execute on the pool executor's worker-side
-    /// staging path: the sender sits in the last shard, so its outbox is
-    /// validated by a spawned worker, never on the engine thread.
-    #[test]
-    #[cfg_attr(debug_assertions, should_panic)]
-    fn budget_overrun_panics_in_debug_builds_pool() {
-        struct LateSender {
-            me: NodeId,
-            sent: bool,
-        }
-        impl NodeAlgorithm for LateSender {
-            type Message = Token;
-            type Output = ();
-            fn on_round(&mut self, _: &NodeContext<'_>, _: &Inbox<Token>, out: &mut Outbox<Token>) {
-                if self.me == 7 && !self.sent {
-                    self.sent = true;
-                    out.send(0, Token);
-                }
-            }
-            fn is_active(&self) -> bool {
-                self.me == 7 && !self.sent
-            }
-            fn into_output(self, _: &NodeContext<'_>) {}
-        }
-        let topo = path(8);
-        let cfg = Config::for_n(8)
-            .with_bandwidth_bits(64)
-            .with_message_budget(Some(0))
-            .with_threads(2);
-        let sim = Simulator::new(&topo, cfg, |ctx| LateSender {
-            me: ctx.node_id(),
-            sent: false,
-        });
-        let _ = sim.run();
-    }
-
-    /// Disabling the budget (or keeping it at the bandwidth) lets the same
-    /// run pass in every build.
-    #[test]
-    fn budget_disabled_or_matching_bandwidth_is_clean() {
-        let topo = path(3);
-        for cfg in [Config::for_n(3).with_message_budget(None), Config::for_n(3)] {
-            let sim = Simulator::new(&topo, cfg, |_| Flood { seen_round: None });
-            assert!(sim.run().is_ok());
-        }
     }
 
     /// Node 0 fires one token per round for 5 rounds; node 1 counts them.

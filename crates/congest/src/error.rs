@@ -45,6 +45,11 @@ pub enum SimError {
         /// The sender's degree.
         degree: usize,
     },
+    /// The run's [`FaultPlan`](crate::FaultPlan) cannot apply to the
+    /// network: a loss probability is NaN or outside `[0, 1]`, or a crash
+    /// window names a node the network does not have. Refused before
+    /// round 0.
+    InvalidFaultPlan(String),
     /// The simulation did not quiesce within the configured round budget.
     RoundLimitExceeded {
         /// The configured budget that was exhausted.
@@ -75,6 +80,7 @@ impl fmt::Display for SimError {
                 f,
                 "node {node} addressed port {port} but has degree {degree}"
             ),
+            SimError::InvalidFaultPlan(why) => write!(f, "invalid fault plan: {why}"),
             SimError::RoundLimitExceeded { limit } => {
                 write!(f, "simulation exceeded the round limit of {limit}")
             }

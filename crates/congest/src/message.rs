@@ -43,20 +43,21 @@ pub trait Message: Clone + std::fmt::Debug {
     /// Per-kernel attribution tags for this message (see [`TraceTags`]).
     /// Plain message types keep the default — one anonymous kernel, no
     /// transport flags. Kernel-layer envelopes override this so observers
-    /// can attribute traffic to individual kernels in a `Stack` and spot
-    /// retransmitted/ack frames.
+    /// can attribute traffic to the kernels sharing a node (Algorithm 1's
+    /// pebble and waves) and spot retransmitted/ack frames.
     fn trace_tags(&self) -> TraceTags {
         TraceTags::default()
     }
 }
 
-/// Observer-facing attribution tags carried by a message: which kernels of
-/// a composed `Stack` contributed components to this frame (a bitmask, bit
-/// *i* = kernel *i* in composition order), and whether the transport layer
-/// marked it as a retransmission or as carrying an acknowledgement.
+/// Observer-facing attribution tags carried by a message: which kernels
+/// sharing a node contributed components to this frame (a bitmask: for
+/// Algorithm 1, bit 0 = the pebble, bit 1 = the waves), and whether the
+/// transport layer marked it as a retransmission or as carrying an
+/// acknowledgement.
 ///
 /// Tags cost **zero wire bits** — they are diagnostic metadata read at the
-/// engine's commit choke point, never encoded into the message budget.
+/// engine's commit choke point, never counted against the bandwidth.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TraceTags {
     /// Bitmask of kernel slots present in this frame. A plain (non-kernel)
@@ -134,7 +135,7 @@ impl Width {
 ///
 /// Kernels produce payloads; the host wraps each one in an `Envelope`
 /// whose `width` was computed through [`Width`], so the engine's bandwidth
-/// and budget checks see an honest per-message bit count without the
+/// check sees an honest per-message bit count without the
 /// payload type itself having to implement [`Message`].
 #[derive(Clone, Debug)]
 pub struct Envelope<P> {

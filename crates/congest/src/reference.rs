@@ -176,10 +176,14 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
     ///
     /// # Errors
     ///
-    /// The first bandwidth, port or plan violation, or
-    /// [`SimError::RoundLimitExceeded`] past [`Config::max_rounds`].
+    /// A fault plan that cannot apply to the network, the first bandwidth
+    /// or port violation, or [`SimError::RoundLimitExceeded`] past
+    /// [`Config::max_rounds`].
     pub fn run(mut self) -> Result<Report<A::Output>, SimError> {
         let (started, n) = (std::time::Instant::now(), self.nodes.len());
+        if let Some(plan) = &self.config.faults {
+            plan.check(n)?;
+        }
         let boots: Vec<usize> = (0..n).filter(|&v| !self.crashed(0, v)).collect();
         let started_nodes = boots.len() as u64;
         self.emit(TraceEvent::RunStart {

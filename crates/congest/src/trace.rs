@@ -324,9 +324,9 @@ impl<T> Ring<T> {
 }
 
 /// Run-lifetime totals attributed to one kernel presence mask (see
-/// [`TraceTags::kernels`]); bit *i* names kernel *i* of the composed
-/// stack, and a mask with several bits set is a merged frame those kernels
-/// shared.
+/// [`TraceTags::kernels`]); bit *i* names kernel *i* of the node's
+/// protocol, and a mask with several bits set is a merged frame those
+/// kernels shared.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelCounters {
     /// Messages committed.
@@ -867,7 +867,7 @@ mod tests {
 
     /// Balanced JSON on both track layouts; exported by kernel, a reliable
     /// run's retransmit / ack instants sit on the track of their own
-    /// frame's mask — the wrapped stack's mask for a resent payload, 0 for
+    /// frame's mask — the wrapped protocol's mask for a resent payload, 0 for
     /// a bare ack — and by node on their sender's.
     #[test]
     fn perfetto_export_is_balanced_json() {

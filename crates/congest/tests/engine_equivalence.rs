@@ -840,3 +840,69 @@ fn crash_windows_keep_edges() {
     assert_eq!(report.stats.dropped, 2);
     assert_eq!(report.stats.messages, 3, "post-window pings deliver");
 }
+
+/// A fault plan that names a node the network does not have, or whose
+/// loss probability is NaN or outside `[0, 1]`, is refused before round 0
+/// by both engines with one typed error — not run with a phantom crash
+/// booked every round, or with a NaN that silently drops nothing. The
+/// same plans on a network that has the node, with a probability in
+/// range, run.
+#[test]
+fn fault_plans_that_cannot_apply_are_refused_by_both_engines() {
+    let topo = Topology::from_adjacency(vec![vec![1], vec![0]]).expect("valid");
+    let bad = [
+        FaultPlan::uniform_loss(0.0, 1).with_crash(2, 0, 1_000_000),
+        FaultPlan::uniform_loss(f64::NAN, 1),
+        FaultPlan::uniform_loss(1.5, 1),
+        FaultPlan::uniform_loss(-0.1, 1),
+        FaultPlan::new(1).with_rule(LossRule::Burst {
+            probability: f64::NAN,
+            period: 4,
+            len: 2,
+        }),
+    ];
+    let good = [
+        FaultPlan::uniform_loss(0.0, 1).with_crash(1, 0, 3),
+        FaultPlan::uniform_loss(1.0, 1),
+    ];
+    let pinger = |ctx: &NodeContext<'_>| Pinger {
+        remaining: if ctx.node_id() == 0 { 3 } else { 0 },
+    };
+    for (plan, refused) in bad
+        .iter()
+        .map(|p| (p, true))
+        .chain(good.iter().map(|p| (p, false)))
+    {
+        let config = || {
+            let rec = SharedObserver::new(TraceRecorder::new());
+            let config = Config::for_n(2)
+                .with_bandwidth_bits(16)
+                .with_faults(plan.clone())
+                .with_observer(rec.observer());
+            (config, rec)
+        };
+        let (fast, fast_rec) = config();
+        let (dense, dense_rec) = config();
+        let runs = [
+            Simulator::new(&topo, fast, pinger).run().map(|r| r.stats),
+            ReferenceSimulator::new(&topo, dense, pinger)
+                .run()
+                .map(|r| r.stats),
+        ];
+        for (run, rec) in runs.iter().zip([fast_rec, dense_rec]) {
+            if refused {
+                assert!(
+                    matches!(run, Err(dapsp_congest::SimError::InvalidFaultPlan(_))),
+                    "{plan:?}: {run:?}"
+                );
+                assert_eq!(
+                    rec.with(|t| t.total_events()),
+                    0,
+                    "{plan:?}: refused before round 0"
+                );
+            } else {
+                assert!(run.is_ok(), "{plan:?}: {run:?}");
+            }
+        }
+    }
+}

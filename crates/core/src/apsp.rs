@@ -24,40 +24,19 @@
 //! also record *cycle candidates* (two wave receipts for the same root),
 //! which is exactly what Lemma 7 needs to compute the girth.
 
-use dapsp_congest::{
-    churned_topology, NodeContext, RunStats, TerminationCertificate, Topology, TopologyPlan,
-};
+use dapsp_congest::{churned_topology, RunStats, TerminationCertificate, Topology, TopologyPlan};
 use dapsp_graph::{DistanceMatrix, Graph, INFINITY};
 
 use crate::bfs;
 use crate::churned::ChurnedResult;
 use crate::error::CoreError;
 use crate::kernel::{
-    distance_rows, run_phase, Coupling, Deal, PebbleKernel, RepairKernel, Rows, SourceSlots, Stack,
+    distance_rows, run_phase, Deal, PebbleKernel, PebbleWaves, RepairKernel, Rows, SourceSlots,
     WaveKernel, WaveState,
 };
 use crate::observe::Obs;
 use crate::routing::check_table_size;
 use crate::tree::TreeKnowledge;
-
-/// The pebble-to-wave wiring of Algorithm 1: the round the pebble leaves
-/// a first-visited node (after the paper's one-slot wait, or immediately
-/// in the ablation), that node's own `BFS_v` starts — the staggering that
-/// Lemma 1 turns into a congestion-free wave schedule.
-struct StartWaveOnRelease;
-
-impl Coupling<PebbleKernel, WaveKernel<'_>> for StartWaveOnRelease {
-    fn couple(
-        &mut self,
-        _ctx: &NodeContext<'_>,
-        pebble: &mut PebbleKernel,
-        wave: &mut WaveKernel<'_>,
-    ) {
-        if pebble.take_released() {
-            wave.schedule_start();
-        }
-    }
-}
 
 /// The next-hop matrix of an APSP run: one flat row-major `n × n` buffer
 /// of neighbor ids, `u32::MAX` where there is none.
@@ -369,10 +348,9 @@ pub(crate) fn waves(
     // Theorem 1 bounds the fault-free pebble + wave phase by 4n + 10
     // rounds; the reliable horizon pads that.
     let report = run_phase(topology, obs, "apsp:waves", 4 * n as u64 + 16, |ctx| {
-        Stack::coupled(
+        PebbleWaves::new(
             PebbleKernel::new(ctx, &tree, wait_one_slot),
             WaveKernel::all_roots(ctx, max_depth, deal.row(ctx)),
-            StartWaveOnRelease,
         )
     })?;
     Ok(assemble(topology, tree, dist, parent, report))
@@ -387,14 +365,14 @@ fn assemble(
     tree: TreeKnowledge,
     dist: Rows<u32>,
     parent: Rows<u32>,
-    report: dapsp_congest::Report<((), WaveState)>,
+    report: dapsp_congest::Report<WaveState>,
 ) -> ApspResult {
     let n = topology.num_nodes();
     let next_hop = parent.into_next_hops(topology).into_cells();
     let local_girth_candidates: Vec<u32> = report
         .outputs
         .iter()
-        .map(|(_, state)| state.girth_candidate)
+        .map(|state| state.girth_candidate)
         .collect();
     let girth_candidate = local_girth_candidates.iter().copied().min();
     ApspResult {

@@ -16,9 +16,8 @@ use dapsp_congest::Topology;
 use dapsp_graph::INFINITY;
 
 use crate::error::CoreError;
-use crate::kernel::{distance_rows, run_phase, Deal, Rows, WaveKernel, WaveState};
+use crate::kernel::{distance_rows, fold_outputs, run_phase, Deal, Rows, WaveKernel, WaveState};
 use crate::observe::Obs;
-use crate::runner::fold_outputs;
 use crate::tree::TreeKnowledge;
 
 /// The result of one distributed BFS.

@@ -18,14 +18,11 @@
 //! and `k`, so it computes that bound locally in zero rounds and takes it
 //! as the `|S|` of the DOM-SP's `|S| + D₀` horizon.
 
-use dapsp_congest::{
-    bits_for_count, Config, Inbox, Message, NodeAlgorithm, NodeContext, Outbox, Port, RunStats,
-    Topology,
-};
+use dapsp_congest::{NodeContext, Port, RunStats, Topology, Width};
 
 use crate::error::CoreError;
+use crate::kernel::{run_phase, Protocol, Tx};
 use crate::observe::Obs;
-use crate::runner::run_algorithm_on;
 use crate::tree::TreeKnowledge;
 
 /// Convergecast payload: the subtree summary `(need + 1, cover)`, both in
@@ -37,19 +34,10 @@ struct DomMsg {
     need_plus_one: u32,
     /// Min distance to a chosen dominator, capped at `k + 1` (= "too far").
     cover: u32,
-    /// The parameter `k`, fixing both fields' domain `0..=k+1`.
-    k: u32,
 }
 
-impl Message for DomMsg {
-    fn bit_size(&self) -> u32 {
-        // Both fields are fixed-width over `0..=k+1`; charging by the
-        // current values would under-count (a decoder cannot parse two
-        // concatenated variable-width fields without delimiters).
-        2 * bits_for_count(self.k as usize + 1)
-    }
-}
-
+/// One node of the selection convergecast: it reports its subtree's
+/// summary to its parent once every child has reported.
 struct DomNode {
     k: u32,
     parent_port: Option<Port>,
@@ -63,6 +51,19 @@ struct DomNode {
 }
 
 impl DomNode {
+    /// Node `v` of `tree`, selecting a `k`-dominating set.
+    fn new(k: u32, tree: &TreeKnowledge, v: usize) -> Self {
+        DomNode {
+            k,
+            parent_port: tree.parent_port[v],
+            missing_children: tree.children_ports[v].len(),
+            acc_need_plus_one: 0,
+            acc_cover: k + 1,
+            is_dominator: false,
+            done: false,
+        }
+    }
+
     /// Combines children summaries with this node itself and applies the
     /// join rule; returns the summary to report upward.
     fn resolve(&mut self, is_root: bool) -> DomMsg {
@@ -94,52 +95,55 @@ impl DomNode {
         DomMsg {
             need_plus_one,
             cover,
-            k,
         }
     }
 
-    fn absorb(&mut self, msg: &DomMsg) {
+    /// Once every child has reported, resolves this node and reports its
+    /// summary to its parent (the root has none).
+    fn report(&mut self, tx: &mut Tx<DomMsg>) {
+        if !self.done && self.missing_children == 0 {
+            let summary = self.resolve(self.parent_port.is_none());
+            self.done = true;
+            if let Some(p) = self.parent_port {
+                tx.send(p, summary);
+            }
+        }
+    }
+}
+
+impl Protocol for DomNode {
+    type Payload = DomMsg;
+    type Output = bool;
+
+    fn init(&mut self, _ctx: &NodeContext<'_>, tx: &mut Tx<DomMsg>) {
+        self.report(tx);
+    }
+
+    fn on_message(
+        &mut self,
+        _ctx: &NodeContext<'_>,
+        _port: Port,
+        msg: DomMsg,
+        _tx: &mut Tx<DomMsg>,
+    ) {
         self.acc_need_plus_one = self.acc_need_plus_one.max(msg.need_plus_one);
         self.acc_cover = self.acc_cover.min(msg.cover);
         self.missing_children -= 1;
     }
-}
 
-impl NodeAlgorithm for DomNode {
-    type Message = DomMsg;
-    type Output = bool;
-
-    fn on_start(&mut self, _ctx: &NodeContext<'_>, out: &mut Outbox<DomMsg>) {
-        if self.missing_children == 0 {
-            let is_root = self.parent_port.is_none();
-            let summary = self.resolve(is_root);
-            self.done = true;
-            if let Some(p) = self.parent_port {
-                out.send(p, summary);
-            }
-        }
+    fn on_round_end(&mut self, _ctx: &NodeContext<'_>, tx: &mut Tx<DomMsg>) {
+        self.report(tx);
     }
 
-    fn on_round(
-        &mut self,
-        _ctx: &NodeContext<'_>,
-        inbox: &Inbox<DomMsg>,
-        out: &mut Outbox<DomMsg>,
-    ) {
-        for (_port, msg) in inbox.iter() {
-            self.absorb(msg);
-        }
-        if !self.done && self.missing_children == 0 {
-            let is_root = self.parent_port.is_none();
-            let summary = self.resolve(is_root);
-            self.done = true;
-            if let Some(p) = self.parent_port {
-                out.send(p, summary);
-            }
-        }
+    fn width(&self, _msg: &DomMsg) -> Width {
+        // Both fields are fixed-width over `0..=k+1`; charging by the
+        // current values would under-count (a decoder cannot parse two
+        // concatenated variable-width fields without delimiters).
+        let domain = self.k as usize + 1;
+        Width::ZERO.count(domain).count(domain)
     }
 
-    fn into_output(self, _ctx: &NodeContext<'_>) -> bool {
+    fn finish(self, _ctx: &NodeContext<'_>) -> bool {
         self.is_dominator
     }
 }
@@ -178,10 +182,10 @@ impl DominatingResult {
 ///
 /// * [`CoreError::EmptyGraph`] on an empty graph.
 /// * [`CoreError::InvalidParameter`] if `tree` is not a rooted spanning
-///   tree of the graph (e.g. a tree taken from another graph), or if `obs`
-///   carries a fault plan — the selection is a raw node algorithm the
-///   reliable transport cannot wrap.
-/// * [`CoreError::Sim`] on simulator failures.
+///   tree of the graph (e.g. a tree taken from another graph).
+/// * [`CoreError::Sim`] on simulator failures; under a fault plan, a link
+///   no retransmission budget gets a frame through ends the run in a
+///   round-limit error, never in a wrong set.
 ///
 /// # Examples
 ///
@@ -205,7 +209,6 @@ pub fn run_on_obs(
     k: u32,
     obs: Obs<'_>,
 ) -> Result<DominatingResult, CoreError> {
-    obs.reject_faults("dom:select")?;
     let n = topology.num_nodes();
     if n == 0 {
         return Err(CoreError::EmptyGraph);
@@ -215,18 +218,10 @@ pub fn run_on_obs(
     // selects the same set; clamping keeps `k + 1` and the message width
     // bounded.
     let k = k.min(n as u32 - 1);
-    let config = obs.apply(Config::for_n(n), "dom:select");
-    let report = run_algorithm_on(topology, config, |ctx| {
-        let v = ctx.node_id() as usize;
-        DomNode {
-            k,
-            parent_port: tree.parent_port[v],
-            missing_children: tree.children_ports[v].len(),
-            acc_need_plus_one: 0,
-            acc_cover: k + 1,
-            is_dominator: false,
-            done: false,
-        }
+    // One convergecast: depth(T_1) + 1 rounds, padded for the reliable
+    // horizon.
+    let report = run_phase(topology, obs, "dom:select", n as u64 + 4, |ctx| {
+        DomNode::new(k, tree, ctx.node_id() as usize)
     })?;
     let members = report.outputs;
     Ok(DominatingResult {
@@ -368,29 +363,33 @@ mod tests {
 #[cfg(test)]
 mod width_tests {
     use super::*;
+    use dapsp_congest::Config;
 
-    /// Worst-case summaries fit the budget `B = 2⌈log₂ n⌉ + 8` even for
+    /// Worst-case summaries fit the bandwidth `B = 2⌈log₂ n⌉ + 8` even for
     /// `k = n`, and the width is fixed by the domain `0..=k+1`, not by the
     /// current field values.
     #[test]
     fn worst_case_width_fits_the_budget() {
+        let tree = TreeKnowledge {
+            root: 0,
+            parent_port: vec![None],
+            children_ports: vec![Vec::new()],
+        };
         for n in [4usize, 100, 1 << 16] {
-            let budget = Config::for_n(n).message_budget.unwrap();
-            let k = n as u32;
+            let budget = Config::for_n(n).bandwidth_bits;
+            let node = DomNode::new(n as u32, &tree, 0);
             let worst = DomMsg {
-                need_plus_one: k + 1,
-                cover: k + 1,
-                k,
+                need_plus_one: n as u32 + 1,
+                cover: n as u32 + 1,
             };
-            assert!(worst.bit_size() <= budget, "n={n}");
+            assert!(node.width(&worst).bits() <= budget, "n={n}");
             let idle = DomMsg {
                 need_plus_one: 0,
                 cover: 0,
-                k,
             };
             assert_eq!(
-                idle.bit_size(),
-                worst.bit_size(),
+                node.width(&idle),
+                node.width(&worst),
                 "width must be domain-fixed"
             );
         }

@@ -130,7 +130,7 @@ mod width_tests {
     #[test]
     fn crate_range_partials_fit_the_budget() {
         for n in [2usize, 10, 100, 1 << 16] {
-            let budget = Config::for_n(n).message_budget.unwrap();
+            let budget = Config::for_n(n).bandwidth_bits;
             let k = ConvergecastKernel {
                 op: AggOp::Sum,
                 acc: 0,

@@ -28,31 +28,32 @@
 //!   topology a [`TopologyPlan`](dapsp_congest::TopologyPlan) leaves
 //!   behind (disconnected ones included).
 //! * [`ReliableKernel`] — a bounded-horizon synchronizer giving any
-//!   kernel (or stack of kernels) exact fault-free semantics over links a
+//!   protocol exact fault-free semantics over links a
 //!   [`FaultPlan`](dapsp_congest::FaultPlan) adversary drops messages
 //!   from, with per-link stop-and-wait retransmission and acks charged
-//!   against the same `B`-bit budget. No pipeline wraps a kernel itself:
-//!   each runs its phases through this module's crate-private
-//!   `run_phase`, which wraps them exactly when the run's
-//!   [`Obs`] carries a fault plan.
-//! * [`Stack`] / [`compose!`](crate::compose) — run several kernels on
-//!   one node, multiplexing their payloads into one
+//!   against the same `B`-bit budget.
+//! * `PebbleWaves` — Algorithm 1's node, the one place two primitives
+//!   share a node: the pebble's release starts the node's own wave, and
+//!   both kernels' payloads ride in one
 //!   [`Envelope`](dapsp_congest::Envelope) per edge per round with a
-//!   presence tag per kernel; a [`Coupling`] lets one kernel's events
-//!   drive another (the pebble's release starting `BFS_v` is exactly such
-//!   a coupling).
+//!   presence tag each.
+//!
+//! Every algorithm of the crate meets the engine in one place, this
+//! module's crate-private `run_phase`: it hosts a node's protocol, labels
+//! and observes the phase, and wraps the protocol in a [`ReliableKernel`]
+//! exactly when the run's [`Obs`] carries a fault plan.
 //!
 //! The concrete algorithms (`bfs`, `apsp`, `ssp`, `aggregate`, …) are thin
 //! shells over these kernels: input validation, phase labels, and
-//! result-folding — no per-module message enums or state machines.
+//! result-folding.
 //!
 //! # Hot-path discipline
 //!
 //! Algorithm 1 is ≈ n·2m single-payload messages, so whatever a kernel
 //! does per send *is* the cost of a run. The wave path therefore allocates
 //! per node, never per send or per round: [`Tx`] buffers, the arrival
-//! list and [`Stack`]'s merge scratch are per-node vectors whose capacity
-//! is reused, and state shared by all nodes of a run (the
+//! list and `PebbleWaves`' merge scratch are per-node vectors whose
+//! capacity is reused, and state shared by all nodes of a run (the
 //! [`SourceSlots`] map) is built once and reference-counted. What the
 //! paper says a node stores — `n` distances and parents for Algorithm 1,
 //! `|S|` for Algorithm 2 — is not the kernel's own: the pipeline allocates
@@ -66,29 +67,28 @@
 
 mod convergecast;
 mod pebble;
+mod pebble_waves;
 mod protocol;
 mod reliable;
 mod repair;
 mod rows;
-mod stack;
 mod wave;
 
 pub use convergecast::{CastMsg, ConvergecastKernel};
 pub use pebble::{PebbleKernel, Token};
+pub(crate) use pebble_waves::PebbleWaves;
 pub use protocol::{Protocol, ProtocolHost, Tx};
 pub use reliable::{Frame, ReliableKernel};
 pub use repair::{RepairKernel, RepairMsg};
 pub use rows::{distance_rows, Deal, Row, Rows};
-pub use stack::{Both, Coupling, Stack};
 pub use wave::{SourceSlots, WaveKernel, WaveMsg, WaveState};
 
 use dapsp_congest::{
-    Config, NodeContext, Report, RunStats, Topology, TraceEvent, TransportSummary,
+    Config, NodeContext, Report, RunStats, Simulator, Topology, TraceEvent, TransportSummary,
 };
 
 use crate::error::CoreError;
 use crate::observe::Obs;
-use crate::runner::run_algorithm_on;
 
 /// Retransmissions allowed per frame per link when a phase runs over
 /// faults. Loss decisions are an (effectively independent) hash per
@@ -100,12 +100,13 @@ const MAX_RETRIES: u32 = 100;
 
 /// Runs a [`Protocol`] over every node of `topology` to quiescence,
 /// wrapping each node's kernel in a [`ProtocolHost`] (which turns payloads
-/// into width-checked [`Envelope`](dapsp_congest::Envelope)s).
+/// into width-checked [`Envelope`](dapsp_congest::Envelope)s), and returns
+/// the simulator's [`Report`].
 ///
 /// # Errors
 ///
-/// Same as [`run_algorithm_on`]: empty topologies are rejected and
-/// simulator failures propagate as [`CoreError::Sim`].
+/// [`CoreError::EmptyGraph`] on an empty topology; simulator failures
+/// propagate as [`CoreError::Sim`].
 pub fn run_protocol_on<P, F>(
     topology: &Topology,
     config: Config,
@@ -116,7 +117,24 @@ where
     P::Payload: Send,
     F: FnMut(&NodeContext<'_>) -> P,
 {
-    run_algorithm_on(topology, config, |ctx| ProtocolHost::new(init(ctx)))
+    if topology.num_nodes() == 0 {
+        return Err(CoreError::EmptyGraph);
+    }
+    let sim = Simulator::new(topology, config, |ctx| ProtocolHost::new(init(ctx)));
+    sim.run().map_err(CoreError::from)
+}
+
+/// Folds a [`Report`]'s per-node outputs into one host-side accumulator:
+/// `fold(&mut acc, node_id, output)` runs once per node, in node-id order.
+pub(crate) fn fold_outputs<O, S, F>(outputs: Vec<O>, seed: S, mut fold: F) -> S
+where
+    F: FnMut(&mut S, u32, O),
+{
+    let mut acc = seed;
+    for (v, out) in outputs.into_iter().enumerate() {
+        fold(&mut acc, v as u32, out);
+    }
+    acc
 }
 
 /// Runs one phase of a pipeline: `init`'s kernel on every node, with the
@@ -184,9 +202,10 @@ where
 
 #[cfg(test)]
 mod tests {
-    use dapsp_congest::{FaultPlan, SimError, TopologyPlan};
-    use dapsp_graph::{generators, reference};
+    use dapsp_congest::{Config, FaultPlan, SimError, TopologyPlan};
+    use dapsp_graph::{generators, reference, Graph};
 
+    use super::{fold_outputs, run_protocol_on, PebbleKernel};
     use crate::error::CoreError;
     use crate::observe::Obs;
     use crate::{apsp, bfs, dominating};
@@ -240,21 +259,22 @@ mod tests {
         ));
     }
 
-    /// Where the transport cannot go — the dominating set's raw node
-    /// algorithm — a fault plan is refused up front instead of running
-    /// lossy and raw; the churned pipeline runs through `run_phase` and
-    /// takes the same plan, returning the fault-free answer.
+    /// The dominating set runs through `run_phase` like every other
+    /// pipeline, so a fault plan gets it the reliable transport and the
+    /// fault-free answer; so does the churned pipeline, whose plan applies
+    /// before the run.
     #[test]
-    fn only_dominating_rejects_faults() {
+    fn dominating_composes_with_faults() {
         let g = generators::grid(3, 3);
         let topo = g.to_topology();
         let tree = bfs::run_on_obs(&topo, 0, Obs::none()).unwrap().tree;
-        let plan = TopologyPlan::new().with_remove(2, 0, 1);
         let faults = FaultPlan::uniform_loss(0.1, 4);
         let obs = Obs::none().with_faults(&faults);
-        let r = dominating::run_on_obs(&topo, &tree, 2, obs);
-        assert!(matches!(r, Err(CoreError::InvalidParameter(_))), "{r:?}");
-        assert!(dominating::run_on_obs(&topo, &tree, 2, Obs::none()).is_ok());
+        let lossy = dominating::run_on_obs(&topo, &tree, 2, obs).unwrap();
+        let quiet = dominating::run_on_obs(&topo, &tree, 2, Obs::none()).unwrap();
+        assert_eq!(lossy.members, quiet.members);
+        assert!(lossy.stats.dropped > 0 && lossy.stats.transport.retransmissions > 0);
+        let plan = TopologyPlan::new().with_remove(2, 0, 1);
         let lossy = apsp::run_churned_on(&topo, &plan, obs).unwrap();
         let quiet = apsp::run_churned_on(&topo, &plan, Obs::none()).unwrap();
         assert_eq!(lossy.dist, quiet.dist);
@@ -263,10 +283,31 @@ mod tests {
         assert_eq!(lossy.stats.transport.truncated_sends, 0);
     }
 
+    #[test]
+    fn empty_graph_is_rejected() {
+        let topo = Graph::builder(0).build().to_topology();
+        let run = run_protocol_on(&topo, Config::for_n(1), |_| -> PebbleKernel {
+            unreachable!("an empty network has no node to initialise")
+        });
+        assert_eq!(run.unwrap_err(), CoreError::EmptyGraph);
+    }
+
+    #[test]
+    fn fold_outputs_visits_every_node_in_order() {
+        let visited = fold_outputs(vec![10u32, 20, 30], Vec::new(), |acc, v, out| {
+            acc.push((v, out));
+        });
+        assert_eq!(visited, vec![(0, 10), (1, 20), (2, 30)]);
+    }
+
     /// Wrapping a kernel in the reliable transport happens in one place,
     /// `run_phase`: outside this module no source file of the crate names
     /// the wrapper or installs a fault plan on a config, so no pipeline
-    /// can grow a hand-wired faulty twin again.
+    /// can grow a hand-wired faulty twin again. Nor does any shipped line
+    /// (one before the file's `#[cfg(test)]`) reach the engine another
+    /// way — through the simulator, a raw node algorithm, the public
+    /// protocol runner or a config of its own — so every algorithm gets
+    /// faults and observers from `run_phase`.
     #[test]
     fn only_the_kernel_layer_wraps_a_kernel() {
         let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
@@ -283,6 +324,19 @@ mod tests {
                 assert!(
                     !text.contains(name),
                     "{} names `{name}`: wrap kernels through `run_phase`",
+                    path.display()
+                );
+            }
+            let shipped = text.split("#[cfg(test)]").next().unwrap();
+            for name in [
+                "Simulator",
+                "NodeAlgorithm",
+                "run_protocol_on",
+                "Config::for_n",
+            ] {
+                assert!(
+                    !shipped.contains(name),
+                    "{} names `{name}`: run the algorithm through `run_phase`",
                     path.display()
                 );
             }

@@ -6,8 +6,8 @@ use super::protocol::{Protocol, Tx};
 use crate::tree::TreeKnowledge;
 
 /// The pebble itself. It carries no data — its presence *is* the message —
-/// so it contributes no payload bits beyond the presence tag an enclosing
-/// [`Stack`](super::Stack) charges for it.
+/// so it contributes no payload bits beyond the presence tag Algorithm 1's
+/// node charges for it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Token;
 
@@ -17,7 +17,7 @@ pub struct Token;
 /// else back to the parent.
 ///
 /// The release event ([`take_released`](PebbleKernel::take_released)) is
-/// the kernel's coupling surface: Algorithm 1 wires it to
+/// how Algorithm 1's node drives its waves: it wires the event to
 /// [`WaveKernel::schedule_start`](super::WaveKernel::schedule_start) so
 /// `BFS_v` starts exactly when the pebble leaves `v` — the spacing Lemma 1
 /// needs.
@@ -34,7 +34,7 @@ pub struct PebbleKernel {
     /// A first visit last round: release (and raise the event) this round.
     release_pending: bool,
     /// The release event, set for exactly the round end in which the
-    /// pebble leaves after a first visit; consumed by the coupling.
+    /// pebble leaves after a first visit; consumed by Algorithm 1's node.
     released: bool,
 }
 
@@ -130,7 +130,7 @@ impl Protocol for PebbleKernel {
     }
 
     fn width(&self, _payload: &Token) -> Width {
-        // Pure presence: the message's arrival (or the stack's presence
+        // Pure presence: the message's arrival (or Algorithm 1's presence
         // tag) *is* the token — a one-variant payload carries zero
         // information beyond that.
         Width::ZERO

@@ -8,33 +8,26 @@ use dapsp_congest::{
 };
 
 /// A per-node protocol kernel: the state machine interface the wave-kernel
-/// layer builds algorithms from.
+/// layer builds algorithms from, and the one interface every algorithm of
+/// the crate runs through.
 ///
-/// `Protocol` differs from [`NodeAlgorithm`] in two ways that make kernels
-/// composable:
+/// `Protocol` differs from [`NodeAlgorithm`] in two ways:
 ///
 /// * it exchanges *payloads*, not messages — the width of every payload is
-///   declared through [`width`](Self::width), and the host (or an enclosing
-///   [`Stack`](super::Stack)) wraps payloads into [`Envelope`]s, so the
-///   engine's `B = O(log n)` budget check always sees an honest bit count;
+///   declared through [`width`](Self::width), and the host wraps payloads
+///   into [`Envelope`]s, so the engine's `B = O(log n)` bandwidth check
+///   always sees an honest bit count;
 /// * delivery is *per message* ([`on_message`](Self::on_message)), with a
 ///   separate end-of-round step ([`on_round_end`](Self::on_round_end)) —
-///   a [`Stack`](super::Stack) can therefore demultiplex one wire message
-///   to several kernels and still give each kernel its own round boundary.
+///   so a wrapper can unpack one wire message for the protocol inside it
+///   (the [`ReliableKernel`](super::ReliableKernel) delivers a frame's
+///   payload, Algorithm 1's node hands the pebble and the wave to their
+///   kernels) and still give it its own round boundary.
 pub trait Protocol {
     /// The payload this kernel exchanges.
     type Payload: Clone + Debug;
     /// The per-node result extracted when the run ends.
     type Output;
-
-    /// How many kernel slots this protocol occupies in a composed stack's
-    /// [`TraceTags::kernels`] bitmask. Leaf kernels keep the default `1`;
-    /// a [`Stack`](super::Stack) occupies the sum of its components, with
-    /// the lower kernel in the low bits. Observers use the mask to
-    /// attribute per-message traffic to individual kernels (masks wider
-    /// than the 8-bit tag truncate — stacks deeper than 8 lose per-kernel
-    /// resolution, never correctness).
-    const KERNELS: u32 = 1;
 
     /// One-time initialization before round 1 (the engine's `on_start`).
     fn init(&mut self, ctx: &NodeContext<'_>, tx: &mut Tx<Self::Payload>) {
@@ -100,10 +93,10 @@ pub trait Protocol {
 
     /// Observer attribution tags for `payload` (zero wire bits; see
     /// [`TraceTags`]). Leaf kernels keep the default — kernel slot 0
-    /// present, no transport flags. [`Stack`](super::Stack) shifts and ORs
-    /// its components' masks; transport wrappers
-    /// ([`ReliableKernel`](super::ReliableKernel)) set the
-    /// retransmit/ack flags.
+    /// present, no transport flags. Algorithm 1's node sets bit 0 for the
+    /// pebble and bit 1 for a wave; the
+    /// [`ReliableKernel`](super::ReliableKernel) sets the retransmit/ack
+    /// flags.
     fn tags(&self, payload: &Self::Payload) -> TraceTags {
         let _ = payload;
         TraceTags::default()
@@ -114,15 +107,15 @@ pub trait Protocol {
 }
 
 /// A kernel's send buffer for the current step: `(port, payload)` pairs,
-/// taken over by the host (or enclosing stack) when the step ends.
+/// taken over by the host (or the enclosing protocol) when the step ends.
 ///
 /// Each send is stored as the [`Envelope`] it will travel in, its
 /// `width` / `stream` / `tags` left blank: the buffer a hosted protocol
 /// writes to *is* the engine's outbox buffer (see [`ProtocolHost`]), and
 /// the host stamps the three fields in place once the step's sends are
 /// complete — a hosted kernel's payload is written once, where the commit
-/// phase reads it (a [`Stack`](super::Stack) adds one move, from its
-/// child's `Tx` into its own).
+/// phase reads it (Algorithm 1's node adds one move, from a kernel's `Tx`
+/// into its own).
 ///
 /// Sends accumulate in call order; the engine's one-message-per-port rule
 /// is *not* enforced here — a kernel that sends twice on a port produces

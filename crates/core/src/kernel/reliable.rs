@@ -52,9 +52,10 @@
 //! A frame costs 5 bits of overhead on top of the wrapped payload: one
 //! data-presence bit, the data parity, one payload-presence bit (empty
 //! marker frames), one ack-presence bit, and the ack parity. The worst
-//! stacked Algorithm 1 wave leaves exactly 5 bits of headroom under
-//! `B = 2⌈log₂ n⌉ + 8`, so acks ride the same budget the engine already
-//! enforces — see `message_budget.rs` for the proof by test.
+//! Algorithm 1 frame (pebble + wave) leaves exactly 5 bits of headroom
+//! under `B = 2⌈log₂ n⌉ + 8`, so acks ride the same budget the engine
+//! already enforces — `worst_case_reliable_frame_is_exactly_the_budget`
+//! proves it by test.
 
 use std::collections::VecDeque;
 
@@ -253,11 +254,6 @@ impl<P: Protocol> ReliableKernel<P> {
 impl<P: Protocol> Protocol for ReliableKernel<P> {
     type Payload = Frame<P::Payload>;
     type Output = (P::Output, TransportSummary);
-
-    /// The transport is not a kernel slot of its own — it reports the
-    /// wrapped protocol's slots and flags its own traffic through the
-    /// retransmit/ack tag bits instead.
-    const KERNELS: u32 = P::KERNELS;
 
     fn init(&mut self, ctx: &NodeContext<'_>, tx: &mut Tx<Self::Payload>) {
         let degree = ctx.degree();

@@ -460,7 +460,7 @@ mod width_tests {
     #[test]
     fn worst_case_widths_fit_the_budget() {
         for n in [2usize, 3, 10, 100, 1 << 16] {
-            let budget = Config::for_n(n).message_budget.unwrap();
+            let budget = Config::for_n(n).bandwidth_bits;
             let worst = RepairMsg {
                 root: n as u32 - 1,
                 dist: n as u32,

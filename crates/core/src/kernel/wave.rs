@@ -251,8 +251,8 @@ impl WaveState {
 ///   so parents learn their children.
 /// * [`all_roots`](WaveKernel::all_roots) — Algorithm 1's `BFS_v` waves:
 ///   every node roots a wave, started externally
-///   ([`schedule_start`](WaveKernel::schedule_start), driven by the pebble
-///   coupling), optionally truncated at depth `k` (Definition 7).
+///   ([`schedule_start`](WaveKernel::schedule_start), driven by the
+///   pebble's release), optionally truncated at depth `k` (Definition 7).
 /// * [`queued_sources`](WaveKernel::queued_sources) — Algorithm 2's
 ///   simultaneous growth with per-port ID-priority queues and relaxation.
 ///
@@ -316,8 +316,8 @@ impl<'a> WaveKernel<'a> {
     }
 
     /// Algorithm 1's waves: every node roots its own `BFS_v`, started via
-    /// [`schedule_start`](WaveKernel::schedule_start) (the pebble
-    /// coupling), truncated at `max_depth` for the k-BFS variant. `row`
+    /// [`schedule_start`](WaveKernel::schedule_start) (the pebble's
+    /// release), truncated at `max_depth` for the k-BFS variant. `row`
     /// has `n` slots, indexed by root id.
     pub fn all_roots(ctx: &NodeContext<'_>, max_depth: u32, row: Row<'a>) -> Self {
         let n = ctx.num_nodes();
@@ -348,8 +348,8 @@ impl<'a> WaveKernel<'a> {
     }
 
     /// Schedules this node's own wave to start at the next round end —
-    /// the hook a [`Coupling`](super::Coupling) (e.g. the pebble's
-    /// release) uses to drive Algorithm 1's staggered starts.
+    /// the hook the pebble's release uses to drive Algorithm 1's staggered
+    /// starts.
     pub fn schedule_start(&mut self) {
         self.start_pending = true;
     }
@@ -600,25 +600,25 @@ mod width_tests {
         f(&mut WaveKernel::base(n, roots, row));
     }
 
-    /// Every wave configuration's worst-case message fits the per-message
-    /// budget `B = 2⌈log₂ n⌉ + 8`; the Algorithm 1 waves must fit even
-    /// with the two presence tags their pebble stack adds on the wire.
+    /// Every wave configuration's worst-case message fits the bandwidth
+    /// `B = 2⌈log₂ n⌉ + 8`; the Algorithm 1 waves must fit even with the
+    /// two presence tags Algorithm 1's node adds on the wire.
     #[test]
     fn worst_case_widths_fit_the_budget() {
         for n in [2usize, 3, 10, 100, 1 << 16] {
-            let budget = Config::for_n(n).message_budget.unwrap();
+            let budget = Config::for_n(n).bandwidth_bits;
             // Single-root announcing BFS: discriminant tag + distance.
             with_kernel(n, Roots::Single(0), |k| {
                 k.announce_adopt = true;
                 assert!(k.width(&worst_wave(n)).bits() <= budget, "bfs wave, n={n}");
                 assert!(k.width(&WaveMsg::Adopt).bits() <= budget, "adopt, n={n}");
             });
-            // Algorithm 1 waves: root id + distance, plus the stack's two
+            // Algorithm 1 waves: root id + distance, plus the node's two
             // presence tags.
             with_kernel(n, Roots::All, |k| {
                 assert!(
                     k.width(&worst_wave(n)).bits() + 2 <= budget,
-                    "stacked apsp wave, n={n}"
+                    "apsp wave beside the pebble, n={n}"
                 );
                 // Algorithm 2 growth: root id + distance.
                 k.contention = Contention::QueuePriority;

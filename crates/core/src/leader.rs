@@ -9,70 +9,61 @@
 //! their trees at node 0 — precisely the node this election would select
 //! under the crate's id scheme.
 
-use dapsp_congest::{
-    bits_for_id, Config, Inbox, Message, NodeAlgorithm, NodeContext, Outbox, Port, RunStats,
-};
+use dapsp_congest::{NodeContext, Port, RunStats, Width};
 use dapsp_graph::Graph;
 
 use crate::error::CoreError;
-use crate::runner::run_algorithm_on;
+use crate::kernel::{run_phase, Protocol, Tx};
+use crate::observe::Obs;
 
+/// A flooded claim: the smallest id the sender has seen.
 #[derive(Clone, Debug)]
 struct Claim {
     id: u32,
-    n: u32,
 }
 
-impl Message for Claim {
-    fn bit_size(&self) -> u32 {
-        bits_for_id(self.n as usize)
-    }
-}
-
+/// One node of the flood: it re-floods every improvement of its best id.
 struct ElectNode {
-    n: u32,
+    n: usize,
     best: u32,
+    /// The port of this round's last improvement, if any.
+    improved_from: Option<Port>,
 }
 
-impl NodeAlgorithm for ElectNode {
-    type Message = Claim;
+impl Protocol for ElectNode {
+    type Payload = Claim;
     type Output = u32;
 
-    fn on_start(&mut self, ctx: &NodeContext<'_>, out: &mut Outbox<Claim>) {
-        self.best = ctx.node_id();
-        out.send_to_all(
-            0..ctx.degree() as Port,
-            Claim {
-                id: self.best,
-                n: self.n,
-            },
-        );
+    fn init(&mut self, ctx: &NodeContext<'_>, tx: &mut Tx<Claim>) {
+        tx.send_to_all(ctx.degree(), Claim { id: self.best });
     }
 
-    fn on_round(&mut self, ctx: &NodeContext<'_>, inbox: &Inbox<Claim>, out: &mut Outbox<Claim>) {
-        let mut improved_from: Option<Port> = None;
-        for (port, msg) in inbox.iter() {
-            if msg.id < self.best {
-                self.best = msg.id;
-                improved_from = Some(port);
-            }
+    fn on_message(
+        &mut self,
+        _ctx: &NodeContext<'_>,
+        port: Port,
+        claim: Claim,
+        _tx: &mut Tx<Claim>,
+    ) {
+        if claim.id < self.best {
+            self.best = claim.id;
+            self.improved_from = Some(port);
         }
-        if let Some(from) = improved_from {
-            for p in 0..ctx.degree() as Port {
-                if p != from {
-                    out.send(
-                        p,
-                        Claim {
-                            id: self.best,
-                            n: self.n,
-                        },
-                    );
-                }
+    }
+
+    fn on_round_end(&mut self, ctx: &NodeContext<'_>, tx: &mut Tx<Claim>) {
+        if let Some(from) = self.improved_from.take() {
+            for p in (0..ctx.degree() as Port).filter(|&p| p != from) {
+                tx.send(p, Claim { id: self.best });
             }
         }
     }
 
-    fn into_output(self, _ctx: &NodeContext<'_>) -> u32 {
+    fn width(&self, _claim: &Claim) -> Width {
+        Width::ZERO.id(self.n)
+    }
+
+    fn finish(self, _ctx: &NodeContext<'_>) -> u32 {
         self.best
     }
 }
@@ -114,10 +105,19 @@ pub fn elect(graph: &Graph) -> Result<LeaderResult, CoreError> {
     if n == 0 {
         return Err(CoreError::EmptyGraph);
     }
-    let report = run_algorithm_on(&graph.to_topology(), Config::for_n(n), |ctx| ElectNode {
-        n: n as u32,
-        best: ctx.node_id(),
-    })?;
+    // The minimum id crosses at most n − 1 hops; padded for the reliable
+    // horizon.
+    let report = run_phase(
+        &graph.to_topology(),
+        Obs::none(),
+        "leader",
+        n as u64 + 4,
+        |ctx| ElectNode {
+            n,
+            best: ctx.node_id(),
+            improved_from: None,
+        },
+    )?;
     let leader = report.outputs[0];
     if report.outputs.iter().any(|&b| b != leader) {
         return Err(CoreError::Disconnected);
@@ -175,17 +175,20 @@ mod tests {
 #[cfg(test)]
 mod width_tests {
     use super::*;
+    use dapsp_congest::Config;
 
-    /// A claim is one fixed-width node id — always within the budget.
+    /// A claim is one fixed-width node id — always within the bandwidth.
     #[test]
     fn claim_width_fits_the_budget() {
         for n in [2usize, 100, 1 << 16] {
-            let budget = Config::for_n(n).message_budget.unwrap();
-            let claim = Claim {
-                id: n as u32 - 1,
-                n: n as u32,
+            let budget = Config::for_n(n).bandwidth_bits;
+            let node = ElectNode {
+                n,
+                best: 0,
+                improved_from: None,
             };
-            assert!(claim.bit_size() <= budget, "n={n}");
+            let claim = Claim { id: n as u32 - 1 };
+            assert!(node.width(&claim).bits() <= budget, "n={n}");
         }
     }
 }

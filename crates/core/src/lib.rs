@@ -6,9 +6,9 @@
 //! `B = Θ(log n)`-bit per-edge bandwidth, and report the exact number of
 //! synchronous rounds used — the paper's complexity measure. A pipeline's
 //! `run_on_obs` takes an [`Obs`] ([`observe`]): a live observer for every
-//! phase's events, the executor, and a fault adversary, under which `bfs`,
-//! `aggregate`, `apsp` and `ssp` run on the reliable transport of
-//! [`kernel`] and return the fault-free result.
+//! phase's events, the executor, and a fault adversary, under which every
+//! phase runs on the reliable transport of [`kernel`] and returns the
+//! fault-free result.
 //!
 //! # What's here
 //!
@@ -43,7 +43,6 @@
 #![warn(missing_docs)]
 
 mod error;
-mod runner;
 
 pub mod aggregate;
 pub mod approx;
@@ -67,4 +66,3 @@ pub mod two_vs_four;
 pub use churned::{churned_graph, ChurnedResult};
 pub use error::CoreError;
 pub use observe::Obs;
-pub use runner::{fold_outputs, run_algorithm_on};

@@ -39,8 +39,6 @@
 
 use dapsp_congest::{Config, ExecutorKind, FaultPlan, ObserverHandle};
 
-use crate::error::CoreError;
-
 /// How every phase of a pipeline runs: an optional, borrowed observer to
 /// attach, the round-engine executor, and an optional fault adversary.
 ///
@@ -61,9 +59,9 @@ pub struct Obs<'a> {
 }
 
 impl<'a> Obs<'a> {
-    /// Nobody is watching: [`apply`](Self::apply) returns configs
-    /// untouched (not even the phase label is set, keeping unobserved
-    /// runs identical to pre-observer behavior).
+    /// Nobody is watching: every phase runs on the config it would run on
+    /// without an `Obs` (not even the phase label is set), serially and
+    /// over reliable links.
     pub fn none() -> Self {
         Obs::default()
     }
@@ -87,8 +85,8 @@ impl<'a> Obs<'a> {
     /// wrapped in the reliable transport: results stay those of the
     /// fault-free run, phases report as `"{phase}:reliable"`, and the
     /// transport's counters land in the result's `stats.transport`.
-    /// The one pipeline the transport cannot wrap, `dominating`, rejects
-    /// such an `Obs` with [`CoreError::InvalidParameter`].
+    /// Every pipeline's phases run through the kernel layer, so every
+    /// `run_on_obs` takes such an `Obs`.
     pub fn with_faults(mut self, faults: &'a FaultPlan) -> Self {
         self.faults = Some(faults);
         self
@@ -99,18 +97,6 @@ impl<'a> Obs<'a> {
         self.faults
     }
 
-    /// Refuses a fault adversary in `pipeline`, which the reliable
-    /// transport cannot wrap: a raw run over lossy links would return a
-    /// silently wrong answer.
-    pub(crate) fn reject_faults(&self, pipeline: &str) -> Result<(), CoreError> {
-        match self.faults {
-            Some(_) => Err(CoreError::InvalidParameter(format!(
-                "{pipeline} cannot run over a fault plan: its kernel has no reliable transport"
-            ))),
-            None => Ok(()),
-        }
-    }
-
     /// The attached observer, if any.
     pub(crate) fn observer(&self) -> Option<&'a ObserverHandle> {
         self.handle
@@ -119,7 +105,7 @@ impl<'a> Obs<'a> {
     /// Labels `config` with `phase`, attaches the observer, and selects
     /// the executor. When nobody is watching and the executor is the
     /// default serial one, `config` comes back unchanged.
-    pub fn apply(&self, config: Config, phase: &str) -> Config {
+    pub(crate) fn apply(&self, config: Config, phase: &str) -> Config {
         let config = match self.executor {
             ExecutorKind::Serial => config,
             other => config.with_executor(other),

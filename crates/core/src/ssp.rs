@@ -37,9 +37,10 @@ use dapsp_graph::INFINITY;
 use crate::aggregate::{self, AggOp};
 use crate::bfs;
 use crate::error::CoreError;
-use crate::kernel::{distance_rows, run_phase, Deal, Rows, SourceSlots, WaveKernel, WaveState};
+use crate::kernel::{
+    distance_rows, fold_outputs, run_phase, Deal, Rows, SourceSlots, WaveKernel, WaveState,
+};
 use crate::observe::Obs;
-use crate::runner::fold_outputs;
 use crate::tree::TreeKnowledge;
 
 /// What phases 1 and 2 leave behind: `T_1`, what `BFS_1` measured on the

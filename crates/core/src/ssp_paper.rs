@@ -17,11 +17,11 @@
 //! oracle to count those (see the `ablation_ssp_variants` section of
 //! `artifacts/table1.txt`).
 
-use dapsp_congest::{Config, NodeContext, Port, RunStats, Width};
+use dapsp_congest::{NodeContext, Port, RunStats, Width};
 use dapsp_graph::{Graph, INFINITY};
 
 use crate::error::CoreError;
-use crate::kernel::{distance_rows, run_protocol_on, Deal, Protocol, Row, Rows, SourceSlots, Tx};
+use crate::kernel::{distance_rows, run_phase, Deal, Protocol, Row, Rows, SourceSlots, Tx};
 use crate::observe::Obs;
 use crate::ssp;
 
@@ -180,7 +180,8 @@ pub fn run(graph: &Graph, sources: &[u32]) -> Result<PaperSspResult, CoreError> 
     let budget = sources.len() as u64 + u64::from(pre.d0);
     let (mut dist, mut parent) = distance_rows(n, sources.len());
     let mut deal = Deal::new(&mut dist, &mut parent);
-    let report = run_protocol_on(&topology, Config::for_n(n), |ctx| {
+    // The schedule ends at round `budget`; padded for the reliable horizon.
+    let report = run_phase(&topology, Obs::none(), "ssp:paper", budget + 8, |ctx| {
         let me = ctx.node_id();
         let Row { dist, parent } = deal.row(ctx);
         let mut li = vec![std::collections::BTreeSet::new(); ctx.degree()];

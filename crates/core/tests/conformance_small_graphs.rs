@@ -137,8 +137,8 @@ const FAULTY_MAX_NODES: usize = 6;
 /// 143), a pipeline whose [`Obs`]
 /// carries 20 % loss plus a crash window returns the fault-free result bit
 /// for bit — `bfs` from node 0, `ssp` from the first ⌈n/2⌉ ids, `apsp`,
-/// and `aggregate` with each operation over `T₁` — and its horizon never
-/// truncates a send. Churned APSP composes with the same adversary: under
+/// `aggregate` with each operation over `T₁`, and `dominating` with
+/// k ∈ {1, 2} over `T₁` — and its horizon never truncates a send. Churned APSP composes with the same adversary: under
 /// the churn sweep's plan it returns the post-change graph's oracle and
 /// the fault-free run's rows.
 #[test]
@@ -229,6 +229,19 @@ fn faulty_runs_equal_fault_free_runs_on_every_small_connected_graph() {
             let lossy_agg = aggregate::run_on_obs(&topo, &clean.tree, values, op, faulty).unwrap();
             check(&lossy_agg.stats, op.phase_label());
             assert_eq!(lossy_agg.value, clean_agg.value, "{op:?} on {g:?}");
+        }
+
+        for k in [1, 2] {
+            let (clean_dom, lossy_dom) = (
+                dominating::run_on_obs(&topo, &clean.tree, k, Obs::none()).unwrap(),
+                dominating::run_on_obs(&topo, &clean.tree, k, faulty).unwrap(),
+            );
+            check(&lossy_dom.stats, "dom:select");
+            assert_eq!(
+                (&lossy_dom.members, lossy_dom.size, lossy_dom.k),
+                (&clean_dom.members, clean_dom.size, clean_dom.k),
+                "dominating k = {k} on {g:?}"
+            );
         }
 
         let Some(plan) = churn_plan(seed + 1, &g) else {

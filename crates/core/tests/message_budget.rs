@@ -1,17 +1,14 @@
-//! Per-message budget enforcement, end to end.
+//! Per-message bandwidth enforcement, end to end.
 //!
-//! `Config::for_n` sets a per-message budget `B = 2⌈log₂ n⌉ + 8` and, in
-//! debug builds, the engine asserts `bit_size() ≤ B` for **every** message
-//! it commits — on the serial and the pool executor alike. Running every
-//! algorithm in this crate here therefore turns any overweight message
-//! type into a test failure: these tests assert success, and the engine's
-//! debug assertion does the per-message work.
-//!
-//! (In release builds the assertion compiles out and these runs only check
-//! that the algorithms complete; `scripts/verify.sh` runs the test suite
-//! in debug mode, where the checks are live.)
+//! `Config::for_n` sets the bandwidth `B = 2⌈log₂ n⌉ + 8`, and the engine
+//! refuses **every** message whose `bit_size()` exceeds it with
+//! [`SimError::BandwidthExceeded`] — on the serial and the pool executor
+//! alike, in every build profile. Running every algorithm in this crate
+//! here therefore turns any overweight message type into a test failure:
+//! these tests assert success, and the engine's check does the
+//! per-message work.
 
-use dapsp_congest::{bits_for_id, Config};
+use dapsp_congest::{bits_for_id, Config, SimError};
 use dapsp_core::kernel::{distance_rows, run_protocol_on, Deal, WaveKernel};
 use dapsp_core::{
     aggregate, approx, apsp, bfs, dominating, girth, girth_approx, leader, metrics, ssp, ssp_paper,
@@ -30,18 +27,16 @@ fn zoo() -> Vec<Graph> {
     ]
 }
 
-/// The default budget is the paper's `B = O(log n)`: exactly the
-/// bandwidth, two node ids plus a constant.
+/// The default bandwidth is the paper's `B = O(log n)`: two node ids
+/// plus a constant.
 #[test]
 fn default_budget_is_two_ids_plus_constant() {
     for n in [2usize, 10, 1000, 1 << 20] {
-        let cfg = Config::for_n(n);
-        assert_eq!(cfg.message_budget, Some(2 * bits_for_id(n) + 8));
-        assert_eq!(cfg.message_budget, Some(cfg.bandwidth_bits));
+        assert_eq!(Config::for_n(n).bandwidth_bits, 2 * bits_for_id(n) + 8);
     }
 }
 
-/// Wave traffic: single-root BFS, Algorithm 1's stacked pebble + waves
+/// Wave traffic: single-root BFS, Algorithm 1's pebble + waves
 /// (full and truncated), and Algorithm 2's queued growth.
 #[test]
 fn wave_protocols_respect_the_budget() {
@@ -113,15 +108,15 @@ fn pool_executor_checks_kernel_envelopes() {
 /// The reliable transport's worst frame fits the budget exactly. A frame
 /// spends 5 bits of overhead (data-presence + frame parity +
 /// payload-presence + ack-presence + ack parity) around its payload; the
-/// widest payload any pipeline ships is Algorithm 1's stacked pebble +
-/// wave (two stack tags, a root id, a depth count). At power-of-two `n`
+/// widest payload any pipeline ships is Algorithm 1's pebble +
+/// wave (two presence tags, a root id, a depth count). At power-of-two `n`
 /// that sum lands on `B` with zero bits to spare — this pins the
 /// arithmetic so a future field on any layer fails here first.
 #[test]
 fn worst_case_reliable_frame_is_exactly_the_budget() {
     use dapsp_congest::{bits_for_count, Width};
     for n in [4usize, 8, 16, 64, 1 << 10, 1 << 16] {
-        let budget = Config::for_n(n).message_budget.unwrap();
+        let budget = Config::for_n(n).bandwidth_bits;
         let frame_overhead = Width::ZERO.tag().tag().tag().tag().tag().bits();
         assert_eq!(frame_overhead, 5);
         // Stacked APSP wave payload: pebble tag + wave tag + root id +
@@ -142,8 +137,7 @@ fn worst_case_reliable_frame_is_exactly_the_budget() {
 }
 
 /// End-to-end: the reliable pipelines' frames — acks, retransmissions,
-/// piggybacked data — all pass the live debug budget assert on both
-/// executors. Loss forces retransmissions, so the retransmit path is
+/// piggybacked data — all pass the engine's bandwidth check. Loss forces retransmissions, so the retransmit path is
 /// exercised, not just the happy path.
 #[test]
 fn reliable_pipelines_respect_the_budget_under_loss() {
@@ -158,19 +152,18 @@ fn reliable_pipelines_respect_the_budget_under_loss() {
     }
 }
 
-/// An over-budget *ack* is rejected in debug builds: wrap a kernel whose
-/// payload alone fills the whole budget, so the reliable frame around it
-/// (parity + presence + ack bits) must overflow. The panic proves ack
-/// overhead is charged against `B`, not smuggled past it.
+/// An over-budget *ack* frame is refused: wrap a kernel whose payload
+/// alone fills the whole bandwidth, so the reliable frame around it
+/// (parity + presence + ack bits) must overflow. The typed error proves
+/// ack overhead is charged against `B`, not smuggled past it.
 #[test]
-#[cfg(debug_assertions)]
-#[should_panic(expected = "message budget")]
-fn over_budget_ack_frame_panics_in_debug() {
+fn over_budget_ack_frame_is_refused() {
     use dapsp_congest::{NodeContext, Port, Width};
     use dapsp_core::kernel::{Protocol, ReliableKernel, Tx};
+    use dapsp_core::CoreError;
 
     /// A kernel whose single payload is declared exactly as wide as the
-    /// budget — legal bare, one bit too heavy once framed.
+    /// bandwidth — legal bare, too heavy once framed.
     struct FullWidth {
         budget: u32,
     }
@@ -191,49 +184,22 @@ fn over_budget_ack_frame_panics_in_debug() {
 
     let g = generators::path(2);
     let topo = g.to_topology();
-    let budget = Config::for_n(2).message_budget.unwrap();
-    // Bandwidth admits the framed payload; the budget alone must reject
-    // the frame's extra bits.
-    let config = Config::for_n(2)
-        .with_bandwidth_bits(2000)
-        .with_message_budget(Some(budget));
-    let _ = run_protocol_on(&topo, config, |_| {
+    let budget = Config::for_n(2).bandwidth_bits;
+    let err = run_protocol_on(&topo, Config::for_n(2), |_| {
         ReliableKernel::new(FullWidth { budget }, 2, 3)
-    });
-}
-
-/// A message wider than the budget (but within an inflated bandwidth) is
-/// rejected in debug builds — the enforcement the other tests rely on.
-#[test]
-#[cfg(debug_assertions)]
-#[should_panic(expected = "message budget")]
-fn overweight_messages_panic_in_debug() {
-    use dapsp_congest::{Inbox, Message, NodeAlgorithm, NodeContext, Outbox, Simulator};
-
-    #[derive(Clone, Debug)]
-    struct Fat;
-    impl Message for Fat {
-        fn bit_size(&self) -> u32 {
-            1000
-        }
-    }
-    struct Sender;
-    impl NodeAlgorithm for Sender {
-        type Message = Fat;
-        type Output = ();
-        fn on_start(&mut self, _: &NodeContext<'_>, out: &mut Outbox<Fat>) {
-            out.send(0, Fat);
-        }
-        fn on_round(&mut self, _: &NodeContext<'_>, _: &Inbox<Fat>, _: &mut Outbox<Fat>) {}
-        fn into_output(self, _: &NodeContext<'_>) {}
-    }
-
-    let g = generators::path(2);
-    let topo = g.to_topology();
-    // Bandwidth admits the message; the budget alone must reject it.
-    let config = Config::for_n(2)
-        .with_bandwidth_bits(2000)
-        .with_message_budget(Some(8));
-    let sim = Simulator::new(&topo, config, |_| Sender);
-    let _ = sim.run();
+    })
+    .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            CoreError::Sim(SimError::BandwidthExceeded {
+                node: 0,
+                round: 0,
+                message_bits,
+                bandwidth_bits,
+                ..
+            }) if message_bits > bandwidth_bits && bandwidth_bits == budget
+        ),
+        "{err:?}"
+    );
 }

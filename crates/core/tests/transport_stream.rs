@@ -10,7 +10,7 @@ use dapsp_congest::{
     FanOut, FaultPlan, MetricsRecorder, ObserverHandle, SharedObserver, TraceEvent, TraceRecorder,
     TrackBy, TransportSummary,
 };
-use dapsp_core::{apsp, bfs, Obs};
+use dapsp_core::{apsp, bfs, dominating, Obs};
 use dapsp_graph::generators;
 
 /// A metric recorder and a trace recorder watching one pipeline.
@@ -180,4 +180,42 @@ fn fault_free_reliable_run_reports_zero_retransmits() {
         .transport;
     assert_eq!(rel.retransmissions, 0, "no loss, no retransmissions");
     assert_columns_match(&watch, &rel, &["bfs:reliable"], "fault-free");
+}
+
+/// FNV-1a over a recorded trace's JSON lines: the whole event stream —
+/// every send's round, edge, bits, stream and kernel mask, every vote and
+/// certificate — folded into one number.
+fn trace_digest(run: impl FnOnce(Obs<'_>)) -> (u64, usize) {
+    let trace = SharedObserver::new(TraceRecorder::with_capacity(1 << 20, 0));
+    let handle = trace.observer();
+    run(Obs::watching(&handle));
+    trace.with(|t| {
+        assert_eq!(t.overflow(), 0, "the digest covers every event");
+        let jsonl = t.events_jsonl();
+        let digest = jsonl.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        (digest, jsonl.lines().count())
+    })
+}
+
+/// The event streams of Algorithm 1 and of the dominating-set convergecast
+/// are pinned whole, so a change to how a kernel is hosted — its wire
+/// format, emission order, kernel mask or votes — cannot pass unseen.
+#[test]
+fn trace_streams_are_pinned() {
+    let apsp = trace_digest(|obs| {
+        apsp::run_on_obs(&generators::grid(5, 5).to_topology(), obs).unwrap();
+    });
+    let dom = trace_digest(|obs| {
+        let topology = generators::path(12).to_topology();
+        let tree = bfs::run_on_obs(&topology, 0, Obs::none()).unwrap().tree;
+        dominating::run_on_obs(&topology, &tree, 2, obs).unwrap();
+    });
+    assert_eq!(apsp, (8495813189937672484, 1334), "apsp on grid(5, 5)");
+    assert_eq!(
+        dom,
+        (17299584788794231981, 48),
+        "dominating k = 2 on path(12)"
+    );
 }
