@@ -26,7 +26,7 @@ use std::process::ExitCode;
 
 use dapsp_bench::print_table;
 use dapsp_congest::{
-    churned_topology, Config, ExecutorKind, FaultPlan, SharedObserver, TopologyPlan, TraceEvent,
+    churned_topology, ExecutorKind, FaultPlan, SharedObserver, TopologyPlan, TraceEvent,
     TraceRecorder, TrackBy,
 };
 use dapsp_core::{apsp, bfs, churned_graph, ssp, Obs};
@@ -63,10 +63,14 @@ fn family_graph(family: &str, n: usize) -> Graph {
     }
 }
 
-/// The executor [`Config::with_threads`] maps `threads` onto, so traces
-/// name exactly the executor a library caller would get.
+/// The executor `--threads T` selects: serial for `T <= 1`, else the pool
+/// with `T` workers.
 fn executor_for(threads: usize) -> ExecutorKind {
-    Config::for_n(1).with_threads(threads).executor
+    if threads <= 1 {
+        ExecutorKind::Serial
+    } else {
+        ExecutorKind::Pool { workers: threads }
+    }
 }
 
 /// One traced workload configuration.

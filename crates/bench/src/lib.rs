@@ -949,7 +949,8 @@ fn ablation_ssp_variants(out: &mut String) {
     let mut rows = Vec::new();
     let mut total_paper_defects = 0;
     for (label, g, sources) in &instances {
-        let paper = ssp_paper::run(g, sources).expect("verbatim");
+        let paper =
+            ssp_paper::run_on_obs(&g.to_topology(), sources, Obs::none()).expect("verbatim");
         let fixed = ssp::run_on_obs(&g.to_topology(), sources, Obs::none()).expect("repaired");
         let (paper_wrong, paper_unresolved) = wrong_count(paper.dist.iter(), sources, g);
         let (fixed_wrong, fixed_unresolved) = wrong_count(fixed.dist.iter(), sources, g);

@@ -328,30 +328,19 @@ pub enum ExecutorKind {
     /// round). The round's schedule is cut into fixed-size chunks dealt
     /// into per-worker deques; an idle worker steals the back half of a
     /// loaded deque, so a high-degree frontier node cannot serialize its
-    /// worker's whole share. Each chunk stages its validated outbound
-    /// messages locally and the engine merges chunks in schedule order on
-    /// the calling thread, which keeps results bit-identical to serial no
-    /// matter who stole what. The calling thread doubles as the first
-    /// worker (it owns deque 0), so `workers` threads of compute spawn
-    /// only `workers - 1` new threads. Chunk size: `Config::pool_chunk`,
-    /// else the `DAPSP_POOL_CHUNK` env var, else adaptive.
+    /// worker's whole share. Workers only step nodes: each chunk carries
+    /// its nodes' outboxes back, and the calling thread commits them in
+    /// schedule order through the serial executor's commit path, which
+    /// keeps results bit-identical to serial no matter who stole what.
+    /// The calling thread doubles as the first worker (it owns deque 0),
+    /// so `workers` threads of compute spawn only `workers - 1` new
+    /// threads. Chunks hold `max(16, schedule / (4 · workers))` nodes.
     Pool {
         /// Number of worker threads. Clamped at run time to
         /// `1..=num_nodes`, so oversubscribing a small network degrades to
         /// one node per worker rather than idle threads.
         workers: usize,
     },
-}
-
-impl ExecutorKind {
-    /// The number of node-stepping threads this executor uses (1 for
-    /// [`ExecutorKind::Serial`], before per-run clamping for pools).
-    pub fn threads(&self) -> usize {
-        match self {
-            ExecutorKind::Serial => 1,
-            ExecutorKind::Pool { workers } => (*workers).max(1),
-        }
-    }
 }
 
 /// Parameters of a simulation run.
@@ -382,14 +371,6 @@ pub struct Config {
     /// runs: outboxes are always committed in node-id order, so outputs,
     /// statistics, traces, and round counts do not depend on this.
     pub executor: ExecutorKind,
-    /// Fixed frontier-chunk size for the pool executor's work-stealing
-    /// scheduler. `None` — the default — sizes chunks adaptively per round
-    /// (`max(16, sched / (4 · workers))`); the `DAPSP_POOL_CHUNK`
-    /// environment variable supplies a process-wide fallback when this is
-    /// unset (how CI forces the stealing path on tiny graphs). Has no
-    /// effect on [`ExecutorKind::Serial`] and, like the executor choice,
-    /// never changes simulation results — only load balance.
-    pub pool_chunk: Option<usize>,
     /// Optional observer receiving the run's events and round timings as
     /// it executes (see [`crate::obs`]). `None` — the default — keeps every
     /// emission site a single branch, so observation is free when disabled.
@@ -410,7 +391,6 @@ impl PartialEq for Config {
             && self.max_rounds == other.max_rounds
             && self.faults == other.faults
             && self.executor == other.executor
-            && self.pool_chunk == other.pool_chunk
             && self.phase == other.phase
     }
 }
@@ -430,7 +410,6 @@ impl Config {
             max_rounds: 10_000u64.max(64 * n as u64),
             faults: None,
             executor: ExecutorKind::Serial,
-            pool_chunk: None,
             observer: None,
             phase: String::new(),
         }
@@ -460,40 +439,10 @@ impl Config {
         self
     }
 
-    /// Steps nodes on `threads` worker threads each round. Maps onto the
-    /// executor selection: `threads <= 1` keeps [`ExecutorKind::Serial`],
-    /// anything larger selects [`ExecutorKind::Pool`] with that many
-    /// workers. The simulation stays deterministic: results are identical
-    /// to a sequential run, only wall-clock time changes.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.executor = if threads <= 1 {
-            ExecutorKind::Serial
-        } else {
-            ExecutorKind::Pool { workers: threads }
-        };
-        self
-    }
-
-    /// Selects the round-pipeline executor explicitly (see
-    /// [`ExecutorKind`]). [`Config::with_threads`] is the thread-count
-    /// shorthand for the same choice.
+    /// Selects the round-pipeline executor (see [`ExecutorKind`]).
     pub fn with_executor(mut self, executor: ExecutorKind) -> Self {
         self.executor = executor;
         self
-    }
-
-    /// Fixes the pool executor's frontier-chunk size (clamped to at least
-    /// 1 at run time); see [`Config::pool_chunk`]. Tests force `1` to make
-    /// steals happen even on tiny graphs.
-    pub fn with_pool_chunk(mut self, chunk: usize) -> Self {
-        self.pool_chunk = Some(chunk);
-        self
-    }
-
-    /// The configured number of node-stepping threads (1 for the serial
-    /// executor).
-    pub fn threads(&self) -> usize {
-        self.executor.threads()
     }
 
     /// Attaches an observer receiving live round/message/timing events
@@ -544,30 +493,11 @@ mod tests {
     }
 
     #[test]
-    fn with_threads_maps_onto_executors() {
-        assert_eq!(
-            Config::for_n(8).with_threads(0).executor,
-            ExecutorKind::Serial
-        );
-        assert_eq!(
-            Config::for_n(8).with_threads(1).executor,
-            ExecutorKind::Serial
-        );
-        assert_eq!(
-            Config::for_n(8).with_threads(4).executor,
-            ExecutorKind::Pool { workers: 4 }
-        );
-        assert_eq!(Config::for_n(8).executor, ExecutorKind::Serial);
-        assert_eq!(Config::for_n(8).threads(), 1);
-        assert_eq!(Config::for_n(8).with_threads(4).threads(), 4);
-    }
-
-    #[test]
     fn with_executor_is_explicit_selection() {
         let c = Config::for_n(8).with_executor(ExecutorKind::Pool { workers: 3 });
         assert_eq!(c.executor, ExecutorKind::Pool { workers: 3 });
-        assert_eq!(c, Config::for_n(8).with_threads(3));
-        assert_eq!(ExecutorKind::Pool { workers: 0 }.threads(), 1);
+        assert_ne!(c, Config::for_n(8));
+        assert_eq!(Config::for_n(8).executor, ExecutorKind::Serial);
         assert_eq!(ExecutorKind::default(), ExecutorKind::Serial);
     }
 
@@ -580,14 +510,6 @@ mod tests {
             .with_observer(SharedObserver::new(MetricsRecorder::new()).observer());
         assert_eq!(base, watched);
         assert_ne!(base, base.clone().with_phase("bfs"));
-    }
-
-    #[test]
-    fn pool_chunk_participates_in_semantic_equality() {
-        let c = Config::for_n(8).with_pool_chunk(1);
-        assert_eq!(c.pool_chunk, Some(1));
-        assert_ne!(c, Config::for_n(8));
-        assert_eq!(Config::for_n(8).pool_chunk, None);
     }
 
     /// Drop decisions are a pinned function of `(seed, round, node, port)`:

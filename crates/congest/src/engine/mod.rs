@@ -27,8 +27,9 @@
 //! executes is delegated to an [`Executor`]. Two implementations exist:
 //! [`serial::SerialExecutor`] (everything in place on the calling thread;
 //! the default) and [`pool::PoolExecutor`] (a persistent worker pool
-//! created once per run — see that module for the protocol). Because
-//! commit is always replayed in node-id order on the engine thread, every
+//! created once per run, whose workers only step — see that module for
+//! the protocol). Because every outbox is committed through one path,
+//! `Core::commit_outbox`, in node-id order on the engine thread, every
 //! executor yields bit-for-bit identical [`Report`]s and observer event
 //! streams; the equivalence proptests in
 //! `tests/engine_equivalence.rs` pin this against
@@ -54,13 +55,14 @@ mod pool;
 mod serial;
 pub(crate) mod store;
 
+use commit::DupScratch;
 use pool::PoolExecutor;
 use serial::SerialExecutor;
 use store::{BitSet, InboxArena, NodeStore};
 
 /// Process-wide count of pool worker threads spawned so far. The delta
 /// across a run equals the clamped worker count minus one (the engine
-/// thread carries shard 0 itself) — threads are spawned once per run,
+/// thread works deque 0 itself) — threads are spawned once per run,
 /// never per round — which benches and tests assert to keep the
 /// per-round-spawn regression of the pre-pipeline engine from coming back.
 #[doc(hidden)]
@@ -81,39 +83,6 @@ pub struct Report<O> {
     /// path); a run aborted by the round horizon returns an error and
     /// carries no report at all.
     pub certificate: Option<TerminationCertificate>,
-    /// Work-stealing scheduler telemetry — present only when the run used
-    /// the pool executor. Timing-dependent (which worker steps which chunk
-    /// varies run to run), so it is *not* part of the determinism contract;
-    /// the per-worker counts still sum exactly to the run's
-    /// [`RunStats::chunks_stepped`] and scheduled-node totals.
-    pub sched: Option<PoolSched>,
-}
-
-/// How the pool executor's work-stealing scheduler balanced one run: the
-/// chunking policy plus per-worker execution counts (index 0 is the engine
-/// thread). The *partition* of work across workers is timing-dependent,
-/// but the totals are exact: `chunks_per_worker` sums to
-/// [`RunStats::chunks_stepped`], `nodes_per_worker` plus the started-node
-/// count sums to [`RunStats::scheduled_node_rounds`], and `steals` equals
-/// [`RunStats::steals`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PoolSched {
-    /// Worker count after clamping to the node count (including the
-    /// engine thread).
-    pub workers: usize,
-    /// The configured fixed chunk size ([`Config::pool_chunk`] or the
-    /// `DAPSP_POOL_CHUNK` environment variable), or `None` when the
-    /// per-round adaptive size was used.
-    pub chunk_size: Option<usize>,
-    /// Frontier chunks stepped by each worker (engine thread first).
-    pub chunks_per_worker: Vec<u64>,
-    /// Scheduled nodes stepped by each worker (engine thread first);
-    /// excludes the round-0 `on_start` sweep, which runs on the engine
-    /// thread outside the chunk scheduler.
-    pub nodes_per_worker: Vec<u64>,
-    /// Chunks executed by a worker other than the one they were initially
-    /// queued on.
-    pub steals: u64,
 }
 
 /// The termination condition a run's final votes satisfied.
@@ -208,6 +177,8 @@ pub(crate) struct Core<'t, M> {
     pub(crate) wake: Vec<NodeId>,
     /// Bit `v` marks that `v` is already on the wake list.
     pub(crate) woken: BitSet,
+    /// Duplicate-send stamps of the outbox being committed.
+    pub(crate) dup: DupScratch,
     pub(crate) in_flight: u64,
     pub(crate) round: u64,
     pub(crate) stats: RunStats,
@@ -300,7 +271,7 @@ impl QuiescenceState {
         }
     }
 
-    /// Folds another partial aggregate (one pool shard's) into this one:
+    /// Folds another partial aggregate (one pool chunk's) into this one:
     /// decision bits AND together, counts add.
     pub(crate) fn absorb(&mut self, other: QuiescenceState) {
         self.passive &= other.passive;
@@ -366,11 +337,6 @@ pub(crate) trait Executor<A: NodeAlgorithm> {
     fn round_telemetry(&self) -> (u64, u64) {
         (0, 0)
     }
-    /// The run's aggregate scheduler telemetry, if this executor has a
-    /// chunk scheduler; read once, right before `into_outputs`.
-    fn sched(&self) -> Option<PoolSched> {
-        None
-    }
     /// Tears the executor down and extracts outputs in node-id order.
     fn into_outputs(self, final_round: u64) -> Vec<A::Output>;
 }
@@ -404,12 +370,48 @@ pub(crate) fn merge_schedule(wake: &[NodeId], awake: &[NodeId], out: &mut Vec<No
     out.extend_from_slice(&awake[j..]);
 }
 
+/// Round 0, the same on every executor: runs [`NodeAlgorithm::on_start`]
+/// on every node that boots, in id order on the engine thread, committing
+/// each outbox as it goes, then seeds the awake list and the termination
+/// votes with one full scan — the only O(n) sweep after construction.
+pub(crate) fn start_nodes<A: NodeAlgorithm>(
+    core: &mut Core<'_, A::Message>,
+    store: &mut NodeStore<A>,
+) -> Result<QuiescenceState, SimError> {
+    let n = store.len();
+    let topology = core.topology;
+    let mut outbox = Outbox::new();
+    {
+        // One observer lock for the whole sweep; `None` when unobserved.
+        let handle = core.config.observer.clone();
+        let mut observer = handle.as_ref().map(|h| h.lock());
+        for v in 0..n as NodeId {
+            // A node already inside a crash window at round 0 never boots;
+            // it restarts with its frozen initial state.
+            if core.config.faults.as_ref().is_some_and(|f| f.crashed(0, v)) {
+                continue;
+            }
+            let ctx = NodeContext {
+                node_id: v,
+                num_nodes: n,
+                neighbor_ids: topology.neighbors(v),
+                round: 0,
+            };
+            store.state_mut(v).on_start(&ctx, &mut outbox);
+            core.commit_outbox(&mut observer, v, &mut outbox.items)?;
+        }
+    }
+    // Crashed-at-0 nodes vote with their frozen initial state, exactly as
+    // the dense reference engine polls them.
+    Ok(store.seed_awake_and_votes())
+}
+
 /// Runs `on_round` for one node over its slice of the carved arrivals,
 /// read in place through a borrowed [`Inbox`] (sorted by port on the
 /// slice, only when the messages arrived out of port order).
 ///
-/// This is the only per-round work that pool workers execute on node
-/// state; it touches nothing but the node's own state and buffers.
+/// This is the only work that pool workers execute: it touches nothing but
+/// the node's own state and buffers.
 pub(crate) fn step_node<A: NodeAlgorithm>(
     topology: &Topology,
     n: usize,
@@ -448,8 +450,8 @@ pub(crate) fn step_node<A: NodeAlgorithm>(
 ///
 /// # Steady-state allocation
 ///
-/// All per-round buffers (inboxes, outboxes, staged commit queues, the
-/// duplicate-send scratches) are recycled between rounds, so once message
+/// All per-round buffers (inboxes, outboxes, pool chunks, the
+/// duplicate-send scratch) are recycled between rounds, so once message
 /// volume peaks the engine runs allocation-free. The kernel layer hosted
 /// in the step phase keeps the same discipline: its distance kernels
 /// borrow their rows of run-level matrices through `init` (which is why
@@ -491,6 +493,7 @@ impl<'t, A: NodeAlgorithm> Simulator<'t, A> {
                 arrivals: InboxArena::new(n),
                 wake: Vec::new(),
                 woken: BitSet::new(n),
+                dup: DupScratch::new(),
                 in_flight: 0,
                 round: 0,
                 stats: RunStats::default(),
@@ -551,12 +554,9 @@ impl<'t, A: NodeAlgorithm> Simulator<'t, A> {
                 // (dropping the executor's channels shuts them down before
                 // the scope's implicit join).
                 let topology = self.core.topology;
-                let limits = commit::Limits::of(&self.core.config);
                 let faults = self.core.config.faults.clone();
-                let chunk = pool::chunk_override(&self.core.config);
                 std::thread::scope(move |scope| {
-                    let executor =
-                        PoolExecutor::new(scope, topology, limits, faults, store, workers, chunk);
+                    let executor = PoolExecutor::new(scope, topology, faults, store, workers);
                     self.drive(executor, started)
                 })
             }
@@ -604,7 +604,6 @@ impl<'t, A: NodeAlgorithm> Simulator<'t, A> {
             executor.quiescence(),
             executor.final_votes(),
         ));
-        let sched = executor.sched();
         let outputs = executor.into_outputs(self.core.round);
         self.core.stats.wall_time = started.elapsed();
         if let Some(obs) = &self.core.config.observer {
@@ -617,7 +616,6 @@ impl<'t, A: NodeAlgorithm> Simulator<'t, A> {
             outputs,
             stats: self.core.stats,
             certificate,
-            sched,
         })
     }
 
@@ -1189,7 +1187,7 @@ mod obs_tests {
         let pool_report = Simulator::new(
             &topo,
             Config::for_n(7)
-                .with_threads(3)
+                .with_executor(ExecutorKind::Pool { workers: 3 })
                 .with_observer(pooled.observer()),
             gossip(7),
         )
@@ -1262,7 +1260,7 @@ mod obs_tests {
         };
         let (serial_cfg, serial_rec) = observed(cfg());
         let serial = Simulator::new(&topo, serial_cfg, gossip(9)).run().unwrap();
-        let (pool_cfg, pool_rec) = observed(cfg().with_threads(3));
+        let (pool_cfg, pool_rec) = observed(cfg().with_executor(ExecutorKind::Pool { workers: 3 }));
         let pooled = Simulator::new(&topo, pool_cfg, gossip(9)).run().unwrap();
         let (seed_cfg, seed_rec) = observed(cfg());
         let seed = ReferenceSimulator::new(&topo, seed_cfg, gossip(9))

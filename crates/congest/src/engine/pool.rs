@@ -1,6 +1,6 @@
 //! The work-stealing pool executor: long-lived worker threads created
-//! once per run, balancing each round's frontier dynamically over
-//! fixed-size chunks instead of static id-range shards.
+//! once per run, balancing each round's frontier dynamically over chunks
+//! instead of static id-range shards.
 //!
 //! # Protocol
 //!
@@ -11,40 +11,36 @@
 //! (checked out of the [`NodeStore`] slab by `Option::take` — ownership
 //! transfer is what makes concurrent stepping safe without `unsafe`),
 //! their arrivals (the chunk's contiguous range of the carved arena, moved
-//! out once and then read in place), and an empty
-//! [`StagedShard`] for the validated outboxes. Chunks are distributed in
-//! contiguous blocks over one `Mutex<VecDeque>` **deque per worker**
-//! (deque 0 belongs to the engine thread), and exactly the workers whose
-//! deques received chunks are woken — a sparse round costs wakes
-//! proportional to its frontier, never to the thread count.
+//! out once and then read in place), and one outbox per node. Chunks are
+//! distributed in contiguous blocks over one `Mutex<VecDeque>` **deque
+//! per worker** (deque 0 belongs to the engine thread), and exactly the
+//! workers whose deques received chunks are woken — a sparse round costs
+//! wakes proportional to its frontier, never to the thread count.
 //!
 //! Every worker (the engine thread included) then runs the same drain
 //! loop: pop a chunk from the front of its own deque; when that is empty,
 //! **steal the back half** of the first non-empty victim deque (cyclic
 //! scan). A stolen chunk keeps its `home` tag, so `stepped_by != home`
-//! counts one steal. Stepping a chunk is two passes, exactly like the old
-//! shard protocol: step every node (rebuilding the chunk-local awake list
-//! and folding termination votes), then validate every outbox into the
-//! chunk's staged queue, stopping at the chunk's first error (the serial
-//! abort point). Finished chunks are sent to the engine over one shared
-//! results channel.
+//! counts one steal. A worker only *steps* its chunk's nodes — rebuilding
+//! the chunk-local awake list and folding termination votes — and sends
+//! the chunk, outboxes filled, back to the engine over one shared results
+//! channel.
 //!
 //! Determinism survives because nothing observable happens on a worker:
-//! the engine thread collects all chunks, then replays them **in
+//! the engine thread collects all chunks and replays them **in
 //! chunk-index order** — which is node-id order, because chunks are
 //! consecutive slices of the sorted schedule — restoring states to the
 //! slab, concatenating the chunk-local awake lists, and (in the commit
-//! phase) merging the staged queues through the same accounting path the
-//! serial executor uses. *Which worker* stepped a chunk is the only
-//! timing-dependent fact, and it is exported solely through the
-//! steal/chunk telemetry ([`PoolSched`], `RunStats::steals`) that the
-//! equality contracts deliberately exclude.
+//! phase) committing every carried outbox through the same
+//! [`Core::commit_outbox`] the serial executor calls. *Which worker*
+//! stepped a chunk is the only timing-dependent fact, and it is exported
+//! solely through `RunStats::steals`, which the equality contracts
+//! deliberately exclude.
 //!
-//! Chunk size: [`Config::pool_chunk`] if set, else the `DAPSP_POOL_CHUNK`
-//! environment variable, else adaptively `max(16, sched / (4 · workers))`
-//! so every worker has a few chunks' worth of slack to steal. All chunk
-//! containers are recycled through a [`Scratch`] pool, so the steady
-//! state stays allocation-free.
+//! Chunk size is `max(16, sched / (4 · workers))` per round, so every
+//! worker has a few chunks' worth of slack to steal. All chunk containers
+//! are recycled through a [`Scratch`] pool, so the steady state stays
+//! allocation-free.
 //!
 //! The crate forbids `unsafe`, so workers are scoped threads: `run` wraps
 //! the whole round loop in one `std::thread::scope`, and the executor's
@@ -60,14 +56,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::{Scope, ScopedJoinHandle};
 
 use crate::algorithm::{NodeAlgorithm, Quiescence};
-use crate::config::{Config, FaultPlan};
+use crate::config::FaultPlan;
 use crate::error::SimError;
-use crate::node::{NodeContext, NodeId, Outbox, Port};
+use crate::node::{NodeId, Outbox, Port};
 use crate::topology::Topology;
 
-use super::commit::{stage_outbox, DupScratch, Limits, StagedShard};
 use super::store::{NodeStore, Scratch};
-use super::{step_node, Core, Executor, PoolSched, QuiescenceState};
+use super::{start_nodes, step_node, Core, Executor, QuiescenceState};
 
 /// Total worker threads ever spawned by pool executors, process-wide.
 /// Exists so tests and benches can pin the "threads are created once per
@@ -80,21 +75,6 @@ static SPAWNED: AtomicU64 = AtomicU64::new(0);
 /// [`pool_workers_spawned`](crate::pool_workers_spawned).
 pub(crate) fn workers_spawned() -> u64 {
     SPAWNED.load(Ordering::Relaxed)
-}
-
-/// The effective fixed chunk-size override for a run: the config knob
-/// wins, then the `DAPSP_POOL_CHUNK` environment variable (how CI forces
-/// the stealing path on tiny graphs); `None` selects the per-round
-/// adaptive size.
-pub(crate) fn chunk_override(config: &Config) -> Option<usize> {
-    config
-        .pool_chunk
-        .or_else(|| {
-            std::env::var("DAPSP_POOL_CHUNK")
-                .ok()
-                .and_then(|s| s.parse().ok())
-        })
-        .map(|c: usize| c.max(1))
 }
 
 /// One unit of stealable work: a consecutive slice of the round's
@@ -125,9 +105,10 @@ struct Chunk<A: NodeAlgorithm> {
     inbox_data: Vec<(Port, A::Message)>,
     /// Per-node slice ends into `inbox_data`, positional to `ids`.
     inbox_ends: Vec<u32>,
-    /// The validated outboxes, staged in id order up to the chunk's first
-    /// validation error.
-    shard: StagedShard<A::Message>,
+    /// The nodes' outboxes, positional to `ids`; the engine thread commits
+    /// (and so drains) them in order. Kept across recycling, so their
+    /// buffers are reused.
+    outboxes: Vec<Outbox<A::Message>>,
     /// Chunk-local awake list (ids reporting `is_active` post-step),
     /// ascending.
     awake: Vec<NodeId>,
@@ -146,7 +127,7 @@ impl<A: NodeAlgorithm> Default for Chunk<A> {
             states: Vec::new(),
             inbox_data: Vec::new(),
             inbox_ends: Vec::new(),
-            shard: StagedShard::default(),
+            outboxes: Vec::new(),
             awake: Vec::new(),
             votes: QuiescenceState::default(),
         }
@@ -162,7 +143,7 @@ impl<A: NodeAlgorithm> Chunk<A> {
         self.inbox_data.clear();
         self.inbox_ends.clear();
         self.awake.clear();
-        debug_assert!(self.shard.entries.is_empty() && self.shard.error.is_none());
+        debug_assert!(self.outboxes.iter().all(|o| o.items.is_empty()));
     }
 }
 
@@ -224,20 +205,14 @@ fn grab<A: NodeAlgorithm>(deques: &Deques<A>, me: usize) -> Option<Chunk<A>> {
     None
 }
 
-/// Steps one chunk in place: pass 1 steps every node (each reading its
-/// slice of the flat inbox data where it lies), rebuilding the chunk's
-/// awake list and vote aggregate; pass 2 validates every outbox into the chunk's staged
-/// queue, stopping at the first error exactly where the serial commit
-/// would abort. Shared verbatim by the worker threads and the engine
-/// thread's own drain loop.
-#[allow(clippy::too_many_arguments)] // one chunk-step, described flat
+/// Steps one chunk in place: every node reads its slice of the flat
+/// inbox data where it lies and fills its outbox; the chunk's awake list
+/// and vote aggregate are rebuilt on the way. Shared verbatim by the
+/// worker threads and the engine thread's own drain loop.
 fn step_chunk<A: NodeAlgorithm>(
     topology: &Topology,
     n: usize,
-    limits: Limits,
     faults: &Option<FaultPlan>,
-    scratch: &mut DupScratch,
-    outboxes: &mut Vec<Outbox<A::Message>>,
     chunk: &mut Chunk<A>,
     me: u32,
 ) {
@@ -248,7 +223,7 @@ fn step_chunk<A: NodeAlgorithm>(
         states,
         inbox_data,
         inbox_ends,
-        shard,
+        outboxes,
         awake,
         ..
     } = chunk;
@@ -294,20 +269,6 @@ fn step_chunk<A: NodeAlgorithm>(
         }
         votes.vote(node.quiescence());
     }
-    for (j, &v) in ids.iter().enumerate() {
-        if !stage_outbox(
-            topology,
-            limits,
-            faults,
-            scratch,
-            v,
-            &mut outboxes[j].items,
-            round,
-            shard,
-        ) {
-            break;
-        }
-    }
     chunk.votes = votes;
 }
 
@@ -315,12 +276,10 @@ fn step_chunk<A: NodeAlgorithm>(
 /// (own deque first, stealing when empty) until the whole round is dry,
 /// sending each stepped chunk back to the engine. Exits when the kick
 /// channel closes (executor dropped) or the engine stops receiving.
-#[allow(clippy::too_many_arguments)] // one worker's full context, described flat
 fn worker_loop<A: NodeAlgorithm>(
     topology: &Topology,
     n: usize,
     me: usize,
-    limits: Limits,
     faults: Option<FaultPlan>,
     deques: Arc<Deques<A>>,
     kick: Receiver<()>,
@@ -330,20 +289,9 @@ fn worker_loop<A: NodeAlgorithm>(
         me,
         results: results.clone(),
     };
-    let mut scratch = DupScratch::new();
-    let mut outboxes: Vec<Outbox<A::Message>> = Vec::new();
     while kick.recv().is_ok() {
         while let Some(mut chunk) = grab(&deques, me) {
-            step_chunk(
-                topology,
-                n,
-                limits,
-                &faults,
-                &mut scratch,
-                &mut outboxes,
-                &mut chunk,
-                me as u32,
-            );
+            step_chunk(topology, n, &faults, &mut chunk, me as u32);
             if results.send(Ok(chunk)).is_err() {
                 return; // engine gone (run aborted)
             }
@@ -357,13 +305,10 @@ fn worker_loop<A: NodeAlgorithm>(
 pub(crate) struct PoolExecutor<'t, 'scope, A: NodeAlgorithm> {
     topology: &'t Topology,
     n: usize,
-    limits: Limits,
     faults: Option<FaultPlan>,
     /// All node state; chunks check states out per round and the engine
     /// checks them back in before the round's votes are read.
     store: NodeStore<A>,
-    /// Fixed chunk size (config/env), `None` for per-round adaptive.
-    chunk_cap: Option<usize>,
     deques: Arc<Deques<A>>,
     /// One wake signal per spawned worker (`kicks[w - 1]` is deque `w`'s
     /// owner); only workers whose deques received chunks are kicked.
@@ -378,18 +323,9 @@ pub(crate) struct PoolExecutor<'t, 'scope, A: NodeAlgorithm> {
     /// Recycled chunk containers.
     spare: Scratch<Chunk<A>>,
     quiescence: QuiescenceState,
-    /// Scratch for the `on_start` commits and the engine thread's own
-    /// chunk stepping.
-    scratch: DupScratch,
-    outboxes: Vec<Outbox<A::Message>>,
-    /// Outbox recycled across the `on_start` calls.
-    start_outbox: Outbox<A::Message>,
-    /// Telemetry for the round in flight / the whole run.
+    /// Telemetry for the round in flight.
     round_chunks: u64,
     round_steals: u64,
-    steals_total: u64,
-    chunks_per_worker: Vec<u64>,
-    nodes_per_worker: Vec<u64>,
 }
 
 impl<'t, 'scope, A> PoolExecutor<'t, 'scope, A>
@@ -404,11 +340,9 @@ where
     pub(crate) fn new<'env>(
         scope: &'scope Scope<'scope, 'env>,
         topology: &'t Topology,
-        limits: Limits,
         faults: Option<FaultPlan>,
         store: NodeStore<A>,
         workers: usize,
-        chunk_cap: Option<usize>,
     ) -> Self
     where
         't: 'scope,
@@ -434,7 +368,6 @@ where
                     topology,
                     n,
                     me,
-                    limits,
                     worker_faults,
                     worker_deques,
                     kick_rx,
@@ -450,10 +383,8 @@ where
         PoolExecutor {
             topology,
             n,
-            limits,
             faults,
             store,
-            chunk_cap,
             deques,
             kicks,
             results: results_rx,
@@ -462,14 +393,8 @@ where
             done: Vec::new(),
             spare: Scratch::new(),
             quiescence: QuiescenceState::default(),
-            scratch: DupScratch::new(),
-            outboxes: Vec::new(),
-            start_outbox: Outbox::new(),
             round_chunks: 0,
             round_steals: 0,
-            steals_total: 0,
-            chunks_per_worker: vec![0; workers],
-            nodes_per_worker: vec![0; workers],
         }
     }
 }
@@ -480,43 +405,9 @@ where
     A::Message: Send,
 {
     fn start(&mut self, core: &mut Core<'_, A::Message>) -> Result<(), SimError> {
-        // `on_start` and its commits run on the engine thread, exactly as
-        // the serial executor does: round 0 has no step phase to chunk.
-        let n = self.n;
-        {
-            let handle = core.config.observer.clone();
-            let mut observer = handle.as_ref().map(|h| h.lock());
-            for v in 0..n {
-                // Mirror the serial executor: nodes crashed at round 0
-                // never run `on_start`.
-                if self
-                    .faults
-                    .as_ref()
-                    .is_some_and(|f| f.crashed(0, v as NodeId))
-                {
-                    continue;
-                }
-                let ctx = NodeContext {
-                    node_id: v as NodeId,
-                    num_nodes: n,
-                    neighbor_ids: self.topology.neighbors(v as NodeId),
-                    round: 0,
-                };
-                self.store
-                    .state_mut(v as NodeId)
-                    .on_start(&ctx, &mut self.start_outbox);
-                core.commit_outbox(
-                    &mut observer,
-                    &mut self.scratch,
-                    v as NodeId,
-                    &mut self.start_outbox.items,
-                )?;
-            }
-        }
-        // Seed the awake list and the termination votes with one full
-        // scan, identically to the serial executor (crashed-at-0 nodes
-        // participate with their frozen initial state).
-        self.quiescence = self.store.seed_awake_and_votes();
+        // Round 0 has no step phase to chunk: `on_start` and its commits
+        // run on the engine thread, exactly as on the serial executor.
+        self.quiescence = start_nodes(core, &mut self.store)?;
         Ok(())
     }
 
@@ -541,10 +432,7 @@ where
             return;
         }
         let k = self.deques.len();
-        let size = self
-            .chunk_cap
-            .unwrap_or_else(|| sched.div_ceil(k * 4).max(16))
-            .max(1);
+        let size = sched.div_ceil(k * 4).max(16);
         let chunks = sched.div_ceil(size);
         let per_deque = chunks.div_ceil(k);
         self.total_chunks = chunks;
@@ -593,22 +481,13 @@ where
         // then collect the remaining chunks from the workers and replay
         // everything in chunk-index order: states back into the slab,
         // awake lists concatenated (= globally sorted), votes folded,
-        // telemetry booked. The staged queues stay parked in `done` for
-        // the commit phase.
+        // telemetry booked. The outboxes stay parked in `done` for the
+        // commit phase.
         let _ = core;
         let chunks = self.total_chunks;
         let mut local = 0usize;
         while let Some(mut chunk) = grab(&self.deques, 0) {
-            step_chunk(
-                self.topology,
-                self.n,
-                self.limits,
-                &self.faults,
-                &mut self.scratch,
-                &mut self.outboxes,
-                &mut chunk,
-                0,
-            );
+            step_chunk(self.topology, self.n, &self.faults, &mut chunk, 0);
             let at = chunk.index as usize;
             self.done[at] = Some(chunk);
             local += 1;
@@ -643,15 +522,11 @@ where
             awake_next.extend_from_slice(&chunk.awake);
             votes.absorb(chunk.votes);
             polled += chunk.ids.len();
-            let by = chunk.stepped_by as usize;
-            self.chunks_per_worker[by] += 1;
-            self.nodes_per_worker[by] += chunk.ids.len() as u64;
             if chunk.stepped_by != chunk.home {
                 self.round_steals += 1;
             }
         }
         self.round_chunks = chunks as u64;
-        self.steals_total += self.round_steals;
         // Unanimous shutdown requires every node's consent; nodes off the
         // schedule are necessarily `Passive`, which vetoes it.
         votes.shutdown &= polled == self.n;
@@ -662,17 +537,18 @@ where
     fn commit(&mut self, core: &mut Core<'_, A::Message>) -> Result<(), SimError> {
         let handle = core.config.observer.clone();
         let mut observer = handle.as_ref().map(|h| h.lock());
-        // Replay the staged queues in chunk-index order — node-id order,
-        // since chunks are consecutive slices of the sorted schedule —
-        // recycling each chunk as it drains. An error aborts exactly where
-        // the serial commit would: after the partial accounting that
-        // precedes the faulty item, with later chunks never booked.
+        // Commit in chunk-index order — node-id order, since chunks are
+        // consecutive slices of the sorted schedule — recycling each chunk
+        // as it drains. An invalid send aborts exactly where the serial
+        // commit would: after the accounting of every earlier item, with
+        // later outboxes never booked.
         for index in 0..self.total_chunks {
             let mut chunk = self.done[index].take().expect("chunk stepped");
-            let merged = core.merge_shard(&mut observer, &mut chunk.shard);
+            for (j, &v) in chunk.ids.iter().enumerate() {
+                core.commit_outbox(&mut observer, v, &mut chunk.outboxes[j].items)?;
+            }
             chunk.recycle();
             self.spare.put(chunk);
-            merged?;
         }
         Ok(())
     }
@@ -687,16 +563,6 @@ where
 
     fn round_telemetry(&self) -> (u64, u64) {
         (self.round_chunks, self.round_steals)
-    }
-
-    fn sched(&self) -> Option<PoolSched> {
-        Some(PoolSched {
-            workers: self.deques.len(),
-            chunk_size: self.chunk_cap,
-            chunks_per_worker: self.chunks_per_worker.clone(),
-            nodes_per_worker: self.nodes_per_worker.clone(),
-            steals: self.steals_total,
-        })
     }
 
     fn into_outputs(self, final_round: u64) -> Vec<A::Output> {

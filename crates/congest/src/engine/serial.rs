@@ -4,12 +4,11 @@
 
 use crate::algorithm::NodeAlgorithm;
 use crate::error::SimError;
-use crate::node::{NodeContext, NodeId, Outbox};
+use crate::node::{NodeId, Outbox};
 use crate::topology::Topology;
 
-use super::commit::DupScratch;
 use super::store::NodeStore;
-use super::{step_node, Core, Executor, QuiescenceState};
+use super::{start_nodes, step_node, Core, Executor, QuiescenceState};
 
 /// Runs the pipeline phases in place over a [`NodeStore`]: the schedule is
 /// the sorted union of the wake and awake lists, deliver carves the
@@ -23,7 +22,6 @@ pub(crate) struct SerialExecutor<'t, A: NodeAlgorithm> {
     /// Send buffers, positionally matched to the schedule; grown on demand
     /// and recycled (commit drains them in place).
     outboxes: Vec<Outbox<A::Message>>,
-    scratch: DupScratch,
     quiescence: QuiescenceState,
 }
 
@@ -33,7 +31,6 @@ impl<'t, A: NodeAlgorithm> SerialExecutor<'t, A> {
             topology,
             store,
             outboxes: Vec::new(),
-            scratch: DupScratch::new(),
             quiescence: QuiescenceState::default(),
         }
     }
@@ -41,46 +38,7 @@ impl<'t, A: NodeAlgorithm> SerialExecutor<'t, A> {
 
 impl<A: NodeAlgorithm> Executor<A> for SerialExecutor<'_, A> {
     fn start(&mut self, core: &mut Core<'_, A::Message>) -> Result<(), SimError> {
-        let n = self.store.len();
-        let mut start_outbox = Outbox::new();
-        {
-            let handle = core.config.observer.clone();
-            let mut observer = handle.as_ref().map(|h| h.lock());
-            for v in 0..n {
-                // A node already inside a crash window at round 0 never
-                // boots; it runs `on_start` only conceptually, after
-                // restarting (i.e. not at all — restarts resume the
-                // frozen state).
-                if core
-                    .config
-                    .faults
-                    .as_ref()
-                    .is_some_and(|f| f.crashed(0, v as NodeId))
-                {
-                    continue;
-                }
-                let ctx = NodeContext {
-                    node_id: v as NodeId,
-                    num_nodes: n,
-                    neighbor_ids: self.topology.neighbors(v as NodeId),
-                    round: 0,
-                };
-                self.store
-                    .state_mut(v as NodeId)
-                    .on_start(&ctx, &mut start_outbox);
-                core.commit_outbox(
-                    &mut observer,
-                    &mut self.scratch,
-                    v as NodeId,
-                    &mut start_outbox.items,
-                )?;
-            }
-        }
-        // Seed the awake list and the termination votes with one full
-        // scan — the only O(n) sweep after construction. Crashed-at-0
-        // nodes participate with their (frozen) initial state, exactly as
-        // the dense reference engine polls them.
-        self.quiescence = self.store.seed_awake_and_votes();
+        self.quiescence = start_nodes(core, &mut self.store)?;
         Ok(())
     }
 
@@ -155,12 +113,7 @@ impl<A: NodeAlgorithm> Executor<A> for SerialExecutor<'_, A> {
         let handle = core.config.observer.clone();
         let mut observer = handle.as_ref().map(|h| h.lock());
         for (i, &v) in self.store.schedule.iter().enumerate() {
-            core.commit_outbox(
-                &mut observer,
-                &mut self.scratch,
-                v,
-                &mut self.outboxes[i].items,
-            )?;
+            core.commit_outbox(&mut observer, v, &mut self.outboxes[i].items)?;
         }
         Ok(())
     }

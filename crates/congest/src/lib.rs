@@ -95,7 +95,7 @@ pub use config::{
     TopologyEvent, TopologyPlan,
 };
 pub use engine::pool_workers_spawned;
-pub use engine::{PoolSched, Report, Simulator, TerminationCertificate, TerminationReason};
+pub use engine::{Report, Simulator, TerminationCertificate, TerminationReason};
 pub use error::SimError;
 pub use message::{bits_for_count, bits_for_id, Envelope, Message, TraceTags, Width};
 pub use node::{Inbox, NodeContext, NodeId, Outbox, Port};

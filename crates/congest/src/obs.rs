@@ -76,18 +76,16 @@ use crate::trace::TraceEvent;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RoundTiming {
     /// Inbox turnover: carving arrivals (serial executor) or distributing
-    /// shards to workers (pool executor). The zero-allocation engine fuses
+    /// chunks to workers (pool executor). The zero-allocation engine fuses
     /// delivery enqueueing into commit and inbox sorting into step, so its
     /// deliver share is near zero *by design*.
     pub deliver: Duration,
     /// Node-local `on_round` execution. The pool executor runs this phase
-    /// on its workers (which also pre-validate outboxes into staged
-    /// commit queues); it is the only phase
-    /// [`Config::with_threads`](crate::Config) parallelizes.
+    /// on its workers; it is the only phase that runs in parallel.
     pub step: Duration,
-    /// The outbox validation/accounting/enqueue phase, always replayed on
-    /// the engine thread in node-id order (under the pool, the merge of
-    /// the workers' staged queues).
+    /// The outbox validation/accounting/enqueue phase, always on the
+    /// engine thread in node-id order (under the pool, over the outboxes
+    /// the chunks carried back).
     pub commit: Duration,
 }
 

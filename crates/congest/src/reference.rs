@@ -270,7 +270,6 @@ impl<'t, A: NodeAlgorithm> ReferenceSimulator<'t, A> {
             outputs,
             stats: self.stats,
             certificate,
-            sched: None,
         })
     }
 }

@@ -51,9 +51,9 @@ pub struct RunStats {
     /// excluded from equality so serial and pool runs of the same
     /// simulation still compare equal.
     pub chunks_stepped: u64,
-    /// Chunks executed by a worker other than their home worker (see
-    /// [`PoolSched`](crate::PoolSched)). Timing-dependent run to run;
-    /// excluded from equality alongside `chunks_stepped`.
+    /// Chunks stepped by a worker other than the one whose deque they
+    /// were dealt to. Timing-dependent run to run; excluded from equality
+    /// alongside `chunks_stepped`.
     pub steals: u64,
     /// What the reliable transport did, summed over the phases that ran
     /// wrapped in it; all zero for a run over reliable links.
@@ -88,18 +88,6 @@ impl PartialEq for RunStats {
 impl Eq for RunStats {}
 
 impl RunStats {
-    /// The fraction of stepped chunks that were stolen (0 when no chunks
-    /// were stepped, e.g. on the serial executor). A well-balanced
-    /// frontier keeps this near 0; a hub-dominated frontier pushes it up
-    /// as idle workers drain the hub chunks' home deque.
-    pub fn steal_fraction(&self) -> f64 {
-        if self.chunks_stepped == 0 {
-            0.0
-        } else {
-            self.steals as f64 / self.chunks_stepped as f64
-        }
-    }
-
     /// Accumulates another run's statistics into this one, summing rounds
     /// and wall-clock time — used when an algorithm is composed of
     /// sequential phases.
@@ -251,8 +239,6 @@ mod tests {
             ..RunStats::default()
         };
         assert_eq!(a, b);
-        assert!((a.steal_fraction() - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(b.steal_fraction(), 0.0);
     }
 
     #[test]

@@ -252,28 +252,32 @@ fn mostly_idle_protocol_steps_one_node_per_round() {
     let dense = ReferenceSimulator::new(&topo, Config::for_n(N), init)
         .run()
         .expect("reference runs");
-    for threads in [1usize, 2, 4] {
-        let report = Simulator::new(&topo, Config::for_n(N).with_threads(threads), init)
+    for executor in [
+        ExecutorKind::Serial,
+        ExecutorKind::Pool { workers: 2 },
+        ExecutorKind::Pool { workers: 4 },
+    ] {
+        let report = Simulator::new(&topo, Config::for_n(N).with_executor(executor), init)
             .run()
             .expect("runs");
-        assert_eq!(report.stats.rounds, TICKS, "t{threads}: rounds");
+        assert_eq!(report.stats.rounds, TICKS, "{executor:?}: rounds");
         // Total on_round invocations across all nodes: one per round, not
         // n per round. (The dense engine steps everyone, so its own
         // outputs differ by design — stepping an inactive node with an
         // empty inbox is unobservable only for honest no-op on_rounds,
         // which the step counter deliberately is not.)
         let total_steps: u64 = report.outputs.iter().sum();
-        assert_eq!(total_steps, TICKS, "t{threads}: steps");
+        assert_eq!(total_steps, TICKS, "{executor:?}: steps");
         assert_eq!(
             report.stats.scheduled_node_rounds,
             N as u64 + TICKS,
-            "t{threads}: scheduled node-rounds"
+            "{executor:?}: scheduled node-rounds"
         );
         assert_eq!(
             report.stats.max_scheduled_per_round, N as u64,
-            "t{threads}: round-0 peak"
+            "{executor:?}: round-0 peak"
         );
-        assert_eq!(report.stats, dense.stats, "t{threads}: stats vs dense");
+        assert_eq!(report.stats, dense.stats, "{executor:?}: stats vs dense");
     }
 }
 
@@ -289,14 +293,14 @@ fn fully_idle_protocol_quiesces_at_round_zero() {
         .run()
         .expect("reference runs");
     assert_eq!(dense.stats.rounds, 0);
-    for threads in [1usize, 4] {
-        let report = Simulator::new(&topo, Config::for_n(N).with_threads(threads), init)
+    for executor in [ExecutorKind::Serial, ExecutorKind::Pool { workers: 4 }] {
+        let report = Simulator::new(&topo, Config::for_n(N).with_executor(executor), init)
             .run()
             .expect("runs");
-        assert_eq!(report.stats.rounds, 0, "t{threads}");
-        assert!(report.outputs.iter().all(|&s| s == 0), "t{threads}");
-        assert_eq!(report.stats.scheduled_node_rounds, N as u64, "t{threads}");
-        assert_eq!(report.stats, dense.stats, "t{threads}");
+        assert_eq!(report.stats.rounds, 0, "{executor:?}");
+        assert!(report.outputs.iter().all(|&s| s == 0), "{executor:?}");
+        assert_eq!(report.stats.scheduled_node_rounds, N as u64, "{executor:?}");
+        assert_eq!(report.stats, dense.stats, "{executor:?}");
     }
 }
 
@@ -355,7 +359,14 @@ fn an_unpolled_shutdown_vote_vetoes_a_unanimous_shutdown() {
     let config = gossip_config(3);
     let reports = [
         Simulator::new(&topo, config.clone(), init).run(),
-        Simulator::new(&topo, config.clone().with_threads(2), init).run(),
+        Simulator::new(
+            &topo,
+            config
+                .clone()
+                .with_executor(ExecutorKind::Pool { workers: 2 }),
+            init,
+        )
+        .run(),
         ReferenceSimulator::new(&topo, config, init).run(),
     ];
     for report in reports {
@@ -467,25 +478,7 @@ proptest! {
         let topo = Topology::from_adjacency(adj).expect("valid");
         let (sequential, seq_trace) = run_with(&topo, gossip_config(n));
         for k in [2usize, 4] {
-            let (threaded, trace) = run_with(&topo, gossip_config(n).with_threads(k));
-            prop_assert_eq!(&sequential.outputs, &threaded.outputs, "outputs, k={}", k);
-            prop_assert_eq!(sequential.stats, threaded.stats, "stats, k={}", k);
-            prop_assert_eq!(&seq_trace, &trace, "trace, k={}", k);
-        }
-    }
-
-    /// Forcing unit chunks puts every node in its own work-stealing chunk —
-    /// the maximum-stealing regime — and the pool must still be
-    /// bit-identical to the serial run: chunk boundaries and steal counts
-    /// are pure scheduling, invisible to the model.
-    #[test]
-    fn forced_unit_chunks_stay_deterministic(n in 2usize..32, seed in any::<u64>()) {
-        let adj = random_connected_adj(n, seed, 1);
-        let topo = Topology::from_adjacency(adj).expect("valid");
-        let (sequential, seq_trace) = run_with(&topo, gossip_config(n));
-        for k in [2usize, 4] {
-            let (threaded, trace) =
-                run_with(&topo, gossip_config(n).with_threads(k).with_pool_chunk(1));
+            let (threaded, trace) = run_with(&topo, gossip_config(n).with_executor(ExecutorKind::Pool { workers: k }));
             prop_assert_eq!(&sequential.outputs, &threaded.outputs, "outputs, k={}", k);
             prop_assert_eq!(sequential.stats, threaded.stats, "stats, k={}", k);
             prop_assert_eq!(&seq_trace, &trace, "trace, k={}", k);
@@ -499,12 +492,12 @@ proptest! {
     fn threads_and_loss_stay_deterministic(n in 2usize..24, seed in any::<u64>()) {
         let adj = random_connected_adj(n, seed, 1);
         let topo = Topology::from_adjacency(adj).expect("valid");
-        let lossy = |threads: usize| {
-            run_with(&topo, gossip_config(n).with_loss(0.3, seed).with_threads(threads))
+        let lossy = |executor: ExecutorKind| {
+            run_with(&topo, gossip_config(n).with_loss(0.3, seed).with_executor(executor))
         };
-        let (sequential, seq_trace) = lossy(1);
+        let (sequential, seq_trace) = lossy(ExecutorKind::Serial);
         for k in [3usize, 64] {
-            let (threaded, trace) = lossy(k);
+            let (threaded, trace) = lossy(ExecutorKind::Pool { workers: k });
             prop_assert_eq!(&sequential.outputs, &threaded.outputs, "outputs, k={}", k);
             prop_assert_eq!(sequential.stats, threaded.stats, "stats, k={}", k);
             prop_assert_eq!(&seq_trace, &trace, "trace, k={}", k);

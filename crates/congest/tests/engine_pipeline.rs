@@ -1,13 +1,13 @@
 //! Targeted regression tests for the phase-pipeline/executor split:
 //! worker-pool lifecycle (threads spawn once per run, never per round),
-//! shard-safe duplicate-send stamps, error parity between executors, and
-//! the active-set schedule staying sparse at scale.
+//! per-outbox duplicate-send stamps, error and partial-accounting parity
+//! between executors, and the active-set schedule staying sparse at scale.
 
 use std::sync::{Mutex, MutexGuard};
 
 use dapsp_congest::{
-    pool_workers_spawned, Config, ExecutorKind, Inbox, Message, NodeAlgorithm, NodeContext, Outbox,
-    Port, SimError, Simulator, Topology,
+    pool_workers_spawned, Config, ExecutorKind, Inbox, Message, NodeAlgorithm, NodeContext,
+    Observer, Outbox, Port, SharedObserver, SimError, Simulator, Topology, TraceEvent,
 };
 
 /// `pool_workers_spawned` is process-wide, and the test harness runs this
@@ -104,8 +104,8 @@ fn pool_spawns_workers_once_per_run_not_per_round() {
 }
 
 /// Regression for the `used_stamp` sharing hazard: duplicate-send
-/// detection is per-outbox scratch, and each pool worker owns its own, so
-/// two nodes committing in the same round can never alias stamps. Nodes 0
+/// detection is per-outbox scratch, reset for every outbox, so two nodes
+/// committing in the same round can never alias stamps. Nodes 0
 /// and 2 of a path both send on their port 0 in the same rounds; with a
 /// shared stamp (or a stamp not reset per outbox) one of them would be
 /// falsely rejected as a duplicate.
@@ -134,8 +134,7 @@ fn same_round_commits_cannot_alias_duplicate_stamps() {
 }
 
 /// A *real* duplicate send must still be caught, with the same error the
-/// serial engine reports, even when the faulty node lives in a later
-/// worker's shard.
+/// serial engine reports, on every executor.
 struct DoubleAtTwo;
 impl NodeAlgorithm for DoubleAtTwo {
     type Message = Tick;
@@ -153,7 +152,7 @@ impl NodeAlgorithm for DoubleAtTwo {
 }
 
 #[test]
-fn duplicate_detection_is_shard_local_but_still_fires() {
+fn duplicate_detection_fires_on_every_executor() {
     let _gate = spawn_gate();
     let topo = path(4);
     let mut errors = vec![];
@@ -182,6 +181,82 @@ fn duplicate_detection_is_shard_local_but_still_fires() {
     }
     assert_eq!(errors[0], errors[1]);
     assert_eq!(errors[0], errors[2]);
+}
+
+/// Every node sends on every port each round; node 20 sends twice on its
+/// port 0 in round 2. On a 40-node path the whole network is scheduled
+/// every round, which the pool cuts into three chunks of at most 16 nodes:
+/// node 20 sits mid-chunk, after chunk 0 and four of chunk 1's outboxes.
+struct DoubleMidChunk;
+impl NodeAlgorithm for DoubleMidChunk {
+    type Message = Tick;
+    type Output = ();
+    fn on_round(&mut self, ctx: &NodeContext<'_>, _: &Inbox<Tick>, out: &mut Outbox<Tick>) {
+        out.send_to_all(0..ctx.degree() as Port, Tick);
+        if ctx.node_id() == 20 && ctx.round() == 2 {
+            out.send(0, Tick);
+        }
+    }
+    fn is_active(&self) -> bool {
+        true
+    }
+    fn into_output(self, _: &NodeContext<'_>) {}
+}
+
+/// Records every event of a run, so the accounting booked before an abort
+/// can be compared.
+struct Log(Vec<TraceEvent>);
+impl Observer for Log {
+    fn on_event(&mut self, ev: &TraceEvent) {
+        self.0.push(ev.clone());
+    }
+}
+
+/// A pool run whose outbox fails validation in mid-chunk aborts with the
+/// serial run's error, after exactly the serial run's partial accounting:
+/// the engine thread commits every outbox, in node-id order, through one
+/// path.
+#[test]
+fn a_mid_chunk_abort_books_what_serial_books() {
+    let _gate = spawn_gate();
+    let topo = path(40);
+    let mut runs = vec![];
+    for executor in [
+        ExecutorKind::Serial,
+        ExecutorKind::Pool { workers: 2 },
+        ExecutorKind::Pool { workers: 4 },
+    ] {
+        let log = SharedObserver::new(Log(Vec::new()));
+        let config = Config::for_n(40)
+            .with_executor(executor)
+            .with_observer(log.observer());
+        let err = Simulator::new(&topo, config, |_| DoubleMidChunk)
+            .run()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::DuplicateSend {
+                node: 20,
+                port: 0,
+                round: 2
+            },
+            "{executor:?}"
+        );
+        let events = log.with(|l| std::mem::take(&mut l.0));
+        let booked = |round: u64| {
+            events
+                .iter()
+                .filter(|ev| matches!(ev, TraceEvent::Message { round: r, .. } if *r == round))
+                .count()
+        };
+        // Round 2 booked nodes 0..20 (one send from node 0, two from each
+        // of the next nineteen) and node 20's two sends before its
+        // duplicate.
+        assert_eq!(booked(2), 1 + 2 * 19 + 2, "{executor:?}");
+        runs.push(events);
+    }
+    assert_eq!(runs[0], runs[1], "serial vs pool(2)");
+    assert_eq!(runs[0], runs[2], "serial vs pool(4)");
 }
 
 /// Oversubscribed pools (more workers than nodes) clamp instead of

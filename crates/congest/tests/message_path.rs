@@ -22,8 +22,7 @@ enum Engine {
 const ENGINES: [Engine; 3] = [Engine::Serial, Engine::Pool, Engine::Reference];
 
 /// Runs `init`'s algorithm over `topo` on `engine` (the pool with two
-/// workers and two-node chunks, so even these small graphs split into
-/// several chunks that each carry their own range of the arrival arena).
+/// workers).
 fn run_on<A>(
     engine: Engine,
     topo: &Topology,
@@ -37,9 +36,7 @@ where
     let report = match engine {
         Engine::Serial => Simulator::new(topo, config, init).run(),
         Engine::Pool => {
-            let config = config
-                .with_executor(ExecutorKind::Pool { workers: 2 })
-                .with_pool_chunk(2);
+            let config = config.with_executor(ExecutorKind::Pool { workers: 2 });
             Simulator::new(topo, config, init).run()
         }
         Engine::Reference => ReferenceSimulator::new(topo, config, init).run(),
@@ -193,16 +190,17 @@ impl NodeAlgorithm for Roll {
 /// highest port (2) to its lowest-id neighbour. Commits run in sender-id
 /// order, so node 4's arrivals reach the arena as ports `[2, 0, 1]` — and
 /// its inbox must still read `[0, 1, 2]`, each port naming the neighbour
-/// behind it.
+/// behind it. Forty nodes, all scheduled every round, are three pool
+/// chunks, each carrying its own range of the arrival arena.
 #[test]
 fn inbox_reads_in_port_order_when_arrivals_are_not() {
-    let mut adj = path(6).to_adjacency();
+    let mut adj = path(40).to_adjacency();
     adj[4].push(0);
     adj[0].push(4);
     let topo = Topology::from_adjacency(adj).unwrap();
     let mut logs = vec![];
     for engine in ENGINES {
-        let config = Config::for_n(6).with_max_rounds(8);
+        let config = Config::for_n(40).with_max_rounds(8);
         let outputs = run_on(engine, &topo, config, |_| Roll { log: vec![] }).unwrap();
         let hub = &outputs[4];
         assert!(!hub.is_empty(), "{engine:?}: node 4 heard nothing");

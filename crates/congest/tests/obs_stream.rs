@@ -7,8 +7,8 @@ use proptest::prelude::*;
 
 use dapsp_congest::obs::RoundMetrics;
 use dapsp_congest::{
-    Config, Inbox, Message, MetricsRecorder, NodeAlgorithm, NodeContext, Outbox, Port,
-    ReferenceSimulator, Report, RunStats, SharedObserver, Simulator, Topology,
+    Config, ExecutorKind, Inbox, Message, MetricsRecorder, NodeAlgorithm, NodeContext, Outbox,
+    Port, ReferenceSimulator, Report, RunStats, SharedObserver, Simulator, Topology,
 };
 
 /// A gossip token: (origin id, hop count), tagged with its origin stream.
@@ -124,8 +124,12 @@ fn run_observed(
 ) -> Observed {
     let n = topo.num_nodes();
     let recorder = SharedObserver::new(MetricsRecorder::new());
+    let executor = match threads {
+        1 => ExecutorKind::Serial,
+        workers => ExecutorKind::Pool { workers },
+    };
     let config = base_config(n, loss)
-        .with_threads(threads)
+        .with_executor(executor)
         .with_observer(recorder.observer());
     let init = |_: &NodeContext<'_>| Gossip {
         first_heard: vec![None; n],

@@ -1,15 +1,17 @@
 //! Regression tests for the pool executor's frontier work stealing.
 //!
-//! A star topology makes the hub's chunk far heavier than every spoke's,
-//! so with the chunk size forced to 1 the worker that doesn't own the hub
-//! drains its own deque and must steal to stay busy. These tests pin down
-//! that (a) stealing actually happens on such a frontier, (b) the
-//! [`PoolSched`] accounting is exact — per-worker chunk and node counts
-//! sum to the `RunStats` totals — and (c) none of it perturbs results:
-//! outputs and model-level stats stay bit-identical to the serial engine.
+//! A star topology makes the hub's chunk far heavier than every spoke's:
+//! the hub hears every spoke each round. With the star's whole frontier
+//! scheduled every round, the adaptive chunk size cuts it into several
+//! chunks per deque, so a worker that drains its own deque steals to stay
+//! busy. These tests pin down that (a) stealing actually happens on such
+//! a frontier, read from `RunStats::steals`, and (b) none of it perturbs
+//! results: outputs and model-level stats stay bit-identical to the
+//! serial engine.
 
 use dapsp_congest::{
-    Config, Inbox, Message, NodeAlgorithm, NodeContext, Outbox, Port, Report, Simulator, Topology,
+    Config, ExecutorKind, Inbox, Message, NodeAlgorithm, NodeContext, Outbox, Port, Report,
+    Simulator, Topology,
 };
 
 /// A gossip token (origin, hops); 32 bits like a real CONGEST message.
@@ -96,97 +98,47 @@ fn config(n: usize) -> Config {
     base.with_bandwidth_bits(bw)
 }
 
-/// The exact accounting invariants every pool run must satisfy,
-/// steal-count aside (that one is timing-dependent).
-fn assert_sched_exact(report: &Report<Vec<u32>>, n: usize, workers: usize, chunk: usize) {
-    let sched = report.sched.as_ref().expect("pool run reports a PoolSched");
-    assert_eq!(sched.workers, workers);
-    assert_eq!(sched.chunk_size, Some(chunk));
-    assert_eq!(sched.chunks_per_worker.len(), workers);
-    assert_eq!(sched.nodes_per_worker.len(), workers);
-    assert_eq!(
-        sched.chunks_per_worker.iter().sum::<u64>(),
-        report.stats.chunks_stepped,
-        "per-worker chunk counts must sum to the RunStats total"
-    );
-    assert_eq!(sched.steals, report.stats.steals);
-    // Rounds >= 1 step their schedules through chunks; round 0 (the
-    // on_start sweep over all n nodes, crash-free here) runs unchunked on
-    // the engine thread. So chunked node-rounds + n = scheduled_node_rounds.
-    assert_eq!(
-        sched.nodes_per_worker.iter().sum::<u64>() + n as u64,
-        report.stats.scheduled_node_rounds,
-        "per-worker node counts + the on_start sweep must cover the schedule"
-    );
-    // Chunk size 1 means exactly one node per chunk.
-    if chunk == 1 {
-        assert_eq!(
-            sched.chunks_per_worker, sched.nodes_per_worker,
-            "unit chunks hold exactly one node"
-        );
-    }
+fn pool(workers: usize) -> ExecutorKind {
+    ExecutorKind::Pool { workers }
 }
 
 #[test]
-fn star_frontier_records_steals_with_exact_accounting() {
-    let n = 64;
+fn star_frontier_records_steals() {
+    // 256 scheduled nodes are chunks of 32 at two workers: four per deque.
+    let n = 256;
     let topo = star_topology(n);
     let serial = run(&topo, config(n));
-    assert!(
-        serial.sched.is_none(),
-        "serial runs have no chunk scheduler"
-    );
     assert_eq!(serial.stats.chunks_stepped, 0);
     assert_eq!(serial.stats.steals, 0);
 
     // Steals are timing-dependent: a single run may (very rarely) finish
-    // with every chunk stepped at home. The accounting invariants must
-    // hold on every run; at least one of the attempts must observe a
-    // steal — with unit chunks on a star frontier that is all but certain.
+    // with every chunk stepped at home. At least one of the attempts must
+    // observe a steal — over hundreds of hub-heavy rounds that is all but
+    // certain.
     let mut stolen = 0u64;
     for _ in 0..20 {
-        let pool = run(&topo, config(n).with_threads(2).with_pool_chunk(1));
+        let pool = run(&topo, config(n).with_executor(pool(2)));
         assert_eq!(pool.outputs, serial.outputs, "outputs bit-identical");
         assert_eq!(pool.stats, serial.stats, "model-level stats identical");
         assert!(pool.stats.chunks_stepped > 0, "pool runs step chunks");
-        assert_sched_exact(&pool, n, 2, 1);
+        assert!(pool.stats.steals <= pool.stats.chunks_stepped);
         stolen += pool.stats.steals;
         if stolen > 0 {
             break;
         }
     }
-    assert!(
-        stolen > 0,
-        "no steal observed in 20 unit-chunk star runs at 2 threads"
-    );
+    assert!(stolen > 0, "no steal observed in 20 star runs at 2 workers");
 }
 
 #[test]
-fn adaptive_chunks_keep_accounting_exact_at_higher_thread_counts() {
+fn adaptive_chunks_stay_identical_at_higher_worker_counts() {
     let n = 96;
     let topo = star_topology(n);
     let serial = run(&topo, config(n));
     for workers in [2usize, 4] {
-        let pool = run(&topo, config(n).with_threads(workers).with_pool_chunk(3));
+        let pool = run(&topo, config(n).with_executor(pool(workers)));
         assert_eq!(pool.outputs, serial.outputs, "workers={workers}: outputs");
         assert_eq!(pool.stats, serial.stats, "workers={workers}: stats");
-        assert_sched_exact(&pool, n, workers, 3);
+        assert!(pool.stats.chunks_stepped >= pool.stats.rounds);
     }
-}
-
-#[test]
-fn steal_fraction_reads_from_run_stats() {
-    let n = 48;
-    let topo = star_topology(n);
-    let pool = run(&topo, config(n).with_threads(2).with_pool_chunk(1));
-    let f = pool.stats.steal_fraction();
-    assert!(
-        (0.0..=1.0).contains(&f),
-        "steal fraction in [0, 1], got {f}"
-    );
-    assert_eq!(
-        f == 0.0,
-        pool.stats.steals == 0,
-        "fraction is zero exactly when no chunk was stolen"
-    );
 }

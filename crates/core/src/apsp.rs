@@ -31,8 +31,8 @@ use crate::bfs;
 use crate::churned::ChurnedResult;
 use crate::error::CoreError;
 use crate::kernel::{
-    distance_rows, run_phase, Deal, PebbleKernel, PebbleWaves, RepairKernel, Rows, SourceSlots,
-    WaveKernel, WaveState,
+    distance_rows, run_phase, Deal, PebbleKernel, PebbleWaves, RepairKernel, Rows, WaveKernel,
+    WaveState,
 };
 use crate::observe::Obs;
 use crate::routing::check_table_size;
@@ -303,7 +303,6 @@ pub fn run_churned_on(
             ..report.stats
         },
         certificate: report.certificate,
-        slots: SourceSlots::new(n, &(0..n as u32).collect::<Vec<_>>())?,
     })
 }
 

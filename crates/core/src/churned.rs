@@ -16,7 +16,7 @@ use dapsp_congest::{
 use dapsp_graph::Graph;
 
 use crate::error::CoreError;
-use crate::kernel::{Rows, SourceSlots};
+use crate::kernel::Rows;
 
 /// The result of a churned APSP run: distances on the post-change graph,
 /// per node per root — every node is a root.
@@ -40,16 +40,15 @@ pub struct ChurnedResult {
     /// quiescence poll, carried so snapshot layers (`dapsp-serve`) can
     /// attribute republished tables to a certified run.
     pub certificate: Option<TerminationCertificate>,
-    /// The run's id → column map (root `r` ↦ column `r`).
-    pub(crate) slots: SourceSlots,
 }
 
 impl ChurnedResult {
     /// Distance from `v` to `root` on the post-change graph; `None` if
     /// either is not a node.
     pub fn dist_to(&self, v: u32, root: u32) -> Option<u32> {
-        let i = self.slots.get(root)?;
-        self.dist.get(v as usize).map(|row| row[i])
+        // Root `r` owns column `r`.
+        let row = self.dist.get(v as usize)?;
+        row.get(root as usize).copied()
     }
 }
 

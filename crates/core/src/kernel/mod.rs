@@ -196,7 +196,6 @@ where
             ..report.stats
         },
         certificate: report.certificate,
-        sched: report.sched,
     })
 }
 

@@ -10,8 +10,9 @@
 //! fine: unreachable pairs stay [`INFINITY`]. Every node remembers the
 //! last distance each neighbour announced for each root slot and the last
 //! value it told each neighbour; a slot's distance is the minimum over
-//! those caches plus one, and a distance reaching `n` clamps to
-//! [`INFINITY`].
+//! those caches plus one. The network is fixed and every distance starts
+//! at [`INFINITY`], so a distance only ever falls, and every announced
+//! value is a real path length below `n`.
 //!
 //! One message per port per round carries one `(root, dist)` pair —
 //! `⌈log₂ n⌉ + ⌈log₂ (n+1)⌉ ≤ B` bits. A node keeps one slot per root,
@@ -20,7 +21,7 @@
 //!
 //! Which pair goes out is Algorithm 2's per-edge list `L_i` with its
 //! `(dist, id)` priority: every port has an announcement queue keyed
-//! `(dist.min(n), slot)`. A slot's key is its *current distance*, hence the
+//! `(dist, slot)`. A slot's key is its *current distance*, hence the
 //! same on every port, and the kernel keeps it current by construction: a
 //! distance changes only in `refresh`, which re-keys the slot on every
 //! port in the same step. So the node keeps **one** descending list of its
@@ -49,13 +50,12 @@ use super::protocol::{Protocol, Tx};
 use super::rows::Row;
 use super::wave::WaveState;
 
-/// The wire message: "my current distance to `root` is `dist`"
-/// (`dist = n` encodes unreachable — the count-to-infinity clamp).
+/// The wire message: "my current distance to `root` is `dist`".
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RepairMsg {
     /// The id of the root the distance belongs to.
     pub root: u32,
-    /// The sender's clamped distance to that root.
+    /// The sender's distance to that root, below `n`.
     pub dist: u32,
 }
 
@@ -67,16 +67,15 @@ pub struct RepairKernel<'a> {
     /// id order, so the `(dist, slot)` priority is Algorithm 2's
     /// `(dist, id)`.
     own: usize,
-    /// `n`: distances reaching it clamp to [`INFINITY`] (every real
-    /// shortest path is shorter).
-    clamp: u32,
+    /// `n`: every announced distance is below it, and the wire's distance
+    /// field is sized for `0..=n`.
+    n: u32,
     /// Per slot and port: the last distance the neighbor announced
-    /// (`cache`, [`INFINITY`] = nothing heard) and the last
-    /// wire value *we* announced (`told` — clamped, so "unreachable"
-    /// records as `n`; [`INFINITY`] = never told anything).
+    /// (`cache`, [`INFINITY`] = nothing heard) and the last distance
+    /// *we* announced (`told`, [`INFINITY`] = never told anything).
     near: Neighbours,
     /// Per-port announcement queues; drained one useful entry per port
-    /// per round, priority `(dist.min(clamp), slot)`.
+    /// per round, priority `(dist, slot)`.
     queues: AnnounceQueues,
     /// Where this round's announcements landed (their distances are in
     /// the table already): `slot << 32 | port`, one
@@ -99,7 +98,7 @@ impl<'a> RepairKernel<'a> {
         row.dist[own] = 0;
         RepairKernel {
             own,
-            clamp: n as u32,
+            n: n as u32,
             near: Neighbours::new(n, degree),
             queues: AnnounceQueues::new(n, degree),
             arrivals: Vec::new(),
@@ -109,17 +108,16 @@ impl<'a> RepairKernel<'a> {
         }
     }
 
-    /// Recomputes slot `s` from the caches; returns true iff the value
-    /// changed. Parent = lowest port achieving the minimum.
+    /// Recomputes slot `s` from the caches, which hold an announcement
+    /// for it; returns true iff the value changed. Parent = lowest port
+    /// achieving the minimum.
     fn recompute(&mut self, s: usize) -> bool {
         let (best, best_port) = if self.own == s {
             (0, u32::MAX)
         } else {
-            match self.near.nearest(s) {
-                (d, p) if d < self.clamp => (d, p),
-                _ => (INFINITY, u32::MAX),
-            }
+            self.near.nearest(s)
         };
+        debug_assert!(best < self.n, "slot {s} derived {best} from its caches");
         let changed = self.dist[s] != best;
         if changed && self.dist[s] != INFINITY {
             self.state.relaxations += 1;
@@ -129,48 +127,31 @@ impl<'a> RepairKernel<'a> {
         changed
     }
 
-    /// The queue key of slot `s`: its distance, "unreachable" clamped to
-    /// the wire value `n`.
-    fn key(&self, s: usize) -> u32 {
-        self.dist[s].min(self.clamp)
-    }
-
-    /// Queues slot `s` for announcement on every port.
-    fn announce_everywhere(&mut self, s: usize) {
-        self.queues
-            .insert(self.key(s), s as u32, 0..self.near.ports);
-    }
-
     /// [`recompute`](Self::recompute)s slot `s` and, when its value
-    /// changed, re-announces it everywhere — first lifting the entries
-    /// still queued under the old distance, which is what keeps every
-    /// queued key current. Returns true iff the value changed.
-    fn refresh(&mut self, s: usize) -> bool {
-        let stale = self.key(s);
-        let changed = self.recompute(s);
-        if changed {
+    /// changed, queues it on every port under the new distance — first
+    /// lifting the entries still queued under the old one, which is what
+    /// keeps every queued key current.
+    fn refresh(&mut self, s: usize) {
+        let stale = self.dist[s];
+        if self.recompute(s) {
             self.queues.remove_everywhere(stale, s as u32);
-            self.announce_everywhere(s);
+            self.queues.insert(self.dist[s], s as u32);
         }
-        changed
     }
 
     /// One announcement per port: pop queued slots in `(dist, slot)`
-    /// priority, discarding entries the peer demonstrably cannot use —
-    /// sent before (`told` unchanged), or no improvement over the peer's
-    /// cached distance with nothing previously told to correct. A port
-    /// with nothing queued costs one load.
+    /// priority, discarding entries the peer demonstrably cannot use — no
+    /// improvement over the peer's cached distance with nothing previously
+    /// told to correct. A port with nothing queued costs one load.
     fn transmit(&mut self, tx: &mut Tx<RepairMsg>) {
         for p in 0..self.near.ports {
             while let Some((dist, s)) = self.queues.pop(p) {
                 let su = s as usize;
-                debug_assert_eq!(dist, self.key(su), "slot {s} queued under a stale key");
+                debug_assert_eq!(dist, self.dist[su], "slot {s} queued under a stale key");
                 let (cached, told) = self.near.cells(p, su);
-                let useful = dist != told && (dist.saturating_add(1) < cached || told != INFINITY);
-                if useful {
-                    // Record the wire value verbatim, so an identical
-                    // repeat is suppressed by the `dist != told` check
-                    // above.
+                // A distance only falls, so a queued one was never told.
+                debug_assert_ne!(dist, told, "slot {s} queued after it was told");
+                if dist + 1 < cached || told != INFINITY {
                     *self.near.told_mut(p, su) = dist;
                     tx.send(p as Port, RepairMsg { root: s, dist });
                     break;
@@ -287,12 +268,13 @@ impl AnnounceQueues {
         self.levels.binary_search_by(|&(l, _)| level.cmp(&l))
     }
 
-    /// Queues `slot` under `level` on each of `ports`; a no-op where it
-    /// is already queued.
-    fn insert(&mut self, level: u32, slot: u32, ports: impl IntoIterator<Item = usize>) {
-        let mut ports = ports.into_iter();
+    /// Queues `slot` under `level` on every port; a no-op where it is
+    /// already queued.
+    fn insert(&mut self, level: u32, slot: u32) {
         // Open the level only once there is an entry to put under it.
-        let Some(first) = ports.next() else { return };
+        if self.ports == 0 {
+            return;
+        }
         let block = match self.find(level) {
             Ok(i) => self.levels[i].1,
             Err(i) => {
@@ -308,7 +290,7 @@ impl AnnounceQueues {
             }
         } as usize;
         let (w, bit) = (slot as usize / 64, 1 << (slot % 64));
-        for p in std::iter::once(first).chain(ports) {
+        for p in 0..self.ports {
             let word = &mut self.pool[(block * self.ports + p) * self.words + w];
             if *word & bit == 0 {
                 *word |= bit;
@@ -386,7 +368,7 @@ impl Protocol for RepairKernel<'_> {
     type Output = WaveState;
 
     fn init(&mut self, _ctx: &NodeContext<'_>, tx: &mut Tx<RepairMsg>) {
-        self.announce_everywhere(self.own);
+        self.queues.insert(0, self.own as u32);
         self.transmit(tx);
     }
 
@@ -398,16 +380,12 @@ impl Protocol for RepairKernel<'_> {
         _tx: &mut Tx<RepairMsg>,
     ) {
         self.state.receipts = self.state.receipts.saturating_add(1);
+        debug_assert!(payload.dist < self.n, "announced {}", payload.dist);
         // Cache it now, re-derive the slot at round end: the stores of a
         // round's arrivals fetch their rows side by side instead of one
         // `refresh` after the other.
-        let heard = if payload.dist >= self.clamp {
-            INFINITY
-        } else {
-            payload.dist
-        };
         let s = payload.root as usize;
-        *self.near.cache_mut(port as usize, s) = heard;
+        *self.near.cache_mut(port as usize, s) = payload.dist;
         self.arrivals.push((s as u64) << 32 | u64::from(port));
     }
 
@@ -415,16 +393,9 @@ impl Protocol for RepairKernel<'_> {
         let mut arrivals = std::mem::take(&mut self.arrivals);
         arrivals.sort_unstable();
         // Sorted by slot, so each slot's arrivals are one run: re-derive
-        // the slot once per run. A changed slot is re-announced everywhere
-        // under its new key. An unchanged one owes a counter-offer on the
-        // ports it heard from: the peer's value may have worsened past
-        // ours, and the transmit filter decides whether replying is useful.
+        // the slot once per run.
         for run in arrivals.chunk_by(|a, b| a >> 32 == b >> 32) {
-            let s = (run[0] >> 32) as usize;
-            if !self.refresh(s) {
-                let heard = run.iter().map(|&arrival| arrival as Port as usize);
-                self.queues.insert(self.key(s), s as u32, heard);
-            }
+            self.refresh((run[0] >> 32) as usize);
         }
         arrivals.clear();
         self.arrivals = arrivals;
@@ -436,9 +407,9 @@ impl Protocol for RepairKernel<'_> {
     }
 
     fn width(&self, _payload: &RepairMsg) -> Width {
-        // The distance field is fixed-width over its clamped domain
-        // `0..=n`, like the static wave kernels'.
-        let n = self.clamp as usize;
+        // The distance field is fixed-width over `0..=n`, like the static
+        // wave kernels'.
+        let n = self.n as usize;
         Width::ZERO.id(n).count(n)
     }
 
@@ -463,12 +434,12 @@ mod width_tests {
             let budget = Config::for_n(n).bandwidth_bits;
             let worst = RepairMsg {
                 root: n as u32 - 1,
-                dist: n as u32,
+                dist: n as u32 - 1,
             };
             let (mut dist, mut parent) = ([INFINITY], [u32::MAX]);
             let k = RepairKernel {
                 own: 0,
-                clamp: n as u32,
+                n: n as u32,
                 near: Neighbours::new(1, 0),
                 queues: AnnounceQueues::new(1, 0),
                 arrivals: Vec::new(),
@@ -494,16 +465,16 @@ mod queue_tests {
 
     /// The implementation `AnnounceQueues` replaced, kept as the model:
     /// per-port slot sets whose head is found by scanning for the minimum
-    /// `(dist.min(clamp), slot)` under the *current* distances.
+    /// `(dist, slot)` under the *current* distances.
     struct ScanModel {
         pending: Vec<BTreeSet<u32>>,
     }
 
     impl ScanModel {
-        fn pop(&mut self, p: usize, dist: &[u32], clamp: u32) -> Option<(u32, u32)> {
+        fn pop(&mut self, p: usize, dist: &[u32]) -> Option<(u32, u32)> {
             let head = self.pending[p]
                 .iter()
-                .map(|&s| (dist[s as usize].min(clamp), s))
+                .map(|&s| (dist[s as usize], s))
                 .min()?;
             self.pending[p].remove(&head.1);
             Some(head)
@@ -553,10 +524,10 @@ mod queue_tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Random counter-offer / re-key-on-change / pop sequences pop
-        /// identically from the shared level index and from the scan
-        /// model, with identical emptiness and a consistent index after
-        /// every step — on 1 to 70 ports, across the 64-port mark.
+        /// Random re-key-on-change / pop sequences pop identically from
+        /// the shared level index and from the scan model, with identical
+        /// emptiness and a consistent index after every step — on 1 to 70
+        /// ports, across the 64-port mark.
         #[test]
         fn level_queues_pop_like_the_scan_they_replaced(
             shape in 0usize..6,
@@ -564,9 +535,8 @@ mod queue_tests {
             ops in proptest::collection::vec(any::<u64>(), 0..800),
         ) {
             let slots = [1usize, 2, 63, 64, 65, 200][shape];
-            // Few levels, so entries collide on a level; `clamp` itself is
-            // the "unreachable" level every INFINITY distance queues under.
-            let clamp = 6u32;
+            // Few levels, so entries collide on a level.
+            let levels = 6u32;
             let mut dist = vec![INFINITY; slots];
             let mut q = AnnounceQueues::new(slots, ports);
             let mut model = ScanModel { pending: vec![BTreeSet::new(); ports] };
@@ -578,12 +548,10 @@ mod queue_tests {
                          dist: &mut [u32],
                          s: usize,
                          level: u32| {
-                let new = if level == clamp { INFINITY } else { level };
-                let stale = dist[s].min(clamp);
-                if new != dist[s] {
-                    dist[s] = new;
-                    q.remove_everywhere(stale, s as u32);
-                    q.insert(level, s as u32, 0..ports);
+                if level != dist[s] {
+                    q.remove_everywhere(dist[s], s as u32);
+                    dist[s] = level;
+                    q.insert(level, s as u32);
                     for pending in &mut model.pending {
                         pending.insert(s as u32);
                     }
@@ -592,31 +560,25 @@ mod queue_tests {
             for &op in &ops {
                 let p = (op >> 8) as usize % ports;
                 let s = (op >> 16) as usize % slots;
-                match op % 11 {
-                    // Counter-offer: queue under the current key.
-                    0..=4 => {
-                        q.insert(dist[s].min(clamp), s as u32, [p]);
-                        model.pending[p].insert(s as u32);
-                    }
-                    5..=7 => {
-                        let level = (op >> 32) as u32 % (clamp + 1);
-                        rekey(&mut q, &mut model, &mut dist, s, level);
-                    }
-                    _ => prop_assert_eq!(q.pop(p), model.pop(p, &dist, clamp)),
+                if op % 2 == 0 {
+                    let level = (op >> 32) as u32 % levels;
+                    rekey(&mut q, &mut model, &mut dist, s, level);
+                } else {
+                    prop_assert_eq!(q.pop(p), model.pop(p, &dist));
                 }
                 prop_assert_eq!(q.is_empty(), model.is_empty());
                 assert_consistent(&q);
             }
             // Whatever the ops reached, re-key every slot and drain.
             for s in 0..slots {
-                let level = (dist[s].min(clamp) + 1 + s as u32) % (clamp + 1);
+                let level = (dist[s].wrapping_add(1) + s as u32) % levels;
                 rekey(&mut q, &mut model, &mut dist, s, level);
                 assert_consistent(&q);
             }
             for p in 0..ports {
                 loop {
                     let head = q.pop(p);
-                    prop_assert_eq!(head, model.pop(p, &dist, clamp));
+                    prop_assert_eq!(head, model.pop(p, &dist));
                     if head.is_none() {
                         break;
                     }
@@ -664,9 +626,9 @@ mod queue_tests {
     }
 
     /// Queue memory follows the live entries: a path run touches ~n
-    /// distance levels per port over its lifetime, and a severed path
-    /// with an isolated node adds the clamp level, yet once the run has
-    /// quiesced no node's queues own a single level block.
+    /// distance levels per port over its lifetime, on a severed path with
+    /// an isolated node too, yet once the run has quiesced no node's
+    /// queues own a single level block.
     #[test]
     fn quiesced_queues_hold_no_level_blocks() {
         let n = 48;

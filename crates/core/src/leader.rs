@@ -9,8 +9,7 @@
 //! their trees at node 0 — precisely the node this election would select
 //! under the crate's id scheme.
 
-use dapsp_congest::{NodeContext, Port, RunStats, Width};
-use dapsp_graph::Graph;
+use dapsp_congest::{NodeContext, Port, RunStats, Topology, Width};
 
 use crate::error::CoreError;
 use crate::kernel::{run_phase, Protocol, Tx};
@@ -78,7 +77,8 @@ pub struct LeaderResult {
     pub stats: RunStats,
 }
 
-/// Elects the minimum-id node by flooding, in `O(D)` rounds.
+/// Elects the minimum-id node of `topology` by flooding, in `O(D)` rounds,
+/// watched, faulted and executed as `obs` says.
 ///
 /// # Errors
 ///
@@ -90,34 +90,28 @@ pub struct LeaderResult {
 /// # Examples
 ///
 /// ```
-/// use dapsp_core::leader;
+/// use dapsp_core::{leader, Obs};
 /// use dapsp_graph::generators;
 ///
 /// # fn main() -> Result<(), dapsp_core::CoreError> {
 /// let g = generators::cycle(9);
-/// let r = leader::elect(&g)?;
+/// let r = leader::run_on_obs(&g.to_topology(), Obs::none())?;
 /// assert_eq!(r.leader, 0);
 /// # Ok(())
 /// # }
 /// ```
-pub fn elect(graph: &Graph) -> Result<LeaderResult, CoreError> {
-    let n = graph.num_nodes();
+pub fn run_on_obs(topology: &Topology, obs: Obs<'_>) -> Result<LeaderResult, CoreError> {
+    let n = topology.num_nodes();
     if n == 0 {
         return Err(CoreError::EmptyGraph);
     }
     // The minimum id crosses at most n − 1 hops; padded for the reliable
     // horizon.
-    let report = run_phase(
-        &graph.to_topology(),
-        Obs::none(),
-        "leader",
-        n as u64 + 4,
-        |ctx| ElectNode {
-            n,
-            best: ctx.node_id(),
-            improved_from: None,
-        },
-    )?;
+    let report = run_phase(topology, obs, "leader", n as u64 + 4, |ctx| ElectNode {
+        n,
+        best: ctx.node_id(),
+        improved_from: None,
+    })?;
     let leader = report.outputs[0];
     if report.outputs.iter().any(|&b| b != leader) {
         return Err(CoreError::Disconnected);
@@ -131,7 +125,11 @@ pub fn elect(graph: &Graph) -> Result<LeaderResult, CoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dapsp_graph::generators;
+    use dapsp_graph::{generators, Graph};
+
+    fn elect(g: &Graph) -> Result<LeaderResult, CoreError> {
+        run_on_obs(&g.to_topology(), Obs::none())
+    }
 
     #[test]
     fn elects_minimum_id_everywhere() {

@@ -17,8 +17,8 @@
 //! oracle to count those (see the `ablation_ssp_variants` section of
 //! `artifacts/table1.txt`).
 
-use dapsp_congest::{NodeContext, Port, RunStats, Width};
-use dapsp_graph::{Graph, INFINITY};
+use dapsp_congest::{NodeContext, Port, RunStats, Topology, Width};
+use dapsp_graph::INFINITY;
 
 use crate::error::CoreError;
 use crate::kernel::{distance_rows, run_phase, Deal, Protocol, Row, Rows, SourceSlots, Tx};
@@ -162,26 +162,30 @@ pub struct PaperSspResult {
     pub stats: RunStats,
 }
 
-/// Runs the paper's Algorithm 2 verbatim (see the module docs for why the
-/// production implementation differs).
+/// Runs the paper's Algorithm 2 verbatim on `topology` (see the module
+/// docs for why the production implementation differs), watched, faulted
+/// and executed as `obs` says.
 ///
 /// # Errors
 ///
 /// Same input validation as [`ssp::run_on_obs`]. An exhausted budget is
 /// *not* an error — it is the observable outcome (`unresolved > 0`).
-pub fn run(graph: &Graph, sources: &[u32]) -> Result<PaperSspResult, CoreError> {
-    let n = graph.num_nodes();
+pub fn run_on_obs(
+    topology: &Topology,
+    sources: &[u32],
+    obs: Obs<'_>,
+) -> Result<PaperSspResult, CoreError> {
+    let n = topology.num_nodes();
     if n == 0 {
         return Err(CoreError::EmptyGraph);
     }
     let slots = SourceSlots::new(n, sources)?;
-    let topology = graph.to_topology();
-    let pre = ssp::preamble(&topology, Obs::none())?;
+    let pre = ssp::preamble(topology, obs)?;
     let budget = sources.len() as u64 + u64::from(pre.d0);
     let (mut dist, mut parent) = distance_rows(n, sources.len());
     let mut deal = Deal::new(&mut dist, &mut parent);
     // The schedule ends at round `budget`; padded for the reliable horizon.
-    let report = run_phase(&topology, Obs::none(), "ssp:paper", budget + 8, |ctx| {
+    let report = run_phase(topology, obs, "ssp:paper", budget + 8, |ctx| {
         let me = ctx.node_id();
         let Row { dist, parent } = deal.row(ctx);
         let mut li = vec![std::collections::BTreeSet::new(); ctx.degree()];
@@ -219,7 +223,11 @@ pub fn run(graph: &Graph, sources: &[u32]) -> Result<PaperSspResult, CoreError> 
 #[allow(clippy::needless_range_loop)] // index loops mirror the matrix notation
 mod tests {
     use super::*;
-    use dapsp_graph::{generators, reference};
+    use dapsp_graph::{generators, reference, Graph};
+
+    fn run(g: &Graph, sources: &[u32]) -> Result<PaperSspResult, CoreError> {
+        run_on_obs(&g.to_topology(), sources, Obs::none())
+    }
 
     /// On low-contention instances the verbatim algorithm is exact — the
     /// paper's analysis applies cleanly there.

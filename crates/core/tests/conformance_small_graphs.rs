@@ -14,7 +14,10 @@
 use dapsp_congest::{churned_topology, ExecutorKind, FaultPlan, RunStats, TopologyPlan};
 use dapsp_core::aggregate::{self, AggOp};
 use dapsp_core::routing::RouteTable;
-use dapsp_core::{apsp, bfs, churned_graph, dominating, girth, metrics, ssp, ChurnedResult, Obs};
+use dapsp_core::{
+    apsp, bfs, churned_graph, dominating, girth, leader, metrics, ssp, ssp_paper, ChurnedResult,
+    Obs,
+};
 use dapsp_graph::enumerate::{self, MAX_ENUMERATED_NODES};
 use dapsp_graph::{reference, Graph, INFINITY};
 
@@ -136,9 +139,10 @@ const FAULTY_MAX_NODES: usize = 6;
 /// every connected graph with at most [`FAULTY_MAX_NODES`] nodes (all
 /// 143), a pipeline whose [`Obs`]
 /// carries 20 % loss plus a crash window returns the fault-free result bit
-/// for bit — `bfs` from node 0, `ssp` from the first ⌈n/2⌉ ids, `apsp`,
-/// `aggregate` with each operation over `T₁`, and `dominating` with
-/// k ∈ {1, 2} over `T₁` — and its horizon never truncates a send. Churned APSP composes with the same adversary: under
+/// for bit — `bfs` from node 0, `ssp` and the verbatim `ssp_paper` from
+/// the first ⌈n/2⌉ ids, `leader`, `apsp`, `aggregate` with each operation
+/// over `T₁`, and `dominating` with k ∈ {1, 2} over `T₁` — and its horizon
+/// never truncates a send. Churned APSP composes with the same adversary: under
 /// the churn sweep's plan it returns the post-change graph's oracle and
 /// the fault-free run's rows.
 #[test]
@@ -197,6 +201,32 @@ fn faulty_runs_equal_fault_free_runs_on_every_small_connected_graph() {
             )
         };
         assert_eq!(fields(&lossy_sp), fields(&clean_sp), "ssp on {g:?}");
+
+        let (clean_paper, lossy_paper) = (
+            ssp_paper::run_on_obs(&topo, &sources, Obs::none()).unwrap(),
+            ssp_paper::run_on_obs(&topo, &sources, faulty).unwrap(),
+        );
+        check(&lossy_paper.stats, "ssp:paper");
+        assert_eq!(
+            (
+                &lossy_paper.dist,
+                lossy_paper.unresolved,
+                lossy_paper.budget
+            ),
+            (
+                &clean_paper.dist,
+                clean_paper.unresolved,
+                clean_paper.budget
+            ),
+            "verbatim ssp on {g:?}"
+        );
+
+        let (clean_leader, lossy_leader) = (
+            leader::run_on_obs(&topo, Obs::none()).unwrap(),
+            leader::run_on_obs(&topo, faulty).unwrap(),
+        );
+        check(&lossy_leader.stats, "leader");
+        assert_eq!(lossy_leader.leader, clean_leader.leader, "leader on {g:?}");
 
         let (clean_ap, lossy_ap) = (
             apsp::run_on_obs(&topo, Obs::none()).unwrap(),

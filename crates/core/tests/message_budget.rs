@@ -8,7 +8,7 @@
 //! these tests assert success, and the engine's check does the
 //! per-message work.
 
-use dapsp_congest::{bits_for_id, Config, SimError};
+use dapsp_congest::{bits_for_id, Config, ExecutorKind, SimError};
 use dapsp_core::kernel::{distance_rows, run_protocol_on, Deal, WaveKernel};
 use dapsp_core::{
     aggregate, approx, apsp, bfs, dominating, girth, girth_approx, leader, metrics, ssp, ssp_paper,
@@ -46,7 +46,7 @@ fn wave_protocols_respect_the_budget() {
         apsp::run_on_obs(&g.to_topology(), Obs::none()).unwrap();
         apsp::run_truncated(&g, 3).unwrap();
         ssp::run_on_obs(&g.to_topology(), &[0, n - 1], Obs::none()).unwrap();
-        ssp_paper::run(&g, &[0, n - 1]).unwrap();
+        ssp_paper::run_on_obs(&g.to_topology(), &[0, n - 1], Obs::none()).unwrap();
     }
 }
 
@@ -83,7 +83,7 @@ fn composite_pipelines_respect_the_budget() {
         approx::diameter(&g, 0.5).unwrap();
         three_halves::run(&g, 7).unwrap();
         two_vs_four::run(&g, 7).unwrap();
-        leader::elect(&g).unwrap();
+        leader::run_on_obs(&g.to_topology(), Obs::none()).unwrap();
     }
 }
 
@@ -91,10 +91,10 @@ fn composite_pipelines_respect_the_budget() {
 /// kernel traffic must pass it on worker threads too.
 #[test]
 fn pool_executor_checks_kernel_envelopes() {
-    for threads in [2usize, 4] {
+    for workers in [2usize, 4] {
         let g = generators::erdos_renyi_connected(24, 0.2, 3);
         let topo = g.to_topology();
-        let config = Config::for_n(24).with_threads(threads);
+        let config = Config::for_n(24).with_executor(ExecutorKind::Pool { workers });
         let (mut dist, mut parent) = distance_rows(24, 1);
         let mut deal = Deal::new(&mut dist, &mut parent);
         run_protocol_on(&topo, config, |ctx| {

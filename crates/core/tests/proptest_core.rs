@@ -81,7 +81,7 @@ proptest! {
         let count = nsrc.min(n);
         let mut sources: Vec<u32> = (0..count).map(|i| (i * n / count) as u32).collect();
         sources.dedup();
-        let paper = ssp_paper::run(&g, &sources).expect("ssp_paper");
+        let paper = ssp_paper::run_on_obs(&g.to_topology(), &sources, Obs::none()).expect("ssp_paper");
         let kernel = ssp::run_on_obs(&g.to_topology(), &sources, Obs::none()).expect("ssp");
         let oracle = reference::s_shortest_paths(&g, &sources);
         let mut unresolved = 0u64;

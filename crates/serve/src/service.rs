@@ -6,7 +6,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use dapsp_congest::{churned_topology, Config, Topology, TopologyPlan};
+use dapsp_congest::{churned_topology, Topology, TopologyPlan};
 use dapsp_core::apsp;
 use dapsp_core::churned::graph_of;
 use dapsp_core::routing::RouteTable;
@@ -34,7 +34,6 @@ pub struct RouteService {
     /// `topology` as a graph, absent nodes isolated.
     graph: Graph,
     epoch: u64,
-    threads: usize,
     handle: ServeHandle,
 }
 
@@ -49,26 +48,13 @@ impl RouteService {
     /// 16-bit cells can name ([`CoreError::TableTooLarge`], raised by the
     /// run's entry point before its first round or any `n²` allocation).
     pub fn build(graph: &Graph) -> Result<RouteService, ServeError> {
-        RouteService::with_threads(graph, 1)
-    }
-
-    /// Like [`build`](Self::build), running this and every subsequent
-    /// recompute on the work-stealing pool executor with `threads`
-    /// workers (1 = serial). Results are bit-identical across executors,
-    /// so this is purely a latency knob for the control plane.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`build`](Self::build).
-    pub fn with_threads(graph: &Graph, threads: usize) -> Result<RouteService, ServeError> {
         let topology = graph.to_topology();
-        let result = apsp::run_on_obs(&topology, obs_for(threads))?;
+        let result = apsp::run_on_obs(&topology, Obs::none())?;
         let handle = ServeHandle::new(Arc::new(RouteTable::from_apsp(result, 0)));
         Ok(RouteService {
             topology,
             graph: graph.clone(),
             epoch: 0,
-            threads,
             handle,
         })
     }
@@ -108,7 +94,7 @@ impl RouteService {
     /// snapshot and the service's topology are unchanged on error.
     pub fn apply(&mut self, plan: &TopologyPlan) -> Result<Arc<RouteTable>, ServeError> {
         let final_topo = churned_topology(&self.topology, plan).map_err(CoreError::from)?;
-        let result = apsp::run_churned_on(&self.topology, plan, obs_for(self.threads))?;
+        let result = apsp::run_churned_on(&self.topology, plan, Obs::none())?;
         let table = Arc::new(RouteTable::from_churned(
             &result,
             &final_topo,
@@ -135,13 +121,6 @@ impl RouteService {
             thread: Some(thread),
         }
     }
-}
-
-/// One executor choice for every run the service performs.
-fn obs_for(threads: usize) -> Obs<'static> {
-    // Round-trip through Config::with_threads so the serial/pool cutover
-    // rule stays in one place.
-    Obs::none().with_executor(Config::for_n(1).with_threads(threads).executor)
 }
 
 /// What the control-plane thread can be asked to do.
@@ -262,6 +241,7 @@ impl Drop for RouteServiceController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dapsp_congest::Config;
     use dapsp_core::churned_graph;
     use dapsp_graph::{generators, reference, INFINITY};
 
@@ -464,7 +444,7 @@ mod tests {
     #[test]
     fn spawned_control_plane_applies_and_hands_back() {
         let g = generators::grid(3, 3);
-        let service = RouteService::with_threads(&g, 2).unwrap();
+        let service = RouteService::build(&g).unwrap();
         let controller = service.spawn();
         let handle = controller.handle();
 

@@ -5,12 +5,8 @@
 //! checksum verifies, the answers match the *epoch's own* graph (the
 //! churn schedule is deterministic, so each epoch has a closed-form
 //! oracle), and observed epochs never go backwards on any one handle.
-//!
-//! `scripts/verify.sh` also runs this suite under `DAPSP_POOL_CHUNK=1`,
-//! the forced work-stealing regime, so the pool executor's recomputes are
-//! stressed in their most interleaved configuration.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use dapsp_congest::TopologyPlan;
 use dapsp_graph::generators;
@@ -53,15 +49,18 @@ fn oracle(epoch: u64, s: u32, d: u32) -> u32 {
     }
 }
 
-/// One reader: load → verify → query until `done`. Returns (loads seen,
-/// distinct epochs seen).
-fn reader(handle: &ServeHandle, done: &AtomicBool) -> (u64, Vec<u64>) {
+/// One reader: load → verify → query until `done`, counting itself into
+/// `live` after its first load. Returns (loads seen, distinct epochs seen).
+fn reader(handle: &ServeHandle, live: &AtomicUsize, done: &AtomicBool) -> (u64, Vec<u64>) {
     let mut loads = 0u64;
     let mut epochs: Vec<u64> = Vec::new();
     let mut last_epoch = 0u64;
     while !done.load(Ordering::Acquire) {
         let snap = handle.load();
         loads += 1;
+        if loads == 1 {
+            live.fetch_add(1, Ordering::AcqRel);
+        }
         let epoch = snap.epoch();
         assert!(
             epoch >= last_epoch,
@@ -96,18 +95,24 @@ fn reader(handle: &ServeHandle, done: &AtomicBool) -> (u64, Vec<u64>) {
 #[test]
 fn readers_always_see_exactly_one_epoch() {
     let g = generators::cycle(N as usize);
-    let service = RouteService::with_threads(&g, 2).unwrap();
+    let service = RouteService::build(&g).unwrap();
     let controller = service.spawn();
+    let live = AtomicUsize::new(0);
     let done = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
         let mut joins = Vec::new();
         for _ in 0..READERS {
             let handle = controller.handle();
-            let done = &done;
-            joins.push(scope.spawn(move || reader(&handle, done)));
+            let (live, done) = (&live, &done);
+            joins.push(scope.spawn(move || reader(&handle, live, done)));
         }
 
+        // The republishes of a 12-cycle take microseconds: start them only
+        // once every reader is querying, so each one overlaps them.
+        while live.load(Ordering::Acquire) < READERS {
+            std::thread::yield_now();
+        }
         for epoch in 1..=REPUBLISHES {
             let published = controller.apply_wait(plan_for(epoch)).unwrap();
             assert_eq!(published, epoch);

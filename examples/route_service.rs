@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = network.num_nodes() as u32;
 
     // One distributed computation; epoch-0 table published on return.
-    let service = RouteService::with_threads(&network, 2)?;
+    let service = RouteService::build(&network)?;
     let table = service.handle().load();
     println!(
         "built epoch {} for {} nodes: diameter {:?}, radius {:?}, girth {:?}, policy {}",

@@ -30,7 +30,7 @@ fn profile(name: &str, g: &Graph) -> Result<(), Box<dyn std::error::Error>> {
         properties::is_bipartite(g)
     );
 
-    let led = leader::elect(g)?;
+    let led = leader::run_on_obs(&g.to_topology(), Obs::none())?;
     println!(
         "   leader election: node {} in {} rounds",
         led.leader, led.stats.rounds

@@ -17,9 +17,10 @@ echo "==> cargo build --release"
 cargo build --offline --release --workspace
 
 echo "==> cargo test"
-# Debug build, so the engine's per-message `bit_size() <= message_budget`
-# assertion is live in every suite (crates/core/tests/message_budget.rs
-# runs every algorithm for exactly that). Includes tier-1's golden model
+# Debug build, so every `debug_assert!` is live. The engine refuses a
+# message wider than the bandwidth `B` with `SimError::BandwidthExceeded`
+# in every profile (crates/core/tests/message_budget.rs runs every
+# algorithm for exactly that). Includes tier-1's golden model
 # costs (static, churned, faulty), the small-graph conformance sweeps, the
 # four-way engine equivalence proptests and the allocation budget. Also
 # the Table 1 golden (crates/bench/tests/table1.rs): every section of
@@ -27,24 +28,13 @@ echo "==> cargo test"
 # debug on 2 vCPUs, dominated by E1's round-robin distance vector.
 cargo test --offline --workspace -q
 
-echo "==> forced-stealing parity (DAPSP_POOL_CHUNK=1)"
-# The only suites whose behaviour the chunk size can change, rerun with
-# the work-stealing chunk forced to a single node — every scheduled node is
-# its own chunk, so workers steal constantly and the bit-for-bit
-# determinism contract is exercised under the scheduler's worst case: the
-# engine equivalence proptests, the stealing regressions, and the serve
-# layer's readers-vs-republish stress (its control plane runs on the pool).
-DAPSP_POOL_CHUNK=1 cargo test --offline -q -p dapsp-congest \
-    --test engine_equivalence --test pool_stealing
-DAPSP_POOL_CHUNK=1 cargo test --offline -q -p dapsp-serve --test swap_consistency
-
 echo "==> dapsp-inspect diff on the hub family (serial vs pool)"
 # The hub family embeds a high-degree star in a Watts-Strogatz ring — the
 # load-imbalance workload work stealing exists for. The diff runs APSP on
-# the serial executor and the 2-thread pool with unit chunks and
-# line-diffs the two trace JSONL event streams; any scheduler-induced
-# divergence prints the first differing event and fails this step.
-DAPSP_POOL_CHUNK=1 cargo run --offline --release -p dapsp-bench --bin dapsp-inspect -- \
+# the serial executor and the 2-thread pool and line-diffs the two trace
+# JSONL event streams; any scheduler-induced divergence prints the first
+# differing event and fails this step.
+cargo run --offline --release -p dapsp-bench --bin dapsp-inspect -- \
     diff --workload apsp --family hub --n 64 --threads 2
 
 echo "==> cargo clippy -D warnings"
@@ -90,4 +80,4 @@ shipped_lines=$(find crates/*/src src -name '*.rs' -print0 | xargs -0 awk '
     END { print n }')
 pub_fns=$(grep -rE '^\s*pub fn' crates/*/src src | wc -l)
 core_runs=$(grep -rE '^\s*pub fn run' crates/core/src | wc -l)
-echo "OK: fmt + build + tests + forced-stealing parity + clippy + docs + inspect smokes + benchmark smoke all green; source lines: $src_lines (shipped, without #[cfg(test)] modules: $shipped_lines); pub fn: $pub_fns (core pub fn run*: $core_runs)"
+echo "OK: fmt + build + tests + clippy + docs + inspect smokes + benchmark smoke all green; source lines: $src_lines (shipped, without #[cfg(test)] modules: $shipped_lines); pub fn: $pub_fns (core pub fn run*: $core_runs)"

@@ -16,6 +16,9 @@
 //!
 //! This file is left out of the search, so an allow-list entry does not
 //! count as a caller.
+//!
+//! Configuration arrives typed, through `Config` or `Obs`: no shipped line
+//! of `crates/*/src` reads an environment variable at run time.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -179,6 +182,54 @@ fn every_public_function_has_a_caller() {
     }
 }
 
+/// The shipped lines of a source file: all of them but its in-source
+/// test modules, each running from a column-0 `#[cfg(test)]` to the next
+/// column-0 `}` (how `scripts/verify.sh` counts shipped lines).
+fn shipped_lines(text: &str) -> Vec<&str> {
+    let mut in_test = false;
+    let mut shipped = Vec::new();
+    for line in text.lines() {
+        if line == "#[cfg(test)]" {
+            in_test = true;
+        } else if in_test {
+            in_test = line != "}";
+        } else {
+            shipped.push(line);
+        }
+    }
+    shipped
+}
+
+#[test]
+fn no_shipped_line_reads_the_environment() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    rust_files(&root.join("crates"), &mut sources);
+    sources.sort();
+    let mut found = Vec::new();
+    for path in &sources {
+        let rel = path.strip_prefix(root).expect("under the root");
+        if rel
+            .components()
+            .nth(2)
+            .is_none_or(|c| c.as_os_str() != "src")
+        {
+            continue;
+        }
+        let text = fs::read_to_string(path).expect("readable source file");
+        for line in shipped_lines(&text) {
+            if line.contains("env::var") {
+                found.push(format!("{}: {}", rel.display(), line.trim()));
+            }
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "shipped code reads the environment (pass it through Config or Obs):\n{}",
+        found.join("\n")
+    );
+}
+
 #[test]
 fn the_scan_sees_identifiers_and_declarations() {
     assert!(names("let x = foo(1);", "foo"));
@@ -206,4 +257,9 @@ fn the_scan_sees_identifiers_and_declarations() {
     assert!(!calls_through("let r = bfs::run_on(&t, 0);", "bfs", "run"));
     assert!(!calls_through("use crate::bfs;\n// run", "bfs", "run"));
     assert!(!calls_through("fn reuse bfs() { run(); }", "bfs", "run"));
+    // Shipped lines stop at a test module and resume after it.
+    assert_eq!(
+        shipped_lines("fn a() {}\n#[cfg(test)]\nmod tests {\n    x\n}\nfn b() {}\n"),
+        ["fn a() {}", "fn b() {}"]
+    );
 }
