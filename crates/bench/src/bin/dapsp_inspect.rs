@@ -401,7 +401,9 @@ fn cmd_smoke() -> ExitCode {
         "smoke: serial/pool trace streams diverged"
     );
 
-    // perfetto path: balanced JSON written to target/.
+    // perfetto path: the two-phase apsp run (the `T_1` BFS, then the
+    // waves) exports balanced JSON whose every track runs forward in time,
+    // so the waves are drawn after the BFS, not on top of it.
     let opts = RunOpts {
         workload: "apsp".into(),
         family: "tree".into(),
@@ -419,6 +421,37 @@ fn cmd_smoke() -> ExitCode {
         json.matches(['}', ']']).count(),
         "smoke: unbalanced perfetto JSON"
     );
+    // Each exported event sits on its own line; metadata lines have no `ts`.
+    let number = |line: &str, key: &str| -> Option<u64> {
+        let at = line.find(key)? + key.len();
+        let digits: String = line[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().ok()
+    };
+    let mut last: std::collections::BTreeMap<(u64, u64), u64> = Default::default();
+    for line in json.lines() {
+        let Some(ts) = number(line, "\"ts\":") else {
+            continue;
+        };
+        let track = (
+            number(line, "\"pid\":").expect("pid"),
+            number(line, "\"tid\":").expect("tid"),
+        );
+        let prev = last.insert(track, ts).unwrap_or(0);
+        assert!(
+            prev <= ts,
+            "smoke: perfetto track {track:?} goes back from {prev} to {ts}: {line}"
+        );
+    }
+    for phase in ["bfs round 1", "apsp:waves round 1"] {
+        assert!(
+            json.contains(&format!("\"name\":\"{phase}\"")),
+            "smoke: no {phase} span"
+        );
+    }
+    println!("smoke: the two-phase perfetto export runs forward on every track");
     println!("smoke: all inspect self-checks passed");
     ExitCode::SUCCESS
 }

@@ -13,7 +13,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dapsp_congest::{Config, MetricsRecorder, SharedObserver, SimError};
+use dapsp_congest::{Config, SharedObserver, SimError, TraceEvent, TraceRecorder};
 use dapsp_core::three_halves::{self, Branch};
 use dapsp_core::{approx, apsp, girth, girth_approx, metrics, ssp, ssp_paper, two_vs_four};
 use dapsp_core::{CoreError, Obs};
@@ -1097,18 +1097,32 @@ fn figure_wave_pipeline(out: &mut String) {
         ),
         ("tree n=96", generators::random_tree(96, 3)),
     ] {
-        let recorder = SharedObserver::new(MetricsRecorder::new());
+        let recorder = SharedObserver::new(TraceRecorder::with_capacity(1 << 20, 0));
         let handle = recorder.observer();
         let result = apsp::run_on_obs(&g.to_topology(), Obs::watching(&handle)).expect("apsp");
-        // Row r of the wave phase's metric stream counts the messages sent
-        // in round r — the deliveries of round r + 1. The phase's last row
-        // is its final round, which sends nothing further.
+        // Entry r counts the wave phase's messages sent in round r — the
+        // deliveries of round r + 1. Sized by the phase's `RunEnd`, so its
+        // last entry is the final round, which sends nothing further.
         let mut profile: Vec<u64> = recorder.with(|rec| {
-            rec.stream()
-                .iter()
-                .filter(|row| &*row.phase == "apsp:waves")
-                .map(|row| row.messages)
-                .collect()
+            assert_eq!(rec.overflow(), 0, "the ring holds the whole pipeline");
+            let (mut waves, mut profile) = (false, Vec::new());
+            for ev in rec.events() {
+                match ev {
+                    TraceEvent::RunStart { phase, .. } => waves = phase == "apsp:waves",
+                    TraceEvent::Message { round, .. } if waves => {
+                        let r = *round as usize;
+                        if profile.len() <= r {
+                            profile.resize(r + 1, 0);
+                        }
+                        profile[r] += 1;
+                    }
+                    TraceEvent::RunEnd { rounds, .. } if waves => {
+                        profile.resize(*rounds as usize + 1, 0)
+                    }
+                    _ => {}
+                }
+            }
+            profile
         });
         assert_eq!(
             profile.pop(),

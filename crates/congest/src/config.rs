@@ -315,9 +315,9 @@ impl TopologyPlan {
 /// [`Simulator::run`](crate::Simulator::run).
 ///
 /// Every executor produces bit-for-bit identical runs — outputs,
-/// statistics, traces, observer events, and metric streams — because
-/// outboxes are always validated and booked in node-id order. The choice
-/// only affects wall-clock time (see `DESIGN.md` §"Phase pipeline").
+/// statistics, and every observer event — because outboxes are always
+/// validated and booked in node-id order. The choice only affects
+/// wall-clock time (see `DESIGN.md` §"Phase pipeline").
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ExecutorKind {
     /// Single-threaded, in-place pipeline: every phase runs on the calling
@@ -375,8 +375,8 @@ pub struct Config {
     /// it executes (see [`crate::obs`]). `None` — the default — keeps every
     /// emission site a single branch, so observation is free when disabled.
     pub observer: Option<ObserverHandle>,
-    /// Label attached to this run in observer events and recorded metric
-    /// streams; composite pipelines set one per phase (e.g. `"apsp:waves"`).
+    /// Label attached to this run's `RunStart` observer event; composite
+    /// pipelines set one per phase (e.g. `"apsp:waves"`).
     pub phase: String,
 }
 
@@ -453,8 +453,7 @@ impl Config {
         self
     }
 
-    /// Labels this run's observer events and metric rows (e.g.
-    /// `"ssp:growth"`).
+    /// Labels this run's observer events (e.g. `"ssp:growth"`).
     pub fn with_phase(mut self, phase: impl Into<String>) -> Self {
         self.phase = phase.into();
         self
@@ -503,11 +502,11 @@ mod tests {
 
     #[test]
     fn equality_ignores_observer_but_not_phase() {
-        use crate::obs::{MetricsRecorder, SharedObserver};
+        use crate::obs::{PhaseProfiler, SharedObserver};
         let base = Config::for_n(8);
         let watched = base
             .clone()
-            .with_observer(SharedObserver::new(MetricsRecorder::new()).observer());
+            .with_observer(SharedObserver::new(PhaseProfiler::new()).observer());
         assert_eq!(base, watched);
         assert_ne!(base, base.clone().with_phase("bfs"));
     }

@@ -1047,8 +1047,8 @@ mod tests {
 mod obs_tests {
     use super::*;
     use crate::message::Message;
-    use crate::obs::{MetricsRecorder, PhaseProfiler, SharedObserver};
-    use crate::ReferenceSimulator;
+    use crate::obs::{PhaseProfiler, SharedObserver};
+    use crate::{ReferenceSimulator, TraceRecorder};
 
     #[derive(Clone, Debug)]
     struct Tagged {
@@ -1118,86 +1118,62 @@ mod obs_tests {
         }
     }
 
-    #[test]
-    fn recorder_stream_sums_to_stats() {
-        let topo = ring(8);
-        let rec = SharedObserver::new(MetricsRecorder::new());
-        let cfg = Config::for_n(8)
-            .with_phase("gossip")
-            .with_observer(rec.observer());
-        let report = Simulator::new(&topo, cfg, gossip(8)).run().unwrap();
-        let stream = rec.with(|r| r.stream().to_vec());
-        assert_eq!(stream.len() as u64, report.stats.rounds + 1);
-        assert_eq!(
-            stream.iter().map(|r| r.messages).sum::<u64>(),
-            report.stats.messages
-        );
-        assert_eq!(
-            stream.iter().map(|r| r.bits).sum::<u64>(),
-            report.stats.bits
-        );
-        assert!(stream.iter().all(|r| &*r.phase == "gossip"));
-        // Round 0 is every node's on_start flood: all nodes active, every
-        // undirected ring edge carrying both directions.
-        assert_eq!(stream[0].active_nodes, 8);
-        assert_eq!(stream[0].max_edge_load, 2);
-        assert_eq!(stream[0].edge_load_hist, vec![0, 8]);
+    /// Runs gossip on `topo` under `cfg` (the reference engine when
+    /// `reference`) with a [`TraceRecorder`] attached; returns the stats
+    /// and the recorder.
+    fn traced(
+        topo: &Topology,
+        cfg: Config,
+        reference: bool,
+    ) -> (Report<usize>, SharedObserver<TraceRecorder>) {
+        let n = topo.num_nodes();
+        let rec = SharedObserver::new(TraceRecorder::new());
+        let cfg = cfg.with_observer(rec.observer());
+        let report = if reference {
+            ReferenceSimulator::new(topo, cfg, gossip(n)).run()
+        } else {
+            Simulator::new(topo, cfg, gossip(n)).run()
+        };
+        (report.unwrap(), rec)
+    }
+
+    /// How many recorded events `pick` selects.
+    fn count(rec: &SharedObserver<TraceRecorder>, pick: impl Fn(&TraceEvent) -> bool) -> u64 {
+        rec.with(|r| r.events().filter(|e| pick(e)).count() as u64)
     }
 
     #[test]
-    fn both_engines_feed_identical_streams() {
-        let topo = ring(7);
-        let opt = SharedObserver::new(MetricsRecorder::new());
-        let seed = SharedObserver::new(MetricsRecorder::new());
-        let opt_report = Simulator::new(
-            &topo,
-            Config::for_n(7).with_observer(opt.observer()),
-            gossip(7),
-        )
-        .run()
-        .unwrap();
-        let seed_report = ReferenceSimulator::new(
-            &topo,
-            Config::for_n(7).with_observer(seed.observer()),
-            gossip(7),
-        )
-        .run()
-        .unwrap();
-        assert_eq!(opt_report.stats, seed_report.stats);
-        // RoundMetrics equality ignores wall-clock columns, so the streams
-        // must match row for row.
-        assert_eq!(
-            opt.with(|r| r.stream().to_vec()),
-            seed.with(|r| r.stream().to_vec())
-        );
+    fn trace_sums_to_stats() {
+        let (report, rec) = traced(&ring(8), Config::for_n(8).with_phase("gossip"), false);
+        let sent = count(&rec, |e| matches!(e, TraceEvent::Message { .. }));
+        assert_eq!(sent, report.stats.messages);
+        assert_eq!(rec.with(|r| r.kernels()[&1].bits), report.stats.bits);
+        let rounds = count(&rec, |e| matches!(e, TraceEvent::RoundStart { .. }));
+        assert_eq!(rounds, report.stats.rounds);
+        let labelled =
+            |e: &TraceEvent| matches!(e, TraceEvent::RunStart { phase, .. } if phase == "gossip");
+        assert_eq!(count(&rec, labelled), 1);
+        // Round 0 is every node's on_start flood: every undirected ring
+        // edge carries both directions.
+        let boot = count(&rec, |e| matches!(e, TraceEvent::Message { round: 0, .. }));
+        assert_eq!(boot, 16);
+        assert_eq!(rec.with(|r| r.top_edges(8).len()), 8);
     }
 
+    /// The serial executor, the pool and the reference engine feed one
+    /// observer the same event stream.
     #[test]
-    fn pool_executor_feeds_the_same_stream() {
+    fn every_engine_feeds_the_same_trace() {
         let topo = ring(7);
-        let serial = SharedObserver::new(MetricsRecorder::new());
-        let pooled = SharedObserver::new(MetricsRecorder::new());
-        let serial_report = Simulator::new(
-            &topo,
-            Config::for_n(7).with_observer(serial.observer()),
-            gossip(7),
-        )
-        .run()
-        .unwrap();
-        let pool_report = Simulator::new(
-            &topo,
-            Config::for_n(7)
-                .with_executor(ExecutorKind::Pool { workers: 3 })
-                .with_observer(pooled.observer()),
-            gossip(7),
-        )
-        .run()
-        .unwrap();
-        assert_eq!(serial_report.stats, pool_report.stats);
-        assert_eq!(
-            serial.with(|r| r.stream().to_vec()),
-            pooled.with(|r| r.stream().to_vec())
-        );
+        let pool = Config::for_n(7).with_executor(ExecutorKind::Pool { workers: 3 });
+        let (serial, serial_rec) = traced(&topo, Config::for_n(7), false);
+        let (pooled, pool_rec) = traced(&topo, pool, false);
+        let (seed, seed_rec) = traced(&topo, Config::for_n(7), true);
+        assert_eq!(serial.stats, pooled.stats);
+        assert_eq!(serial.stats, seed.stats);
+        let jsonl = serial_rec.with(|r| r.events_jsonl());
+        assert_eq!(jsonl, pool_rec.with(|r| r.events_jsonl()));
+        assert_eq!(jsonl, seed_rec.with(|r| r.events_jsonl()));
     }
 
     #[test]
@@ -1220,27 +1196,19 @@ mod obs_tests {
 
     #[test]
     fn drops_reach_the_observer() {
-        let topo = ring(8);
-        let rec = SharedObserver::new(MetricsRecorder::new());
-        let cfg = Config::for_n(8)
-            .with_loss(0.3, 42)
-            .with_observer(rec.observer());
-        let report = Simulator::new(&topo, cfg, gossip(8)).run().unwrap();
+        let (report, rec) = traced(&ring(8), Config::for_n(8).with_loss(0.3, 42), false);
         assert!(report.stats.dropped > 0, "loss plan should fire");
-        let stream = rec.with(|r| r.stream().to_vec());
-        assert_eq!(
-            stream.iter().map(|r| r.dropped).sum::<u64>(),
-            report.stats.dropped
-        );
+        let drops = count(&rec, |e| matches!(e, TraceEvent::Drop { .. }));
+        assert_eq!(drops, report.stats.dropped);
     }
 
     /// The full adversary — burst loss composed with crash windows — makes
     /// all three engines (serial, pooled, reference) produce bit-identical
-    /// outputs, stats, and metric streams, with the crash column of the
-    /// stream summing to the stats counter.
+    /// outputs, stats, and event streams, with the stream's `Crash` and
+    /// `Drop` events counting to the stats counters.
     #[test]
     fn fault_adversary_is_identical_across_engines() {
-        use crate::{FaultPlan, LossRule, ReferenceSimulator};
+        use crate::{FaultPlan, LossRule};
         let topo = ring(9);
         // Burst probability stays below 1.0 so round 0 (inside the first
         // burst window) cannot silence the whole network.
@@ -1254,18 +1222,10 @@ mod obs_tests {
             .with_crash(3, 1, 4)
             .with_crash(6, 2, 3);
         let cfg = || Config::for_n(9).with_faults(faults.clone());
-        let observed = |cfg: Config| {
-            let rec = SharedObserver::new(MetricsRecorder::new());
-            (cfg.with_observer(rec.observer()), rec)
-        };
-        let (serial_cfg, serial_rec) = observed(cfg());
-        let serial = Simulator::new(&topo, serial_cfg, gossip(9)).run().unwrap();
-        let (pool_cfg, pool_rec) = observed(cfg().with_executor(ExecutorKind::Pool { workers: 3 }));
-        let pooled = Simulator::new(&topo, pool_cfg, gossip(9)).run().unwrap();
-        let (seed_cfg, seed_rec) = observed(cfg());
-        let seed = ReferenceSimulator::new(&topo, seed_cfg, gossip(9))
-            .run()
-            .unwrap();
+        let (serial, serial_rec) = traced(&topo, cfg(), false);
+        let pool = cfg().with_executor(ExecutorKind::Pool { workers: 3 });
+        let (pooled, pool_rec) = traced(&topo, pool, false);
+        let (seed, seed_rec) = traced(&topo, cfg(), true);
         assert!(serial.stats.dropped > 0, "adversary should drop something");
         assert_eq!(
             serial.stats.crashed, 4,
@@ -1275,16 +1235,12 @@ mod obs_tests {
         assert_eq!(serial.stats, seed.stats);
         assert_eq!(serial.outputs, pooled.outputs);
         assert_eq!(serial.outputs, seed.outputs);
-        let stream = serial_rec.with(|r| r.stream().to_vec());
-        assert_eq!(stream, pool_rec.with(|r| r.stream().to_vec()));
-        assert_eq!(stream, seed_rec.with(|r| r.stream().to_vec()));
-        assert_eq!(
-            stream.iter().map(|r| r.crashed).sum::<u64>(),
-            serial.stats.crashed
-        );
-        assert_eq!(
-            stream.iter().map(|r| r.dropped).sum::<u64>(),
-            serial.stats.dropped
-        );
+        let jsonl = serial_rec.with(|r| r.events_jsonl());
+        assert_eq!(jsonl, pool_rec.with(|r| r.events_jsonl()));
+        assert_eq!(jsonl, seed_rec.with(|r| r.events_jsonl()));
+        let crashes = count(&serial_rec, |e| matches!(e, TraceEvent::Crash { .. }));
+        assert_eq!(crashes, serial.stats.crashed);
+        let drops = count(&serial_rec, |e| matches!(e, TraceEvent::Drop { .. }));
+        assert_eq!(drops, serial.stats.dropped);
     }
 }

@@ -23,8 +23,8 @@
 //!   bit-for-bit identical results), which detects quiescence, enforces
 //!   bandwidth, and collects [`RunStats`] (rounds, messages, bits),
 //! * [`obs`] — live observers, the one way to watch a run (attach with
-//!   [`Config::with_observer`]): per-round metric streams and a wall-clock
-//!   phase profiler, each a fold over the engines' one event type,
+//!   [`Config::with_observer`]): the trace recorder and a wall-clock phase
+//!   profiler, each a fold over the engines' one event type,
 //! * [`trace`] — that event type ([`TraceEvent`]) and the recorder that
 //!   keeps a bounded stream of it ([`TraceRecorder`]), for debugging and for
 //!   testing algorithm invariants (e.g. that two BFS waves never congest an
@@ -99,10 +99,7 @@ pub use engine::{Report, Simulator, TerminationCertificate, TerminationReason};
 pub use error::SimError;
 pub use message::{bits_for_count, bits_for_id, Envelope, Message, TraceTags, Width};
 pub use node::{Inbox, NodeContext, NodeId, Outbox, Port};
-pub use obs::{
-    FanOut, MetricsRecorder, Observer, ObserverHandle, PhaseProfiler, SharedObserver,
-    TransportSummary,
-};
+pub use obs::{Observer, ObserverHandle, PhaseProfiler, SharedObserver, TransportSummary};
 pub use reference::ReferenceSimulator;
 pub use stats::RunStats;
 pub use topology::Topology;

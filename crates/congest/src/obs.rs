@@ -15,9 +15,6 @@
 //! * [`TraceRecorder`](crate::TraceRecorder) — stores the events as
 //!   received, with per-kernel, per-edge and per-wave aggregates (the
 //!   Lemma 1 collision and Lemma 8 delay checks read the latter).
-//! * [`MetricsRecorder`] — a per-round metric stream (messages, bits,
-//!   drops, active senders, per-edge load histogram, max edge congestion),
-//!   each row renderable as one JSON line.
 //! * [`PhaseProfiler`] — per-phase wall-clock totals splitting each round
 //!   into deliver/step/commit time; the one wall-clock fold.
 //!
@@ -25,8 +22,8 @@
 //! keep a typed handle via [`SharedObserver`] to read the recording back:
 //!
 //! ```
-//! use dapsp_congest::obs::{MetricsRecorder, SharedObserver};
-//! use dapsp_congest::{Config, Simulator, Topology};
+//! use dapsp_congest::obs::SharedObserver;
+//! use dapsp_congest::{Config, Simulator, Topology, TraceEvent, TraceRecorder};
 //! # use dapsp_congest::{Inbox, Message, NodeAlgorithm, NodeContext, Outbox};
 //! # #[derive(Clone, Debug)]
 //! # struct Ping;
@@ -45,13 +42,15 @@
 //! # }
 //! # fn main() -> Result<(), dapsp_congest::SimError> {
 //! let topo = Topology::from_adjacency(vec![vec![1], vec![0]])?;
-//! let recorder = SharedObserver::new(MetricsRecorder::new());
+//! let recorder = SharedObserver::new(TraceRecorder::new());
 //! let cfg = Config::for_n(2).with_observer(recorder.observer());
 //! let report = Simulator::new(&topo, cfg, |_| Greeter { heard: false }).run()?;
 //! // The shared recorder keeps the (possibly multi-phase) stream.
 //! recorder.with(|r| {
-//!     assert_eq!(r.stream().len() as u64, report.stats.rounds + 1);
-//!     assert_eq!(r.stream().iter().map(|row| row.messages).sum::<u64>(), report.stats.messages);
+//!     let sent = r.events().filter(|e| matches!(e, TraceEvent::Message { .. })).count();
+//!     assert_eq!(sent as u64, report.stats.messages);
+//!     // A plain (non-kernel) message is booked under kernel mask 1.
+//!     assert_eq!(r.kernels()[&1].bits, report.stats.bits);
 //! });
 //! # Ok(())
 //! # }
@@ -60,7 +59,6 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use crate::node::NodeId;
 use crate::trace::TraceEvent;
 
 /// Wall-clock split of one engine round. Only measured while an observer is
@@ -225,290 +223,12 @@ impl<O> Clone for SharedObserver<O> {
     }
 }
 
-/// Hands every event and timing report to several observers, in order —
-/// e.g. a [`MetricsRecorder`] and an invariant probe on one run.
-pub struct FanOut {
-    observers: Vec<ObserverHandle>,
-}
-
-impl FanOut {
-    /// Combines `observers`; events are forwarded in the given order.
-    pub fn new(observers: Vec<ObserverHandle>) -> Self {
-        FanOut { observers }
-    }
-}
-
-impl Observer for FanOut {
-    fn on_event(&mut self, ev: &TraceEvent) {
-        for obs in &self.observers {
-            obs.lock().on_event(ev);
-        }
-    }
-
-    fn on_round_timing(&mut self, round: u64, timing: &RoundTiming) {
-        for obs in &self.observers {
-            obs.lock().on_round_timing(round, timing);
-        }
-    }
-}
-
-/// One row of the per-round metric stream produced by [`MetricsRecorder`].
-///
-/// Row `r` accounts for the commits performed during round `r` (row 0 holds
-/// the `on_start` sends): `messages`/`bits` were accepted for delivery at
-/// round `r + 1`, `dropped` were discarded, `crashed` counts the nodes
-/// sitting out round `r` inside a crash window. Summing a column over the
-/// stream therefore reproduces the corresponding [`RunStats`](crate::RunStats)
-/// total exactly, and a stream always has `stats.rounds + 1` rows.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RoundMetrics {
-    /// The phase label of the run this row belongs to (`""` unlabeled).
-    pub phase: Arc<str>,
-    /// The send round this row accounts for (0 = `on_start`).
-    pub round: u64,
-    /// Messages committed (accepted for delivery) this round.
-    pub messages: u64,
-    /// Payload bits committed this round.
-    pub bits: u64,
-    /// Messages dropped this round (loss rules and deliveries into crash
-    /// windows).
-    pub dropped: u64,
-    /// Nodes sitting out this round inside a crash window.
-    pub crashed: u64,
-    /// Frames committed (or dropped) this round that the transport layer
-    /// marked as retransmissions. Summing the column over a reliable run
-    /// reproduces the transport's `retransmissions` total exactly — every
-    /// sent frame is either delivered or dropped.
-    pub retransmits: u64,
-    /// Frames committed (or dropped) this round carrying an ack.
-    pub acks: u64,
-    /// Nodes voting `Active` in this round's quiescence poll.
-    pub votes_active: u64,
-    /// Nodes voting `Passive` in this round's quiescence poll.
-    pub votes_passive: u64,
-    /// Nodes voting `Shutdown` in this round's quiescence poll. The three
-    /// vote columns sum to the polled-node count: everyone in row 0, the
-    /// round's `scheduled_nodes` afterwards.
-    pub votes_shutdown: u64,
-    /// Distinct nodes that sent at least one message this round.
-    pub active_nodes: u32,
-    /// Nodes on this round's schedule (arrivals waiting or awake). Row 0
-    /// counts the nodes that ran `on_start`. Summing the column reproduces
-    /// `RunStats::scheduled_node_rounds`; the column maximum is
-    /// `RunStats::max_scheduled_per_round`.
-    pub scheduled_nodes: u64,
-    /// The largest number of messages any single *undirected* edge carried
-    /// this round (at most 2 — one per direction — by the engine's
-    /// bandwidth discipline).
-    pub max_edge_load: u32,
-    /// `edge_load_hist[l - 1]` = number of undirected edges that carried
-    /// exactly `l` messages this round.
-    pub edge_load_hist: Vec<u64>,
-}
-
-impl RoundMetrics {
-    fn new(phase: Arc<str>, round: u64, scheduled_nodes: u64) -> Self {
-        RoundMetrics {
-            phase,
-            round,
-            scheduled_nodes,
-            ..RoundMetrics::default()
-        }
-    }
-
-    /// Renders the row as one JSON object (one JSONL line, sans newline).
-    pub fn to_json(&self) -> String {
-        let hist: Vec<String> = self.edge_load_hist.iter().map(u64::to_string).collect();
-        format!(
-            concat!(
-                "{{\"phase\":\"{}\",\"round\":{},\"messages\":{},\"bits\":{},",
-                "\"dropped\":{},\"crashed\":{},",
-                "\"retransmits\":{},\"acks\":{},",
-                "\"votes_active\":{},\"votes_passive\":{},\"votes_shutdown\":{},",
-                "\"active_nodes\":{},\"scheduled_nodes\":{},\"max_edge_load\":{},",
-                "\"edge_load_hist\":[{}]}}"
-            ),
-            self.phase,
-            self.round,
-            self.messages,
-            self.bits,
-            self.dropped,
-            self.crashed,
-            self.retransmits,
-            self.acks,
-            self.votes_active,
-            self.votes_passive,
-            self.votes_shutdown,
-            self.active_nodes,
-            self.scheduled_nodes,
-            self.max_edge_load,
-            hist.join(","),
-        )
-    }
-}
-
-/// Records the full per-round metric stream of every run it observes.
-///
-/// The stream row semantics are documented on [`RoundMetrics`]. Multi-phase
-/// pipelines that share one recorder across phases accumulate one
-/// concatenated stream, each row labeled with its phase.
-#[derive(Default)]
-pub struct MetricsRecorder {
-    stream: Vec<RoundMetrics>,
-    phase: Option<Arc<str>>,
-    /// Per-undirected-edge message count for the current round; sized
-    /// `2m` at `RunStart`, cleared via `touched`.
-    edge_load: Vec<u32>,
-    touched: Vec<u32>,
-    last_sender: Option<NodeId>,
-    /// End-of-run transport telemetry, one entry per reliable run,
-    /// labeled with the phase it arrived under.
-    transports: Vec<(Arc<str>, TransportSummary)>,
-}
-
-impl MetricsRecorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        MetricsRecorder::default()
-    }
-
-    /// The full stream recorded so far, across every observed run.
-    pub fn stream(&self) -> &[RoundMetrics] {
-        &self.stream
-    }
-
-    /// Transport-layer telemetry from [`TraceEvent::Transport`], one
-    /// `(phase, summary)` entry per reliable run observed.
-    pub fn transports(&self) -> &[(Arc<str>, TransportSummary)] {
-        &self.transports
-    }
-
-    fn row(&mut self) -> &mut RoundMetrics {
-        self.stream
-            .last_mut()
-            .expect("row exists while a run is active")
-    }
-
-    fn phase(&self) -> Arc<str> {
-        self.phase.clone().unwrap_or_else(|| Arc::from(""))
-    }
-
-    /// Folds the current round's edge loads into the open row and resets
-    /// the scratch counters.
-    fn seal_round(&mut self) {
-        let mut max = 0u32;
-        let mut hist: Vec<u64> = Vec::new();
-        for &e in &self.touched {
-            let load = self.edge_load[e as usize];
-            self.edge_load[e as usize] = 0;
-            max = max.max(load);
-            if hist.len() < load as usize {
-                hist.resize(load as usize, 0);
-            }
-            hist[load as usize - 1] += 1;
-        }
-        self.touched.clear();
-        self.last_sender = None;
-        let row = self.row();
-        row.max_edge_load = max;
-        row.edge_load_hist = hist;
-    }
-
-    /// Counts `from` as active in the open row the first time it sends.
-    fn sender(&mut self, from: NodeId) {
-        if self.last_sender != Some(from) {
-            self.last_sender = Some(from);
-            self.row().active_nodes += 1;
-        }
-    }
-}
-
-impl Observer for MetricsRecorder {
-    fn on_event(&mut self, ev: &TraceEvent) {
-        match *ev {
-            TraceEvent::RunStart {
-                ref phase,
-                edges,
-                started,
-                ..
-            } => {
-                let phase: Arc<str> = Arc::from(phase.as_str());
-                // Keyed by `min(edge, reverse_edge)`, so both directions of
-                // one undirected edge land in the same counter; sized by the
-                // directed range since the canonical keys live inside it.
-                self.edge_load.clear();
-                self.edge_load.resize(edges as usize, 0);
-                self.touched.clear();
-                self.last_sender = None;
-                self.stream
-                    .push(RoundMetrics::new(phase.clone(), 0, started));
-                self.phase = Some(phase);
-            }
-            TraceEvent::RoundStart {
-                round, scheduled, ..
-            } => {
-                self.seal_round();
-                self.stream
-                    .push(RoundMetrics::new(self.phase(), round, scheduled));
-            }
-            TraceEvent::Message {
-                from,
-                edge,
-                reverse_edge,
-                bits,
-                tags,
-                ..
-            } => {
-                let key = edge.min(reverse_edge);
-                let load = &mut self.edge_load[key as usize];
-                *load += 1;
-                if *load == 1 {
-                    self.touched.push(key);
-                }
-                let row = self.row();
-                row.messages += 1;
-                row.bits += u64::from(bits);
-                row.retransmits += u64::from(tags.retransmit);
-                row.acks += u64::from(tags.ack);
-                self.sender(from);
-            }
-            TraceEvent::Drop { from, tags, .. } => {
-                let row = self.row();
-                row.dropped += 1;
-                // Dropped frames still count toward the transport columns —
-                // that keeps the column sums equal to the send-side totals.
-                row.retransmits += u64::from(tags.retransmit);
-                row.acks += u64::from(tags.ack);
-                // A dropped send still makes the sender active this round.
-                self.sender(from);
-            }
-            TraceEvent::Crash { .. } => self.row().crashed += 1,
-            TraceEvent::QuiescenceVotes {
-                active,
-                passive,
-                shutdown,
-                ..
-            } => {
-                let row = self.row();
-                row.votes_active = active;
-                row.votes_passive = passive;
-                row.votes_shutdown = shutdown;
-            }
-            TraceEvent::RunEnd { .. } => self.seal_round(),
-            TraceEvent::Transport(summary) => {
-                let phase = self.phase();
-                self.transports.push((phase, summary));
-            }
-            TraceEvent::RoundEnd { .. } | TraceEvent::EarlyTermination { .. } => {}
-        }
-    }
-}
-
 /// Per-phase wall-clock totals: how each run's time splits across the
 /// deliver/step/commit sub-phases of every round.
 ///
-/// Cheaper than a full [`MetricsRecorder`] (no per-edge accounting); this
-/// is what the repo benchmark's `congest.{deliver,commit}_ms` rows read.
+/// Cheaper than a [`TraceRecorder`](crate::TraceRecorder) (it stores no
+/// events); this is what the repo benchmark's `congest.{deliver,commit}_ms`
+/// rows read.
 #[derive(Clone, Debug, Default)]
 pub struct PhaseProfile {
     /// The phase label of the run (`""` unlabeled).
@@ -601,6 +321,7 @@ mod tests {
     use super::*;
     use crate::config::DropReason;
     use crate::message::TraceTags;
+    use crate::node::NodeId;
 
     fn start(phase: &str) -> TraceEvent {
         TraceEvent::RunStart {
@@ -652,121 +373,6 @@ mod tests {
         for e in events {
             obs.on_event(e);
         }
-    }
-
-    #[test]
-    fn recorder_rows_account_per_round() {
-        let mut rec = MetricsRecorder::new();
-        feed(
-            &mut rec,
-            &[
-                start("demo"),
-                msg(0, 0, 1, 0, 3),
-                round(1),
-                msg(1, 1, 0, 2, 5),
-                msg(1, 1, 2, 3, 0),
-                dropped(1, 2, DropReason::Loss, TraceTags::default()),
-                TraceEvent::Crash { round: 1, node: 3 },
-                TraceEvent::QuiescenceVotes {
-                    round: 1,
-                    active: 2,
-                    passive: 1,
-                    shutdown: 1,
-                },
-                END,
-            ],
-        );
-        let stream = rec.stream();
-        assert_eq!(stream.len(), 2);
-        assert_eq!(stream[0].round, 0);
-        assert_eq!(stream[0].messages, 1);
-        assert_eq!(stream[1].messages, 2);
-        assert_eq!(stream[1].dropped, 1);
-        assert_eq!(stream[1].crashed, 1);
-        assert_eq!(stream[1].active_nodes, 2); // sender 1 (twice) + dropped sender 2
-        assert_eq!(stream[1].max_edge_load, 1);
-        assert_eq!(stream[1].edge_load_hist, vec![2]);
-        assert_eq!(
-            (
-                stream[1].votes_active,
-                stream[1].votes_passive,
-                stream[1].votes_shutdown
-            ),
-            (2, 1, 1)
-        );
-        assert_eq!(&*stream[0].phase, "demo");
-    }
-
-    #[test]
-    fn recorder_counts_transport_tags_on_delivery_and_drop() {
-        let retx = TraceTags {
-            kernels: 1,
-            retransmit: true,
-            ack: false,
-        };
-        let ack = TraceTags {
-            kernels: 1,
-            retransmit: false,
-            ack: true,
-        };
-        let tagged = |tags| TraceEvent::Message {
-            round: 0,
-            from: 0,
-            to: 1,
-            to_port: 0,
-            edge: 0,
-            reverse_edge: 3,
-            bits: 8,
-            stream: None,
-            tags,
-        };
-        let mut rec = MetricsRecorder::new();
-        feed(
-            &mut rec,
-            &[
-                start("rel"),
-                tagged(retx),
-                tagged(ack),
-                dropped(0, 2, DropReason::Loss, retx),
-                END,
-                TraceEvent::Transport(TransportSummary {
-                    sim_rounds: 4,
-                    frames_sent: 3,
-                    retransmissions: 2,
-                    acks_sent: 1,
-                    truncated_sends: 0,
-                }),
-            ],
-        );
-        let row = &rec.stream()[0];
-        assert_eq!(row.retransmits, 2); // one delivered + one dropped
-        assert_eq!(row.acks, 1);
-        assert_eq!(rec.transports().len(), 1);
-        assert_eq!(&*rec.transports()[0].0, "rel");
-        assert_eq!(rec.transports()[0].1.retransmissions, 2);
-        assert!(row.to_json().contains("\"retransmits\":2"));
-    }
-
-    #[test]
-    fn round_metrics_json_is_well_formed() {
-        let mut rec = MetricsRecorder::new();
-        feed(&mut rec, &[start("j"), msg(0, 0, 1, 0, 3), END]);
-        let line = rec.stream()[0].to_json();
-        assert!(line.contains("\"phase\":\"j\""));
-        assert!(line.contains("\"messages\":1"));
-        assert!(line.starts_with('{') && line.ends_with("]}"));
-    }
-
-    #[test]
-    fn fan_out_forwards_to_all() {
-        let rec = SharedObserver::new(MetricsRecorder::new());
-        let prof = SharedObserver::new(PhaseProfiler::new());
-        let mut fan = FanOut::new(vec![rec.observer(), prof.observer()]);
-        feed(&mut fan, &[start(""), round(1), msg(1, 0, 1, 0, 3)]);
-        fan.on_round_timing(1, &RoundTiming::default());
-        feed(&mut fan, &[TraceEvent::RoundEnd { round: 1 }, END]);
-        rec.with(|r| assert_eq!(r.stream().len(), 2));
-        prof.with(|p| assert_eq!(p.total().rounds, 1));
     }
 
     #[test]

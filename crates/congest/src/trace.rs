@@ -12,7 +12,7 @@
 //! contract the `engine_equivalence` proptests pin.
 //!
 //! [`TraceRecorder`] stores the events as received — one ring entry per
-//! event, so one per message — into a bounded [`Ring`] that keeps the
+//! event, so one per message — into a bounded ring that keeps the
 //! *first* and *last* events of an overflowing run and counts every event
 //! exactly, and folds ring-independent aggregates beside it: per-kernel
 //! traffic, per-edge loads and per-stream wave arrivals (what the Lemma 1
@@ -23,10 +23,11 @@
 //! * [`TraceRecorder::events_jsonl`] — one deterministic JSON line per
 //!   stored event (diffing two runs is a line diff);
 //! * [`TraceRecorder::to_perfetto`] — Chrome-trace/Perfetto JSON with
-//!   round-scaled synthetic timestamps: a `rounds` track of round spans,
-//!   a per-node (or per-kernel) track of send/drop/retransmit instants, a
-//!   vote counter track, and one span per wave lifetime. Load it at
-//!   `ui.perfetto.dev` or `chrome://tracing`.
+//!   round-scaled synthetic timestamps, the runs of a pipeline laid end to
+//!   end: a `rounds` track of round spans named by phase, a per-node (or
+//!   per-kernel) track of send/drop/retransmit instants, a vote counter
+//!   track, and one span per wave lifetime. Load it at `ui.perfetto.dev`
+//!   or `chrome://tracing`.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
@@ -259,9 +260,9 @@ fn escape(s: &str) -> String {
 ///
 /// Under overflow a trace therefore still shows how the run *began* and
 /// how it *ended* — the two ends a debugging session needs — and
-/// [`Ring::overflow`] says exactly how many middle events fell out.
+/// `overflow` says exactly how many middle events fell out.
 #[derive(Clone, Debug)]
-pub struct Ring<T> {
+struct Ring<T> {
     prefix: Vec<T>,
     tail: VecDeque<T>,
     prefix_cap: usize,
@@ -272,7 +273,7 @@ pub struct Ring<T> {
 impl<T> Ring<T> {
     /// A ring pinning the first `prefix_cap` items and rolling the last
     /// `tail_cap`.
-    pub fn new(prefix_cap: usize, tail_cap: usize) -> Self {
+    fn new(prefix_cap: usize, tail_cap: usize) -> Self {
         Ring {
             prefix: Vec::new(),
             tail: VecDeque::new(),
@@ -284,7 +285,7 @@ impl<T> Ring<T> {
 
     /// Pushes an item, evicting the oldest tail item when full. Always
     /// counts, even when both regions are at capacity.
-    pub fn push(&mut self, item: T) {
+    fn push(&mut self, item: T) {
         self.total += 1;
         if self.prefix.len() < self.prefix_cap {
             self.prefix.push(item);
@@ -298,28 +299,13 @@ impl<T> Ring<T> {
 
     /// The stored items, oldest first: the pinned prefix, then (skipping
     /// any overflowed middle) the rolling tail.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
+    fn iter(&self) -> impl Iterator<Item = &T> {
         self.prefix.iter().chain(self.tail.iter())
     }
 
-    /// Items currently stored.
-    pub fn stored(&self) -> usize {
-        self.prefix.len() + self.tail.len()
-    }
-
-    /// Total items ever pushed — exact even under overflow.
-    fn total_pushed(&self) -> u64 {
-        self.total
-    }
-
     /// Items pushed but no longer stored.
-    pub fn overflow(&self) -> u64 {
-        self.total - self.stored() as u64
-    }
-
-    /// True when nothing was ever pushed.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
+    fn overflow(&self) -> u64 {
+        self.total - (self.prefix.len() + self.tail.len()) as u64
     }
 }
 
@@ -342,14 +328,14 @@ pub struct KernelCounters {
 }
 
 /// Default pinned-prefix capacity of a [`TraceRecorder`].
-pub const DEFAULT_PREFIX: usize = 1 << 16;
+const DEFAULT_PREFIX: usize = 1 << 16;
 /// Default rolling-tail capacity of a [`TraceRecorder`].
-pub const DEFAULT_TAIL: usize = 1 << 14;
+const DEFAULT_TAIL: usize = 1 << 14;
 
 /// An [`Observer`] that stores every event of every run it watches into a
-/// [`Ring`], as received, while keeping exact (ring-independent) aggregate
-/// counters: per-kernel traffic breakdowns, per-undirected-edge total
-/// loads, and per-stream wave start/arrival rounds.
+/// bounded ring, as received, while keeping exact (ring-independent)
+/// aggregate counters: per-kernel traffic breakdowns, per-undirected-edge
+/// total loads, and per-stream wave start/arrival rounds.
 ///
 /// The wave maps reset at each [`TraceEvent::RunStart`] (streams are
 /// run-scoped), so after a pipeline they describe its last phase — the
@@ -374,8 +360,8 @@ impl Default for TraceRecorder {
 }
 
 impl TraceRecorder {
-    /// A recorder with the default ring capacities
-    /// ([`DEFAULT_PREFIX`] + [`DEFAULT_TAIL`]).
+    /// A recorder with the default ring capacities: the first 2¹⁶ events
+    /// pinned, the last 2¹⁴ rolling.
     pub fn new() -> Self {
         TraceRecorder::with_capacity(DEFAULT_PREFIX, DEFAULT_TAIL)
     }
@@ -399,7 +385,7 @@ impl TraceRecorder {
 
     /// Total events ever recorded — exact even when the ring overflowed.
     pub fn total_events(&self) -> u64 {
-        self.ring.total_pushed()
+        self.ring.total
     }
 
     /// Events recorded but no longer stored.
@@ -511,10 +497,18 @@ impl TraceRecorder {
 
     /// Exports the trace as Chrome-trace/Perfetto JSON with synthetic
     /// round-scaled timestamps (1 round = 1000 trace µs): round spans on a
-    /// `rounds` track, per-node or per-kernel instants for
-    /// sends/drops/retransmits/acks/crashes, a `votes` counter series, and
-    /// one span per wave lifetime. Open at `ui.perfetto.dev` or
-    /// `chrome://tracing`.
+    /// `rounds` track, named `"{phase} round {r}"`, per-node or per-kernel
+    /// instants for sends/drops/retransmits/acks/crashes, a `votes`
+    /// counter series stamped at the end of the round it polls, and one
+    /// span per wave lifetime (of the last run, like the wave maps). Open
+    /// at `ui.perfetto.dev` or `chrome://tracing`.
+    ///
+    /// The runs of a pipeline are laid end to end: each stored run starts
+    /// where the runs before it ended (its `RunEnd.rounds + 1` after the
+    /// previous run's start), so every track's timestamps are
+    /// non-decreasing and no two phases' round spans overlap. (Should an
+    /// overflowing ring drop a run's `RunEnd`, the next stored run starts
+    /// at that run's base.)
     pub fn to_perfetto(&self, track_by: TrackBy) -> String {
         const US: u64 = 1000;
         let mut out: Vec<String> = vec![
@@ -534,21 +528,35 @@ impl TraceRecorder {
                 TrackBy::Kernel => u64::from(kernels),
             }
         };
-        let instant = |name: String, round: u64, tid: u64| {
-            format!(
-                "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{tid}}}",
-                round * US
-            )
-        };
+        // `base` is the current run's round 0 in rounds; `next` the round
+        // 0 of the run after it.
+        let (mut base, mut next) = (0u64, 0u64);
+        let mut label = String::new();
         for e in self.ring.iter() {
+            let ts = |round: u64| (base + round) * US;
+            let instant = |name: String, round: u64, tid: u64| {
+                format!(
+                    "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{tid}}}",
+                    ts(round)
+                )
+            };
             match *e {
+                TraceEvent::RunStart { ref phase, .. } => {
+                    base = next;
+                    label = if phase.is_empty() {
+                        String::new()
+                    } else {
+                        format!("{} ", escape(phase))
+                    };
+                }
+                TraceEvent::RunEnd { rounds, .. } => next = base + rounds + 1,
                 TraceEvent::RoundStart { round, .. } => out.push(format!(
-                    "{{\"name\":\"round {round}\",\"ph\":\"B\",\"ts\":{},\"pid\":0,\"tid\":0}}",
-                    round * US
+                    "{{\"name\":\"{label}round {round}\",\"ph\":\"B\",\"ts\":{},\"pid\":0,\"tid\":0}}",
+                    ts(round)
                 )),
                 TraceEvent::RoundEnd { round } => out.push(format!(
                     "{{\"ph\":\"E\",\"ts\":{},\"pid\":0,\"tid\":0}}",
-                    (round + 1) * US
+                    ts(round + 1)
                 )),
                 TraceEvent::Message {
                     round,
@@ -564,7 +572,7 @@ impl TraceRecorder {
                     out.push(format!(
                         "{{\"name\":\"send {from}\\u2192{to} k={}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{track},\"args\":{{\"bits\":{bits}}}}}",
                         tags.kernels,
-                        round * US
+                        ts(round)
                     ));
                     if tags.retransmit {
                         out.push(instant(format!("retransmit \\u2192{to}"), round, track));
@@ -594,19 +602,19 @@ impl TraceRecorder {
                     shutdown,
                 } => out.push(format!(
                     "{{\"name\":\"votes\",\"ph\":\"C\",\"ts\":{},\"pid\":0,\"tid\":0,\"args\":{{\"active\":{active},\"passive\":{passive},\"shutdown\":{shutdown}}}}}",
-                    round * US
+                    ts(round + 1)
                 )),
                 TraceEvent::EarlyTermination { round, in_flight } => out.push(format!(
                     "{{\"name\":\"early termination\",\"ph\":\"i\",\"s\":\"g\",\"ts\":{},\"pid\":0,\"tid\":0,\"args\":{{\"in_flight\":{in_flight}}}}}",
-                    (round + 1) * US
+                    ts(round + 1)
                 )),
-                _ => {}
+                TraceEvent::Transport(_) => {}
             }
         }
         for (stream, start, origin, last, reached) in self.wave_spans() {
             out.push(format!(
                 "{{\"name\":\"wave {stream}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":2,\"tid\":{stream},\"args\":{{\"origin\":{origin},\"reached\":{reached}}}}}",
-                start * US,
+                (base + start) * US,
                 (last - start + 1) * US
             ));
         }
@@ -684,8 +692,7 @@ mod tests {
         for i in 0..10u32 {
             ring.push(i);
         }
-        assert_eq!(ring.total_pushed(), 10);
-        assert_eq!(ring.stored(), 5);
+        assert_eq!(ring.total, 10);
         assert_eq!(ring.overflow(), 5);
         let stored: Vec<u32> = ring.iter().copied().collect();
         // First three pinned, last two rolled.
@@ -710,7 +717,7 @@ mod tests {
             ring.push(i);
         }
         assert_eq!(ring.iter().copied().collect::<Vec<_>>(), vec![0, 1]);
-        assert_eq!(ring.total_pushed(), 5);
+        assert_eq!(ring.total, 5);
         assert_eq!(ring.overflow(), 3);
     }
 
@@ -904,6 +911,7 @@ mod tests {
             assert!(json.contains("\"traceEvents\""));
             assert!(json.contains("\"ph\":\"C\""));
             assert!(json.contains("wave 3"));
+            assert!(json.contains("\"name\":\"p round 1\""), "{json}");
             let open = json.matches(['{', '[']).count();
             let close = json.matches(['}', ']']).count();
             assert_eq!(open, close, "balanced brackets");

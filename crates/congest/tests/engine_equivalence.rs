@@ -6,11 +6,10 @@
 
 use proptest::prelude::*;
 
-use dapsp_congest::obs::RoundMetrics;
 use dapsp_congest::{
-    Config, ExecutorKind, FanOut, FaultPlan, Inbox, LossRule, Message, MetricsRecorder,
-    NodeAlgorithm, NodeContext, Outbox, Port, Quiescence, ReferenceSimulator, Report, RunStats,
-    SharedObserver, Simulator, TerminationReason, Topology, TraceEvent, TraceRecorder,
+    Config, ExecutorKind, FaultPlan, Inbox, LossRule, Message, NodeAlgorithm, NodeContext, Outbox,
+    Port, Quiescence, ReferenceSimulator, Report, RunStats, SharedObserver, Simulator,
+    TerminationReason, Topology, TraceEvent, TraceRecorder,
 };
 
 /// A gossip token: (origin id, hop count). Sized like a real CONGEST
@@ -204,32 +203,20 @@ fn run_with(
     (report, rec.with(|t| t.events_jsonl()))
 }
 
-/// What the observers of one parity run kept: the metric stream, plus
-/// what a tightly bounded [`TraceRecorder`] kept — the stored events as
-/// JSONL, the overflow count, and the exact event total.
-type TraceDigest = (Vec<RoundMetrics>, String, u64, u64);
+/// What a tightly bounded [`TraceRecorder`] kept of one parity run: the
+/// stored events as JSONL, the overflow count, and the exact event total.
+type TraceDigest = (String, u64, u64);
 
-/// The recorders of one observed parity run.
-type Recorders = (
-    SharedObserver<MetricsRecorder>,
-    SharedObserver<TraceRecorder>,
-);
-
-/// The `observed` mode of the four-way parity tests: a metrics recorder
-/// fanned out with a trace recorder whose ring is far smaller than the
-/// run — which keeps the stored/overflowed split itself part of the
-/// comparison.
-fn observe(config: Config) -> (Config, Recorders) {
-    let metrics = SharedObserver::new(MetricsRecorder::new());
+/// The `observed` mode of the four-way parity tests: a trace recorder
+/// whose ring is far smaller than the run — which keeps the
+/// stored/overflowed split itself part of the comparison.
+fn observe(config: Config) -> (Config, SharedObserver<TraceRecorder>) {
     let trace = SharedObserver::new(TraceRecorder::with_capacity(48, 16));
-    let both = FanOut::new(vec![metrics.observer(), trace.observer()]);
-    let config = config.with_observer(SharedObserver::new(both).observer());
-    (config, (metrics, trace))
+    (config.with_observer(trace.observer()), trace)
 }
 
-fn digest((metrics, trace): Recorders) -> TraceDigest {
-    let stream = metrics.with(|m| m.stream().to_vec());
-    trace.with(|t| (stream, t.events_jsonl(), t.overflow(), t.total_events()))
+fn digest(trace: SharedObserver<TraceRecorder>) -> TraceDigest {
+    trace.with(|t| (t.events_jsonl(), t.overflow(), t.total_events()))
 }
 
 /// The active-set regression the sparse engine exists for: a protocol in
@@ -388,8 +375,15 @@ fn an_unpolled_shutdown_vote_vetoes_a_unanimous_shutdown() {
 ///     EarlyTermination? RunEnd
 /// ```
 ///
-/// with consecutive round numbers, every round-stamped event carrying its
-/// round, and the per-kind counts equal to `stats`. Returns the first violation.
+/// with consecutive round numbers and every round-stamped event carrying
+/// its round, and that the stream decomposes `stats` exactly: the
+/// `Message` / `Drop` / `Crash` / `RoundStart` counts and the summed
+/// `bits` are the totals, the busiest send round's `Message` count is
+/// `max_messages_per_round`, `RunStart.started` plus every
+/// `RoundStart.scheduled` sums to `scheduled_node_rounds` (their maximum
+/// is `max_scheduled_per_round`), every vote tally counts the nodes its
+/// poll saw — all `nodes` after `on_start`, the round's schedule after —
+/// and the final poll has no active voter. Returns the first violation.
 fn check_stream(events: &[TraceEvent], stats: &RunStats) -> Result<(), String> {
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum At {
@@ -404,14 +398,30 @@ fn check_stream(events: &[TraceEvent], stats: &RunStats) -> Result<(), String> {
     }
     let mut at = At::Begin;
     let mut round = 0u64;
-    let [mut messages, mut dropped, mut crashed, mut rounds] = [0u64; 4];
+    let [mut messages, mut dropped, mut crashed, mut rounds, mut bits] = [0u64; 5];
+    // This round's sends, the busiest round's, and the scheduling totals.
+    let [mut sent, mut peak] = [0u64; 2];
+    let [mut scheduled, mut scheduled_peak] = [0u64; 2];
+    // The nodes the next poll must tally, and the last poll's active count.
+    let [mut polled, mut last_active] = [0u64; 2];
     for (i, ev) in events.iter().enumerate() {
         let next = match (at, ev) {
-            (At::Begin, TraceEvent::RunStart { .. }) => At::Boot,
-            (At::Boot | At::Open | At::Crashes, TraceEvent::Message { round: r, .. })
-                if *r == round =>
-            {
+            (At::Begin, TraceEvent::RunStart { nodes, started, .. }) => {
+                polled = *nodes;
+                scheduled = *started;
+                scheduled_peak = *started;
+                At::Boot
+            }
+            (
+                At::Boot | At::Open | At::Crashes,
+                TraceEvent::Message {
+                    round: r, bits: b, ..
+                },
+            ) if *r == round => {
                 messages += 1;
+                bits += u64::from(*b);
+                sent += 1;
+                peak = peak.max(sent);
                 if at == At::Boot {
                     At::Boot
                 } else {
@@ -429,9 +439,20 @@ fn check_stream(events: &[TraceEvent], stats: &RunStats) -> Result<(), String> {
                 }
             }
             (At::Boot, TraceEvent::QuiescenceVotes { round: 0, .. }) => At::Between,
-            (At::Between, TraceEvent::RoundStart { round: r, .. }) if *r == round + 1 => {
+            (
+                At::Between,
+                TraceEvent::RoundStart {
+                    round: r,
+                    scheduled: s,
+                    ..
+                },
+            ) if *r == round + 1 => {
                 round = *r;
                 rounds += 1;
+                sent = 0;
+                polled = *s;
+                scheduled += *s;
+                scheduled_peak = scheduled_peak.max(*s);
                 At::Crashes
             }
             (At::Crashes, TraceEvent::Crash { round: r, .. }) if *r == round => {
@@ -450,19 +471,76 @@ fn check_stream(events: &[TraceEvent], stats: &RunStats) -> Result<(), String> {
             (At::Between | At::Terminated, TraceEvent::RunEnd { .. }) => At::Done,
             _ => return Err(format!("event {i} {ev:?} out of order after {at:?}")),
         };
+        if let TraceEvent::QuiescenceVotes {
+            active,
+            passive,
+            shutdown,
+            ..
+        } = ev
+        {
+            if active + passive + shutdown != polled {
+                return Err(format!("event {i} {ev:?} does not tally {polled} polled"));
+            }
+            last_active = *active;
+        }
         at = next;
     }
     if at != At::Done {
         return Err(format!("stream stops at {at:?}"));
     }
-    let counted = [messages, dropped, crashed, rounds];
-    let booked = [stats.messages, stats.dropped, stats.crashed, stats.rounds];
+    if last_active != 0 {
+        return Err(format!("the final poll saw {last_active} active voters"));
+    }
+    let counted = [messages, dropped, crashed, rounds, bits, peak];
+    let booked = [
+        stats.messages,
+        stats.dropped,
+        stats.crashed,
+        stats.rounds,
+        stats.bits,
+        stats.max_messages_per_round,
+    ];
     if counted != booked {
         return Err(format!(
-            "[Message, Drop, Crash, RoundStart] counts {counted:?} != stats {booked:?}"
+            "[Message, Drop, Crash, RoundStart, bits, peak] counts {counted:?} != stats {booked:?}"
+        ));
+    }
+    let schedule = [scheduled, scheduled_peak];
+    let booked = [stats.scheduled_node_rounds, stats.max_scheduled_per_round];
+    if schedule != booked {
+        return Err(format!(
+            "[started + scheduled, peak] {schedule:?} != stats {booked:?}"
         ));
     }
     Ok(())
+}
+
+/// Pins a run that demonstrably loses messages, so the lossy stream
+/// decompositions [`check_stream`] makes can't pass vacuously.
+#[test]
+fn fixed_lossy_run_drops_and_decomposes() {
+    let n = 24;
+    let topo = Topology::from_adjacency(random_connected_adj(n, 0xC0FFEE, 2)).expect("valid");
+    let rec = SharedObserver::new(TraceRecorder::new());
+    let config = gossip_config(n)
+        .with_loss(0.3, 7)
+        .with_observer(rec.observer());
+    let report = Simulator::new(&topo, config, |_| Gossip {
+        first_heard: vec![None; n],
+        queue: std::collections::VecDeque::new(),
+    })
+    .run()
+    .expect("gossip runs");
+    assert!(
+        report.stats.dropped > 0,
+        "expected the 0.3 loss plan to drop at least one of {} messages",
+        report.stats.messages + report.stats.dropped
+    );
+    let events: Vec<TraceEvent> = rec.with(|r| {
+        assert_eq!(r.overflow(), 0, "the ring holds the whole run");
+        r.events().cloned().collect()
+    });
+    assert_eq!(check_stream(&events, &report.stats), Ok(()));
 }
 
 proptest! {
@@ -507,10 +585,10 @@ proptest! {
     /// Four-way executor parity under every observability mode: Serial vs
     /// Pool(2) vs Pool(4) vs the seed-verbatim `ReferenceSimulator`, on
     /// random graphs × loss plans × observer attached/detached. Asserts
-    /// identical `RunStats` and, when observed, identical metric streams
-    /// whose column sums decompose the stats plus identical (truncated)
+    /// identical `RunStats` and, when observed, identical (truncated)
     /// trace rings — the tight capacity keeps the stored/counted-overflow
-    /// split itself part of the comparison.
+    /// split itself part of the comparison. (That a whole stream
+    /// decomposes the stats is [`check_stream`]'s job.)
     #[test]
     fn executors_match_reference_under_observation(
         n in 2usize..24,
@@ -548,27 +626,6 @@ proptest! {
             (report, trace.map(digest))
         };
         let (baseline, base_trace) = run_one(ExecutorKind::Serial, false);
-        if let Some((stream, ..)) = &base_trace {
-            // The metric stream's columns decompose the aggregate stats.
-            prop_assert_eq!(stream.len() as u64, baseline.stats.rounds + 1);
-            prop_assert_eq!(
-                stream.iter().map(|r| r.messages).sum::<u64>(),
-                baseline.stats.messages
-            );
-            prop_assert_eq!(stream.iter().map(|r| r.bits).sum::<u64>(), baseline.stats.bits);
-            prop_assert_eq!(
-                stream.iter().map(|r| r.dropped).sum::<u64>(),
-                baseline.stats.dropped
-            );
-            prop_assert_eq!(
-                stream.iter().map(|r| r.scheduled_nodes).sum::<u64>(),
-                baseline.stats.scheduled_node_rounds
-            );
-            prop_assert_eq!(
-                stream.iter().map(|r| r.scheduled_nodes).max().unwrap_or(0),
-                baseline.stats.max_scheduled_per_round
-            );
-        }
         let candidates = [
             (ExecutorKind::Pool { workers: 2 }, false),
             (ExecutorKind::Pool { workers: 4 }, false),
@@ -579,9 +636,7 @@ proptest! {
             let label = if reference { "reference".into() } else { format!("{executor:?}") };
             prop_assert_eq!(&baseline.outputs, &other.outputs, "outputs vs {}", label);
             prop_assert_eq!(baseline.stats, other.stats, "stats vs {}", label);
-            // RoundMetrics equality ignores wall-clock columns, so entire
-            // metric streams must match row for row, beside the stored
-            // ring, overflow count and event total.
+            // The stored ring, overflow count and event total all match.
             prop_assert_eq!(&base_trace, &other_trace, "observers vs {}", label);
         }
     }
@@ -591,8 +646,8 @@ proptest! {
     /// exactly once, so most rounds schedule only the wavefront. The
     /// active-set engines (serial, pool-2, pool-4) must agree with the
     /// dense seed engine — which steps every node every round — on
-    /// outputs, stats (including the scheduled-node columns), metric
-    /// streams, and traces, across loss × observer modes.
+    /// outputs, stats (including the scheduled-node columns) and traces,
+    /// across loss × observer modes.
     #[test]
     fn sparse_frontier_matches_dense_reference(
         n in 2usize..32,
@@ -711,9 +766,8 @@ proptest! {
     /// The documented event order holds on every engine under every
     /// adversity: Serial, Pool(2) and the seed reference engine, on random
     /// graphs × loss × crash windows, each emit one stream matching
-    /// [`check_stream`]'s grammar whose `Message` / `Drop` / `Crash` /
-    /// `RoundStart` counts are the run's `RunStats` — and the three
-    /// streams are equal.
+    /// [`check_stream`]'s grammar that decomposes the run's `RunStats` —
+    /// and the three streams are equal.
     #[test]
     fn event_streams_follow_the_documented_order(
         n in 3usize..16,

@@ -113,8 +113,8 @@ pub struct ApspResult {
 ///
 /// An attached observer sees the `T_1` phase as `"bfs"` and the pebble +
 /// wave phase as `"apsp:waves"` (attach a
-/// [`MetricsRecorder`](dapsp_congest::MetricsRecorder) for the per-round
-/// metric stream, or congestion probes to check Lemma 1 on a live run).
+/// [`TraceRecorder`](dapsp_congest::TraceRecorder) to check Lemma 1 on a
+/// live run, as below).
 /// With a fault plan, both phases run on the reliable transport: for any
 /// loss rate `p < 1` the distance matrix, next hops and girth candidates
 /// are *bit-identical* to the fault-free run, at ≈ 2× the rounds
@@ -137,18 +137,22 @@ pub struct ApspResult {
 /// # Examples
 ///
 /// ```
-/// use dapsp_congest::{MetricsRecorder, SharedObserver};
+/// use dapsp_congest::{SharedObserver, TraceRecorder};
 /// use dapsp_core::{apsp, Obs};
 /// use dapsp_graph::{generators, reference};
 ///
 /// # fn main() -> Result<(), dapsp_core::CoreError> {
 /// let g = generators::cycle(8);
-/// let recorder = SharedObserver::new(MetricsRecorder::new());
+/// let recorder = SharedObserver::new(TraceRecorder::new());
 /// let handle = recorder.observer();
 /// let result = apsp::run_on_obs(&g.to_topology(), Obs::watching(&handle))?;
 /// assert_eq!(result.distances, reference::apsp(&g));
-/// let recorded: u64 = recorder.with(|r| r.stream().iter().map(|m| m.messages).sum());
-/// assert_eq!(recorded, result.stats.messages);
+/// recorder.with(|r| {
+///     // Lemma 1: no two waves first reach a node in the same round.
+///     assert!(r.node_collisions().is_empty());
+///     let recorded: u64 = r.kernels().values().map(|k| k.messages).sum();
+///     assert_eq!(recorded, result.stats.messages);
+/// });
 /// # Ok(())
 /// # }
 /// ```

@@ -3,7 +3,7 @@
 //! Every algorithm in this crate is a sequence of simulator runs (a BFS,
 //! some aggregations, a main phase, …). To observe a *pipeline* rather
 //! than a single run, the same handle must reach every [`Config`] the
-//! pipeline builds, each labeled with a phase name so the recorded metric
+//! pipeline builds, each labeled with a phase name so the recorded event
 //! stream attributes rounds to phases (`"bfs"`, `"agg:max"`,
 //! `"apsp:waves"`, …); so must the executor and the fault adversary.
 //!
@@ -16,23 +16,20 @@
 //! # Examples
 //!
 //! ```
-//! use dapsp_congest::{MetricsRecorder, SharedObserver};
+//! use dapsp_congest::{PhaseProfiler, SharedObserver};
 //! use dapsp_core::{apsp, Obs};
 //! use dapsp_graph::generators;
 //!
 //! # fn main() -> Result<(), dapsp_core::CoreError> {
-//! let recorder = SharedObserver::new(MetricsRecorder::new());
-//! let handle = recorder.observer();
+//! let profiler = SharedObserver::new(PhaseProfiler::new());
+//! let handle = profiler.observer();
 //! let topology = generators::path(6).to_topology();
 //! let result = apsp::run_on_obs(&topology, Obs::watching(&handle))?;
-//! let phases: Vec<String> = recorder.with(|r| {
-//!     r.stream().iter().map(|row| row.phase.to_string()).collect()
+//! profiler.with(|p| {
+//!     let phases: Vec<&str> = p.profiles().iter().map(|run| run.phase.as_str()).collect();
+//!     assert_eq!(phases, ["bfs", "apsp:waves"]);
+//!     assert_eq!(p.total().messages, result.stats.messages);
 //! });
-//! assert!(phases.contains(&"bfs".to_string()));
-//! assert!(phases.contains(&"apsp:waves".to_string()));
-//! assert_eq!(result.stats.messages, recorder.with(|r| {
-//!     r.stream().iter().map(|row| row.messages).sum::<u64>()
-//! }));
 //! # Ok(())
 //! # }
 //! ```
@@ -120,7 +117,7 @@ impl<'a> Obs<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dapsp_congest::{MetricsRecorder, SharedObserver};
+    use dapsp_congest::{PhaseProfiler, SharedObserver};
 
     #[test]
     fn none_leaves_config_untouched() {
@@ -133,7 +130,7 @@ mod tests {
 
     #[test]
     fn watching_attaches_observer_and_phase() {
-        let shared = SharedObserver::new(MetricsRecorder::new());
+        let shared = SharedObserver::new(PhaseProfiler::new());
         let handle = shared.observer();
         let obs = Obs::watching(&handle);
         let config = obs.apply(Config::for_n(8), "apsp:waves");
@@ -149,7 +146,7 @@ mod tests {
         assert_eq!(config.executor, pool);
         assert!(config.observer.is_none());
 
-        let shared = SharedObserver::new(MetricsRecorder::new());
+        let shared = SharedObserver::new(PhaseProfiler::new());
         let handle = shared.observer();
         let watched = Obs::watching(&handle).with_executor(pool);
         let config = watched.apply(Config::for_n(8), "bfs");

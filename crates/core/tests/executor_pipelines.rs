@@ -1,11 +1,11 @@
 //! End-to-end executor parity at the pipeline layer: running the paper's
 //! composite algorithms (pebble APSP, S-SP) with `Obs::with_executor`
 //! selecting the worker-pool engine must reproduce the serial results —
-//! distances, next hops, statistics, and the full per-phase metric stream
+//! distances, next hops, statistics, and the full per-phase event stream
 //! — bit for bit. This pins the plumbing from `crates/core` down through
 //! `Config::with_executor` into the pool's staged commit.
 
-use dapsp_congest::{ExecutorKind, MetricsRecorder, SharedObserver};
+use dapsp_congest::{ExecutorKind, SharedObserver, TraceRecorder};
 use dapsp_core::{apsp, ssp, Obs};
 use dapsp_graph::generators;
 
@@ -31,13 +31,13 @@ fn apsp_pipeline_matches_across_executors() {
 }
 
 #[test]
-fn ssp_pipeline_streams_identical_metrics_across_executors() {
+fn ssp_pipeline_streams_identical_events_across_executors() {
     let g = generators::random_tree(20, 7);
     let topo = g.to_topology();
     let sources = [0u32, 3, 11];
 
     let record = |executor: ExecutorKind| {
-        let rec = SharedObserver::new(MetricsRecorder::new());
+        let rec = SharedObserver::new(TraceRecorder::new());
         let handle = rec.observer();
         let result = ssp::run_on_obs(
             &topo,
@@ -45,7 +45,7 @@ fn ssp_pipeline_streams_identical_metrics_across_executors() {
             Obs::watching(&handle).with_executor(executor),
         )
         .expect("ssp runs");
-        (result, rec.with(|r| r.stream().to_vec()))
+        (result, rec.with(|r| r.events_jsonl()))
     };
 
     let (serial, serial_stream) = record(ExecutorKind::Serial);
@@ -54,7 +54,7 @@ fn ssp_pipeline_streams_identical_metrics_across_executors() {
     assert_eq!(serial.next_hop, pooled.next_hop);
     assert_eq!(serial.d0, pooled.d0);
     assert_eq!(serial.stats, pooled.stats);
-    // RoundMetrics equality ignores wall-clock columns: the per-phase
-    // streams ("bfs", "agg:max", "ssp:growth") must match row for row.
+    // The phases ("bfs", "agg:max", "ssp:growth") stream the same events.
+    assert!(serial_stream.contains("\"phase\":\"ssp:growth\""));
     assert_eq!(serial_stream, pooled_stream);
 }

@@ -1,46 +1,44 @@
 //! Integration checks tying the transport layer's end-of-run counters to
-//! the observer stream: the per-round `retransmits`/`acks` columns recorded
-//! by [`MetricsRecorder`] must sum exactly to the `stats.transport` totals
-//! a pipeline run over faults returns — every transmitted frame is either
-//! committed or dropped at the engine's choke point, and both paths carry
-//! the frame's [`TraceTags`]. The traced [`TraceEvent::Transport`] events
-//! carry each phase's summary whole.
+//! the observer stream: the retransmit and ack tags of the `Message` and
+//! `Drop` events a [`TraceRecorder`] folds into [`TraceRecorder::kernels`]
+//! must sum exactly to the `stats.transport` totals a pipeline run over
+//! faults returns — every transmitted frame is either committed or dropped
+//! at the engine's choke point, and both paths carry the frame's
+//! [`TraceTags`](dapsp_congest::TraceTags). The traced
+//! [`TraceEvent::Transport`] events carry each phase's summary whole.
 
 use dapsp_congest::{
-    FanOut, FaultPlan, MetricsRecorder, ObserverHandle, SharedObserver, TraceEvent, TraceRecorder,
-    TrackBy, TransportSummary,
+    FaultPlan, ObserverHandle, SharedObserver, TraceEvent, TraceRecorder, TrackBy, TransportSummary,
 };
 use dapsp_core::{apsp, bfs, dominating, Obs};
 use dapsp_graph::generators;
 
-/// A metric recorder and a trace recorder watching one pipeline.
+/// A trace recorder watching one pipeline.
 struct Watch {
-    metrics: SharedObserver<MetricsRecorder>,
     trace: SharedObserver<TraceRecorder>,
     handle: ObserverHandle,
 }
 
 fn watch() -> Watch {
-    let metrics = SharedObserver::new(MetricsRecorder::new());
     let trace = SharedObserver::new(TraceRecorder::new());
-    let handle = ObserverHandle::new(FanOut::new(vec![metrics.observer(), trace.observer()]));
-    Watch {
-        metrics,
-        trace,
-        handle,
-    }
+    let handle = trace.observer();
+    Watch { trace, handle }
 }
 
-/// Runs a lossy reliable pipeline and asserts the stream's transport
-/// columns reproduce the returned `stats.transport` and the per-phase transport
-/// summaries exactly — and that the trace carries those summaries whole,
-/// one `Transport` event per reliable phase, right after its `RunEnd`.
-fn assert_columns_match(
-    watch: &Watch,
-    rel: &TransportSummary,
-    expected_phases: &[&str],
-    tag: &str,
-) {
+/// The digits that follow `key` in one exported Perfetto line.
+fn field(line: &str, key: &str) -> String {
+    let at = line.find(key).unwrap_or_else(|| panic!("{key} in {line}")) + key.len();
+    line[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect()
+}
+
+/// Runs a lossy reliable pipeline and asserts the stream's transport tags
+/// reproduce the returned `stats.transport` exactly — and that the trace
+/// carries the per-phase summaries whole, one `Transport` event per
+/// reliable phase, right after its `RunEnd`.
+fn assert_tags_match(watch: &Watch, rel: &TransportSummary, expected_phases: &[&str], tag: &str) {
     let traced: Vec<(String, TransportSummary)> = watch.trace.with(|t| {
         let (mut phase, mut prev) = (String::new(), None);
         let mut traced = Vec::new();
@@ -79,22 +77,16 @@ fn assert_columns_match(
         folded.sim_rounds > 0,
         "{tag}: sim_rounds travels in the trace"
     );
-    watch.metrics.with(|rec| {
-        let recorded: Vec<(String, TransportSummary)> = rec
-            .transports()
-            .iter()
-            .map(|(p, t)| (p.to_string(), *t))
-            .collect();
-        assert_eq!(traced, recorded, "{tag}: trace and metric stream agree");
-        let retransmits: u64 = rec.stream().iter().map(|m| m.retransmits).sum();
-        let acks: u64 = rec.stream().iter().map(|m| m.acks).sum();
+    watch.trace.with(|rec| {
+        let retransmits: u64 = rec.kernels().values().map(|k| k.retransmits).sum();
+        let acks: u64 = rec.kernels().values().map(|k| k.acks).sum();
         assert_eq!(
             retransmits, rel.retransmissions,
-            "{tag}: retransmit column sum != stats.transport total"
+            "{tag}: retransmit tag sum != stats.transport total"
         );
         assert_eq!(
             acks, rel.acks_sent,
-            "{tag}: ack column sum != stats.transport total"
+            "{tag}: ack tag sum != stats.transport total"
         );
     });
     // Each reliable phase reported one transport summary, labeled with its
@@ -117,7 +109,7 @@ fn bfs_transport_columns_sum_to_the_transport_stats() {
         "25% loss must force at least one retransmission"
     );
     assert!(rel.acks_sent > 0, "reliable BFS sends acks");
-    assert_columns_match(&watch, &rel, &["bfs:reliable"], "bfs");
+    assert_tags_match(&watch, &rel, &["bfs:reliable"], "bfs");
 }
 
 #[test]
@@ -132,8 +124,8 @@ fn apsp_pipeline_transport_columns_sum_across_phases() {
     assert!(rel.retransmissions > 0, "loss must force retransmissions");
     // Two reliable phases (the T_1 BFS, then the wave phase), each
     // reporting its own transport summary; the `stats.transport` the
-    // pipeline returns is their sum, and so are the stream columns.
-    assert_columns_match(
+    // pipeline returns is their sum, and so are the stream's tags.
+    assert_tags_match(
         &watch,
         &rel,
         &["bfs:reliable", "apsp:waves:reliable"],
@@ -142,13 +134,6 @@ fn apsp_pipeline_transport_columns_sum_across_phases() {
     // Exported by kernel, each retransmit instant sits on the track of its
     // own frame's mask: the `k=` of the send it annotates.
     let json = watch.trace.with(|t| t.to_perfetto(TrackBy::Kernel));
-    let field = |line: &str, key: &str| -> String {
-        let at = line.find(key).unwrap_or_else(|| panic!("{key} in {line}")) + key.len();
-        line[at..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect()
-    };
     let (mut send_mask, mut tracks) = (String::new(), std::collections::BTreeSet::new());
     for line in json.lines() {
         if line.contains("\"name\":\"send ") {
@@ -179,7 +164,7 @@ fn fault_free_reliable_run_reports_zero_retransmits() {
         .stats
         .transport;
     assert_eq!(rel.retransmissions, 0, "no loss, no retransmissions");
-    assert_columns_match(&watch, &rel, &["bfs:reliable"], "fault-free");
+    assert_tags_match(&watch, &rel, &["bfs:reliable"], "fault-free");
 }
 
 /// FNV-1a over a recorded trace's JSON lines: the whole event stream —
@@ -217,5 +202,53 @@ fn trace_streams_are_pinned() {
         dom,
         (17299584788794231981, 48),
         "dominating k = 2 on path(12)"
+    );
+}
+
+/// A two-phase apsp export (the `T_1` BFS, then the waves) lays its
+/// phases end to end: the `rounds` track's timestamps never go back, and
+/// the two phases' round spans do not overlap.
+#[test]
+fn multi_phase_perfetto_export_lays_phases_end_to_end() {
+    let watch = watch();
+    apsp::run_on_obs(
+        &generators::path(8).to_topology(),
+        Obs::watching(&watch.handle),
+    )
+    .unwrap();
+    let json = watch.trace.with(|t| t.to_perfetto(TrackBy::Node));
+    let mut last = 0u64;
+    // Per phase, the first span start and the last span end.
+    let mut spans: Vec<(String, u64, u64)> = Vec::new();
+    for line in json
+        .lines()
+        .filter(|l| l.contains("\"ts\":") && l.contains("\"pid\":0,"))
+    {
+        let ts: u64 = field(line, "\"ts\":").parse().unwrap();
+        assert!(
+            ts >= last,
+            "rounds track goes back from {last} to {ts}: {line}"
+        );
+        last = ts;
+        if line.contains("\"ph\":\"B\"") {
+            let name = line["{\"name\":\"".len()..]
+                .split(" round ")
+                .next()
+                .unwrap();
+            match spans.last_mut() {
+                Some((phase, ..)) if phase == name => {}
+                _ => spans.push((name.to_string(), ts, ts)),
+            }
+        } else if line.contains("\"ph\":\"E\"") {
+            spans.last_mut().expect("a span is open").2 = ts;
+        }
+    }
+    let phases: Vec<&str> = spans.iter().map(|(p, ..)| p.as_str()).collect();
+    assert_eq!(phases, ["bfs", "apsp:waves"]);
+    assert!(
+        spans[0].2 <= spans[1].1,
+        "bfs spans end at {} after the waves start at {}",
+        spans[0].2,
+        spans[1].1
     );
 }

@@ -22,6 +22,15 @@ pub enum ParseError {
         /// The offending content.
         content: String,
     },
+    /// A node count or node id that leaves the `u32` id space: a header
+    /// `n` above `u32::MAX`, or an id equal to `u32::MAX` (the workspace's
+    /// none/∞ sentinel, so `max id + 1` would not fit).
+    TooManyNodes {
+        /// 1-based line number.
+        line: usize,
+        /// The node count that line asks for.
+        nodes: u64,
+    },
     /// The edge list violated graph validity (self-loop / out-of-range).
     Graph(GraphError),
 }
@@ -32,6 +41,11 @@ impl fmt::Display for ParseError {
             ParseError::Malformed { line, content } => {
                 write!(f, "malformed edge list at line {line}: {content:?}")
             }
+            ParseError::TooManyNodes { line, nodes } => write!(
+                f,
+                "edge list line {line} asks for {nodes} nodes; ids must stay below {}",
+                u32::MAX
+            ),
             ParseError::Graph(e) => write!(f, "invalid edge: {e}"),
         }
     }
@@ -56,8 +70,9 @@ impl From<GraphError> for ParseError {
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on malformed lines, self-loops, or ids exceeding
-/// a declared `n` header.
+/// Returns [`ParseError`] on malformed lines, self-loops, ids exceeding
+/// a declared `n` header, or a node count that leaves the `u32` id space
+/// (refused before anything is allocated).
 ///
 /// # Examples
 ///
@@ -86,14 +101,25 @@ pub fn from_edge_list(text: &str) -> Result<Graph, ParseError> {
             line: idx + 1,
             content: raw.to_string(),
         };
+        let too_many = |nodes: u64| ParseError::TooManyNodes {
+            line: idx + 1,
+            nodes,
+        };
         match (a, b, parts.next()) {
             (Some("n"), Some(count), None) => {
-                declared_n = Some(count.parse().map_err(|_| malformed())?);
+                let count: u64 = count.parse().map_err(|_| malformed())?;
+                if count > u64::from(u32::MAX) {
+                    return Err(too_many(count));
+                }
+                declared_n = Some(count as usize);
             }
             (Some(u), Some(v), None) => {
                 let u: u32 = u.parse().map_err(|_| malformed())?;
                 let v: u32 = v.parse().map_err(|_| malformed())?;
                 max_id = max_id.max(u).max(v);
+                if max_id == u32::MAX {
+                    return Err(too_many(u64::from(u32::MAX) + 1));
+                }
                 pairs.push((u, v));
             }
             _ => return Err(malformed()),
@@ -175,6 +201,24 @@ mod tests {
             from_edge_list("n 2\n0 5\n").unwrap_err(),
             ParseError::Graph(GraphError::NodeOutOfRange { .. })
         ));
+    }
+
+    /// Node counts past the `u32` id space are refused with a typed error
+    /// before any allocation, whether a header asks for them or an id
+    /// implies them.
+    #[test]
+    fn rejects_node_counts_past_the_id_space() {
+        for (text, line, nodes) in [
+            ("n 18446744073709551615\n0 1\n", 1, u64::MAX),
+            ("n 4294967296\n0 1\n", 1, 1 << 32),
+            ("0 1\n4294967295 0\n", 2, 1 << 32),
+        ] {
+            assert_eq!(
+                from_edge_list(text).unwrap_err(),
+                ParseError::TooManyNodes { line, nodes },
+                "{text:?}"
+            );
+        }
     }
 
     #[test]

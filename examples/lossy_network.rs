@@ -2,7 +2,7 @@
 //! and what it costs to restore it.
 //!
 //! A [`FaultPlan`] is a deterministic adversary: per-(round, node, port)
-//! message loss (uniform, bursty, or ramping) plus scheduled node crash
+//! message loss (uniform or bursty) plus scheduled node crash
 //! windows. This example drives the same network through three stages:
 //!
 //! 1. a bare flood under increasing loss — failures are *detectable*

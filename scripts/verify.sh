@@ -48,7 +48,8 @@ echo "==> dapsp-inspect --smoke"
 # records kernel-attributed events, a churned APSP trace equals the static
 # trace of the churned graph (same event count, no drops: the plan applies
 # before the run), a serial-vs-pool stream diff under 15% loss is
-# bit-identical, and the Perfetto export is well-formed.
+# bit-identical, and the two-phase APSP Perfetto export is balanced JSON
+# whose every track runs forward in time (the waves drawn after the BFS).
 cargo run --offline --release -p dapsp-bench --bin dapsp-inspect -- --smoke
 
 echo "==> dapsp-inspect summary over a churned trace"
