@@ -19,29 +19,39 @@
 //! slot `r` for node `r`, and writes its distances and parent ports into
 //! the run's matrices like the static kernels do.
 //!
+//! A distance is worked out as its announcements arrive. A neighbour's
+//! distance only falls, so each cache only falls, and the minimum over
+//! the caches needs no scan: in `on_message` a strictly smaller
+//! `cache + 1` takes the slot and its parent port, an equal one arriving
+//! on a lower port takes just the parent port (lowest port wins, as a
+//! scan would pick), and anything larger changes nothing. The first time
+//! a slot's distance falls in a round, the kernel records the distance
+//! the round began with.
+//!
 //! Which pair goes out is Algorithm 2's per-edge list `L_i` with its
 //! `(dist, id)` priority: every port has an announcement queue keyed
-//! `(dist, slot)`. A slot's key is its *current distance*, hence the
-//! same on every port, and the kernel keeps it current by construction: a
-//! distance changes only in `refresh`, which re-keys the slot on every
-//! port in the same step. So the node keeps **one** descending list of its
-//! non-empty distance levels (`AnnounceQueues`), each level owning one
-//! block with a slot bitset per port; a port's most urgent entry is the
-//! lowest set bit of its bitset in the first level (from the head) that
-//! holds anything for it, and re-keying a slot costs two searches of that
-//! list, not two per port. A level's block exists only while some port
-//! holds an entry under it (blocks are recycled through a free list), so a
-//! node's queues cost `O(live levels · ports · ⌈slots/64⌉)` words, not
-//! `O(n · ecc)` per port.
+//! `(dist, slot)`. Before anything is popped, the round end re-keys exactly
+//! the recorded slots from their recorded distance to their new one, so a
+//! queued key is always the slot's current distance, hence the same on
+//! every port. So the node keeps **one** descending list of its non-empty
+//! distance levels (`AnnounceQueues`), each level owning one slot bitset,
+//! and every port one bitset of the slots it still owes; a per-slot count
+//! of the owing ports takes a slot out of its level when the last port
+//! pops it. A port's most urgent entry is the lowest set bit of `level &
+//! owed` in the first level (from the head) where that is non-zero, and
+//! re-keying a slot costs two searches of the list, two bit flips and one
+//! bit per port. A level's bitset exists only while some port owes one of
+//! its slots (bitsets are recycled through a free list), so a node's
+//! queues cost `O((live levels + ports) · ⌈slots/64⌉)` words and a count
+//! per slot, not `O(n · ecc)` per port.
 //!
 //! What the neighbours said and what they were told is one slot-major
 //! table (`Neighbours`): slot `s`'s row is `[cache[0..ports] |
-//! told[0..ports]]`, so re-deriving a distance is a minimum over one
-//! contiguous slice and the transmit filter reads the row the pop just
+//! told[0..ports]]`, so the transmit filter reads the row the pop just
 //! named — one or two cache lines where per-port rows were `2·deg`, in a
-//! run that is memory-bound. For the same reason an arriving distance is
-//! stored into its `cache` cell at once (`on_message`) and only the slot is
-//! re-derived at round end: the row fetches of a round's arrivals overlap.
+//! run that is memory-bound. `told` is the "ever told" half of that
+//! filter: a popped slot goes out iff it improves on what the peer
+//! announced or the peer was told a distance for it before.
 
 use dapsp_congest::{NodeContext, Port, Width};
 use dapsp_graph::INFINITY;
@@ -77,10 +87,11 @@ pub struct RepairKernel<'a> {
     /// Per-port announcement queues; drained one useful entry per port
     /// per round, priority `(dist, slot)`.
     queues: AnnounceQueues,
-    /// Where this round's announcements landed (their distances are in
-    /// the table already): `slot << 32 | port`, one
-    /// integer so that grouping by slot is a branchless small sort.
-    arrivals: Vec<u64>,
+    /// The slots whose distance fell this round, each with the distance
+    /// the round began with — the key it is still queued under.
+    fell: Vec<(u32, u32)>,
+    /// Bit `s` is set iff slot `s` is in `fell`.
+    fell_mask: Vec<u64>,
     /// Distance per root slot, this node's row of the run's matrix.
     dist: &'a mut [u32],
     /// Parent port per root slot (`u32::MAX` = none).
@@ -101,41 +112,45 @@ impl<'a> RepairKernel<'a> {
             n: n as u32,
             near: Neighbours::new(n, degree),
             queues: AnnounceQueues::new(n, degree),
-            arrivals: Vec::new(),
+            fell: Vec::new(),
+            fell_mask: vec![0; n.div_ceil(64)],
             dist: row.dist,
             parent: row.parent,
             state: WaveState::new(),
         }
     }
 
-    /// Recomputes slot `s` from the caches, which hold an announcement
-    /// for it; returns true iff the value changed. Parent = lowest port
-    /// achieving the minimum.
-    fn recompute(&mut self, s: usize) -> bool {
-        let (best, best_port) = if self.own == s {
-            (0, u32::MAX)
-        } else {
-            self.near.nearest(s)
-        };
-        debug_assert!(best < self.n, "slot {s} derived {best} from its caches");
-        let changed = self.dist[s] != best;
-        if changed && self.dist[s] != INFINITY {
-            self.state.relaxations += 1;
+    /// Port `p` announces `dist` for slot `s`: cache it and work the
+    /// slot's distance and parent port out at once (see the module docs).
+    fn hear(&mut self, p: usize, s: usize, dist: u32) {
+        let cache = self.near.cache_mut(p, s);
+        // A neighbour's distance only falls: what the incremental minimum
+        // rests on.
+        debug_assert!(dist <= *cache, "port {p} raised slot {s} to {dist}");
+        *cache = dist;
+        let (via, port) = (dist + 1, p as Port);
+        if via < self.dist[s] {
+            let (w, bit) = (s / 64, 1 << (s % 64));
+            if self.fell_mask[w] & bit == 0 {
+                self.fell_mask[w] |= bit;
+                self.fell.push((s as u32, self.dist[s]));
+            }
+            self.dist[s] = via;
+            self.parent[s] = port;
+        } else if via == self.dist[s] && port < self.parent[s] {
+            self.parent[s] = port;
         }
-        self.dist[s] = best;
-        self.parent[s] = best_port;
-        changed
     }
 
-    /// [`recompute`](Self::recompute)s slot `s` and, when its value
-    /// changed, queues it on every port under the new distance — first
-    /// lifting the entries still queued under the old one, which is what
-    /// keeps every queued key current.
-    fn refresh(&mut self, s: usize) {
-        let stale = self.dist[s];
-        if self.recompute(s) {
-            self.queues.remove_everywhere(stale, s as u32);
-            self.queues.insert(self.dist[s], s as u32);
+    /// Re-keys every slot whose distance fell this round from the
+    /// distance it began the round with to its new one, on every port.
+    fn requeue_fallen(&mut self) {
+        for (s, stale) in self.fell.drain(..) {
+            self.fell_mask[s as usize / 64] &= !(1 << (s % 64));
+            if stale != INFINITY {
+                self.state.relaxations += 1;
+            }
+            self.queues.requeue(stale, self.dist[s as usize], s);
         }
     }
 
@@ -201,17 +216,6 @@ impl Neighbours {
         let i = self.locate(p, s) + self.ports;
         &mut self.cells[i]
     }
-
-    /// The minimum `(cache + 1, port)` over all ports for slot `s`; the
-    /// distance is [`INFINITY`] when nobody offers one.
-    fn nearest(&self, s: usize) -> (u32, Port) {
-        let row = &self.cells[s * 2 * self.ports..][..self.ports];
-        let mut best = u64::MAX;
-        for (p, &c) in row.iter().enumerate() {
-            best = best.min(u64::from(c.saturating_add(1)) << 32 | p as u64);
-        }
-        ((best >> 32) as u32, best as Port)
-    }
 }
 
 /// The announcement queues of one node: per port a min-priority queue over
@@ -220,27 +224,24 @@ impl Neighbours {
 /// which is why the ports can share one level index.
 ///
 /// `levels` lists the node's non-empty levels, most urgent last. Each owns
-/// one block of `ports × words` words carved from a pool — port `p`'s slot
-/// bitset is the block's words `p * words..(p + 1) * words` — and three
-/// counts say where the entries are without looking at the bits:
-/// `held` per (block, port), so a pop skips a level holding nothing for
-/// its port with one load; `block_total`, so a drained block is released
-/// the moment its last entry leaves; `port_total`, so a port with nothing
-/// queued is skipped in `O(1)`. Re-keying a slot is one search for the
-/// stale level and one for the new, then a bit per port. Nothing allocates
-/// once the pool has reached its high-water mark.
+/// one block of `words` words carved from a pool: the bitset of the slots
+/// queued under it that some port still owes. A slot sits in at most one
+/// level; port `p` owes the slots of its `owed` bitset, `owing` counts the
+/// owing ports per slot, and `port_total` lets a port owing nothing be
+/// skipped in `O(1)`. Nothing allocates once the pool has reached its
+/// high-water mark.
 struct AnnounceQueues {
-    /// Words per port per block: `⌈slot_count / 64⌉`.
+    /// Words per bitset: `⌈slot_count / 64⌉`.
     words: usize,
     /// The node's degree.
     ports: usize,
-    /// Block `b` is `pool[b * ports * words..][..ports * words]`.
+    /// Block `b` is `pool[b * words..][..words]`.
     pool: Vec<u64>,
-    /// `held[b * ports + p]`: entries port `p` holds in block `b`.
-    held: Vec<u32>,
-    /// Entries in each block over all ports; zero iff the block is free.
-    block_total: Vec<u32>,
-    /// Entries each port holds over all blocks.
+    /// Port `p`'s owed bitset is `owed[p * words..][..words]`.
+    owed: Vec<u64>,
+    /// Per slot: how many ports' owed bitsets hold it.
+    owing: Vec<u32>,
+    /// Per port: how many slots its owed bitset holds.
     port_total: Vec<u32>,
     /// Blocks handed back by drained levels, all-zero.
     free: Vec<u32>,
@@ -251,12 +252,13 @@ struct AnnounceQueues {
 
 impl AnnounceQueues {
     fn new(slot_count: usize, ports: usize) -> Self {
+        let words = slot_count.div_ceil(64);
         AnnounceQueues {
-            words: slot_count.div_ceil(64),
+            words,
             ports,
             pool: Vec::new(),
-            held: Vec::new(),
-            block_total: Vec::new(),
+            owed: vec![0; ports * words],
+            owing: vec![0; slot_count],
             port_total: vec![0; ports],
             free: Vec::new(),
             levels: Vec::new(),
@@ -268,52 +270,48 @@ impl AnnounceQueues {
         self.levels.binary_search_by(|&(l, _)| level.cmp(&l))
     }
 
-    /// Queues `slot` under `level` on every port; a no-op where it is
-    /// already queued.
-    fn insert(&mut self, level: u32, slot: u32) {
+    /// Queues `slot` under `level` on every port, first lifting it from
+    /// `stale`, the level it sits under while any port still owes it.
+    fn requeue(&mut self, stale: u32, level: u32, slot: u32) {
         // Open the level only once there is an entry to put under it.
         if self.ports == 0 {
             return;
+        }
+        let (s, w, bit) = (slot as usize, slot as usize / 64, 1 << (slot % 64));
+        if self.owing[s] != 0 {
+            let i = self.find(stale).expect("an owed slot sits in its level");
+            self.lift(i, w, bit);
         }
         let block = match self.find(level) {
             Ok(i) => self.levels[i].1,
             Err(i) => {
                 let block = self.free.pop().unwrap_or_else(|| {
-                    self.pool
-                        .resize(self.pool.len() + self.ports * self.words, 0);
-                    self.held.resize(self.held.len() + self.ports, 0);
-                    self.block_total.push(0);
-                    self.block_total.len() as u32 - 1
+                    self.pool.resize(self.pool.len() + self.words, 0);
+                    (self.pool.len() / self.words - 1) as u32
                 });
                 self.levels.insert(i, (level, block));
                 block
             }
         } as usize;
-        let (w, bit) = (slot as usize / 64, 1 << (slot % 64));
-        for p in 0..self.ports {
-            let word = &mut self.pool[(block * self.ports + p) * self.words + w];
-            if *word & bit == 0 {
-                *word |= bit;
-                self.held[block * self.ports + p] += 1;
-                self.port_total[p] += 1;
-                self.block_total[block] += 1;
-            }
+        self.pool[block * self.words + w] |= bit;
+        for (p, total) in self.port_total.iter_mut().enumerate() {
+            let word = &mut self.owed[p * self.words + w];
+            *total += u32::from(*word & bit == 0);
+            *word |= bit;
         }
+        self.owing[s] = self.ports as u32;
     }
 
-    /// Unqueues `slot` from `level` on every port holding it there.
-    fn remove_everywhere(&mut self, level: u32, slot: u32) {
-        let Ok(i) = self.find(level) else { return };
-        let block = self.levels[i].1 as usize;
-        let (w, bit) = (slot as usize / 64, 1 << (slot % 64));
-        for p in 0..self.ports {
-            let word = &mut self.pool[(block * self.ports + p) * self.words + w];
-            if *word & bit != 0 {
-                *word &= !bit;
-                self.took(block, p, 1);
-            }
+    /// Clears `bit` of word `w` in level `i`'s block, dropping the level
+    /// from the list once its block holds nothing.
+    fn lift(&mut self, i: usize, w: usize, bit: u64) {
+        let block = self.levels[i].1;
+        let bitset = &mut self.pool[block as usize * self.words..][..self.words];
+        bitset[w] &= !bit;
+        if bitset.iter().all(|&word| word == 0) {
+            self.levels.remove(i);
+            self.free.push(block);
         }
-        self.release_if_drained(i);
     }
 
     /// Removes and returns port `p`'s minimum `(level, slot)`.
@@ -321,43 +319,36 @@ impl AnnounceQueues {
         if self.port_total[p] == 0 {
             return None;
         }
-        let i = self
-            .levels
-            .iter()
-            .rposition(|&(_, block)| self.held[block as usize * self.ports + p] != 0)
-            .expect("a port's total counts entries in listed levels");
-        let (level, block) = self.levels[i];
-        let block = block as usize;
-        let bitset = &mut self.pool[(block * self.ports + p) * self.words..][..self.words];
-        let (w, word) = bitset
-            .iter_mut()
-            .enumerate()
-            .find(|(_, word)| **word != 0)
-            .expect("a held count counts set bits");
-        let bit = word.trailing_zeros();
-        *word &= *word - 1;
-        self.took(block, p, 1);
-        self.release_if_drained(i);
-        Some((level, w as u32 * 64 + bit))
-    }
-
-    /// Books `count` entries leaving port `p`'s bitset in `block`.
-    fn took(&mut self, block: usize, p: usize, count: u32) {
-        self.held[block * self.ports + p] -= count;
-        self.port_total[p] -= count;
-        self.block_total[block] -= count;
-    }
-
-    /// Drops level `i` from the list if its block holds nothing any more.
-    fn release_if_drained(&mut self, i: usize) {
-        let block = self.levels[i].1;
-        if self.block_total[block as usize] == 0 {
-            self.levels.remove(i);
-            self.free.push(block);
+        let owed = &self.owed[p * self.words..][..self.words];
+        let (i, w, word) = (0..self.levels.len())
+            .rev()
+            .find_map(|i| {
+                let block = self.levels[i].1 as usize;
+                let bitset = &self.pool[block * self.words..][..self.words];
+                let (w, word) = bitset
+                    .iter()
+                    .zip(owed)
+                    .map(|(queued, owed)| queued & owed)
+                    .enumerate()
+                    .find(|&(_, word)| word != 0)?;
+                Some((i, w, word))
+            })
+            .expect("a port's total counts slots in listed levels");
+        let (bit, s) = (
+            word & word.wrapping_neg(),
+            w * 64 + word.trailing_zeros() as usize,
+        );
+        let level = self.levels[i].0;
+        self.owed[p * self.words + w] &= !bit;
+        self.port_total[p] -= 1;
+        self.owing[s] -= 1;
+        if self.owing[s] == 0 {
+            self.lift(i, w, bit);
         }
+        Some((level, s as u32))
     }
 
-    /// True iff no port has anything queued.
+    /// True iff no port owes anything.
     fn is_empty(&self) -> bool {
         self.levels.is_empty()
     }
@@ -368,7 +359,7 @@ impl Protocol for RepairKernel<'_> {
     type Output = WaveState;
 
     fn init(&mut self, _ctx: &NodeContext<'_>, tx: &mut Tx<RepairMsg>) {
-        self.queues.insert(0, self.own as u32);
+        self.queues.requeue(INFINITY, 0, self.own as u32);
         self.transmit(tx);
     }
 
@@ -381,24 +372,11 @@ impl Protocol for RepairKernel<'_> {
     ) {
         self.state.receipts = self.state.receipts.saturating_add(1);
         debug_assert!(payload.dist < self.n, "announced {}", payload.dist);
-        // Cache it now, re-derive the slot at round end: the stores of a
-        // round's arrivals fetch their rows side by side instead of one
-        // `refresh` after the other.
-        let s = payload.root as usize;
-        *self.near.cache_mut(port as usize, s) = payload.dist;
-        self.arrivals.push((s as u64) << 32 | u64::from(port));
+        self.hear(port as usize, payload.root as usize, payload.dist);
     }
 
     fn on_round_end(&mut self, _ctx: &NodeContext<'_>, tx: &mut Tx<RepairMsg>) {
-        let mut arrivals = std::mem::take(&mut self.arrivals);
-        arrivals.sort_unstable();
-        // Sorted by slot, so each slot's arrivals are one run: re-derive
-        // the slot once per run.
-        for run in arrivals.chunk_by(|a, b| a >> 32 == b >> 32) {
-            self.refresh((run[0] >> 32) as usize);
-        }
-        arrivals.clear();
-        self.arrivals = arrivals;
+        self.requeue_fallen();
         self.transmit(tx);
     }
 
@@ -427,6 +405,29 @@ mod width_tests {
     use super::*;
     use dapsp_congest::Config;
 
+    /// A kernel for node `own` of `n` with `ports` neighbours, outside any
+    /// run: its rows are `dist` and `parent`, of `n` cells each.
+    pub(super) fn detached<'a>(
+        own: usize,
+        n: usize,
+        ports: usize,
+        dist: &'a mut [u32],
+        parent: &'a mut [Port],
+    ) -> RepairKernel<'a> {
+        dist[own] = 0;
+        RepairKernel {
+            own,
+            n: n as u32,
+            near: Neighbours::new(n, ports),
+            queues: AnnounceQueues::new(n, ports),
+            fell: Vec::new(),
+            fell_mask: vec![0; n.div_ceil(64)],
+            dist,
+            parent,
+            state: WaveState::new(),
+        }
+    }
+
     /// Worst-case repair messages fit `B = 2⌈log₂ n⌉ + 8`.
     #[test]
     fn worst_case_widths_fit_the_budget() {
@@ -437,16 +438,8 @@ mod width_tests {
                 dist: n as u32 - 1,
             };
             let (mut dist, mut parent) = ([INFINITY], [u32::MAX]);
-            let k = RepairKernel {
-                own: 0,
-                n: n as u32,
-                near: Neighbours::new(1, 0),
-                queues: AnnounceQueues::new(1, 0),
-                arrivals: Vec::new(),
-                dist: &mut dist,
-                parent: &mut parent,
-                state: WaveState::new(),
-            };
+            let mut k = detached(0, 1, 0, &mut dist, &mut parent);
+            k.n = n as u32;
             assert!(k.width(&worst).bits() <= budget, "n={n}");
         }
     }
@@ -458,6 +451,7 @@ mod queue_tests {
 
     use proptest::prelude::*;
 
+    use super::width_tests::detached;
     use super::*;
     use crate::kernel::{distance_rows, run_protocol_on, Deal};
     use dapsp_congest::{churned_topology, Config, TopologyPlan};
@@ -485,40 +479,45 @@ mod queue_tests {
         }
     }
 
+    /// Whether bit `s` of `bits` is set.
+    fn has(bits: &[u64], s: usize) -> bool {
+        bits[s / 64] >> (s % 64) & 1 == 1
+    }
+
     /// The shared index is what it says it is: levels strictly
-    /// descending, every listed level holding an entry, every block either
-    /// listed once or free and all-zero, and the three counts equal to the
-    /// popcounts they summarise.
+    /// descending, each listing a non-empty block; every block listed
+    /// once or free and all-zero; a slot in a level's bitset iff some port
+    /// still owes it, in exactly one level then; each slot's owing count
+    /// equal to the owed bits set for it, and each port's total to the
+    /// popcount of its owed bitset.
     fn assert_consistent(q: &AnnounceQueues) {
+        let words = q.words;
         assert_eq!(q.port_total.len(), q.ports);
+        assert_eq!(q.owed.len(), q.ports * words);
         assert!(q.levels.windows(2).all(|w| w[0].0 > w[1].0));
-        let blocks = q.block_total.len();
-        assert_eq!(q.pool.len(), blocks * q.ports * q.words);
-        assert_eq!(q.held.len(), blocks * q.ports);
-        let mut listed = vec![false; blocks];
+        assert_eq!(q.pool.len() % words, 0);
+        let bitset = |block: u32| &q.pool[block as usize * words..][..words];
+        let mut listed = vec![false; q.pool.len() / words];
         for &(_, block) in &q.levels {
             assert!(!std::mem::replace(&mut listed[block as usize], true));
-            assert!(q.block_total[block as usize] >= 1);
+            assert!(bitset(block).iter().any(|&word| word != 0));
         }
         for &block in &q.free {
             assert!(!std::mem::replace(&mut listed[block as usize], true));
-            assert_eq!(q.block_total[block as usize], 0);
+            assert!(bitset(block).iter().all(|&word| word == 0));
         }
         assert!(listed.iter().all(|&l| l), "a block is listed or free");
-        let mut port_total = vec![0; q.ports];
-        for block in 0..blocks {
-            let mut total = 0;
-            for (p, port_total) in port_total.iter_mut().enumerate() {
-                let bitset = &q.pool[(block * q.ports + p) * q.words..][..q.words];
-                let held: u32 = bitset.iter().map(|word| word.count_ones()).sum();
-                assert_eq!(q.held[block * q.ports + p], held);
-                *port_total += held;
-                total += held;
-            }
-            assert_eq!(q.block_total[block], total);
+        let owed = |p: usize| &q.owed[p * words..][..words];
+        for (s, &owing) in q.owing.iter().enumerate() {
+            let ports = (0..q.ports).filter(|&p| has(owed(p), s)).count();
+            assert_eq!(owing as usize, ports, "slot {s}'s owing count");
+            let levels = q.levels.iter().filter(|&&(_, b)| has(bitset(b), s));
+            assert_eq!(levels.count(), usize::from(ports > 0), "slot {s}'s levels");
         }
-        assert_eq!(port_total, q.port_total);
-        assert_eq!(q.levels.len(), blocks - q.free.len());
+        for p in 0..q.ports {
+            let total: u32 = owed(p).iter().map(|word| word.count_ones()).sum();
+            assert_eq!(q.port_total[p], total, "port {p}'s total");
+        }
     }
 
     proptest! {
@@ -540,18 +539,17 @@ mod queue_tests {
             let mut dist = vec![INFINITY; slots];
             let mut q = AnnounceQueues::new(slots, ports);
             let mut model = ScanModel { pending: vec![BTreeSet::new(); ports] };
-            // The kernel's `refresh`: a changed distance clears the slot
-            // under the stale level on every port and sets it under the
-            // new level on every port.
+            // The kernel's round-end re-key: a changed distance moves the
+            // slot from the stale level to the new one and makes every
+            // port owe it.
             let rekey = |q: &mut AnnounceQueues,
                          model: &mut ScanModel,
                          dist: &mut [u32],
                          s: usize,
                          level: u32| {
                 if level != dist[s] {
-                    q.remove_everywhere(dist[s], s as u32);
+                    q.requeue(dist[s], level, s as u32);
                     dist[s] = level;
-                    q.insert(level, s as u32);
                     for pending in &mut model.pending {
                         pending.insert(s as u32);
                     }
@@ -586,7 +584,72 @@ mod queue_tests {
                 assert_consistent(&q);
             }
             prop_assert!(q.is_empty());
-            prop_assert_eq!(q.free.len(), q.block_total.len());
+            prop_assert_eq!(q.free.len() * q.words, q.pool.len());
+        }
+
+        /// Working a distance out as each announcement arrives gives, after
+        /// every round, what a full `min (cache + 1, port)` rescan of every
+        /// slot gives, and records exactly the slots that fell, each with
+        /// its distance from the round's start; the round end then queues
+        /// each of them under its new distance on every port. Arrivals are
+        /// random per-(port, slot) non-increasing sequences, repeats
+        /// included, batched into random rounds.
+        #[test]
+        fn distances_on_arrival_match_the_full_scan(
+            ports in 1usize..9,
+            slots in 1usize..70,
+            own in 0usize..70,
+            arrivals in proptest::collection::vec(any::<u64>(), 0..400),
+        ) {
+            let own = own % slots;
+            let (mut dist, mut parent) = (vec![INFINITY; slots], vec![u32::MAX; slots]);
+            let mut k = detached(own, slots, ports, &mut dist, &mut parent);
+            let mut cache = vec![vec![INFINITY; slots]; ports];
+            let mut before = k.dist.to_vec();
+            for (i, &op) in arrivals.iter().enumerate() {
+                let (p, s) = (op as usize % ports, (op >> 8) as usize % slots);
+                let heard = match cache[p][s] {
+                    INFINITY => (op >> 16) as u32 % slots as u32,
+                    last => last.saturating_sub((op >> 40) as u32 % 4),
+                };
+                cache[p][s] = heard;
+                k.hear(p, s, heard);
+                if (op >> 48) % 4 != 0 && i + 1 < arrivals.len() {
+                    continue;
+                }
+                let scan: Vec<(u32, Port)> = (0..slots)
+                    .map(|s| {
+                        let best = (0..ports)
+                            .map(|p| (cache[p][s].saturating_add(1), p as Port))
+                            .min()
+                            .filter(|&(d, _)| d != INFINITY && s != own);
+                        best.unwrap_or((if s == own { 0 } else { INFINITY }, u32::MAX))
+                    })
+                    .collect();
+                let worked: Vec<(u32, Port)> =
+                    k.dist.iter().copied().zip(k.parent.iter().copied()).collect();
+                prop_assert_eq!(&worked, &scan);
+                let mut fell = k.fell.clone();
+                fell.sort_unstable();
+                let want: Vec<(u32, u32)> = (0..slots)
+                    .filter(|&s| scan[s].0 < before[s])
+                    .map(|s| (s as u32, before[s]))
+                    .collect();
+                prop_assert_eq!(&fell, &want);
+                let relaxed = k.state.relaxations;
+                k.requeue_fallen();
+                let finite = want.iter().filter(|&&(_, d)| d != INFINITY).count() as u64;
+                prop_assert_eq!(k.state.relaxations, relaxed + finite);
+                prop_assert!(k.fell.is_empty() && k.fell_mask.iter().all(|&w| w == 0));
+                assert_consistent(&k.queues);
+                for &(s, _) in &want {
+                    let i = k.queues.find(k.dist[s as usize]).expect("its level is listed");
+                    let block = k.queues.levels[i].1 as usize;
+                    prop_assert!(has(&k.queues.pool[block * k.queues.words..], s as usize));
+                    prop_assert_eq!(k.queues.owing[s as usize] as usize, ports);
+                }
+                before = k.dist.to_vec();
+            }
         }
     }
 

@@ -229,7 +229,10 @@ const QUIET: ChurnCost = (63, 15939, 207207, 3448, 0, 0);
 /// eight-edge batch — must report exactly these counters (the plan
 /// applies before the run, so each is the static distance vector on the
 /// post-change graph, and the remove costs the same at round 1 and round
-/// 80), and every table equals the oracle on the mutated graph.
+/// 80), every table equals the oracle on the mutated graph, and the
+/// parent ports — the next hops a republished table serves — hash to
+/// exactly these FNV-1a digests, so a tie-break drift cannot pass as
+/// "another valid next hop".
 #[test]
 fn churned_apsp_model_cost_is_pinned() {
     use dapsp::congest::TopologyPlan;
@@ -241,29 +244,43 @@ fn churned_apsp_model_cost_is_pinned() {
         assert!(g.has_edge(x, x + 1));
         plan.with_remove(80, x, x + 1)
     });
-    let golden: [(TopologyPlan, ChurnCost); 6] = [
-        (TopologyPlan::new(), QUIET),
+    let golden: [(TopologyPlan, ChurnCost, u64); 6] = [
+        (TopologyPlan::new(), QUIET, 934717125428986514),
         (
             TopologyPlan::new().with_remove(1, 0, 1),
             (63, 15845, 205985, 3445, 1, 0),
+            14411273942866568309,
         ),
         (
             TopologyPlan::new().with_insert(1, 0, 4),
             (63, 16098, 209274, 3476, 1, 0),
+            18212649916316317422,
         ),
         (
             TopologyPlan::new().with_remove(80, 0, 1),
             (63, 15845, 205985, 3445, 1, 0),
+            14411273942866568309,
         ),
         (
             TopologyPlan::new().with_crash(80, 5),
             (62, 15201, 197613, 3318, 1, 0),
+            1627541545139565945,
         ),
-        (batch, (63, 15096, 196248, 3364, 8, 0)),
+        (batch, (63, 15096, 196248, 3364, 8, 0), 14522964168363000271),
     ];
-    for (plan, want) in golden {
+    for (plan, want, want_ports) in golden {
         let r = apsp::run_churned_on(&g.to_topology(), &plan, Obs::none()).expect("churned apsp");
         assert_eq!(churn_cost(&r.stats), want, "model cost under {plan:?}");
+        let ports = r
+            .parent_port
+            .iter()
+            .flatten()
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, &p| {
+                p.to_le_bytes()
+                    .iter()
+                    .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+            });
+        assert_eq!(ports, want_ports, "parent-port digest under {plan:?}");
         let oracle = reference::apsp(&churned_graph(&g, &plan).expect("plan applies"));
         for v in (0..64u32).filter(|&v| r.present[v as usize]) {
             for root in 0..64u32 {
