@@ -31,8 +31,8 @@ use crate::bfs;
 use crate::churned::ChurnedResult;
 use crate::error::CoreError;
 use crate::kernel::{
-    distance_rows, run_phase, Deal, PebbleKernel, PebbleWaves, RepairKernel, Rows, WaveKernel,
-    WaveState,
+    distance_rows, run_phase, Deal, GrowthKernel, PebbleKernel, PebbleWaves, Rows, SourceSlots,
+    WaveKernel, WaveState,
 };
 use crate::observe::Obs;
 use crate::routing::check_table_size;
@@ -265,7 +265,8 @@ pub fn run_without_wait(graph: &Graph) -> Result<ApspResult, CoreError> {
 
 /// All-pairs distances on the graph `plan` leaves `topology` as: the plan
 /// is applied on the host first ([`churned_topology`] — the network never
-/// changes inside a run), then a [`RepairKernel`] distance vector runs
+/// changes inside a run), then the distance vector — the
+/// [`GrowthKernel`]'s Algorithm 2 growth with every node a source — runs
 /// once, statically, on exactly that topology, writing every node's row
 /// into the run's two matrices, which become the returned
 /// [`ChurnedResult`]'s. `stats.topo_events` counts the plan's events. An
@@ -292,11 +293,13 @@ pub fn run_churned_on(
     let n = topology.num_nodes();
     check_size(n)?;
     let after = churned_topology(topology, plan)?;
+    let all: Vec<u32> = (0..n as u32).collect();
+    let slots = SourceSlots::new(n, &all)?;
     let (mut dist, mut parent_port) = distance_rows(n, n);
     let mut deal = Deal::new(&mut dist, &mut parent_port);
     let horizon = 3 * n as u64 + 8;
     let report = run_phase(&after, obs, "apsp:churn", horizon, |ctx| {
-        RepairKernel::all_roots(ctx, deal.row(ctx))
+        GrowthKernel::distance_vector(ctx, &slots, deal.row(ctx))
     })?;
     Ok(ChurnedResult {
         dist,

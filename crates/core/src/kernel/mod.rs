@@ -12,21 +12,21 @@
 //!   declared per-payload [`Width`](dapsp_congest::Width) so the engine's
 //!   `B = O(log n)` budget check sees an honest bit count for every
 //!   message.
-//! * [`WaveKernel`] — BFS wave growth: single- or all-root, immediate
-//!   forwarding (Claim 1) or per-port ID-priority queues (Algorithm 2),
+//! * [`WaveKernel`] — BFS wave forwarding (Claim 1): single- or all-root,
 //!   optional depth truncation (k-BFS, Definition 7), adoption
 //!   announcements, wave-receipt counting, and Lemma 7 cycle-candidate
 //!   recording.
+//! * [`GrowthKernel`] — Algorithm 2's simultaneous growth with per-edge
+//!   `(dist, id)`-priority lists over a [`SourceSlots`] set, without
+//!   `T_1`: S-SP's growth, and — every node a source, with a transmit
+//!   filter — the distance vector run on the topology a
+//!   [`TopologyPlan`](dapsp_congest::TopologyPlan) leaves behind
+//!   (disconnected ones included).
 //! * [`PebbleKernel`] — the DFS token over a known tree, with the paper's
 //!   one-slot wait at first visits (line 5 of Algorithm 1) or the ablated
 //!   immediate start.
 //! * [`ConvergecastKernel`] — aggregate up `T_1`, broadcast the total
 //!   down (Definition 6).
-//! * [`RepairKernel`] — all-roots distance growth without `T_1`: a
-//!   synchronous distance-vector protocol with per-port neighbor caches
-//!   and Algorithm 2's `(dist, id)` announcement priority, run on the
-//!   topology a [`TopologyPlan`](dapsp_congest::TopologyPlan) leaves
-//!   behind (disconnected ones included).
 //! * [`ReliableKernel`] — a bounded-horizon synchronizer giving any
 //!   protocol exact fault-free semantics over links a
 //!   [`FaultPlan`](dapsp_congest::FaultPlan) adversary drops messages
@@ -66,22 +66,22 @@
 //! changes a send.
 
 mod convergecast;
+mod growth;
 mod pebble;
 mod pebble_waves;
 mod protocol;
 mod reliable;
-mod repair;
 mod rows;
 mod wave;
 
 pub use convergecast::{CastMsg, ConvergecastKernel};
+pub use growth::{GrowthKernel, GrowthMsg};
 pub use pebble::{PebbleKernel, Token};
 pub(crate) use pebble_waves::PebbleWaves;
 pub use protocol::{Protocol, ProtocolHost, Tx};
 pub use reliable::{Frame, ReliableKernel};
-pub use repair::{RepairKernel, RepairMsg};
-pub use rows::{distance_rows, Deal, Row, Rows};
-pub use wave::{SourceSlots, WaveKernel, WaveMsg, WaveState};
+pub use rows::{distance_rows, Deal, Row, Rows, SourceSlots};
+pub use wave::{WaveKernel, WaveMsg, WaveState};
 
 use dapsp_congest::{
     Config, NodeContext, Report, RunStats, Simulator, Topology, TraceEvent, TransportSummary,

@@ -72,7 +72,7 @@ pub enum RebuildPolicy {
     /// The initial full Algorithm 1 run (epoch 0).
     Initial,
     /// A churned rerun: the plan was applied to the topology on the host,
-    /// then the [`RepairKernel`](crate::kernel::RepairKernel) ran a cold
+    /// then the [`GrowthKernel`](crate::kernel::GrowthKernel) ran a cold
     /// `n`-slot distance vector once on the post-change topology. No prior
     /// table is passed in; recomputing only the affected rows is open
     /// (ROADMAP.md item 3).

@@ -79,6 +79,17 @@ fn ssp_matches_oracle_on_every_small_connected_graph() {
                 );
             }
         }
+        // The growth's two rules compute one table: S-SP over every node
+        // and the distance vector (a churned run with an empty plan).
+        let all: Vec<u32> = (0..n as u32).collect();
+        let every = ssp::run_on_obs(&g.to_topology(), &all, Obs::none())
+            .unwrap_or_else(|e| panic!("ssp over V failed on {g:?}: {e}"));
+        let dv = apsp::run_churned_on(&g.to_topology(), &TopologyPlan::new(), Obs::none())
+            .unwrap_or_else(|e| panic!("distance vector failed on {g:?}: {e}"));
+        assert_eq!(
+            every.dist, dv.dist,
+            "S-SP over V and the DV differ on {g:?}"
+        );
     }
 }
 

@@ -7,7 +7,7 @@
 
 use dapsp_congest::{ExecutorKind, SharedObserver, TraceRecorder};
 use dapsp_core::{apsp, ssp, Obs};
-use dapsp_graph::generators;
+use dapsp_graph::{generators, Graph};
 
 #[test]
 fn apsp_pipeline_matches_across_executors() {
@@ -30,31 +30,56 @@ fn apsp_pipeline_matches_across_executors() {
     }
 }
 
+/// A Watts–Strogatz ring whose node 0 is also joined to nodes `1..=80`:
+/// a hub with more ports than a bitset word has bits.
+fn hub(n: usize) -> Graph {
+    let ring = generators::watts_strogatz(n, 2, 0.1, 7);
+    let mut b = Graph::builder(n);
+    for (u, v) in ring.edges() {
+        b.add_edge(u, v).expect("valid edge");
+    }
+    for v in 1..=80 {
+        if !ring.has_edge(0, v) {
+            b.add_edge(0, v).expect("valid edge");
+        }
+    }
+    b.build()
+}
+
+/// S-SP streams the same events on the serial and the pool executor: on a
+/// tree, and on a hub with more than 64 ports and more than 64 sources
+/// (given out of id order), so the growth's level index spans word
+/// boundaries in both its port and its slot dimension.
 #[test]
 fn ssp_pipeline_streams_identical_events_across_executors() {
-    let g = generators::random_tree(20, 7);
-    let topo = g.to_topology();
-    let sources = [0u32, 3, 11];
+    // 27 is coprime to 100: seventy distinct ids, out of id order.
+    let many: Vec<u32> = (0..70).map(|i| (i * 27 + 5) % 100).collect();
+    let cases = [
+        (generators::random_tree(20, 7), vec![0u32, 3, 11]),
+        (hub(100), many),
+    ];
+    for (g, sources) in &cases {
+        let topo = g.to_topology();
+        let record = |executor: ExecutorKind| {
+            let rec = SharedObserver::new(TraceRecorder::new());
+            let handle = rec.observer();
+            let result = ssp::run_on_obs(
+                &topo,
+                sources,
+                Obs::watching(&handle).with_executor(executor),
+            )
+            .expect("ssp runs");
+            (result, rec.with(|r| r.events_jsonl()))
+        };
 
-    let record = |executor: ExecutorKind| {
-        let rec = SharedObserver::new(TraceRecorder::new());
-        let handle = rec.observer();
-        let result = ssp::run_on_obs(
-            &topo,
-            &sources,
-            Obs::watching(&handle).with_executor(executor),
-        )
-        .expect("ssp runs");
-        (result, rec.with(|r| r.events_jsonl()))
-    };
-
-    let (serial, serial_stream) = record(ExecutorKind::Serial);
-    let (pooled, pooled_stream) = record(ExecutorKind::Pool { workers: 3 });
-    assert_eq!(serial.dist, pooled.dist);
-    assert_eq!(serial.next_hop, pooled.next_hop);
-    assert_eq!(serial.d0, pooled.d0);
-    assert_eq!(serial.stats, pooled.stats);
-    // The phases ("bfs", "agg:max", "ssp:growth") stream the same events.
-    assert!(serial_stream.contains("\"phase\":\"ssp:growth\""));
-    assert_eq!(serial_stream, pooled_stream);
+        let (serial, serial_stream) = record(ExecutorKind::Serial);
+        let (pooled, pooled_stream) = record(ExecutorKind::Pool { workers: 3 });
+        assert_eq!(serial.dist, pooled.dist);
+        assert_eq!(serial.next_hop, pooled.next_hop);
+        assert_eq!(serial.d0, pooled.d0);
+        assert_eq!(serial.stats, pooled.stats);
+        // The phases ("bfs", "agg:max", "ssp:growth") stream the same events.
+        assert!(serial_stream.contains("\"phase\":\"ssp:growth\""));
+        assert_eq!(serial_stream, pooled_stream);
+    }
 }

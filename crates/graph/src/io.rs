@@ -11,6 +11,11 @@ use std::fmt;
 
 use crate::graph::{Graph, GraphError};
 
+/// The most nodes an edge list may declare or imply: 2²² ≈ 4.2 M, whose
+/// empty adjacency lists alone take ≈ 96 MiB. A count above it is refused
+/// before anything is allocated.
+const MAX_NODES: u64 = 1 << 22;
+
 /// Errors raised while parsing an edge list.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
@@ -22,9 +27,8 @@ pub enum ParseError {
         /// The offending content.
         content: String,
     },
-    /// A node count or node id that leaves the `u32` id space: a header
-    /// `n` above `u32::MAX`, or an id equal to `u32::MAX` (the workspace's
-    /// none/∞ sentinel, so `max id + 1` would not fit).
+    /// A node count above 2²² ≈ 4.2 M: a header `n` that large, or an id
+    /// whose `id + 1` is.
     TooManyNodes {
         /// 1-based line number.
         line: usize,
@@ -43,8 +47,7 @@ impl fmt::Display for ParseError {
             }
             ParseError::TooManyNodes { line, nodes } => write!(
                 f,
-                "edge list line {line} asks for {nodes} nodes; ids must stay below {}",
-                u32::MAX
+                "edge list line {line} asks for {nodes} nodes; at most {MAX_NODES} are allowed"
             ),
             ParseError::Graph(e) => write!(f, "invalid edge: {e}"),
         }
@@ -71,8 +74,8 @@ impl From<GraphError> for ParseError {
 /// # Errors
 ///
 /// Returns [`ParseError`] on malformed lines, self-loops, ids exceeding
-/// a declared `n` header, or a node count that leaves the `u32` id space
-/// (refused before anything is allocated).
+/// a declared `n` header, or a node count above 2²² (refused before
+/// anything is allocated).
 ///
 /// # Examples
 ///
@@ -108,7 +111,7 @@ pub fn from_edge_list(text: &str) -> Result<Graph, ParseError> {
         match (a, b, parts.next()) {
             (Some("n"), Some(count), None) => {
                 let count: u64 = count.parse().map_err(|_| malformed())?;
-                if count > u64::from(u32::MAX) {
+                if count > MAX_NODES {
                     return Err(too_many(count));
                 }
                 declared_n = Some(count as usize);
@@ -117,8 +120,8 @@ pub fn from_edge_list(text: &str) -> Result<Graph, ParseError> {
                 let u: u32 = u.parse().map_err(|_| malformed())?;
                 let v: u32 = v.parse().map_err(|_| malformed())?;
                 max_id = max_id.max(u).max(v);
-                if max_id == u32::MAX {
-                    return Err(too_many(u64::from(u32::MAX) + 1));
+                if u64::from(max_id) + 1 > MAX_NODES {
+                    return Err(too_many(u64::from(max_id) + 1));
                 }
                 pairs.push((u, v));
             }
@@ -203,15 +206,18 @@ mod tests {
         ));
     }
 
-    /// Node counts past the `u32` id space are refused with a typed error
-    /// before any allocation, whether a header asks for them or an id
-    /// implies them.
+    /// Node counts above the cap are refused with a typed error before
+    /// any allocation, whether a header asks for them or an id implies
+    /// them; a small header is accepted.
     #[test]
-    fn rejects_node_counts_past_the_id_space() {
+    fn rejects_node_counts_above_the_cap() {
         for (text, line, nodes) in [
             ("n 18446744073709551615\n0 1\n", 1, u64::MAX),
             ("n 4294967296\n0 1\n", 1, 1 << 32),
+            ("n 4294967295\n0 1\n", 1, u64::from(u32::MAX)),
+            ("# one past the cap\nn 4194305\n", 2, MAX_NODES + 1),
             ("0 1\n4294967295 0\n", 2, 1 << 32),
+            ("0 1\n1 4194304\n", 2, MAX_NODES + 1),
         ] {
             assert_eq!(
                 from_edge_list(text).unwrap_err(),
@@ -219,6 +225,7 @@ mod tests {
                 "{text:?}"
             );
         }
+        assert_eq!(from_edge_list("n 9\n0 8\n").unwrap().num_nodes(), 9);
     }
 
     #[test]

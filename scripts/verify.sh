@@ -38,12 +38,19 @@ cargo run --offline --release -p dapsp-bench --bin dapsp-inspect -- \
     diff --workload apsp --family hub --n 64 --threads 2
 
 echo "==> dapsp-inspect diff of a churned run on the hub family"
-# The same diff for the churned distance vector (`RepairKernel`, the run
-# behind every republish) on a 128-node hub whose star has degree 22:
-# `--churn 2` applies its plan to the graph first, then the serial and
-# 2-thread pool event streams must be identical. About 0.2 s.
+# The same diff for the churned distance vector (the `GrowthKernel`'s
+# distance-vector rule, the run behind every republish) on a 128-node hub
+# whose star has degree 22: `--churn 2` applies its plan to the graph
+# first, then the serial and 2-thread pool event streams must be
+# identical. About 0.2 s.
 cargo run --offline --release -p dapsp-bench --bin dapsp-inspect -- \
     diff --workload apsp --family hub --n 128 --churn 2 --threads 2
+
+echo "==> dapsp-inspect diff of an S-SP run on the hub family"
+# The `GrowthKernel`'s S-SP rule on the same hub, serial against the
+# 2-thread pool. Under 10 ms.
+cargo run --offline --release -p dapsp-bench --bin dapsp-inspect -- \
+    diff --workload ssp --family hub --n 128 --threads 2
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
