@@ -32,8 +32,10 @@
 //! * [`GrowthKernel::distance_vector`] — every node sends in `init`; an
 //!   improvement is owed on every port, and a popped slot goes out only if
 //!   it improves on what the peer announced or the peer was told a distance
-//!   for it before (`Neighbours`); an equal distance arriving on a lower
-//!   port takes the parent port.
+//!   for it before; an equal distance arriving on a lower port takes the
+//!   parent port. The filter reads one byte per (slot, port)
+//!   (`Neighbours`): the peer's gap behind the slot's distance, clamped to
+//!   2 and exact below it, and a told bit.
 
 use dapsp_congest::{NodeContext, Port, Width};
 use dapsp_graph::INFINITY;
@@ -76,7 +78,8 @@ enum Rule {
     /// S-SP: this round's arrivals as `(slot, sender's dist, port)`, judged
     /// for cycle candidates at the round end.
     Ssp { arrivals: Vec<(u32, u32, Port)> },
-    /// The distance vector: what each neighbour announced and was told.
+    /// The distance vector: what its transmit filter needs of each
+    /// neighbour, per slot.
     DistanceVector { near: Neighbours },
 }
 
@@ -120,11 +123,7 @@ impl<'a> GrowthKernel<'a> {
                 false
             }
             Rule::DistanceVector { near } => {
-                let i = near.at(p, s);
-                // A neighbour's distance only falls: what the incremental
-                // minimum rests on.
-                debug_assert!(sent <= near.cells[i], "port {p} raised slot {s} to {sent}");
-                near.cells[i] = sent;
+                near.hear(p, s, sent, self.dist[s]);
                 true
             }
         };
@@ -179,13 +178,7 @@ impl<'a> GrowthKernel<'a> {
                 for p in 0..ports {
                     while let Some((dist, s)) = self.queues.pop(p) {
                         debug_assert_eq!(dist, self.dist[s], "slot {s} queued under a stale key");
-                        let cached = near.at(p, s);
-                        let told = cached + ports;
-                        // A distance only falls, so a queued one was never
-                        // told.
-                        debug_assert_ne!(dist, near.cells[told], "slot {s} told twice");
-                        if dist + 1 < near.cells[cached] || near.cells[told] != INFINITY {
-                            near.cells[told] = dist;
+                        if near.tell(p, s) {
                             tx.send(p as Port, GrowthMsg { root: ids[s], dist });
                             break;
                         }
@@ -197,28 +190,74 @@ impl<'a> GrowthKernel<'a> {
 }
 
 /// The distance vector's neighbour table, slot-major: row `s` is
-/// `cells[s * 2 * ports..][..2 * ports]`, laid out `[cache[0..ports] |
-/// told[0..ports]]` — `cache` the last distance the neighbour announced,
-/// `told` the last one announced to it, every cell [`INFINITY`] until heard
-/// from or told — so the transmit filter reads the row the pop just named.
+/// `cells[s * ports..][..ports]`, one byte per port, so the transmit filter
+/// reads the row the pop just named. A cell keeps what the filter needs of
+/// the peer: the gap between the distance it announced for the slot and
+/// the slot's own distance, `min(cache − dist, 2)`, as `gap + 1` in the
+/// low two bits ([`GAP`]), and whether the peer was ever told a distance
+/// for it ([`TOLD`]). Every cell starts at gap 2 (nothing heard), not told.
+///
+/// Both distances only fall and `dist ≤ cache + 1` on every port heard
+/// from, so the gap is at least −1; an arrival sets its port's gap
+/// exactly, and a fall of `dist` by `Δ` raises every gap of the row by
+/// `Δ`, saturating at 2. So a gap below 2 is exact, and one of 2 means
+/// `dist + 1 < cache`: the peer can use the slot.
 struct Neighbours {
     ports: usize,
-    cells: Vec<u32>,
+    cells: Vec<u8>,
 }
+
+/// A cell's `gap + 1` field; all set is a gap of 2 or more.
+const GAP: u8 = 0b011;
+/// A cell's "ever told" bit.
+const TOLD: u8 = 0b100;
 
 impl Neighbours {
     fn new(slots: usize, ports: usize) -> Self {
         Neighbours {
             ports,
-            cells: vec![INFINITY; slots * 2 * ports],
+            cells: vec![GAP; slots * ports],
         }
     }
 
-    /// The index of port `p`'s `cache` cell for slot `s`; its `told` cell
-    /// is `ports` further on.
-    fn at(&self, p: usize, s: usize) -> usize {
-        debug_assert!(p < self.ports && s * 2 * self.ports < self.cells.len());
-        s * 2 * self.ports + p
+    /// Slot `s`'s row.
+    fn row(&mut self, s: usize) -> &mut [u8] {
+        &mut self.cells[s * self.ports..][..self.ports]
+    }
+
+    /// Port `p` announces `sent` for slot `s`, whose distance is `dist`
+    /// before the announcement is taken in: the slot's new distance is
+    /// `min(dist, sent + 1)`, and every gap of the row is kept against it.
+    fn hear(&mut self, p: usize, s: usize, sent: u32, dist: u32) {
+        let row = self.row(s);
+        // A neighbour's distance only falls: what the incremental minimum
+        // and the gaps rest on. Checkable only where the gap is exact.
+        debug_assert!(
+            row[p] & GAP == GAP || sent < dist + u32::from(row[p] & GAP),
+            "port {p} raised slot {s} to {sent}"
+        );
+        let now = dist.min(sent + 1);
+        if now < dist {
+            let rise = (dist - now).min(u32::from(GAP)) as u8;
+            for cell in row.iter_mut() {
+                *cell = (*cell & TOLD) | ((*cell & GAP) + rise).min(GAP);
+            }
+        }
+        row[p] = (row[p] & TOLD) | (sent + 1 - now).min(u32::from(GAP)) as u8;
+    }
+
+    /// Whether port `p`'s peer can use slot `s` at its current distance:
+    /// it improves on what the peer announced, or the peer was told a
+    /// distance for the slot before, which this one corrects. If so, the
+    /// peer is told.
+    fn tell(&mut self, p: usize, s: usize) -> bool {
+        let cell = &mut self.row(s)[p];
+        // The gap field all set, or the told bit above it.
+        let usable = *cell >= GAP;
+        if usable {
+            *cell |= TOLD;
+        }
+        usable
     }
 }
 
@@ -537,6 +576,38 @@ mod tests {
         }
     }
 
+    /// The neighbour table the gap bytes replaced, kept as the filter's
+    /// model: per port and slot the last distance the peer announced and
+    /// the last one it was told, [`INFINITY`] until then. A popped slot
+    /// goes out iff `dist + 1 < cache` or the peer was told before.
+    struct TableModel {
+        cache: Vec<Vec<u32>>,
+        told: Vec<Vec<u32>>,
+    }
+
+    impl TableModel {
+        fn usable(&self, p: usize, s: usize, dist: u32) -> bool {
+            dist + 1 < self.cache[p][s] || self.told[p][s] != INFINITY
+        }
+    }
+
+    /// The distance vector's neighbour table.
+    fn near<'k>(k: &'k GrowthKernel<'_>) -> &'k Neighbours {
+        match &k.rule {
+            Rule::DistanceVector { near } => near,
+            Rule::Ssp { .. } => unreachable!("a distance-vector kernel"),
+        }
+    }
+
+    /// One round end of a detached kernel: the fallen slots re-keyed, then
+    /// its sends as `(port, root, dist)`.
+    fn round_end(k: &mut GrowthKernel<'_>) -> Vec<(Port, u32, u32)> {
+        let mut tx = Tx::new();
+        k.requeue_fallen();
+        k.transmit(&mut tx);
+        tx.drain().map(|(p, m)| (p, m.root, m.dist)).collect()
+    }
+
     /// Whether bit `s` of `bits` is set.
     fn has(bits: &[u64], s: usize) -> bool {
         bits[s / 64] >> (s % 64) & 1 == 1
@@ -545,28 +616,33 @@ mod tests {
     /// The shared index is what it says it is: levels strictly
     /// descending; each level's count equal to the owed `(slot, port)`
     /// pairs of the slots in its bitset, and non-zero; every owed slot in
-    /// exactly one level's bitset, and no slot in two.
+    /// exactly one level's bitset, and no slot in two. Checked a word of
+    /// 64 slots at a time, so it is cheap enough to run after every step.
     fn assert_consistent(q: &LevelQueues) {
         let (words, stride) = (q.words, q.words + 1);
         let levels = &q.cells[q.base..];
         assert_eq!(levels.len() % stride, 0);
         let entries: Vec<&[u64]> = levels.chunks_exact(stride).collect();
         assert!(entries.windows(2).all(|w| w[0][0] >> 32 > w[1][0] >> 32));
+        let owed = &q.cells[..q.ports * words];
         for e in &entries {
-            let pairs: u64 = (0..words * 64)
-                .filter(|&s| has(&e[1..], s))
-                .map(|s| q.owing(s))
+            let pairs: u64 = (0..owed.len())
+                .map(|i| u64::from((e[1 + i % words] & owed[i]).count_ones()))
                 .sum();
             let level = e[0] >> 32;
             assert_eq!(e[0] as u32 as u64, pairs, "level {level}'s count");
             assert_ne!(pairs, 0, "level {level} is open with nothing owed");
         }
-        for s in 0..words * 64 {
-            let levels = entries.iter().filter(|e| has(&e[1..], s)).count();
-            assert!(levels <= 1, "slot {s} in {levels} levels");
-            if q.owing(s) > 0 {
-                assert_eq!(levels, 1, "owed slot {s} in no level");
+        let first = |bits: u64, w: usize| w * 64 + bits.trailing_zeros() as usize;
+        for w in 0..words {
+            let mut listed = 0;
+            for e in &entries {
+                let twice = listed & e[1 + w];
+                assert_eq!(twice, 0, "slot {} in two levels", first(twice, w));
+                listed |= e[1 + w];
             }
+            let unlisted = owed[w..].iter().step_by(words).fold(0, |u, &o| u | o) & !listed;
+            assert_eq!(unlisted, 0, "owed slot {} in no level", first(unlisted, w));
         }
     }
 
@@ -751,6 +827,87 @@ mod tests {
                 before = k.dist.to_vec();
             }
         }
+
+        /// The gap bytes filter like the `u32` table they replaced
+        /// ([`TableModel`], with the scan model's queues and distances):
+        /// random per-(port, slot) non-increasing arrivals, repeats
+        /// included, batched into random rounds on 1 to 8 ports and 1 to
+        /// 139 slots, then rounds until the queues drain. After every step
+        /// each finite slot's "peer can use it" and told bits equal the
+        /// model's, and every round sends what the model sends.
+        #[test]
+        fn gap_bytes_filter_like_the_distance_table(
+            ports in 1usize..9,
+            slots in 1usize..140,
+            own in 0usize..140,
+            arrivals in proptest::collection::vec(any::<u64>(), 0..400),
+        ) {
+            let own = own % slots;
+            let (mut dist, mut parent) = (vec![INFINITY; slots], vec![u32::MAX; slots]);
+            let all = all(slots);
+            let mut k = detached(own, &all, ports, &mut dist, &mut parent);
+            let mut table = TableModel {
+                cache: vec![vec![INFINITY; slots]; ports],
+                told: vec![vec![INFINITY; slots]; ports],
+            };
+            let mut queues = ScanModel { pending: vec![BTreeSet::new(); ports] };
+            let mut scan = vec![INFINITY; slots];
+            scan[own] = 0;
+            // `init`: the own slot is owed on every port.
+            k.queues.requeue(own, 0, None);
+            for q in &mut queues.pending {
+                q.insert(own as u32);
+            }
+            let mut fallen = BTreeSet::new();
+            for (i, &op) in arrivals.iter().enumerate() {
+                let (p, s) = (op as usize % ports, (op >> 8) as usize % slots);
+                let heard = match table.cache[p][s] {
+                    INFINITY => (op >> 16) as u32 % slots as u32,
+                    last => last.saturating_sub((op >> 40) as u32 % 4),
+                };
+                table.cache[p][s] = heard;
+                k.hear(p, s, heard);
+                if heard + 1 < scan[s] {
+                    scan[s] = heard + 1;
+                    fallen.insert(s);
+                }
+                let round = (op >> 48) % 4 == 0 || i + 1 == arrivals.len();
+                let mut drained = false;
+                while !drained {
+                    if round {
+                        let sent = round_end(&mut k);
+                        for s in std::mem::take(&mut fallen) {
+                            for q in &mut queues.pending {
+                                q.insert(s as u32);
+                            }
+                        }
+                        let mut want = Vec::new();
+                        for p in 0..ports {
+                            while let Some((d, s)) = queues.pop(p, &scan) {
+                                if table.usable(p, s, d) {
+                                    table.told[p][s] = d;
+                                    want.push((p as Port, s as u32, d));
+                                    break;
+                                }
+                            }
+                        }
+                        prop_assert_eq!(sent, want);
+                        prop_assert_eq!(k.queues.is_empty(), queues.is_empty());
+                    }
+                    prop_assert_eq!(&*k.dist, &scan[..]);
+                    for s in (0..slots).filter(|&s| scan[s] != INFINITY) {
+                        let row = &near(&k).cells[s * ports..][..ports];
+                        for (p, &cell) in row.iter().enumerate() {
+                            prop_assert_eq!(cell & GAP == GAP, scan[s] + 1 < table.cache[p][s]);
+                            prop_assert_eq!(cell & TOLD != 0, table.told[p][s] != INFINITY);
+                        }
+                    }
+                    // After the last arrival, round ends until nothing is
+                    // owed.
+                    drained = i + 1 < arrivals.len() || queues.is_empty();
+                }
+            }
+        }
     }
 
     /// Random re-key-on-change / pop sequences pop identically from the
@@ -785,6 +942,60 @@ mod tests {
         assert_consistent(&q);
         assert_eq!(q.pop(0), Some((2, 1)));
         assert!(q.is_empty());
+    }
+
+    /// The gap byte at its corners: the own slot, whose distance 0 no
+    /// announcement lowers; a slot first heard on one port and then
+    /// improved through another, whose first port's gap is exact below 2
+    /// and then saturates; a node without ports, as an absent or crashed
+    /// node runs.
+    #[test]
+    fn gap_bytes_hold_at_the_corners() {
+        let row = |k: &GrowthKernel<'_>, s: usize| near(k).cells[s * 2..][..2].to_vec();
+        let all = all(8);
+        let (mut dist, mut parent) = (vec![INFINITY; 8], vec![u32::MAX; 8]);
+        let mut k = detached(3, &all, 2, &mut dist, &mut parent);
+        // `init`: nothing heard, so the own slot goes out on both ports;
+        // peers at 1 and 2 leave gaps 1 and 2 behind the told bits.
+        k.queues.requeue(3, 0, None);
+        assert_eq!(round_end(&mut k), [(0, 3, 0), (1, 3, 0)]);
+        k.hear(0, 3, 1);
+        k.hear(1, 3, 2);
+        assert_eq!((k.dist[3], row(&k, 3)), (0, vec![TOLD | 2, TOLD | GAP]));
+        // Slot 5 at 7 through port 0: its gap is −1, port 1's still 2.
+        k.hear(0, 5, 6);
+        assert_eq!(row(&k, 5), [0, GAP]);
+        // At 5 through port 1, port 0's gap rises by 2 to exactly 1 ...
+        k.hear(1, 5, 4);
+        assert_eq!(row(&k, 5), [2, 0]);
+        // ... and at 2 by 3 more, saturating at 2 (it is 4).
+        k.hear(1, 5, 1);
+        assert_eq!((k.dist[5], k.parent[5]), (2, 1));
+        assert_eq!(row(&k, 5), [GAP, 0]);
+        // So only port 0's peer is sent the new distance.
+        assert_eq!(round_end(&mut k), [(0, 5, 2)]);
+        assert_eq!(row(&k, 5), [TOLD | GAP, 0]);
+        assert!(k.queues.is_empty());
+
+        // A node without ports keeps no cells and owes nothing.
+        let (mut dist, mut parent) = ([INFINITY; 8], [u32::MAX; 8]);
+        let mut k = detached(1, &all, 0, &mut dist, &mut parent);
+        k.queues.requeue(1, 0, None);
+        assert!(near(&k).cells.is_empty() && k.queues.is_empty());
+        assert_eq!(round_end(&mut k), []);
+    }
+
+    /// Where a gap is exact, an announcement that raises a neighbour's
+    /// distance is caught.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "port 0 raised slot 2 to 4")]
+    fn a_raised_announcement_is_caught_where_the_gap_is_exact() {
+        let all = all(4);
+        let (mut dist, mut parent) = ([INFINITY; 4], [u32::MAX; 4]);
+        let mut k = detached(0, &all, 1, &mut dist, &mut parent);
+        k.hear(0, 2, 3);
+        k.hear(0, 2, 4);
     }
 
     /// A hosted [`GrowthKernel`] whose output is the number of words its

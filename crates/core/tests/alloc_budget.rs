@@ -5,12 +5,13 @@
 //! count grow with the *message* count; one that reuses per-node scratch
 //! allocates per node. Likewise Algorithm 2 needs `|S|` distances per node,
 //! not `n`, and one allocation for all its port lists, not one per list
-//! that fills; a repair run's queues and neighbour table are per-node
-//! state, not per-round; and a cold build holds the run's two `n²`
-//! matrices, which the kernels write their rows into and the result and
-//! the table take over — not per-node row vectors next to a folded copy.
-//! This binary installs a counting global allocator, which also tracks the
-//! live heap's high-water mark, and holds all five to a budget. The
+//! that fills; a churned run's queues and neighbour table are per-node
+//! state, not per-round, and the table keeps one byte per (slot, port),
+//! not two distances; and a cold build holds the run's two `n²` matrices,
+//! which the kernels write their rows into and the result and the table
+//! take over — not per-node row vectors next to a folded copy. This
+//! binary installs a counting global allocator, which also tracks the
+//! live heap's high-water mark, and holds all six to a budget. The
 //! counters are process-wide, hence a single `#[test]` that measures
 //! serially.
 
@@ -252,8 +253,8 @@ fn kernel_hot_path_stays_within_its_allocation_budget() {
 
     // The churned path: a single-edge republish plan (remove an edge, put
     // it back), applied before the distance-vector run, allocates per node
-    // too — the level index, its block pool and the neighbour table are
-    // sized once and recycled. Per-port level lists and per-port cache
+    // too — the level index and the neighbour table are sized once and
+    // recycled. Per-port level lists and per-port cache
     // rows cost 43, 45 and 36 calls per node on these graphs; the shared
     // index 24, 26, 27 (22, 24, 26 on the one-buffer send path, 18, 20, 22
     // with the rows dealt out of the run's matrices, 17, 19, 21 once the
@@ -287,11 +288,35 @@ fn kernel_hot_path_stays_within_its_allocation_budget() {
         );
     }
 
+    // What a churned run holds at once, in `n²` words like the cold build
+    // above. Each node's neighbour table keeps a row per slot: two `u32`s
+    // per port (the last distance heard and the last one told) held
+    // 4 008 120 bytes at the peak on ws(256,3), 15.29 n² words — 2·deg
+    // rows per node beside its distance and parent rows. One byte per port
+    // (the peer's clamped gap and a told bit) holds 1 255 608, 4.79 n²
+    // words. The budget of 6 sits between.
+    let g = generators::watts_strogatz(256, 3, 0.05, 7);
+    let n = g.num_nodes() as u64;
+    let topology = g.to_topology();
+    let (peak, result) =
+        peak_live(|| apsp::run_churned_on(&topology, &TopologyPlan::new(), Obs::none()));
+    result.expect("churned apsp");
+    println!(
+        "churned ws(256,3): peak {peak} live bytes = {:.2} n² words",
+        peak as f64 / (4 * n * n) as f64
+    );
+    assert!(
+        peak <= 6 * 4 * n * n,
+        "ws(256,3): apsp::run_churned_on held {peak} bytes at once, {:.2} n² words (budget 6)",
+        peak as f64 / (4 * n * n) as f64
+    );
+
     // A hub must not pay for sharing: the star's centre keeps one
     // 129-port block per live level. With per-port queues and rows the run
     // requested 924 838 bytes (7.1 KB per node); the budget is that plus
     // 10 % (measured: 897 922; 642 194 with the rows dealt out of the
-    // run's matrices; 564 736 once the plan stopped landing mid-run).
+    // run's matrices; 564 736 once the plan stopped landing mid-run;
+    // 327 016 with one byte per neighbour cell).
     const PER_PORT_QUEUES: u64 = 924_838;
     let (calls, bytes, messages) = repair(&generators::star(130));
     println!("repair star(130): {calls} calls, {bytes} bytes, {messages} messages");
